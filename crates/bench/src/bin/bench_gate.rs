@@ -2,16 +2,22 @@
 //! committed `BENCH_*.json` snapshot and fails (exit 1) when the fresh
 //! numbers regress past a tolerance band.
 //!
-//! Two experiments are understood, dispatched on the export's
+//! Three experiments are understood, dispatched on the export's
 //! `experiment` field:
 //!
 //! * `service_sweep` — per concurrency level, fresh `jobs_per_sec`
 //!   must be at least `(1 - tolerance) ×` the committed throughput,
 //!   and the level must still complete every job.
-//! * `runtime_sweep` — per `(shape, block_bytes)` case, fresh clean
-//!   `wall_ms` must be at most `(1 + tolerance) ×` the committed wall
-//!   time, and every case must still verify bit-exactly (clean and
-//!   faulty) — correctness never gets a tolerance band.
+//! * `runtime_sweep` / `collective_sweep` — per `(shape, block_bytes,
+//!   op)` case, fresh clean `wall_ms` must be at most `(1 + tolerance)
+//!   ×` the committed wall time; every case must still verify
+//!   bit-exactly (clean, faulty, degraded); and the counters the
+//!   schedule alone determines (`steps`, `wire_bytes`, `bytes_copied`,
+//!   clean `peak_node_bytes`, `injected_drops`, degraded
+//!   `extra_wire_bytes` / `dropped_blocks`) must equal the committed
+//!   values exactly — correctness and traffic never get a tolerance
+//!   band, so a change that puts different bytes on the wire fails even
+//!   when it is fast.
 //!
 //! The sweeps overwrite `BENCH_*.json` in place when they run, so CI
 //! copies the committed snapshot aside *first*, re-runs the sweep, and
@@ -58,7 +64,7 @@ fn gate(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec<String> {
     }
     match experiment {
         Some("service_sweep") => gate_service_sweep(baseline, fresh, tolerance),
-        Some("runtime_sweep") => gate_runtime_sweep(baseline, fresh, tolerance),
+        Some("runtime_sweep" | "collective_sweep") => gate_case_sweep(baseline, fresh, tolerance),
         other => vec![format!("unknown experiment {other:?}")],
     }
 }
@@ -105,7 +111,27 @@ fn gate_service_sweep(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec<Stri
     violations
 }
 
-fn gate_runtime_sweep(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec<String> {
+/// Counters fixed by the schedule (and, for `injected_drops`, by the
+/// seeded fault plan), as `(section, field)`; `""` is the case itself.
+/// Faulty `peak_node_bytes` is absent on purpose: it counts retained
+/// frames, whose lifetime depends on thread timing.
+const EXACT_COUNTERS: [(&str, &str); 10] = [
+    ("", "steps"),
+    ("clean", "wire_bytes"),
+    ("clean", "bytes_copied"),
+    ("clean", "peak_node_bytes"),
+    ("clean", "injected_drops"),
+    ("faulty", "wire_bytes"),
+    ("faulty", "bytes_copied"),
+    ("faulty", "injected_drops"),
+    ("degraded", "extra_wire_bytes"),
+    ("degraded", "dropped_blocks"),
+];
+
+/// The gate shared by `runtime_sweep` and `collective_sweep`: both
+/// export `cases`, each with `clean` / `faulty` (and, for all-to-all,
+/// `degraded`) sections.
+fn gate_case_sweep(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec<String> {
     let mut violations = Vec::new();
     let cases = |v: &Json| -> Vec<Json> {
         v.get("cases")
@@ -113,23 +139,27 @@ fn gate_runtime_sweep(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec<Stri
             .map(<[Json]>::to_vec)
             .unwrap_or_default()
     };
+    let text = |c: &Json, field: &str| {
+        c.get(field)
+            .and_then(Json::as_str)
+            .unwrap_or_default()
+            .to_string()
+    };
     let key = |c: &Json| {
         (
-            c.get("shape")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
+            text(c, "shape"),
             get_u64(c, "block_bytes").unwrap_or(0),
+            text(c, "op"),
         )
     };
     let fresh_cases = cases(fresh);
     for base in cases(baseline) {
-        let (shape, block) = key(&base);
-        let label = format!("{shape}/m={block}");
-        let Some(new) = fresh_cases
-            .iter()
-            .find(|c| key(c) == (shape.clone(), block))
-        else {
+        let (shape, block, op) = key(&base);
+        let label = format!(
+            "{shape}/m={block}{}{op}",
+            if op.is_empty() { "" } else { "/" }
+        );
+        let Some(new) = fresh_cases.iter().find(|c| key(c) == key(&base)) else {
             violations.push(format!("fresh run lost case {label}"));
             continue;
         };
@@ -148,18 +178,41 @@ fn gate_runtime_sweep(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec<Stri
                 tolerance * 100.0
             ));
         }
-        // Correctness has no tolerance band.
-        for (section, field) in [
+        // Correctness has no tolerance band. A section the committed
+        // snapshot never had (collectives have no degraded mode) is not
+        // expected of the fresh run either.
+        for (name, field) in [
             ("clean", "verified"),
             ("faulty", "verified"),
             ("degraded", "verified_degraded"),
         ] {
+            if name == "degraded" && base.get(name).is_none() {
+                continue;
+            }
             let ok = new
-                .get(section)
+                .get(name)
                 .and_then(|s| s.get(field))
                 .and_then(Json::as_bool);
             if ok != Some(true) {
-                violations.push(format!("{label}: {section}.{field} is {ok:?}, not true"));
+                violations.push(format!("{label}: {name}.{field} is {ok:?}, not true"));
+            }
+        }
+        // Neither has the traffic: same schedule, same bytes.
+        for (name, field) in EXACT_COUNTERS {
+            let read = |case: &Json| match name {
+                "" => get_f64(case, field),
+                _ => case.get(name).and_then(|s| get_f64(s, field)),
+            };
+            let Some(want) = read(&base) else {
+                continue;
+            };
+            let got = read(new);
+            if got != Some(want) {
+                let dot = if name.is_empty() { "" } else { "." };
+                violations.push(format!(
+                    "{label}: {name}{dot}{field} is {got:?}, committed {want} \
+                     (schedule-determined, no tolerance)"
+                ));
             }
         }
     }
@@ -313,6 +366,110 @@ mod tests {
             violations.iter().any(|v| v.contains("clean.verified")),
             "{violations:?}"
         );
+    }
+
+    /// A sweep export with every gated counter, `tweak`ed per test.
+    fn counted(experiment: &'static str, tweak: impl Fn(&str, &str, f64) -> f64) -> Json {
+        let n = |section: &str, field: &str, v: f64| Json::num(tweak(section, field, v));
+        let mut case = vec![
+            ("shape", Json::str("4x4")),
+            ("block_bytes", Json::u64(64)),
+            ("steps", n("", "steps", 4.0)),
+            (
+                "clean",
+                Json::obj([
+                    ("wall_ms", Json::num(1.0)),
+                    ("verified", Json::Bool(true)),
+                    ("wire_bytes", n("clean", "wire_bytes", 43776.0)),
+                    ("bytes_copied", n("clean", "bytes_copied", 11008.0)),
+                    ("peak_node_bytes", n("clean", "peak_node_bytes", 960.0)),
+                    ("injected_drops", n("clean", "injected_drops", 0.0)),
+                ]),
+            ),
+            (
+                "faulty",
+                Json::obj([
+                    ("verified", Json::Bool(true)),
+                    ("wire_bytes", n("faulty", "wire_bytes", 43776.0)),
+                    ("bytes_copied", n("faulty", "bytes_copied", 43776.0)),
+                    ("peak_node_bytes", n("faulty", "peak_node_bytes", 1644.0)),
+                    ("injected_drops", n("faulty", "injected_drops", 2.0)),
+                ]),
+            ),
+        ];
+        if experiment == "collective_sweep" {
+            case.push(("op", Json::str("allreduce")));
+        } else {
+            case.push((
+                "degraded",
+                Json::obj([
+                    ("verified_degraded", Json::Bool(true)),
+                    (
+                        "extra_wire_bytes",
+                        n("degraded", "extra_wire_bytes", -3276.0),
+                    ),
+                    ("dropped_blocks", n("degraded", "dropped_blocks", 30.0)),
+                ]),
+            ));
+        }
+        Json::obj([
+            ("experiment", Json::str(experiment)),
+            ("cases", Json::Arr(vec![Json::obj(case)])),
+        ])
+    }
+
+    #[test]
+    fn schedule_determined_counters_have_no_tolerance() {
+        for experiment in ["runtime_sweep", "collective_sweep"] {
+            let base = counted(experiment, |_, _, v| v);
+            assert!(gate(&base, &base, 0.25).is_empty(), "{experiment}");
+            for (section, field) in EXACT_COUNTERS {
+                if section == "degraded" && experiment == "collective_sweep" {
+                    continue;
+                }
+                // Off by one — far inside any relative band — still fails.
+                let off = counted(experiment, |s, f, v| {
+                    if (s, f) == (section, field) {
+                        v + 1.0
+                    } else {
+                        v
+                    }
+                });
+                let violations = gate(&base, &off, 0.25);
+                assert_eq!(violations.len(), 1, "{experiment} {section}.{field}");
+                assert!(violations[0].contains(field), "{violations:?}");
+            }
+            // Faulty peak residency is timing-dependent and not gated.
+            let racy = counted(experiment, |s, f, v| {
+                if (s, f) == ("faulty", "peak_node_bytes") {
+                    v + 100.0
+                } else {
+                    v
+                }
+            });
+            assert!(gate(&base, &racy, 0.25).is_empty(), "{experiment}");
+        }
+    }
+
+    #[test]
+    fn collective_cases_are_keyed_by_op_and_need_no_degraded_section() {
+        let base = counted("collective_sweep", |_, _, v| v);
+        assert!(gate(&base, &base, 0.25).is_empty());
+        // The same shape and block size under another op is a lost case.
+        let other_op = Json::obj([
+            ("experiment", Json::str("collective_sweep")),
+            (
+                "cases",
+                Json::Arr(vec![Json::obj([
+                    ("shape", Json::str("4x4")),
+                    ("block_bytes", Json::u64(64)),
+                    ("op", Json::str("broadcast")),
+                ])]),
+            ),
+        ]);
+        let violations = gate(&base, &other_op, 0.25);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("lost case 4x4/m=64/allreduce"));
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! Byte-real collective execution: the [`CollectivePlan`] send manifests
-//! from `collective-plan`, run over the same worker/channel/fault
-//! machinery as the all-to-all [`Runtime`](crate::Runtime).
+//! from `collective-plan` as a step source for the crate's one byte
+//! executor — the worker loop, channels, barriers, fault injection,
+//! recovery and cancellation that also run the all-to-all
+//! [`Runtime`](crate::Runtime).
 //!
-//! # Execution model
+//! # What a collective schedule supplies
 //!
-//! Identical to the all-to-all runtime's: nodes are multiplexed onto
-//! worker threads in contiguous chunks, every node owns an unbounded
-//! inbox, and each plan step runs as assemble → transport → two-barrier
-//! rendezvous with the driving thread. The differences are the step
-//! source (an explicit [`CollectivePlan`] manifest instead of the
-//! per-phase selection rules) and the buffer model: each node holds at
-//! most one [`Bytes`] block per key, and a **combining receive** —
-//! the one new primitive reduce/allreduce need — folds an incoming
-//! block into the resident one elementwise ([`combine`]) instead of
-//! appending it.
+//! Each node holds at most one [`Bytes`] block per key. A send ships the
+//! keys its [`SendInstr`] lists (keeping them
+//! when the instruction retains), and a receive either installs the
+//! incoming block under its key or — the one primitive
+//! reduce/allreduce add — **combines** it into the resident one
+//! elementwise ([`combine`]).
 //!
 //! Determinism of the reduction does not depend on the worker count:
 //! the plan delivers at most one frame per node per step, steps are
@@ -28,42 +26,31 @@
 //!
 //! # Fault tolerance
 //!
-//! [`FaultPlan`] injection, retained-frame recovery, retry budgets,
-//! worker kills/stalls, and [`CancelToken`] cancellation all work as in
-//! the all-to-all runtime (same wire format, same sequence/CRC checks,
-//! same deadline + bounded-retry receive). Combining receives stay
-//! exactly-once under recovery: a duplicated or resent frame carries
-//! the step's sequence number, and a receiver folds exactly one valid
-//! frame per step — stale frames are drained and discarded by the next
-//! step's receive. [`OnFailure::Degrade`] is rejected up front: there
-//! is no repair story for a half-folded reduction.
+//! [`FaultPlan`](crate::FaultPlan) injection, retained-frame recovery,
+//! retry budgets, worker kills/stalls, and
+//! [`CancelToken`](crate::CancelToken) cancellation are the executor's,
+//! so they behave exactly as for all-to-all. Combining receives stay
+//! exactly-once under recovery because the executor hands a step source
+//! exactly one valid frame per node per step: a duplicated or resent
+//! frame carries an earlier step's sequence number and is drained and
+//! discarded, never folded. [`OnFailure::Degrade`] is rejected up front:
+//! there is no repair story for a half-folded reduction.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 use alltoall_core::Block;
 use bytes::Bytes;
-use collective_plan::{combine, CollectiveOp, CollectivePlan, Dtype, PlanError, ReduceOp};
+use collective_plan::{combine, CollectiveOp, CollectivePlan, Dtype, PlanError, SendInstr};
 use cost_model::{CompletionTime, CostCounts};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crossbeam::thread as cb_thread;
-use torus_sim::{StepStat, Trace};
 use torus_topology::NodeId;
 
-use crate::cancel::{CancelKind, CancelToken};
 use crate::degrade::OnFailure;
-use crate::fault::{FaultEvent, FaultEventKind, FaultKind, FaultPlan, WorkerFaultKind};
-use crate::message::{
-    decode_gathered, decode_message, encode_gathered, encode_message, WireError, WireFrame,
-    BLOCK_HEADER_BYTES, MESSAGE_HEADER_BYTES,
-};
+use crate::exec::{self, ExecBackend, PhaseMeta, ReportIdent, StepSource};
 use crate::payload::pattern_payload;
-use crate::pool::{FramePool, PoolBank};
-use crate::recovery::{merge_events, FailureReason, NodeFailure, RecoveryStats, RetryPolicy};
-use crate::report::{PhaseReport, RuntimeReport};
-use crate::runtime::{corrupt_frame, lk, truncate_frame, RuntimeConfig};
+use crate::pool::PoolBank;
+use crate::report::RuntimeReport;
+use crate::runtime::RuntimeConfig;
 use crate::workers::WorkerPool;
 use crate::RuntimeError;
 
@@ -78,621 +65,109 @@ pub struct CollectiveRuntime {
     config: RuntimeConfig,
 }
 
-/// Per-worker, per-global-step measurement.
-#[derive(Clone, Copy, Default)]
-struct StepSide {
-    messages: u64,
-    blocks: u64,
-    max_blocks: u64,
-    wire_bytes: u64,
-    retries: u64,
-}
+/// A node's key store: `store[key]` is the block held under `key`.
+type KeyStore = Vec<Option<Bytes>>;
 
-/// Per-worker, per-phase measurement. Collectives have no inter-phase
-/// rearrangement, so only the send/receive columns exist.
-#[derive(Clone, Copy, Default)]
-struct PhaseSide {
-    assembly: Duration,
-    transport: Duration,
-    wire_bytes: u64,
-    bytes_copied: u64,
-    allocations: u64,
-    messages: u64,
-}
-
-/// Everything one worker measured, returned at join.
-struct WorkerStats {
-    phase: Vec<PhaseSide>,
-    steps: Vec<StepSide>,
-    peak_bytes: u64,
-    faults: RecoveryStats,
-    events: Vec<FaultEvent>,
-}
-
-/// The per-run state every worker task shares (the collective analogue
-/// of the all-to-all runtime's `RunShared`; same ownership discipline:
-/// born and dead with one run, `'static` so pool threads can hold it).
-struct CollShared {
+/// A lowered collective plan as the executor sees it. Collectives have
+/// no inter-phase rearrangement.
+struct CollectiveSource {
     plan: Arc<CollectivePlan>,
-    faults: FaultPlan,
-    retry: RetryPolicy,
-    /// The combining fold, when the op reduces.
-    fold: Option<(ReduceOp, Dtype)>,
+    meta: Vec<PhaseMeta>,
     /// `send_idx[g][node]`: index into `plan.steps()[g].sends`, if the
     /// node sends in global step `g`.
     send_idx: Vec<Vec<Option<u32>>>,
-    /// `phase_of[g]`: which phase global step `g` belongs to.
-    phase_of: Vec<usize>,
-    /// Failure context: global step -> (phase label, 1-based step).
-    step_ctx: Vec<(String, usize)>,
-    senders: Vec<Sender<WireFrame>>,
-    /// Per-destination retained resend frame for the current step.
-    retained: Vec<Mutex<Option<Bytes>>>,
-    abort: AtomicBool,
-    cancel: Option<CancelToken>,
-    failure_slot: Mutex<Option<NodeFailure>>,
-    barrier: Barrier,
-    /// Final per-node key stores, collected at worker exit.
-    finals: Vec<Mutex<Vec<Option<Bytes>>>>,
-    total_steps: usize,
 }
 
-impl CollShared {
-    /// Records the first unrecoverable failure and raises the abort flag.
-    fn fail(&self, node: NodeId, g: usize, reason: FailureReason) {
-        let mut slot = lk(&self.failure_slot);
-        if slot.is_none() {
-            let (phase, step) = self.step_ctx[g].clone();
-            *slot = Some(NodeFailure {
-                node,
-                phase,
-                step,
-                global_step: g,
-                reason,
-            });
-        }
-        self.abort.store(true, Ordering::SeqCst);
-    }
-
-    /// Polls the cancellation token and folds a trigger into the run's
-    /// first-failure-wins abort. Returns `true` when the run is (now)
-    /// aborting for any reason.
-    fn observe_cancel(&self, node: NodeId, g: usize) -> bool {
-        if let Some(token) = &self.cancel {
-            if let Some(kind) = token.kind() {
-                let reason = match kind {
-                    CancelKind::Cancelled => FailureReason::Cancelled,
-                    CancelKind::DeadlineExceeded => FailureReason::DeadlineExceeded,
-                };
-                self.fail(node, g, reason);
-                return true;
-            }
-        }
-        self.abort.load(Ordering::Acquire)
-    }
-
-    /// `recv_timeout(wait)`, sliced into ~20 ms chunks when a
-    /// cancellation token is installed (see the all-to-all runtime's
-    /// `recv_sliced` — same contract).
-    fn recv_sliced(
-        &self,
-        rx: &Receiver<WireFrame>,
-        wait: Duration,
-    ) -> Result<WireFrame, RecvTimeoutError> {
-        let Some(token) = &self.cancel else {
-            return rx.recv_timeout(wait);
-        };
-        let deadline = Instant::now() + wait;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            match rx.recv_timeout(left.min(Duration::from_millis(20))) {
-                Err(RecvTimeoutError::Timeout) => {
-                    if token.is_triggered() || self.abort.load(Ordering::Acquire) {
-                        return Err(RecvTimeoutError::Timeout);
-                    }
+impl CollectiveSource {
+    fn new(plan: Arc<CollectivePlan>) -> Self {
+        let nn = plan.shape().num_nodes() as usize;
+        let mut steps = plan.steps().iter();
+        let meta = plan
+            .phases()
+            .iter()
+            .map(|(label, nsteps)| PhaseMeta {
+                name: label.clone(),
+                hops: steps.by_ref().take(*nsteps).map(|st| st.hops).collect(),
+                rearrange_after: false,
+            })
+            .collect();
+        let send_idx = plan
+            .steps()
+            .iter()
+            .map(|step| {
+                let mut idx = vec![None; nn];
+                for (si, s) in step.sends.iter().enumerate() {
+                    idx[s.src as usize] = Some(si as u32);
                 }
-                other => return other,
-            }
+                idx
+            })
+            .collect();
+        Self {
+            plan,
+            meta,
+            send_idx,
         }
     }
 
-    /// The deadline + bounded-retry receive loop (fault plans only) —
-    /// a port of the all-to-all runtime's recovery receive: deadline
-    /// waits, retained-frame NACK/retransmission with backoff, resend
-    /// faults pinned to `attempt >= 1`, stale-sequence draining, and
-    /// retry-budget exhaustion. Returns the step's blocks, or `None`
-    /// if the run aborted.
-    #[allow(clippy::too_many_arguments)]
-    fn recover_recv(
-        &self,
-        rx: &Receiver<WireFrame>,
-        retained: &Mutex<Option<Bytes>>,
-        me: NodeId,
-        src: NodeId,
-        g: usize,
-        counters: &mut RecoveryStats,
-        events: &mut Vec<FaultEvent>,
-        step_retries: &mut u64,
-    ) -> Option<Vec<Block<Bytes>>> {
-        let faults = &self.faults;
-        let policy = self.retry;
-        // `cycles` counts *failed* recovery cycles; `fetches` numbers
-        // retained-buffer fetches 1-based — the "attempt" coordinate
-        // resend faults are pinned to.
-        let mut cycles = 0u32;
-        let mut fetches = 0u32;
-        let mut needed_recovery = false;
-        let blocks = loop {
-            if self.observe_cancel(me, g) {
-                break None;
-            }
-            if cycles > policy.max_retries {
-                self.fail(me, g, FailureReason::RetryExhausted { src });
-                break None;
-            }
-            let wait = if cycles == 0 {
-                policy.deadline
+    fn instr(&self, g: usize, node: NodeId) -> Option<&SendInstr> {
+        self.send_idx[g][node as usize].map(|si| &self.plan.steps()[g].sends[si as usize])
+    }
+}
+
+impl StepSource for CollectiveSource {
+    type Node = KeyStore;
+
+    fn phases(&self) -> &[PhaseMeta] {
+        &self.meta
+    }
+
+    fn dst(&self, g: usize, node: NodeId) -> Option<NodeId> {
+        self.instr(g, node).map(|instr| instr.dst)
+    }
+
+    fn emit(&self, g: usize, node: NodeId, store: &mut KeyStore, out: &mut Vec<Block<Bytes>>) {
+        let instr = self
+            .instr(g, node)
+            .expect("emit is called only for scheduled senders");
+        for &key in &instr.keys {
+            let slot = &mut store[key as usize];
+            let bytes = if instr.retain {
+                slot.clone()
             } else {
-                policy.backoff_for(cycles)
-            };
-            let mut via_resend = false;
-            let raw = match self.recv_sliced(rx, wait) {
-                Ok(frame) => Some(frame.to_bytes()),
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.fail(me, g, FailureReason::ChannelClosed);
-                    break None;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    counters.timeouts += 1;
-                    needed_recovery = true;
-                    via_resend = true;
-                    let frame = lk(retained).clone();
-                    match frame {
-                        // The sender may not have retained this step's
-                        // frame yet (stalled peer); retry after backoff.
-                        None => None,
-                        Some(mut frame) => {
-                            fetches += 1;
-                            counters.resends += 1;
-                            // The retransmission itself can be faulted.
-                            let mut dropped = false;
-                            for kind in faults.message_faults(g, src, me, fetches) {
-                                events.push(FaultEvent {
-                                    step: g,
-                                    src,
-                                    dst: me,
-                                    attempt: fetches,
-                                    kind: FaultEventKind::Message(kind),
-                                });
-                                match kind {
-                                    FaultKind::Drop => {
-                                        counters.injected_drops += 1;
-                                        dropped = true;
-                                    }
-                                    FaultKind::DelayMicros(us) => {
-                                        counters.injected_delays += 1;
-                                        std::thread::sleep(Duration::from_micros(us));
-                                    }
-                                    FaultKind::Duplicate => {
-                                        counters.injected_duplicates += 1;
-                                    }
-                                    FaultKind::CorruptByte => {
-                                        counters.injected_corruptions += 1;
-                                        frame = corrupt_frame(
-                                            &frame,
-                                            faults.corrupt_offset(g, src, me, frame.len()),
-                                        );
-                                    }
-                                    FaultKind::Truncate => {
-                                        counters.injected_truncations += 1;
-                                        frame = truncate_frame(&frame);
-                                    }
-                                }
-                            }
-                            if dropped {
-                                None
-                            } else {
-                                Some(frame)
-                            }
-                        }
-                    }
-                }
-            };
-            let Some(raw) = raw else {
-                cycles += 1;
-                counters.retries += 1;
-                *step_retries += 1;
+                slot.take()
+            }
+            // The plan's holdings simulation guarantees this.
+            .expect("validated plan: sender holds shipped key");
+            out.push(Block::with_payload(key, instr.dst, bytes));
+        }
+    }
+
+    fn absorb(&self, store: &mut KeyStore, incoming: &mut Vec<Block<Bytes>>) {
+        // The combining fold, when the op reduces.
+        let fold = self.plan.op().reduce();
+        for b in incoming.drain(..) {
+            // A key out of range is a corrupt header that survived the
+            // CRC (astronomically unlikely); the final verification will
+            // name the gap.
+            let Some(slot) = store.get_mut(b.src as usize) else {
                 continue;
             };
-            match decode_message(&raw) {
-                Ok((seq, blocks)) if seq as usize == g => break Some(blocks),
-                Ok(_) => {
-                    // Wrong sequence: a duplicate or straggler from an
-                    // earlier step (drained free), or a stale retained
-                    // frame from a dead sender (charged, or this could
-                    // spin forever). Combining stays exactly-once
-                    // because only the matching sequence is folded.
-                    counters.stale_discarded += 1;
-                    if via_resend {
-                        cycles += 1;
-                        counters.retries += 1;
-                        *step_retries += 1;
-                    }
-                    continue;
+            match (slot, fold) {
+                (Some(acc), Some((op, dtype))) => {
+                    // Combining receive: resident-first fold, same order
+                    // as the reference replay.
+                    let mut v = acc.to_vec();
+                    combine(dtype, op, &mut v, &b.payload);
+                    *acc = Bytes::from(v);
                 }
-                Err(e) => {
-                    match e {
-                        WireError::Crc { .. } => counters.crc_failures += 1,
-                        _ => counters.decode_failures += 1,
-                    }
-                    needed_recovery = true;
-                    cycles += 1;
-                    counters.retries += 1;
-                    *step_retries += 1;
-                    continue;
-                }
-            }
-        };
-        if blocks.is_some() && needed_recovery {
-            counters.recovered += 1;
-        }
-        blocks
-    }
-}
-
-/// One worker task: executes every plan step for its contiguous chunk
-/// of nodes, returning its measurements and its (warm) frame pool.
-fn worker_body(
-    shared: &CollShared,
-    base: usize,
-    mut stores: Vec<Vec<Option<Bytes>>>,
-    rxs: Vec<Receiver<WireFrame>>,
-    mut pool: FramePool,
-) -> (WorkerStats, FramePool) {
-    let plan = &*shared.plan;
-    let faults = &shared.faults;
-    let no_faults = faults.is_empty();
-    let senders = &shared.senders[..];
-    let retained = &shared.retained[..];
-    let barrier = &shared.barrier;
-
-    let mut stats = WorkerStats {
-        phase: vec![PhaseSide::default(); plan.phases().len()],
-        steps: vec![StepSide::default(); shared.total_steps],
-        peak_bytes: 0,
-        faults: RecoveryStats::default(),
-        events: Vec::new(),
-    };
-    let mut outgoing: Vec<Block<Bytes>> = Vec::new();
-    let mut incoming: Vec<Block<Bytes>> = Vec::new();
-    // A killed worker turns into a zombie: it does no work but keeps
-    // crossing barriers so nothing deadlocks.
-    let mut dead = false;
-    for (g, step) in plan.steps().iter().enumerate() {
-        if !no_faults && !dead {
-            for li in 0..stores.len() {
-                let node = (base + li) as NodeId;
-                let Some(wf) = faults.worker_fault(g, node) else {
-                    continue;
-                };
-                stats.events.push(FaultEvent {
-                    step: g,
-                    src: node,
-                    dst: node,
-                    attempt: 0,
-                    kind: FaultEventKind::Worker(wf),
-                });
-                match wf {
-                    WorkerFaultKind::Kill => {
-                        stats.faults.injected_kills += 1;
-                        shared.fail(node, g, FailureReason::WorkerKilled { node });
-                        dead = true;
-                    }
-                    WorkerFaultKind::StallMicros(us) => {
-                        stats.faults.injected_stalls += 1;
-                        // Sleep in bounded slices, polling abort and
-                        // cancellation, so an externally stopped run is
-                        // not pinned for the stall's full duration.
-                        let stall_until = Instant::now() + Duration::from_micros(us);
-                        while !shared.observe_cancel(node, g) {
-                            let left = stall_until.saturating_duration_since(Instant::now());
-                            if left.is_zero() {
-                                break;
-                            }
-                            std::thread::sleep(left.min(Duration::from_millis(1)));
-                        }
-                    }
-                }
+                (slot, _) => *slot = Some(b.payload),
             }
         }
-        let skip = dead || shared.observe_cancel(base as NodeId, g);
-        if !skip {
-            let pi = shared.phase_of[g];
-            let pstats = &mut stats.phase[pi];
-            let sstats = &mut stats.steps[g];
-
-            // Assemble and send for every owned scheduled sender.
-            for (li, store) in stores.iter_mut().enumerate() {
-                let node = (base + li) as NodeId;
-                let Some(si) = shared.send_idx[g][base + li] else {
-                    continue;
-                };
-                let instr = &step.sends[si as usize];
-                let dst = instr.dst;
-                let t0 = Instant::now();
-                outgoing.clear();
-                for &key in &instr.keys {
-                    // The plan's holdings simulation guarantees the
-                    // sender holds every shipped key.
-                    let slot = &mut store[key as usize];
-                    let bytes = if instr.retain {
-                        slot.clone()
-                    } else {
-                        slot.take()
-                    }
-                    .expect("validated plan: sender holds shipped key");
-                    outgoing.push(Block::with_payload(key, dst, bytes));
-                }
-                let msg = if no_faults {
-                    // Zero-copy: headers into a pooled buffer, payloads
-                    // shared by handle.
-                    let framing_len = MESSAGE_HEADER_BYTES + outgoing.len() * BLOCK_HEADER_BYTES;
-                    let allocs = pool.allocations();
-                    let frame = encode_gathered(
-                        g as u32,
-                        &outgoing,
-                        pool.take_buf(framing_len),
-                        pool.take_vec(),
-                    );
-                    pstats.allocations += pool.allocations() - allocs;
-                    pstats.bytes_copied += framing_len as u64;
-                    frame
-                } else {
-                    // Fault plans need mutable frame bytes and an
-                    // immutable retained copy.
-                    let bytes = encode_message(g as u32, &outgoing);
-                    pstats.allocations += 1;
-                    pstats.bytes_copied += bytes.len() as u64;
-                    WireFrame::Contiguous(bytes)
-                };
-                let assembled = Instant::now();
-                pstats.assembly += assembled - t0;
-                sstats.messages += 1;
-                sstats.blocks += outgoing.len() as u64;
-                sstats.max_blocks = sstats.max_blocks.max(outgoing.len() as u64);
-                sstats.wire_bytes += msg.wire_len() as u64;
-                pstats.wire_bytes += msg.wire_len() as u64;
-                pstats.messages += 1;
-                if no_faults {
-                    if senders[dst as usize].send(msg).is_err() {
-                        shared.fail(node, g, FailureReason::ChannelClosed);
-                    }
-                } else {
-                    let msg = msg.to_bytes();
-                    // Retain the pristine frame for the receiver's
-                    // recovery; then mutate what goes on the wire.
-                    *lk(&retained[dst as usize]) = Some(msg.clone());
-                    let mut deliver = vec![msg];
-                    for kind in faults.message_faults(g, node, dst, 0) {
-                        stats.events.push(FaultEvent {
-                            step: g,
-                            src: node,
-                            dst,
-                            attempt: 0,
-                            kind: FaultEventKind::Message(kind),
-                        });
-                        match kind {
-                            FaultKind::Drop => {
-                                stats.faults.injected_drops += 1;
-                                deliver.clear();
-                            }
-                            FaultKind::DelayMicros(us) => {
-                                stats.faults.injected_delays += 1;
-                                std::thread::sleep(Duration::from_micros(us));
-                            }
-                            FaultKind::Duplicate => {
-                                stats.faults.injected_duplicates += 1;
-                                if let Some(f) = deliver.first().cloned() {
-                                    deliver.push(f);
-                                }
-                            }
-                            FaultKind::CorruptByte => {
-                                stats.faults.injected_corruptions += 1;
-                                let off = faults.corrupt_offset(
-                                    g,
-                                    node,
-                                    dst,
-                                    deliver.first().map_or(0, Bytes::len),
-                                );
-                                deliver = deliver.iter().map(|f| corrupt_frame(f, off)).collect();
-                            }
-                            FaultKind::Truncate => {
-                                stats.faults.injected_truncations += 1;
-                                deliver = deliver.iter().map(truncate_frame).collect();
-                            }
-                        }
-                    }
-                    for f in deliver {
-                        if senders[dst as usize]
-                            .send(WireFrame::Contiguous(f))
-                            .is_err()
-                        {
-                            shared.fail(node, g, FailureReason::ChannelClosed);
-                            break;
-                        }
-                    }
-                }
-                pstats.transport += assembled.elapsed();
-            }
-
-            // Receive exactly the scheduled traffic; fold or insert.
-            for (li, store) in stores.iter_mut().enumerate() {
-                let me = (base + li) as NodeId;
-                if let Some(src) = plan.expect_from(g)[base + li] {
-                    let t0 = Instant::now();
-                    incoming.clear();
-                    let got = if no_faults {
-                        // A scheduled frame is always sent, so a blocking
-                        // receive cannot deadlock — but with a cancel
-                        // token a peer may skip its sends, so poll.
-                        let frame = if shared.cancel.is_none() {
-                            match rxs[li].recv() {
-                                Ok(frame) => Some(frame),
-                                Err(_) => {
-                                    shared.fail(me, g, FailureReason::ChannelClosed);
-                                    None
-                                }
-                            }
-                        } else {
-                            loop {
-                                match rxs[li].recv_timeout(Duration::from_millis(20)) {
-                                    Ok(frame) => break Some(frame),
-                                    Err(RecvTimeoutError::Timeout) => {
-                                        if shared.observe_cancel(me, g) {
-                                            break None;
-                                        }
-                                    }
-                                    Err(RecvTimeoutError::Disconnected) => {
-                                        shared.fail(me, g, FailureReason::ChannelClosed);
-                                        break None;
-                                    }
-                                }
-                            }
-                        };
-                        let received = Instant::now();
-                        pstats.transport += received - t0;
-                        match frame {
-                            None => false,
-                            Some(frame) => {
-                                let decoded = match frame {
-                                    WireFrame::Gathered {
-                                        framing,
-                                        mut payloads,
-                                    } => {
-                                        let r =
-                                            decode_gathered(&framing, &mut payloads, &mut incoming);
-                                        if r.is_ok() {
-                                            pool.put_buf(framing);
-                                            pool.put_vec(payloads);
-                                        }
-                                        r.map(|_| ())
-                                    }
-                                    WireFrame::Contiguous(raw) => decode_message(&raw)
-                                        .map(|(_, mut blocks)| incoming.append(&mut blocks)),
-                                };
-                                match decoded {
-                                    Ok(()) => {
-                                        pstats.assembly += received.elapsed();
-                                        true
-                                    }
-                                    Err(e) => {
-                                        match e {
-                                            WireError::Crc { .. } => stats.faults.crc_failures += 1,
-                                            _ => stats.faults.decode_failures += 1,
-                                        }
-                                        shared.fail(
-                                            me,
-                                            g,
-                                            FailureReason::Integrity { src, error: e },
-                                        );
-                                        false
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        let blocks = shared.recover_recv(
-                            &rxs[li],
-                            &retained[base + li],
-                            me,
-                            src,
-                            g,
-                            &mut stats.faults,
-                            &mut stats.events,
-                            &mut sstats.retries,
-                        );
-                        let received = Instant::now();
-                        pstats.transport += received - t0;
-                        match blocks {
-                            Some(mut blocks) => {
-                                incoming.append(&mut blocks);
-                                pstats.assembly += received.elapsed();
-                                true
-                            }
-                            None => false,
-                        }
-                    };
-                    if got {
-                        for b in incoming.drain(..) {
-                            let key = b.src as usize;
-                            if key >= store.len() {
-                                // A corrupt header that survived the CRC
-                                // (astronomically unlikely); the final
-                                // verification will name the gap.
-                                continue;
-                            }
-                            match (&mut store[key], shared.fold) {
-                                (Some(acc), Some((op, dtype))) => {
-                                    // Combining receive: resident-first
-                                    // fold, same order as the reference
-                                    // replay.
-                                    let mut v = acc.to_vec();
-                                    combine(dtype, op, &mut v, &b.payload);
-                                    *acc = Bytes::from(v);
-                                }
-                                (slot, _) => *slot = Some(b.payload),
-                            }
-                        }
-                    }
-                }
-                let mut resident: u64 = store.iter().flatten().map(|b| b.len() as u64).sum();
-                if !no_faults {
-                    resident += lk(&retained[base + li])
-                        .as_ref()
-                        .map_or(0, |f| f.len() as u64);
-                }
-                stats.peak_bytes = stats.peak_bytes.max(resident);
-            }
-        }
-        barrier.wait(); // step traffic complete
-        barrier.wait(); // released into the next step
     }
-    for (li, store) in stores.iter_mut().enumerate() {
-        *lk(&shared.finals[base + li]) = std::mem::take(store);
-    }
-    (stats, pool)
-}
 
-/// The driving thread's half of the run: mirror every barrier,
-/// timestamping steps and phases. Crosses every barrier
-/// unconditionally so it never hangs on an aborting run.
-fn drive_barriers(shared: &CollShared) -> (Vec<Duration>, Vec<Duration>, Duration) {
-    let t_run = Instant::now();
-    let phases = shared.plan.phases();
-    let mut phase_walls = Vec::with_capacity(phases.len());
-    let mut step_walls = Vec::with_capacity(shared.total_steps);
-    for (_, nsteps) in phases {
-        let t_phase = Instant::now();
-        for _ in 0..*nsteps {
-            let t_step = Instant::now();
-            shared.barrier.wait();
-            step_walls.push(t_step.elapsed());
-            shared.barrier.wait();
-        }
-        phase_walls.push(t_phase.elapsed());
+    fn resident(&self, store: &KeyStore) -> u64 {
+        store.iter().flatten().map(|b| b.len() as u64).sum()
     }
-    (phase_walls, step_walls, t_run.elapsed())
-}
-
-/// How a run executes its worker tasks (mirrors the all-to-all
-/// runtime's backend split).
-#[derive(Clone, Copy)]
-enum ExecBackend<'p> {
-    Spawn,
-    Pool(&'p WorkerPool, Option<&'p PoolBank>),
 }
 
 impl CollectiveRuntime {
@@ -739,11 +214,7 @@ impl CollectiveRuntime {
     /// The worker count a run will use on the spawn path; pooled runs
     /// additionally clamp to the pool's size.
     pub fn effective_workers(&self) -> usize {
-        let nn = self.plan.shape().num_nodes() as usize;
-        self.config
-            .workers
-            .unwrap_or_else(torus_sim::default_threads)
-            .clamp(1, nn)
+        exec::effective_workers(&self.config, self.plan.shape().num_nodes() as usize)
     }
 
     /// Runs the collective with deterministic pattern payloads and
@@ -800,17 +271,13 @@ impl CollectiveRuntime {
         let shape = plan.shape();
         let nn = shape.num_nodes() as usize;
         let block_bytes = self.config.block_bytes;
-        let workers = match backend {
-            ExecBackend::Spawn => self.effective_workers(),
-            ExecBackend::Pool(pool, _) => self.effective_workers().min(pool.size()),
-        };
 
         // Seed stores; keep every identity's bytes for the reference
         // replay (the closure runs once per identity).
         let mut seeds: BTreeMap<u32, Bytes> = BTreeMap::new();
-        let mut stores: Vec<Vec<Option<Bytes>>> = Vec::with_capacity(nn);
+        let mut stores: Vec<KeyStore> = Vec::with_capacity(nn);
         for u in 0..nn as u32 {
-            let mut store: Vec<Option<Bytes>> = vec![None; nn];
+            let mut store: KeyStore = vec![None; nn];
             for &k in plan.initial_keys(u) {
                 let id = plan.seed_id(u, k);
                 let bytes = seeds.entry(id).or_insert_with(|| payload(id)).clone();
@@ -847,239 +314,31 @@ impl CollectiveRuntime {
             }
         }
 
-        // Static send/receive expectations and failure context.
-        let total_steps = plan.num_steps();
-        let mut send_idx: Vec<Vec<Option<u32>>> = vec![vec![None; nn]; total_steps];
-        for (g, step) in plan.steps().iter().enumerate() {
-            for (si, s) in step.sends.iter().enumerate() {
-                send_idx[g][s.src as usize] = Some(si as u32);
-            }
-        }
-        let mut phase_of: Vec<usize> = Vec::with_capacity(total_steps);
-        let mut step_ctx: Vec<(String, usize)> = Vec::with_capacity(total_steps);
-        for (pi, (label, nsteps)) in plan.phases().iter().enumerate() {
-            for si in 0..*nsteps {
-                phase_of.push(pi);
-                step_ctx.push((label.clone(), si + 1));
-            }
-        }
+        let source = Arc::new(CollectiveSource::new(Arc::clone(plan)));
+        let outcome = exec::execute(source, &self.config, backend, stores, None)?;
 
-        let mut senders = Vec::with_capacity(nn);
-        let mut receivers = Vec::with_capacity(nn);
-        for _ in 0..nn {
-            let (tx, rx) = unbounded::<WireFrame>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let chunk = nn.div_ceil(workers);
-        let n_chunks = nn.div_ceil(chunk);
-
-        let shared = Arc::new(CollShared {
-            plan: Arc::clone(plan),
-            faults: self.config.faults.clone(),
-            retry: self.config.retry,
-            fold: plan.op().reduce(),
-            send_idx,
-            phase_of,
-            step_ctx,
-            senders,
-            retained: (0..nn).map(|_| Mutex::new(None)).collect(),
-            abort: AtomicBool::new(false),
-            cancel: self.config.cancel.clone(),
-            failure_slot: Mutex::new(None),
-            barrier: Barrier::new(n_chunks + 1),
-            finals: (0..nn).map(|_| Mutex::new(Vec::new())).collect(),
-            total_steps,
-        });
-
-        let mut tasks: Vec<(usize, Vec<Vec<Option<Bytes>>>, Vec<Receiver<WireFrame>>)> = {
-            let mut si = stores.into_iter();
-            let mut ri = receivers.into_iter();
-            let mut tasks = Vec::with_capacity(n_chunks);
-            for ci in 0..n_chunks {
-                let take = chunk.min(nn - ci * chunk);
-                tasks.push((
-                    ci * chunk,
-                    si.by_ref().take(take).collect(),
-                    ri.by_ref().take(take).collect(),
-                ));
-            }
-            tasks
-        };
-        let mut stats: Vec<WorkerStats> = Vec::with_capacity(n_chunks);
-        let mut panic_msg: Option<String> = None;
-        let (phase_walls, step_walls, wall) = match backend {
-            ExecBackend::Spawn => {
-                let shared_ref = &shared;
-                let joined = cb_thread::scope(|s| {
-                    let mut handles = Vec::with_capacity(n_chunks);
-                    for (base, stores, rxs) in tasks.drain(..) {
-                        let shared = Arc::clone(shared_ref);
-                        handles.push(s.spawn(move |_| {
-                            worker_body(&shared, base, stores, rxs, FramePool::new())
-                        }));
-                    }
-                    let walls = drive_barriers(shared_ref);
-                    let mut outs = Vec::with_capacity(handles.len());
-                    let mut panicked: Option<String> = None;
-                    for h in handles {
-                        match h.join() {
-                            Ok(out) => outs.push(out),
-                            Err(p) => {
-                                let msg = p
-                                    .downcast_ref::<&str>()
-                                    .map(|s| (*s).to_string())
-                                    .or_else(|| p.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "opaque panic payload".to_string());
-                                panicked.get_or_insert(msg);
-                            }
-                        }
-                    }
-                    (outs, walls, panicked)
-                });
-                let (outs, walls, panicked) = match joined {
-                    Ok(v) => v,
-                    Err(_) => {
-                        return Err(RuntimeError::WorkerPanicked(
-                            "collective scope panicked".to_string(),
-                        ))
-                    }
-                };
-                stats.extend(outs.into_iter().map(|(ws, _pool)| ws));
-                panic_msg = panicked;
-                walls
-            }
-            ExecBackend::Pool(pool, bank) => {
-                let mut gang = pool.gang(n_chunks);
-                for (base, stores, rxs) in tasks.drain(..) {
-                    let shared = Arc::clone(&shared);
-                    let fp = bank.map(PoolBank::take).unwrap_or_default();
-                    gang.spawn(move || worker_body(&shared, base, stores, rxs, fp));
-                }
-                let walls = drive_barriers(&shared);
-                for result in gang.join() {
-                    match result {
-                        Ok((ws, fp)) => {
-                            if let Some(bank) = bank {
-                                bank.put(fp);
-                            }
-                            stats.push(ws);
-                        }
-                        Err(msg) => {
-                            panic_msg.get_or_insert(msg);
-                        }
-                    }
-                }
-                walls
-            }
-        };
-        if let Some(msg) = panic_msg {
-            return Err(RuntimeError::WorkerPanicked(msg));
-        }
-
-        // Aggregate measurements into the standard report + trace.
-        let mut trace = Trace::default();
-        let mut phase_reports = Vec::with_capacity(plan.phases().len());
+        // The analytic prediction prices what was measured on the wire:
+        // one startup per step, the critical-path message per step.
         let mut counts = CostCounts::default();
-        let mut gbase = 0usize;
-        for (pi, (label, nsteps)) in plan.phases().iter().enumerate() {
-            trace.begin_phase(label);
-            for si in 0..*nsteps {
-                let g = gbase + si;
-                let mut messages = 0u64;
-                let mut blocks = 0u64;
-                let mut max_blocks = 0u64;
-                let mut retries = 0u64;
-                for w in &stats {
-                    messages += w.steps[g].messages;
-                    blocks += w.steps[g].blocks;
-                    max_blocks = max_blocks.max(w.steps[g].max_blocks);
-                    retries += w.steps[g].retries;
-                }
-                let hops = plan.steps()[g].hops;
-                trace.record_step(StepStat {
-                    messages: messages as u32,
-                    total_blocks: blocks,
-                    max_blocks,
-                    max_hops: hops,
-                    retries,
-                    time_us: step_walls[g].as_secs_f64() * 1e6,
-                });
-                counts.startup_steps += 1;
-                counts.trans_blocks += max_blocks * u64::from(hops);
-                counts.prop_hops += u64::from(hops);
-            }
-            gbase += *nsteps;
-
-            let mut pr = PhaseReport {
-                name: label.clone(),
-                steps: *nsteps,
-                wall: phase_walls[pi],
-                ..Default::default()
-            };
-            for w in &stats {
-                let side = &w.phase[pi];
-                pr.assembly += side.assembly;
-                pr.transport += side.transport;
-                pr.wire_bytes += side.wire_bytes;
-                pr.bytes_copied += side.bytes_copied;
-                pr.allocations += side.allocations;
-                pr.messages += side.messages;
-            }
-            phase_reports.push(pr);
+        for step in outcome.trace.phases.iter().flat_map(|ph| &ph.steps) {
+            counts.startup_steps += 1;
+            counts.trans_blocks += step.max_blocks * u64::from(step.max_hops);
+            counts.prop_hops += u64::from(step.max_hops);
         }
-
-        let mut fault_totals = RecoveryStats::default();
-        for w in &stats {
-            fault_totals.merge(&w.faults);
-        }
-        let fault_events = merge_events(stats.iter().map(|w| w.events.clone()).collect());
-        let failure_taken = lk(&shared.failure_slot).take();
-
         let params = self.config.params.with_block_bytes(block_bytes as u32);
-        let mut report = RuntimeReport {
+        let (mut report, finals) = outcome.into_report(ReportIdent {
             dims: shape.dims().to_vec(),
             executed_dims: shape.dims().to_vec(),
             padded: false,
             nodes: shape.num_nodes(),
             block_bytes,
-            workers,
-            wall,
-            wire_bytes: phase_reports.iter().map(|p| p.wire_bytes).sum(),
-            rearranged_bytes: 0,
-            bytes_copied: phase_reports.iter().map(|p| p.bytes_copied).sum(),
-            allocations: phase_reports.iter().map(|p| p.allocations).sum(),
-            peak_node_bytes: stats.iter().map(|w| w.peak_bytes).max().unwrap_or(0),
-            messages: phase_reports.iter().map(|p| p.messages).sum(),
-            phases: phase_reports,
-            verified: false,
-            faults: fault_totals,
-            fault_events,
-            failure: failure_taken.clone(),
-            degraded: None,
             analytic: CompletionTime::from_counts(&counts, &params),
-            trace,
-        };
-
-        if let Some(fi) = failure_taken {
-            return Err(match fi.reason {
-                FailureReason::ChannelClosed => RuntimeError::ChannelClosed {
-                    node: fi.node,
-                    phase: fi.phase,
-                    step: fi.step,
-                },
-                _ => RuntimeError::Aborted {
-                    failure: fi,
-                    report: Box::new(report),
-                },
-            });
-        }
+        })?;
 
         // Verify: every node's final holdings must match the op
         // contract AND equal the serial reference replay byte-for-byte.
         let mut deliveries: Vec<Vec<(u32, Bytes)>> = Vec::with_capacity(nn);
-        for (u, want) in reference.iter().enumerate() {
-            let store = std::mem::take(&mut *lk(&shared.finals[u]));
+        for (u, (store, want)) in finals.into_iter().zip(&reference).enumerate() {
             let got: Vec<(u32, Bytes)> = store
                 .into_iter()
                 .enumerate()
@@ -1109,7 +368,7 @@ impl CollectiveRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use collective_plan::JobOp;
+    use collective_plan::{JobOp, ReduceOp};
     use torus_topology::TorusShape;
 
     #[test]

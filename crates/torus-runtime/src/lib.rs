@@ -33,6 +33,13 @@
 //! [`RuntimeError`] and a partial [`RuntimeReport`] instead of a panic or
 //! a hang.
 //!
+//! All of that is one executor. A schedule only says *what moves* — the
+//! paper's plan, a repaired degraded-mode plan, or a lowered collective
+//! plan ([`CollectiveRuntime`]) each feed the same worker loop as a small
+//! step source — and the loop owns *how it moves*: framing, channels,
+//! barriers, fault injection, recovery, cancellation, and measurement
+//! exist exactly once.
+//!
 //! The result of a run is a [`RuntimeReport`]: wall time per phase split
 //! into assembly / transport / rearrangement, bytes moved on the wire and
 //! in rearrangements, peak buffer residency, fault/retry/integrity
@@ -56,6 +63,7 @@
 pub mod cancel;
 pub mod collective;
 pub mod degrade;
+mod exec;
 pub mod fault;
 pub mod message;
 pub mod payload;

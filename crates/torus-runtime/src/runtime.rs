@@ -1,67 +1,34 @@
-//! The byte-moving runtime: worker threads execute exchange plans.
+//! The all-to-all front-end: seeds real payloads, runs the paper's plan
+//! (or a repaired one) through the byte executor, verifies delivery.
 //!
-//! # Execution model
+//! [`Runtime`] owns what is specific to the complete exchange; how a step
+//! moves bytes — framing, channels, barriers, fault injection, recovery,
+//! cancellation, measurement — lives once in the crate's executor module
+//! and is shared with the collective front-end.
 //!
-//! The canonical torus's `N` nodes are multiplexed onto `W` worker
-//! threads in contiguous chunks (`W` = [`RuntimeConfig::workers`], else
-//! `TORUS_THREADS`, else the machine's available parallelism, clamped to
-//! `1..=N`). Each worker
-//! *owns* its nodes' buffers outright — no locks on the hot path — and
-//! every node has an unbounded lock-free channel as its inbox.
-//!
-//! Each communication step of the [`StepPlan`] executes as:
-//!
-//! 1. **assemble** — for every owned node scheduled to send, select the
-//!    step's blocks (the paper's per-phase selection rules) and frame
-//!    them into one combined wire message (sequence-numbered and
-//!    CRC32-protected). Fault-free, the frame is **scatter-gather**
-//!    ([`WireFrame::Gathered`]): only the headers are written (into a
-//!    pooled buffer — see [`FramePool`]), the payloads travel as shared
-//!    [`Bytes`] handles, so combining never copies a payload byte;
-//! 2. **transport** — push the message into the destination's inbox
-//!    (never blocks: channels are unbounded), then receive exactly the
-//!    messages the static schedule says each owned node is due (possibly
-//!    empty ones — the paper's idle senders), splitting them zero-copy
-//!    into the receiving buffer and returning the frame's buffers to the
-//!    receiving worker's pool;
-//! 3. **synchronize** — a two-phase [`Barrier`] rendezvous with the main
-//!    thread. The first crossing marks "all step traffic delivered" (the
-//!    main thread timestamps the step and snapshots buffers for
-//!    [`Observer`]s); the second releases everyone into the next step, so
-//!    messages from step `s + 1` can never interleave with step `s`.
-//!
-//! After every phase but the last, workers run the paper's **data
-//! rearrangement** as a real memory pass: each node's blocks are sorted
-//! into delivery order and their payloads compacted into one fresh
-//! contiguous arena (the measured analogue of the `ρ`-term the cost model
-//! charges per byte), again bracketed by the two-barrier rendezvous.
-//!
-//! # Fault tolerance
-//!
-//! When the configured [`FaultPlan`] is non-empty the runtime switches
-//! the send path to the canonical contiguous encoding (injected
-//! corruption and truncation need well-defined frame bytes to mutate,
-//! and the retained resend copy must be immutable) and the receive path
-//! from a blocking wait to a deadline + bounded-retry
-//! loop: every sender retains its pristine frame for the step, a receiver
-//! whose deadline expires (or whose frame fails the CRC/framing/sequence
-//! checks) pulls the retained copy — a modeled NACK + retransmission —
-//! with exponential backoff between attempts. Exhausting the retry
-//! budget, losing a channel endpoint, or an injected worker kill flips a
-//! shared abort flag; every worker then falls through its remaining
-//! barriers doing no work, so an aborted run still joins cleanly, leaks
-//! no threads, and yields a partial [`RuntimeReport`] inside
-//! [`RuntimeError::Aborted`] naming the faulty node, phase, and step.
-//!
-//! Fault-free runs keep the original semantics: sends never block and
-//! every receive is matched to a scheduled send, so the protocol is
-//! deadlock-free by construction; determinism across worker counts
-//! follows from the per-step barriers plus the fixed ownership partition.
+//! * **Seeding.** Every `(src, dst)` pair's payload comes from the
+//!   caller's closure (or [`pattern_payload`]) and is kept for the
+//!   post-run bit-exact comparison.
+//! * **Two step sources.** The base source selects each step's blocks by
+//!   the paper's per-phase rules ([`StepPlan::selects`]) and runs the
+//!   inter-phase **data rearrangement** as a real memory pass: each
+//!   node's blocks are sorted into delivery order and their payloads
+//!   compacted into one fresh contiguous arena (the measured analogue of
+//!   the `ρ`-term the cost model charges per byte). The repaired source
+//!   selects by the explicit per-node manifests of a
+//!   [`RepairedSchedule`] and executes its quarantine drop lists.
+//! * **Failure policy.** Under [`OnFailure::Degrade`] a driver loop
+//!   quarantines the culprit of an aborted run, replans, and restarts
+//!   from freshly seeded buffers until the survivors complete.
+//! * **Verification.** Final buffers are checked with the same invariant
+//!   checker the analytic executors use ([`verify_delivery`], or its
+//!   survivor-only form for degraded runs) *plus* bit-exact payload
+//!   comparison against the seeded contents.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 use alltoall_core::block::Buffers;
 use alltoall_core::steps::{PlannedStep, StepPlan};
@@ -71,22 +38,17 @@ use alltoall_core::{
 };
 use bytes::{Bytes, BytesMut};
 use cost_model::{CommParams, CompletionTime};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use crossbeam::thread as cb_thread;
-use torus_sim::{StepStat, Trace};
 use torus_topology::{NodeId, TorusShape};
 
-use crate::cancel::{CancelKind, CancelToken};
+use crate::cancel::CancelToken;
 use crate::degrade::{DeadNode, DegradedReport, OnFailure};
-use crate::fault::{FaultEvent, FaultEventKind, FaultKind, FaultPlan, WorkerFaultKind};
-use crate::message::{
-    decode_gathered, decode_message, encode_gathered, encode_message, WireError, WireFrame,
-    BLOCK_HEADER_BYTES, MESSAGE_HEADER_BYTES,
-};
+use crate::exec::{self, Boundary, ExecBackend, PhaseMeta, PhaseSide, ReportIdent, StepSource};
+use crate::fault::FaultPlan;
+use crate::message::{BLOCK_HEADER_BYTES, MESSAGE_HEADER_BYTES};
 use crate::payload::pattern_payload;
-use crate::pool::{FramePool, PoolBank};
-use crate::recovery::{merge_events, FailureReason, NodeFailure, RecoveryStats, RetryPolicy};
-use crate::report::{PhaseReport, RuntimeReport};
+use crate::pool::PoolBank;
+use crate::recovery::{FailureReason, RetryPolicy};
+use crate::report::RuntimeReport;
 use crate::workers::WorkerPool;
 use crate::RuntimeError;
 
@@ -181,29 +143,6 @@ impl RuntimeConfig {
     }
 }
 
-/// Locks a mutex, tolerating poisoning: an aborting run must still be
-/// able to collect partial state even if some worker panicked while
-/// holding a lock. Shared with the collective executor.
-pub(crate) fn lk<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// One flipped byte at a deterministic offset — the payload of
-/// [`FaultKind::CorruptByte`].
-pub(crate) fn corrupt_frame(frame: &Bytes, offset: usize) -> Bytes {
-    let mut v = frame.to_vec();
-    if !v.is_empty() {
-        let at = offset % v.len();
-        v[at] ^= 0x01;
-    }
-    Bytes::from(v)
-}
-
-/// Keeps only the first half of the frame — [`FaultKind::Truncate`].
-pub(crate) fn truncate_frame(frame: &Bytes) -> Bytes {
-    frame.slice(..frame.len() / 2)
-}
-
 /// A reusable byte-moving executor for one torus shape.
 ///
 /// Construction does all the schedule work once (canonicalization,
@@ -216,80 +155,6 @@ pub struct Runtime {
     config: RuntimeConfig,
 }
 
-/// Per-worker, per-global-step measurement.
-#[derive(Clone, Copy, Default)]
-struct StepSide {
-    messages: u64,
-    blocks: u64,
-    max_blocks: u64,
-    wire_bytes: u64,
-    retries: u64,
-}
-
-/// Per-worker, per-phase measurement.
-#[derive(Clone, Copy, Default)]
-struct PhaseSide {
-    assembly: Duration,
-    transport: Duration,
-    rearrange: Duration,
-    wire_bytes: u64,
-    rearranged_bytes: u64,
-    bytes_copied: u64,
-    allocations: u64,
-    messages: u64,
-    rearr_blocks_max: u64,
-}
-
-/// Everything one worker measured, returned at join.
-struct WorkerStats {
-    phase: Vec<PhaseSide>,
-    steps: Vec<StepSide>,
-    peak_bytes: u64,
-    faults: RecoveryStats,
-    events: Vec<FaultEvent>,
-    /// Degraded mode: blocks this worker discarded executing drop lists.
-    dropped_found: u64,
-    /// Degraded mode: repaired sends whose drained block count did not
-    /// match the manifest (a planner/executor divergence — any nonzero
-    /// total fails verification after the join).
-    manifest_mismatches: u64,
-}
-
-/// A step as the workers execute it: either a base-plan step (block
-/// selection by the paper's per-phase rules) or a repaired step (block
-/// selection by explicit per-node manifests).
-#[derive(Clone, Copy)]
-enum ExecStep<'a> {
-    Base(&'a PlannedStep),
-    Repaired(&'a RepairedStep),
-}
-
-impl ExecStep<'_> {
-    fn hops(&self) -> u32 {
-        match self {
-            ExecStep::Base(st) => st.hops,
-            ExecStep::Repaired(st) => st.hops,
-        }
-    }
-
-    /// Where `node` sends this step, `None` if it idles.
-    fn dst_of(&self, node: usize) -> Option<NodeId> {
-        match self {
-            ExecStep::Base(st) => st.sends[node].map(|s| s.dst),
-            ExecStep::Repaired(st) => st.sends[node].as_ref().map(|s| s.dst),
-        }
-    }
-}
-
-/// A phase view unifying the base plan and a repaired schedule, so one
-/// worker loop executes both.
-struct ExecPhase<'a> {
-    name: &'a str,
-    kind: PhaseKind,
-    rearrange_after: bool,
-    steps: Vec<ExecStep<'a>>,
-}
-
 /// Everything a degraded-mode execution needs beyond the base plan.
 struct DegradeCtx {
     repaired: Arc<RepairedSchedule>,
@@ -297,768 +162,222 @@ struct DegradeCtx {
     restarts: u32,
 }
 
-/// How a run executes its worker tasks.
-#[derive(Clone, Copy)]
-enum ExecBackend<'p> {
-    /// Spawn fresh scoped threads and join them at run end — the classic
-    /// one-shot measurement path.
-    Spawn,
-    /// Reserve a gang of persistent threads from a [`WorkerPool`],
-    /// optionally recycling warm [`FramePool`]s through a [`PoolBank`] —
-    /// the service path, where threads park between jobs instead of
-    /// being respawned.
-    Pool(&'p WorkerPool, Option<&'p PoolBank>),
+/// A node's resident blocks — the state both all-to-all sources share.
+type NodeBuf = Vec<Block<Bytes>>;
+
+/// Phase metadata plus the global-step → `(phase, step)` index for a
+/// phase list given as `(name, rearrange_after, per-step hops)`.
+fn phase_grid<'a>(
+    phases: impl Iterator<Item = (&'a str, bool, Vec<u32>)>,
+) -> (Vec<PhaseMeta>, Vec<(usize, usize)>) {
+    let mut meta = Vec::new();
+    let mut at = Vec::new();
+    for (pi, (name, rearrange_after, hops)) in phases.enumerate() {
+        at.extend((0..hops.len()).map(|si| (pi, si)));
+        meta.push(PhaseMeta {
+            name: name.to_string(),
+            hops,
+            rearrange_after,
+        });
+    }
+    (meta, at)
 }
 
-fn snapshot_buffers(slots: &[Mutex<Vec<Block<Bytes>>>]) -> Buffers<Bytes> {
-    Buffers::from_vecs(slots.iter().map(|m| lk(m).clone()).collect())
+/// Moves every block `select` picks out of `buf` into `out`, preserving
+/// the order of both.
+fn drain_selected(
+    buf: &mut NodeBuf,
+    out: &mut NodeBuf,
+    mut select: impl FnMut(&mut Block<Bytes>) -> bool,
+) {
+    buf.retain_mut(|b| {
+        let selected = select(b);
+        if selected {
+            out.push(std::mem::replace(
+                b,
+                Block::with_payload(0, 0, Bytes::new()),
+            ));
+        }
+        !selected
+    });
 }
 
-/// The per-run state every worker task shares.
-///
-/// Owned or reference-counted (`'static`) rather than scope-borrowed, so
-/// the same worker body runs both on freshly spawned scoped threads and
-/// on a persistent [`WorkerPool`] whose tasks outlive any stack frame.
-/// One `RunShared` exists per run: its abort flag, failure slot, retained
-/// frames, and channels are born and die with the job, which is what
-/// isolates one job's abort or quarantine from every other job sharing
-/// the pool.
-struct RunShared {
+fn resident_bytes(buf: &NodeBuf) -> u64 {
+    buf.iter().map(|b| b.payload.len() as u64).sum()
+}
+
+/// The paper's inter-phase rearrangement: compact the node's data array
+/// into delivery order with one contiguous copy pass.
+fn compact(buf: &mut NodeBuf, side: &mut PhaseSide) {
+    let t0 = Instant::now();
+    buf.sort_by_key(|b| (b.dst, b.src));
+    let total: usize = buf.iter().map(|b| b.payload.len()).sum();
+    // The arena is frozen and retained by the blocks, so it can't be
+    // pooled; its copy volume is `rearranged_bytes`, kept apart from the
+    // send path's `bytes_copied`.
+    side.allocations += 1;
+    let mut arena = BytesMut::with_capacity(total);
+    for b in buf.iter() {
+        arena.extend_from_slice(&b.payload);
+    }
+    let arena = arena.freeze();
+    let mut off = 0usize;
+    for b in buf.iter_mut() {
+        let len = b.payload.len();
+        b.payload = arena.slice(off..off + len);
+        off += len;
+    }
+    side.rearrange += t0.elapsed();
+    side.rearranged_bytes += total as u64;
+    side.rearr_blocks_max = side.rearr_blocks_max.max(buf.len() as u64);
+}
+
+/// The paper's schedule: block selection by the per-phase rules.
+struct BaseSource {
     plan: Arc<StepPlan>,
-    /// Present when executing a repaired (degraded-mode) schedule.
-    repaired: Option<Arc<RepairedSchedule>>,
-    faults: FaultPlan,
-    retry: RetryPolicy,
-    degrade_mode: bool,
-    observe: bool,
-    /// `expect_from[g][node]`: who `node` receives from in global step `g`.
-    expect_from: Vec<Vec<Option<NodeId>>>,
-    /// Failure context: global step -> (phase label, 1-based step).
-    step_ctx: Vec<(String, usize)>,
-    /// Per-node inbox senders (any worker may deliver to any node).
-    senders: Vec<Sender<WireFrame>>,
-    /// Per-destination retained resend frame for the current step.
-    retained: Vec<Mutex<Option<Bytes>>>,
-    abort: AtomicBool,
-    /// External cancellation trigger, observed cooperatively by workers.
-    cancel: Option<CancelToken>,
-    failure_slot: Mutex<Option<NodeFailure>>,
-    barrier: Barrier,
-    snapshots: Vec<Mutex<Vec<Block<Bytes>>>>,
-    finals: Vec<Mutex<Vec<Block<Bytes>>>>,
-    total_steps: usize,
+    meta: Vec<PhaseMeta>,
+    at: Vec<(usize, usize)>,
 }
 
-impl RunShared {
-    /// Records the first unrecoverable failure and raises the abort flag.
-    fn fail(&self, node: NodeId, g: usize, reason: FailureReason) {
-        let mut slot = lk(&self.failure_slot);
-        if slot.is_none() {
-            let (phase, step) = self.step_ctx[g].clone();
-            *slot = Some(NodeFailure {
-                node,
-                phase,
-                step,
-                global_step: g,
-                reason,
-            });
-        }
-        self.abort.store(true, Ordering::SeqCst);
+impl BaseSource {
+    fn new(plan: Arc<StepPlan>) -> Self {
+        let (meta, at) = phase_grid(plan.phases().iter().map(|ph| {
+            let hops = ph.steps.iter().map(|st| st.hops).collect();
+            (ph.name.as_str(), ph.rearrange_after, hops)
+        }));
+        Self { plan, meta, at }
     }
 
-    /// Polls the external cancellation token (if any) and converts a
-    /// trigger into the run's first-failure-wins abort, attributed to
-    /// `node` at global step `g`. Returns `true` when the run is (now)
-    /// aborting for any reason, so call sites can fold this into their
-    /// existing skip checks.
-    fn observe_cancel(&self, node: NodeId, g: usize) -> bool {
-        if let Some(token) = &self.cancel {
-            if let Some(kind) = token.kind() {
-                let reason = match kind {
-                    CancelKind::Cancelled => FailureReason::Cancelled,
-                    CancelKind::DeadlineExceeded => FailureReason::DeadlineExceeded,
-                };
-                self.fail(node, g, reason);
-                return true;
-            }
-        }
-        self.abort.load(Ordering::Acquire)
-    }
-
-    /// The deadline + bounded-retry receive loop (fault plans only).
-    ///
-    /// Waits on the inbox with a deadline; on timeout, CRC/framing
-    /// failure, or a stale sequence from a resend, pulls the sender's
-    /// retained pristine frame (a modeled NACK + retransmission) with
-    /// exponential backoff. Returns the step's blocks, or `None` if the
-    /// run aborted (this receive's own budget exhausting is one way that
-    /// happens).
-    #[allow(clippy::too_many_arguments)]
-    fn recover_recv(
-        &self,
-        rx: &Receiver<WireFrame>,
-        retained: &Mutex<Option<Bytes>>,
-        me: NodeId,
-        src: NodeId,
-        g: usize,
-        counters: &mut RecoveryStats,
-        events: &mut Vec<FaultEvent>,
-        step_retries: &mut u64,
-    ) -> Option<Vec<Block<Bytes>>> {
-        let faults = &self.faults;
-        let policy = self.retry;
-        // `cycles` counts *failed* recovery cycles: it charges the retry
-        // budget only when a recovery attempt itself came up empty or
-        // invalid, so a single drop healed by the first resend costs
-        // nothing. `fetches` numbers retained-buffer fetches 1-based —
-        // the "attempt" coordinate resend faults are pinned to.
-        let mut cycles = 0u32;
-        let mut fetches = 0u32;
-        let mut needed_recovery = false;
-        let blocks = loop {
-            if self.observe_cancel(me, g) {
-                break None;
-            }
-            if cycles > policy.max_retries {
-                self.fail(me, g, FailureReason::RetryExhausted { src });
-                break None;
-            }
-            let wait = if cycles == 0 {
-                policy.deadline
-            } else {
-                policy.backoff_for(cycles)
-            };
-            let mut via_resend = false;
-            let raw = match self.recv_sliced(rx, wait) {
-                // Under a fault plan senders always transmit contiguous
-                // frames; normalize defensively so validation below
-                // always sees canonical bytes.
-                Ok(frame) => Some(frame.to_bytes()),
-                Err(RecvTimeoutError::Disconnected) => {
-                    self.fail(me, g, FailureReason::ChannelClosed);
-                    break None;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    counters.timeouts += 1;
-                    needed_recovery = true;
-                    via_resend = true;
-                    let frame = lk(retained).clone();
-                    match frame {
-                        // The sender may not have retained this step's
-                        // frame yet (stalled peer); retry after backoff.
-                        None => None,
-                        Some(mut frame) => {
-                            fetches += 1;
-                            counters.resends += 1;
-                            // The retransmission itself can be faulted
-                            // (explicitly pinned attempts >= 1 — how the
-                            // tests provoke budget exhaustion).
-                            let mut dropped = false;
-                            for kind in faults.message_faults(g, src, me, fetches) {
-                                events.push(FaultEvent {
-                                    step: g,
-                                    src,
-                                    dst: me,
-                                    attempt: fetches,
-                                    kind: FaultEventKind::Message(kind),
-                                });
-                                match kind {
-                                    FaultKind::Drop => {
-                                        counters.injected_drops += 1;
-                                        dropped = true;
-                                    }
-                                    FaultKind::DelayMicros(us) => {
-                                        counters.injected_delays += 1;
-                                        std::thread::sleep(Duration::from_micros(us));
-                                    }
-                                    FaultKind::Duplicate => {
-                                        counters.injected_duplicates += 1;
-                                    }
-                                    FaultKind::CorruptByte => {
-                                        counters.injected_corruptions += 1;
-                                        frame = corrupt_frame(
-                                            &frame,
-                                            faults.corrupt_offset(g, src, me, frame.len()),
-                                        );
-                                    }
-                                    FaultKind::Truncate => {
-                                        counters.injected_truncations += 1;
-                                        frame = truncate_frame(&frame);
-                                    }
-                                }
-                            }
-                            if dropped {
-                                None
-                            } else {
-                                Some(frame)
-                            }
-                        }
-                    }
-                }
-            };
-            let Some(raw) = raw else {
-                cycles += 1;
-                counters.retries += 1;
-                *step_retries += 1;
-                continue;
-            };
-            match decode_message(&raw) {
-                Ok((seq, blocks)) if seq as usize == g => break Some(blocks),
-                Ok(_) => {
-                    // Wrong sequence number: a duplicate or over-deadline
-                    // straggler from an earlier step (drain it free — the
-                    // inbox backlog is finite), or a stale retained frame
-                    // from a dead sender (charge the budget, or this
-                    // could spin forever).
-                    counters.stale_discarded += 1;
-                    if via_resend {
-                        cycles += 1;
-                        counters.retries += 1;
-                        *step_retries += 1;
-                    }
-                    continue;
-                }
-                Err(e) => {
-                    match e {
-                        WireError::Crc { .. } => counters.crc_failures += 1,
-                        _ => counters.decode_failures += 1,
-                    }
-                    needed_recovery = true;
-                    cycles += 1;
-                    counters.retries += 1;
-                    *step_retries += 1;
-                    continue;
-                }
-            }
-        };
-        if blocks.is_some() && needed_recovery {
-            counters.recovered += 1;
-        }
-        blocks
-    }
-
-    /// `recv_timeout(wait)`, but sliced into bounded chunks when a
-    /// cancellation token is installed, so a worker parked on a long
-    /// retry deadline still notices an external cancel within ~20 ms.
-    /// An observed trigger surfaces as a timeout; the caller's loop head
-    /// converts it into the typed abort.
-    fn recv_sliced(
-        &self,
-        rx: &Receiver<WireFrame>,
-        wait: Duration,
-    ) -> Result<WireFrame, RecvTimeoutError> {
-        let Some(token) = &self.cancel else {
-            return rx.recv_timeout(wait);
-        };
-        let deadline = Instant::now() + wait;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            match rx.recv_timeout(left.min(Duration::from_millis(20))) {
-                Err(RecvTimeoutError::Timeout) => {
-                    if token.is_triggered() || self.abort.load(Ordering::Acquire) {
-                        return Err(RecvTimeoutError::Timeout);
-                    }
-                }
-                other => return other,
-            }
-        }
+    fn step(&self, g: usize) -> &PlannedStep {
+        let (pi, si) = self.at[g];
+        &self.plan.phases()[pi].steps[si]
     }
 }
 
-/// The unified phase view over the base plan or a repaired schedule.
-/// Rebuilt cheaply (vectors of references) wherever it is needed — each
-/// worker task and the driving thread build their own, so no lifetime
-/// ties a task to the driver's stack.
-fn build_exec_phases<'a>(
-    plan: &'a StepPlan,
-    repaired: Option<&'a RepairedSchedule>,
-) -> Vec<ExecPhase<'a>> {
-    match repaired {
-        None => plan
-            .phases()
-            .iter()
-            .map(|ph| ExecPhase {
-                name: &ph.name,
-                kind: ph.kind,
-                rearrange_after: ph.rearrange_after,
-                steps: ph.steps.iter().map(ExecStep::Base).collect(),
-            })
-            .collect(),
-        Some(rep) => rep
-            .phases
-            .iter()
-            .map(|ph| ExecPhase {
-                name: &ph.name,
-                kind: ph.kind,
-                rearrange_after: ph.rearrange_after,
-                steps: ph.steps.iter().map(ExecStep::Repaired).collect(),
-            })
-            .collect(),
+impl StepSource for BaseSource {
+    type Node = NodeBuf;
+
+    fn phases(&self) -> &[PhaseMeta] {
+        &self.meta
+    }
+
+    fn dst(&self, g: usize, node: NodeId) -> Option<NodeId> {
+        self.step(g).sends[node as usize].map(|s| s.dst)
+    }
+
+    fn emit(&self, g: usize, node: NodeId, buf: &mut NodeBuf, out: &mut NodeBuf) {
+        let st = self.step(g);
+        drain_selected(buf, out, |b| {
+            let selected = self.plan.selects(st, node, b);
+            if selected {
+                if let Some(p) = StepPlan::shift_decrement(st) {
+                    b.shifts[p] -= 1;
+                }
+            }
+            selected
+        });
+    }
+
+    fn absorb(&self, buf: &mut NodeBuf, incoming: &mut NodeBuf) {
+        buf.append(incoming);
+    }
+
+    fn resident(&self, buf: &NodeBuf) -> u64 {
+        resident_bytes(buf)
+    }
+
+    fn rearrange(&self, buf: &mut NodeBuf, side: &mut PhaseSide) {
+        compact(buf, side);
     }
 }
 
-/// One worker task: executes every step of the plan for its contiguous
-/// chunk of nodes (`base ..`), returning its measurements and its frame
-/// pool (warm, for recycling through a [`PoolBank`]).
-///
-/// Runs identically on a scoped thread ([`ExecBackend::Spawn`]) or a
-/// persistent pool thread ([`ExecBackend::Pool`]); everything it touches
-/// lives in [`RunShared`] or is moved in.
-fn worker_body(
-    shared: &RunShared,
-    base: usize,
-    mut bufs: Vec<Vec<Block<Bytes>>>,
-    rxs: Vec<Receiver<WireFrame>>,
-    mut pool: FramePool,
-) -> (WorkerStats, FramePool) {
-    let plan = &*shared.plan;
-    let phases = build_exec_phases(plan, shared.repaired.as_deref());
-    let faults = &shared.faults;
-    let no_faults = faults.is_empty();
-    let degrade_mode = shared.degrade_mode;
-    let observe = shared.observe;
-    let abort = &shared.abort;
-    let senders = &shared.senders[..];
-    let retained = &shared.retained[..];
-    let expect_from = &shared.expect_from;
-    let barrier = &shared.barrier;
-
-    let mut stats = WorkerStats {
-        phase: vec![PhaseSide::default(); phases.len()],
-        steps: vec![StepSide::default(); shared.total_steps],
-        peak_bytes: 0,
-        faults: RecoveryStats::default(),
-        events: Vec::new(),
-        dropped_found: 0,
-        manifest_mismatches: 0,
-    };
-    // Recycled send-side state: the frame-buffer pool and the per-step
-    // outgoing scratch vector. Both reach steady state after the first
-    // step or two and stop allocating.
-    let mut outgoing: Vec<Block<Bytes>> = Vec::new();
-    // A killed worker turns into a zombie: it does no work but keeps
-    // crossing barriers so nothing deadlocks.
-    let mut dead = false;
-    let mut g = 0usize;
-    for (pi, ph) in phases.iter().enumerate() {
-        for est in &ph.steps {
-            let est = *est;
-            if !no_faults && !dead {
-                for li in 0..bufs.len() {
-                    let node = (base + li) as NodeId;
-                    let Some(wf) = faults.worker_fault(g, node) else {
-                        continue;
-                    };
-                    stats.events.push(FaultEvent {
-                        step: g,
-                        src: node,
-                        dst: node,
-                        attempt: 0,
-                        kind: FaultEventKind::Worker(wf),
-                    });
-                    match wf {
-                        WorkerFaultKind::Kill => {
-                            stats.faults.injected_kills += 1;
-                            if !degrade_mode {
-                                shared.fail(node, g, FailureReason::WorkerKilled { node });
-                                dead = true;
-                            }
-                            // Degraded runs absorb the kill: the node is
-                            // already quarantined in the repaired
-                            // schedule (its sends and receives are
-                            // gone), and its worker must stay alive to
-                            // route salvaged survivor blocks out in
-                            // fallback.
-                        }
-                        WorkerFaultKind::StallMicros(us) => {
-                            stats.faults.injected_stalls += 1;
-                            // Sleep in bounded slices, polling the abort
-                            // flag and the cancellation token, so an
-                            // externally stopped run is not pinned for
-                            // the stall's full duration.
-                            let stall_until = Instant::now() + Duration::from_micros(us);
-                            while !shared.observe_cancel(node, g) {
-                                let left = stall_until.saturating_duration_since(Instant::now());
-                                if left.is_zero() {
-                                    break;
-                                }
-                                std::thread::sleep(left.min(Duration::from_millis(1)));
-                            }
-                        }
-                    }
-                }
-            }
-            let skip = dead || shared.observe_cancel(base as NodeId, g);
-            if !skip {
-                let pstats = &mut stats.phase[pi];
-                let sstats = &mut stats.steps[g];
-
-                // Degraded mode: quarantine drops take effect at step
-                // entry, before any send — discard the listed blocks
-                // from owned holders.
-                if let ExecStep::Repaired(rst) = est {
-                    for (holder, pairs) in &rst.drops {
-                        let h = *holder as usize;
-                        if h < base || h >= base + bufs.len() {
-                            continue;
-                        }
-                        let buf = &mut bufs[h - base];
-                        let before = buf.len();
-                        buf.retain(|b| pairs.binary_search(&(b.src, b.dst)).is_err());
-                        stats.dropped_found += (before - buf.len()) as u64;
-                    }
-                }
-
-                // Assemble and send for every owned scheduled sender.
-                for (li, buf) in bufs.iter_mut().enumerate() {
-                    let node = (base + li) as NodeId;
-                    let Some(dst) = est.dst_of(node as usize) else {
-                        continue;
-                    };
-                    let t0 = Instant::now();
-                    outgoing.clear();
-                    match est {
-                        ExecStep::Base(st) => buf.retain_mut(|b| {
-                            if plan.selects(st, node, b) {
-                                if let Some(p) = StepPlan::shift_decrement(st) {
-                                    b.shifts[p] -= 1;
-                                }
-                                outgoing.push(std::mem::replace(
-                                    b,
-                                    Block::with_payload(0, 0, Bytes::new()),
-                                ));
-                                false
-                            } else {
-                                true
-                            }
-                        }),
-                        ExecStep::Repaired(st) => {
-                            // Manifest-driven: the repaired plan lists
-                            // the exact (src, dst) pairs to fold in. No
-                            // shift bookkeeping — repaired selection
-                            // never reads it.
-                            let spec = st.sends[node as usize]
-                                .as_ref()
-                                .expect("dst_of returned Some");
-                            buf.retain_mut(|b| {
-                                if spec.pairs.binary_search(&(b.src, b.dst)).is_ok() {
-                                    outgoing.push(std::mem::replace(
-                                        b,
-                                        Block::with_payload(0, 0, Bytes::new()),
-                                    ));
-                                    false
-                                } else {
-                                    true
-                                }
-                            });
-                            if outgoing.len() != spec.pairs.len() {
-                                stats.manifest_mismatches += 1;
-                            }
-                        }
-                    }
-                    let msg = if no_faults {
-                        // Zero-copy: headers into a pooled buffer,
-                        // payloads shared by handle.
-                        let framing_len =
-                            MESSAGE_HEADER_BYTES + outgoing.len() * BLOCK_HEADER_BYTES;
-                        let allocs = pool.allocations();
-                        let frame = encode_gathered(
-                            g as u32,
-                            &outgoing,
-                            pool.take_buf(framing_len),
-                            pool.take_vec(),
-                        );
-                        pstats.allocations += pool.allocations() - allocs;
-                        pstats.bytes_copied += framing_len as u64;
-                        frame
-                    } else {
-                        // Fault plans need mutable frame bytes (and an
-                        // immutable retained copy), so materialize the
-                        // canonical layout.
-                        let bytes = encode_message(g as u32, &outgoing);
-                        pstats.allocations += 1;
-                        pstats.bytes_copied += bytes.len() as u64;
-                        WireFrame::Contiguous(bytes)
-                    };
-                    let assembled = Instant::now();
-                    pstats.assembly += assembled - t0;
-                    sstats.messages += 1;
-                    sstats.blocks += outgoing.len() as u64;
-                    sstats.max_blocks = sstats.max_blocks.max(outgoing.len() as u64);
-                    // Wire accounting is for the pristine frame; injected
-                    // mutations don't change the schedule's cost.
-                    sstats.wire_bytes += msg.wire_len() as u64;
-                    pstats.wire_bytes += msg.wire_len() as u64;
-                    pstats.messages += 1;
-                    if no_faults {
-                        if senders[dst as usize].send(msg).is_err() {
-                            shared.fail(node, g, FailureReason::ChannelClosed);
-                        }
-                    } else {
-                        let msg = msg.to_bytes();
-                        // Retain the pristine frame so the receiver can
-                        // recover it; then mutate what actually goes on
-                        // the wire.
-                        *lk(&retained[dst as usize]) = Some(msg.clone());
-                        let mut deliver = vec![msg];
-                        for kind in faults.message_faults(g, node, dst, 0) {
-                            stats.events.push(FaultEvent {
-                                step: g,
-                                src: node,
-                                dst,
-                                attempt: 0,
-                                kind: FaultEventKind::Message(kind),
-                            });
-                            match kind {
-                                FaultKind::Drop => {
-                                    stats.faults.injected_drops += 1;
-                                    deliver.clear();
-                                }
-                                FaultKind::DelayMicros(us) => {
-                                    stats.faults.injected_delays += 1;
-                                    std::thread::sleep(Duration::from_micros(us));
-                                }
-                                FaultKind::Duplicate => {
-                                    stats.faults.injected_duplicates += 1;
-                                    if let Some(f) = deliver.first().cloned() {
-                                        deliver.push(f);
-                                    }
-                                }
-                                FaultKind::CorruptByte => {
-                                    stats.faults.injected_corruptions += 1;
-                                    let off = faults.corrupt_offset(
-                                        g,
-                                        node,
-                                        dst,
-                                        deliver.first().map_or(0, Bytes::len),
-                                    );
-                                    deliver =
-                                        deliver.iter().map(|f| corrupt_frame(f, off)).collect();
-                                }
-                                FaultKind::Truncate => {
-                                    stats.faults.injected_truncations += 1;
-                                    deliver = deliver.iter().map(truncate_frame).collect();
-                                }
-                            }
-                        }
-                        for f in deliver {
-                            if senders[dst as usize]
-                                .send(WireFrame::Contiguous(f))
-                                .is_err()
-                            {
-                                shared.fail(node, g, FailureReason::ChannelClosed);
-                                break;
-                            }
-                        }
-                    }
-                    pstats.transport += assembled.elapsed();
-                }
-
-                // Receive exactly the scheduled traffic, split it
-                // zero-copy, and track residency.
-                for (li, buf) in bufs.iter_mut().enumerate() {
-                    let me = (base + li) as NodeId;
-                    if let Some(src) = expect_from[g][base + li] {
-                        let t0 = Instant::now();
-                        if no_faults {
-                            // Fast path: a scheduled frame is always
-                            // sent, so a blocking receive cannot
-                            // deadlock. With a cancel token installed a
-                            // peer may observe the trigger at step entry
-                            // and skip its sends, so the receive must
-                            // poll the abort state instead of blocking
-                            // forever on a frame that will never come.
-                            let frame = if shared.cancel.is_none() {
-                                match rxs[li].recv() {
-                                    Ok(frame) => Some(frame),
-                                    Err(_) => {
-                                        shared.fail(me, g, FailureReason::ChannelClosed);
-                                        None
-                                    }
-                                }
-                            } else {
-                                loop {
-                                    match rxs[li].recv_timeout(Duration::from_millis(20)) {
-                                        Ok(frame) => break Some(frame),
-                                        Err(RecvTimeoutError::Timeout) => {
-                                            if shared.observe_cancel(me, g) {
-                                                break None;
-                                            }
-                                        }
-                                        Err(RecvTimeoutError::Disconnected) => {
-                                            shared.fail(me, g, FailureReason::ChannelClosed);
-                                            break None;
-                                        }
-                                    }
-                                }
-                            };
-                            let received = Instant::now();
-                            pstats.transport += received - t0;
-                            if let Some(frame) = frame {
-                                // Split the frame into the node buffer.
-                                // Self-produced frames never fail to
-                                // decode; without a fault plan there is
-                                // no retained copy to retry from, so a
-                                // wire error here is unrecoverable and
-                                // named exactly.
-                                let decoded = match frame {
-                                    WireFrame::Gathered {
-                                        framing,
-                                        mut payloads,
-                                    } => {
-                                        let r = decode_gathered(&framing, &mut payloads, buf);
-                                        if r.is_ok() {
-                                            // Keep the pools warm: the
-                                            // receiver recycles the
-                                            // sender's buffers.
-                                            pool.put_buf(framing);
-                                            pool.put_vec(payloads);
-                                        }
-                                        r.map(|_| ())
-                                    }
-                                    WireFrame::Contiguous(raw) => decode_message(&raw)
-                                        .map(|(_, mut blocks)| buf.append(&mut blocks)),
-                                };
-                                match decoded {
-                                    Ok(()) => pstats.assembly += received.elapsed(),
-                                    Err(e) => {
-                                        match e {
-                                            WireError::Crc { .. } => stats.faults.crc_failures += 1,
-                                            _ => stats.faults.decode_failures += 1,
-                                        }
-                                        shared.fail(
-                                            me,
-                                            g,
-                                            FailureReason::Integrity { src, error: e },
-                                        );
-                                    }
-                                }
-                            }
-                        } else {
-                            let blocks = shared.recover_recv(
-                                &rxs[li],
-                                &retained[base + li],
-                                me,
-                                src,
-                                g,
-                                &mut stats.faults,
-                                &mut stats.events,
-                                &mut sstats.retries,
-                            );
-                            let received = Instant::now();
-                            pstats.transport += received - t0;
-                            if let Some(mut blocks) = blocks {
-                                buf.append(&mut blocks);
-                                pstats.assembly += received.elapsed();
-                            }
-                        }
-                    }
-                    let mut resident: u64 = buf.iter().map(|b| b.payload.len() as u64).sum();
-                    if !no_faults {
-                        // The frame retained for this node's recovery is
-                        // resident memory too (the fault-free path
-                        // retains nothing and stays lock-free).
-                        resident += lk(&retained[base + li])
-                            .as_ref()
-                            .map_or(0, |f| f.len() as u64);
-                    }
-                    stats.peak_bytes = stats.peak_bytes.max(resident);
-                }
-
-                if observe {
-                    for (li, buf) in bufs.iter().enumerate() {
-                        *lk(&shared.snapshots[base + li]) = buf.clone();
-                    }
-                }
-            }
-            g += 1;
-            barrier.wait(); // step traffic complete
-            barrier.wait(); // released into the next step
-        }
-
-        if ph.rearrange_after {
-            if !(dead || abort.load(Ordering::Acquire)) {
-                let pstats = &mut stats.phase[pi];
-                for buf in bufs.iter_mut() {
-                    let t0 = Instant::now();
-                    // The paper's inter-phase rearrangement: compact the
-                    // node's data array into delivery order with one
-                    // contiguous copy pass.
-                    buf.sort_by_key(|b| (b.dst, b.src));
-                    let total: usize = buf.iter().map(|b| b.payload.len()).sum();
-                    // The arena is frozen and retained by the blocks, so
-                    // it can't be pooled; its copy volume is
-                    // `rearranged_bytes`, kept apart from the send
-                    // path's `bytes_copied`.
-                    pstats.allocations += 1;
-                    let mut arena = BytesMut::with_capacity(total);
-                    for b in buf.iter() {
-                        arena.extend_from_slice(&b.payload);
-                    }
-                    let arena = arena.freeze();
-                    let mut off = 0usize;
-                    for b in buf.iter_mut() {
-                        let len = b.payload.len();
-                        b.payload = arena.slice(off..off + len);
-                        off += len;
-                    }
-                    pstats.rearrange += t0.elapsed();
-                    pstats.rearranged_bytes += total as u64;
-                    pstats.rearr_blocks_max = pstats.rearr_blocks_max.max(buf.len() as u64);
-                }
-                if observe {
-                    for (li, buf) in bufs.iter().enumerate() {
-                        *lk(&shared.snapshots[base + li]) = buf.clone();
-                    }
-                }
-            }
-            barrier.wait(); // rearrangement complete
-            barrier.wait();
-        }
-    }
-    for (li, buf) in bufs.iter_mut().enumerate() {
-        *lk(&shared.finals[base + li]) = std::mem::take(buf);
-    }
-    (stats, pool)
+/// A repaired (degraded-mode) schedule: block selection by explicit
+/// per-node `(src, dst)` manifests, plus quarantine drop lists.
+struct RepairedSource {
+    schedule: Arc<RepairedSchedule>,
+    meta: Vec<PhaseMeta>,
+    at: Vec<(usize, usize)>,
+    /// Blocks discarded executing drop lists.
+    dropped_found: AtomicU64,
+    /// Sends whose drained block count did not match the manifest (a
+    /// planner/executor divergence — any nonzero total fails
+    /// verification after the run).
+    manifest_mismatches: AtomicU64,
 }
 
-/// The driving thread's half of the run: mirror every barrier the
-/// workers cross, timestamping steps and phases and feeding the observer.
-/// Crosses every barrier unconditionally, so it never hangs even when
-/// workers are skipping an aborted run.
-fn drive_barriers<O: Observer<Bytes>>(
-    phases: &[ExecPhase<'_>],
-    shared: &RunShared,
-    observer: &mut O,
-) -> (Vec<Duration>, Vec<Duration>, Duration) {
-    let observe = shared.observe;
-    let t_run = Instant::now();
-    let mut phase_walls = Vec::with_capacity(phases.len());
-    let mut step_walls = Vec::with_capacity(shared.total_steps);
-    for ph in phases {
-        let t_phase = Instant::now();
-        for si in 0..ph.steps.len() {
-            let t_step = Instant::now();
-            shared.barrier.wait();
-            step_walls.push(t_step.elapsed());
-            if observe {
-                observer.on_step(ph.kind, si + 1, &snapshot_buffers(&shared.snapshots));
-            }
-            shared.barrier.wait();
+impl RepairedSource {
+    fn new(schedule: Arc<RepairedSchedule>) -> Self {
+        let (meta, at) = phase_grid(schedule.phases.iter().map(|ph| {
+            let hops = ph.steps.iter().map(|st| st.hops).collect();
+            (ph.name.as_str(), ph.rearrange_after, hops)
+        }));
+        Self {
+            schedule,
+            meta,
+            at,
+            dropped_found: AtomicU64::new(0),
+            manifest_mismatches: AtomicU64::new(0),
         }
-        if ph.rearrange_after {
-            shared.barrier.wait();
-            if observe {
-                observer.on_rearrange(ph.kind, &snapshot_buffers(&shared.snapshots));
-            }
-            shared.barrier.wait();
-        }
-        phase_walls.push(t_phase.elapsed());
     }
-    (phase_walls, step_walls, t_run.elapsed())
+
+    fn step(&self, g: usize) -> &RepairedStep {
+        let (pi, si) = self.at[g];
+        &self.schedule.phases[pi].steps[si]
+    }
+}
+
+impl StepSource for RepairedSource {
+    type Node = NodeBuf;
+
+    /// The killed node's sends and receives are already gone from the
+    /// schedule, and its worker must keep routing survivor blocks.
+    const ABSORBS_KILLS: bool = true;
+
+    fn phases(&self) -> &[PhaseMeta] {
+        &self.meta
+    }
+
+    fn dst(&self, g: usize, node: NodeId) -> Option<NodeId> {
+        self.step(g).sends[node as usize].as_ref().map(|s| s.dst)
+    }
+
+    /// Quarantine drops take effect at step entry, before any send.
+    fn enter_step(&self, g: usize, node: NodeId, buf: &mut NodeBuf) {
+        let drops = &self.step(g).drops;
+        if let Ok(i) = drops.binary_search_by_key(&node, |(holder, _)| *holder) {
+            let pairs = &drops[i].1;
+            let before = buf.len();
+            buf.retain(|b| pairs.binary_search(&(b.src, b.dst)).is_err());
+            // Relaxed: a tally, read only after the workers are joined.
+            self.dropped_found
+                .fetch_add((before - buf.len()) as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// No shift bookkeeping — repaired selection never reads it.
+    fn emit(&self, g: usize, node: NodeId, buf: &mut NodeBuf, out: &mut NodeBuf) {
+        let spec = self.step(g).sends[node as usize]
+            .as_ref()
+            .expect("emit is called only for scheduled senders");
+        drain_selected(buf, out, |b| {
+            spec.pairs.binary_search(&(b.src, b.dst)).is_ok()
+        });
+        if out.len() != spec.pairs.len() {
+            self.manifest_mismatches.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn absorb(&self, buf: &mut NodeBuf, incoming: &mut NodeBuf) {
+        buf.append(incoming);
+    }
+
+    fn resident(&self, buf: &NodeBuf) -> u64 {
+        resident_bytes(buf)
+    }
+
+    fn rearrange(&self, buf: &mut NodeBuf, side: &mut PhaseSide) {
+        compact(buf, side);
+    }
 }
 
 impl Runtime {
@@ -1113,11 +432,7 @@ impl Runtime {
     /// The worker count a run will use on the spawn (non-pooled) path.
     /// Pooled runs additionally clamp to the pool's size.
     pub fn effective_workers(&self) -> usize {
-        let nn = self.plan.shape().num_nodes() as usize;
-        self.config
-            .workers
-            .unwrap_or_else(torus_sim::default_threads)
-            .clamp(1, nn)
+        exec::effective_workers(&self.config, self.plan.shape().num_nodes() as usize)
     }
 
     /// Runs one exchange with deterministic per-pair pattern payloads of
@@ -1127,21 +442,6 @@ impl Runtime {
         let m = self.config.block_bytes;
         self.run_policy(
             ExecBackend::Spawn,
-            &mut NullObserver,
-            |s, d| pattern_payload(s, d, m),
-            false,
-        )
-        .map(|(report, _)| report)
-    }
-
-    /// Like [`run`](Self::run), but executes on a persistent
-    /// [`WorkerPool`] instead of spawning threads: the run reserves a
-    /// gang of `min(effective_workers, pool.size())` pool threads, and
-    /// they return to the pool afterwards instead of being joined.
-    pub fn run_on(&self, pool: &WorkerPool) -> Result<RuntimeReport, RuntimeError> {
-        let m = self.config.block_bytes;
-        self.run_policy(
-            ExecBackend::Pool(pool, None),
             &mut NullObserver,
             |s, d| pattern_payload(s, d, m),
             false,
@@ -1339,44 +639,24 @@ impl Runtime {
     {
         let exchange = self.prepared.exchange();
         let canon = self.plan.shape();
-        let nn = canon.num_nodes() as usize;
-        // A pooled run can use at most the pool's threads: a gang larger
-        // than the pool could never be scheduled.
-        let workers = match backend {
-            ExecBackend::Spawn => self.effective_workers(),
-            ExecBackend::Pool(pool, _) => self.effective_workers().min(pool.size()),
-        };
-        // Unified execution view: base-plan phases, or the repaired
-        // phases (same step grid plus drops, manifests, and an optional
-        // trailing fallback phase) when running degraded. This is the
-        // driving thread's copy; each worker task builds its own from
-        // the shared reference-counted plan.
-        let exec_phases = build_exec_phases(&self.plan, degrade.map(|ctx| &*ctx.repaired));
-        let phases = &exec_phases;
-        let total_steps: usize = phases.iter().map(|p| p.steps.len()).sum();
 
         // Seed data-carrying buffers from the cached counting state; keep
         // every pair's bytes for the post-run bit-exact comparison.
         let mut expected_payloads: HashMap<(NodeId, NodeId), Bytes> = HashMap::new();
-        let mut node_bufs: Vec<Vec<Block<Bytes>>> = Vec::with_capacity(nn);
+        let original = |node: NodeId| {
+            exchange
+                .from_canonical(node)
+                .ok_or(RuntimeError::UnmappedNode {
+                    node,
+                    phase: String::from("seeding"),
+                    step: 0,
+                })
+        };
+        let mut node_bufs: Vec<NodeBuf> = Vec::with_capacity(canon.num_nodes() as usize);
         for blocks in self.prepared.seeded_blocks() {
             let mut out = Vec::with_capacity(blocks.len());
             for b in blocks {
-                let os = exchange
-                    .from_canonical(b.src)
-                    .ok_or(RuntimeError::UnmappedNode {
-                        node: b.src,
-                        phase: String::from("seeding"),
-                        step: 0,
-                    })?;
-                let od = exchange
-                    .from_canonical(b.dst)
-                    .ok_or(RuntimeError::UnmappedNode {
-                        node: b.dst,
-                        phase: String::from("seeding"),
-                        step: 0,
-                    })?;
-                let bytes = payload(os, od);
+                let bytes = payload(original(b.src)?, original(b.dst)?);
                 expected_payloads.insert((b.src, b.dst), bytes.clone());
                 let mut nb = Block::with_payload(b.src, b.dst, bytes);
                 nb.shifts = b.shifts;
@@ -1388,288 +668,64 @@ impl Runtime {
             observer.on_start(&Buffers::from_vecs(node_bufs.clone()));
         }
 
-        // Static receive expectations: in global step `g`, node `d`
-        // receives from `expect_from[g][d]` (the schedule has at most one
-        // sender per destination per step).
-        let mut expect_from: Vec<Vec<Option<NodeId>>> = vec![vec![None; nn]; total_steps];
-        // Failure context: global step -> (phase label, 1-based step).
-        let mut step_ctx: Vec<(String, usize)> = Vec::with_capacity(total_steps);
-        {
-            let mut g = 0;
-            for ph in phases {
-                for (si, st) in ph.steps.iter().enumerate() {
-                    for node in 0..nn {
-                        if let Some(dst) = st.dst_of(node) {
-                            expect_from[g][dst as usize] = Some(node as NodeId);
-                        }
-                    }
-                    step_ctx.push((ph.name.to_string(), si + 1));
-                    g += 1;
-                }
-            }
-        }
-
-        // Per-node inboxes. Senders are shared (any worker may deliver to
-        // any node); each receiver is owned by the node's worker.
-        let mut senders = Vec::with_capacity(nn);
-        let mut receivers = Vec::with_capacity(nn);
-        for _ in 0..nn {
-            let (tx, rx) = unbounded::<WireFrame>();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-
-        let chunk = nn.div_ceil(workers);
-        let n_chunks = nn.div_ceil(chunk);
-
-        let mut buf_chunks: Vec<Vec<Vec<Block<Bytes>>>> = Vec::with_capacity(n_chunks);
-        let mut rx_chunks: Vec<Vec<Receiver<WireFrame>>> = Vec::with_capacity(n_chunks);
-        {
-            let mut bi = node_bufs.into_iter();
-            let mut ri = receivers.into_iter();
-            for ci in 0..n_chunks {
-                let take = chunk.min(nn - ci * chunk);
-                buf_chunks.push(bi.by_ref().take(take).collect());
-                rx_chunks.push(ri.by_ref().take(take).collect());
-            }
-        }
-
-        // The per-run shared context: owned/reference-counted so worker
-        // tasks are `'static` and can execute on persistent pool threads
-        // as well as scoped ones. Dropped at the end of the run, taking
-        // the abort flag, retained frames, failure record, and channels
-        // with it — one job's failure state cannot leak into the next
-        // job on a shared pool.
-        let shared = Arc::new(RunShared {
-            plan: Arc::clone(&self.plan),
-            repaired: degrade.map(|ctx| Arc::clone(&ctx.repaired)),
-            faults: self.config.faults.clone(),
-            retry: self.config.retry,
-            degrade_mode: degrade.is_some(),
-            observe,
-            expect_from,
-            step_ctx,
-            senders,
-            retained: (0..nn).map(|_| Mutex::new(None)).collect(),
-            abort: AtomicBool::new(false),
-            cancel: self.config.cancel.clone(),
-            failure_slot: Mutex::new(None),
-            barrier: Barrier::new(n_chunks + 1),
-            snapshots: (0..nn).map(|_| Mutex::new(Vec::new())).collect(),
-            finals: (0..nn).map(|_| Mutex::new(Vec::new())).collect(),
-            total_steps,
-        });
-
-        // Execute: workers run the plan, the driving thread mirrors the
-        // barrier sequence to measure walls and feed the observer.
-        let mut tasks: Vec<(usize, Vec<Vec<Block<Bytes>>>, Vec<Receiver<WireFrame>>)> = buf_chunks
-            .drain(..)
-            .zip(rx_chunks.drain(..))
-            .enumerate()
-            .map(|(ci, (bufs, rxs))| (ci * chunk, bufs, rxs))
-            .collect();
-        let mut stats: Vec<WorkerStats> = Vec::with_capacity(n_chunks);
-        let mut panic_msg: Option<String> = None;
-        let (phase_walls, step_walls, wall) = match backend {
-            ExecBackend::Spawn => {
-                let shared_ref = &shared;
-                let joined = cb_thread::scope(|s| {
-                    let mut handles = Vec::with_capacity(n_chunks);
-                    for (base, bufs, rxs) in tasks.drain(..) {
-                        let shared = Arc::clone(shared_ref);
-                        handles.push(s.spawn(move |_| {
-                            worker_body(&shared, base, bufs, rxs, FramePool::new())
-                        }));
-                    }
-                    let walls = drive_barriers(phases, shared_ref, observer);
-                    let mut outs = Vec::with_capacity(handles.len());
-                    let mut panicked: Option<String> = None;
-                    for h in handles {
-                        match h.join() {
-                            Ok(out) => outs.push(out),
-                            Err(p) => {
-                                let msg = p
-                                    .downcast_ref::<&str>()
-                                    .map(|s| (*s).to_string())
-                                    .or_else(|| p.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "opaque panic payload".to_string());
-                                panicked.get_or_insert(msg);
-                            }
-                        }
-                    }
-                    (outs, walls, panicked)
-                });
-                let (outs, walls, panicked) = match joined {
-                    Ok(v) => v,
-                    Err(_) => {
-                        return Err(RuntimeError::WorkerPanicked(
-                            "runtime scope panicked".to_string(),
-                        ))
-                    }
-                };
-                stats.extend(outs.into_iter().map(|(ws, _pool)| ws));
-                panic_msg = panicked;
-                walls
-            }
-            ExecBackend::Pool(pool, bank) => {
-                // Atomically reserve all n_chunks threads (gang
-                // scheduling): the run's tasks share a barrier, so a
-                // partial schedule would deadlock.
-                let mut gang = pool.gang(n_chunks);
-                for (base, bufs, rxs) in tasks.drain(..) {
-                    let shared = Arc::clone(&shared);
-                    let fp = bank.map(PoolBank::take).unwrap_or_default();
-                    gang.spawn(move || worker_body(&shared, base, bufs, rxs, fp));
-                }
-                let walls = drive_barriers(phases, &shared, observer);
-                for result in gang.join() {
-                    match result {
-                        Ok((ws, fp)) => {
-                            // Check the warm frame pool back in for the
-                            // next job on this bank.
-                            if let Some(bank) = bank {
-                                bank.put(fp);
-                            }
-                            stats.push(ws);
-                        }
-                        Err(msg) => {
-                            panic_msg.get_or_insert(msg);
-                        }
-                    }
-                }
-                walls
+        // Execute the base plan, or the repaired schedule (same step grid
+        // plus drops, manifests, and an optional trailing fallback phase)
+        // when running degraded.
+        let kinds: Vec<PhaseKind> = match degrade {
+            None => self.plan.phases().iter().map(|ph| ph.kind).collect(),
+            Some(ctx) => ctx.repaired.phases.iter().map(|ph| ph.kind).collect(),
+        };
+        let mut feed = |at: Boundary, nodes: Vec<NodeBuf>| {
+            let bufs = Buffers::from_vecs(nodes);
+            match at {
+                Boundary::Step { phase, step } => observer.on_step(kinds[phase], step, &bufs),
+                Boundary::Rearranged { phase } => observer.on_rearrange(kinds[phase], &bufs),
             }
         };
-        if let Some(msg) = panic_msg {
-            return Err(RuntimeError::WorkerPanicked(msg));
-        }
-
-        // Aggregate worker measurements into the report and trace.
-        let mut trace = Trace::default();
-        let mut phase_reports = Vec::with_capacity(phases.len());
-        let mut gbase = 0usize;
-        for (pi, ph) in phases.iter().enumerate() {
-            trace.begin_phase(ph.name);
-            for (si, st) in ph.steps.iter().enumerate() {
-                let g = gbase + si;
-                let mut messages = 0u64;
-                let mut blocks = 0u64;
-                let mut max_blocks = 0u64;
-                let mut retries = 0u64;
-                for w in &stats {
-                    messages += w.steps[g].messages;
-                    blocks += w.steps[g].blocks;
-                    max_blocks = max_blocks.max(w.steps[g].max_blocks);
-                    retries += w.steps[g].retries;
-                }
-                trace.record_step(StepStat {
-                    messages: messages as u32,
-                    total_blocks: blocks,
-                    max_blocks,
-                    max_hops: st.hops(),
-                    retries,
-                    time_us: step_walls[g].as_secs_f64() * 1e6,
-                });
+        let hook: Option<exec::Hook<'_, NodeBuf>> = observe.then_some(&mut feed);
+        let repaired = degrade.map(|ctx| {
+            let source = RepairedSource::new(Arc::clone(&ctx.repaired));
+            (ctx, Arc::new(source))
+        });
+        let outcome = match &repaired {
+            None => {
+                let source = Arc::new(BaseSource::new(Arc::clone(&self.plan)));
+                exec::execute(source, &self.config, backend, node_bufs, hook)?
             }
-            gbase += ph.steps.len();
-
-            let mut pr = PhaseReport {
-                name: ph.name.to_string(),
-                steps: ph.steps.len(),
-                wall: phase_walls[pi],
-                ..Default::default()
-            };
-            let mut rearr_max = 0u64;
-            for w in &stats {
-                let side = &w.phase[pi];
-                pr.assembly += side.assembly;
-                pr.transport += side.transport;
-                pr.rearrange += side.rearrange;
-                pr.wire_bytes += side.wire_bytes;
-                pr.rearranged_bytes += side.rearranged_bytes;
-                pr.bytes_copied += side.bytes_copied;
-                pr.allocations += side.allocations;
-                pr.messages += side.messages;
-                rearr_max = rearr_max.max(side.rearr_blocks_max);
+            Some((_, source)) => {
+                exec::execute(Arc::clone(source), &self.config, backend, node_bufs, hook)?
             }
-            if ph.rearrange_after {
-                trace.record_rearrangement(rearr_max);
-            }
-            phase_reports.push(pr);
-        }
-
-        let mut fault_totals = RecoveryStats::default();
-        for w in &stats {
-            fault_totals.merge(&w.faults);
-        }
-        let fault_events = merge_events(stats.iter().map(|w| w.events.clone()).collect());
-        let failure_taken = lk(&shared.failure_slot).take();
+        };
 
         let params = self
             .config
             .params
             .with_block_bytes(self.config.block_bytes as u32);
         let real_n = exchange.shape_ref().num_nodes();
-        let mut report = RuntimeReport {
+        // An unrecoverable failure returns here: typed error + the
+        // partial report measured up to the abort.
+        let (mut report, finals) = outcome.into_report(ReportIdent {
             dims: exchange.shape_ref().dims().to_vec(),
             executed_dims: canon.dims().to_vec(),
             padded: exchange.is_padded(),
             nodes: real_n,
             block_bytes: self.config.block_bytes,
-            workers,
-            wall,
-            wire_bytes: phase_reports.iter().map(|p| p.wire_bytes).sum(),
-            rearranged_bytes: phase_reports.iter().map(|p| p.rearranged_bytes).sum(),
-            bytes_copied: phase_reports.iter().map(|p| p.bytes_copied).sum(),
-            allocations: phase_reports.iter().map(|p| p.allocations).sum(),
-            peak_node_bytes: stats.iter().map(|w| w.peak_bytes).max().unwrap_or(0),
-            messages: phase_reports.iter().map(|p| p.messages).sum(),
-            phases: phase_reports,
-            verified: false,
-            faults: fault_totals,
-            fault_events,
-            failure: failure_taken.clone(),
-            degraded: None,
             analytic: CompletionTime::from_counts(&cost_model::proposed_nd(canon.dims()), &params),
-            trace,
-        };
+        })?;
 
-        // An unrecoverable failure aborts cleanly: typed error + the
-        // partial report measured up to the abort.
-        if let Some(fi) = failure_taken {
-            return Err(match fi.reason {
-                FailureReason::ChannelClosed => RuntimeError::ChannelClosed {
-                    node: fi.node,
-                    phase: fi.phase,
-                    step: fi.step,
-                },
-                _ => RuntimeError::Aborted {
-                    failure: fi,
-                    report: Box::new(report),
-                },
-            });
-        }
-
-        // Reassemble final buffers and verify: right delivery set, and
-        // every payload bit-exactly as seeded. Degraded runs check the
-        // survivor invariant instead (dead nodes empty, every
-        // survivor→survivor block delivered) and cross-check the
-        // executed drops against the repaired plan.
-        let buffers = Buffers::from_vecs(
-            shared
-                .finals
-                .iter()
-                .map(|m| std::mem::take(&mut *lk(m)))
-                .collect(),
-        );
-        match degrade {
+        // Verify: right delivery set, and every payload bit-exactly as
+        // seeded. Degraded runs check the survivor invariant instead
+        // (dead nodes empty, every survivor→survivor block delivered) and
+        // cross-check the executed drops against the repaired plan.
+        let buffers = Buffers::from_vecs(finals);
+        match &repaired {
             None => verify_delivery(&buffers, self.prepared.expected_delivery())
                 .map_err(|e| RuntimeError::Verification(e.to_string()))?,
-            Some(ctx) => {
+            Some((ctx, source)) => {
                 let dead = ctx.repaired.dead_nodes();
                 verify_delivery_degraded(&buffers, self.prepared.expected_delivery(), &dead)
                     .map_err(|e| RuntimeError::Verification(e.to_string()))?;
-                let found: u64 = stats.iter().map(|w| w.dropped_found).sum();
+                let found = source.dropped_found.load(Ordering::Relaxed);
                 if found != ctx.repaired.dropped.len() as u64 {
                     return Err(RuntimeError::Verification(format!(
                         "degraded run discarded {found} blocks but the repaired schedule \
@@ -1677,7 +733,7 @@ impl Runtime {
                         ctx.repaired.dropped.len()
                     )));
                 }
-                let mismatches: u64 = stats.iter().map(|w| w.manifest_mismatches).sum();
+                let mismatches = source.manifest_mismatches.load(Ordering::Relaxed);
                 if mismatches != 0 {
                     return Err(RuntimeError::Verification(format!(
                         "{mismatches} repaired sends drained a different block set than \
@@ -1686,7 +742,7 @@ impl Runtime {
                 }
             }
         }
-        for node in 0..nn as NodeId {
+        for node in 0..canon.num_nodes() {
             for b in buffers.node(node) {
                 match expected_payloads.get(&(b.src, b.dst)) {
                     Some(expected) if *expected == b.payload => {}
@@ -1764,8 +820,8 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{BLOCK_HEADER_BYTES, MESSAGE_HEADER_BYTES};
-    use alltoall_core::PhaseKind;
+    use crate::fault::WorkerFaultKind;
+    use std::time::Duration;
 
     fn runtime(dims: &[u32], config: RuntimeConfig) -> Runtime {
         Runtime::new(&TorusShape::new(dims).unwrap(), config).unwrap()

@@ -29,13 +29,25 @@
 //! all abort/retry/quarantine state lives in the per-run shared context,
 //! not in the threads.
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-fn lk<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks a mutex, tolerating poisoning: an aborting run must still be
+/// able to collect partial state even if some worker panicked while
+/// holding a lock.
+pub(crate) fn lk<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Stringifies a caught panic payload.
+pub(crate) fn panic_message(p: &(dyn Any + Send)) -> String {
+    p.downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| p.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "opaque panic payload".to_string())
 }
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -207,12 +219,7 @@ impl<T: Send + 'static> Gang<'_, T> {
         self.pool.dispatch(
             slot,
             Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(task)).map_err(|p| {
-                    p.downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| p.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "opaque panic payload".to_string())
-                });
+                let result = catch_unwind(AssertUnwindSafe(task)).map_err(|p| panic_message(&*p));
                 // Receiver gone means the gang was dropped; the result is
                 // intentionally discarded.
                 let _ = tx.send(result);

@@ -12,8 +12,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use proptest::prelude::*;
 use torus_runtime::{
-    pattern_payload, CancelToken, CollectiveOp, CollectiveRuntime, Dtype, FailureReason, FaultPlan,
-    ReduceOp, RetryPolicy, RuntimeConfig, RuntimeError, WorkerFaultKind,
+    pattern_payload, CancelToken, CollectiveOp, CollectiveRuntime, Dtype, FailureReason, FaultKind,
+    FaultPlan, ReduceOp, RetryPolicy, RuntimeConfig, RuntimeError, WorkerFaultKind,
 };
 use torus_topology::TorusShape;
 
@@ -201,6 +201,87 @@ fn allreduce_survives_seeded_faults_reduction_exact() {
         for d in &deliveries {
             let got = u64::from_le_bytes(d[0].1[lane * 8..lane * 8 + 8].try_into().unwrap());
             assert_eq!(got, want, "lane {lane} sum corrupted by fault recovery");
+        }
+    }
+}
+
+#[test]
+fn duplicated_frame_is_folded_exactly_once() {
+    // Pins the exactly-once property of the combining receive with
+    // explicit faults instead of a seeded mix: a duplicate on a
+    // mid-schedule reduce step leaves a second copy of an already-folded
+    // partial in the receiver's inbox, and a drop on that receiver's
+    // next scheduled receive guarantees the stale copy is the first
+    // thing it reads there. Folding it would change the result.
+    type Seed = fn(u32, usize) -> Bytes;
+    let cases: [(CollectiveOp, Seed); 2] = [
+        (
+            CollectiveOp::Allreduce {
+                op: ReduceOp::Sum,
+                dtype: Dtype::U64,
+            },
+            u64_payload,
+        ),
+        (
+            CollectiveOp::Reduce {
+                root: 5,
+                op: ReduceOp::Max,
+                dtype: Dtype::F32,
+            },
+            f32_payload,
+        ),
+    ];
+    for (op, seed) in cases {
+        let probe = rt(&[4, 4], op, RuntimeConfig::default());
+        let plan = probe.plan();
+        let m = probe.config().block_bytes;
+        // Global steps of the reduce phases, where receives combine.
+        let mut combining = Vec::new();
+        let mut g = 0;
+        for (label, nsteps) in plan.phases() {
+            if label.starts_with("reduce") {
+                combining.extend(g..g + nsteps);
+            }
+            g += nsteps;
+        }
+        // A combining send past step 0 whose receiver is also scheduled
+        // to receive in a later step.
+        let (g1, src, dst, g2, src2) = combining
+            .iter()
+            .filter(|&&g| g > 0)
+            .flat_map(|&g| plan.steps()[g].sends.iter().map(move |s| (g, s.src, s.dst)))
+            .find_map(|(g1, src, dst)| {
+                (g1 + 1..plan.num_steps()).find_map(|g2| {
+                    plan.expect_from(g2)[dst as usize].map(|src2| (g1, src, dst, g2, src2))
+                })
+            })
+            .expect("a 4x4 reduction has a receiver that receives twice");
+        let want = plan.reference_finals(m, |id| seed(id, m).to_vec()).unwrap();
+        for workers in [1, 3] {
+            let cfg = RuntimeConfig::default()
+                .with_workers(workers)
+                .with_faults(
+                    FaultPlan::default()
+                        .with_message_fault(g1, src, dst, 0, FaultKind::Duplicate)
+                        .with_message_fault(g2, src2, dst, 0, FaultKind::Drop),
+                )
+                .with_retry(quick_retry());
+            let (report, deliveries) = rt(&[4, 4], op, cfg)
+                .run_with_payloads(|id| seed(id, m))
+                .unwrap_or_else(|e| panic!("{op:?} with {workers} workers failed: {e}"));
+            assert!(report.verified);
+            assert!(report.faults.injected_duplicates >= 1);
+            assert!(
+                report.faults.stale_discarded >= 1,
+                "the duplicate must be drained as stale, not folded"
+            );
+            for (u, (got, want)) in deliveries.iter().zip(&want).enumerate() {
+                assert_eq!(got.len(), want.len(), "{op:?} node {u} holdings");
+                for ((gk, gb), (wk, wb)) in got.iter().zip(want) {
+                    assert_eq!(gk, wk, "{op:?} node {u} keys");
+                    assert_eq!(gb.as_ref(), wb.as_slice(), "{op:?} node {u} key {gk}");
+                }
+            }
         }
     }
 }

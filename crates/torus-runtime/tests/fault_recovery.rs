@@ -28,31 +28,10 @@ fn quick_retry() -> RetryPolicy {
         .with_backoff(Duration::from_micros(200))
 }
 
-/// Runs `f` on its own thread and panics if it does not finish within
-/// `secs` — the suite's guard against recovery-path deadlocks.
-fn with_watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let h = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(Duration::from_secs(secs)) {
-        Ok(v) => {
-            let _ = h.join();
-            v
-        }
-        Err(_) => panic!("runtime hung: {secs}s watchdog expired"),
-    }
-}
-
+mod support;
 #[cfg(target_os = "linux")]
-fn thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
-}
+use support::thread_count;
+use support::with_watchdog;
 
 /// First scheduled transmission of the plan: `(global_step, src, dst)`.
 /// The schedule is static, so tests can pin explicit faults to real

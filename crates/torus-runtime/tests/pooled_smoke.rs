@@ -1,6 +1,6 @@
-//! Smoke tests for the persistent-pool execution path: `run_on` /
-//! `run_pooled` must match the spawn path bit-for-bit and leave the pool
-//! reusable afterwards.
+//! Smoke tests for the persistent-pool execution path: `run_pooled` must
+//! match the spawn path bit-for-bit and leave the pool reusable
+//! afterwards.
 
 use torus_runtime::{pattern_payload, PoolBank, Runtime, RuntimeConfig, WorkerPool};
 use torus_topology::TorusShape;
@@ -14,7 +14,9 @@ fn pooled_run_verifies_like_spawn() {
     let rt = Runtime::new(&shape, cfg).unwrap();
     let spawn = rt.run().unwrap();
     let pool = WorkerPool::new(2);
-    let pooled = rt.run_on(&pool).unwrap();
+    let (pooled, _) = rt
+        .run_pooled(&pool, None, |s, d| pattern_payload(s, d, 64))
+        .unwrap();
     assert!(pooled.verified);
     assert_eq!(pooled.wire_bytes, spawn.wire_bytes);
     assert_eq!(pooled.messages, spawn.messages);
