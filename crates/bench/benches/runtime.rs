@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use alltoall_core::Block;
 use torus_runtime::{
-    encode_gathered, encode_message, pattern_payload, FaultPlan, FramePool, RetryPolicy, Runtime,
-    RuntimeConfig,
+    crc32, encode_gathered, encode_message, pattern_payload, FaultPlan, FramePool, RetryPolicy,
+    Runtime, RuntimeConfig,
 };
 use torus_topology::TorusShape;
 
@@ -139,12 +139,29 @@ fn bench_encode_paths(c: &mut Criterion) {
     g.finish();
 }
 
+/// The frame checksum on its own, at the segment lengths the data plane
+/// feeds it: a block header (20 B) and a small payload (64 B) take the
+/// byte loop, 128 B is the first length on the wide kernel, 1 KiB and
+/// 64 KiB are bulk payloads.
+fn bench_crc32(c: &mut Criterion) {
+    let mut g = c.benchmark_group("crc32");
+    for len in [20usize, 64, 128, 1024, 65536] {
+        let data = pattern_payload(1, 2, len);
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_with_input(BenchmarkId::from_parameter(len), &data, |b, data| {
+            b.iter(|| black_box(crc32(black_box(data))))
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_runtime_shapes,
     bench_runtime_workers,
     bench_runtime_block_sizes,
     bench_runtime_fault_recovery,
-    bench_encode_paths
+    bench_encode_paths,
+    bench_crc32
 );
 criterion_main!(benches);

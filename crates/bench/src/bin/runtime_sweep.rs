@@ -189,9 +189,12 @@ fn main() {
     t.print();
     println!();
 
+    let [nproc, crc32_kernel] = bench::host_json();
     let export = Json::obj([
         ("experiment", Json::str("runtime_sweep")),
         ("workers", Json::u64(workers as u64)),
+        nproc,
+        crc32_kernel,
         ("drop_rate", Json::num(DROP_RATE)),
         ("drop_seed", Json::u64(DROP_SEED)),
         ("cases", Json::Arr(cases_json)),

@@ -137,7 +137,12 @@ pub(crate) trait StepSource: Send + Sync + 'static {
     fn resident(&self, state: &Self::Node) -> u64;
 
     /// The inter-phase pass on one node, accounted into `side`.
-    fn rearrange(&self, _state: &mut Self::Node, _side: &mut PhaseSide) {}
+    /// `contiguous_frames` is the executor's own knowledge of the frame
+    /// shape this run receives: `true` under a fault plan, where absorbed
+    /// payloads are slices of whole received frames; `false` on the
+    /// gathered path, where every payload is an individually owned
+    /// handle.
+    fn rearrange(&self, _state: &mut Self::Node, _contiguous_frames: bool, _side: &mut PhaseSide) {}
 }
 
 /// Per-worker, per-global-step measurement.
@@ -753,7 +758,7 @@ fn worker_body<S: StepSource>(
         if ph.rearrange_after {
             if !(dead || shared.abort.load(Ordering::Acquire)) {
                 for state in nodes.iter_mut() {
-                    source.rearrange(state, &mut stats.phase[pi]);
+                    source.rearrange(state, !no_faults, &mut stats.phase[pi]);
                 }
                 snapshot(&nodes);
             }

@@ -16,8 +16,10 @@
 //!   blocks a node forwards are assembled into one contiguous wire
 //!   message ([`message::encode_message`]), delivered over lock-free
 //!   channels, and sliced apart zero-copy on receipt;
-//! * the paper's `n + 1` inter-phase **data rearrangements** are actual
-//!   `memcpy` passes that compact each node's buffer into delivery order;
+//! * the paper's `n + 1` inter-phase **data rearrangements** put each
+//!   node's buffer into delivery order by moving block handles; payload
+//!   bytes are copied only under a fault plan, where the copy is what
+//!   frees the received frames;
 //! * delivery is verified with the same invariant checker the analytic
 //!   executors use ([`alltoall_core::verify_delivery`]) *plus* bit-exact
 //!   payload comparison against the seeded contents.

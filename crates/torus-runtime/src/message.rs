@@ -32,6 +32,19 @@
 //! *detected* rather than silently delivered — detection is what turns a
 //! corrupted wire into a recoverable retry).
 //!
+//! Every frame is checksummed on encode and fully re-verified on decode,
+//! so the checksum walks every wire byte twice per hop and has to run at
+//! memory speed to stay out of the paper's cost model. One CRC32/IEEE
+//! routine serves both shapes at two speeds by segment length: segments
+//! under 128 bytes (all framing, small-block payloads) take the
+//! byte-at-a-time table loop; longer ones take a wide kernel — on x86-64
+//! with `pclmulqdq` + `sse4.1`, detected at run time, 4x128-bit
+//! carry-less-multiply folding, otherwise slicing-by-16 — with the
+//! `< 16` byte tail back on the byte loop. The polynomial, init, final
+//! xor and streaming across segments are the same on every path, so the
+//! wire format (and anything else stamped with [`crc32`]) does not
+//! depend on which one ran.
+//!
 //! Layout (all integers little-endian):
 //!
 //! ```text
@@ -115,9 +128,14 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE 802.3, reflected) slicing tables, built at compile time.
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
+/// is the CRC state after byte `b` followed by `k` zero bytes, which is
+/// what lets sixteen input bytes be folded with sixteen independent
+/// lookups. A `static`, not a `const`: an unoptimized build re-copies a
+/// `const` array (16 KiB here) at every indexing site.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -130,20 +148,178 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// Folds `data` into a running CRC32 state (start from `!0`, finish by
-/// inverting). Exposed so multi-slice frames can be checksummed without
-/// concatenating.
-fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+/// Segments at least this long take the wide kernel; shorter ones (every
+/// frame and block header, and small-block payloads) keep the byte loop.
+/// Below ~128 B the wide kernels' set-up and final reduction eat their
+/// gain: a 4x128-bit fold needs 64 B to load its lanes and 64 B more for
+/// its first round.
+const WIDE_MIN_BYTES: usize = 128;
+
+/// The byte-at-a-time table loop: the routine for short segments and
+/// tails, and the oracle the wide kernels are tested against.
+fn crc32_bytewise(mut crc: u32, data: &[u8]) -> u32 {
     for &b in data {
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
+}
+
+/// Portable wide kernel: slicing-by-16. Folds every whole 16-byte chunk
+/// of `data` and returns the state with the `< 16` byte tail left over.
+fn crc32_slice16(mut crc: u32, data: &[u8]) -> (u32, &[u8]) {
+    let mut chunks = data.chunks_exact(16);
+    for c in &mut chunks {
+        let head = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = CRC_TABLES[15][(head & 0xFF) as usize]
+            ^ CRC_TABLES[14][((head >> 8) & 0xFF) as usize]
+            ^ CRC_TABLES[13][((head >> 16) & 0xFF) as usize]
+            ^ CRC_TABLES[12][(head >> 24) as usize]
+            ^ CRC_TABLES[11][c[4] as usize]
+            ^ CRC_TABLES[10][c[5] as usize]
+            ^ CRC_TABLES[9][c[6] as usize]
+            ^ CRC_TABLES[8][c[7] as usize]
+            ^ CRC_TABLES[7][c[8] as usize]
+            ^ CRC_TABLES[6][c[9] as usize]
+            ^ CRC_TABLES[5][c[10] as usize]
+            ^ CRC_TABLES[4][c[11] as usize]
+            ^ CRC_TABLES[3][c[12] as usize]
+            ^ CRC_TABLES[2][c[13] as usize]
+            ^ CRC_TABLES[1][c[14] as usize]
+            ^ CRC_TABLES[0][c[15] as usize];
+    }
+    (crc, chunks.remainder())
+}
+
+/// x86-64 wide kernel: 4x128-bit carry-less-multiply folding (Gopal et
+/// al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ",
+/// Intel 2009 — the construction zlib and `crc32fast` use). Folds every
+/// whole 16-byte chunk of `data` and returns the state with the `< 16`
+/// byte tail left over. `data` must hold at least 64 bytes.
+///
+/// The body is safe code: the 128-bit lanes are built from
+/// `u64::from_le_bytes`, so there are no pointer loads, and the
+/// intrinsics used take and return values only.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+fn crc32_clmul(crc: u32, data: &[u8]) -> (u32, &[u8]) {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // x^(k) mod P(x), bit-reflected, for the fold distances in use.
+    const FOLD4_LO: i64 = 0x1_5444_2bd4; // 4*128 + 32
+    const FOLD4_HI: i64 = 0x1_c6e4_1596; // 4*128 - 32
+    const FOLD1_LO: i64 = 0x1_7519_97d0; // 128 + 32
+    const FOLD1_HI: i64 = 0x0_ccaa_009e; // 128 - 32
+    const FOLD_64: i64 = 0x1_63cd_6124; // 64
+    const POLY: i64 = 0x1_DB71_0641; // P(x)
+    const MU: i64 = 0x1_F701_1641; // floor(x^64 / P(x))
+
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn lane(chunk: &[u8]) -> __m128i {
+        let lo = u64::from_le_bytes(chunk[..8].try_into().expect("16-byte chunk"));
+        let hi = u64::from_le_bytes(chunk[8..16].try_into().expect("16-byte chunk"));
+        _mm_set_epi64x(hi as i64, lo as i64)
+    }
+
+    /// Folds `acc` forward over the distance `keys` encodes and adds the
+    /// next lane.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, keys);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    let (first, body) = data.split_at(64);
+    // The running state enters as the low 32 bits of the first lane.
+    let mut x3 = _mm_xor_si128(lane(&first[..16]), _mm_cvtsi32_si128(crc as i32));
+    let mut x2 = lane(&first[16..32]);
+    let mut x1 = lane(&first[32..48]);
+    let mut x0 = lane(&first[48..]);
+
+    let fold4 = _mm_set_epi64x(FOLD4_HI, FOLD4_LO);
+    let mut blocks = body.chunks_exact(64);
+    for b in &mut blocks {
+        x3 = fold(x3, lane(&b[..16]), fold4);
+        x2 = fold(x2, lane(&b[16..32]), fold4);
+        x1 = fold(x1, lane(&b[32..48]), fold4);
+        x0 = fold(x0, lane(&b[48..]), fold4);
+    }
+
+    // Four lanes into one, then one lane at a time.
+    let fold1 = _mm_set_epi64x(FOLD1_HI, FOLD1_LO);
+    let mut x = fold(x3, x2, fold1);
+    x = fold(x, x1, fold1);
+    x = fold(x, x0, fold1);
+    let mut rest = blocks.remainder().chunks_exact(16);
+    for c in &mut rest {
+        x = fold(x, lane(c), fold1);
+    }
+
+    // 128 -> 64 bits.
+    let low32 = _mm_set_epi32(0, 0, 0, !0);
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x10>(x, fold1),
+        _mm_srli_si128::<8>(x),
+    );
+    let x = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, FOLD_64)),
+        _mm_srli_si128::<4>(x),
+    );
+    // 64 -> 32 bits: Barrett reduction.
+    let poly_mu = _mm_set_epi64x(MU, POLY);
+    let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), poly_mu);
+    let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), poly_mu);
+    let crc = _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32;
+    (crc, rest.remainder())
+}
+
+/// The wide kernel for this CPU: CLMUL folding where `pclmulqdq` and
+/// `sse4.1` are present, slicing-by-16 otherwise. `data` must hold at
+/// least 64 bytes; returns the state and the unfolded `< 16` byte tail.
+fn crc32_wide(crc: u32, data: &[u8]) -> (u32, &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: both target features `crc32_clmul` is compiled with
+        // were just detected on the running CPU. (Its length requirement
+        // is checked by a slice split — a panic, not UB.)
+        return unsafe { crc32_clmul(crc, data) };
+    }
+    crc32_slice16(crc, data)
+}
+
+/// Folds `data` into a running CRC32 state (start from `!0`, finish by
+/// inverting), so multi-slice frames can be checksummed without
+/// concatenating. One routine, two speeds by segment length: below
+/// [`WIDE_MIN_BYTES`] the byte loop; from there up the wide kernel over
+/// the whole 16-byte chunks and the byte loop over the tail. Every path
+/// computes the same function of the same bytes.
+fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    if data.len() < WIDE_MIN_BYTES {
+        return crc32_bytewise(crc, data);
+    }
+    let (crc, tail) = crc32_wide(crc, data);
+    crc32_bytewise(crc, tail)
 }
 
 /// CRC32/IEEE of `data` (the classic zlib `crc32`).
@@ -568,6 +744,97 @@ mod tests {
         // The classic zlib check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Seeded filler for the kernel parity tests (xorshift64*).
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn wide_kernels_match_the_bytewise_oracle() {
+        // Every length through several fold-by-4 rounds, so 15/16/63/64/
+        // 127/128/129 and every residue mod 16 and mod 64 are hit, from
+        // three initial states. `crc32_wide` is the CLMUL kernel wherever
+        // the CPU has it; the slicing kernel is called directly so both
+        // are held to the oracle on such a machine.
+        let buf = noise(0x70_7275, 4200);
+        for init in [!0u32, 0, 0xdead_beef] {
+            let mut want = init;
+            for len in 0..=buf.len() {
+                let data = &buf[..len];
+                let (crc, tail) = crc32_slice16(init, data);
+                assert!(tail.len() < 16);
+                assert_eq!(crc32_bytewise(crc, tail), want, "slice16, {len} bytes");
+                if len >= 64 {
+                    let (crc, tail) = crc32_wide(init, data);
+                    assert!(tail.len() < 16);
+                    assert_eq!(crc32_bytewise(crc, tail), want, "wide, {len} bytes");
+                }
+                assert_eq!(crc32_update(init, data), want, "update, {len} bytes");
+                // The oracle, extended one byte at a time.
+                want = crc32_bytewise(want, &buf[len..buf.len().min(len + 1)]);
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_across_a_split_equals_one_pass() {
+        // `gathered_crc` relies on this: the state carries across
+        // segments whichever kernel each segment takes.
+        let buf = noise(0x73_706c, 300);
+        for init in [!0u32, 0, 0xdead_beef] {
+            let whole = crc32_update(init, &buf);
+            assert_eq!(whole, crc32_bytewise(init, &buf));
+            for cut in 0..=buf.len() {
+                let (a, b) = buf.split_at(cut);
+                assert_eq!(
+                    crc32_update(crc32_update(init, a), b),
+                    whole,
+                    "split at {cut}"
+                );
+            }
+        }
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn golden_frame_still_decodes_and_reencodes_identically() {
+        // Encoded by the byte-at-a-time CRC before the wide kernels
+        // existed: seq 7, three blocks from node 3 with payloads of 5, 0
+        // and 150 bytes. The wire format must not move by one bit.
+        const GOLDEN: &str = "07000000d5609fa40300000003000000050000000201000000000000\
+            05000000f7d6f6c3da030000000900000000010000000000000000000003000000020000\
+            00020100000000000096000000317980cc8f35ceec71f620a4ce9ec45d2e855f1b107fda\
+            d7a8729d45d39a27fe33dba6f6cd74fe99c3ba3882bba723d0de250e73a7fbbe8c446039\
+            3b4dc5e85cd16cb0d764e9457d7f7624c01ed2db41de2eeb1d0e96383d6672b73f85a3bc\
+            d26c18d8a79896444677847e4900bcf45f92d9ecba72d02811726487df2cc5e3fe1d722b\
+            475b0e30093d36791bfb8ce316d2e0c1f46218";
+        let golden = Bytes::from(unhex(GOLDEN));
+        let (seq, blocks) = decode_message(&golden).expect("golden frame must verify");
+        assert_eq!(seq, 7);
+        let lens: Vec<usize> = blocks.iter().map(|b| b.payload.len()).collect();
+        assert_eq!(lens, [5, 0, 150]);
+        for b in &blocks {
+            assert_eq!(b.src, 3);
+            assert_eq!(b.payload, pattern_payload(b.src, b.dst, b.payload.len()));
+        }
+        assert_eq!(encode_message(seq, &blocks), golden);
+        assert_eq!(gather(seq, &blocks).to_bytes(), golden);
     }
 
     fn gather(seq: u32, blocks: &[Block<Bytes>]) -> WireFrame {

@@ -37,20 +37,22 @@ pub struct PhaseReport {
     /// Worker time spent on channel sends and receives, summed over
     /// workers.
     pub transport: Duration,
-    /// Worker time spent in the inter-phase rearrangement memcpy pass,
-    /// summed over workers (zero for the final phase).
+    /// Worker time spent in the inter-phase rearrangement pass, summed
+    /// over workers (zero for the final phase).
     pub rearrange: Duration,
     /// Bytes put on the wire (framing + payloads).
     pub wire_bytes: u64,
-    /// Payload bytes copied by the rearrangement pass.
+    /// Payload bytes the rearrangement pass re-ordered — by handle on
+    /// gathered frames, by copy on contiguous ones (fault plans). The
+    /// input to the cost model's `ρ` term either way.
     pub rearranged_bytes: u64,
     /// Bytes the send path actually copied while assembling frames.
     /// Fault-free this is framing only (headers); under a fault plan
     /// frames are materialized contiguously and it equals `wire_bytes`.
     pub bytes_copied: u64,
     /// Send-path buffer acquisitions that missed the worker's frame pool,
-    /// plus the always-allocating contiguous encodes and rearrangement
-    /// arenas. Stops growing once the pools are warm.
+    /// plus, under a fault plan, the always-allocating contiguous encodes
+    /// and rearrangement arenas. Stops growing once the pools are warm.
     pub allocations: u64,
     /// Combined messages sent.
     pub messages: u64,
@@ -78,15 +80,17 @@ pub struct RuntimeReport {
     pub wall: Duration,
     /// Total bytes put on the wire.
     pub wire_bytes: u64,
-    /// Total payload bytes copied by rearrangement passes.
+    /// Total payload bytes the rearrangement passes re-ordered (by handle
+    /// on gathered frames, by copy on contiguous ones).
     pub rearranged_bytes: u64,
     /// Total bytes the send path copied assembling frames. Fault-free
     /// the scatter-gather encoder copies only headers
     /// (`messages * MESSAGE_HEADER_BYTES + blocks * BLOCK_HEADER_BYTES`),
     /// never payloads — the visible form of the zero-copy send path.
     pub bytes_copied: u64,
-    /// Total send-path buffer acquisitions that hit the allocator (frame
-    /// pool misses, contiguous encodes, rearrangement arenas).
+    /// Total buffer acquisitions that hit the allocator (frame pool
+    /// misses; under a fault plan also contiguous encodes and
+    /// rearrangement arenas).
     pub allocations: u64,
     /// Peak bytes resident in any single node's buffer at a step boundary.
     pub peak_node_bytes: u64,

@@ -11,12 +11,16 @@
 //!   post-run bit-exact comparison.
 //! * **Two step sources.** The base source selects each step's blocks by
 //!   the paper's per-phase rules ([`StepPlan::selects`]) and runs the
-//!   inter-phase **data rearrangement** as a real memory pass: each
-//!   node's blocks are sorted into delivery order and their payloads
-//!   compacted into one fresh contiguous arena (the measured analogue of
-//!   the `ρ`-term the cost model charges per byte). The repaired source
-//!   selects by the explicit per-node manifests of a
-//!   [`RepairedSchedule`] and executes its quarantine drop lists.
+//!   inter-phase **data rearrangement**: each node's blocks are sorted
+//!   into delivery order (the measured analogue of the `ρ`-term the cost
+//!   model charges per byte). The rearrangement is an order over block
+//!   handles, not a copy — gathered frames leave every payload
+//!   individually owned, so nothing needs to be contiguous. Only under a
+//!   fault plan, where payloads are slices pinning whole received
+//!   frames, are they also copied into one fresh arena per node, because
+//!   there the copy frees memory. The repaired source selects by the
+//!   explicit per-node manifests of a [`RepairedSchedule`] and executes
+//!   its quarantine drop lists.
 //! * **Failure policy.** Under [`OnFailure::Degrade`] a driver loop
 //!   quarantines the culprit of an aborted run, replans, and restarts
 //!   from freshly seeded buffers until the survivors complete.
@@ -206,26 +210,40 @@ fn resident_bytes(buf: &NodeBuf) -> u64 {
     buf.iter().map(|b| b.payload.len() as u64).sum()
 }
 
-/// The paper's inter-phase rearrangement: compact the node's data array
-/// into delivery order with one contiguous copy pass.
-fn compact(buf: &mut NodeBuf, side: &mut PhaseSide) {
+/// The paper's inter-phase rearrangement: put the node's data array into
+/// delivery order. The order is what the next phase, determinism and the
+/// observer snapshots need; contiguity is not, so the pass moves handles
+/// and copies payload bytes only where a copy frees memory.
+///
+/// * Gathered frames (`contiguous_frames == false`): every payload is an
+///   individually owned refcounted [`Bytes`], so the sort is the whole
+///   rearrangement — no allocation, no byte copied.
+/// * Contiguous frames (a fault plan is installed): absorbed payloads are
+///   slices of the frames they arrived in, each pinning its whole frame
+///   (framing and already-forwarded neighbours included). One copy into
+///   a fresh arena un-pins them all.
+///
+/// Either way `rearranged_bytes` is the payload volume re-ordered — the
+/// input to the cost model's `ρ` term.
+fn compact(buf: &mut NodeBuf, contiguous_frames: bool, side: &mut PhaseSide) {
     let t0 = Instant::now();
     buf.sort_by_key(|b| (b.dst, b.src));
     let total: usize = buf.iter().map(|b| b.payload.len()).sum();
-    // The arena is frozen and retained by the blocks, so it can't be
-    // pooled; its copy volume is `rearranged_bytes`, kept apart from the
-    // send path's `bytes_copied`.
-    side.allocations += 1;
-    let mut arena = BytesMut::with_capacity(total);
-    for b in buf.iter() {
-        arena.extend_from_slice(&b.payload);
-    }
-    let arena = arena.freeze();
-    let mut off = 0usize;
-    for b in buf.iter_mut() {
-        let len = b.payload.len();
-        b.payload = arena.slice(off..off + len);
-        off += len;
+    if contiguous_frames {
+        // The arena is frozen and retained by the blocks, so it can't be
+        // pooled.
+        side.allocations += 1;
+        let mut arena = BytesMut::with_capacity(total);
+        for b in buf.iter() {
+            arena.extend_from_slice(&b.payload);
+        }
+        let arena = arena.freeze();
+        let mut off = 0usize;
+        for b in buf.iter_mut() {
+            let len = b.payload.len();
+            b.payload = arena.slice(off..off + len);
+            off += len;
+        }
     }
     side.rearrange += t0.elapsed();
     side.rearranged_bytes += total as u64;
@@ -286,8 +304,8 @@ impl StepSource for BaseSource {
         resident_bytes(buf)
     }
 
-    fn rearrange(&self, buf: &mut NodeBuf, side: &mut PhaseSide) {
-        compact(buf, side);
+    fn rearrange(&self, buf: &mut NodeBuf, contiguous_frames: bool, side: &mut PhaseSide) {
+        compact(buf, contiguous_frames, side);
     }
 }
 
@@ -375,8 +393,8 @@ impl StepSource for RepairedSource {
         resident_bytes(buf)
     }
 
-    fn rearrange(&self, buf: &mut NodeBuf, side: &mut PhaseSide) {
-        compact(buf, side);
+    fn rearrange(&self, buf: &mut NodeBuf, contiguous_frames: bool, side: &mut PhaseSide) {
+        compact(buf, contiguous_frames, side);
     }
 }
 
@@ -922,6 +940,115 @@ mod tests {
             r.messages * MESSAGE_HEADER_BYTES as u64 + total_blocks * BLOCK_HEADER_BYTES as u64
         );
         assert!(r.bytes_copied < r.wire_bytes);
+    }
+
+    /// Whether the node's non-empty payloads lie back to back in memory,
+    /// in buffer order — the layout of one rearrangement arena. Slices of
+    /// received frames can never look like this: block headers sit
+    /// between a frame's payloads, and distinct frames are distinct
+    /// allocations.
+    fn back_to_back(buf: &[Block<Bytes>]) -> bool {
+        let spans: Vec<(usize, usize)> = buf
+            .iter()
+            .filter(|b| !b.payload.is_empty())
+            .map(|b| (b.payload.as_ptr() as usize, b.payload.len()))
+            .collect();
+        spans.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0)
+    }
+
+    fn in_delivery_order(buf: &[Block<Bytes>]) -> bool {
+        buf.windows(2)
+            .all(|w| (w[0].dst, w[0].src) <= (w[1].dst, w[1].src))
+    }
+
+    #[test]
+    fn fault_free_rearrangement_moves_seeded_handles_only() {
+        // Every payload a node holds after a rearrangement is still the
+        // allocation the run was seeded with: nothing was copied, so
+        // nothing was allocated.
+        struct SameHandles {
+            seeded: std::collections::HashSet<usize>,
+            rearranged: usize,
+        }
+        impl Observer<Bytes> for SameHandles {
+            fn on_start(&mut self, bufs: &Buffers<Bytes>) {
+                self.seeded = bufs
+                    .as_slices()
+                    .iter()
+                    .flatten()
+                    .map(|b| b.payload.as_ptr() as usize)
+                    .collect();
+            }
+            fn on_rearrange(&mut self, _: PhaseKind, bufs: &Buffers<Bytes>) {
+                self.rearranged += 1;
+                for buf in bufs.as_slices() {
+                    assert!(in_delivery_order(buf));
+                    for b in buf {
+                        assert!(self.seeded.contains(&(b.payload.as_ptr() as usize)));
+                    }
+                }
+            }
+        }
+        let mut obs = SameHandles {
+            seeded: Default::default(),
+            rearranged: 0,
+        };
+        let cfg = RuntimeConfig::default().with_workers(1);
+        let r = runtime(&[8, 8], cfg).run_observed(&mut obs).unwrap();
+        assert!(r.verified);
+        assert_eq!(obs.rearranged, 3);
+        assert_eq!(
+            r.rearranged_bytes,
+            3 * 64 * 63 * 64,
+            "still the re-ordered volume"
+        );
+        // What is left of `allocations` is the frame pool warming up in
+        // the first phase (one framing buffer and one segment vec per
+        // frame in flight); the rearrangements and everything after them
+        // allocate nothing.
+        let per_phase: Vec<u64> = r.phases.iter().map(|p| p.allocations).collect();
+        assert_eq!(per_phase, [2 * 64, 0, 0, 0]);
+    }
+
+    #[test]
+    fn fault_plan_rearrangement_unpins_received_frames() {
+        // Under a fault plan absorbed payloads are slices of the whole
+        // frames they arrived in. After each rearrangement no resident
+        // payload may still be one: each node's data sits in one fresh
+        // arena, so every received frame is free to drop.
+        #[derive(Default)]
+        struct Unpinned {
+            pinned_after_steps: usize,
+            rearranged: usize,
+        }
+        impl Observer<Bytes> for Unpinned {
+            fn on_step(&mut self, _: PhaseKind, _: usize, bufs: &Buffers<Bytes>) {
+                let pinned = bufs.as_slices().iter().filter(|b| !back_to_back(b));
+                self.pinned_after_steps += pinned.count();
+            }
+            fn on_rearrange(&mut self, _: PhaseKind, bufs: &Buffers<Bytes>) {
+                self.rearranged += 1;
+                for (node, buf) in bufs.as_slices().iter().enumerate() {
+                    assert!(in_delivery_order(buf));
+                    assert!(
+                        back_to_back(buf),
+                        "node {node} still holds slices of received frames"
+                    );
+                }
+            }
+        }
+        let mut obs = Unpinned::default();
+        let cfg = RuntimeConfig::default()
+            .with_workers(4)
+            .with_faults(FaultPlan::seeded(9).with_drop_rate(0.01))
+            .with_retry(quick_retry());
+        let r = runtime(&[8, 8], cfg).run_observed(&mut obs).unwrap();
+        assert!(r.verified);
+        assert_eq!(obs.rearranged, 3);
+        // The premise: between rearrangements nodes do hold frame slices.
+        assert!(obs.pinned_after_steps > 0);
+        // One arena per node per rearrangement, on top of one per frame.
+        assert!(r.allocations >= r.messages + 3 * 64);
     }
 
     #[test]

@@ -392,12 +392,26 @@ mod tests {
 
     #[cfg(target_os = "linux")]
     #[test]
-    fn shutdown_returns_thread_count_to_baseline() {
-        let count = || std::fs::read_dir("/proc/self/task").unwrap().count();
-        let before = count();
+    fn shutdown_joins_exactly_this_pools_threads() {
+        // Asks each pool thread for its own kernel tid and checks that
+        // exactly those are gone afterwards. Counting every entry of
+        // /proc/self/task instead would race the threads sibling tests
+        // spawn and join concurrently.
         let pool = WorkerPool::new(6);
-        assert_eq!(count(), before + 6);
+        let mut gang = pool.gang(6);
+        for _ in 0..6 {
+            gang.spawn(|| std::fs::read_link("/proc/thread-self").unwrap());
+        }
+        let tasks: std::collections::HashSet<_> =
+            gang.join().into_iter().map(Result::unwrap).collect();
+        assert_eq!(tasks.len(), 6, "one distinct thread per gang slot");
+        let alive = |task: &std::path::PathBuf| std::path::Path::new("/proc").join(task).exists();
+        assert!(tasks.iter().all(alive));
         pool.shutdown();
-        assert_eq!(count(), before, "no leaked pool threads after shutdown");
+        assert!(lk(&pool.handles).is_empty(), "every handle was joined");
+        assert!(
+            !tasks.iter().any(alive),
+            "no leaked pool threads after shutdown"
+        );
     }
 }

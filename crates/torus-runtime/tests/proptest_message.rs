@@ -15,12 +15,26 @@ use torus_topology::MAX_DIMS;
 /// Arbitrary block sets: random endpoints, shift vectors, and payloads of
 /// length 0..40 (zero-length payloads are legal frames and must survive).
 fn arb_blocks() -> impl Strategy<Value = Vec<Block<Bytes>>> {
+    arb_blocks_with(0..40)
+}
+
+/// Block sets whose payloads straddle the CRC routine's 128-byte cutoff,
+/// so a gathered frame mixes byte-loop segments (headers, short
+/// payloads) with wide-kernel ones while its contiguous twin is one long
+/// wide-kernel segment.
+fn arb_bulk_blocks() -> impl Strategy<Value = Vec<Block<Bytes>>> {
+    arb_blocks_with(100..400)
+}
+
+fn arb_blocks_with(
+    payload_len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<Block<Bytes>>> {
     prop::collection::vec(
         (
             any::<u32>(),
             any::<u32>(),
             any::<[u8; MAX_DIMS]>(),
-            prop::collection::vec(any::<u8>(), 0..40),
+            prop::collection::vec(any::<u8>(), payload_len),
         ),
         0..8,
     )
@@ -72,6 +86,27 @@ proptest! {
         // And a materialized gathered frame decodes through the contiguous
         // decoder: the shapes are interchangeable on the wire.
         prop_assert_eq!(decode_message(&gathered.to_bytes()), decode_message(&contiguous));
+    }
+
+    #[test]
+    fn both_shapes_stamp_the_same_crc_on_bulk_payloads(
+        seq in any::<u32>(),
+        blocks in arb_bulk_blocks(),
+        pos in any::<prop::sample::Index>(),
+    ) {
+        // The streamed (per-segment) and the one-pass checksum take
+        // different kernels over the same canonical bytes; the stamped
+        // CRC field, and so the whole frame, must still be identical.
+        let contiguous = encode_message(seq, &blocks);
+        let gathered = encode_gathered(seq, &blocks, Default::default(), Vec::new());
+        prop_assert_eq!(gathered.to_bytes(), contiguous.clone());
+        prop_assert_eq!(gathered.decode().expect("gathered frame verifies"), (seq, blocks.clone()));
+        prop_assert_eq!(decode_message(&contiguous).expect("contiguous frame verifies"), (seq, blocks));
+        // And the wide kernel still sees every byte.
+        let mut damaged = contiguous.to_vec();
+        let pos = pos.index(damaged.len());
+        damaged[pos] ^= 0x10;
+        prop_assert!(decode_message(&Bytes::from(damaged)).is_err());
     }
 
     #[test]

@@ -1048,6 +1048,43 @@ mod tests {
     }
 
     #[test]
+    fn golden_accepted_record_still_replays() {
+        // One `accepted` record (job 42, 161-byte payload) written before
+        // the runtime's CRC routine gained its wide kernels: journals on
+        // disk must stay readable, and a re-encode must not move a bit.
+        const GOLDEN: &str = "544a4c31010100002a00000000000000a1000000088041c07b2274656e61\
+            6e74223a22676f6c64656e2d74656e616e74222c2273706563223a7b227368617065223a\
+            5b382c385d2c22626c6f636b5f6279746573223a313032342c2273656564223a37312c22\
+            6f70223a7b226b696e64223a22616c6c726564756365222c22726564756365223a227375\
+            6d222c226474797065223a22753634227d2c226a6f62223a7b22646561646c696e655f6d\
+            73223a33303030307d7d7d";
+        let golden: Vec<u8> = (0..GOLDEN.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(
+            encode_record(RecordKind::Accepted, 42, &golden[RECORD_HEADER_BYTES..]),
+            golden
+        );
+        let dir = tmp_dir("golden");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(segment_path(&dir, 1), &golden).unwrap();
+        let (_journal, recovery) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        assert_eq!(recovery.records_replayed, 1);
+        assert!(!recovery.tail_truncated);
+        assert_eq!(recovery.pending.len(), 1);
+        let job = &recovery.pending[0];
+        assert_eq!((job.job_id, job.tenant.as_str()), (42, "golden-tenant"));
+        assert_eq!(
+            job.spec.get("seed").and_then(Json::as_u64),
+            Some(71),
+            "spec survives: {:?}",
+            job.spec
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn out_of_order_done_is_buffered_until_acceptance() {
         let dir = tmp_dir("reorder");
         {

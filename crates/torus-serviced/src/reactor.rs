@@ -661,7 +661,7 @@ fn cancel_job(shared: &DaemonShared, job_id: u64, tenant: &str) -> Json {
         CancelLookup::Unknown => proto::cancel_reply(job_id, "unknown", None),
         CancelLookup::Forbidden => proto::cancel_reply(job_id, "forbidden", None),
         CancelLookup::Terminal(state) => {
-            proto::cancel_reply(job_id, "already_terminal", Some(&state))
+            proto::cancel_reply(job_id, "already_terminal", Some(state))
         }
         CancelLookup::Live => match shared.engine.cancel(job_id) {
             CancelOutcome::Cancelled => proto::cancel_reply(job_id, "cancelled", None),
@@ -813,14 +813,14 @@ fn reject_undurable(conn: &mut Conn, shared: &DaemonShared, handle: JobHandle, e
         }
         shared.registry.finish(
             id,
+            conn.tenant.as_deref(),
             Terminal {
                 ok: false,
                 degraded: false,
                 checksum: None,
-                error: Some("canceled: admission journal unavailable".to_string()),
+                error: Some("canceled: admission journal unavailable".into()),
                 recovered: false,
-                state: "failed".to_string(),
-                tenant: conn.tenant.clone(),
+                status: JobStatus::Failed,
             },
         );
     } else {

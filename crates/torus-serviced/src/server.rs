@@ -116,21 +116,24 @@ const REG_SHARDS: usize = 16;
 const TERMINAL_CAP_PER_SHARD: usize = 4096;
 
 /// A terminal job's recorded outcome — everything `status` needs
-/// without keeping the full result (deliveries included) alive.
+/// without keeping the full result (deliveries included) alive. One of
+/// these is held per finished job up to the registry cap, so it is kept
+/// small and a clean completion owns no heap memory: the state is the
+/// status itself ([`status_label`] renders it), the checksum stays a
+/// number until it is rendered, and the tenant is the live entry's
+/// shared handle (kept beside it in the index).
+#[derive(Clone)]
 pub(crate) struct Terminal {
     pub(crate) ok: bool,
     pub(crate) degraded: bool,
-    pub(crate) checksum: Option<String>,
-    pub(crate) error: Option<String>,
-    /// Terminal state label: `"completed"`, `"failed"`, `"cancelled"`,
-    /// or `"deadline_exceeded"`.
-    pub(crate) state: String,
-    /// Owning tenant; `None` when reconstructed from a journal replay
-    /// (pre-crash `done` records do not carry the tenant).
-    pub(crate) tenant: Option<String>,
     /// `true` when the outcome was reconstructed from the journal
     /// rather than executed by this process.
     pub(crate) recovered: bool,
+    /// `Completed`, `Failed`, `Cancelled` or `DeadlineExceeded`.
+    pub(crate) status: JobStatus,
+    /// FNV-1a delivery checksum; hex only on the wire.
+    pub(crate) checksum: Option<u64>,
+    pub(crate) error: Option<Box<str>>,
 }
 
 /// A live registry entry: the engine handle plus the owning tenant, so
@@ -143,8 +146,11 @@ struct LiveEntry {
 struct RegShard {
     /// Jobs admitted or replayed by this process, not yet terminal.
     live: HashMap<u64, LiveEntry>,
-    /// Terminal outcomes, bounded by [`TERMINAL_CAP_PER_SHARD`].
-    terminal: HashMap<u64, Terminal>,
+    /// Terminal outcomes with their owning tenant, bounded by
+    /// [`TERMINAL_CAP_PER_SHARD`]. The tenant is `None` when
+    /// reconstructed from a journal replay (pre-crash `done` records do
+    /// not carry it).
+    terminal: HashMap<u64, (Terminal, Option<Arc<str>>)>,
     /// Insertion order of `terminal`, for eviction.
     order: VecDeque<u64>,
 }
@@ -154,14 +160,7 @@ struct RegShard {
 enum Lookup {
     Unknown,
     Live(JobHandle),
-    Terminal {
-        ok: bool,
-        degraded: bool,
-        checksum: Option<String>,
-        error: Option<String>,
-        state: String,
-        recovered: bool,
-    },
+    Terminal(Terminal),
 }
 
 /// What a tenant-scoped `cancel` lookup found.
@@ -175,7 +174,7 @@ pub(crate) enum CancelLookup {
     /// The job is already terminal; carries its state label. A replayed
     /// terminal with no recorded tenant is reported here rather than
     /// guessed at — cancelling a finished job is a no-op either way.
-    Terminal(String),
+    Terminal(&'static str),
 }
 
 /// The sharded job registry: every id the daemon can answer `status`
@@ -222,11 +221,17 @@ impl Registry {
     }
 
     /// Moves a job to the terminal index (evicting the oldest terminal
-    /// entry past the per-shard cap) and drops its live handle.
-    pub(crate) fn finish(&self, job_id: u64, term: Terminal) {
+    /// entry past the per-shard cap) and drops its live handle. The
+    /// index reuses the live entry's tenant handle; `tenant` is copied
+    /// only for a job with no live entry (it finished before
+    /// [`register_live`](Self::register_live) ran, or never ran at all).
+    pub(crate) fn finish(&self, job_id: u64, tenant: Option<&str>, term: Terminal) {
         let mut shard = lk(self.shard(job_id));
-        shard.live.remove(&job_id);
-        if shard.terminal.insert(job_id, term).is_none() {
+        let tenant = match shard.live.remove(&job_id) {
+            Some(entry) => Some(entry.tenant),
+            None => tenant.map(Arc::from),
+        };
+        if shard.terminal.insert(job_id, (term, tenant)).is_none() {
             shard.order.push_back(job_id);
             if shard.order.len() > TERMINAL_CAP_PER_SHARD {
                 if let Some(evicted) = shard.order.pop_front() {
@@ -242,14 +247,7 @@ impl Registry {
             return Lookup::Live(entry.handle.clone());
         }
         match shard.terminal.get(&job_id) {
-            Some(t) => Lookup::Terminal {
-                ok: t.ok,
-                degraded: t.degraded,
-                checksum: t.checksum.clone(),
-                error: t.error.clone(),
-                state: t.state.clone(),
-                recovered: t.recovered,
-            },
+            Some((term, _)) => Lookup::Terminal(term.clone()),
             None => Lookup::Unknown,
         }
     }
@@ -267,9 +265,9 @@ impl Registry {
             };
         }
         match shard.terminal.get(&job_id) {
-            Some(t) => match &t.tenant {
-                Some(owner) if owner != tenant => CancelLookup::Forbidden,
-                _ => CancelLookup::Terminal(t.state.clone()),
+            Some((term, owner)) => match owner {
+                Some(owner) if owner.as_ref() != tenant => CancelLookup::Forbidden,
+                _ => CancelLookup::Terminal(status_label(term.status)),
             },
             None => CancelLookup::Unknown,
         }
@@ -373,13 +371,15 @@ impl Daemon {
             for done in recovery.terminal {
                 registry.finish(
                     done.job_id,
+                    None,
                     Terminal {
                         ok: done.ok,
                         degraded: done.degraded,
-                        checksum: done.checksum,
-                        error: done.error,
-                        state: done.state,
-                        tenant: None,
+                        checksum: done
+                            .checksum
+                            .and_then(|hex| u64::from_str_radix(&hex, 16).ok()),
+                        error: done.error.map(String::into_boxed_str),
+                        status: recorded_status(&done.state, done.ok),
                         recovered: true,
                     },
                 );
@@ -410,13 +410,13 @@ impl Daemon {
                         let _ = journal.record_done(job.job_id, false, false, None, Some(&error));
                         registry.finish(
                             job.job_id,
+                            Some(&job.tenant),
                             Terminal {
                                 ok: false,
                                 degraded: false,
                                 checksum: None,
-                                error: Some(error),
-                                state: "failed".to_string(),
-                                tenant: Some(job.tenant.clone()),
+                                error: Some(error.into_boxed_str()),
+                                status: JobStatus::Failed,
                                 recovered: true,
                             },
                         );
@@ -532,11 +532,7 @@ impl Daemon {
     }
 }
 
-/// Extracts a terminal result's `(ok, degraded, checksum, error)` the
-/// way the wire protocol reports it: the FNV-1a delivery checksum only
-/// for clean completions (degraded runs drop dead-node blocks, so their
-/// digest intentionally stays absent rather than faking a match).
-/// The wire label for a terminal [`JobStatus`].
+/// The wire label for a [`JobStatus`].
 pub(crate) fn status_label(status: JobStatus) -> &'static str {
     match status {
         JobStatus::Queued => "queued",
@@ -548,13 +544,34 @@ pub(crate) fn status_label(status: JobStatus) -> &'static str {
     }
 }
 
-fn terminal_fields(result: &JobResult) -> (bool, bool, Option<String>) {
+/// The terminal status behind a state label read back from the journal.
+/// The journal only ever records the four terminal labels; anything
+/// else falls back to what `ok` says, as pre-`state` records do.
+fn recorded_status(state: &str, ok: bool) -> JobStatus {
+    [
+        JobStatus::Completed,
+        JobStatus::Failed,
+        JobStatus::Cancelled,
+        JobStatus::DeadlineExceeded,
+    ]
+    .into_iter()
+    .find(|status| status_label(*status) == state)
+    .unwrap_or(if ok {
+        JobStatus::Completed
+    } else {
+        JobStatus::Failed
+    })
+}
+
+/// Extracts a terminal result's `(ok, degraded, checksum)` the way the
+/// wire protocol reports it: the FNV-1a delivery checksum only for clean
+/// completions (degraded runs drop dead-node blocks, so their digest
+/// intentionally stays absent rather than faking a match).
+fn terminal_fields(result: &JobResult) -> (bool, bool, Option<u64>) {
     let report = result.report.as_ref();
     let degraded = report.is_some_and(|r| r.degraded.is_some());
     let checksum = match (&result.deliveries, degraded) {
-        (Some(deliveries), false) => {
-            Some(checksum::to_hex(checksum::delivery_checksum(deliveries)))
-        }
+        (Some(deliveries), false) => Some(checksum::delivery_checksum(deliveries)),
         _ => None,
     };
     (result.error.is_none(), degraded, checksum)
@@ -579,7 +596,7 @@ fn journal_hook(journal: &Journal, event: &JobEvent<'_>) {
                 *job_id,
                 *status == JobStatus::Completed,
                 degraded,
-                checksum.as_deref(),
+                checksum.map(checksum::to_hex).as_deref(),
                 result.error.as_deref(),
                 status_label(*status),
             );
@@ -601,13 +618,13 @@ fn registry_hook(registry: &Registry, event: &JobEvent<'_>) {
         let (ok, degraded, checksum) = terminal_fields(result);
         registry.finish(
             *job_id,
+            Some(tenant),
             Terminal {
                 ok,
                 degraded,
                 checksum,
-                error: result.error.clone(),
-                state: status_label(*status).to_string(),
-                tenant: Some(tenant.to_string()),
+                error: result.error.as_deref().map(Box::from),
+                status: *status,
                 recovered: false,
             },
         );
@@ -622,21 +639,14 @@ fn registry_hook(registry: &Registry, event: &JobEvent<'_>) {
 pub(crate) fn status_reply(shared: &DaemonShared, job_id: u64) -> Json {
     match shared.registry.lookup(job_id) {
         Lookup::Unknown => proto::job_status(job_id, "unknown", None, None, None, None, false),
-        Lookup::Terminal {
-            ok,
-            degraded,
-            checksum,
-            error,
-            state,
-            recovered,
-        } => proto::job_status(
+        Lookup::Terminal(term) => proto::job_status(
             job_id,
-            &state,
-            Some(ok),
-            Some(degraded),
-            checksum.as_deref(),
-            error.as_deref(),
-            recovered,
+            status_label(term.status),
+            Some(term.ok),
+            Some(term.degraded),
+            term.checksum.map(checksum::to_hex).as_deref(),
+            term.error.as_deref(),
+            term.recovered,
         ),
         Lookup::Live(handle) => match handle.try_status() {
             JobStatus::Queued => proto::job_status(job_id, "queued", None, None, None, None, false),
@@ -653,7 +663,7 @@ pub(crate) fn status_reply(shared: &DaemonShared, job_id: u64) -> Json {
                     status_label(status),
                     Some(ok),
                     Some(degraded),
-                    checksum.as_deref(),
+                    checksum.map(checksum::to_hex).as_deref(),
                     result.error.as_deref(),
                     false,
                 )
@@ -678,7 +688,10 @@ pub(crate) fn done_event(status: JobStatus, result: &JobResult) -> Json {
         ("verified", Json::Bool(report.is_some_and(|r| r.verified))),
         ("cache_hit", Json::Bool(result.cache_hit)),
         ("wire_bytes", Json::u64(report.map_or(0, |r| r.wire_bytes))),
-        ("checksum", checksum.map_or(Json::Null, Json::str)),
+        (
+            "checksum",
+            checksum.map_or(Json::Null, |c| Json::str(checksum::to_hex(c))),
+        ),
         (
             "error",
             match &result.error {
@@ -698,16 +711,17 @@ mod tests {
             ok: error.is_none(),
             degraded: false,
             checksum: None,
-            error: error.map(str::to_string),
-            state: if error.is_none() {
-                "completed".to_string()
+            error: error.map(Box::from),
+            status: if error.is_none() {
+                JobStatus::Completed
             } else {
-                "failed".to_string()
+                JobStatus::Failed
             },
-            tenant: Some("acme".to_string()),
             recovered: false,
         }
     }
+
+    const OWNER: Option<&str> = Some("acme");
 
     /// The terminal index is bounded: past the per-shard cap the oldest
     /// outcome is evicted (its `status` becomes `"unknown"`), so a
@@ -721,7 +735,7 @@ mod tests {
             .map(|i| 5 + i * REG_SHARDS as u64)
             .collect();
         for &id in &ids {
-            registry.finish(id, term(None));
+            registry.finish(id, OWNER, term(None));
         }
         let (live, terminal) = registry.counts();
         assert_eq!(live, 0);
@@ -734,7 +748,7 @@ mod tests {
         }
         for &id in &ids[OVERFLOW..] {
             assert!(
-                matches!(registry.lookup(id), Lookup::Terminal { .. }),
+                matches!(registry.lookup(id), Lookup::Terminal(_)),
                 "newest entries must survive"
             );
         }
@@ -745,7 +759,7 @@ mod tests {
     #[test]
     fn cancel_lookup_is_tenant_scoped() {
         let registry = Registry::new();
-        registry.finish(1, term(None)); // owned by "acme"
+        registry.finish(1, OWNER, term(None));
         assert!(matches!(
             registry.cancel_lookup(1, "acme"),
             CancelLookup::Terminal(state) if state == "completed"
@@ -765,16 +779,47 @@ mod tests {
     #[test]
     fn refinishing_a_job_does_not_duplicate_eviction_order() {
         let registry = Registry::new();
-        registry.finish(3, term(None));
-        registry.finish(3, term(Some("second verdict")));
+        registry.finish(3, OWNER, term(None));
+        registry.finish(3, OWNER, term(Some("second verdict")));
         let (_, terminal) = registry.counts();
         assert_eq!(terminal, 1);
         match registry.lookup(3) {
-            Lookup::Terminal { ok, error, .. } => {
-                assert!(!ok, "latest verdict wins");
-                assert_eq!(error.as_deref(), Some("second verdict"));
+            Lookup::Terminal(term) => {
+                assert!(!term.ok, "latest verdict wins");
+                assert_eq!(term.error.as_deref(), Some("second verdict"));
             }
             _ => panic!("job 3 must be terminal"),
         }
+    }
+
+    /// The finish path copies no tenant string: the terminal index takes
+    /// over the handle the live entry already held.
+    #[test]
+    fn finish_reuses_the_live_entrys_tenant_handle() {
+        let engine = Engine::new(EngineConfig::default());
+        let handle = engine
+            .submit_as(
+                "acme",
+                torus_topology::TorusShape::new(&[2, 2]).unwrap(),
+                torus_service::PayloadSpec::Pattern,
+                torus_runtime::RuntimeConfig::default(),
+            )
+            .unwrap();
+        let id = handle.id();
+        let registry = Registry::new();
+        registry.register_live(handle, "acme");
+        let live = Arc::clone(&lk(registry.shard(id)).live[&id].tenant);
+        registry.finish(id, Some("acme"), term(None));
+        let shard = lk(registry.shard(id));
+        let (_, owner) = &shard.terminal[&id];
+        assert!(Arc::ptr_eq(owner.as_ref().unwrap(), &live));
+        assert!(shard.live.is_empty());
+    }
+
+    /// One entry per finished job up to `REG_SHARDS *
+    /// TERMINAL_CAP_PER_SHARD`: keep it within a cache line.
+    #[test]
+    fn terminal_entries_stay_small() {
+        assert!(std::mem::size_of::<(u64, (Terminal, Option<Arc<str>>))>() <= 64);
     }
 }
