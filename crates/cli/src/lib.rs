@@ -79,8 +79,9 @@ pub enum Command {
     },
     /// `collective --op NAME --shape RxC [...params]`
     Collective {
-        /// Operation name.
-        op: String,
+        /// The resolved operation (`alltoall` or one of the collectives,
+        /// rooted at node 0 and summing `u64` lanes where that applies).
+        op: torus_runtime::JobOp,
         /// Torus shape.
         shape: Vec<u32>,
         /// Machine parameters.
@@ -199,6 +200,22 @@ pub fn parse_shape(s: &str) -> Result<Vec<u32>, String> {
         Ok(d) if !d.is_empty() => Ok(d),
         _ => Err(format!("bad shape '{s}': expected e.g. 8x12 or 8x8x4")),
     }
+}
+
+/// Resolves an `--op` name for `collective` and `run-collective`; an
+/// unknown name is refused with the names `CollectiveOp` knows.
+fn parse_collective_op(
+    name: &str,
+    root: u32,
+    reduce: torus_runtime::ReduceOp,
+    dtype: torus_runtime::Dtype,
+) -> Result<torus_runtime::CollectiveOp, String> {
+    torus_runtime::CollectiveOp::from_parts(name, root, reduce, dtype).ok_or_else(|| {
+        format!(
+            "--op: unknown collective '{name}' ({})",
+            torus_runtime::CollectiveOp::KINDS.join("|")
+        )
+    })
 }
 
 /// Parses command-line arguments (past argv\[0\]).
@@ -401,13 +418,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     .ok_or_else(|| format!("--dtype: unknown dtype '{s}' (u64|f32)"))?,
                 None => torus_runtime::Dtype::U64,
             };
-            let op =
-                torus_runtime::CollectiveOp::from_parts(&op, root.unwrap_or(0), reduce_op, lane)
-                    .ok_or_else(|| {
-                        format!("--op: unknown collective '{op}' (try 'torus-xchg help')")
-                    })?;
             Ok(Command::RunCollective {
-                op,
+                op: parse_collective_op(&op, root.unwrap_or(0), reduce_op, lane)?,
                 shape: need_shape(shape)?,
                 params,
                 threads,
@@ -425,6 +437,16 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             if op.is_empty() {
                 return Err("--op is required for 'collective'".into());
             }
+            let op = if op == torus_runtime::JobOp::Alltoall.name() {
+                torus_runtime::JobOp::Alltoall
+            } else {
+                torus_runtime::JobOp::Collective(parse_collective_op(
+                    &op,
+                    0,
+                    torus_runtime::ReduceOp::Sum,
+                    torus_runtime::Dtype::U64,
+                )?)
+            };
             Ok(Command::Collective {
                 op,
                 shape: need_shape(shape)?,
@@ -748,43 +770,23 @@ pub fn execute(cmd: Command) -> Result<String, String> {
         }
         Command::Collective { op, shape, params } => {
             let shape = TorusShape::new(&shape).map_err(|e| e.to_string())?;
-            let (name, counts, time, verified) = match op.as_str() {
-                "broadcast" => {
-                    let r =
-                        collectives::broadcast(&shape, &params, 0, 1).map_err(|e| e.to_string())?;
-                    (r.name, r.counts, r.total_time(), r.verified)
-                }
-                "scatter" => {
-                    let r = collectives::scatter(&shape, &params, 0).map_err(|e| e.to_string())?;
-                    (r.name, r.counts, r.total_time(), r.verified)
-                }
-                "gather" => {
-                    let r = collectives::gather(&shape, &params, 0).map_err(|e| e.to_string())?;
-                    (r.name, r.counts, r.total_time(), r.verified)
-                }
-                "allgather" => {
-                    let r =
-                        collectives::allgather(&shape, &params, 1).map_err(|e| e.to_string())?;
-                    (r.name, r.counts, r.total_time(), r.verified)
-                }
-                "reduce" => {
-                    let (r, _) = collectives::reduce(&shape, &params, 0, 8, |u| vec![u as u64; 8])
-                        .map_err(|e| e.to_string())?;
-                    (r.name, r.counts, r.total_time(), r.verified)
-                }
-                "allreduce" => {
-                    let (r, _) = collectives::allreduce(&shape, &params, 8, |u| vec![u as u64; 8])
-                        .map_err(|e| e.to_string())?;
-                    (r.name, r.counts, r.total_time(), r.verified)
-                }
-                "alltoall" => {
+            let (name, counts, time, verified) = match op {
+                torus_runtime::JobOp::Alltoall => {
                     let r = Exchange::new(&shape)
                         .map_err(|e| e.to_string())?
                         .run_counting(&params)
                         .map_err(|e| e.to_string())?;
                     ("alltoall", r.counts, r.total_time(), r.verified)
                 }
-                other => return Err(format!("unknown collective '{other}'")),
+                torus_runtime::JobOp::Collective(op) => {
+                    let plan = torus_runtime::CollectivePlan::new(&shape, op)
+                        .map_err(|e| e.to_string())?;
+                    // One block per key; the reductions combine 8-lane vectors.
+                    let blocks_per_key = if plan.is_combining() { 8 } else { 1 };
+                    let r = collectives::simulate(&plan, &params, blocks_per_key)
+                        .map_err(|e| e.to_string())?;
+                    (r.name, r.counts, r.total_time(), r.verified)
+                }
             };
             let _ = writeln!(
                 out,
@@ -1643,6 +1645,23 @@ mod tests {
                 execute(parse_args(&argv(&format!("collective --op {op} --shape 4x4"))).unwrap())
                     .unwrap();
             assert!(out.contains("verified: true"), "{op}: {out}");
+        }
+    }
+
+    #[test]
+    fn collective_and_run_collective_share_op_names() {
+        for kind in torus_runtime::CollectiveOp::KINDS {
+            for cmd in ["collective", "run-collective"] {
+                parse_args(&argv(&format!("{cmd} --op {kind} --shape 4x4"))).unwrap();
+            }
+        }
+        for cmd in ["collective", "run-collective"] {
+            let err = parse_args(&argv(&format!("{cmd} --op levitate --shape 4x4"))).unwrap_err();
+            assert!(err.contains("'levitate'"), "{cmd}: {err}");
+            assert!(
+                err.contains("broadcast|scatter|gather|allgather|reduce|allreduce"),
+                "{cmd}: {err}"
+            );
         }
     }
 

@@ -1,13 +1,14 @@
 //! Op-generic collective plans.
 //!
-//! `crates/collectives` proves the dimension-ordered schedules (broadcast,
-//! scatter, gather, allgather, reduce, allreduce) against the wormhole
-//! simulator's contention checker and cost model. This crate lowers the
-//! *same* schedules into explicit per-step send manifests — who sends
-//! which blocks to whom, with move/copy semantics and an optional
-//! combining (elementwise-reduction) receive — so the byte-moving
-//! runtime in `torus-runtime` can execute them as real data, and the
-//! service/daemon stack can ship them as jobs next to all-to-all.
+//! This crate lowers the dimension-ordered schedules (broadcast,
+//! scatter, gather, allgather, reduce, allreduce) into explicit per-step
+//! send manifests — who sends which blocks to whom, with move/copy
+//! semantics and an optional combining (elementwise-reduction) receive.
+//! The manifest is the single statement of each schedule: the
+//! byte-moving runtime in `torus-runtime` executes it as real data (and
+//! the service/daemon stack ships it as jobs next to all-to-all), while
+//! `collectives::simulate` replays it against the wormhole simulator's
+//! unidirectional-channel checker and cost model.
 //!
 //! The contract mirrors `alltoall_core::StepPlan`: every step is
 //! contention-free in the one-port model (each node sends at most one

@@ -1,13 +1,14 @@
 //! Lowering of the six collectives to explicit send manifests.
 //!
-//! Each lowering is a line-for-line port of the simulator-verified
-//! schedule in `crates/collectives` (bcast.rs, gatherscatter.rs,
-//! reduce.rs), re-expressed as block movements instead of
-//! `Transmission`s. A holdings simulation runs alongside the lowering:
-//! every emitted step is validated (one frame out and one frame in per
-//! node, senders hold what they ship) and applied, and the final
-//! holdings are checked against the op's contract before a plan is
-//! handed to any executor.
+//! This is the only place the dimension-ordered ring schedules are
+//! written. Two interpreters read what it emits: `torus-runtime` moves
+//! the blocks as real bytes, and `collectives::simulate` replays every
+//! send as a `torus_sim::Transmission` through the wormhole channel
+//! checker and the Section 2 cost model. A holdings simulation runs
+//! alongside the lowering: every emitted step is validated (one frame
+//! out and one frame in per node, senders hold what they ship) and
+//! applied, and the final holdings are checked against the op's
+//! contract before a plan is handed to either interpreter.
 
 use std::collections::BTreeSet;
 
@@ -16,13 +17,14 @@ use torus_topology::{Coord, TorusShape};
 use crate::{CollectiveOp, CollectivePlan, CollectiveStep, PlanError, SendInstr};
 
 /// Ring-relative offset of `node` from `origin` along `dim`, positive
-/// direction (port of `collectives::ring::ring_offset`).
+/// direction (`0 ≤ offset < a_d`).
 fn ring_offset(shape: &TorusShape, origin: &Coord, node: &Coord, dim: usize) -> u32 {
     torus_topology::ring_sub(node[dim], origin[dim], shape.extent(dim))
 }
 
-/// Whether `node` matches `root` on all dimensions `≥ dim` (port of
-/// `collectives::ring::covered_before_phase`).
+/// Whether `node` matches `root` on all dimensions `≥ dim`: the nodes
+/// that hold data at the start of phase `dim` of a rooted collective
+/// processing dimensions `0, 1, …` in order.
 fn covered_before_phase(root: &Coord, node: &Coord, dim: usize, ndims: usize) -> bool {
     (dim..ndims).all(|e| node[e] == root[e])
 }
@@ -190,10 +192,9 @@ impl<'a> Builder<'a> {
     }
 }
 
-/// Bidirectional ring pipelines from every informed node: port of
-/// `collectives::broadcast`, distributing block `key` from the node at
-/// `rootc`. Used by `Broadcast` (key = root id) and by the second half
-/// of `Allreduce` (key = 0, rootc = node 0).
+/// Bidirectional ring pipelines from every informed node, distributing
+/// block `key` from the node at `rootc`. Used by `Broadcast` (key = root
+/// id) and by the second half of `Allreduce` (key = 0, rootc = node 0).
 fn lower_broadcast(
     b: &mut Builder<'_>,
     rootc: &Coord,
@@ -254,8 +255,8 @@ fn lower_broadcast(
     Ok(())
 }
 
-/// Unidirectional forward-what-arrived-last-step ring pipelines: port of
-/// `collectives::allgather`.
+/// Unidirectional forward-what-arrived-last-step ring pipelines: after
+/// `a_d − 1` steps every dim-`d` ring is fully shared.
 fn lower_allgather(b: &mut Builder<'_>) -> Result<(), PlanError> {
     let shape = b.shape;
     let n = shape.ndims();
@@ -299,8 +300,7 @@ fn lower_allgather(b: &mut Builder<'_>) -> Result<(), PlanError> {
 }
 
 /// Recursive halving (power-of-two extents) / forwarding pipeline
-/// (otherwise): port of `collectives::scatter`. Move semantics; keys are
-/// destination node ids.
+/// (otherwise). Move semantics; keys are destination node ids.
 fn lower_scatter(b: &mut Builder<'_>, rootc: &Coord) -> Result<(), PlanError> {
     let _ = rootc; // the holdings identify the root; kept for symmetry
     let shape = b.shape;
@@ -385,10 +385,9 @@ fn lower_scatter(b: &mut Builder<'_>, rootc: &Coord) -> Result<(), PlanError> {
     Ok(())
 }
 
-/// Combining pipelines toward the root, last dimension first: port of
-/// `collectives::gather` (`combining = false`, each node's key travels
-/// whole) and `collectives::reduce` (`combining = true`, the single
-/// partial key 0 folds at every hop).
+/// Combining pipelines toward the root, last dimension first: gather
+/// (`combining = false`, each node's key travels whole) and reduce
+/// (`combining = true`, the single partial key 0 folds at every hop).
 fn lower_toward_root(b: &mut Builder<'_>, rootc: &Coord, label: &str) -> Result<(), PlanError> {
     let shape = b.shape;
     let n = shape.ndims();

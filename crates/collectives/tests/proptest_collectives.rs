@@ -78,4 +78,40 @@ proptest! {
         prop_assert!((r.elapsed.transmission - recomputed.transmission).abs() < 1e-9);
         prop_assert!((r.elapsed.propagation - recomputed.propagation).abs() < 1e-9);
     }
+
+    // External yardsticks as oracles (one-port model; cf. Jung & Sakho's
+    // all-to-all-broadcast optimality for k-ary n-dimensional tori).
+
+    #[test]
+    fn allgather_meets_the_one_port_receive_bound((shape, b) in (arb_shape(), 1u64..=3)) {
+        // Every node takes in the other N − 1 contributions through one
+        // port, and Σ_d (a_d − 1)·Π_{e<d} a_e telescopes to exactly N − 1.
+        let r = allgather(&shape, &CommParams::unit(), b).unwrap();
+        let bound = (shape.num_nodes() as u64 - 1) * b;
+        prop_assert_eq!(
+            r.counts.trans_blocks, bound,
+            "{}: allgather is {} blocks off the (N − 1)·b receive bound",
+            shape, r.counts.trans_blocks as i64 - bound as i64
+        );
+    }
+
+    #[test]
+    fn dissemination_steps_respect_the_doubling_bound((shape, root) in arb_shape().prop_flat_map(|s| {
+        let n = s.num_nodes();
+        (Just(s), 0..n)
+    })) {
+        // The set of nodes that hold anything of one origin at most
+        // doubles per one-port step, so N nodes need ⌈log₂ N⌉ steps.
+        let bound = u64::from(shape.num_nodes().next_power_of_two().trailing_zeros());
+        let unit = CommParams::unit();
+        for r in [broadcast(&shape, &unit, root, 1), scatter(&shape, &unit, root), allgather(&shape, &unit, 1)] {
+            let r = r.unwrap();
+            let steps = r.counts.startup_steps;
+            prop_assert!(
+                steps >= bound,
+                "{} on {}: {} steps against a ⌈log₂ N⌉ bound of {} (gap {})",
+                r.name, shape, steps, bound, steps as i64 - bound as i64
+            );
+        }
+    }
 }
