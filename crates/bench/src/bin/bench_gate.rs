@@ -9,8 +9,9 @@
 //!   must be at least `(1 - tolerance) ×` the committed throughput,
 //!   and the level must still complete every job.
 //! * `runtime_sweep` / `collective_sweep` — per `(shape, block_bytes,
-//!   op)` case, fresh clean `wall_ms` must be at most `(1 + tolerance)
-//!   ×` the committed wall time; every case must still verify
+//!   op)` case, fresh clean `wall_ms` (and `call_ms`, the whole
+//!   `run()` call, where the snapshot records it) must be at most
+//!   `(1 + tolerance) ×` the committed time; every case must still verify
 //!   bit-exactly (clean, faulty, degraded); and the counters the
 //!   schedule alone determines (`steps`, `wire_bytes`, `bytes_copied`,
 //!   clean `peak_node_bytes`, `injected_drops`, degraded
@@ -18,6 +19,10 @@
 //!   values exactly — correctness and traffic never get a tolerance
 //!   band, so a change that puts different bytes on the wire fails even
 //!   when it is fast.
+//!
+//! Both files must record the same `workers` count; a mismatch fails
+//! the gate with one line rather than comparing unlike timings. Each
+//! side's host (`workers`, `nproc`, `crc32_kernel`) is printed first.
 //!
 //! The sweeps overwrite `BENCH_*.json` in place when they run, so CI
 //! copies the committed snapshot aside *first*, re-runs the sweep, and
@@ -60,6 +65,15 @@ fn gate(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec<String> {
             "experiment mismatch: baseline {:?}, fresh {:?}",
             experiment,
             fresh.get("experiment").and_then(Json::as_str)
+        )];
+    }
+    // Times taken at different worker counts are not comparable: gate
+    // like for like, or not at all.
+    let (base_workers, fresh_workers) = (get_u64(baseline, "workers"), get_u64(fresh, "workers"));
+    if base_workers != fresh_workers {
+        return vec![format!(
+            "workers mismatch: baseline {base_workers:?}, fresh {fresh_workers:?} \
+             (re-run the sweep with TORUS_THREADS matching the baseline)"
         )];
     }
     match experiment {
@@ -110,6 +124,10 @@ fn gate_service_sweep(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec<Stri
     }
     violations
 }
+
+/// Clean-run times bounded by the wall tolerance: the executor's
+/// `wall_ms` and the whole call's `call_ms` (runtime sweep only).
+const WALL_FIELDS: [&str; 2] = ["wall_ms", "call_ms"];
 
 /// Counters fixed by the schedule (and, for `injected_drops`, by the
 /// seeded fault plan), as `(section, field)`; `""` is the case itself.
@@ -167,16 +185,21 @@ fn gate_case_sweep(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec<String>
             violations.push(format!("{label}: missing clean section"));
             continue;
         };
-        let ceiling =
-            get_f64(base_clean, "wall_ms").unwrap_or(f64::MAX) * (1.0 + tolerance) + WALL_GRACE_MS;
-        let got = get_f64(new_clean, "wall_ms").unwrap_or(f64::MAX);
-        if got > ceiling {
-            violations.push(format!(
-                "{label}: clean wall {got:.2} ms exceeds the gate ceiling \
-                 {ceiling:.2} ms (committed {:.2}, tolerance {:.0}% + {WALL_GRACE_MS} ms grace)",
-                get_f64(base_clean, "wall_ms").unwrap_or(0.0),
-                tolerance * 100.0
-            ));
+        // The executor's wall, and (where the snapshot records it) the
+        // whole `run()` call around it, seeding and verification included.
+        for field in WALL_FIELDS {
+            let Some(committed) = get_f64(base_clean, field) else {
+                continue;
+            };
+            let ceiling = committed * (1.0 + tolerance) + WALL_GRACE_MS;
+            let got = get_f64(new_clean, field).unwrap_or(f64::MAX);
+            if got > ceiling {
+                violations.push(format!(
+                    "{label}: clean {field} {got:.2} exceeds the gate ceiling {ceiling:.2} \
+                     (committed {committed:.2}, tolerance {:.0}% + {WALL_GRACE_MS} ms grace)",
+                    tolerance * 100.0
+                ));
+            }
         }
         // Correctness has no tolerance band. A section the committed
         // snapshot never had (collectives have no degraded mode) is not
@@ -219,6 +242,22 @@ fn gate_case_sweep(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec<String>
     violations
 }
 
+/// The host an export was taken on, as recorded in it: worker count,
+/// `nproc`, and the CRC32 kernel the host selected.
+fn host_line(export: &Json) -> String {
+    let field = |key: &str| match export.get(key) {
+        Some(Json::Str(s)) => s.clone(),
+        Some(Json::Num(n)) => n.to_string(),
+        _ => "-".to_string(),
+    };
+    format!(
+        "workers {}, nproc {}, crc32_kernel {}",
+        field("workers"),
+        field("nproc"),
+        field("crc32_kernel")
+    )
+}
+
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     torus_serviced::json::parse(text.trim()).map_err(|e| format!("{path}: {e}"))
@@ -259,6 +298,9 @@ fn run() -> Result<Vec<String>, String> {
         "bench gate: {fresh_path} vs committed {baseline_path} (tolerance {:.0}%)",
         tolerance * 100.0
     );
+    for (side, export) in [("baseline", &baseline), ("fresh", &fresh)] {
+        println!("  {side:<8} {}", host_line(export));
+    }
     Ok(gate(&baseline, &fresh, tolerance))
 }
 
@@ -470,6 +512,52 @@ mod tests {
         let violations = gate(&base, &other_op, 0.25);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("lost case 4x4/m=64/allreduce"));
+    }
+
+    /// A one-case runtime sweep taken at `workers`, its clean run timed
+    /// at `call_ms` when given.
+    fn timed(call_ms: Option<f64>, workers: u64) -> Json {
+        let mut clean = vec![("wall_ms", Json::num(1.0)), ("verified", Json::Bool(true))];
+        clean.extend(call_ms.map(|c| ("call_ms", Json::num(c))));
+        Json::obj([
+            ("experiment", Json::str("runtime_sweep")),
+            ("workers", Json::u64(workers)),
+            (
+                "cases",
+                Json::Arr(vec![Json::obj([
+                    ("shape", Json::str("4x4")),
+                    ("block_bytes", Json::u64(64)),
+                    ("clean", Json::obj(clean)),
+                    ("faulty", Json::obj([("verified", Json::Bool(true))])),
+                    (
+                        "degraded",
+                        Json::obj([("verified_degraded", Json::Bool(true))]),
+                    ),
+                ])]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn call_time_is_gated_only_once_the_baseline_records_it() {
+        // An old snapshot without `call_ms` gates nothing on it.
+        assert!(gate(&timed(None, 1), &timed(Some(500.0), 1), 0.25).is_empty());
+        // Ceiling = 10 * 1.25 + 2 ms grace = 14.5 ms.
+        let base = timed(Some(10.0), 1);
+        assert!(gate(&base, &timed(Some(14.0), 1), 0.25).is_empty());
+        let violations = gate(&base, &timed(Some(15.0), 1), 0.25);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("call_ms"), "{violations:?}");
+        // A fresh run that stopped recording it fails.
+        assert_eq!(gate(&base, &timed(None, 1), 0.25).len(), 1);
+    }
+
+    #[test]
+    fn worker_count_mismatch_fails_with_one_line() {
+        let violations = gate(&timed(None, 1), &timed(None, 2), 0.25);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("workers mismatch"), "{violations:?}");
+        assert!(host_line(&timed(None, 2)).starts_with("workers 2, nproc -"));
     }
 
     #[test]

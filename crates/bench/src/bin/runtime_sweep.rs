@@ -9,7 +9,9 @@
 //!
 //! Prints a table and exports the headline numbers of every case
 //! (per-phase walls, assembly/transport/rearrange split, wire bytes,
-//! peak residency, fault/recovery counters) to
+//! peak residency, fault/recovery counters, and the clean run's
+//! `call_ms`: the whole `Runtime::run()` call, so seeding and
+//! verification have a gated number too) to
 //! `results/runtime_sweep.json` and, as the committed perf-trajectory
 //! snapshot, `BENCH_runtime_sweep.json` at the repo root. The `copied`
 //! column is the send path's
@@ -22,7 +24,7 @@
 //! ```
 
 use bench::{fnum, Table};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use torus_runtime::{
     FaultPlan, OnFailure, RetryPolicy, Runtime, RuntimeConfig, RuntimeReport, WorkerFaultKind,
 };
@@ -36,9 +38,10 @@ const DROP_SEED: u64 = 1998; // ICPP '98
 
 /// The JSON headline for one configuration of one case — hand-rolled
 /// (the offline serde_json stub prints `{}`; these exports exist to be
-/// populated).
-fn report_json(r: &RuntimeReport) -> Json {
-    Json::obj([
+/// populated). `call` is the timed `run()` call, when it was timed.
+fn report_json(r: &RuntimeReport, call: Option<Duration>) -> Json {
+    let call_ms = call.map(|c| ("call_ms", Json::num(c.as_secs_f64() * 1e3)));
+    Json::obj(call_ms.into_iter().chain([
         ("wall_ms", Json::num(r.wall.as_secs_f64() * 1e3)),
         ("assembly_ms", Json::num(r.assembly().as_secs_f64() * 1e3)),
         ("transport_ms", Json::num(r.transport().as_secs_f64() * 1e3)),
@@ -50,7 +53,7 @@ fn report_json(r: &RuntimeReport) -> Json {
         ("verified", Json::Bool(r.verified)),
         ("recovered", Json::u64(r.faults.recovered)),
         ("injected_drops", Json::u64(r.faults.injected_drops)),
-    ])
+    ]))
 }
 
 fn main() {
@@ -94,10 +97,12 @@ fn main() {
         let base = RuntimeConfig::default()
             .with_block_bytes(m)
             .with_workers(workers);
-        let clean = Runtime::new(&shape, base.clone())
-            .expect("shape accepted")
-            .run()
-            .expect("verified run");
+        // `call` is the whole clean `run()`: the report's wall plus
+        // seeding, verification and thread spawn around it.
+        let runtime = Runtime::new(&shape, base.clone()).expect("shape accepted");
+        let t0 = Instant::now();
+        let clean = runtime.run().expect("verified run");
+        let call = t0.elapsed();
         // Tight deadline so each dropped frame is re-requested quickly;
         // the overhead column then measures CRC + resend cost, not idle
         // waiting on the default half-second deadline.
@@ -173,8 +178,8 @@ fn main() {
             ("nodes", Json::u64(clean.nodes as u64)),
             ("block_bytes", Json::u64(m as u64)),
             ("steps", Json::u64(clean.total_steps() as u64)),
-            ("clean", report_json(&clean)),
-            ("faulty", report_json(&faulty)),
+            ("clean", report_json(&clean, Some(call))),
+            ("faulty", report_json(&faulty, None)),
             (
                 "degraded",
                 Json::obj([
@@ -204,6 +209,7 @@ fn main() {
     }
     println!(
         "all runs bit-exactly verified (clean and 1%-drop in full; degraded \
-         runs for every survivor pair); wall excludes seeding/verification."
+         runs for every survivor pair); wall excludes seeding/verification, \
+         the exported call_ms includes them."
     );
 }

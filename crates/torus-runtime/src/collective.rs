@@ -47,7 +47,7 @@ use torus_topology::NodeId;
 
 use crate::degrade::OnFailure;
 use crate::exec::{self, ExecBackend, PhaseMeta, ReportIdent, StepSource};
-use crate::payload::pattern_payload;
+use crate::payload::PayloadSpec;
 use crate::pool::PoolBank;
 use crate::report::RuntimeReport;
 use crate::runtime::RuntimeConfig;
@@ -223,7 +223,9 @@ impl CollectiveRuntime {
     #[allow(clippy::type_complexity)]
     pub fn run(&self) -> Result<(RuntimeReport, Vec<Vec<(u32, Bytes)>>), RuntimeError> {
         let m = self.config.block_bytes;
-        self.run_impl(ExecBackend::Spawn, |id| pattern_payload(id, id, m))
+        self.run_impl(ExecBackend::Spawn, |id| {
+            PayloadSpec::Pattern.key_payload(id, m)
+        })
     }
 
     /// Like [`run`](Self::run) with caller-provided seed payloads:
@@ -242,20 +244,21 @@ impl CollectiveRuntime {
     }
 
     /// The service entry point: executes on a persistent [`WorkerPool`]
-    /// with caller-provided payloads, optionally recycling warm frame
+    /// seeding every data identity with the job's `payload` stream
+    /// ([`PayloadSpec::key_payload`]), optionally recycling warm frame
     /// pools through `bank` — the collective analogue of
     /// [`Runtime::run_pooled`](crate::Runtime::run_pooled).
     #[allow(clippy::type_complexity)]
-    pub fn run_pooled<F>(
+    pub fn run_pooled(
         &self,
         pool: &WorkerPool,
         bank: Option<&PoolBank>,
-        payload: F,
-    ) -> Result<(RuntimeReport, Vec<Vec<(u32, Bytes)>>), RuntimeError>
-    where
-        F: FnMut(u32) -> Bytes,
-    {
-        self.run_impl(ExecBackend::Pool(pool, bank), payload)
+        payload: PayloadSpec,
+    ) -> Result<(RuntimeReport, Vec<Vec<(u32, Bytes)>>), RuntimeError> {
+        let m = self.config.block_bytes;
+        self.run_impl(ExecBackend::Pool(pool, bank), |id| {
+            payload.key_payload(id, m)
+        })
     }
 
     #[allow(clippy::type_complexity)]
@@ -368,6 +371,7 @@ impl CollectiveRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::pattern_payload;
     use collective_plan::{JobOp, ReduceOp};
     use torus_topology::TorusShape;
 

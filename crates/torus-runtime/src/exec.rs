@@ -11,9 +11,11 @@
 //! # Execution model
 //!
 //! The `N` nodes are multiplexed onto `W` worker threads in contiguous
-//! chunks. Each worker *owns* its nodes' state outright — no locks on the
-//! hot path — and every node has an unbounded lock-free channel as its
-//! inbox. Each global step executes as:
+//! chunks. Each worker *owns* its nodes' state outright — node state is
+//! never behind a lock — and every node has an unbounded channel as its
+//! inbox (the vendored `crossbeam` channel: a mutex-guarded queue plus a
+//! condition variable, so a send or receive takes that inbox's lock once).
+//! Each global step executes as:
 //!
 //! 1. **assemble** — for every owned node scheduled to send, the source
 //!    [`emit`](StepSource::emit)s the step's blocks and the executor
@@ -740,7 +742,7 @@ fn worker_body<S: StepSource>(
                     if !no_faults {
                         // The frame retained for this node's recovery is
                         // resident memory too (the fault-free path
-                        // retains nothing and stays lock-free).
+                        // retains nothing and skips this lock).
                         resident += lk(&retained[base + li])
                             .as_ref()
                             .map_or(0, |f| f.len() as u64);

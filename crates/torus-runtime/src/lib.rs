@@ -8,14 +8,18 @@
 //! with real memory traffic, which is what the repository's "fast as the
 //! hardware allows" goal ultimately needs to measure:
 //!
-//! * every torus node's buffer is real [`bytes::Bytes`] data;
+//! * every torus node's buffer is real [`bytes::Bytes`] data, seeded
+//!   from deterministic per-pair streams ([`payload`]) with all of a
+//!   node's blocks written into one buffer;
 //! * nodes are multiplexed onto worker threads (one per available core
 //!   by default, configurable via [`RuntimeConfig::workers`] or the
 //!   `TORUS_THREADS` environment variable shared with `torus-sim`);
 //! * each step performs the paper's **message combining** for real: all
-//!   blocks a node forwards are assembled into one contiguous wire
-//!   message ([`message::encode_message`]), delivered over lock-free
-//!   channels, and sliced apart zero-copy on receipt;
+//!   blocks a node forwards go out as one wire frame — on the fault-free
+//!   path a gathered frame ([`message::encode_gathered`]) whose framing
+//!   is copied and whose payloads travel as shared handles — over
+//!   per-node channels (a mutex-guarded queue with a condition
+//!   variable), and are sliced apart zero-copy on receipt;
 //! * the paper's `n + 1` inter-phase **data rearrangements** put each
 //!   node's buffer into delivery order by moving block handles; payload
 //!   bytes are copied only under a fault plan, where the copy is what
@@ -89,7 +93,7 @@ pub use message::{
     crc32, decode_gathered, decode_message, encode_gathered, encode_message, WireError, WireFrame,
     BLOCK_HEADER_BYTES, MESSAGE_HEADER_BYTES,
 };
-pub use payload::{pattern_payload, pattern_seed, seeded_payload};
+pub use payload::{pattern_payload, pattern_seed, seeded_payload, PayloadSpec};
 pub use pool::{FramePool, PoolBank};
 pub use recovery::{FailureReason, NodeFailure, RecoveryStats, RetryPolicy};
 pub use report::{PhaseReport, RuntimeReport};

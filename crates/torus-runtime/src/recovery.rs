@@ -16,8 +16,9 @@
 //!    [`RuntimeError`](crate::RuntimeError) naming the faulty node,
 //!    phase, and step plus the partial report.
 //!
-//! Everything here is bookkeeping; the mechanics live in
-//! [`runtime`](crate::runtime).
+//! Everything here is bookkeeping; the mechanics (deadlines, NACK
+//! pulls, backoff, the abort flag) live in the crate's private executor
+//! module, `exec.rs`, shared by every front-end.
 
 use std::time::Duration;
 

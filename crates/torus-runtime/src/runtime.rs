@@ -6,9 +6,12 @@
 //! cancellation, measurement — lives once in the crate's executor module
 //! and is shared with the collective front-end.
 //!
-//! * **Seeding.** Every `(src, dst)` pair's payload comes from the
-//!   caller's closure (or [`pattern_payload`]) and is kept for the
-//!   post-run bit-exact comparison.
+//! * **Seeding.** One loop seeds every node's blocks, from one of two
+//!   producers: a [`PayloadSpec`], whose streams the payload kernel writes
+//!   into one buffer per node (each block a slice of it), or the caller's
+//!   closure, called once per `(src, dst)` pair. Either way each pair's
+//!   bytes are kept, in a table indexed by canonical `src · N + dst`, for
+//!   the post-run bit-exact comparison.
 //! * **Two step sources.** The base source selects each step's blocks by
 //!   the paper's per-phase rules ([`StepPlan::selects`]) and runs the
 //!   inter-phase **data rearrangement**: each node's blocks are sorted
@@ -27,9 +30,10 @@
 //! * **Verification.** Final buffers are checked with the same invariant
 //!   checker the analytic executors use ([`verify_delivery`], or its
 //!   survivor-only form for degraded runs) *plus* bit-exact payload
-//!   comparison against the seeded contents.
+//!   comparison against the seeded contents. Per-node delivery lists are
+//!   built only by the entry points that return them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,7 +53,7 @@ use crate::degrade::{DeadNode, DegradedReport, OnFailure};
 use crate::exec::{self, Boundary, ExecBackend, PhaseMeta, PhaseSide, ReportIdent, StepSource};
 use crate::fault::FaultPlan;
 use crate::message::{BLOCK_HEADER_BYTES, MESSAGE_HEADER_BYTES};
-use crate::payload::pattern_payload;
+use crate::payload::PayloadSpec;
 use crate::pool::PoolBank;
 use crate::recovery::{FailureReason, RetryPolicy};
 use crate::report::RuntimeReport;
@@ -168,6 +172,22 @@ struct DegradeCtx {
 
 /// A node's resident blocks — the state both all-to-all sources share.
 type NodeBuf = Vec<Block<Bytes>>;
+
+/// Per original node, the delivered `(source, payload)` pairs.
+type Deliveries = Vec<Vec<(NodeId, Bytes)>>;
+
+/// Where a run's payload bytes come from.
+enum Payloads<F> {
+    /// A built-in stream family: each node's blocks are written by the
+    /// payload kernel into one buffer.
+    Spec(PayloadSpec),
+    /// The caller's producer, called once per `(src, dst)` pair in
+    /// original ids; lengths may vary per pair.
+    Each(F),
+}
+
+/// [`Payloads`] for the entry points that take no closure.
+type SpecPayloads = Payloads<fn(NodeId, NodeId) -> Bytes>;
 
 /// Phase metadata plus the global-step → `(phase, step)` index for a
 /// phase list given as `(name, rearrange_after, per-step hops)`.
@@ -457,39 +477,29 @@ impl Runtime {
     /// [`block_bytes`](RuntimeConfig::block_bytes) each, and verifies
     /// delivery bit-exactly. This is the standard measurement entry point.
     pub fn run(&self) -> Result<RuntimeReport, RuntimeError> {
-        let m = self.config.block_bytes;
-        self.run_policy(
-            ExecBackend::Spawn,
-            &mut NullObserver,
-            |s, d| pattern_payload(s, d, m),
-            false,
-        )
-        .map(|(report, _)| report)
+        let payloads = SpecPayloads::Spec(PayloadSpec::Pattern);
+        self.run_policy(ExecBackend::Spawn, &mut NullObserver, payloads, false)
+            .map(|(report, _)| report)
     }
 
     /// The service entry point: executes on a persistent [`WorkerPool`]
-    /// with caller-provided payloads, optionally recycling warm frame
-    /// pools through `bank` so repeated jobs stay allocation-free.
-    /// Returns the report plus per-node deliveries like
+    /// with the job's `payload` streams of
+    /// [`block_bytes`](RuntimeConfig::block_bytes) each, optionally
+    /// recycling warm frame pools through `bank` so repeated jobs stay
+    /// allocation-free. Returns the report plus per-node deliveries like
     /// [`run_with_payloads`](Self::run_with_payloads). The configured
     /// [`OnFailure`] policy applies per-run: an abort or quarantine is
     /// confined to this run's state and never poisons the pool.
-    #[allow(clippy::type_complexity)]
-    pub fn run_pooled<F>(
+    pub fn run_pooled(
         &self,
         pool: &WorkerPool,
         bank: Option<&PoolBank>,
-        payload: F,
-    ) -> Result<(RuntimeReport, Vec<Vec<(NodeId, Bytes)>>), RuntimeError>
-    where
-        F: FnMut(NodeId, NodeId) -> Bytes,
-    {
-        self.run_policy(
-            ExecBackend::Pool(pool, bank),
-            &mut NullObserver,
-            payload,
-            false,
-        )
+        payload: PayloadSpec,
+    ) -> Result<(RuntimeReport, Deliveries), RuntimeError> {
+        let payloads = SpecPayloads::Spec(payload);
+        let backend = ExecBackend::Pool(pool, bank);
+        let (report, finals) = self.run_policy(backend, &mut NullObserver, payloads, false)?;
+        Ok((report, self.deliveries(&finals)?))
     }
 
     /// Runs one exchange carrying caller-provided payloads:
@@ -497,15 +507,17 @@ impl Runtime {
     /// bytes (lengths may vary per pair). Returns the report plus, for
     /// every original node, the delivered `(source, payload)` pairs
     /// sorted by source.
-    #[allow(clippy::type_complexity)]
     pub fn run_with_payloads<F>(
         &self,
         payload: F,
-    ) -> Result<(RuntimeReport, Vec<Vec<(NodeId, Bytes)>>), RuntimeError>
+    ) -> Result<(RuntimeReport, Deliveries), RuntimeError>
     where
         F: FnMut(NodeId, NodeId) -> Bytes,
     {
-        self.run_policy(ExecBackend::Spawn, &mut NullObserver, payload, false)
+        let payloads = Payloads::Each(payload);
+        let (report, finals) =
+            self.run_policy(ExecBackend::Spawn, &mut NullObserver, payloads, false)?;
+        Ok((report, self.deliveries(&finals)?))
     }
 
     /// Runs with pattern payloads and an [`Observer`] receiving per-step
@@ -515,32 +527,27 @@ impl Runtime {
         &self,
         observer: &mut O,
     ) -> Result<RuntimeReport, RuntimeError> {
-        let m = self.config.block_bytes;
-        self.run_policy(
-            ExecBackend::Spawn,
-            observer,
-            |s, d| pattern_payload(s, d, m),
-            true,
-        )
-        .map(|(report, _)| report)
+        let payloads = SpecPayloads::Spec(PayloadSpec::Pattern);
+        self.run_policy(ExecBackend::Spawn, observer, payloads, true)
+            .map(|(report, _)| report)
     }
 
-    /// Routes a run through the configured [`OnFailure`] policy.
-    #[allow(clippy::type_complexity)]
+    /// Routes a run through the configured [`OnFailure`] policy. Returns
+    /// the report and every canonical node's final, verified buffer.
     fn run_policy<F, O>(
         &self,
         backend: ExecBackend<'_>,
         observer: &mut O,
-        payload: F,
+        mut payloads: Payloads<F>,
         observe: bool,
-    ) -> Result<(RuntimeReport, Vec<Vec<(NodeId, Bytes)>>), RuntimeError>
+    ) -> Result<(RuntimeReport, Buffers<Bytes>), RuntimeError>
     where
         F: FnMut(NodeId, NodeId) -> Bytes,
         O: Observer<Bytes>,
     {
         match self.config.on_failure {
-            OnFailure::Abort => self.run_impl(backend, observer, payload, observe, None),
-            OnFailure::Degrade => self.run_degrade(backend, observer, payload, observe),
+            OnFailure::Abort => self.run_impl(backend, observer, &mut payloads, observe, None),
+            OnFailure::Degrade => self.run_degrade(backend, observer, &mut payloads, observe),
         }
     }
 
@@ -554,14 +561,13 @@ impl Runtime {
     /// driver quarantines it from the step it failed at, replans, and
     /// restarts from freshly seeded buffers. Each restart permanently
     /// removes one node, and the restart budget bounds the loop.
-    #[allow(clippy::type_complexity)]
     fn run_degrade<F, O>(
         &self,
         backend: ExecBackend<'_>,
         observer: &mut O,
-        mut payload: F,
+        payloads: &mut Payloads<F>,
         observe: bool,
-    ) -> Result<(RuntimeReport, Vec<Vec<(NodeId, Bytes)>>), RuntimeError>
+    ) -> Result<(RuntimeReport, Buffers<Bytes>), RuntimeError>
     where
         F: FnMut(NodeId, NodeId) -> Bytes,
         O: Observer<Bytes>,
@@ -586,7 +592,7 @@ impl Runtime {
         loop {
             let result = if quarantine.is_empty() {
                 // Nothing dead (yet): the base plan as-is.
-                self.run_impl(backend, observer, &mut payload, observe, None)
+                self.run_impl(backend, observer, payloads, observe, None)
             } else {
                 let repaired = Arc::new(RepairedSchedule::plan(
                     &self.plan,
@@ -611,7 +617,7 @@ impl Runtime {
                     dead_nodes,
                     restarts,
                 };
-                self.run_impl(backend, observer, &mut payload, observe, Some(&ctx))
+                self.run_impl(backend, observer, payloads, observe, Some(&ctx))
             };
             let (failure, report) = match result {
                 Err(RuntimeError::Aborted { failure, report }) => (failure, report),
@@ -642,25 +648,30 @@ impl Runtime {
         }
     }
 
-    #[allow(clippy::type_complexity)]
     fn run_impl<F, O>(
         &self,
         backend: ExecBackend<'_>,
         observer: &mut O,
-        mut payload: F,
+        payloads: &mut Payloads<F>,
         observe: bool,
         degrade: Option<&DegradeCtx>,
-    ) -> Result<(RuntimeReport, Vec<Vec<(NodeId, Bytes)>>), RuntimeError>
+    ) -> Result<(RuntimeReport, Buffers<Bytes>), RuntimeError>
     where
         F: FnMut(NodeId, NodeId) -> Bytes,
         O: Observer<Bytes>,
     {
         let exchange = self.prepared.exchange();
         let canon = self.plan.shape();
+        let n = canon.num_nodes() as usize;
 
         // Seed data-carrying buffers from the cached counting state; keep
-        // every pair's bytes for the post-run bit-exact comparison.
-        let mut expected_payloads: HashMap<(NodeId, NodeId), Bytes> = HashMap::new();
+        // every pair's bytes, at canonical `src * n + dst`, for the
+        // post-run bit-exact comparison.
+        let pair_slot = |src: NodeId, dst: NodeId| {
+            let (s, d) = (src as usize, dst as usize);
+            (s < n && d < n).then_some(s * n + d)
+        };
+        let mut expected_payloads: Vec<Option<Bytes>> = vec![None; n * n];
         let original = |node: NodeId| {
             exchange
                 .from_canonical(node)
@@ -670,12 +681,23 @@ impl Runtime {
                     step: 0,
                 })
         };
-        let mut node_bufs: Vec<NodeBuf> = Vec::with_capacity(canon.num_nodes() as usize);
+        let mut node_bufs: Vec<NodeBuf> = Vec::with_capacity(n);
+        let (mut pairs, mut scratch) = (Vec::new(), Vec::new());
         for blocks in self.prepared.seeded_blocks() {
-            let mut out = Vec::with_capacity(blocks.len());
+            pairs.clear();
             for b in blocks {
-                let bytes = payload(original(b.src)?, original(b.dst)?);
-                expected_payloads.insert((b.src, b.dst), bytes.clone());
+                pairs.push((original(b.src)?, original(b.dst)?));
+            }
+            let seeded: Vec<Bytes> = match payloads {
+                Payloads::Spec(spec) => {
+                    spec.payloads(&pairs, self.config.block_bytes, &mut scratch)
+                }
+                Payloads::Each(payload) => pairs.iter().map(|&(s, d)| payload(s, d)).collect(),
+            };
+            let mut out = Vec::with_capacity(blocks.len());
+            for (b, bytes) in blocks.iter().zip(seeded) {
+                let slot = pair_slot(b.src, b.dst).expect("seeded blocks name canonical nodes");
+                expected_payloads[slot] = Some(bytes.clone());
                 let mut nb = Block::with_payload(b.src, b.dst, bytes);
                 nb.shifts = b.shifts;
                 out.push(nb);
@@ -762,7 +784,7 @@ impl Runtime {
         }
         for node in 0..canon.num_nodes() {
             for b in buffers.node(node) {
-                match expected_payloads.get(&(b.src, b.dst)) {
+                match pair_slot(b.src, b.dst).and_then(|i| expected_payloads[i].as_ref()) {
                     Some(expected) if *expected == b.payload => {}
                     Some(_) => {
                         return Err(RuntimeError::Verification(format!(
@@ -791,9 +813,11 @@ impl Runtime {
                     .repaired
                     .base_tx
                     .iter()
-                    .map(|&((s, d), n)| {
-                        let len = expected_payloads.get(&(s, d)).map_or(0, Bytes::len) as u64;
-                        n * (BLOCK_HEADER_BYTES as u64 + len)
+                    .map(|&((s, d), crossings)| {
+                        let len = pair_slot(s, d)
+                            .and_then(|i| expected_payloads[i].as_ref())
+                            .map_or(0, Bytes::len) as u64;
+                        crossings * (BLOCK_HEADER_BYTES as u64 + len)
                     })
                     .sum::<u64>();
             report.degraded = Some(DegradedReport {
@@ -811,14 +835,21 @@ impl Runtime {
             });
         }
 
-        // Deliveries in original ids, sorted by source (same contract as
-        // `Exchange::run_with_payloads`). Quarantined nodes end with
-        // empty buffers, so their delivery lists are empty.
-        let mut deliveries: Vec<Vec<(NodeId, Bytes)>> = vec![Vec::new(); real_n as usize];
+        Ok((report, buffers))
+    }
+
+    /// Deliveries in original ids, sorted by source (same contract as
+    /// `Exchange::run_with_payloads`), from a run's verified final
+    /// buffers. Quarantined nodes end with empty buffers, so their
+    /// delivery lists are empty.
+    fn deliveries(&self, buffers: &Buffers<Bytes>) -> Result<Deliveries, RuntimeError> {
+        let exchange = self.prepared.exchange();
+        let real_n = exchange.shape_ref().num_nodes();
+        let mut deliveries: Deliveries = Vec::with_capacity(real_n as usize);
         for d in 0..real_n {
-            let cd = exchange.to_canonical(d);
-            let mut got: Vec<(NodeId, Bytes)> = Vec::with_capacity(buffers.node(cd).len());
-            for b in buffers.node(cd) {
+            let buf = buffers.node(exchange.to_canonical(d));
+            let mut got: Vec<(NodeId, Bytes)> = Vec::with_capacity(buf.len());
+            for b in buf {
                 let os = exchange
                     .from_canonical(b.src)
                     .ok_or(RuntimeError::UnmappedNode {
@@ -829,9 +860,9 @@ impl Runtime {
                 got.push((os, b.payload.clone()));
             }
             got.sort_by_key(|(s, _)| *s);
-            deliveries[d as usize] = got;
+            deliveries.push(got);
         }
-        Ok((report, deliveries))
+        Ok(deliveries)
     }
 }
 
@@ -839,6 +870,7 @@ impl Runtime {
 mod tests {
     use super::*;
     use crate::fault::WorkerFaultKind;
+    use crate::payload::pattern_payload;
     use std::time::Duration;
 
     fn runtime(dims: &[u32], config: RuntimeConfig) -> Runtime {

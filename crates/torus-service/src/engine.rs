@@ -9,15 +9,13 @@ use std::time::{Duration, Instant};
 
 use alltoall_core::PreparedExchange;
 use torus_runtime::{
-    CancelToken, CollectivePlan, CollectiveRuntime, FailureReason, JobOp, Runtime, RuntimeConfig,
-    RuntimeError, WorkerPool,
+    CancelToken, CollectivePlan, CollectiveRuntime, FailureReason, JobOp, PayloadSpec, Runtime,
+    RuntimeConfig, RuntimeError, WorkerPool,
 };
 use torus_topology::TorusShape;
 
 use crate::cache::{CachedPlan, Lookup, PlanCache, PlanKey, PlanVariant};
-use crate::job::{
-    EventHook, JobEvent, JobHandle, JobResult, JobState, JobStatus, PayloadSpec, SubmitError,
-};
+use crate::job::{EventHook, JobEvent, JobHandle, JobResult, JobState, JobStatus, SubmitError};
 use crate::stats::{ServiceStats, StatCells};
 use crate::tenant::{TenantCells, TenantQuota, TenantStats, TokenBucket, DEFAULT_TENANT};
 
@@ -1103,21 +1101,15 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         }
     };
 
-    let block_bytes = job.config.block_bytes;
-    let payload = job.payload;
     let run_config = job.config.clone().with_cancel_token(job.token.clone());
     let outcome = match &entry.variant {
         PlanVariant::Alltoall { prepared, plan } => {
             let runtime = Runtime::from_shared(Arc::clone(prepared), Arc::clone(plan), run_config);
-            runtime.run_pooled(&shared.pool, Some(&entry.bank), |s, d| {
-                payload.payload(s, d, block_bytes)
-            })
+            runtime.run_pooled(&shared.pool, Some(&entry.bank), job.payload)
         }
         PlanVariant::Collective { plan } => {
             CollectiveRuntime::from_plan(Arc::clone(plan), run_config).and_then(|runtime| {
-                runtime.run_pooled(&shared.pool, Some(&entry.bank), |id| {
-                    payload.key_payload(id, block_bytes)
-                })
+                runtime.run_pooled(&shared.pool, Some(&entry.bank), job.payload)
             })
         }
     };

@@ -6,42 +6,6 @@ use bytes::Bytes;
 use torus_runtime::RuntimeReport;
 use torus_topology::NodeId;
 
-/// What bytes a job's blocks carry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PayloadSpec {
-    /// The runtime's standard per-pair pattern
-    /// ([`torus_runtime::pattern_payload`]): every `(src, dst)` pair is
-    /// a distinct deterministic stream, shared by all jobs.
-    Pattern,
-    /// [`torus_runtime::seeded_payload`] re-keyed by `seed`: jobs with
-    /// different seeds exchange fully distinct byte streams, which makes
-    /// cross-job buffer aliasing detectable bit-exactly.
-    Seeded {
-        /// The job's payload seed.
-        seed: u64,
-    },
-}
-
-impl PayloadSpec {
-    /// The payload bytes for pair `(src, dst)` under this spec.
-    pub fn payload(&self, src: NodeId, dst: NodeId, len: usize) -> Bytes {
-        match self {
-            PayloadSpec::Pattern => torus_runtime::pattern_payload(src, dst, len),
-            PayloadSpec::Seeded { seed } => torus_runtime::seeded_payload(*seed, src, dst, len),
-        }
-    }
-
-    /// The payload bytes for a collective's data identity `id` (a
-    /// contributing node or a block key — see
-    /// [`CollectivePlan::seed_id`](torus_runtime::CollectivePlan::seed_id)):
-    /// the diagonal `(id, id)` stream of [`payload`](Self::payload), so
-    /// collective and all-to-all jobs draw from the same deterministic
-    /// generators.
-    pub fn key_payload(&self, id: u32, len: usize) -> Bytes {
-        self.payload(id, id, len)
-    }
-}
-
 /// Why [`Engine::submit`](crate::Engine::submit) refused a job.
 ///
 /// Overload rejections carry a `retry_after_ms` hint: the engine's best
@@ -292,16 +256,6 @@ impl JobHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn payload_specs_differ_and_are_deterministic() {
-        let a = PayloadSpec::Pattern.payload(1, 2, 32);
-        let b = PayloadSpec::Seeded { seed: 7 }.payload(1, 2, 32);
-        let c = PayloadSpec::Seeded { seed: 8 }.payload(1, 2, 32);
-        assert_ne!(a, b);
-        assert_ne!(b, c);
-        assert_eq!(b, PayloadSpec::Seeded { seed: 7 }.payload(1, 2, 32));
-    }
 
     #[test]
     fn handle_wait_returns_after_finish() {

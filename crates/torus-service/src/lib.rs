@@ -57,9 +57,10 @@ mod tenant;
 
 pub use cache::{CachedPlan, PlanCache, PlanKey, PlanVariant};
 pub use engine::{CancelOutcome, Engine, EngineConfig};
-pub use job::{EventHook, JobEvent, JobHandle, JobResult, JobStatus, PayloadSpec, SubmitError};
-// Collective vocabulary, re-exported so the daemon and clients need no
-// direct `torus-runtime` edge just to name an op.
+pub use job::{EventHook, JobEvent, JobHandle, JobResult, JobStatus, SubmitError};
 pub use stats::{Histogram, LatencyStats, ServiceStats, HISTOGRAM_BUCKETS};
 pub use tenant::{RateLimit, TenantQuota, TenantStats, DEFAULT_TENANT};
-pub use torus_runtime::{CollectiveOp, Dtype, JobOp, ReduceOp};
+// Job vocabulary owned by the runtime (ops and payload streams),
+// re-exported so the daemon and clients need no direct `torus-runtime`
+// edge just to describe a job.
+pub use torus_runtime::{CollectiveOp, Dtype, JobOp, PayloadSpec, ReduceOp};

@@ -11,7 +11,6 @@
 
 use bytes::Bytes;
 use torus_runtime::{CollectivePlan, JobOp};
-use torus_service::PayloadSpec;
 
 use crate::spec::JobSpec;
 
@@ -57,14 +56,7 @@ pub fn expected_checksum(spec: &JobSpec) -> u64 {
             let nn = spec.torus_shape().num_nodes();
             for dst in 0..nn {
                 for src in (0..nn).filter(|&s| s != dst) {
-                    let payload = match spec.payload {
-                        PayloadSpec::Pattern => {
-                            torus_runtime::pattern_payload(src, dst, spec.block_bytes)
-                        }
-                        PayloadSpec::Seeded { seed } => {
-                            torus_runtime::seeded_payload(seed, src, dst, spec.block_bytes)
-                        }
-                    };
+                    let payload = spec.payload.payload(src, dst, spec.block_bytes);
                     fold(&mut hash, &dst.to_le_bytes());
                     fold(&mut hash, &src.to_le_bytes());
                     fold(&mut hash, &payload);
@@ -99,6 +91,7 @@ pub fn to_hex(digest: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use torus_service::PayloadSpec;
 
     #[test]
     fn expected_matches_a_synthetic_delivery_set() {

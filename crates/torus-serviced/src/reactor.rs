@@ -620,31 +620,17 @@ fn dispatch(conn: &mut Conn, request: Request, shared: &Arc<DaemonShared>) {
             queue_event(&mut conn.wbuf, &reply);
         }
         Request::Drain => {
-            shared.draining.store(true, Ordering::SeqCst);
+            // The engine drain can take arbitrarily long; the single
+            // drain helper waits it out and wakes every reactor, which
+            // then delivers the `drained` reply to its own waiting
+            // connections.
+            shared.begin_drain();
             // Already drained: answer from the cached verdict.
             if let Some(event) = lk(&shared.drained_event).clone() {
                 queue_event(&mut conn.wbuf, &event);
                 return;
             }
             conn.await_drain = true;
-            // The engine drain can take arbitrarily long; a single
-            // helper thread (first drain request wins — repeated drains
-            // must not each add a thread) waits it out, publishes the
-            // final stats, and wakes every reactor so each delivers the
-            // `drained` reply to its own waiting connections.
-            if !shared.drain_helper_spawned.swap(true, Ordering::SeqCst) {
-                let shared = Arc::clone(shared);
-                std::thread::Builder::new()
-                    .name("serviced-drain".to_string())
-                    .spawn(move || {
-                        let stats = shared.engine.shutdown();
-                        *lk(&shared.drained_event) = Some(proto::drained(&stats));
-                        for reactor in lk(&shared.reactors).iter() {
-                            reactor.wake();
-                        }
-                    })
-                    .expect("spawn drain helper");
-            }
         }
         Request::Submit { spec } => handle_submit(conn, spec, shared),
     }

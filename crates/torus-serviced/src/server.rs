@@ -6,7 +6,8 @@
 //! ## Threading model
 //!
 //! * **Accept loop** (the thread calling [`Daemon::run`]): nonblocking
-//!   accept + short sleep, so it can poll the drain/SIGTERM flags.
+//!   accept + short sleep, so it can poll the drain/SIGTERM flags and
+//!   the published drain verdict.
 //!   Accepted connections are assigned round-robin to…
 //! * **A fixed pool of reactor threads** (`reactor_threads`, default
 //!   4): each drives all reads, request handling, job-status streaming,
@@ -14,13 +15,14 @@
 //!   `poll(2)`. Connection count and in-flight job count add *no*
 //!   threads — total daemon threads are O(reactor pool + engine
 //!   drivers + worker pool), plus the journal's single flusher.
-//! * **Transient drain helper**: the first `drain` request spawns one
+//! * **Transient drain helper**: the first drain trigger (`drain`
+//!   request, SIGTERM, or [`Daemon::request_drain`]) spawns one
 //!   short-lived helper thread that waits out the engine drain and
-//!   publishes the final stats, so the reactors keep serving every
-//!   other connection meanwhile. Repeated drains share that helper —
-//!   they park for the published verdict rather than each adding a
-//!   thread, keeping thread count a function of configuration, never
-//!   of client behavior.
+//!   publishes the final stats, so the reactors — and the accept loop —
+//!   keep serving meanwhile. Repeated drains share that helper — they
+//!   park for the published verdict rather than each adding a thread,
+//!   keeping thread count a function of configuration, never of client
+//!   behavior.
 //!
 //! ## Durability
 //!
@@ -38,9 +40,11 @@
 //! admission and lets every admitted job finish: the engine's own
 //! shutdown drains the queue, the reactors deliver each job's `done`,
 //! the drain caller gets the final aggregate stats, and [`Daemon::run`]
-//! returns them. New submissions during the drain are rejected with
-//! reason `"draining"`. Concurrent drains are safe — the engine's
-//! shutdown snapshot is taken exactly once.
+//! returns them. The accept loop keeps adopting connections until the
+//! engine has drained, so a client that connects mid-drain is answered
+//! rather than reset: its submissions are rejected with reason
+//! `"draining"`, its `drain` gets the final stats. Concurrent drains are
+//! safe — the engine's shutdown snapshot is taken exactly once.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind};
@@ -288,7 +292,8 @@ impl Registry {
 
 pub(crate) struct DaemonShared {
     pub(crate) engine: Engine,
-    /// Admission stopped (drain op or SIGTERM); accept loop exits.
+    /// Admission stopped (drain op or SIGTERM); the accept loop exits
+    /// once the drain helper publishes `drained_event`.
     pub(crate) draining: AtomicBool,
     /// Engine fully drained; reactors flush final events and exit.
     pub(crate) closed: AtomicBool,
@@ -314,6 +319,32 @@ pub(crate) struct DaemonShared {
     /// Every reactor's handle, so the drain helper can wake the whole
     /// pool when the verdict lands. Populated by [`Daemon::run`].
     pub(crate) reactors: Mutex<Vec<Arc<ReactorHandle>>>,
+}
+
+impl DaemonShared {
+    /// Stops admission and, on the first call, starts the single drain
+    /// helper: it waits out the engine drain, publishes the final
+    /// `drained` event, and wakes every reactor so each answers its own
+    /// waiting connections. Every drain trigger (the `drain` op, SIGTERM,
+    /// [`Daemon::request_drain`]) funnels through here, so however many
+    /// arrive the daemon grows by at most one thread.
+    pub(crate) fn begin_drain(self: &Arc<Self>) {
+        self.draining.store(true, Ordering::SeqCst);
+        if self.drain_helper_spawned.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let shared = Arc::clone(self);
+        std::thread::Builder::new()
+            .name("serviced-drain".to_string())
+            .spawn(move || {
+                let stats = shared.engine.shutdown();
+                *lk(&shared.drained_event) = Some(proto::drained(&stats));
+                for reactor in lk(&shared.reactors).iter() {
+                    reactor.wake();
+                }
+            })
+            .expect("spawn drain helper");
+    }
 }
 
 fn lk<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -485,10 +516,15 @@ impl Daemon {
         *lk(&self.shared.reactors) = reactors.clone();
         let mut next_conn_id = 0u64;
         loop {
-            if signal::triggered() {
-                self.shared.draining.store(true, Ordering::SeqCst);
+            if signal::triggered() || self.shared.draining.load(Ordering::SeqCst) {
+                self.shared.begin_drain();
             }
-            if self.shared.draining.load(Ordering::SeqCst) {
+            // Keep adopting connections until the engine has drained: a
+            // client that connected mid-drain is read and gets a typed
+            // reply (`draining` on submit, the verdict on `drain`)
+            // instead of a reset when the listener drops. The drain
+            // helper publishes `drained_event` once the engine is empty.
+            if lk(&self.shared.drained_event).is_some() {
                 break;
             }
             match self.listener.accept() {
@@ -503,10 +539,9 @@ impl Daemon {
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         }
-        // Idempotent: if a drain request already shut the engine down,
-        // this returns the same frozen snapshot. Every job is terminal
-        // once it returns, so the reactors' final passes deliver all
-        // remaining `done` events.
+        // The drain helper already shut the engine down, so this returns
+        // its frozen snapshot. Every job is terminal by now, so the
+        // reactors' final passes deliver all remaining `done` events.
         let stats = self.shared.engine.shutdown();
         self.shared.closed.store(true, Ordering::SeqCst);
         for handle in &reactors {

@@ -6,6 +6,8 @@
 //! the flag is process-global, so raising the signal here would drain
 //! every daemon these parallel tests are running.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use torus_service::{EngineConfig, TenantQuota};
@@ -238,6 +240,133 @@ fn drain_rejects_new_work_and_returns_consistent_final_stats() {
         service.get("jobs_accepted").unwrap().as_u64(),
         Some(final_stats.jobs_accepted)
     );
+}
+
+/// Connections opened while a drain is in flight are adopted and
+/// answered, never reset when the daemon closes its listener: a late
+/// client's submit gets the typed `draining` rejection and its `drain`
+/// the same final verdict as the first drainer.
+#[test]
+fn connections_opened_mid_drain_get_typed_replies() {
+    const LATE: usize = 8;
+    let config = DaemonConfig {
+        engine: EngineConfig::default().with_pool_size(2).with_drivers(1),
+        ..quick_config()
+    };
+    let (addr, daemon) = Daemon::spawn(config).unwrap();
+    let mut worker = Client::connect(addr).unwrap();
+    worker.hello("acme").unwrap();
+    // The holder stalls its run for 30 s, so the drain cannot finish
+    // until this test cancels it: every late client below connects while
+    // the drain is provably still in flight.
+    let holder = worker
+        .submit_raw(
+            torus_serviced::json::parse(
+                r#"{"shape":[4,4],"block_bytes":32,
+                    "fault":{"worker_stall":[0,0,30000000]},
+                    "retry":{"deadline_ms":60000,"max_retries":64,"backoff_us":200}}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+
+    // One write per client, so every request line is on the daemon's side
+    // of the socket by the time the first reply arrives. (Bytes a client
+    // has not yet sent when the daemon exits can never be answered.)
+    let send = |stream: &mut TcpStream, lines: &[&str]| {
+        stream
+            .write_all((lines.join("\n") + "\n").as_bytes())
+            .unwrap();
+    };
+    let read_event = |reader: &mut BufReader<TcpStream>| {
+        let mut line = String::new();
+        let n = reader
+            .read_line(&mut line)
+            .unwrap_or_else(|e| panic!("reading a reply: {e}"));
+        assert!(n > 0, "daemon closed the connection without replying");
+        torus_serviced::json::parse(line.trim_end()).unwrap()
+    };
+    let ev = |event: &Json| event.get("ev").and_then(Json::as_str).map(str::to_owned);
+    let completed = |event: &Json| {
+        event
+            .get("service")
+            .and_then(|s| s.get("jobs_completed"))
+            .and_then(Json::as_u64)
+    };
+
+    let mut first = TcpStream::connect(addr).unwrap();
+    send(&mut first, &[r#"{"op":"drain"}"#]);
+    // Admission has stopped once a submit is refused as `draining`; any
+    // submit that beat the drain is one more job queued behind the
+    // holder. The drain lands on another reactor, so those submits can
+    // fill the queue first: `queue_full` means admission is still open.
+    let mut seed = 0u64;
+    loop {
+        match worker.submit(&seeded_spec(seed)) {
+            Ok(_) => seed += 1,
+            Err(ClientError::Rejected { reason, .. }) if reason == "queue_full" => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(ClientError::Rejected { reason, .. }) => {
+                assert_eq!(reason, "draining");
+                break;
+            }
+            Err(other) => panic!("unexpected {other}"),
+        }
+    }
+
+    let submit = format!(
+        r#"{{"op":"submit","spec":{}}}"#,
+        seeded_spec(7).to_json().dump()
+    );
+    let mut late: Vec<BufReader<TcpStream>> = (0..LATE)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .unwrap();
+            send(
+                &mut stream,
+                &[
+                    r#"{"op":"hello","tenant":"late"}"#,
+                    &submit,
+                    r#"{"op":"drain"}"#,
+                ],
+            );
+            BufReader::new(stream)
+        })
+        .collect();
+    for (i, reader) in late.iter_mut().enumerate() {
+        assert_eq!(ev(&read_event(reader)).as_deref(), Some("hello_ok"));
+        let rejected = read_event(reader);
+        assert_eq!(
+            ev(&rejected).as_deref(),
+            Some("rejected"),
+            "late client {i}"
+        );
+        assert_eq!(
+            rejected.get("reason").and_then(Json::as_str),
+            Some("draining")
+        );
+    }
+
+    // Release the drain; every drainer, early or late, gets one verdict.
+    worker.cancel(holder).unwrap();
+    assert_eq!(worker.wait_done(holder).unwrap().state, "cancelled");
+    let mut first = BufReader::new(first);
+    let verdict = read_event(&mut first);
+    assert_eq!(ev(&verdict).as_deref(), Some("drained"));
+    assert_eq!(completed(&verdict), Some(seed), "every queued job ran");
+    for (i, reader) in late.iter_mut().enumerate() {
+        let drained = read_event(reader);
+        assert_eq!(ev(&drained).as_deref(), Some("drained"), "late client {i}");
+        assert_eq!(
+            completed(&drained),
+            Some(seed),
+            "late client {i} saw a different drain snapshot"
+        );
+    }
+    assert_eq!(daemon.join().unwrap().jobs_completed, seed);
 }
 
 #[test]
