@@ -8,7 +8,8 @@
 //! node plus schedule repair costs in wire bytes versus fault-free.
 //!
 //! Prints a table and exports the headline numbers of every case
-//! (per-phase walls, assembly/transport/rearrange split, wire bytes,
+//! (per-phase walls, the assembly/transport/rearrange split plus
+//! assembly's send and receive halves, wire bytes,
 //! peak residency, fault/recovery counters, and the clean run's
 //! `call_ms`: the whole `Runtime::run()` call, so seeding and
 //! verification have a gated number too) to
@@ -26,7 +27,8 @@
 use bench::{fnum, Table};
 use std::time::{Duration, Instant};
 use torus_runtime::{
-    FaultPlan, OnFailure, RetryPolicy, Runtime, RuntimeConfig, RuntimeReport, WorkerFaultKind,
+    FaultPlan, OnFailure, PhaseReport, RetryPolicy, Runtime, RuntimeConfig, RuntimeReport,
+    WorkerFaultKind,
 };
 use torus_serviced::json::Json;
 use torus_topology::TorusShape;
@@ -41,9 +43,14 @@ const DROP_SEED: u64 = 1998; // ICPP '98
 /// populated). `call` is the timed `run()` call, when it was timed.
 fn report_json(r: &RuntimeReport, call: Option<Duration>) -> Json {
     let call_ms = call.map(|c| ("call_ms", Json::num(c.as_secs_f64() * 1e3)));
+    let total_ms = |half: fn(&PhaseReport) -> Duration| {
+        Json::num(r.phases.iter().map(half).sum::<Duration>().as_secs_f64() * 1e3)
+    };
     Json::obj(call_ms.into_iter().chain([
         ("wall_ms", Json::num(r.wall.as_secs_f64() * 1e3)),
         ("assembly_ms", Json::num(r.assembly().as_secs_f64() * 1e3)),
+        ("assembly_send_ms", total_ms(|p| p.assembly_send)),
+        ("assembly_recv_ms", total_ms(|p| p.assembly_recv)),
         ("transport_ms", Json::num(r.transport().as_secs_f64() * 1e3)),
         ("rearrange_ms", Json::num(r.rearrange().as_secs_f64() * 1e3)),
         ("wire_bytes", Json::u64(r.wire_bytes)),
@@ -90,7 +97,8 @@ fn main() {
         (&[8, 8], 1024),
         (&[8, 12], 64),
         (&[4, 4, 4], 64),
-        (&[6, 6], 64), // padded path: executes as 8x8, real pairs only
+        (&[4, 4, 4], 1024), // the benchmark's lib_bulk exchange
+        (&[6, 6], 64),      // padded path: executes as 8x8, real pairs only
     ];
     for &(dims, m) in cases {
         let shape = TorusShape::new(dims).unwrap();

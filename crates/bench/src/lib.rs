@@ -128,22 +128,29 @@ pub fn export_json(name: &str, value: &torus_serviced::json::Json) -> Vec<std::p
 
 /// The two facts about the host a wall-time snapshot needs before its
 /// rows can be compared with another machine's: logical CPUs, and which
-/// wide CRC32 kernel `torus-runtime` runs here (it selects on the same
-/// two CPU features; `slice16` is its portable fallback).
+/// wide CRC32 kernel `torus-runtime` runs here. It selects on the same
+/// CPU features: `vpclmul512` (4x512-bit folding) needs `avx512f` +
+/// `vpclmulqdq` on top of `clmul`'s `pclmulqdq` + `sse4.1`; `slice16`
+/// is the portable fallback.
 pub fn host_json() -> [(&'static str, torus_serviced::json::Json); 2] {
     use torus_serviced::json::Json;
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     #[cfg(target_arch = "x86_64")]
-    let clmul = std::arch::is_x86_feature_detected!("pclmulqdq")
-        && std::arch::is_x86_feature_detected!("sse4.1");
+    let kernel = {
+        use std::arch::is_x86_feature_detected as has;
+        if !(has!("pclmulqdq") && has!("sse4.1")) {
+            "slice16"
+        } else if has!("avx512f") && has!("vpclmulqdq") {
+            "vpclmul512"
+        } else {
+            "clmul"
+        }
+    };
     #[cfg(not(target_arch = "x86_64"))]
-    let clmul = false;
+    let kernel = "slice16";
     [
         ("nproc", Json::u64(nproc as u64)),
-        (
-            "crc32_kernel",
-            Json::str(if clmul { "clmul" } else { "slice16" }),
-        ),
+        ("crc32_kernel", Json::str(kernel)),
     ]
 }
 

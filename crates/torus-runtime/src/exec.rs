@@ -159,7 +159,8 @@ struct StepSide {
 /// Per-worker, per-phase measurement.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct PhaseSide {
-    assembly: Duration,
+    assembly_send: Duration,
+    assembly_recv: Duration,
     transport: Duration,
     wire_bytes: u64,
     bytes_copied: u64,
@@ -649,7 +650,7 @@ fn worker_body<S: StepSource>(
                         WireFrame::Contiguous(bytes)
                     };
                     let assembled = Instant::now();
-                    pstats.assembly += assembled - t0;
+                    pstats.assembly_send += assembled - t0;
                     sstats.messages += 1;
                     sstats.blocks += outgoing.len() as u64;
                     sstats.max_blocks = sstats.max_blocks.max(outgoing.len() as u64);
@@ -710,7 +711,7 @@ fn worker_body<S: StepSource>(
                                 None => {}
                                 Some(Ok(())) => {
                                     source.absorb(state, &mut incoming);
-                                    pstats.assembly += received.elapsed();
+                                    pstats.assembly_recv += received.elapsed();
                                 }
                                 Some(Err(e)) => {
                                     match e {
@@ -734,7 +735,7 @@ fn worker_body<S: StepSource>(
                             pstats.transport += received - t0;
                             if let Some(mut blocks) = blocks {
                                 source.absorb(state, &mut blocks);
-                                pstats.assembly += received.elapsed();
+                                pstats.assembly_recv += received.elapsed();
                             }
                         }
                     }
@@ -1037,7 +1038,8 @@ pub(crate) fn execute<S: StepSource>(
         let mut rearr_max = 0u64;
         for w in &stats {
             let side = &w.phase[pi];
-            pr.assembly += side.assembly;
+            pr.assembly_send += side.assembly_send;
+            pr.assembly_recv += side.assembly_recv;
             pr.transport += side.transport;
             pr.rearrange += side.rearrange;
             pr.wire_bytes += side.wire_bytes;

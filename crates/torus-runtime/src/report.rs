@@ -4,8 +4,9 @@
 //! [`ExchangeReport`](alltoall_core::ExchangeReport): instead of modeled
 //! time it carries *measured* wall time, broken down the way the paper's
 //! cost analysis is — per phase, and within each phase into message
-//! assembly (the combining memcpys), transport (channel traffic), and the
-//! inter-phase data rearrangement. The analytic
+//! assembly (its send and receive halves: building and checksumming
+//! frames, verifying and taking them apart), transport (channel
+//! traffic), and the inter-phase data rearrangement. The analytic
 //! [`CompletionTime`](cost_model::CompletionTime) for the same shape and
 //! parameters rides along so model and measurement can be compared in one
 //! artifact, and the [`Trace`](torus_sim::Trace) slot feeds the existing
@@ -30,10 +31,14 @@ pub struct PhaseReport {
     pub steps: usize,
     /// Wall time of the whole phase, including its trailing rearrangement.
     pub wall: Duration,
-    /// Worker time spent assembling and disassembling combined messages
-    /// (block selection, framing, zero-copy splitting), summed over
+    /// Send half of assembly: worker time spent building combined
+    /// messages (block selection, framing, CRC stamp), summed over
     /// workers.
-    pub assembly: Duration,
+    pub assembly_send: Duration,
+    /// Receive half of assembly: worker time spent taking combined
+    /// messages apart (decode, CRC verify, absorbing the blocks), summed
+    /// over workers.
+    pub assembly_recv: Duration,
     /// Worker time spent on channel sends and receives, summed over
     /// workers.
     pub transport: Duration,
@@ -127,9 +132,13 @@ pub struct RuntimeReport {
 }
 
 impl RuntimeReport {
-    /// Total worker time spent assembling/disassembling messages.
+    /// Total worker time spent assembling/disassembling messages: both
+    /// halves, send and receive.
     pub fn assembly(&self) -> Duration {
-        self.phases.iter().map(|p| p.assembly).sum()
+        self.phases
+            .iter()
+            .map(|p| p.assembly_send + p.assembly_recv)
+            .sum()
     }
 
     /// Total worker time spent on channel transport.
@@ -182,13 +191,14 @@ impl RuntimeReport {
         for p in &self.phases {
             let _ = writeln!(
                 s,
-                "  {:<9} {:>2} steps  wall {:>9.3} ms  assembly {:>9.3} ms  \
-                 transport {:>9.3} ms  rearrange {:>9.3} ms  {:>12} wire B  {:>12} rearr B  \
-                 {:>10} copied B",
+                "  {:<9} {:>2} steps  wall {:>9.3} ms  assembly send {:>9.3} ms  \
+                 recv {:>9.3} ms  transport {:>9.3} ms  rearrange {:>9.3} ms  {:>12} wire B  \
+                 {:>12} rearr B  {:>10} copied B",
                 p.name,
                 p.steps,
                 p.wall.as_secs_f64() * 1e3,
-                p.assembly.as_secs_f64() * 1e3,
+                p.assembly_send.as_secs_f64() * 1e3,
+                p.assembly_recv.as_secs_f64() * 1e3,
                 p.transport.as_secs_f64() * 1e3,
                 p.rearrange.as_secs_f64() * 1e3,
                 p.wire_bytes,
@@ -253,7 +263,8 @@ mod tests {
                     name: "phase 1".into(),
                     steps: 1,
                     wall: Duration::from_micros(500),
-                    assembly: Duration::from_micros(200),
+                    assembly_send: Duration::from_micros(120),
+                    assembly_recv: Duration::from_micros(80),
                     transport: Duration::from_micros(100),
                     rearrange: Duration::from_micros(50),
                     wire_bytes: 4096,
@@ -266,7 +277,8 @@ mod tests {
                     name: "phase 2".into(),
                     steps: 1,
                     wall: Duration::from_micros(400),
-                    assembly: Duration::from_micros(150),
+                    assembly_send: Duration::from_micros(90),
+                    assembly_recv: Duration::from_micros(60),
                     transport: Duration::from_micros(80),
                     rearrange: Duration::default(),
                     wire_bytes: 2048,
@@ -311,6 +323,7 @@ mod tests {
         assert!(s.contains("peak node residency 8192 B"));
         assert!(s.contains("1536 copied"));
         assert!(s.contains("80 allocations"));
+        assert!(s.contains("assembly send     0.120 ms  recv     0.080 ms"));
     }
 
     #[test]

@@ -18,12 +18,31 @@ fn arb_blocks() -> impl Strategy<Value = Vec<Block<Bytes>>> {
     arb_blocks_with(0..40)
 }
 
-/// Block sets whose payloads straddle the CRC routine's 128-byte cutoff,
-/// so a gathered frame mixes byte-loop segments (headers, short
-/// payloads) with wide-kernel ones while its contiguous twin is one long
-/// wide-kernel segment.
+/// Block sets whose records straddle the CRC routine's 128-byte cutoff
+/// (a 20 B header plus 80..1100 B of payload), so a gathered frame mixes
+/// byte-loop records with wide-kernel ones, of every length mod 16 and
+/// on both sides of the 256 B a 512-bit round needs, while its
+/// contiguous twin is one long wide-kernel segment.
 fn arb_bulk_blocks() -> impl Strategy<Value = Vec<Block<Bytes>>> {
-    arb_blocks_with(100..400)
+    arb_blocks_with(80..1100)
+}
+
+/// Frames mixing the two block sizes the benchmarks run, 64 B (an 84 B
+/// record: byte loop) and 1 KiB (wide kernel), in any order.
+fn arb_mixed_blocks() -> impl Strategy<Value = Vec<Block<Bytes>>> {
+    prop::collection::vec(
+        (any::<u32>(), any::<u32>(), any::<bool>(), any::<u8>()),
+        0..12,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .map(|(src, dst, bulk, fill)| {
+                let len = if bulk { 1024 } else { 64 };
+                let payload: Vec<u8> = (0..len).map(|i| fill ^ (i as u8)).collect();
+                Block::with_payload(src, dst, Bytes::from(payload))
+            })
+            .collect()
+    })
 }
 
 fn arb_blocks_with(
@@ -47,6 +66,33 @@ fn arb_blocks_with(
             })
             .collect()
     })
+}
+
+/// The streamed (per-record) and the one-pass checksum take different
+/// kernels over the same canonical bytes; the stamped CRC field, and so
+/// the whole frame, must still be identical, both must verify, and the
+/// wide kernels must still see every byte.
+fn assert_same_crc_both_shapes(
+    seq: u32,
+    blocks: Vec<Block<Bytes>>,
+    pos: prop::sample::Index,
+) -> Result<(), TestCaseError> {
+    let contiguous = encode_message(seq, &blocks);
+    let gathered = encode_gathered(seq, &blocks, Default::default(), Vec::new());
+    prop_assert_eq!(gathered.to_bytes(), contiguous.clone());
+    prop_assert_eq!(
+        gathered.decode().expect("gathered frame verifies"),
+        (seq, blocks.clone())
+    );
+    prop_assert_eq!(
+        decode_message(&contiguous).expect("contiguous frame verifies"),
+        (seq, blocks)
+    );
+    let mut damaged = contiguous.to_vec();
+    let pos = pos.index(damaged.len());
+    damaged[pos] ^= 0x10;
+    prop_assert!(decode_message(&Bytes::from(damaged)).is_err());
+    Ok(())
 }
 
 proptest! {
@@ -94,19 +140,16 @@ proptest! {
         blocks in arb_bulk_blocks(),
         pos in any::<prop::sample::Index>(),
     ) {
-        // The streamed (per-segment) and the one-pass checksum take
-        // different kernels over the same canonical bytes; the stamped
-        // CRC field, and so the whole frame, must still be identical.
-        let contiguous = encode_message(seq, &blocks);
-        let gathered = encode_gathered(seq, &blocks, Default::default(), Vec::new());
-        prop_assert_eq!(gathered.to_bytes(), contiguous.clone());
-        prop_assert_eq!(gathered.decode().expect("gathered frame verifies"), (seq, blocks.clone()));
-        prop_assert_eq!(decode_message(&contiguous).expect("contiguous frame verifies"), (seq, blocks));
-        // And the wide kernel still sees every byte.
-        let mut damaged = contiguous.to_vec();
-        let pos = pos.index(damaged.len());
-        damaged[pos] ^= 0x10;
-        prop_assert!(decode_message(&Bytes::from(damaged)).is_err());
+        assert_same_crc_both_shapes(seq, blocks, pos)?;
+    }
+
+    #[test]
+    fn both_shapes_stamp_the_same_crc_on_mixed_block_sizes(
+        seq in any::<u32>(),
+        blocks in arb_mixed_blocks(),
+        pos in any::<prop::sample::Index>(),
+    ) {
+        assert_same_crc_both_shapes(seq, blocks, pos)?;
     }
 
     #[test]
