@@ -13,11 +13,13 @@
 //! pattern).
 
 use cost_model::{CommParams, CostCounts};
-use torus_topology::NodeId;
+use torus_sim::Engine;
 
+use crate::block::Buffers;
 use crate::exchange::Exchange;
-use crate::exec::{ExchangeError, Executor};
+use crate::exec::ExchangeError;
 use crate::observer::NullObserver;
+use crate::steps::StepPlan;
 
 /// Result of a variable-count exchange.
 #[derive(Clone, Debug)]
@@ -68,31 +70,24 @@ impl Exchange {
                 "send_counts must be {n}x{n}"
             )));
         }
-        let canon = self.executed_shape().clone();
-        let mut ex: Executor = Executor::new(&canon, *params, 1);
-        let canon_ids: Vec<NodeId> = (0..n).map(|id| self.to_canonical(id)).collect();
-        {
-            let mut pairs = Vec::new();
-            for s in 0..n as usize {
-                for d in 0..n as usize {
-                    if s == d {
-                        continue;
-                    }
-                    for _ in 0..send_counts[s][d] {
-                        pairs.push((canon_ids[s], canon_ids[d], ()));
-                    }
-                }
-            }
-            ex.seed_pairs(pairs);
-        }
-        ex.run(&mut NullObserver)?;
+        let canon = self.executed_shape();
+        let canon_ids = self.canonical_ids();
+        let pairs = (0..n as usize)
+            .flat_map(|s| (0..n as usize).map(move |d| (s, d)))
+            .filter(|(s, d)| s != d)
+            .flat_map(|(s, d)| {
+                std::iter::repeat_n((canon_ids[s], canon_ids[d], ()), send_counts[s][d] as usize)
+            });
+        let mut bufs = Buffers::seeded(canon, pairs);
+        let mut engine = Engine::new(canon, *params);
+        StepPlan::new(canon).execute(&mut bufs, &mut engine, &mut NullObserver)?;
 
         // Tally deliveries back in original ids.
         let mut received = vec![vec![0u64; n as usize]; n as usize];
         let mut misdelivered = false;
         for d in 0..n {
             let cd = canon_ids[d as usize];
-            for b in ex.buffers().node(cd) {
+            for b in bufs.node(cd) {
                 if b.dst != cd {
                     misdelivered = true;
                     continue;
@@ -105,14 +100,13 @@ impl Exchange {
         }
         // Virtual/foreign nodes must hold nothing.
         for c in 0..canon.num_nodes() {
-            if !canon_ids.contains(&c) && !ex.buffers().node(c).is_empty() {
+            if !canon_ids.contains(&c) && !bufs.node(c).is_empty() {
                 misdelivered = true;
             }
         }
         let verified = !misdelivered
             && (0..n as usize)
                 .all(|d| (0..n as usize).all(|s| s == d || received[d][s] == send_counts[s][d]));
-        let engine = ex.engine();
         Ok(AlltoallvReport {
             counts: engine.counts(),
             elapsed: engine.elapsed(),

@@ -12,7 +12,9 @@
 //! * `P = bytes::Bytes` — data-carrying mode, used by the examples to move
 //!   real application data and check byte-level correctness.
 
-use torus_topology::{Coord, NodeId, MAX_DIMS};
+use torus_topology::{Coord, GroupInfo, NodeId, TorusShape, MAX_DIMS};
+
+use crate::dirsched::DirectionSchedule;
 
 /// One message block in flight.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,6 +72,31 @@ impl<P: Clone> Buffers<P> {
         }
     }
 
+    /// Seeds buffers on the **canonical** `shape` from `(src, dst,
+    /// payload)` triples: each block starts at its source carrying the
+    /// shift vector the within-group phases consume. Self pairs are
+    /// skipped — the paper never transmits `B[i, i]`.
+    pub fn seeded<I>(shape: &TorusShape, pairs: I) -> Self
+    where
+        I: IntoIterator<Item = (NodeId, NodeId, P)>,
+    {
+        let sched = DirectionSchedule::new(shape);
+        let gi = GroupInfo::new(shape);
+        let coords: Vec<Coord> = shape.iter_coords().collect();
+        let dirs: Vec<_> = coords.iter().map(|c| sched.scatter_dirs(c)).collect();
+        let mut bufs = Self::empty(coords.len());
+        for (s, d, payload) in pairs {
+            if s == d {
+                continue;
+            }
+            let (sc, dc) = (&coords[s as usize], &coords[d as usize]);
+            let mut b = Block::with_payload(s, d, payload);
+            b.shifts = sched.shifts_along(&dirs[s as usize], sc, &gi.representative(sc, dc));
+            bufs.bufs[s as usize].push(b);
+        }
+        bufs
+    }
+
     /// Wraps pre-filled buffers.
     pub fn from_vecs(bufs: Vec<Vec<Block<P>>>) -> Self {
         Self { bufs }
@@ -120,11 +147,6 @@ impl<P: Clone> Buffers<P> {
         self.bufs[node as usize].extend(blocks);
     }
 
-    /// Raw access for parallel processing.
-    pub fn as_mut_slices(&mut self) -> &mut [Vec<Block<P>>] {
-        &mut self.bufs
-    }
-
     /// Raw shared access.
     pub fn as_slices(&self) -> &[Vec<Block<P>>] {
         &self.bufs
@@ -133,7 +155,7 @@ impl<P: Clone> Buffers<P> {
 
 /// Computes a coordinate-keyed destination description used in figure
 /// regeneration: which `4×…×4` submesh a block is heading to.
-pub fn destination_submesh(shape: &torus_topology::TorusShape, b: &Block<impl Clone>) -> Coord {
+pub fn destination_submesh(shape: &TorusShape, b: &Block<impl Clone>) -> Coord {
     shape.coord_of(b.dst).div_each(4)
 }
 
@@ -184,6 +206,18 @@ mod tests {
         assert_eq!(sent_dsts, vec![0, 2, 4, 6, 8]);
         let kept_dsts: Vec<u32> = bufs.node(0).iter().map(|b| b.dst).collect();
         assert_eq!(kept_dsts, vec![1, 3, 5, 7, 9]);
+    }
+
+    #[test]
+    fn seeded_blocks_start_at_their_source_with_shift_vectors() {
+        let shape = TorusShape::new_2d(8, 8).unwrap();
+        let far = shape.index_of(&Coord::new(&[4, 4]));
+        let bufs = Buffers::seeded(&shape, [(0, 0, 'a'), (0, far, 'b'), (far, 0, 'c')]);
+        assert_eq!(bufs.total_blocks(), 2, "the self pair is skipped");
+        let b = &bufs.node(0)[0];
+        assert_eq!((b.src, b.dst, b.payload), (0, far, 'b'));
+        assert!(!b.settled(), "a block for another group owes shifts");
+        assert_eq!(bufs.node(far)[0].payload, 'c');
     }
 
     #[test]

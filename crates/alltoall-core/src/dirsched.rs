@@ -118,8 +118,13 @@ impl DirectionSchedule {
     /// to the group representative `t(s, d)` along the phase's dimension
     /// and direction.
     pub fn shift_vector(&self, gi: &GroupInfo, s: &Coord, d: &Coord) -> [u8; MAX_DIMS] {
-        let t = gi.representative(s, d);
-        let dirs = self.scatter_dirs(s);
+        self.shifts_along(&self.scatter_dirs(s), s, &gi.representative(s, d))
+    }
+
+    /// [`shift_vector`](Self::shift_vector) from `s`'s precomputed
+    /// [`scatter_dirs`](Self::scatter_dirs) and the representative `t`
+    /// — what seeding calls once per block.
+    pub(crate) fn shifts_along(&self, dirs: &[Direction], s: &Coord, t: &Coord) -> [u8; MAX_DIMS] {
         let mut shifts = [0u8; MAX_DIMS];
         for (p, dir) in dirs.iter().enumerate() {
             let dim = dir.dim();

@@ -9,13 +9,20 @@
 //!   with virtual nodes (Section 6; see [`crate::virtualnodes`]).
 
 use cost_model::{CommParams, CompletionTime};
+use torus_sim::Engine;
 use torus_topology::{NodeId, TorusShape};
 
-use crate::exec::{ExchangeError, Executor};
+use crate::block::Buffers;
+use crate::exec::ExchangeError;
 use crate::observer::{NullObserver, Observer};
 use crate::report::ExchangeReport;
+use crate::steps::StepPlan;
 use crate::verify::verify_delivery;
 use crate::virtualnodes::Padding;
+
+/// The largest padded extent the schedule supports: a block's remaining
+/// 4-stride shifts per phase are `u8` counters.
+const MAX_PADDED_EXTENT: u32 = 1024;
 
 /// A configured all-to-all personalized exchange on one torus.
 #[derive(Clone, Debug)]
@@ -25,15 +32,14 @@ pub struct Exchange {
     /// Canonicalizing permutation of the padded shape's dimensions.
     perm: Vec<usize>,
     canon: TorusShape,
-    threads: usize,
 }
 
 impl Exchange {
     /// Prepares an exchange for `shape`.
     ///
-    /// Any extents are accepted (padding applies); at least two dimensions
-    /// are required — for a ring, model it as an `k × 4`-style 2D torus or
-    /// use a baseline algorithm.
+    /// Any extents up to 1024 after padding are accepted (padding applies);
+    /// at least two dimensions are required — for a ring, model it as an
+    /// `k × 4`-style 2D torus or use a baseline algorithm.
     pub fn new(shape: &TorusShape) -> Result<Self, ExchangeError> {
         if shape.ndims() < 2 {
             return Err(ExchangeError::BadShape(format!(
@@ -41,20 +47,23 @@ impl Exchange {
             )));
         }
         let padding = Padding::new(shape);
+        if let Some(&k) = padding
+            .padded()
+            .dims()
+            .iter()
+            .find(|&&k| k > MAX_PADDED_EXTENT)
+        {
+            return Err(ExchangeError::BadShape(format!(
+                "{shape} pads to an extent of {k}; at most {MAX_PADDED_EXTENT} is supported"
+            )));
+        }
         let (perm, canon) = padding.padded().canonical_permutation();
         Ok(Self {
             orig: shape.clone(),
             padding,
             perm,
             canon,
-            threads: 1,
         })
-    }
-
-    /// Sets the number of worker threads for buffer processing.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// The canonical shape that will actually be executed.
@@ -101,7 +110,7 @@ impl Exchange {
         params: &CommParams,
         observer: &mut O,
     ) -> Result<ExchangeReport, ExchangeError> {
-        let (report, _) = self.run_impl(params, observer, |_, _| ())?;
+        let (report, _, _) = self.run_impl(params, observer, |_, _| ())?;
         Ok(report)
     }
 
@@ -116,61 +125,14 @@ impl Exchange {
         payload: F,
     ) -> Result<(ExchangeReport, Vec<Vec<(NodeId, P)>>), ExchangeError>
     where
-        P: Clone + Send,
+        P: Clone,
         F: FnMut(NodeId, NodeId) -> P,
     {
-        self.run_impl(params, &mut NullObserver, payload)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn run_impl<P, F, O>(
-        &self,
-        params: &CommParams,
-        observer: &mut O,
-        mut payload: F,
-    ) -> Result<(ExchangeReport, Vec<Vec<(NodeId, P)>>), ExchangeError>
-    where
-        P: Clone + Send,
-        F: FnMut(NodeId, NodeId) -> P,
-        O: Observer<P>,
-    {
-        let mut ex: Executor<P> = Executor::new(&self.canon, *params, self.threads);
-
-        // Seed blocks for every real (src, dst) pair.
-        let real_n = self.orig.num_nodes();
-        let canon_ids: Vec<NodeId> = (0..real_n).map(|id| self.to_canonical(id)).collect();
-        {
-            let mut pairs =
-                Vec::with_capacity((real_n as usize).saturating_mul(real_n as usize - 1));
-            for s in 0..real_n {
-                for d in 0..real_n {
-                    if s != d {
-                        pairs.push((canon_ids[s as usize], canon_ids[d as usize], payload(s, d)));
-                    }
-                }
-            }
-            ex.seed_pairs(pairs);
-        }
-
-        ex.run(observer)?;
-
-        // Expected delivery per canonical node.
-        let mut expected: Vec<Vec<NodeId>> = vec![Vec::new(); self.canon.num_nodes() as usize];
-        for d in 0..real_n {
-            let cd = canon_ids[d as usize];
-            expected[cd as usize] = (0..real_n)
-                .filter(|&s| s != d)
-                .map(|s| canon_ids[s as usize])
-                .collect();
-        }
-        let verified = verify_delivery(ex.buffers(), &expected).is_ok();
-
+        let (report, bufs, canon_ids) = self.run_impl(params, &mut NullObserver, payload)?;
         // Collect payloads back in original ids.
-        let mut deliveries: Vec<Vec<(NodeId, P)>> = vec![Vec::new(); real_n as usize];
-        {
-            let bufs = ex.buffers();
-            for d in 0..real_n {
-                let cd = canon_ids[d as usize];
+        let deliveries = canon_ids
+            .iter()
+            .map(|&cd| {
                 let mut got: Vec<(NodeId, P)> = bufs
                     .node(cd)
                     .iter()
@@ -182,12 +144,65 @@ impl Exchange {
                     })
                     .collect();
                 got.sort_by_key(|(s, _)| *s);
-                deliveries[d as usize] = got;
-            }
-        }
+                got
+            })
+            .collect();
+        Ok((report, deliveries))
+    }
 
-        let engine = ex.engine();
-        let report = ExchangeReport {
+    /// Seeds one block per ordered pair of real nodes, walks the plan and
+    /// verifies delivery. Returns the report, the final buffers and the
+    /// real nodes' canonical ids.
+    fn run_impl<P, F, O>(
+        &self,
+        params: &CommParams,
+        observer: &mut O,
+        mut payload: F,
+    ) -> Result<(ExchangeReport, Buffers<P>, Vec<NodeId>), ExchangeError>
+    where
+        P: Clone,
+        F: FnMut(NodeId, NodeId) -> P,
+        O: Observer<P>,
+    {
+        let canon_ids = self.canonical_ids();
+        let real_n = canon_ids.len() as NodeId;
+        let pairs = (0..real_n)
+            .flat_map(|s| (0..real_n).map(move |d| (s, d)))
+            .filter(|(s, d)| s != d)
+            .map(|(s, d)| (canon_ids[s as usize], canon_ids[d as usize], payload(s, d)));
+        let mut bufs = Buffers::seeded(&self.canon, pairs);
+        let mut engine = Engine::new(&self.canon, *params);
+        StepPlan::new(&self.canon).execute(&mut bufs, &mut engine, observer)?;
+        verify_delivery(&bufs, &self.expected_delivery(&canon_ids))?;
+        Ok((self.report(params, &engine, true), bufs, canon_ids))
+    }
+
+    /// Canonical ids of the real nodes, indexed by original id.
+    pub(crate) fn canonical_ids(&self) -> Vec<NodeId> {
+        (0..self.orig.num_nodes())
+            .map(|id| self.to_canonical(id))
+            .collect()
+    }
+
+    /// The expected-delivery table (canonical ids): every real node must
+    /// end with one block from every other real node; virtual nodes with
+    /// nothing.
+    pub(crate) fn expected_delivery(&self, canon_ids: &[NodeId]) -> Vec<Vec<NodeId>> {
+        let mut expected: Vec<Vec<NodeId>> = vec![Vec::new(); self.canon.num_nodes() as usize];
+        for &cd in canon_ids {
+            expected[cd as usize] = canon_ids.iter().copied().filter(|&cs| cs != cd).collect();
+        }
+        expected
+    }
+
+    /// The report of a finished run, read off its engine.
+    pub(crate) fn report(
+        &self,
+        params: &CommParams,
+        engine: &Engine,
+        verified: bool,
+    ) -> ExchangeReport {
+        ExchangeReport {
             shape: self.orig.clone(),
             executed_shape: self.canon.clone(),
             padded: self.is_padded(),
@@ -197,12 +212,7 @@ impl Exchange {
             trace: engine.trace().clone(),
             verified,
             params: *params,
-        };
-        if !verified {
-            // Surface the precise reason.
-            verify_delivery(ex.buffers(), &expected)?;
         }
-        Ok((report, deliveries))
     }
 
     /// Predicted completion time from the Table 1 closed form for this
@@ -286,6 +296,35 @@ mod tests {
             Exchange::new(&TorusShape::new(&[16]).unwrap()),
             Err(ExchangeError::BadShape(_))
         ));
+    }
+
+    #[test]
+    fn padded_extents_above_1024_are_bad_shapes() {
+        for dims in [[1028, 4], [1025, 4], [4, 1025]] {
+            assert!(
+                matches!(
+                    Exchange::new(&TorusShape::new(&dims).unwrap()),
+                    Err(ExchangeError::BadShape(_))
+                ),
+                "{dims:?}"
+            );
+        }
+        let e = Exchange::new(&TorusShape::new(&[1024, 4]).unwrap()).unwrap();
+        assert_eq!(e.executed_shape().dims(), &[1024, 4]);
+    }
+
+    #[test]
+    fn every_4_8_shape_up_to_512_nodes_matches_table1() {
+        for shape in crate::schedule::shapes_4_8() {
+            if shape.num_nodes() > 512 {
+                continue;
+            }
+            let r = Exchange::new(&shape)
+                .unwrap()
+                .run_counting(&CommParams::unit())
+                .unwrap();
+            assert!(r.verified && r.matches_formula(), "{shape}: {:?}", r.counts);
+        }
     }
 
     #[test]

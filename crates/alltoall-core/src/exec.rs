@@ -1,20 +1,9 @@
-//! The schedule executor: runs the `n + 2` phases on the simulator.
+//! Errors from running an exchange.
 //!
-//! The executor owns per-node buffers and an [`Engine`]; every step it
-//! computes, for each node, which blocks move (from the paper's selection
-//! rules), submits the resulting transmissions to the engine — which
-//! *rejects* the step if it is not contention-free — and then applies the
-//! movement. Cost accounting therefore reflects exactly what a real
-//! machine obeying the Section 2 model would do.
+//! The exchange itself is one walk over the plan:
+//! [`StepPlan::execute`](crate::steps::StepPlan::execute).
 
-use cost_model::CommParams;
-use crossbeam::thread as cb_thread;
-use torus_sim::{Engine, SimError, Transmission};
-use torus_topology::{Coord, Direction, GroupInfo, NodeId, TorusShape};
-
-use crate::block::{Block, Buffers};
-use crate::dirsched::DirectionSchedule;
-use crate::observer::{Observer, PhaseKind};
+use torus_sim::SimError;
 
 /// Errors from executing an exchange.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,439 +34,5 @@ impl std::error::Error for ExchangeError {}
 impl From<SimError> for ExchangeError {
     fn from(e: SimError) -> Self {
         ExchangeError::Sim(e)
-    }
-}
-
-/// Executes the proposed algorithm on a canonical torus shape.
-///
-/// Generic over block payloads `P`: `()` for counting runs, any
-/// `Clone + Send` type (e.g. `bytes::Bytes`) for data-carrying runs.
-pub struct Executor<P = ()> {
-    shape: TorusShape,
-    sched: DirectionSchedule,
-    gi: GroupInfo,
-    engine: Engine,
-    buffers: Buffers<P>,
-    threads: usize,
-    /// Cached per-node phase directions, indexed by node id.
-    dirs: Vec<Vec<Direction>>,
-    /// Cached per-node dimension order for the distance-2 phase.
-    sm_order: Vec<Vec<usize>>,
-    /// Cached node coordinates.
-    coords: Vec<Coord>,
-}
-
-impl<P: Clone + Send> Executor<P> {
-    /// Creates an executor for a **canonical** shape (extents
-    /// non-increasing, all multiples of four, `n ≥ 2`). Buffers start
-    /// empty; seed them with [`seed_full`](Self::seed_full) or
-    /// [`seed_pairs`](Self::seed_pairs).
-    pub fn new(shape: &TorusShape, params: CommParams, threads: usize) -> Self {
-        let sched = DirectionSchedule::new(shape);
-        let gi = GroupInfo::new(shape);
-        let n = shape.num_nodes() as usize;
-        let coords: Vec<Coord> = shape.iter_coords().collect();
-        let dirs: Vec<Vec<Direction>> = coords.iter().map(|c| sched.scatter_dirs(c)).collect();
-        let sm_order: Vec<Vec<usize>> = coords.iter().map(|c| sched.submesh_dim_order(c)).collect();
-        Self {
-            engine: Engine::new(shape, params),
-            buffers: Buffers::empty(n),
-            shape: shape.clone(),
-            sched,
-            gi,
-            threads: threads.max(1),
-            dirs,
-            sm_order,
-            coords,
-        }
-    }
-
-    /// Seeds every node with one block for every node (including itself;
-    /// the self-block never moves and is excluded from buffers — the paper
-    /// likewise never transmits `B[i, i]`). `payload(src, dst)` produces
-    /// block payloads.
-    pub fn seed_full<F>(&mut self, mut payload: F)
-    where
-        F: FnMut(NodeId, NodeId) -> P,
-    {
-        let n = self.shape.num_nodes();
-        for s in 0..n {
-            let mut blocks = Vec::with_capacity(n as usize - 1);
-            for d in 0..n {
-                if d == s {
-                    continue;
-                }
-                blocks.push(self.make_block(s, d, payload(s, d)));
-            }
-            self.buffers.deliver(s, blocks);
-        }
-    }
-
-    /// Seeds an explicit set of `(src, dst, payload)` triples — used by
-    /// virtual-node padding, where only real pairs exist.
-    pub fn seed_pairs<I>(&mut self, pairs: I)
-    where
-        I: IntoIterator<Item = (NodeId, NodeId, P)>,
-    {
-        for (s, d, p) in pairs {
-            if s == d {
-                continue;
-            }
-            let b = self.make_block(s, d, p);
-            self.buffers.node_mut(s).push(b);
-        }
-    }
-
-    fn make_block(&self, s: NodeId, d: NodeId, payload: P) -> Block<P> {
-        let sc = self.coords[s as usize];
-        let dc = self.coords[d as usize];
-        let mut b = Block::with_payload(s, d, payload);
-        b.shifts = self.sched.shift_vector(&self.gi, &sc, &dc);
-        b
-    }
-
-    /// Runs all `n + 2` phases. Returns the simulator error if any step is
-    /// rejected. Does **not** verify delivery — see
-    /// [`verify`](crate::verify).
-    pub fn run<O: Observer<P>>(&mut self, observer: &mut O) -> Result<(), ExchangeError> {
-        observer.on_start(&self.buffers);
-        let n = self.shape.ndims();
-        let steps = self.sched.steps_per_scatter_phase();
-        // Rearrangement passes touch the node's whole N-entry data array —
-        // including the resident self-block B[i,i] — per Section 3.3.
-        let blocks_per_node = self.shape.num_nodes() as u64;
-
-        // Phases 1..n: within-group ring scatters.
-        for p in 0..n {
-            let kind = PhaseKind::Scatter { index: p };
-            self.engine.begin_phase(&format!("phase {}", p + 1));
-            for step in 1..=steps {
-                self.scatter_step(p)?;
-                observer.on_step(kind, step as usize, &self.buffers);
-            }
-            // Rearrangement between phases (paper: n+1 rearrangements for
-            // n+2 phases — one after every phase but the last).
-            self.engine.rearrange(blocks_per_node);
-            observer.on_rearrange(kind, &self.buffers);
-        }
-
-        // Phase n+1: distance-2 exchanges within 4×…×4 submeshes.
-        self.engine.begin_phase(&format!("phase {}", n + 1));
-        for j in 0..n {
-            self.distance2_step(j)?;
-            observer.on_step(PhaseKind::Distance2, j + 1, &self.buffers);
-        }
-        self.engine.rearrange(blocks_per_node);
-        observer.on_rearrange(PhaseKind::Distance2, &self.buffers);
-
-        // Phase n+2: distance-1 exchanges within 2×…×2 submeshes.
-        self.engine.begin_phase(&format!("phase {}", n + 2));
-        for j in 0..n {
-            self.distance1_step(j)?;
-            observer.on_step(PhaseKind::Distance1, j + 1, &self.buffers);
-        }
-        Ok(())
-    }
-
-    /// One step of within-group phase `p` (0-based): every node forwards
-    /// all blocks that still need shifts along the phase's dimension to
-    /// the fixed next node 4 hops away.
-    fn scatter_step(&mut self, p: usize) -> Result<(), ExchangeError> {
-        let sent = partition_parallel(
-            self.buffers.as_mut_slices(),
-            self.threads,
-            |_node, b| b.shifts[p] > 0,
-            Some(p),
-        );
-        let mut txs = Vec::new();
-        let mut deliveries: Vec<(NodeId, Vec<Block<P>>)> = Vec::new();
-        for (u, blocks) in sent.into_iter().enumerate() {
-            if blocks.is_empty() {
-                continue; // idle node (shorter dimension already finished)
-            }
-            let dir = self.dirs[u][p];
-            let from = self.coords[u];
-            let tx = Transmission::along_ring(&self.shape, &from, dir, 4, blocks.len() as u64);
-            deliveries.push((tx.dst, blocks));
-            txs.push(tx);
-        }
-        self.engine.execute_step(&txs)?;
-        for (dst, blocks) in deliveries {
-            self.buffers.deliver(dst, blocks);
-        }
-        Ok(())
-    }
-
-    /// Step `j` of the distance-2 phase: each node exchanges, with its
-    /// partner two hops away along its `j`-th submesh dimension, the
-    /// blocks whose destination lies in the partner's half of the submesh.
-    fn distance2_step(&mut self, j: usize) -> Result<(), ExchangeError> {
-        let coords = &self.coords;
-        let orders = &self.sm_order;
-        let sent = partition_parallel(
-            self.buffers.as_mut_slices(),
-            self.threads,
-            |node: usize, b: &Block<P>| {
-                let delta = orders[node][j];
-                let u = coords[node][delta] % 4;
-                let d = coords[b.dst as usize][delta] % 4;
-                u / 2 != d / 2
-            },
-            None,
-        );
-        let mut txs = Vec::new();
-        let mut deliveries = Vec::new();
-        for (u, blocks) in sent.into_iter().enumerate() {
-            if blocks.is_empty() {
-                continue;
-            }
-            let delta = self.sm_order[u][j];
-            let from = self.coords[u];
-            let sign = DirectionSchedule::distance2_sign(&from, delta);
-            let tx = Transmission::along_ring(
-                &self.shape,
-                &from,
-                Direction::new(delta, sign),
-                2,
-                blocks.len() as u64,
-            );
-            deliveries.push((tx.dst, blocks));
-            txs.push(tx);
-        }
-        self.engine.execute_step(&txs)?;
-        for (dst, blocks) in deliveries {
-            self.buffers.deliver(dst, blocks);
-        }
-        Ok(())
-    }
-
-    /// Step `j` of the distance-1 phase: neighbor exchange along canonical
-    /// dimension `j` within each `2×…×2` submesh.
-    fn distance1_step(&mut self, j: usize) -> Result<(), ExchangeError> {
-        let coords = &self.coords;
-        let sent = partition_parallel(
-            self.buffers.as_mut_slices(),
-            self.threads,
-            |node: usize, b: &Block<P>| coords[node][j] % 2 != coords[b.dst as usize][j] % 2,
-            None,
-        );
-        let mut txs = Vec::new();
-        let mut deliveries = Vec::new();
-        for (u, blocks) in sent.into_iter().enumerate() {
-            if blocks.is_empty() {
-                continue;
-            }
-            let from = self.coords[u];
-            let sign = DirectionSchedule::distance1_sign(&from, j);
-            let tx = Transmission::along_ring(
-                &self.shape,
-                &from,
-                Direction::new(j, sign),
-                1,
-                blocks.len() as u64,
-            );
-            deliveries.push((tx.dst, blocks));
-            txs.push(tx);
-        }
-        self.engine.execute_step(&txs)?;
-        for (dst, blocks) in deliveries {
-            self.buffers.deliver(dst, blocks);
-        }
-        Ok(())
-    }
-
-    /// The engine (for cost counts, elapsed time, and trace).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// The per-node buffers (final state after [`run`](Self::run)).
-    pub fn buffers(&self) -> &Buffers<P> {
-        &self.buffers
-    }
-
-    /// Mutable buffer access — used to install a cached pre-seeded state
-    /// (see [`crate::prepared`]). The caller is responsible for seeding a
-    /// consistent state (correct shift vectors for this shape).
-    pub fn buffers_mut(&mut self) -> &mut Buffers<P> {
-        &mut self.buffers
-    }
-
-    /// Consumes the executor, returning buffers and engine.
-    pub fn into_parts(self) -> (Buffers<P>, Engine) {
-        (self.buffers, self.engine)
-    }
-
-    /// The canonical shape being executed.
-    pub fn shape(&self) -> &TorusShape {
-        &self.shape
-    }
-
-    /// The group decomposition in use.
-    pub fn group_info(&self) -> &GroupInfo {
-        &self.gi
-    }
-}
-
-/// Removes, from every node's buffer in parallel, the blocks selected by
-/// `sel(node, block)` and returns them per node (index-aligned with
-/// `bufs`). If `decrement_shift` is `Some(p)`, each removed block's
-/// phase-`p` shift counter is decremented — it is about to travel one
-/// 4-hop stride.
-fn partition_parallel<P, F>(
-    bufs: &mut [Vec<Block<P>>],
-    threads: usize,
-    sel: F,
-    decrement_shift: Option<usize>,
-) -> Vec<Vec<Block<P>>>
-where
-    P: Clone + Send,
-    F: Fn(usize, &Block<P>) -> bool + Sync,
-{
-    let n = bufs.len();
-    let mut out: Vec<Vec<Block<P>>> = (0..n).map(|_| Vec::new()).collect();
-    let process = |base: usize, bchunk: &mut [Vec<Block<P>>], ochunk: &mut [Vec<Block<P>>]| {
-        for (i, (buf, o)) in bchunk.iter_mut().zip(ochunk.iter_mut()).enumerate() {
-            let node = base + i;
-            let mut kept = Vec::with_capacity(buf.len());
-            for mut b in buf.drain(..) {
-                if sel(node, &b) {
-                    if let Some(p) = decrement_shift {
-                        debug_assert!(b.shifts[p] > 0);
-                        b.shifts[p] -= 1;
-                    }
-                    o.push(b);
-                } else {
-                    kept.push(b);
-                }
-            }
-            *buf = kept;
-        }
-    };
-    const PAR_THRESHOLD: usize = 64;
-    if threads <= 1 || n < PAR_THRESHOLD {
-        process(0, bufs, &mut out);
-    } else {
-        let chunk = n.div_ceil(threads);
-        cb_thread::scope(|s| {
-            for (ti, (bchunk, ochunk)) in bufs
-                .chunks_mut(chunk)
-                .zip(out.chunks_mut(chunk))
-                .enumerate()
-            {
-                let process = &process;
-                s.spawn(move |_| process(ti * chunk, bchunk, ochunk));
-            }
-        })
-        .expect("partition worker panicked");
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::observer::NullObserver;
-    use crate::verify::verify_full_exchange;
-
-    fn run_counting(dims: &[u32]) -> Executor {
-        let shape = TorusShape::new(dims).unwrap();
-        let mut ex: Executor = Executor::new(&shape, CommParams::unit(), 1);
-        ex.seed_full(|_, _| ());
-        ex.run(&mut NullObserver)
-            .expect("schedule must be contention-free");
-        ex
-    }
-
-    #[test]
-    fn exchange_8x8_completes_and_verifies() {
-        let ex = run_counting(&[8, 8]);
-        verify_full_exchange(ex.shape(), ex.buffers()).unwrap();
-    }
-
-    #[test]
-    fn exchange_12x12_counts_match_table1() {
-        let ex = run_counting(&[12, 12]);
-        verify_full_exchange(ex.shape(), ex.buffers()).unwrap();
-        let counts = ex.engine().counts();
-        let formula = cost_model::proposed_2d(12, 12);
-        assert_eq!(counts.startup_steps, formula.startup_steps);
-        assert_eq!(counts.rearr_steps, formula.rearr_steps);
-        assert_eq!(counts.prop_hops, formula.prop_hops);
-        // The self-block (never transmitted) sits in the never-sent region
-        // of every phase, so the measured critical volume equals the
-        // closed form exactly.
-        assert_eq!(counts.trans_blocks, formula.trans_blocks);
-    }
-
-    #[test]
-    fn exchange_rectangular_8x12() {
-        // R != C: phases keyed to the larger dim, shorter-dim nodes idle.
-        let ex = run_counting(&[12, 8]);
-        verify_full_exchange(ex.shape(), ex.buffers()).unwrap();
-        assert_eq!(ex.engine().counts().startup_steps, (12 / 2 + 2) as u64);
-    }
-
-    #[test]
-    fn exchange_3d_8cubed() {
-        let ex = run_counting(&[8, 8, 8]);
-        verify_full_exchange(ex.shape(), ex.buffers()).unwrap();
-        let counts = ex.engine().counts();
-        let formula = cost_model::proposed_nd(&[8, 8, 8]);
-        assert_eq!(counts.startup_steps, formula.startup_steps);
-        assert_eq!(counts.prop_hops, formula.prop_hops);
-        assert_eq!(counts.rearr_steps, formula.rearr_steps);
-    }
-
-    #[test]
-    fn exchange_4d_4x4x4x4() {
-        // a1 = 4: scatter phases have zero steps; the submesh phases do
-        // all the work (the formula still holds: n(a1/4+1) = 2n steps).
-        let ex = run_counting(&[4, 4, 4, 4]);
-        verify_full_exchange(ex.shape(), ex.buffers()).unwrap();
-        assert_eq!(ex.engine().counts().startup_steps, 8);
-    }
-
-    #[test]
-    fn payload_blocks_arrive_intact() {
-        let shape = TorusShape::new(&[8, 8]).unwrap();
-        let mut ex: Executor<Vec<u8>> = Executor::new(&shape, CommParams::unit(), 1);
-        ex.seed_full(|s, d| vec![(s % 251) as u8, (d % 251) as u8]);
-        ex.run(&mut NullObserver).unwrap();
-        for node in 0..shape.num_nodes() {
-            for b in ex.buffers().node(node) {
-                assert_eq!(b.dst, node);
-                assert_eq!(b.payload, vec![(b.src % 251) as u8, (node % 251) as u8]);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_threads_give_identical_results() {
-        let shape = TorusShape::new(&[12, 12]).unwrap();
-        let mk = |threads| {
-            let mut ex: Executor = Executor::new(&shape, CommParams::unit(), threads);
-            ex.seed_full(|_, _| ());
-            ex.run(&mut NullObserver).unwrap();
-            ex.engine().counts()
-        };
-        assert_eq!(mk(1), mk(4));
-    }
-
-    #[test]
-    fn block_conservation_every_step() {
-        struct Conserve {
-            expect: u64,
-        }
-        impl Observer<()> for Conserve {
-            fn on_step(&mut self, _: PhaseKind, _: usize, bufs: &Buffers<()>) {
-                assert_eq!(bufs.total_blocks(), self.expect);
-            }
-        }
-        let shape = TorusShape::new(&[8, 8]).unwrap();
-        let mut ex: Executor = Executor::new(&shape, CommParams::unit(), 1);
-        ex.seed_full(|_, _| ());
-        let total = ex.buffers().total_blocks();
-        ex.run(&mut Conserve { expect: total }).unwrap();
     }
 }

@@ -20,8 +20,9 @@
 //!
 //! The implementation is organized so the paper's claims are *checked*, not
 //! assumed: schedules are executed on the contention-verifying simulator
-//! from `torus-sim`, and the executor's cost counts are compared against
-//! the closed forms of `cost-model` in the test suites.
+//! from `torus-sim` by one walk over the plan
+//! ([`steps::StepPlan::execute`]), and its cost counts are compared
+//! against the closed forms of `cost-model` in the test suites.
 //!
 //! Entry point: [`exchange::Exchange`].
 //!
@@ -60,7 +61,7 @@ pub use alltoallv::AlltoallvReport;
 pub use block::Block;
 pub use dirsched::DirectionSchedule;
 pub use exchange::Exchange;
-pub use exec::{ExchangeError, Executor};
+pub use exec::ExchangeError;
 pub use observer::{NullObserver, Observer, PhaseKind};
 pub use prepared::PreparedExchange;
 pub use repair::{

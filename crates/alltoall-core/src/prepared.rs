@@ -11,19 +11,21 @@
 //! seeded counting-mode buffer state (every block with its precomputed
 //! shift vector) and the expected-delivery table. Each
 //! [`run`](PreparedExchange::run) then starts from a memcpy of the cached
-//! state instead of re-deriving it. The `prepared` Criterion bench
-//! measures the saving.
+//! state instead of re-deriving it. The `buffer-caching` group of the
+//! `executor` Criterion bench measures the saving.
 
 use std::sync::{Arc, OnceLock};
 
 use cost_model::CommParams;
+use torus_sim::Engine;
 use torus_topology::{NodeId, TorusShape};
 
 use crate::block::{Block, Buffers};
 use crate::exchange::Exchange;
-use crate::exec::{ExchangeError, Executor};
+use crate::exec::ExchangeError;
 use crate::observer::NullObserver;
 use crate::report::ExchangeReport;
+use crate::steps::StepPlan;
 use crate::verify::verify_delivery;
 
 /// A reusable, pre-seeded exchange plan for one torus shape.
@@ -42,79 +44,42 @@ use crate::verify::verify_delivery;
 pub struct PreparedExchange {
     exchange: Exchange,
     /// Cached fully-seeded counting-mode buffers (canonical ids).
-    seeded: Vec<Vec<Block<()>>>,
+    seeded: Buffers<()>,
     /// Cached expected-delivery table for verification.
     expected: Vec<Vec<NodeId>>,
-    threads: usize,
     /// Lazily materialized step plan, shared by reference-count so many
     /// concurrent runtimes (e.g. a service's job executors) reuse one
     /// plan without recomputation. See [`step_plan_arc`](Self::step_plan_arc).
-    plan: OnceLock<Arc<crate::steps::StepPlan>>,
+    plan: OnceLock<Arc<StepPlan>>,
 }
 
 impl PreparedExchange {
     /// Prepares an exchange on `shape`: computes the canonical mapping,
     /// every block's shift vector, and the verification table, once.
     pub fn new(shape: &TorusShape) -> Result<Self, ExchangeError> {
-        Self::with_threads(shape, 1)
-    }
-
-    /// Like [`new`](Self::new) with a worker-thread count for the runs.
-    pub fn with_threads(shape: &TorusShape, threads: usize) -> Result<Self, ExchangeError> {
         let exchange = Exchange::new(shape)?;
-        let canon = exchange.executed_shape().clone();
-        // Seed once via a throwaway executor.
-        let mut ex: Executor = Executor::new(&canon, CommParams::unit(), 1);
-        let real_n = shape.num_nodes();
-        let canon_ids: Vec<NodeId> = (0..real_n).map(|id| exchange.to_canonical(id)).collect();
-        let mut pairs = Vec::with_capacity((real_n as usize).saturating_mul(real_n as usize - 1));
-        for s in 0..real_n {
-            for d in 0..real_n {
-                if s != d {
-                    pairs.push((canon_ids[s as usize], canon_ids[d as usize], ()));
-                }
-            }
-        }
-        ex.seed_pairs(pairs);
-        let (buffers, _) = ex.into_parts();
-        let seeded: Vec<Vec<Block<()>>> = buffers.as_slices().to_vec();
-
-        let mut expected: Vec<Vec<NodeId>> = vec![Vec::new(); canon.num_nodes() as usize];
-        for d in 0..real_n {
-            let cd = canon_ids[d as usize];
-            expected[cd as usize] = (0..real_n)
-                .filter(|&s| s != d)
-                .map(|s| canon_ids[s as usize])
-                .collect();
-        }
+        let canon_ids = exchange.canonical_ids();
+        let pairs = canon_ids
+            .iter()
+            .flat_map(|&s| canon_ids.iter().map(move |&d| (s, d, ())));
+        let seeded = Buffers::seeded(exchange.executed_shape(), pairs);
+        let expected = exchange.expected_delivery(&canon_ids);
         Ok(Self {
             exchange,
             seeded,
             expected,
-            threads: threads.max(1),
             plan: OnceLock::new(),
         })
     }
 
     /// Runs one counting-mode exchange from the cached buffer state.
     pub fn run(&self, params: &CommParams) -> Result<ExchangeReport, ExchangeError> {
-        let canon = self.exchange.executed_shape();
-        let mut ex: Executor = Executor::new(canon, *params, self.threads);
-        *ex.buffers_mut() = Buffers::from_vecs(self.seeded.clone());
-        ex.run(&mut NullObserver)?;
-        let verified = verify_delivery(ex.buffers(), &self.expected).is_ok();
-        let engine = ex.engine();
-        Ok(ExchangeReport {
-            shape: self.exchange.shape_ref().clone(),
-            executed_shape: canon.clone(),
-            padded: self.exchange.is_padded(),
-            counts: engine.counts(),
-            elapsed: engine.elapsed(),
-            formula: cost_model::proposed_nd(canon.dims()),
-            trace: engine.trace().clone(),
-            verified,
-            params: *params,
-        })
+        let mut bufs = self.seeded.clone();
+        let mut engine = Engine::new(self.exchange.executed_shape(), *params);
+        self.step_plan_arc()
+            .execute(&mut bufs, &mut engine, &mut NullObserver)?;
+        let verified = verify_delivery(&bufs, &self.expected).is_ok();
+        Ok(self.exchange.report(params, &engine, verified))
     }
 
     /// The underlying exchange configuration.
@@ -126,7 +91,7 @@ impl PreparedExchange {
     /// ids, correct shift vectors). External runtimes use this as the
     /// authoritative "which blocks exist and where" starting point.
     pub fn seeded_blocks(&self) -> &[Vec<Block<()>>] {
-        &self.seeded
+        self.seeded.as_slices()
     }
 
     /// The cached expected-delivery table (canonical ids):
@@ -136,28 +101,19 @@ impl PreparedExchange {
         &self.expected
     }
 
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Materializes the step-by-step plan (destinations + selection rules)
     /// for the canonical shape — what an external executor such as
-    /// `torus-runtime` iterates. See [`crate::steps::StepPlan`].
-    pub fn step_plan(&self) -> crate::steps::StepPlan {
-        crate::steps::StepPlan::new(self.exchange.executed_shape())
+    /// `torus-runtime` iterates. See [`StepPlan`].
+    pub fn step_plan(&self) -> StepPlan {
+        StepPlan::new(self.exchange.executed_shape())
     }
 
     /// The step plan materialized once and cached, shared by
     /// reference-count. Repeated callers (a plan cache serving many
     /// concurrent jobs on the same shape) pay the `StepPlan::new` cost a
     /// single time per prepared exchange.
-    pub fn step_plan_arc(&self) -> Arc<crate::steps::StepPlan> {
-        Arc::clone(
-            self.plan.get_or_init(|| {
-                Arc::new(crate::steps::StepPlan::new(self.exchange.executed_shape()))
-            }),
-        )
+    pub fn step_plan_arc(&self) -> Arc<StepPlan> {
+        Arc::clone(self.plan.get_or_init(|| Arc::new(self.step_plan())))
     }
 }
 
@@ -192,9 +148,9 @@ mod tests {
     }
 
     #[test]
-    fn prepared_works_with_padding_and_threads() {
+    fn prepared_works_with_padding() {
         let shape = TorusShape::new_2d(6, 6).unwrap();
-        let prepared = PreparedExchange::with_threads(&shape, 4).unwrap();
+        let prepared = PreparedExchange::new(&shape).unwrap();
         let r = prepared.run(&CommParams::unit()).unwrap();
         assert!(r.verified);
         assert!(r.padded);

@@ -512,32 +512,6 @@ impl RepairedSchedule {
     pub fn total_steps(&self) -> usize {
         self.phases.iter().map(|p| p.steps.len()).sum()
     }
-
-    /// Reference interpreter: replays the repaired schedule on `bufs`
-    /// sequentially (drop → send-by-manifest → deliver). Threaded
-    /// executions must produce the same final buffer state.
-    pub fn execute_serial<P: Clone>(&self, bufs: &mut Buffers<P>) {
-        for phase in &self.phases {
-            for step in &phase.steps {
-                for (holder, pairs) in &step.drops {
-                    bufs.drain_matching(*holder, |b| pairs.binary_search(&(b.src, b.dst)).is_ok());
-                }
-                let mut deliveries: Vec<(NodeId, Vec<Block<P>>)> = Vec::new();
-                for v in 0..bufs.num_nodes() as NodeId {
-                    let Some(send) = &step.sends[v as usize] else {
-                        continue;
-                    };
-                    let sent = bufs
-                        .drain_matching(v, |b| send.pairs.binary_search(&(b.src, b.dst)).is_ok());
-                    debug_assert_eq!(sent.len(), send.pairs.len());
-                    deliveries.push((send.dst, sent));
-                }
-                for (dst, blocks) in deliveries {
-                    bufs.deliver(dst, blocks);
-                }
-            }
-        }
-    }
 }
 
 /// Nominal hop count of a base step (matches [`PlannedStep::hops`]).
@@ -615,6 +589,31 @@ mod tests {
         plan.seed_counting().as_slices().to_vec()
     }
 
+    /// Replays the repaired schedule on `bufs` (drop → send-by-manifest →
+    /// deliver), step by step.
+    fn replay<P: Clone>(rep: &RepairedSchedule, bufs: &mut Buffers<P>) {
+        for phase in &rep.phases {
+            for step in &phase.steps {
+                for (holder, pairs) in &step.drops {
+                    bufs.drain_matching(*holder, |b| pairs.binary_search(&(b.src, b.dst)).is_ok());
+                }
+                let mut deliveries: Vec<(NodeId, Vec<Block<P>>)> = Vec::new();
+                for v in 0..bufs.num_nodes() as NodeId {
+                    let Some(send) = &step.sends[v as usize] else {
+                        continue;
+                    };
+                    let sent = bufs
+                        .drain_matching(v, |b| send.pairs.binary_search(&(b.src, b.dst)).is_ok());
+                    assert_eq!(sent.len(), send.pairs.len());
+                    deliveries.push((send.dst, sent));
+                }
+                for (dst, blocks) in deliveries {
+                    bufs.deliver(dst, blocks);
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_quarantine_matches_base_plan() {
         let shape = TorusShape::new_2d(8, 8).unwrap();
@@ -627,7 +626,7 @@ mod tests {
         assert_eq!(rep.contracted_sends, 0);
         assert_eq!(rep.fallback_blocks, 0);
         let mut bufs = Buffers::from_vecs(seed);
-        rep.execute_serial(&mut bufs);
+        replay(&rep, &mut bufs);
         verify_full_exchange(&shape, &bufs).unwrap();
     }
 
@@ -643,7 +642,7 @@ mod tests {
             let quarantine = BTreeMap::from([(victim, q)]);
             let rep = RepairedSchedule::plan(&plan, &seed, &quarantine).unwrap();
             let mut bufs = Buffers::from_vecs(seed.clone());
-            rep.execute_serial(&mut bufs);
+            replay(&rep, &mut bufs);
             verify_delivery_degraded(&bufs, &expected, &[victim])
                 .unwrap_or_else(|e| panic!("kill at step {q}: {e}"));
             // Exactly the blocks with a dead endpoint are dropped.
@@ -671,7 +670,7 @@ mod tests {
         assert!(rep.contracted_sends > 0);
         assert!(rep.contracted_rings > 0);
         let mut bufs = Buffers::from_vecs(seed);
-        rep.execute_serial(&mut bufs);
+        replay(&rep, &mut bufs);
         verify_delivery_degraded(&bufs, &full_expectation(nn), &[victim]).unwrap();
     }
 
@@ -684,7 +683,7 @@ mod tests {
         let quarantine = BTreeMap::from([(3 as NodeId, 1), (42 as NodeId, 4)]);
         let rep = RepairedSchedule::plan(&plan, &seed, &quarantine).unwrap();
         let mut bufs = Buffers::from_vecs(seed);
-        rep.execute_serial(&mut bufs);
+        replay(&rep, &mut bufs);
         verify_delivery_degraded(&bufs, &full_expectation(nn), &[3, 42]).unwrap();
         assert_eq!(rep.dead, vec![(3, 1), (42, 4)]);
         // Both directions of both victims' traffic (minus the overlap
@@ -714,7 +713,7 @@ mod tests {
         let rep = RepairedSchedule::plan(&plan, &seed, &quarantine).unwrap();
         assert_eq!(rep.dead, vec![(victim, plan.total_steps())]);
         let mut bufs = Buffers::from_vecs(seed);
-        rep.execute_serial(&mut bufs);
+        replay(&rep, &mut bufs);
         verify_delivery_degraded(&bufs, &full_expectation(nn), &[victim]).unwrap();
     }
 
@@ -741,7 +740,7 @@ mod tests {
         let quarantine = BTreeMap::from([(victim, 2usize)]);
         let rep = RepairedSchedule::plan(&plan, prepared.seeded_blocks(), &quarantine).unwrap();
         let mut bufs = Buffers::from_vecs(prepared.seeded_blocks().to_vec());
-        rep.execute_serial(&mut bufs);
+        replay(&rep, &mut bufs);
         verify_delivery_degraded(&bufs, prepared.expected_delivery(), &[victim]).unwrap();
         // Exactly the victim's incident pairs (real peers only) drop.
         let real_n = shape.num_nodes() as usize;

@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 use torus_sim::{Engine, SimError, Transmission};
-use torus_topology::{NodeId, Sign, TorusShape};
+use torus_topology::{Direction, NodeId, Sign, TorusShape};
 
 use crate::dirsched::DirectionSchedule;
 
@@ -32,6 +32,18 @@ pub struct StaticSend {
     pub sign: i8,
     /// Hop count (4 in scatter phases, 2 in phase n+1, 1 in phase n+2).
     pub hops: u8,
+}
+
+impl StaticSend {
+    /// The channel direction the send travels.
+    pub(crate) fn direction(&self) -> Direction {
+        let sign = if self.sign > 0 {
+            Sign::Plus
+        } else {
+            Sign::Minus
+        };
+        Direction::new(self.dim as usize, sign)
+    }
 }
 
 /// One step: the set of concurrent sends.
@@ -74,9 +86,11 @@ impl StaticSchedule {
     /// Generates the schedule for a canonical shape (see
     /// [`DirectionSchedule::new`] for the shape requirements).
     ///
-    /// Scatter steps list **every** node as a sender (a node with nothing
-    /// left to forward sends an empty message, as the paper allows); the
-    /// executor's dynamic block selection decides actual volumes.
+    /// Scatter steps list every node whose phase ring still runs that
+    /// step; a node on a shorter ring idles and is omitted. The walk's
+    /// block selection ([`StepPlan::execute`](crate::StepPlan::execute))
+    /// decides actual volumes, and a listed node with nothing left to
+    /// forward sends nothing.
     pub fn generate(shape: &TorusShape) -> Self {
         let sched = DirectionSchedule::new(shape);
         let n = shape.ndims();
@@ -125,7 +139,7 @@ impl StaticSchedule {
                 .map(|c| {
                     let dim = sched.submesh_dim_order(&c)[j];
                     let sign = DirectionSchedule::distance2_sign(&c, dim);
-                    let dst = shape.shift(&c, torus_topology::Direction::new(dim, sign), 2);
+                    let dst = shape.shift(&c, Direction::new(dim, sign), 2);
                     StaticSend {
                         src: shape.index_of(&c),
                         dst: shape.index_of(&dst),
@@ -149,7 +163,7 @@ impl StaticSchedule {
                 .iter_coords()
                 .map(|c| {
                     let sign = DirectionSchedule::distance1_sign(&c, j);
-                    let dst = shape.shift(&c, torus_topology::Direction::new(j, sign), 1);
+                    let dst = shape.shift(&c, Direction::new(j, sign), 1);
                     StaticSend {
                         src: shape.index_of(&c),
                         dst: shape.index_of(&dst),
@@ -183,17 +197,8 @@ impl StaticSchedule {
                     .sends
                     .iter()
                     .map(|s| {
-                        let dir = torus_topology::Direction::new(
-                            s.dim as usize,
-                            if s.sign > 0 { Sign::Plus } else { Sign::Minus },
-                        );
-                        Transmission::along_ring(
-                            shape,
-                            &shape.coord_of(s.src),
-                            dir,
-                            s.hops as u32,
-                            1,
-                        )
+                        let from = shape.coord_of(s.src);
+                        Transmission::along_ring(shape, &from, s.direction(), s.hops as u32, 1)
                     })
                     .collect();
                 engine.execute_step(&txs)?;
@@ -227,6 +232,20 @@ impl StaticSchedule {
     pub fn total_steps(&self) -> usize {
         self.phases.iter().map(|p| p.steps.len()).sum()
     }
+}
+
+/// Every canonical shape with extents in `{4, 8}` and `2 <= n <= 4`
+/// (twelve shapes, 16 to 4096 nodes).
+#[cfg(test)]
+pub(crate) fn shapes_4_8() -> Vec<TorusShape> {
+    (2..=4usize)
+        .flat_map(|n| {
+            (0..=n).rev().map(move |eights| {
+                let dims: Vec<u32> = (0..n).map(|i| if i < eights { 8 } else { 4 }).collect();
+                TorusShape::new(&dims).unwrap()
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -285,6 +304,31 @@ mod tests {
                 let all: Vec<NodeId> = (0..shape.num_nodes()).collect();
                 assert_eq!(srcs, all);
                 assert_eq!(dsts, all);
+            }
+        }
+    }
+
+    #[test]
+    fn every_4_8_shape_validates_with_one_port_fixed_destinations() {
+        let shapes = shapes_4_8();
+        assert_eq!(shapes.len(), 12);
+        for shape in shapes {
+            let s = StaticSchedule::generate(&shape);
+            s.validate(&shape)
+                .unwrap_or_else(|e| panic!("{shape}: {e}"));
+            assert!(s.destinations_fixed_within_phases(), "{shape}");
+            // One port: every step is a permutation of its active nodes —
+            // no node sends twice or receives twice, and every receiver
+            // is itself a sender that step.
+            for phase in &s.phases {
+                for step in &phase.steps {
+                    let mut srcs: Vec<NodeId> = step.sends.iter().map(|x| x.src).collect();
+                    let mut dsts: Vec<NodeId> = step.sends.iter().map(|x| x.dst).collect();
+                    srcs.sort_unstable();
+                    dsts.sort_unstable();
+                    assert!(srcs.windows(2).all(|w| w[0] < w[1]), "{shape}: double send");
+                    assert_eq!(srcs, dsts, "{shape} {}: not a permutation", phase.name);
+                }
             }
         }
     }

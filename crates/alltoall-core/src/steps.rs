@@ -1,25 +1,28 @@
-//! Step-by-step schedule iteration for external runtimes.
+//! The simulator's plan of the paper's exchange, and the one walk over it.
 //!
-//! [`crate::exec::Executor`] interleaves schedule generation with cost
-//! accounting on the simulator; a *real* runtime (e.g. `torus-runtime`'s
-//! thread-per-node executor) instead wants the schedule as plain data it
-//! can iterate: for every step, who sends to whom, and which blocks a
-//! node must fold into its combined message.
+//! [`StepPlan`] wraps the contention-validated [`StaticSchedule`]
+//! (destinations per node per step) and adds the paper's per-step
+//! **block-selection rules** ([`selects`](StepPlan::selects)). It is the
+//! exchange written once:
 //!
-//! [`StepPlan`] provides exactly that. It wraps the contention-validated
-//! [`StaticSchedule`](crate::schedule::StaticSchedule) (destinations per
-//! node per step) and adds the paper's per-step **block-selection rules**
-//! ([`selects`](StepPlan::selects)) so an external executor reproduces the
-//! `n + 2`-phase algorithm without re-deriving any of the direction
-//! machinery. [`execute_serial`](StepPlan::execute_serial) is the
-//! reference interpreter: it replays the plan on [`Buffers`] sequentially
-//! and is what the equivalence tests (and the `torus-runtime` proptest
-//! suite) compare threaded executions against.
+//! * [`execute`](StepPlan::execute) is the one walk. Every node with a
+//!   send drains the blocks its rule selects, the step's messages are
+//!   charged to the contention-checking [`Engine`], and the blocks are
+//!   delivered. [`Exchange`](crate::Exchange),
+//!   [`PreparedExchange`](crate::PreparedExchange) and
+//!   [`run_alltoallv`](crate::Exchange::run_alltoallv) all run through
+//!   it, and it is the reference `torus-runtime`'s suites compare the
+//!   byte-moving executions against (via
+//!   [`Exchange::run_with_payloads`](crate::Exchange::run_with_payloads)).
+//! * An external runtime iterates the same plan as plain data — who sends
+//!   to whom each step, and which blocks a node folds into its combined
+//!   message — without re-deriving any of the direction machinery.
 
+use torus_sim::{Engine, SimError, Transmission};
 use torus_topology::{Coord, NodeId, TorusShape};
 
 use crate::block::{Block, Buffers};
-use crate::observer::PhaseKind;
+use crate::observer::{Observer, PhaseKind};
 use crate::schedule::{StaticSchedule, StaticSend};
 
 /// What kind of step this is — determines the block-selection rule.
@@ -56,9 +59,9 @@ pub struct PlannedStep {
 /// One phase of the plan.
 #[derive(Clone, Debug)]
 pub struct PlannedPhase {
-    /// Phase label, e.g. `"phase 1"` (matches the executor's trace names).
+    /// Phase label, e.g. `"phase 1"` (the engine trace's phase name).
     pub name: String,
-    /// The phase kind reported to [`Observer`](crate::observer::Observer)s.
+    /// The phase kind reported to [`Observer`]s.
     pub kind: PhaseKind,
     /// Steps in execution order.
     pub steps: Vec<PlannedStep>,
@@ -71,17 +74,21 @@ pub struct PlannedPhase {
 /// per-step block-selection rules needed to execute it on real buffers.
 ///
 /// ```
-/// use alltoall_core::StepPlan;
+/// use alltoall_core::{NullObserver, StepPlan};
+/// use cost_model::CommParams;
+/// use torus_sim::Engine;
 /// use torus_topology::TorusShape;
 ///
 /// let shape = TorusShape::new_2d(8, 8).unwrap();
 /// let plan = StepPlan::new(&shape);
 /// assert_eq!(plan.phases().len(), 4); // n + 2
 ///
-/// // The reference interpreter performs a full exchange.
+/// // The walk performs a full exchange, every step contention-checked.
 /// let mut bufs = plan.seed_counting();
-/// plan.execute_serial(&mut bufs);
+/// let mut engine = Engine::new(&shape, CommParams::unit());
+/// plan.execute(&mut bufs, &mut engine, &mut NullObserver).unwrap();
 /// alltoall_core::verify_full_exchange(&shape, &bufs).unwrap();
+/// assert_eq!(engine.counts().startup_steps, 6);
 /// ```
 #[derive(Clone, Debug)]
 pub struct StepPlan {
@@ -201,51 +208,94 @@ impl StepPlan {
     /// (every ordered pair, correct shift vectors) — convenience for tests
     /// and doc examples.
     pub fn seed_counting(&self) -> Buffers<()> {
-        let mut ex: crate::exec::Executor =
-            crate::exec::Executor::new(&self.shape, cost_model::CommParams::unit(), 1);
-        ex.seed_full(|_, _| ());
-        let (bufs, _) = ex.into_parts();
-        bufs
+        let n = self.shape.num_nodes();
+        Buffers::seeded(
+            &self.shape,
+            (0..n).flat_map(|s| (0..n).map(move |d| (s, d, ()))),
+        )
     }
 
-    /// Reference interpreter: replays the whole plan on `bufs`
-    /// sequentially (select → decrement → deliver, phase by phase).
+    /// The walk: runs the whole plan on `bufs`, charging every step to
+    /// `engine`, which rejects any step that is not contention-free.
     ///
-    /// This moves exactly the blocks a conforming runtime must move; the
-    /// equivalence suites compare threaded byte-moving executions against
-    /// it. Rearrangements are no-ops here (they permute local memory, not
-    /// block ownership).
-    pub fn execute_serial<P: Clone>(&self, bufs: &mut Buffers<P>) {
+    /// Per step, every node with a send drains the blocks
+    /// [`selects`](Self::selects) picks (decrementing the phase's shift
+    /// counter in scatter phases); each non-empty message travels the
+    /// send's ring direction. After each phase with
+    /// [`rearrange_after`](PlannedPhase::rearrange_after) the engine is
+    /// charged one rearrangement pass over every node's `N`-entry data
+    /// array — the resident self-block `B[i, i]` included (Section 3.3).
+    /// Does **not** verify delivery — see [`verify`](crate::verify).
+    pub fn execute<P: Clone, O: Observer<P>>(
+        &self,
+        bufs: &mut Buffers<P>,
+        engine: &mut Engine,
+        observer: &mut O,
+    ) -> Result<(), SimError> {
+        let blocks_per_node = self.shape.num_nodes() as u64;
+        observer.on_start(bufs);
         for phase in &self.phases {
-            for step in &phase.steps {
+            engine.begin_phase(&phase.name);
+            for (si, step) in phase.steps.iter().enumerate() {
+                let mut txs = Vec::new();
                 let mut deliveries: Vec<(NodeId, Vec<Block<P>>)> = Vec::new();
-                for node in 0..self.shape.num_nodes() {
-                    let Some(send) = step.sends[node as usize] else {
+                for (node, send) in step.sends.iter().enumerate() {
+                    let Some(send) = send else {
                         continue;
                     };
+                    let node = node as NodeId;
                     let mut sent = bufs.drain_matching(node, |b| self.selects(step, node, b));
+                    if sent.is_empty() {
+                        continue;
+                    }
                     if let Some(p) = Self::shift_decrement(step) {
                         for b in &mut sent {
                             debug_assert!(b.shifts[p] > 0);
                             b.shifts[p] -= 1;
                         }
                     }
-                    if !sent.is_empty() {
-                        deliveries.push((send.dst, sent));
-                    }
+                    txs.push(Transmission::along_ring(
+                        &self.shape,
+                        &self.coords[node as usize],
+                        send.direction(),
+                        send.hops as u32,
+                        sent.len() as u64,
+                    ));
+                    deliveries.push((send.dst, sent));
                 }
+                engine.execute_step(&txs)?;
                 for (dst, blocks) in deliveries {
                     bufs.deliver(dst, blocks);
                 }
+                observer.on_step(phase.kind, si + 1, bufs);
+            }
+            if phase.rearrange_after {
+                engine.rearrange(blocks_per_node);
+                observer.on_rearrange(phase.kind, bufs);
             }
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::NullObserver;
+    use crate::schedule::shapes_4_8;
     use crate::verify::verify_full_exchange;
+    use cost_model::CommParams;
+
+    /// Seeds a full counting exchange on `dims` and walks it.
+    fn run_counting(dims: &[u32]) -> (TorusShape, Buffers<()>, Engine) {
+        let shape = TorusShape::new(dims).unwrap();
+        let plan = StepPlan::new(&shape);
+        let mut bufs = plan.seed_counting();
+        let mut engine = Engine::new(&shape, CommParams::unit());
+        plan.execute(&mut bufs, &mut engine, &mut NullObserver)
+            .expect("schedule must be contention-free");
+        (shape, bufs, engine)
+    }
 
     #[test]
     fn plan_structure_matches_paper() {
@@ -265,81 +315,135 @@ mod tests {
     }
 
     #[test]
-    fn serial_replay_completes_full_exchange() {
+    fn walk_completes_full_exchange() {
         for dims in [&[8u32, 8][..], &[12, 8], &[8, 8, 8], &[4, 4, 4, 4]] {
-            let shape = TorusShape::new(dims).unwrap();
-            let plan = StepPlan::new(&shape);
-            let mut bufs = plan.seed_counting();
-            plan.execute_serial(&mut bufs);
+            let (shape, bufs, _) = run_counting(dims);
             verify_full_exchange(&shape, &bufs).unwrap_or_else(|e| panic!("{dims:?}: {e}"));
         }
     }
 
     #[test]
-    fn replay_matches_executor_step_for_step() {
-        // The plan's selection rules must pick exactly the blocks the
-        // dynamic executor moves: after replay, per-node multisets agree.
-        let shape = TorusShape::new(&[12, 8]).unwrap();
-        let plan = StepPlan::new(&shape);
-        let mut bufs = plan.seed_counting();
-        plan.execute_serial(&mut bufs);
+    fn exchange_12x12_counts_match_table1() {
+        let (shape, bufs, engine) = run_counting(&[12, 12]);
+        verify_full_exchange(&shape, &bufs).unwrap();
+        let counts = engine.counts();
+        let formula = cost_model::proposed_2d(12, 12);
+        assert_eq!(counts.startup_steps, formula.startup_steps);
+        assert_eq!(counts.rearr_steps, formula.rearr_steps);
+        assert_eq!(counts.prop_hops, formula.prop_hops);
+        // The self-block (never transmitted) sits in the never-sent region
+        // of every phase, so the measured critical volume equals the
+        // closed form exactly.
+        assert_eq!(counts.trans_blocks, formula.trans_blocks);
+    }
 
-        let mut ex: crate::exec::Executor =
-            crate::exec::Executor::new(&shape, cost_model::CommParams::unit(), 1);
-        ex.seed_full(|_, _| ());
-        ex.run(&mut crate::observer::NullObserver).unwrap();
+    #[test]
+    fn exchange_rectangular_8x12() {
+        // R != C: phases keyed to the larger dim, shorter-dim nodes idle.
+        let (shape, bufs, engine) = run_counting(&[12, 8]);
+        verify_full_exchange(&shape, &bufs).unwrap();
+        assert_eq!(engine.counts().startup_steps, (12 / 2 + 2) as u64);
+    }
 
+    #[test]
+    fn exchange_3d_8cubed() {
+        let (shape, bufs, engine) = run_counting(&[8, 8, 8]);
+        verify_full_exchange(&shape, &bufs).unwrap();
+        let counts = engine.counts();
+        let formula = cost_model::proposed_nd(&[8, 8, 8]);
+        assert_eq!(counts.startup_steps, formula.startup_steps);
+        assert_eq!(counts.prop_hops, formula.prop_hops);
+        assert_eq!(counts.rearr_steps, formula.rearr_steps);
+    }
+
+    #[test]
+    fn exchange_4d_4x4x4x4() {
+        // a1 = 4: scatter phases have zero steps; the submesh phases do
+        // all the work (the formula still holds: n(a1/4+1) = 2n steps).
+        let (shape, bufs, engine) = run_counting(&[4, 4, 4, 4]);
+        verify_full_exchange(&shape, &bufs).unwrap();
+        assert_eq!(engine.counts().startup_steps, 8);
+    }
+
+    #[test]
+    fn payload_blocks_arrive_intact() {
+        let shape = TorusShape::new(&[8, 8]).unwrap();
+        let n = shape.num_nodes();
+        let pairs = (0..n)
+            .flat_map(|s| (0..n).map(move |d| (s, d, vec![(s % 251) as u8, (d % 251) as u8])));
+        let mut bufs = Buffers::seeded(&shape, pairs);
+        let mut engine = Engine::new(&shape, CommParams::unit());
+        StepPlan::new(&shape)
+            .execute(&mut bufs, &mut engine, &mut NullObserver)
+            .unwrap();
         for node in 0..shape.num_nodes() {
-            let mut a: Vec<(NodeId, NodeId)> =
-                bufs.node(node).iter().map(|b| (b.src, b.dst)).collect();
-            let mut b: Vec<(NodeId, NodeId)> = ex
-                .buffers()
-                .node(node)
-                .iter()
-                .map(|b| (b.src, b.dst))
-                .collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "node {node}");
+            for b in bufs.node(node) {
+                assert_eq!(b.dst, node);
+                assert_eq!(b.payload, vec![(b.src % 251) as u8, (node % 251) as u8]);
+            }
         }
     }
 
     #[test]
-    fn idle_senders_hold_no_selected_blocks() {
-        // Whenever the static plan marks a node idle, the dynamic
-        // selection rule must agree that it has nothing to forward —
-        // otherwise blocks would strand.
-        let shape = TorusShape::new(&[12, 8]).unwrap();
-        let plan = StepPlan::new(&shape);
-        let mut bufs = plan.seed_counting();
-        for phase in plan.phases() {
-            for step in &phase.steps {
-                let mut deliveries: Vec<(NodeId, Vec<Block<()>>)> = Vec::new();
-                for node in 0..shape.num_nodes() {
-                    let selected = bufs.drain_matching(node, |b| plan.selects(step, node, b));
-                    match step.sends[node as usize] {
-                        Some(send) => {
-                            let mut sent = selected;
-                            if let Some(p) = StepPlan::shift_decrement(step) {
-                                for b in &mut sent {
-                                    b.shifts[p] -= 1;
-                                }
-                            }
-                            deliveries.push((send.dst, sent));
-                        }
-                        None => assert!(
-                            selected.is_empty(),
-                            "idle node {node} had {} selected blocks in {:?}",
-                            selected.len(),
-                            step.kind
-                        ),
-                    }
-                }
-                for (dst, blocks) in deliveries {
-                    bufs.deliver(dst, blocks);
-                }
+    fn block_conservation_every_step() {
+        struct Conserve {
+            expect: u64,
+        }
+        impl Observer<()> for Conserve {
+            fn on_step(&mut self, _: PhaseKind, _: usize, bufs: &Buffers<()>) {
+                assert_eq!(bufs.total_blocks(), self.expect);
             }
         }
-        verify_full_exchange(&shape, &bufs).unwrap();
+        let shape = TorusShape::new(&[8, 8]).unwrap();
+        let plan = StepPlan::new(&shape);
+        let mut bufs = plan.seed_counting();
+        let total = bufs.total_blocks();
+        let mut engine = Engine::new(&shape, CommParams::unit());
+        plan.execute(&mut bufs, &mut engine, &mut Conserve { expect: total })
+            .unwrap();
+    }
+
+    #[test]
+    fn idle_senders_hold_no_selected_blocks() {
+        // Whenever the static plan marks a node idle, the selection rule
+        // must agree that it has nothing to forward — otherwise the walk
+        // would leave those blocks stranded.
+        for shape in shapes_4_8()
+            .into_iter()
+            .filter(|s| s.num_nodes() <= 512)
+            .chain([TorusShape::new(&[12, 8]).unwrap()])
+        {
+            let plan = StepPlan::new(&shape);
+            let mut bufs = plan.seed_counting();
+            for phase in plan.phases() {
+                for step in &phase.steps {
+                    let mut deliveries: Vec<(NodeId, Vec<Block<()>>)> = Vec::new();
+                    for node in 0..shape.num_nodes() {
+                        let selected = bufs.drain_matching(node, |b| plan.selects(step, node, b));
+                        match step.sends[node as usize] {
+                            Some(send) => {
+                                let mut sent = selected;
+                                if let Some(p) = StepPlan::shift_decrement(step) {
+                                    for b in &mut sent {
+                                        b.shifts[p] -= 1;
+                                    }
+                                }
+                                deliveries.push((send.dst, sent));
+                            }
+                            None => assert!(
+                                selected.is_empty(),
+                                "{shape}: idle node {node} had {} selected blocks in {:?}",
+                                selected.len(),
+                                step.kind
+                            ),
+                        }
+                    }
+                    for (dst, blocks) in deliveries {
+                        bufs.deliver(dst, blocks);
+                    }
+                }
+            }
+            verify_full_exchange(&shape, &bufs).unwrap_or_else(|e| panic!("{shape}: {e}"));
+        }
     }
 }

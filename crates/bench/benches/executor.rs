@@ -1,64 +1,12 @@
-//! Criterion bench S3: serial vs. crossbeam-parallel buffer processing in
-//! the executor, and the raw parallel-helper primitives.
+//! Criterion bench: the paper's buffer caching — a fresh exchange against
+//! a prepared one that starts every run from its cached seeded state.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use alltoall_core::Exchange;
 use cost_model::CommParams;
-use torus_sim::{par_apply_chunks, par_map_nodes};
 use torus_topology::TorusShape;
-
-fn bench_thread_scaling(c: &mut Criterion) {
-    let mut g = c.benchmark_group("executor-threads");
-    g.sample_size(10);
-    g.measurement_time(std::time::Duration::from_secs(8));
-    let shape = TorusShape::new_2d(32, 32).unwrap();
-    for threads in [1usize, 2, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("32x32", threads),
-            &threads,
-            |b, &threads| {
-                let ex = Exchange::new(&shape).unwrap().with_threads(threads);
-                b.iter(|| {
-                    let r = ex.run_counting(&CommParams::cray_t3d_like()).unwrap();
-                    black_box(r.counts)
-                });
-            },
-        );
-    }
-    g.finish();
-}
-
-fn bench_parallel_primitives(c: &mut Criterion) {
-    let mut g = c.benchmark_group("parallel-helpers");
-    let n = 100_000usize;
-    for threads in [1usize, 4] {
-        g.bench_with_input(
-            BenchmarkId::new("par_map_nodes", threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| black_box(par_map_nodes(n, t, |i| i.wrapping_mul(2654435761))));
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("par_apply_chunks", threads),
-            &threads,
-            |b, &t| {
-                let mut data = vec![1u64; n];
-                b.iter(|| {
-                    par_apply_chunks(&mut data, t, |base, chunk| {
-                        for (i, x) in chunk.iter_mut().enumerate() {
-                            *x = (*x).wrapping_add((base + i) as u64);
-                        }
-                    });
-                    black_box(data[0])
-                });
-            },
-        );
-    }
-    g.finish();
-}
 
 fn bench_prepared_vs_fresh(c: &mut Criterion) {
     // The paper's "caching of message buffers" claim: repeated exchanges
@@ -83,10 +31,5 @@ fn bench_prepared_vs_fresh(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_thread_scaling,
-    bench_parallel_primitives,
-    bench_prepared_vs_fresh
-);
+criterion_group!(benches, bench_prepared_vs_fresh);
 criterion_main!(benches);

@@ -33,7 +33,6 @@ fn main() {
         let shape = TorusShape::new_2d(side, side).unwrap();
         let prop = Exchange::new(&shape)
             .unwrap()
-            .with_threads(4)
             .run_counting(&CommParams::unit())
             .unwrap();
         assert!(prop.verified);
@@ -62,7 +61,6 @@ fn main() {
     let base = CommParams::cray_t3d_like();
     let prop_counts = Exchange::new(&shape)
         .unwrap()
-        .with_threads(4)
         .run_counting(&base)
         .unwrap()
         .counts;

@@ -69,7 +69,6 @@ fn write_json<T: serde::Serialize>(name: &str, value: &T) {
 fn measure_proposed(shape: &TorusShape) -> ExchangeReport {
     let r = Exchange::new(shape)
         .unwrap()
-        .with_threads(4)
         .run_counting(&CommParams::unit())
         .expect("contention-free");
     assert!(r.verified);

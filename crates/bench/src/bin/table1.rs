@@ -50,7 +50,6 @@ fn main() {
         let f = proposed_nd(&dims);
         let report = Exchange::new(&shape)
             .unwrap()
-            .with_threads(4)
             .run_counting(&params)
             .expect("schedule must execute contention-free");
         assert!(report.verified, "{shape}: delivery verification failed");

@@ -32,7 +32,6 @@ fn main() {
             let shape = TorusShape::new_2d(side, side).unwrap();
             let r = Exchange::new(&shape)
                 .unwrap()
-                .with_threads(4)
                 .run_counting(&CommParams::unit())
                 .expect("contention-free");
             assert!(r.verified);

@@ -25,8 +25,6 @@ pub enum Command {
         algo: String,
         /// Machine parameters.
         params: CommParams,
-        /// Worker threads.
-        threads: usize,
     },
     /// `run-real --shape RxC [...params]` — byte-moving runtime execution.
     RunReal {
@@ -371,13 +369,20 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         i += 1;
     }
 
+    // Only the byte-moving runtime has workers; the simulator is serial.
+    const THREADED: [&str; 3] = ["run-real", "run-collective", "service-bench"];
+    if threads.is_some() && !THREADED.contains(&cmd) {
+        return Err(format!(
+            "--threads applies only to {} (not '{cmd}')",
+            THREADED.join(", ")
+        ));
+    }
     let need_shape = |s: Option<Vec<u32>>| s.ok_or_else(|| "--shape is required".to_string());
     match cmd {
         "run" => Ok(Command::Run {
             shape: need_shape(shape)?,
             algo,
             params,
-            threads: threads.unwrap_or(1),
         }),
         "run-real" => Ok(Command::RunReal {
             shape: need_shape(shape)?,
@@ -506,19 +511,19 @@ torus-xchg — all-to-all personalized exchange on torus networks (Suh & Shin, I
 USAGE:
   torus-xchg run        --shape 8x12 [--algo proposed|direct|ring|rowcol|mesh] [params]
   torus-xchg run-real   --shape 8x8 [--json] [--faults SPEC] [--retries N] [--deadline-ms MS]
-                        [--on-failure abort|degrade] [params]
+                        [--on-failure abort|degrade] [--threads N] [params]
                         (moves real bytes, verifies bit-exactly; optional fault injection;
                          'degrade' quarantines failed nodes and completes for survivors)
   torus-xchg compare    --shape 8x8 [params]
   torus-xchg collective --op broadcast|scatter|gather|allgather|reduce|allreduce|alltoall --shape 8x8
   torus-xchg run-collective --op broadcast|scatter|gather|allgather|reduce|allreduce --shape 8x8
                         [--root N] [--reduce sum|min|max] [--dtype u64|f32] [--json]
-                        [--faults SPEC] [--retries N] [--deadline-ms MS] [params]
+                        [--faults SPEC] [--retries N] [--deadline-ms MS] [--threads N] [params]
                         (byte-real collective on the runtime with combining receives;
                          reduce/allreduce fold u64 or f32 lanes bit-deterministically;
                          verified against a serial reference replay)
   torus-xchg service-bench --shape 8x8 [--jobs N] [--concurrency K] [--tenants T] [--json]
-                        [--rate-limit JOBS_PER_SEC] [params]
+                        [--rate-limit JOBS_PER_SEC] [--threads N] [params]
                         (persistent engine: N seeded jobs through a shared pool with
                          plan caching; prints aggregate service stats, and per-tenant
                          wait/run latency percentiles when --tenants > 1; --rate-limit
@@ -552,7 +557,9 @@ USAGE:
 PARAMS (defaults are Cray-T3D-like):
   --ts µs   startup per message        --tc µs/B  per-byte transmission
   --tl µs   per-hop propagation        --rho µs/B rearrangement
-  -m bytes  block size                 --threads N executor threads
+  -m bytes  block size
+  --threads N  runtime workers (run-real, run-collective, service-bench;
+               default: TORUS_THREADS, else the core count capped at 8)
 
 FAULT SPEC (run-real): comma-separated key=value pairs —
   seed=N  drop=R  corrupt=R  truncate=R  duplicate=R  delay=R  delay-us=N
@@ -570,14 +577,12 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             shape,
             algo,
             params,
-            threads,
         } => {
             let shape = TorusShape::new(&shape).map_err(|e| e.to_string())?;
             match algo.as_str() {
                 "proposed" => {
                     let report = Exchange::new(&shape)
                         .map_err(|e| e.to_string())?
-                        .with_threads(threads)
                         .run_counting(&params)
                         .map_err(|e| e.to_string())?;
                     let _ = writeln!(out, "{}", report.summary());
@@ -1093,25 +1098,37 @@ mod tests {
 
     #[test]
     fn parse_run_command() {
-        let cmd = parse_args(&argv(
-            "run --shape 8x8 --algo ring --ts 5 -m 128 --threads 4",
-        ))
-        .unwrap();
+        let cmd = parse_args(&argv("run --shape 8x8 --algo ring --ts 5 -m 128")).unwrap();
         match cmd {
             Command::Run {
                 shape,
                 algo,
                 params,
-                threads,
             } => {
                 assert_eq!(shape, vec![8, 8]);
                 assert_eq!(algo, "ring");
                 assert_eq!(params.t_s, 5.0);
                 assert_eq!(params.block_bytes, 128);
-                assert_eq!(threads, 4);
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn threads_flag_is_refused_where_nothing_runs_on_workers() {
+        for cmd in ["run", "compare", "schedule"] {
+            let err = parse_args(&argv(&format!("{cmd} --shape 8x8 --threads 4"))).unwrap_err();
+            assert!(
+                err.contains("--threads applies only to run-real, run-collective, service-bench"),
+                "{cmd}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn run_refuses_extents_above_1024_as_a_bad_shape() {
+        let err = execute(parse_args(&argv("run --shape 1028x4")).unwrap()).unwrap_err();
+        assert!(err.starts_with("bad shape:"), "{err}");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   node's blocks written into one buffer;
 //! * nodes are multiplexed onto worker threads (one per available core
 //!   by default, configurable via [`RuntimeConfig::workers`] or the
-//!   `TORUS_THREADS` environment variable shared with `torus-sim`);
+//!   `TORUS_THREADS` environment variable, read by
+//!   [`torus_sim::default_threads`]; the simulator itself is serial);
 //! * each step performs the paper's **message combining** for real: all
 //!   blocks a node forwards go out as one wire frame — on the fault-free
 //!   path a gathered frame ([`message::encode_gathered`]) whose framing

@@ -68,8 +68,9 @@ pub struct RuntimeConfig {
     pub block_bytes: usize,
     /// Worker threads to multiplex nodes onto. `None` (default) means the
     /// `TORUS_THREADS` environment variable if set, else the machine's
-    /// available parallelism (see [`torus_sim::default_threads`]).
-    /// Always clamped to `1..=N`.
+    /// available parallelism capped at 8 (see
+    /// [`torus_sim::default_threads`], which resolves the worker default
+    /// for this runtime and the service engine). Always clamped to `1..=N`.
     pub workers: Option<usize>,
     /// Machine parameters for the analytic [`CompletionTime`] that rides
     /// along in the report. Default: [`CommParams::cray_t3d_like`].

@@ -1,4 +1,4 @@
-//! Executor conformance matrix: every fault/recovery/cancel behaviour of
+//! Conformance matrix: every fault/recovery/cancel behaviour of
 //! the byte executor, held for every kind of schedule it runs.
 //!
 //! The executor is one worker loop fed by three step sources, so each

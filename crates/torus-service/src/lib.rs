@@ -64,3 +64,6 @@ pub use tenant::{RateLimit, TenantQuota, TenantStats, DEFAULT_TENANT};
 // re-exported so the daemon and clients need no direct `torus-runtime`
 // edge just to describe a job.
 pub use torus_runtime::{CollectiveOp, Dtype, JobOp, PayloadSpec, ReduceOp};
+// The all-to-all's shape check (`Exchange::new`), re-exported so the
+// daemon's spec validation refuses exactly the shapes a plan build would.
+pub use alltoall_core::Exchange;

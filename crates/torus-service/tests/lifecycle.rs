@@ -305,3 +305,36 @@ fn cancel_storm_keeps_books_balanced() {
     );
     assert!(stats.jobs_cancelled > 0, "the storm must land some cancels");
 }
+
+/// An extent the schedule cannot hold (1028 pads past 1024) fails the
+/// job at plan build and releases the build claim: a second submit of
+/// the same shape fails too instead of waiting on the claim, and the
+/// engine still completes a 4x4 job afterwards.
+#[test]
+fn oversized_extent_fails_the_job_and_releases_the_plan_build() {
+    let engine = Engine::new(EngineConfig::default().with_pool_size(2).with_drivers(2));
+    let huge = TorusShape::new_2d(1028, 4).unwrap();
+    for _ in 0..2 {
+        let job = engine
+            .submit(huge.clone(), PayloadSpec::Pattern, quick_cfg())
+            .unwrap();
+        let result = job.wait();
+        assert_eq!(job.try_status(), JobStatus::Failed);
+        let error = result.error.as_deref().unwrap_or_default();
+        assert!(error.contains("bad shape"), "{error}");
+    }
+    let next = engine
+        .submit(shape(), PayloadSpec::Seeded { seed: 5 }, quick_cfg())
+        .unwrap();
+    let result = next.wait();
+    assert_eq!(
+        next.try_status(),
+        JobStatus::Completed,
+        "{:?}",
+        result.error
+    );
+    assert!(result.report.as_ref().unwrap().verified);
+    let stats = engine.shutdown();
+    assert_eq!(stats.jobs_completed, 1);
+    assert_eq!(stats.jobs_failed, 2);
+}

@@ -13,7 +13,7 @@ use torus_runtime::{
     CollectiveOp, Dtype, FaultPlan, JobOp, OnFailure, ReduceOp, RetryPolicy, RuntimeConfig,
     WorkerFaultKind,
 };
-use torus_service::PayloadSpec;
+use torus_service::{Exchange, PayloadSpec};
 use torus_topology::TorusShape;
 
 use crate::json::Json;
@@ -319,7 +319,7 @@ impl JobSpec {
         }
         // Reuse the topology crate's validation (dimension count, zero
         // extents, node-count cap) so the daemon and the library agree.
-        TorusShape::new(&shape).map_err(|e| SpecError::new("shape", e.to_string()))?;
+        let torus = TorusShape::new(&shape).map_err(|e| SpecError::new("shape", e.to_string()))?;
 
         let block_bytes = field_u64(value, "block_bytes", "block_bytes", MAX_BLOCK_BYTES as u64)?
             .unwrap_or(64) as usize;
@@ -364,6 +364,11 @@ impl JobSpec {
 
         let num_nodes = shape.iter().product::<u32>();
         let op = parse_op(value.get("op"), num_nodes, block_bytes)?;
+        if op == JobOp::Alltoall {
+            // The plan build's own check (dimension count, padded extents
+            // the schedule's shift counters can hold).
+            Exchange::new(&torus).map_err(|e| SpecError::new("shape", e.to_string()))?;
+        }
         if matches!(op, JobOp::Collective(_)) && on_failure == OnFailure::Degrade {
             return Err(SpecError::new(
                 "on_failure",
@@ -708,6 +713,7 @@ mod tests {
             (r#"{}"#, "shape"),
             (r#"{"shape":"4x4"}"#, "shape"),
             (r#"{"shape":[4,0]}"#, "shape"),
+            (r#"{"shape":[1028,4]}"#, "shape"),
             (r#"{"shape":[4,4],"block_bytes":0}"#, "block_bytes"),
             (r#"{"shape":[4,4],"block_bytes":99999999}"#, "block_bytes"),
             (r#"{"shape":[4,4],"seed":-1}"#, "seed"),

@@ -1,20 +1,16 @@
-//! Parallel helpers for per-node bulk work.
+//! The workspace's worker-count default.
 //!
-//! Simulated exchanges move millions of blocks; computing each node's send
-//! list and applying receives is embarrassingly parallel across nodes. The
-//! helpers here use `crossbeam`'s scoped threads so borrowed data (the
-//! schedule, the shape) can be shared without `Arc`, and they guarantee
-//! deterministic output order regardless of thread interleaving.
-
-use crossbeam::thread;
+//! The simulator itself runs single-threaded; the count resolved here
+//! sizes the worker pools of the byte-moving runtime (`torus-runtime`)
+//! and of the service engine (`torus-service`), which both depend on this
+//! crate.
 
 /// Number of worker threads to use by default.
 ///
 /// The `TORUS_THREADS` environment variable, when set to a positive
-/// integer, wins unconditionally — it is honored by the sim helpers, the
-/// exchange executors, and the `torus-runtime` byte-moving runtime alike.
-/// Otherwise this is the available parallelism capped to 8 (per-node work
-/// is memory-bound; more threads rarely help without an explicit opt-in).
+/// integer, wins unconditionally. Otherwise this is the available
+/// parallelism capped to 8 (per-node work is memory-bound; more threads
+/// rarely help without an explicit opt-in).
 pub fn default_threads() -> usize {
     if let Some(n) = env_threads() {
         return n;
@@ -33,126 +29,9 @@ pub fn env_threads() -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
-/// Applies `f` to every index in `0..n` in parallel and collects the
-/// results in index order.
-///
-/// Falls back to a plain sequential loop when `threads <= 1` or the range
-/// is small (parallelism overhead would dominate).
-pub fn par_map_nodes<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    const PAR_THRESHOLD: usize = 64;
-    if threads <= 1 || n < PAR_THRESHOLD {
-        return (0..n).map(f).collect();
-    }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let chunk = n.div_ceil(threads);
-    thread::scope(|s| {
-        for (ti, slot_chunk) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move |_| {
-                let base = ti * chunk;
-                for (i, slot) in slot_chunk.iter_mut().enumerate() {
-                    *slot = Some(f(base + i));
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-    out.into_iter()
-        .map(|o| o.expect("all slots filled"))
-        .collect()
-}
-
-/// Applies `f` to disjoint chunks of `items` in parallel, passing each
-/// chunk's starting index. Used to mutate per-node buffers concurrently.
-pub fn par_apply_chunks<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    const PAR_THRESHOLD: usize = 64;
-    let n = items.len();
-    if threads <= 1 || n < PAR_THRESHOLD {
-        f(0, items);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    thread::scope(|s| {
-        for (ti, part) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move |_| f(ti * chunk, part));
-        }
-    })
-    .expect("worker thread panicked");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn map_preserves_order() {
-        let v = par_map_nodes(1000, 4, |i| i * 2);
-        assert_eq!(v.len(), 1000);
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i * 2);
-        }
-    }
-
-    #[test]
-    fn map_sequential_fallback() {
-        let v = par_map_nodes(10, 1, |i| i + 1);
-        assert_eq!(v, (1..=10).collect::<Vec<_>>());
-        let v = par_map_nodes(10, 8, |i| i + 1); // below threshold
-        assert_eq!(v, (1..=10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn map_runs_every_index_once() {
-        let counter = AtomicUsize::new(0);
-        let v = par_map_nodes(500, 4, |i| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 500);
-        assert_eq!(v.iter().sum::<usize>(), 500 * 499 / 2);
-    }
-
-    #[test]
-    fn apply_chunks_sees_correct_offsets() {
-        let mut data = vec![0usize; 1000];
-        par_apply_chunks(&mut data, 4, |base, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = base + i;
-            }
-        });
-        for (i, x) in data.iter().enumerate() {
-            assert_eq!(*x, i);
-        }
-    }
-
-    #[test]
-    fn apply_chunks_small_input() {
-        let mut data = vec![1u32; 8];
-        par_apply_chunks(&mut data, 4, |_, chunk| {
-            for x in chunk {
-                *x += 1;
-            }
-        });
-        assert!(data.iter().all(|&x| x == 2));
-    }
-
-    #[test]
-    fn zero_items() {
-        let v: Vec<u32> = par_map_nodes(0, 4, |_| unreachable!());
-        assert!(v.is_empty());
-        let mut data: Vec<u32> = vec![];
-        par_apply_chunks(&mut data, 4, |_, _| {});
-    }
 
     #[test]
     fn default_threads_positive() {

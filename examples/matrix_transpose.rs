@@ -38,7 +38,7 @@ fn main() {
         t
     };
 
-    let exchange = Exchange::new(&shape).unwrap().with_threads(4);
+    let exchange = Exchange::new(&shape).unwrap();
     let params = CommParams::cray_t3d_like().with_block_bytes((B * B) as u32);
     let (report, deliveries) = exchange
         .run_with_payloads(&params, |s, d| tile(s as usize, d as usize))

@@ -178,22 +178,6 @@ fn bigger_torus_costs_more() {
 }
 
 #[test]
-fn threads_do_not_change_results() {
-    let shape = TorusShape::new(&[8, 8, 4]).unwrap();
-    let run = |threads| {
-        Exchange::new(&shape)
-            .unwrap()
-            .with_threads(threads)
-            .run_counting(&CommParams::unit())
-            .unwrap()
-    };
-    let a = run(1);
-    let b = run(8);
-    assert_eq!(a.counts, b.counts);
-    assert_eq!(a.verified, b.verified);
-}
-
-#[test]
 fn static_schedule_agrees_with_dynamic_execution() {
     use torus_alltoall::core::StaticSchedule;
     for dims in [&[8u32, 8][..], &[12, 8], &[8, 8, 8]] {
