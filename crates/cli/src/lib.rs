@@ -145,7 +145,8 @@ pub enum Command {
         max_deadline_ms: Option<u64>,
     },
     /// `submit --spec JSON [--addr HOST:PORT] [--tenant NAME]` — send
-    /// one job to a running daemon and wait for its `done` event.
+    /// one job to a running daemon, wait for its `done` event, and check
+    /// the daemon's delivery checksum against the one the spec implies.
     Submit {
         /// Daemon address.
         addr: String,
@@ -153,7 +154,7 @@ pub enum Command {
         tenant: String,
         /// The job spec, inline JSON.
         spec: String,
-        /// Emit the raw `done` event JSON instead of a summary line.
+        /// Emit a one-line JSON summary instead of a text line.
         json: bool,
     },
     /// `cancel --job-id N [--addr HOST:PORT] [--tenant NAME]` — cancel
@@ -546,6 +547,8 @@ USAGE:
                          unset, always clamped by --max-deadline-ms — are reaped
                          by the engine watchdog as 'deadline_exceeded')
   torus-xchg submit     --spec '{\"shape\":[4,4],\"seed\":7}' [--addr HOST:PORT] [--tenant NAME] [--json]
+                        (verifies the daemon's checksum against the spec's own;
+                         exits non-zero on a mismatch)
   torus-xchg cancel     --job-id N [--addr HOST:PORT] [--tenant NAME]
                         (queued jobs finish as 'cancelled'; running jobs stop at the
                          next step boundary; only the owning tenant may cancel)
@@ -568,9 +571,88 @@ FAULT SPEC (run-real): comma-separated key=value pairs —
   e.g. --faults kill=3:5 --on-failure degrade   (survivors still complete)
 ";
 
+/// Writes `submit`'s result line for `done` into `out`, checking the
+/// daemon's checksum against the one `spec` implies
+/// ([`torus_serviced::checksum::expected_checksum`]). A failed job, or a
+/// mismatch, is an error after the line is written, so the caller still
+/// shows it; the mismatch error names both digests. A run without a
+/// checksum (degraded or failed) has no verdict, and a spec the client
+/// cannot parse implies no checksum, so it never verifies.
+fn report_done(
+    spec: &torus_serviced::json::Json,
+    done: &torus_serviced::DoneEvent,
+    json: bool,
+    out: &mut String,
+) -> Result<(), String> {
+    use torus_serviced::checksum::{expected_checksum, to_hex};
+    let expected = torus_serviced::JobSpec::from_json(spec)
+        .ok()
+        .map(|spec| to_hex(expected_checksum(&spec)));
+    let checksum_ok = done
+        .checksum
+        .as_ref()
+        .map(|got| expected.as_ref() == Some(got));
+    let _ = writeln!(out, "{}", render_done(done, checksum_ok, json));
+    if !done.ok {
+        let failed = || format!("job {} failed", done.job_id);
+        return Err(done.error.clone().unwrap_or_else(failed));
+    }
+    if checksum_ok == Some(false) {
+        return Err(format!(
+            "job {}: checksum MISMATCH: the daemon reported {}, the spec implies {}",
+            done.job_id,
+            done.checksum.as_deref().unwrap_or_default(),
+            expected
+                .as_deref()
+                .unwrap_or("none (it does not parse here)"),
+        ));
+    }
+    Ok(())
+}
+
+/// One `submit` result line: a JSON summary with `checksum_ok`, or a text
+/// line ending in the checksum verdict.
+fn render_done(done: &torus_serviced::DoneEvent, checksum_ok: Option<bool>, json: bool) -> String {
+    if json {
+        let opt = |v: Option<String>| v.unwrap_or_else(|| "null".to_string());
+        return format!(
+            "{{\"job_id\":{},\"ok\":{},\"degraded\":{},\"cache_hit\":{},\
+             \"wire_bytes\":{},\"checksum\":{},\"checksum_ok\":{}}}",
+            done.job_id,
+            done.ok,
+            done.degraded,
+            done.cache_hit,
+            done.wire_bytes,
+            opt(done.checksum.as_ref().map(|c| format!("\"{c}\""))),
+            opt(checksum_ok.map(|ok| ok.to_string())),
+        );
+    }
+    format!(
+        "job {}: {}{}{}, {} wire bytes{}",
+        done.job_id,
+        if done.ok { "ok" } else { "FAILED" },
+        if done.degraded { " (degraded)" } else { "" },
+        if done.cache_hit { " (cached plan)" } else { "" },
+        done.wire_bytes,
+        match (&done.checksum, checksum_ok, &done.error) {
+            (Some(c), Some(true), _) => format!(", checksum {c} verified"),
+            (Some(c), _, _) => format!(", checksum {c} MISMATCH"),
+            (None, _, Some(e)) => format!(": {e}"),
+            _ => String::new(),
+        },
+    )
+}
+
 /// Executes a command, returning its stdout text.
 pub fn execute(cmd: Command) -> Result<String, String> {
     let mut out = String::new();
+    execute_into(cmd, &mut out).map(|()| out)
+}
+
+/// Executes a command, appending its stdout text to `out`. On an error
+/// `out` keeps what the command wrote before failing (`submit`'s result
+/// line when the job failed or its checksum did not verify).
+pub fn execute_into(cmd: Command, out: &mut String) -> Result<(), String> {
     match cmd {
         Command::Help => out.push_str(USAGE),
         Command::Run {
@@ -666,12 +748,12 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 Ok(())
             };
             match runtime.run() {
-                Ok(report) => emit(&mut out, &report)?,
+                Ok(report) => emit(out, &report)?,
                 // An injected unrecoverable fault is a legitimate outcome
                 // of `--faults`: show the partial report, not a bare
                 // error.
                 Err(torus_runtime::RuntimeError::Aborted { failure, report }) => {
-                    emit(&mut out, &report)?;
+                    emit(out, &report)?;
                     let _ = writeln!(out, "run aborted: {failure}");
                 }
                 Err(e) => return Err(e.to_string()),
@@ -721,9 +803,9 @@ pub fn execute(cmd: Command) -> Result<String, String> {
                 Ok(())
             };
             match runtime.run() {
-                Ok((report, _deliveries)) => emit(&mut out, &report)?,
+                Ok((report, _deliveries)) => emit(out, &report)?,
                 Err(torus_runtime::RuntimeError::Aborted { failure, report }) => {
-                    emit(&mut out, &report)?;
+                    emit(out, &report)?;
                     let _ = writeln!(out, "run aborted: {failure}");
                 }
                 Err(e) => return Err(e.to_string()),
@@ -988,40 +1070,9 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             let mut client =
                 torus_serviced::Client::connect(&addr).map_err(|e| format!("{addr}: {e}"))?;
             client.hello(&tenant).map_err(|e| e.to_string())?;
-            let job_id = client.submit_raw(spec).map_err(|e| e.to_string())?;
+            let job_id = client.submit_raw(spec.clone()).map_err(|e| e.to_string())?;
             let done = client.wait_done(job_id).map_err(|e| e.to_string())?;
-            if json {
-                let _ = writeln!(
-                    out,
-                    "{{\"job_id\":{job_id},\"ok\":{},\"degraded\":{},\"cache_hit\":{},\
-                     \"wire_bytes\":{},\"checksum\":{}}}",
-                    done.ok,
-                    done.degraded,
-                    done.cache_hit,
-                    done.wire_bytes,
-                    match &done.checksum {
-                        Some(c) => format!("\"{c}\""),
-                        None => "null".to_string(),
-                    },
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "job {job_id}: {}{}{}, {} wire bytes{}",
-                    if done.ok { "ok" } else { "FAILED" },
-                    if done.degraded { " (degraded)" } else { "" },
-                    if done.cache_hit { " (cached plan)" } else { "" },
-                    done.wire_bytes,
-                    match (&done.checksum, &done.error) {
-                        (Some(c), _) => format!(", checksum {c}"),
-                        (None, Some(e)) => format!(": {e}"),
-                        _ => String::new(),
-                    },
-                );
-            }
-            if !done.ok {
-                return Err(done.error.unwrap_or_else(|| format!("job {job_id} failed")));
-            }
+            report_done(&spec, &done, json, out)?;
         }
         Command::DaemonStats { addr } => {
             let mut client =
@@ -1077,7 +1128,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1516,6 +1567,72 @@ mod tests {
         assert_eq!(parse_args(&argv("schema")).unwrap(), Command::Schema);
     }
 
+    /// `submit` compares the daemon's checksum with the spec's: the
+    /// matching digest verifies, a corrupted one is a mismatch in both
+    /// output modes — the result line is still written and the error
+    /// names both digests — and a degraded run (no checksum) has no
+    /// verdict.
+    #[test]
+    fn submit_reports_a_corrupted_checksum_as_a_mismatch() {
+        use torus_serviced::checksum::{expected_checksum, to_hex};
+        let raw = r#"{"shape":[4,4],"block_bytes":32,"seed":3}"#;
+        let spec = torus_serviced::json::parse(raw).unwrap();
+        let good = to_hex(expected_checksum(
+            &torus_serviced::JobSpec::from_json(&spec).unwrap(),
+        ));
+        let mut done = torus_serviced::DoneEvent {
+            job_id: 7,
+            ok: true,
+            degraded: false,
+            verified: true,
+            cache_hit: false,
+            wire_bytes: 1024,
+            checksum: Some(good.clone()),
+            error: None,
+            state: "completed".to_string(),
+        };
+        let report = |done: &torus_serviced::DoneEvent, json: bool| {
+            let mut out = String::new();
+            let result = report_done(&spec, done, json, &mut out);
+            (out, result)
+        };
+        let (out, result) = report(&done, false);
+        assert_eq!(result, Ok(()));
+        assert!(
+            out.ends_with(&format!("checksum {good} verified\n")),
+            "{out}"
+        );
+        let (out, result) = report(&done, true);
+        assert_eq!(result, Ok(()));
+        assert!(out.contains(r#""checksum_ok":true"#), "{out}");
+
+        let mut corrupted = good.clone().into_bytes();
+        corrupted[15] = if corrupted[15] == b'0' { b'1' } else { b'0' };
+        let corrupted = String::from_utf8(corrupted).unwrap();
+        done.checksum = Some(corrupted.clone());
+        for json in [false, true] {
+            let (out, result) = report(&done, json);
+            let err = result.unwrap_err();
+            assert!(err.contains("MISMATCH"), "{err}");
+            assert!(err.contains(&corrupted) && err.contains(&good), "{err}");
+            let verdict = if json {
+                r#""checksum_ok":false"#
+            } else {
+                "MISMATCH"
+            };
+            assert!(out.contains(verdict), "{out}");
+        }
+
+        done.degraded = true;
+        done.checksum = None;
+        let (out, result) = report(&done, true);
+        assert_eq!(result, Ok(()));
+        assert!(
+            out.contains(r#""checksum":null,"checksum_ok":null"#),
+            "{out}"
+        );
+    }
+
     #[test]
     fn execute_validate_and_schema_locally() {
         let out = execute(
@@ -1590,6 +1707,10 @@ mod tests {
         .unwrap();
         assert!(out.contains("ok"), "{out}");
         assert!(out.contains("checksum"), "{out}");
+        assert!(
+            out.contains("verified"),
+            "the spec's digest must match: {out}"
+        );
 
         let out = execute(
             parse_args(&["stats".to_string(), "--addr".to_string(), addr.clone()]).unwrap(),

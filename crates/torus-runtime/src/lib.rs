@@ -70,6 +70,7 @@
 pub mod cancel;
 pub mod collective;
 pub mod degrade;
+pub mod digest;
 mod exec;
 pub mod fault;
 pub mod message;
@@ -89,6 +90,7 @@ pub use collective_plan::{
     SendInstr,
 };
 pub use degrade::{DeadNode, DegradedReport, OnFailure};
+pub use digest::{delivery_digest, DeliveryDigest};
 pub use fault::{FaultEvent, FaultEventKind, FaultKind, FaultPlan, WorkerFaultKind};
 pub use message::{
     crc32, decode_gathered, decode_message, encode_gathered, encode_message, WireError, WireFrame,

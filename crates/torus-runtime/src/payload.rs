@@ -30,8 +30,14 @@ const LANES: usize = 4;
 /// One splitmix64 mixing round. Shared with the fault layer, whose
 /// deterministic sampling and corruption-offset choices are derived from
 /// the same mixer so a `FaultPlan` seed fully determines every decision.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+pub(crate) fn splitmix64(z: u64) -> u64 {
+    mix64(z.wrapping_add(0x9e37_79b9_7f4a_7c15))
+}
+
+/// splitmix64's finalizer: a bijection on `u64` with full avalanche.
+/// Also the lane finalizer of the delivery digest ([`crate::digest`]).
+#[inline(always)]
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
@@ -147,18 +153,28 @@ impl PayloadSpec {
         self.payload(id, id, len)
     }
 
+    /// Writes the `len`-byte stream of each `(src, dst)` in `pairs` back
+    /// to back into `out`, resized to `pairs.len() * len`: stream `i` is
+    /// `out[i * len..(i + 1) * len]` and equals
+    /// [`payload`](Self::payload)`(src, dst, len)`. This is the seeding
+    /// kernel, four streams at a time; reusing `out` across calls means
+    /// a warm buffer is never re-zeroed or reallocated.
+    pub fn fill(&self, pairs: &[(NodeId, NodeId)], len: usize, out: &mut Vec<u8>) {
+        let seeds: Vec<u64> = pairs.iter().map(|&(s, d)| self.stream_seed(s, d)).collect();
+        out.resize(pairs.len() * len, 0);
+        fill_streams(&seeds, len, out);
+    }
+
     /// `len` payload bytes for each of `pairs`, all slices of one buffer:
-    /// the kernel writes every stream into `scratch` (reused across calls,
-    /// so a warm one is never re-zeroed), then one copy freezes it.
+    /// [`fill`](Self::fill) writes every stream into `scratch`, then one
+    /// copy freezes it.
     pub(crate) fn payloads(
         &self,
         pairs: &[(NodeId, NodeId)],
         len: usize,
         scratch: &mut Vec<u8>,
     ) -> Vec<Bytes> {
-        let seeds: Vec<u64> = pairs.iter().map(|&(s, d)| self.stream_seed(s, d)).collect();
-        scratch.resize(pairs.len() * len, 0);
-        fill_streams(&seeds, len, scratch);
+        self.fill(pairs, len, scratch);
         let buf = Bytes::copy_from_slice(scratch);
         (0..pairs.len())
             .map(|i| buf.slice(i * len..(i + 1) * len))

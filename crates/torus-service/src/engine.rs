@@ -405,6 +405,7 @@ impl Shared {
                 job_id: job.id,
                 report: None,
                 deliveries: None,
+                digest: None,
                 error: Some("cancelled before dispatch".to_string()),
                 cache_hit: false,
             },
@@ -793,6 +794,7 @@ impl Engine {
                             job_id,
                             report: None,
                             deliveries: None,
+                            digest: None,
                             error: Some("canceled: admission journal unavailable".to_string()),
                             cache_hit: false,
                         },
@@ -1066,6 +1068,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                                 job_id: job.id,
                                 report: None,
                                 deliveries: None,
+                                digest: None,
                                 error: Some(error),
                                 cache_hit: false,
                             },
@@ -1128,12 +1131,19 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 .cells
                 .bytes_copied
                 .fetch_add(report.bytes_copied, Ordering::Relaxed);
+            // Digest before `finish`: a waiter can read the result the
+            // moment it is published, before any event hook runs.
+            let digest = report
+                .degraded
+                .is_none()
+                .then(|| torus_runtime::delivery_digest(&deliveries));
             let result = job.state.finish(
                 JobStatus::Completed,
                 JobResult {
                     job_id: job.id,
                     report: Some(report),
                     deliveries: Some(deliveries),
+                    digest,
                     error: None,
                     cache_hit,
                 },
@@ -1176,6 +1186,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                     job_id: job.id,
                     report,
                     deliveries: None,
+                    digest: None,
                     error: Some(error),
                     cache_hit,
                 },

@@ -175,6 +175,12 @@ pub struct JobResult {
     /// Per original node, the delivered `(source, payload)` pairs —
     /// present only on completion.
     pub deliveries: Option<Vec<Vec<(NodeId, Bytes)>>>,
+    /// The delivery digest of `deliveries`
+    /// ([`torus_runtime::delivery_digest`]), computed once by the driver
+    /// that ran the job — present only on a clean (undegraded)
+    /// completion, since a degraded run drops dead-node blocks and its
+    /// digest could never match the spec's.
+    pub digest: Option<u64>,
     /// The failure description when [`JobStatus::Failed`].
     pub error: Option<String>,
     /// Whether the job's plan came from the cache.
@@ -277,6 +283,7 @@ mod tests {
                 job_id: 3,
                 report: None,
                 deliveries: None,
+                digest: None,
                 error: Some("boom".to_string()),
                 cache_hit: false,
             },

@@ -123,7 +123,13 @@ fn eight_concurrent_jobs_are_bit_exact_and_isolated() {
             report.failure.is_none(),
             "clean jobs must not record failures"
         );
-        assert_bit_exact(shape, *seed, result.deliveries.as_ref().unwrap());
+        let deliveries = result.deliveries.as_ref().unwrap();
+        assert_bit_exact(shape, *seed, deliveries);
+        assert_eq!(
+            result.digest,
+            Some(torus_runtime::delivery_digest(deliveries)),
+            "a clean completion carries its delivery digest"
+        );
     }
     let dresult = degraded.wait();
     assert_eq!(
@@ -137,6 +143,7 @@ fn eight_concurrent_jobs_are_bit_exact_and_isolated() {
     assert!(dinfo.verified_degraded, "survivor invariant must verify");
     assert_eq!(dinfo.dead_nodes.len(), 1);
     assert_eq!(dinfo.dead_nodes[0].node, 3);
+    assert_eq!(dresult.digest, None, "a degraded run carries no digest");
 
     let stats = engine.shutdown();
     assert_eq!(stats.jobs_accepted, 9);

@@ -2,64 +2,55 @@
 //!
 //! Shipping every delivered block back over the socket would drown the
 //! protocol in payload bytes, so bit-exactness is proven with a
-//! checksum instead: the daemon folds every delivered `(dst, src,
-//! payload)` triple into an FNV-1a 64 digest, and the client — which
-//! knows the spec's deterministic payload streams — computes the same
-//! digest independently. Equal digests mean every block arrived at the
-//! right node with the right bytes; the two sides never share payload
-//! data, only the 16-hex-digit answer.
+//! checksum instead: the engine folds every delivered `(dst, src,
+//! payload)` triple into the runtime's four-lane delivery digest
+//! ([`torus_runtime::digest`]) once per clean job, and the client —
+//! which knows the spec's deterministic payload streams — computes the
+//! same digest independently. Equal digests mean every block arrived at
+//! the right node with the right bytes; the two sides never share
+//! payload data, only the 16-hex-digit answer.
 
 use bytes::Bytes;
-use torus_runtime::{CollectivePlan, JobOp};
+use torus_runtime::{CollectivePlan, DeliveryDigest, JobOp};
 
 use crate::spec::JobSpec;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fold(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
 
 /// Digest of an actual delivery set, in the engine's order (ascending
 /// destination, each destination's deliveries as the runtime returns
 /// them: ascending key — the source node for an all-to-all, the
-/// collective key for broadcast/allgather/reduce/etc.).
+/// collective key for broadcast/allgather/reduce/etc.). The daemon
+/// itself reads the engine's [`JobResult::digest`]; this is for callers
+/// holding a delivery set of their own.
+///
+/// [`JobResult::digest`]: torus_service::JobResult::digest
 pub fn delivery_checksum(deliveries: &[Vec<(u32, Bytes)>]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for (dst, got) in deliveries.iter().enumerate() {
-        for (src, payload) in got {
-            fold(&mut hash, &(dst as u32).to_le_bytes());
-            fold(&mut hash, &src.to_le_bytes());
-            fold(&mut hash, payload);
-        }
-    }
-    hash
+    torus_runtime::delivery_digest(deliveries)
 }
 
 /// The digest a clean (non-degraded) run of `spec` must produce,
 /// computed purely from the spec's deterministic payload streams.
 ///
-/// All-to-all enumerates the `(src != dst)` pair stream directly; a
-/// collective replays the plan's serial reference fold
+/// All-to-all seeds each destination's `N − 1` incoming streams into one
+/// reused buffer with the runtime's seeding kernel
+/// ([`PayloadSpec::fill`](torus_service::PayloadSpec::fill)) and digests
+/// slices of it; a collective replays the plan's serial reference fold
 /// ([`CollectivePlan::reference_finals`]) over the same diagonal seed
 /// payloads the engine uses, so the digest covers the *reduced* bytes,
 /// not just the seeds. Spec validation guarantees the plan and lane
 /// checks cannot fail here.
 pub fn expected_checksum(spec: &JobSpec) -> u64 {
-    let mut hash = FNV_OFFSET;
+    let mut digest = DeliveryDigest::new();
+    let len = spec.block_bytes;
     match spec.op {
         JobOp::Alltoall => {
             let nn = spec.torus_shape().num_nodes();
+            let (mut pairs, mut streams) = (Vec::new(), Vec::new());
             for dst in 0..nn {
-                for src in (0..nn).filter(|&s| s != dst) {
-                    let payload = spec.payload.payload(src, dst, spec.block_bytes);
-                    fold(&mut hash, &dst.to_le_bytes());
-                    fold(&mut hash, &src.to_le_bytes());
-                    fold(&mut hash, &payload);
+                pairs.clear();
+                pairs.extend((0..nn).filter(|&s| s != dst).map(|src| (src, dst)));
+                spec.payload.fill(&pairs, len, &mut streams);
+                for (i, &(src, _)) in pairs.iter().enumerate() {
+                    digest.push(dst, src, &streams[i * len..(i + 1) * len]);
                 }
             }
         }
@@ -67,20 +58,16 @@ pub fn expected_checksum(spec: &JobSpec) -> u64 {
             let plan = CollectivePlan::new(&spec.torus_shape(), op)
                 .expect("spec validation admits only plannable collective ops");
             let finals = plan
-                .reference_finals(spec.block_bytes, |id| {
-                    spec.payload.key_payload(id, spec.block_bytes).to_vec()
-                })
+                .reference_finals(len, |id| spec.payload.key_payload(id, len).to_vec())
                 .expect("spec validation enforces the lane check");
             for (dst, got) in finals.iter().enumerate() {
                 for (key, payload) in got {
-                    fold(&mut hash, &(dst as u32).to_le_bytes());
-                    fold(&mut hash, &key.to_le_bytes());
-                    fold(&mut hash, payload);
+                    digest.push(dst as u32, *key, payload);
                 }
             }
         }
     }
-    hash
+    digest.finish()
 }
 
 /// Formats a digest the way the wire protocol carries it.
@@ -91,6 +78,7 @@ pub fn to_hex(digest: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use torus_runtime::{CollectiveOp, CollectiveRuntime, Dtype, ReduceOp, Runtime, RuntimeConfig};
     use torus_service::PayloadSpec;
 
     #[test]
@@ -114,46 +102,104 @@ mod tests {
         assert_eq!(delivery_checksum(&deliveries), expected_checksum(&spec));
     }
 
+    /// The spec-side digest of the runtime's golden delivery sets: the
+    /// wire value is a protocol contract, so a client computing it from
+    /// the spec alone must land on the same pins.
     #[test]
-    fn collective_expected_matches_a_real_runtime_run() {
-        use torus_runtime::{CollectiveOp, CollectiveRuntime, Dtype, ReduceOp, RuntimeConfig};
+    fn expected_checksum_matches_the_golden_pins() {
+        let pattern = JobSpec {
+            shape: vec![2, 2],
+            block_bytes: 16,
+            payload: PayloadSpec::Pattern,
+            ..JobSpec::default()
+        };
+        assert_eq!(to_hex(expected_checksum(&pattern)), "6cb58b4c3c007bd1");
+        let seeded = JobSpec {
+            shape: vec![4, 4],
+            block_bytes: 33,
+            payload: PayloadSpec::Seeded { seed: 0xfeed },
+            ..JobSpec::default()
+        };
+        assert_eq!(to_hex(expected_checksum(&seeded)), "6d25853c2b57ca39");
+        let allgather = JobSpec {
+            shape: vec![4, 4],
+            block_bytes: 8,
+            payload: PayloadSpec::Seeded { seed: 9 },
+            op: JobOp::Collective(CollectiveOp::Allgather),
+            ..JobSpec::default()
+        };
+        assert_eq!(to_hex(expected_checksum(&allgather)), "e53216132d60248a");
+    }
+
+    /// `expected_checksum` equals the digest of a real runtime run for
+    /// every op, on the degenerate 2×2 ring (whose + and − neighbours
+    /// coincide), a square, a padded and a 3-D shape, at every block
+    /// length the op's lane check admits.
+    #[test]
+    fn expected_matches_real_runs_for_every_op_shape_and_length() {
         let ops = [
-            CollectiveOp::Broadcast { root: 2 },
-            CollectiveOp::Allgather,
-            CollectiveOp::Allreduce {
-                op: ReduceOp::Sum,
-                dtype: Dtype::U64,
-            },
-            CollectiveOp::Reduce {
+            JobOp::Alltoall,
+            JobOp::Collective(CollectiveOp::Broadcast { root: 2 }),
+            JobOp::Collective(CollectiveOp::Scatter { root: 1 }),
+            JobOp::Collective(CollectiveOp::Gather { root: 3 }),
+            JobOp::Collective(CollectiveOp::Allgather),
+            JobOp::Collective(CollectiveOp::Reduce {
                 root: 1,
                 op: ReduceOp::Max,
                 dtype: Dtype::F32,
-            },
+            }),
+            JobOp::Collective(CollectiveOp::Allreduce {
+                op: ReduceOp::Sum,
+                dtype: Dtype::U64,
+            }),
         ];
-        for op in ops {
-            let spec = JobSpec {
-                shape: vec![2, 2],
-                block_bytes: 16,
-                payload: PayloadSpec::Seeded { seed: 9 },
-                op: torus_runtime::JobOp::Collective(op),
-                ..JobSpec::default()
-            };
-            let runtime = CollectiveRuntime::new(
-                &spec.torus_shape(),
-                op,
-                RuntimeConfig::default()
-                    .with_workers(2)
-                    .with_block_bytes(spec.block_bytes),
-            )
-            .unwrap();
-            let (_, deliveries) = runtime
-                .run_with_payloads(|id| spec.payload.key_payload(id, spec.block_bytes))
-                .unwrap();
-            assert_eq!(
-                delivery_checksum(&deliveries),
-                expected_checksum(&spec),
-                "digest mismatch for {op:?}"
-            );
+        for shape in [vec![2, 2], vec![4, 4], vec![6, 6], vec![4, 4, 4]] {
+            for op in ops {
+                for block_bytes in [8, 16, 33, 64, 1024] {
+                    let lane = match op {
+                        JobOp::Collective(
+                            CollectiveOp::Reduce { dtype, .. }
+                            | CollectiveOp::Allreduce { dtype, .. },
+                        ) => dtype.lane_bytes(),
+                        _ => 1,
+                    };
+                    if block_bytes % lane != 0 {
+                        continue;
+                    }
+                    let spec = JobSpec {
+                        shape: shape.clone(),
+                        block_bytes,
+                        payload: PayloadSpec::Seeded { seed: 9 },
+                        op,
+                        ..JobSpec::default()
+                    };
+                    let cfg = RuntimeConfig::default()
+                        .with_workers(2)
+                        .with_block_bytes(block_bytes);
+                    let payload = spec.payload;
+                    let deliveries = match op {
+                        JobOp::Alltoall => {
+                            Runtime::new(&spec.torus_shape(), cfg)
+                                .unwrap()
+                                .run_with_payloads(|s, d| payload.payload(s, d, block_bytes))
+                                .unwrap()
+                                .1
+                        }
+                        JobOp::Collective(op) => {
+                            CollectiveRuntime::new(&spec.torus_shape(), op, cfg)
+                                .unwrap()
+                                .run_with_payloads(|id| payload.key_payload(id, block_bytes))
+                                .unwrap()
+                                .1
+                        }
+                    };
+                    assert_eq!(
+                        delivery_checksum(&deliveries),
+                        expected_checksum(&spec),
+                        "digest mismatch for {op:?} on {shape:?} x {block_bytes} B"
+                    );
+                }
+            }
         }
     }
 

@@ -4,11 +4,12 @@
 //! (`accepted` now, `status`/`done` later) while other requests are
 //! strict request/response, events for in-flight jobs can interleave
 //! with the reply the caller is waiting for. The client routes instead
-//! of assuming order: `status` events accumulate in a per-job trace,
+//! of assuming order: `status` events accumulate in a per-job trace
+//! (kept for the [`STATUS_TRACE_JOBS`] most recent jobs),
 //! `done` events park in a buffer until [`Client::wait_done`] claims
 //! them, and everything else is handed to whichever call is pending.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -21,6 +22,12 @@ use crate::spec::JobSpec;
 /// while — but finite, so a wedged daemon fails a test instead of
 /// hanging it.
 pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Jobs per connection whose status trace [`Client::status_trace`] keeps;
+/// past this the oldest (lowest-id: a daemon's job ids only grow) job's
+/// trace is evicted, so a long-lived connection's memory does not grow
+/// with the jobs it has seen.
+pub const STATUS_TRACE_JOBS: usize = 1024;
 
 /// The final `done` event for one job, decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,8 +45,9 @@ pub struct DoneEvent {
     pub cache_hit: bool,
     /// Bytes the exchange put on the (simulated) wire.
     pub wire_bytes: u64,
-    /// FNV-1a 64 digest of the delivered blocks, hex; `None` for
-    /// degraded or failed runs.
+    /// The delivery digest of the delivered blocks
+    /// ([`torus_runtime::digest`]), hex; `None` for degraded or failed
+    /// runs.
     pub checksum: Option<String>,
     /// Failure description when `ok` is false.
     pub error: Option<String>,
@@ -148,7 +156,8 @@ pub struct JobStatusReply {
     pub ok: Option<bool>,
     /// Whether the run completed degraded, when terminal.
     pub degraded: Option<bool>,
-    /// The FNV-1a delivery checksum (hex), when recorded.
+    /// The delivery digest (hex), when recorded: `None` for degraded or
+    /// failed runs, and for jobs recovered from a version-1 journal.
     pub checksum: Option<String>,
     /// The failure description, when the job failed.
     pub error: Option<String>,
@@ -178,8 +187,9 @@ pub struct Client {
     /// job id, until `wait_done` collects them.
     parked_done: HashMap<u64, DoneEvent>,
     /// Every `status` state seen per job, in arrival order (duplicates
-    /// from heartbeats collapsed).
-    status_trace: HashMap<u64, Vec<String>>,
+    /// from heartbeats collapsed), for the most recent
+    /// [`STATUS_TRACE_JOBS`] jobs, ordered by id for eviction.
+    status_trace: BTreeMap<u64, Vec<String>>,
     /// One-line description of the last streamed event, carried in
     /// [`ClientError::Disconnected`] when the connection dies.
     last_event: Option<String>,
@@ -196,7 +206,7 @@ impl Client {
         Ok(Self {
             reader: BufReader::new(stream),
             parked_done: HashMap::new(),
-            status_trace: HashMap::new(),
+            status_trace: BTreeMap::new(),
             last_event: None,
         })
     }
@@ -285,6 +295,9 @@ impl Client {
         let trace = self.status_trace.entry(id).or_default();
         if trace.last().map(String::as_str) != Some(state) {
             trace.push(state.to_string());
+        }
+        if self.status_trace.len() > STATUS_TRACE_JOBS {
+            self.status_trace.pop_first();
         }
     }
 
@@ -542,7 +555,9 @@ impl Client {
         }
     }
 
-    /// The distinct status states seen for `job_id`, in order.
+    /// The distinct status states seen for `job_id`, in order. Empty once
+    /// [`STATUS_TRACE_JOBS`] newer jobs have been traced on this
+    /// connection.
     pub fn status_trace(&self, job_id: u64) -> &[String] {
         self.status_trace.get(&job_id).map_or(&[], Vec::as_slice)
     }
@@ -603,5 +618,45 @@ impl Client {
     /// [`Client::send_raw_bytes`] in robustness tests.
     pub fn read_raw_event(&mut self) -> Result<Json, ClientError> {
         self.read_event()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A connection that streams status events for 5 000 jobs holds the
+    /// traces of only the most recent [`STATUS_TRACE_JOBS`].
+    #[test]
+    fn status_traces_are_kept_for_the_most_recent_jobs_only() {
+        const JOBS: u64 = 5_000;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut socket, _) = listener.accept().unwrap();
+            let mut lines = String::new();
+            for id in 1..=JOBS {
+                for state in ["queued", "running"] {
+                    lines.push_str(&format!(
+                        "{{\"ev\":\"status\",\"job_id\":{id},\"state\":\"{state}\"}}\n"
+                    ));
+                }
+            }
+            lines.push_str("{\"ev\":\"pong\"}\n");
+            socket.write_all(lines.as_bytes()).unwrap();
+            // Hold the socket open until the client has read the pong.
+            let mut ping = [0u8; 64];
+            let _ = std::io::Read::read(&mut socket, &mut ping);
+        });
+        let mut client = Client::connect(addr).unwrap();
+        client.ping().unwrap();
+        assert_eq!(client.status_trace.len(), STATUS_TRACE_JOBS);
+        assert_eq!(client.status_trace(JOBS), ["queued", "running"]);
+        let oldest_kept = JOBS - STATUS_TRACE_JOBS as u64 + 1;
+        assert_eq!(client.status_trace(oldest_kept).len(), 2);
+        assert!(client.status_trace(oldest_kept - 1).is_empty());
+        drop(client);
+        server.join().unwrap();
     }
 }

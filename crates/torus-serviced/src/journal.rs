@@ -15,7 +15,7 @@
 //! offset  size  field
 //!      0     4  magic        "TJL1" (0x314C_4A54)
 //!      4     1  kind         1=accepted 2=started 3=done 4=rejected
-//!      5     1  version      1
+//!      5     1  version      2 (1 still read; see below)
 //!      6     2  reserved     0
 //!      8     8  job_id       engine-assigned id (0 for rejected)
 //!     16     4  payload_len  bytes of JSON following the header
@@ -60,10 +60,21 @@
 //!
 //! [`Journal::open`] replays all segments oldest-first and returns a
 //! [`Recovery`]: jobs `accepted` but never `done` (to re-enqueue,
-//! exactly once), terminal jobs with their recorded outcome and FNV-1a
-//! delivery checksum (to answer `status` for pre-crash ids without
+//! exactly once), terminal jobs with their recorded outcome and
+//! delivery digest (to answer `status` for pre-crash ids without
 //! re-running), and the highest job id seen (so fresh ids stay
 //! monotonic across the restart).
+//!
+//! ## Versions
+//!
+//! This build writes version 2 and reads versions 1 and 2; any other
+//! version is corruption. The two differ only in what a `done` record's
+//! `checksum` means: v2 carries the four-lane delivery digest
+//! ([`torus_runtime::digest`]), v1 carried an FNV-1a digest that no
+//! client computes any more. Replay therefore drops a v1 checksum — the
+//! job recovers as terminal with its outcome and a `null` checksum, the
+//! same answer the wire gives for a degraded run — rather than report a
+//! value no client could verify.
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
@@ -79,8 +90,10 @@ use crate::json::Json;
 
 /// First four bytes of every record: `"TJL1"` little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"TJL1");
-/// The on-disk format version this build writes and understands.
-pub const VERSION: u8 = 1;
+/// The on-disk format version this build writes.
+pub const VERSION: u8 = 2;
+/// The oldest version replay still reads (see "Versions" above).
+const OLDEST_READABLE_VERSION: u8 = 1;
 /// Fixed bytes preceding every record's JSON payload.
 pub const RECORD_HEADER_BYTES: usize = 24;
 /// Upper bound on a record's payload; anything larger on disk is
@@ -99,7 +112,7 @@ pub enum RecordKind {
     /// A driver began executing the job; empty payload.
     Started,
     /// The job reached a terminal state; payload carries `ok`,
-    /// `degraded`, `checksum` (FNV-1a hex or null), and `error`.
+    /// `degraded`, `checksum` (delivery digest hex or null), and `error`.
     Done,
     /// A submission was refused; `job_id` is 0, payload carries
     /// `tenant` and `reason`.
@@ -233,8 +246,8 @@ pub struct RecoveredDone {
     pub ok: bool,
     /// Whether it completed in degraded mode.
     pub degraded: bool,
-    /// The recorded FNV-1a delivery checksum (16 hex digits), when the
-    /// run was clean.
+    /// The recorded delivery digest (16 hex digits), when the run was
+    /// clean. `None` for v1 records, whose FNV-1a digest is dropped.
     pub checksum: Option<String>,
     /// The recorded failure description, when it failed.
     pub error: Option<String>,
@@ -299,9 +312,10 @@ struct Inner {
     file: File,
     seq: u64,
     active_bytes: u64,
-    /// Job ids whose `accepted` record is on disk (written or replayed).
-    admitted: HashSet<u64>,
-    /// Admitted jobs with no `done` record yet.
+    /// Jobs whose `accepted` record is on disk (written or replayed)
+    /// with no `done` record yet. A started/done record for a job not
+    /// here is deferred: no record for a job follows its `done`, so
+    /// "not pending" can only mean "not yet accepted".
     pending: HashSet<u64>,
     /// Per closed-or-active segment: every job id with a record in it.
     seg_jobs: HashMap<u64, HashSet<u64>>,
@@ -388,10 +402,14 @@ fn list_segments(dir: &Path) -> std::io::Result<Vec<u64>> {
 }
 
 fn encode_record(kind: RecordKind, job_id: u64, payload: &[u8]) -> Vec<u8> {
+    encode_record_version(VERSION, kind, job_id, payload)
+}
+
+fn encode_record_version(version: u8, kind: RecordKind, job_id: u64, payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.push(kind.to_byte());
-    buf.push(VERSION);
+    buf.push(version);
     buf.extend_from_slice(&0u16.to_le_bytes());
     buf.extend_from_slice(&job_id.to_le_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -406,6 +424,7 @@ fn encode_record(kind: RecordKind, job_id: u64, payload: &[u8]) -> Vec<u8> {
 /// One decoded record during replay.
 struct RawRecord {
     kind: RecordKind,
+    version: u8,
     job_id: u64,
     payload: Json,
     /// Total bytes the record occupied on disk.
@@ -435,7 +454,7 @@ fn decode_record(data: &[u8], offset: usize) -> Decoded {
         return Decoded::Corrupt(format!("unknown record kind {kind_byte}"));
     };
     let version = rest[5];
-    if version != VERSION {
+    if !(OLDEST_READABLE_VERSION..=VERSION).contains(&version) {
         return Decoded::Corrupt(format!("unsupported record version {version}"));
     }
     let job_id = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
@@ -474,6 +493,7 @@ fn decode_record(data: &[u8], offset: usize) -> Decoded {
     };
     Decoded::Record(RawRecord {
         kind,
+        version,
         job_id,
         payload,
         len: total,
@@ -554,6 +574,8 @@ impl Journal {
                                         .payload
                                         .get("checksum")
                                         .and_then(Json::as_str)
+                                        // v1 carried FNV-1a: unverifiable now.
+                                        .filter(|_| rec.version >= 2)
                                         .map(str::to_string),
                                     error: rec
                                         .payload
@@ -594,16 +616,12 @@ impl Journal {
         // Classify: accepted-without-done is pending work; every done
         // record (even one whose accepted landed in a since-compacted
         // segment) answers status queries.
-        let mut admitted = HashSet::new();
         let mut pending = HashSet::new();
         // The rejected-record bucket (id 0) is bookkeeping noise unless
         // an actual job ever carried id 0 — engine ids start at 1.
         for (&id, replay) in &jobs {
             if id == 0 && replay.spec.is_none() && replay.done.is_none() {
                 continue;
-            }
-            if replay.spec.is_some() {
-                admitted.insert(id);
             }
             match &replay.done {
                 Some(done) => recovery.terminal.push(done.clone()),
@@ -651,7 +669,6 @@ impl Journal {
                 file,
                 seq,
                 active_bytes,
-                admitted,
                 pending,
                 seg_jobs,
                 deferred: HashMap::new(),
@@ -721,7 +738,6 @@ impl Journal {
         let core = &self.core;
         let mut inner = lk(&core.inner);
         core.append_locked(&mut inner, RecordKind::Accepted, job_id, &payload)?;
-        inner.admitted.insert(job_id);
         inner.pending.insert(job_id);
         if let Some(queued) = inner.deferred.remove(&job_id) {
             for (kind, payload) in queued {
@@ -774,7 +790,7 @@ impl Journal {
         let payload = Json::obj([]);
         let core = &self.core;
         let mut inner = lk(&core.inner);
-        if !inner.admitted.contains(&job_id) {
+        if !inner.pending.contains(&job_id) {
             inner
                 .deferred
                 .entry(job_id)
@@ -785,8 +801,8 @@ impl Journal {
         core.append_locked(&mut inner, RecordKind::Started, job_id, &payload)
     }
 
-    /// Records `job_id`'s terminal outcome. `checksum` is the FNV-1a
-    /// delivery checksum in hex when the run was clean. The terminal
+    /// Records `job_id`'s terminal outcome. `checksum` is the delivery
+    /// digest in hex when the run was clean. The terminal
     /// state is derived from `ok`; cancellations and deadline reaps use
     /// [`record_done_state`](Journal::record_done_state) so recovery
     /// can tell them apart from genuine failures.
@@ -824,7 +840,7 @@ impl Journal {
         ]);
         let core = &self.core;
         let mut inner = lk(&core.inner);
-        if !inner.admitted.contains(&job_id) {
+        if !inner.pending.contains(&job_id) {
             inner
                 .deferred
                 .entry(job_id)
@@ -1049,23 +1065,34 @@ mod tests {
 
     #[test]
     fn golden_accepted_record_still_replays() {
-        // One `accepted` record (job 42, 161-byte payload) written before
-        // the runtime's CRC routine gained its wide kernels: journals on
-        // disk must stay readable, and a re-encode must not move a bit.
+        // One version-1 `accepted` record (job 42, 161-byte payload)
+        // written before the runtime's CRC routine gained its wide
+        // kernels: journals on disk must stay readable, and a v1
+        // re-encode must not move a bit. The v2 writer is pinned too.
         const GOLDEN: &str = "544a4c31010100002a00000000000000a1000000088041c07b2274656e61\
             6e74223a22676f6c64656e2d74656e616e74222c2273706563223a7b227368617065223a\
             5b382c385d2c22626c6f636b5f6279746573223a313032342c2273656564223a37312c22\
             6f70223a7b226b696e64223a22616c6c726564756365222c22726564756365223a227375\
             6d222c226474797065223a22753634227d2c226a6f62223a7b22646561646c696e655f6d\
             73223a33303030307d7d7d";
-        let golden: Vec<u8> = (0..GOLDEN.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&GOLDEN[i..i + 2], 16).unwrap())
-            .collect();
+        // The same record as the current (v2) writer emits it: version
+        // byte 2 and the CRC over the changed header, same payload.
+        const GOLDEN_V2_HEADER: &str = "544a4c31010200002a00000000000000a1000000ef506d2e";
+        let unhex = |text: &str| -> Vec<u8> {
+            (0..text.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap())
+                .collect()
+        };
+        let golden = unhex(GOLDEN);
+        let payload = &golden[RECORD_HEADER_BYTES..];
         assert_eq!(
-            encode_record(RecordKind::Accepted, 42, &golden[RECORD_HEADER_BYTES..]),
+            encode_record_version(1, RecordKind::Accepted, 42, payload),
             golden
         );
+        let mut golden_v2 = unhex(GOLDEN_V2_HEADER);
+        golden_v2.extend_from_slice(payload);
+        assert_eq!(encode_record(RecordKind::Accepted, 42, payload), golden_v2);
         let dir = tmp_dir("golden");
         fs::create_dir_all(&dir).unwrap();
         fs::write(segment_path(&dir, 1), &golden).unwrap();
@@ -1081,6 +1108,91 @@ mod tests {
             "spec survives: {:?}",
             job.spec
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A v1 `done` record recovers its outcome with no checksum (its
+    /// FNV-1a digest is unverifiable by any current client); v2 keeps
+    /// the digest; any other version is corruption.
+    #[test]
+    fn v1_done_recovers_without_its_checksum_and_other_versions_are_refused() {
+        let dir = tmp_dir("v1");
+        fs::create_dir_all(&dir).unwrap();
+        let accepted = br#"{"tenant":"acme","spec":{"shape":[4,4]}}"#;
+        let done = br#"{"ok":true,"degraded":false,"checksum":"0123456789abcdef","error":null,"state":"completed"}"#;
+        let mut segment = encode_record_version(1, RecordKind::Accepted, 1, accepted);
+        segment.extend(encode_record_version(1, RecordKind::Done, 1, done));
+        segment.extend(encode_record_version(2, RecordKind::Accepted, 2, accepted));
+        segment.extend(encode_record_version(2, RecordKind::Done, 2, done));
+        fs::write(segment_path(&dir, 1), &segment).unwrap();
+        let (journal, recovery) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        assert!(recovery.pending.is_empty());
+        let checksums: Vec<_> = recovery
+            .terminal
+            .iter()
+            .map(|d| (d.job_id, d.ok, d.state.as_str(), d.checksum.as_deref()))
+            .collect();
+        assert_eq!(
+            checksums,
+            [
+                (1, true, "completed", None),
+                (2, true, "completed", Some("0123456789abcdef"))
+            ]
+        );
+        // New records are written as v2.
+        journal.record_accepted(3, "acme", demo_spec()).unwrap();
+        drop(journal);
+        let data = fs::read(segment_path(&dir, 1)).unwrap();
+        assert_eq!(data[segment.len() + 5], VERSION);
+        assert_eq!(VERSION, 2);
+
+        for version in [0, 3] {
+            fs::write(
+                segment_path(&dir, 1),
+                encode_record_version(version, RecordKind::Accepted, 1, accepted),
+            )
+            .unwrap();
+            match Journal::open(JournalConfig::new(&dir)) {
+                Err(JournalError::Corrupt { detail, .. }) => {
+                    assert_eq!(detail, format!("unsupported record version {version}"))
+                }
+                other => panic!("version {version}: expected Corrupt, got {other:?}"),
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The journal's in-memory id sets track only unfinished jobs: after
+    /// 10 000 accepted + done pairs nothing is pending or deferred, and
+    /// only the active segment's ids are held.
+    #[test]
+    fn finished_jobs_leave_no_ids_in_memory() {
+        let dir = tmp_dir("ids");
+        let (journal, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let mut last = 0;
+        for id in 1..=10_000 {
+            last = journal
+                .record_accepted_async(id, "acme", demo_spec())
+                .unwrap();
+            journal
+                .record_done(id, true, false, Some("00ff00ff00ff00ff"), None)
+                .unwrap();
+        }
+        journal.wait_durable(last).unwrap();
+        let inner = lk(&journal.core.inner);
+        assert!(inner.pending.is_empty(), "{} pending", inner.pending.len());
+        assert!(
+            inner.deferred.is_empty(),
+            "{} deferred",
+            inner.deferred.len()
+        );
+        assert_eq!(
+            inner.seg_jobs.keys().copied().collect::<Vec<_>>(),
+            [inner.seq],
+            "every closed segment was compacted"
+        );
+        drop(inner);
+        drop(journal);
         let _ = fs::remove_dir_all(&dir);
     }
 

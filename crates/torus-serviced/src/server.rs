@@ -135,7 +135,8 @@ pub(crate) struct Terminal {
     pub(crate) recovered: bool,
     /// `Completed`, `Failed`, `Cancelled` or `DeadlineExceeded`.
     pub(crate) status: JobStatus,
-    /// FNV-1a delivery checksum; hex only on the wire.
+    /// The delivery digest ([`torus_runtime::digest`]); hex only on the
+    /// wire.
     pub(crate) checksum: Option<u64>,
     pub(crate) error: Option<Box<str>>,
 }
@@ -599,21 +600,18 @@ fn recorded_status(state: &str, ok: bool) -> JobStatus {
 }
 
 /// Extracts a terminal result's `(ok, degraded, checksum)` the way the
-/// wire protocol reports it: the FNV-1a delivery checksum only for clean
-/// completions (degraded runs drop dead-node blocks, so their digest
-/// intentionally stays absent rather than faking a match).
+/// wire protocol reports it. The checksum is the delivery digest the
+/// engine computed once when the job finished ([`JobResult::digest`]):
+/// present only for clean completions (degraded runs drop dead-node
+/// blocks, so their digest intentionally stays absent rather than
+/// faking a match). No reader here hashes payload bytes.
 fn terminal_fields(result: &JobResult) -> (bool, bool, Option<u64>) {
-    let report = result.report.as_ref();
-    let degraded = report.is_some_and(|r| r.degraded.is_some());
-    let checksum = match (&result.deliveries, degraded) {
-        (Some(deliveries), false) => Some(checksum::delivery_checksum(deliveries)),
-        _ => None,
-    };
-    (result.error.is_none(), degraded, checksum)
+    let degraded = result.report.as_ref().is_some_and(|r| r.degraded.is_some());
+    (result.error.is_none(), degraded, result.digest)
 }
 
 /// The engine's event hook on a journaling daemon: every job start and
-/// terminal outcome (with its FNV-1a delivery checksum) goes to disk,
+/// terminal outcome (with its delivery digest) goes to disk,
 /// from the driver thread that owns the transition.
 fn journal_hook(journal: &Journal, event: &JobEvent<'_>) {
     match event {

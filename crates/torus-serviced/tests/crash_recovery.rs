@@ -8,9 +8,12 @@
 //!   `done` record per job id;
 //! * **bit-exactness across the crash** — every clean job's delivery
 //!   checksum (recorded pre-crash or produced by the replayed re-run)
-//!   equals the spec-side FNV-1a expectation;
+//!   equals the spec-side delivery-digest expectation;
 //! * **books balance** — per tenant, accepted == completed + failed in
-//!   the final drain snapshot.
+//!   the final drain snapshot;
+//! * **old journals stay readable** — a hand-written version-1 journal
+//!   recovers its terminal jobs with a `null` checksum and replays its
+//!   pending ones under the current digest.
 //!
 //! The kill points are driven by a fixed-seed splitmix64, so a failure
 //! reproduces. The daemon runs as a child process (`crashd`, found via
@@ -22,8 +25,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use torus_serviced::journal::{Journal, JournalConfig, RecordKind};
-use torus_serviced::{checksum, Client, JobSpec};
+use torus_service::EngineConfig;
+use torus_serviced::journal::{
+    Journal, JournalConfig, RecordKind, MAGIC, RECORD_HEADER_BYTES, VERSION,
+};
+use torus_serviced::{checksum, Client, DaemonConfig, JobSpec};
 
 const TENANTS: [&str; 3] = ["acme", "zeta", "omni"];
 
@@ -315,4 +321,77 @@ fn count_done_records(dir: &Path) -> HashMap<u64, u32> {
         }
     }
     counts
+}
+
+/// One record in the version-1 layout, written byte by byte: the
+/// format's header with version 1, its CRC over header bytes 4..20 plus
+/// the payload.
+fn v1_record(kind: RecordKind, job_id: u64, payload: &str) -> Vec<u8> {
+    let mut record = Vec::new();
+    record.extend_from_slice(&MAGIC.to_le_bytes());
+    record.push(kind.to_byte());
+    record.push(1);
+    record.extend_from_slice(&0u16.to_le_bytes());
+    record.extend_from_slice(&job_id.to_le_bytes());
+    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut crc_input = record[4..20].to_vec();
+    crc_input.extend_from_slice(payload.as_bytes());
+    record.extend_from_slice(&torus_runtime::crc32(&crc_input).to_le_bytes());
+    record.extend_from_slice(payload.as_bytes());
+    assert_eq!(record.len(), RECORD_HEADER_BYTES + payload.len());
+    record
+}
+
+/// A journal written by a version-1 daemon: its finished job recovers as
+/// terminal with a `null` checksum (its FNV-1a digest is one no client
+/// can reproduce), and `status` answers it; its unfinished job replays
+/// and completes with the current digest. The restarted daemon writes
+/// version 2, and a second restart reads that back digest intact.
+#[test]
+fn v1_journal_recovers_with_null_checksums() {
+    assert_eq!(VERSION, 2);
+    let journal_dir = std::env::temp_dir().join(format!("torus-v1-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&journal_dir);
+    std::fs::create_dir_all(&journal_dir).unwrap();
+    let accepted = |seed: u64| {
+        format!(r#"{{"tenant":"acme","spec":{{"shape":[4,4],"block_bytes":32,"seed":{seed}}}}}"#)
+    };
+    let mut segment = v1_record(RecordKind::Accepted, 1, &accepted(11));
+    segment.extend(v1_record(RecordKind::Started, 1, ""));
+    segment.extend(v1_record(
+        RecordKind::Done,
+        1,
+        r#"{"ok":true,"degraded":false,"checksum":"0123456789abcdef","error":null,"state":"completed"}"#,
+    ));
+    segment.extend(v1_record(RecordKind::Accepted, 2, &accepted(12)));
+    std::fs::write(journal_dir.join("journal-00000001.tjl"), segment).unwrap();
+
+    let config = || DaemonConfig {
+        engine: EngineConfig::default().with_pool_size(4).with_drivers(2),
+        status_poll: Duration::from_millis(1),
+        journal: Some(JournalConfig::new(&journal_dir)),
+        ..DaemonConfig::default()
+    };
+    let (addr, daemon) = torus_serviced::Daemon::spawn(config()).unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    let done = client.status(1).unwrap();
+    assert_eq!(done.state, "completed");
+    assert_eq!(done.ok, Some(true));
+    assert_eq!(done.checksum, None, "a v1 digest is not reported");
+    assert!(done.recovered);
+    let replayed = wait_terminal(&mut client, 2);
+    let expected = checksum::to_hex(checksum::expected_checksum(&seeded_spec(12)));
+    assert_eq!(replayed.checksum.as_deref(), Some(expected.as_str()));
+    client.drain().unwrap();
+    daemon.join().unwrap();
+
+    let (addr, daemon) = torus_serviced::Daemon::spawn(config()).unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    let reread = client.status(2).unwrap();
+    assert!(reread.recovered, "job 2's v2 done record is replayed");
+    assert_eq!(reread.checksum.as_deref(), Some(expected.as_str()));
+    assert_eq!(client.status(1).unwrap().checksum, None);
+    client.drain().unwrap();
+    daemon.join().unwrap();
+    let _ = std::fs::remove_dir_all(&journal_dir);
 }
