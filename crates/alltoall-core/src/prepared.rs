@@ -11,8 +11,8 @@
 //! seeded counting-mode buffer state (every block with its precomputed
 //! shift vector) and the expected-delivery table. Each
 //! [`run`](PreparedExchange::run) then starts from a memcpy of the cached
-//! state instead of re-deriving it. The `buffer-caching` group of the
-//! `executor` Criterion bench measures the saving.
+//! state instead of re-deriving it. EXPERIMENTS.md (S3) records the
+//! saving.
 
 use std::sync::{Arc, OnceLock};
 

@@ -2,7 +2,7 @@
 //! pool.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -188,7 +188,7 @@ struct QueuedJob {
 
 /// One live (admitted, not yet terminal) job's cancellation state, kept
 /// in [`Shared::lifecycle`] so `cancel` and the watchdog can reach it
-/// without touching the queue shards.
+/// without taking the queue lock.
 struct LifecycleEntry {
     token: CancelToken,
     /// When the watchdog may reap the job (dispatch time + deadline).
@@ -198,6 +198,7 @@ struct LifecycleEntry {
 
 /// One tenant's slice of the queue.
 struct TenantEntry {
+    name: Arc<str>,
     jobs: VecDeque<QueuedJob>,
     in_flight: usize,
     quota: TenantQuota,
@@ -207,56 +208,90 @@ struct TenantEntry {
     bucket: Option<TokenBucket>,
 }
 
-/// How many ways the tenant queue map is sharded. Submission, status,
-/// and in-flight accounting for different tenants contend only within a
-/// shard; the global bound and the drain condition live in atomics.
-pub const QUEUE_SHARDS: usize = 16;
-
-/// FNV-1a over the tenant name, reduced to a shard index. Stable across
-/// runs so a tenant's shard never migrates within a process lifetime.
-fn shard_of(tenant: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tenant.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % QUEUE_SHARDS as u64) as usize
+/// The admission queue. Every mutation — admit, claim, in-flight
+/// release, quota change, cancel, shutdown — happens under the one
+/// mutex that holds it, so the global depth bound, the drain condition
+/// and round-robin fairness are plain reads.
+struct Queue {
+    /// Every tenant in first-submission order: the dispatch rotation
+    /// and the stats order.
+    tenants: Vec<TenantEntry>,
+    /// Tenant name → index into `tenants` (tenants are never removed).
+    index: HashMap<Arc<str>, usize>,
+    /// Index into `tenants` where the next claim starts its scan.
+    /// Advanced past each claimed tenant so bursts interleave: a tenant
+    /// that just dispatched goes to the back of the rotation.
+    cursor: usize,
+    /// Jobs admitted but not yet claimed, across all tenants.
+    queued: usize,
+    /// Cleared by shutdown.
+    accepting: bool,
 }
 
-/// One shard of the tenant queue map: a slice of the tenants with their
-/// FIFOs and in-flight counts. The global queue bound (`total_queued`),
-/// the accepting flag, and the fair-dispatch cursor live in [`Shared`],
-/// so admission and status for different tenants never serialize on a
-/// single mutex; only the dispatch rotation (drivers-only, a handful of
-/// threads) consults the global first-seen order.
-struct QueueShard {
-    tenants: HashMap<Arc<str>, TenantEntry>,
+impl Queue {
+    /// The tenant's entry, created with `quota` on first sight.
+    fn tenant(&mut self, name: &str, quota: TenantQuota) -> &mut TenantEntry {
+        let i = match self.index.get(name) {
+            Some(&i) => i,
+            None => {
+                let name: Arc<str> = Arc::from(name);
+                self.index.insert(Arc::clone(&name), self.tenants.len());
+                self.tenants.push(TenantEntry {
+                    name,
+                    jobs: VecDeque::new(),
+                    in_flight: 0,
+                    quota,
+                    cells: Arc::new(TenantCells::default()),
+                    bucket: None,
+                });
+                self.tenants.len() - 1
+            }
+        };
+        &mut self.tenants[i]
+    }
+
+    /// Claims one job round-robin across tenants in first-seen order:
+    /// the first tenant at or after the cursor with queued work and
+    /// spare in-flight budget.
+    fn claim(&mut self) -> Option<QueuedJob> {
+        if self.queued == 0 {
+            return None;
+        }
+        let n = self.tenants.len();
+        for k in 0..n {
+            let i = (self.cursor + k) % n;
+            let entry = &mut self.tenants[i];
+            if entry.in_flight < entry.quota.max_in_flight {
+                if let Some(job) = entry.jobs.pop_front() {
+                    entry.in_flight += 1;
+                    self.cursor = (i + 1) % n;
+                    self.queued -= 1;
+                    return Some(job);
+                }
+            }
+        }
+        None
+    }
+
+    /// Removes a still-queued job by id. `O(queued jobs)`, but cancel
+    /// is rare.
+    fn remove(&mut self, job_id: u64) -> Option<QueuedJob> {
+        for entry in &mut self.tenants {
+            if let Some(pos) = entry.jobs.iter().position(|job| job.id == job_id) {
+                self.queued -= 1;
+                return entry.jobs.remove(pos);
+            }
+        }
+        None
+    }
 }
 
 struct Shared {
     pool: WorkerPool,
-    /// The sharded tenant queue map, indexed by [`shard_of`].
-    shards: Vec<Mutex<QueueShard>>,
-    /// Every tenant in first-submission order, for stats snapshots.
-    tenant_order: Mutex<Vec<Arc<str>>>,
-    /// Jobs admitted but not yet claimed, across all shards. Submission
-    /// reserves a slot optimistically (fetch_add, undone on rejection)
-    /// so the configured depth stays a hard bound without a global lock.
-    total_queued: AtomicUsize,
-    /// Cleared by shutdown; checked lock-free on every submission.
-    accepting: AtomicBool,
-    /// Index into `tenant_order` where the next driver claim starts its
-    /// scan. Advanced past each claimed tenant so bursts interleave —
-    /// a tenant that just dispatched goes to the back of the rotation.
-    /// Racy across drivers by design; fairness is approximate under
-    /// concurrency, exact with a single driver.
-    claim_cursor: AtomicUsize,
-    /// Wakeup generation for `work`: bumped (under this mutex) by every
-    /// queue mutation a sleeping driver could care about — enqueue,
-    /// in-flight release, quota change, shutdown. Drivers re-scan when
-    /// the generation moves, so a wakeup between their failed claim and
-    /// their wait is never lost.
-    signal: Mutex<u64>,
+    queue: Mutex<Queue>,
+    /// Signalled after every queue mutation a waiting driver could care
+    /// about. Drivers test their wake condition under the queue lock and
+    /// wait on it atomically, so no wakeup is lost.
     work: Condvar,
     cache: Mutex<PlanCache>,
     /// Signalled (under the `cache` mutex) whenever a single-flight
@@ -269,7 +304,7 @@ struct Shared {
     hook: Option<EventHook>,
     /// Every live job's cancel token and reap deadline, keyed by job id.
     /// Entries are inserted at admission and removed on every terminal
-    /// path. Lock ordering: a queue shard may be held while taking this
+    /// path. Lock ordering: the queue lock may be held while taking this
     /// lock, never the reverse.
     lifecycle: Mutex<HashMap<u64, LifecycleEntry>>,
     default_deadline: Option<Duration>,
@@ -282,83 +317,34 @@ struct Shared {
 }
 
 impl Shared {
-    fn shard(&self, tenant: &str) -> &Mutex<QueueShard> {
-        &self.shards[shard_of(tenant)]
-    }
-
-    /// The tenant's entry in `shard`, created with the default quota
-    /// (and registered in the global first-seen order) on first sight.
-    fn entry_mut<'a>(&self, shard: &'a mut QueueShard, tenant: &str) -> &'a mut TenantEntry {
-        if !shard.tenants.contains_key(tenant) {
-            let name: Arc<str> = Arc::from(tenant);
-            lk(&self.tenant_order).push(Arc::clone(&name));
-            shard.tenants.insert(
-                name,
-                TenantEntry {
-                    jobs: VecDeque::new(),
-                    in_flight: 0,
-                    quota: self.default_quota,
-                    cells: Arc::new(TenantCells::default()),
-                    bucket: None,
-                },
-            );
-        }
-        shard.tenants.get_mut(tenant).expect("entry just ensured")
-    }
-
-    /// Returns a reserved-but-unused queue slot after a rejection.
-    /// During shutdown a drain-waiting driver may be blocked on exactly
-    /// this reservation reaching zero, so wake everyone then; the
-    /// common accepting-path rejection stays signal-free.
-    fn unreserve(&self) {
-        self.total_queued.fetch_sub(1, Ordering::SeqCst);
-        if !self.accepting.load(Ordering::SeqCst) {
-            self.signal_work(true);
-        }
-    }
-
-    /// Bumps the wakeup generation and wakes `all` (or one) drivers.
-    fn signal_work(&self, all: bool) {
-        *lk(&self.signal) += 1;
-        if all {
-            self.work.notify_all();
-        } else {
-            self.work.notify_one();
-        }
-    }
-
-    /// Claims one job round-robin across tenants in first-seen order:
-    /// the first tenant at or after the claim cursor with queued work
-    /// and spare in-flight budget. The order is snapshotted outside any
-    /// shard lock (the registration path locks shard-then-order, so
-    /// holding order across shard locks here would invert and deadlock);
-    /// each candidate's shard is then locked individually, so a claim
-    /// scan never stalls admission to unrelated shards.
-    fn claim_any(&self) -> Option<QueuedJob> {
-        if self.total_queued.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        let order: Vec<Arc<str>> = lk(&self.tenant_order).clone();
-        let n = order.len();
-        if n == 0 {
-            return None;
-        }
-        let start = self.claim_cursor.load(Ordering::Relaxed);
-        for k in 0..n {
-            let i = (start + k) % n;
-            let name = &order[i];
-            let mut shard = lk(self.shard(name));
-            let entry = shard.tenants.get_mut(name).expect("ordered tenant exists");
-            if !entry.jobs.is_empty() && entry.in_flight < entry.quota.max_in_flight {
-                let job = entry.jobs.pop_front().expect("checked non-empty");
-                entry.in_flight += 1;
-                self.claim_cursor.store((i + 1) % n, Ordering::Relaxed);
-                self.total_queued.fetch_sub(1, Ordering::SeqCst);
-                return Some(job);
+    /// Counts one terminal `status` engine-wide and for the job's tenant.
+    fn count_terminal(&self, tenant: &TenantCells, status: JobStatus) {
+        let (cell, tenant_cell) = match status {
+            JobStatus::Completed => (&self.cells.completed, &tenant.completed),
+            JobStatus::Cancelled => (&self.cells.cancelled, &tenant.cancelled),
+            JobStatus::DeadlineExceeded => {
+                (&self.cells.deadline_exceeded, &tenant.deadline_exceeded)
             }
-        }
-        None
+            _ => (&self.cells.failed, &tenant.failed),
+        };
+        cell.fetch_add(1, Ordering::Relaxed);
+        tenant_cell.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Takes a still-queued job out of the queue and counts it as
+    /// `status`. The count lands before the queue lock drops, so once
+    /// the queue drains, shutdown's final snapshot already sees it. The
+    /// freed slot matters to the drain condition, so drivers are woken.
+    fn take_queued(&self, job_id: u64, status: JobStatus) -> Option<QueuedJob> {
+        let mut queue = lk(&self.queue);
+        let job = queue.remove(job_id)?;
+        self.count_terminal(&job.tenant_cells, status);
+        lk(&self.lifecycle).remove(&job_id);
+        drop(queue);
+        self.work.notify_all();
+        Some(job)
+    }
+
     /// Backoff hint for overload rejections: half the median run time
     /// (one of the in-flight jobs is likely to free a slot by then),
     /// clamped to 1..=5000 ms, defaulting to 50 ms with no history.
@@ -391,14 +377,9 @@ impl Shared {
     }
 
     /// Finishes a job plucked out of the queue by [`Engine::cancel`]:
-    /// terminal [`JobStatus::Cancelled`], cancelled counters (books stay
-    /// accepted == completed + failed + cancelled + deadline_exceeded),
-    /// and a `Finished` event so the daemon journals the terminal record.
+    /// terminal [`JobStatus::Cancelled`] and a `Finished` event so the
+    /// daemon journals the terminal record.
     fn finish_cancelled_queued(&self, job: QueuedJob) {
-        lk(&self.lifecycle).remove(&job.id);
-        self.cells.cancelled.fetch_add(1, Ordering::Relaxed);
-        job.tenant_cells.cancelled.fetch_add(1, Ordering::Relaxed);
-        self.total_queued.fetch_sub(1, Ordering::SeqCst);
         let result = job.state.finish(
             JobStatus::Cancelled,
             JobResult {
@@ -416,8 +397,6 @@ impl Shared {
             status: JobStatus::Cancelled,
             result: &result,
         });
-        // The freed slot matters to shutdown's drain condition.
-        self.signal_work(true);
     }
 }
 
@@ -483,18 +462,13 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         let shared = Arc::new(Shared {
             pool: WorkerPool::new(config.pool_size.max(1)),
-            shards: (0..QUEUE_SHARDS)
-                .map(|_| {
-                    Mutex::new(QueueShard {
-                        tenants: HashMap::new(),
-                    })
-                })
-                .collect(),
-            tenant_order: Mutex::new(Vec::new()),
-            total_queued: AtomicUsize::new(0),
-            accepting: AtomicBool::new(true),
-            claim_cursor: AtomicUsize::new(0),
-            signal: Mutex::new(0),
+            queue: Mutex::new(Queue {
+                tenants: Vec::new(),
+                index: HashMap::new(),
+                cursor: 0,
+                queued: 0,
+                accepting: true,
+            }),
             work: Condvar::new(),
             cache: Mutex::new(PlanCache::new(config.cache_capacity)),
             plan_ready: Condvar::new(),
@@ -594,54 +568,44 @@ impl Engine {
         deadline: Option<Duration>,
     ) -> Result<JobHandle, SubmitError> {
         let shared = &self.shared;
-        if !shared.accepting.load(Ordering::SeqCst) {
+        let retry_after_ms = shared.retry_hint_ms();
+        let mut queue = lk(&shared.queue);
+        if !queue.accepting {
             shared.cells.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::ShuttingDown);
         }
-        let retry_after_ms = shared.retry_hint_ms();
-        // Reserve a global slot optimistically; undone on any rejection
-        // below so the configured depth stays a hard bound.
-        let reserved = shared.total_queued.fetch_add(1, Ordering::SeqCst);
-        if reserved >= shared.queue_depth {
-            shared.unreserve();
-            let mut shard = lk(shared.shard(tenant));
-            let entry = shared.entry_mut(&mut shard, tenant);
-            entry.cells.rejected.fetch_add(1, Ordering::Relaxed);
-            shared.cells.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::QueueFull {
+        let queued = queue.queued;
+        let entry = queue.tenant(tenant, shared.default_quota);
+        let rejection = if queued >= shared.queue_depth {
+            Some(SubmitError::QueueFull {
                 depth: shared.queue_depth,
                 retry_after_ms,
-            });
-        }
-        let mut shard = lk(shared.shard(tenant));
-        let entry = shared.entry_mut(&mut shard, tenant);
-        if entry.jobs.len() >= entry.quota.max_queued {
-            let max_queued = entry.quota.max_queued;
-            entry.cells.rejected.fetch_add(1, Ordering::Relaxed);
-            shared.cells.rejected.fetch_add(1, Ordering::Relaxed);
-            drop(shard);
-            shared.unreserve();
-            return Err(SubmitError::TenantQueueFull {
+            })
+        } else if entry.jobs.len() >= entry.quota.max_queued {
+            Some(SubmitError::TenantQueueFull {
                 tenant: tenant.to_string(),
-                max_queued,
+                max_queued: entry.quota.max_queued,
                 retry_after_ms,
-            });
-        }
-        if let Some(rate) = entry.quota.rate {
+            })
+        } else if let Some(rate) = entry.quota.rate {
             let bucket = entry.bucket.get_or_insert_with(|| TokenBucket::full(&rate));
-            if let Err(wait_ms) = bucket.try_take(&rate) {
-                entry.cells.rejected.fetch_add(1, Ordering::Relaxed);
-                shared.cells.rejected.fetch_add(1, Ordering::Relaxed);
-                drop(shard);
-                shared.unreserve();
-                return Err(SubmitError::RateLimited {
+            bucket
+                .try_take(&rate)
+                .err()
+                .map(|wait_ms| SubmitError::RateLimited {
                     tenant: tenant.to_string(),
                     retry_after_ms: wait_ms,
-                });
-            }
+                })
+        } else {
+            None
+        };
+        if let Some(err) = rejection {
+            entry.cells.rejected.fetch_add(1, Ordering::Relaxed);
+            shared.cells.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(err);
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        self.enqueue_shard_locked(&mut shard, tenant, id, shape, op, payload, config, deadline)
+        Ok(self.enqueue(queue, tenant, id, shape, op, payload, config, deadline))
     }
 
     /// Re-enqueues a journal-recovered job under its original id,
@@ -683,27 +647,22 @@ impl Engine {
         config: RuntimeConfig,
         deadline: Option<Duration>,
     ) -> Result<JobHandle, SubmitError> {
-        let shared = &self.shared;
-        if !shared.accepting.load(Ordering::SeqCst) {
-            shared.cells.rejected.fetch_add(1, Ordering::Relaxed);
+        let queue = lk(&self.shared.queue);
+        if !queue.accepting {
+            self.shared.cells.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::ShuttingDown);
         }
         self.next_id.fetch_max(job_id, Ordering::Relaxed);
-        shared.total_queued.fetch_add(1, Ordering::SeqCst);
-        let mut shard = lk(shared.shard(tenant));
-        self.enqueue_shard_locked(
-            &mut shard, tenant, job_id, shape, op, payload, config, deadline,
-        )
+        Ok(self.enqueue(queue, tenant, job_id, shape, op, payload, config, deadline))
     }
 
     /// Admission tail shared by fresh and replayed submissions: records
-    /// acceptance, queues the job, wakes one driver, and closes the
-    /// shutdown race. The caller has already reserved the job's
-    /// `total_queued` slot.
+    /// acceptance, queues the job under the caller's queue lock, and
+    /// wakes one driver once the lock is released.
     #[allow(clippy::too_many_arguments)]
-    fn enqueue_shard_locked(
+    fn enqueue(
         &self,
-        shard: &mut QueueShard,
+        mut queue: MutexGuard<'_, Queue>,
         tenant: &str,
         id: u64,
         shape: TorusShape,
@@ -711,14 +670,12 @@ impl Engine {
         payload: PayloadSpec,
         config: RuntimeConfig,
         deadline: Option<Duration>,
-    ) -> Result<JobHandle, SubmitError> {
+    ) -> JobHandle {
         let shared = &self.shared;
-        let entry = shared.entry_mut(shard, tenant);
+        let entry = queue.tenant(tenant, shared.default_quota);
         let state = Arc::new(JobState::new());
-        let tenant_name: Arc<str> = Arc::from(tenant);
         entry.cells.accepted.fetch_add(1, Ordering::Relaxed);
         shared.cells.ops_accepted[op.index()].fetch_add(1, Ordering::Relaxed);
-        let tenant_cells = Arc::clone(&entry.cells);
         let token = CancelToken::new();
         lk(&shared.lifecycle).insert(
             id,
@@ -727,44 +684,26 @@ impl Engine {
                 reap_at: None,
             },
         );
-        entry.jobs.push_back(QueuedJob {
+        let job = QueuedJob {
             id,
             shape,
             op,
             payload,
             config,
             state: Arc::clone(&state),
-            tenant: tenant_name,
-            tenant_cells,
+            tenant: Arc::clone(&entry.name),
+            tenant_cells: Arc::clone(&entry.cells),
             submitted_at: Instant::now(),
             deadline: shared.effective_deadline(deadline),
             token,
-        });
+        };
+        entry.jobs.push_back(job);
+        queue.queued += 1;
         shared.cells.accepted.fetch_add(1, Ordering::Relaxed);
-        shared
-            .cells
-            .observe_depth(shared.total_queued.load(Ordering::SeqCst));
-        // With admission sharded, the accepting flag can flip between
-        // the entry check and the push — and by then the drivers may
-        // already have drained-and-exited without seeing this job. Undo
-        // the enqueue if it is still sitting in the queue; if a driver
-        // claimed it in the window, it was accepted in time and runs.
-        if !shared.accepting.load(Ordering::SeqCst) {
-            let entry = shared.entry_mut(shard, tenant);
-            if let Some(pos) = entry.jobs.iter().position(|job| job.id == id) {
-                entry.jobs.remove(pos);
-                lk(&shared.lifecycle).remove(&id);
-                entry.cells.accepted.fetch_sub(1, Ordering::Relaxed);
-                shared.cells.accepted.fetch_sub(1, Ordering::Relaxed);
-                shared.cells.rejected.fetch_add(1, Ordering::Relaxed);
-                entry.cells.rejected.fetch_add(1, Ordering::Relaxed);
-                shared.total_queued.fetch_sub(1, Ordering::SeqCst);
-                shared.signal_work(true);
-                return Err(SubmitError::ShuttingDown);
-            }
-        }
-        shared.signal_work(false);
-        Ok(JobHandle { id, state })
+        shared.cells.observe_depth(queue.queued);
+        drop(queue);
+        shared.work.notify_one();
+        JobHandle { id, state }
     }
 
     /// Removes a still-queued job, failing it with a canceled error —
@@ -775,36 +714,21 @@ impl Engine {
     /// normally. The canceled job counts as failed, so per-tenant books
     /// (accepted == completed + failed) still balance.
     pub fn cancel_queued(&self, job_id: u64) -> bool {
-        let shared = &self.shared;
-        for shard in &shared.shards {
-            let mut shard = lk(shard);
-            let names: Vec<Arc<str>> = shard.tenants.keys().cloned().collect();
-            for name in names {
-                let entry = shard.tenants.get_mut(&name).expect("key just listed");
-                if let Some(pos) = entry.jobs.iter().position(|job| job.id == job_id) {
-                    let job = entry.jobs.remove(pos).expect("position just found");
-                    shared.cells.failed.fetch_add(1, Ordering::Relaxed);
-                    job.tenant_cells.failed.fetch_add(1, Ordering::Relaxed);
-                    drop(shard);
-                    lk(&shared.lifecycle).remove(&job_id);
-                    shared.total_queued.fetch_sub(1, Ordering::SeqCst);
-                    job.state.finish(
-                        JobStatus::Failed,
-                        JobResult {
-                            job_id,
-                            report: None,
-                            deliveries: None,
-                            digest: None,
-                            error: Some("canceled: admission journal unavailable".to_string()),
-                            cache_hit: false,
-                        },
-                    );
-                    shared.signal_work(true);
-                    return true;
-                }
-            }
-        }
-        false
+        let Some(job) = self.shared.take_queued(job_id, JobStatus::Failed) else {
+            return false;
+        };
+        job.state.finish(
+            JobStatus::Failed,
+            JobResult {
+                job_id,
+                report: None,
+                deliveries: None,
+                digest: None,
+                error: Some("canceled: admission journal unavailable".to_string()),
+                cache_hit: false,
+            },
+        );
+        true
     }
 
     /// Cancels a job in any pre-terminal state.
@@ -821,20 +745,10 @@ impl Engine {
     /// alone, and the daemon checks ownership in its registry first.
     pub fn cancel(&self, job_id: u64) -> CancelOutcome {
         let shared = &self.shared;
-        // Queued first: such a job can be finished right here. Scanning
-        // the shards is O(queued jobs) but cancel is rare.
-        for shard_mutex in &shared.shards {
-            let mut shard = lk(shard_mutex);
-            let names: Vec<Arc<str>> = shard.tenants.keys().cloned().collect();
-            for name in names {
-                let entry = shard.tenants.get_mut(&name).expect("key just listed");
-                if let Some(pos) = entry.jobs.iter().position(|job| job.id == job_id) {
-                    let job = entry.jobs.remove(pos).expect("position just found");
-                    drop(shard);
-                    shared.finish_cancelled_queued(job);
-                    return CancelOutcome::Cancelled;
-                }
-            }
+        // Queued first: such a job can be finished right here.
+        if let Some(job) = shared.take_queued(job_id, JobStatus::Cancelled) {
+            shared.finish_cancelled_queued(job);
+            return CancelOutcome::Cancelled;
         }
         // Not queued but still live: a driver owns it (running, or in
         // the claim→dispatch window). Pull the trigger; the driver
@@ -859,11 +773,9 @@ impl Engine {
     /// effect for subsequent admission and dispatch decisions; already
     /// queued jobs stay queued even if the new cap is lower.
     pub fn set_tenant_quota(&self, tenant: &str, quota: TenantQuota) {
-        let mut shard = lk(self.shared.shard(tenant));
-        self.shared.entry_mut(&mut shard, tenant).quota = quota;
-        drop(shard);
+        lk(&self.shared.queue).tenant(tenant, quota).quota = quota;
         // A raised in-flight cap can make blocked work dispatchable.
-        self.shared.signal_work(true);
+        self.shared.work.notify_all();
     }
 
     /// A point-in-time snapshot of the aggregate counters.
@@ -874,13 +786,14 @@ impl Engine {
 
     /// Per-tenant snapshots, in first-submission order.
     pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        let order: Vec<Arc<str>> = lk(&self.shared.tenant_order).clone();
-        order
+        let tenants: Vec<(Arc<str>, Arc<TenantCells>)> = lk(&self.shared.queue)
+            .tenants
             .iter()
-            .map(|name| {
-                let shard = lk(self.shared.shard(name));
-                shard.tenants[name].cells.snapshot(name)
-            })
+            .map(|entry| (Arc::clone(&entry.name), Arc::clone(&entry.cells)))
+            .collect();
+        tenants
+            .iter()
+            .map(|(name, cells)| cells.snapshot(name))
             .collect()
     }
 
@@ -891,7 +804,7 @@ impl Engine {
 
     /// Jobs currently admitted but not yet claimed by a driver.
     pub fn queue_len(&self) -> usize {
-        self.shared.total_queued.load(Ordering::SeqCst)
+        lk(&self.shared.queue).queued
     }
 
     /// Graceful shutdown: stops admission, lets the drivers drain every
@@ -905,8 +818,8 @@ impl Engine {
         if let Some(stats) = done.as_ref() {
             return stats.clone();
         }
-        self.shared.accepting.store(false, Ordering::SeqCst);
-        self.shared.signal_work(true);
+        lk(&self.shared.queue).accepting = false;
+        self.shared.work.notify_all();
         let handles: Vec<_> = lk(&self.drivers).drain(..).collect();
         for handle in handles {
             let _ = handle.join();
@@ -934,50 +847,35 @@ impl Drop for Engine {
 /// Driver loop: claim jobs round-robin across tenants until the queue
 /// is drained *and* admission has stopped.
 fn drive(shared: &Shared) {
+    let mut queue = lk(&shared.queue);
     loop {
-        let job = loop {
-            // Read the wakeup generation *before* scanning, so a signal
-            // that fires between a failed scan and the wait below moves
-            // the generation and the wait returns immediately — no lost
-            // wakeup, even though claims don't hold the signal lock.
-            let gen_before = *lk(&shared.signal);
-            if let Some(job) = shared.claim_any() {
-                break Some(job);
+        if let Some(job) = queue.claim() {
+            drop(queue);
+            let wait_us = job.submitted_at.elapsed().as_micros() as u64;
+            shared.cells.queue_wait.record(wait_us);
+            job.tenant_cells.queue_wait.record(wait_us);
+            let tenant = Arc::clone(&job.tenant);
+            run_job(shared, job);
+            queue = lk(&shared.queue);
+            queue.tenant(&tenant, shared.default_quota).in_flight -= 1;
+            // The finished slot may unblock a capped tenant, and
+            // shutdown waiters must recheck the drain condition. With
+            // nothing queued and admission open, no waiter cares.
+            if queue.queued > 0 || !queue.accepting {
+                shared.work.notify_all();
             }
-            // `claim_any` returning None with jobs still queued means
-            // every tenant with work is at its in-flight cap; wait for
-            // a finishing job's signal even mid-shutdown.
-            if !shared.accepting.load(Ordering::SeqCst)
-                && shared.total_queued.load(Ordering::SeqCst) == 0
-            {
-                break None;
-            }
-            let mut gen = lk(&shared.signal);
-            while *gen == gen_before {
-                gen = shared
-                    .work
-                    .wait(gen)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        match job {
-            Some(job) => {
-                let wait_us = job.submitted_at.elapsed().as_micros() as u64;
-                shared.cells.queue_wait.record(wait_us);
-                job.tenant_cells.queue_wait.record(wait_us);
-                let tenant = Arc::clone(&job.tenant);
-                run_job(shared, job);
-                let mut shard = lk(shared.shard(&tenant));
-                if let Some(entry) = shard.tenants.get_mut(&tenant) {
-                    entry.in_flight -= 1;
-                }
-                drop(shard);
-                // The finished slot may unblock a capped tenant, and
-                // shutdown waiters must recheck the drain condition.
-                shared.signal_work(true);
-            }
-            None => return,
+            continue;
         }
+        // No claim with jobs still queued means every tenant with work
+        // is at its in-flight cap; wait for a finishing job even
+        // mid-shutdown.
+        if !queue.accepting && queue.queued == 0 {
+            return;
+        }
+        queue = shared
+            .work
+            .wait(queue)
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -1003,17 +901,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         let run_us = started.elapsed().as_micros() as u64;
         shared.cells.run_time.record(run_us);
         job.tenant_cells.run_time.record(run_us);
-        let (cell, tenant_cell) = match status {
-            JobStatus::Completed => (&shared.cells.completed, &job.tenant_cells.completed),
-            JobStatus::Cancelled => (&shared.cells.cancelled, &job.tenant_cells.cancelled),
-            JobStatus::DeadlineExceeded => (
-                &shared.cells.deadline_exceeded,
-                &job.tenant_cells.deadline_exceeded,
-            ),
-            _ => (&shared.cells.failed, &job.tenant_cells.failed),
-        };
-        cell.fetch_add(1, Ordering::Relaxed);
-        tenant_cell.fetch_add(1, Ordering::Relaxed);
+        shared.count_terminal(&job.tenant_cells, status);
     };
     let nn = job.shape.num_nodes() as usize;
     let workers = job

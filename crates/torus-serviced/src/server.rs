@@ -107,17 +107,11 @@ impl Default for DaemonConfig {
     }
 }
 
-/// How many ways the job registry is sharded (by job id), so `status`
-/// lookups, admissions, and driver-side finish transitions for
-/// different jobs don't serialize on one mutex.
-const REG_SHARDS: usize = 16;
-
-/// Terminal entries kept per registry shard. A long-lived daemon under
-/// millions of jobs holds at most `REG_SHARDS *
-/// TERMINAL_CAP_PER_SHARD` terminal records; the oldest are evicted
-/// (their `status` answers become `"unknown"`), bounding memory where
-/// the registry previously grew forever.
-const TERMINAL_CAP_PER_SHARD: usize = 4096;
+/// Terminal entries the registry keeps. A long-lived daemon under
+/// millions of jobs holds at most this many terminal records; the
+/// oldest are evicted (their `status` answers become `"unknown"`),
+/// bounding memory where the registry previously grew forever.
+const TERMINAL_CAP: usize = 65_536;
 
 /// A terminal job's recorded outcome — everything `status` needs
 /// without keeping the full result (deliveries included) alive. One of
@@ -148,11 +142,11 @@ struct LiveEntry {
     tenant: Arc<str>,
 }
 
-struct RegShard {
+struct Tables {
     /// Jobs admitted or replayed by this process, not yet terminal.
     live: HashMap<u64, LiveEntry>,
     /// Terminal outcomes with their owning tenant, bounded by
-    /// [`TERMINAL_CAP_PER_SHARD`]. The tenant is `None` when
+    /// [`TERMINAL_CAP`]. The tenant is `None` when
     /// reconstructed from a journal replay (pre-crash `done` records do
     /// not carry it).
     terminal: HashMap<u64, (Terminal, Option<Arc<str>>)>,
@@ -161,7 +155,7 @@ struct RegShard {
 }
 
 /// What a `status` lookup found, cloned out of the registry so no
-/// shard lock is held while the caller inspects (or waits on) it.
+/// registry lock is held while the caller inspects (or waits on) it.
 enum Lookup {
     Unknown,
     Live(JobHandle),
@@ -182,41 +176,33 @@ pub(crate) enum CancelLookup {
     Terminal(&'static str),
 }
 
-/// The sharded job registry: every id the daemon can answer `status`
-/// for. Live entries move to the bounded terminal index when the
-/// engine's event hook reports them finished.
+/// The job registry: every id the daemon can answer `status` for. Live
+/// entries move to the bounded terminal index when the engine's event
+/// hook reports them finished.
 pub(crate) struct Registry {
-    shards: Vec<Mutex<RegShard>>,
+    tables: Mutex<Tables>,
 }
 
 impl Registry {
     fn new() -> Self {
         Self {
-            shards: (0..REG_SHARDS)
-                .map(|_| {
-                    Mutex::new(RegShard {
-                        live: HashMap::new(),
-                        terminal: HashMap::new(),
-                        order: VecDeque::new(),
-                    })
-                })
-                .collect(),
+            tables: Mutex::new(Tables {
+                live: HashMap::new(),
+                terminal: HashMap::new(),
+                order: VecDeque::new(),
+            }),
         }
-    }
-
-    fn shard(&self, job_id: u64) -> &Mutex<RegShard> {
-        &self.shards[(job_id % REG_SHARDS as u64) as usize]
     }
 
     /// Registers a job the engine just admitted. A fast job can finish
     /// (and its hook fire) before this runs; the terminal entry then
     /// wins and the stale handle is not inserted.
     pub(crate) fn register_live(&self, handle: JobHandle, tenant: &str) {
-        let mut shard = lk(self.shard(handle.id()));
-        if shard.terminal.contains_key(&handle.id()) {
+        let mut tables = lk(&self.tables);
+        if tables.terminal.contains_key(&handle.id()) {
             return;
         }
-        shard.live.insert(
+        tables.live.insert(
             handle.id(),
             LiveEntry {
                 handle,
@@ -226,32 +212,32 @@ impl Registry {
     }
 
     /// Moves a job to the terminal index (evicting the oldest terminal
-    /// entry past the per-shard cap) and drops its live handle. The
-    /// index reuses the live entry's tenant handle; `tenant` is copied
-    /// only for a job with no live entry (it finished before
+    /// entry past the cap) and drops its live handle. The index reuses
+    /// the live entry's tenant handle; `tenant` is copied only for a job
+    /// with no live entry (it finished before
     /// [`register_live`](Self::register_live) ran, or never ran at all).
     pub(crate) fn finish(&self, job_id: u64, tenant: Option<&str>, term: Terminal) {
-        let mut shard = lk(self.shard(job_id));
-        let tenant = match shard.live.remove(&job_id) {
+        let mut tables = lk(&self.tables);
+        let tenant = match tables.live.remove(&job_id) {
             Some(entry) => Some(entry.tenant),
             None => tenant.map(Arc::from),
         };
-        if shard.terminal.insert(job_id, (term, tenant)).is_none() {
-            shard.order.push_back(job_id);
-            if shard.order.len() > TERMINAL_CAP_PER_SHARD {
-                if let Some(evicted) = shard.order.pop_front() {
-                    shard.terminal.remove(&evicted);
+        if tables.terminal.insert(job_id, (term, tenant)).is_none() {
+            tables.order.push_back(job_id);
+            if tables.order.len() > TERMINAL_CAP {
+                if let Some(evicted) = tables.order.pop_front() {
+                    tables.terminal.remove(&evicted);
                 }
             }
         }
     }
 
     fn lookup(&self, job_id: u64) -> Lookup {
-        let shard = lk(self.shard(job_id));
-        if let Some(entry) = shard.live.get(&job_id) {
+        let tables = lk(&self.tables);
+        if let Some(entry) = tables.live.get(&job_id) {
             return Lookup::Live(entry.handle.clone());
         }
-        match shard.terminal.get(&job_id) {
+        match tables.terminal.get(&job_id) {
             Some((term, _)) => Lookup::Terminal(term.clone()),
             None => Lookup::Unknown,
         }
@@ -261,15 +247,15 @@ impl Registry {
     /// may cancel a live job. Terminal replays with no recorded tenant
     /// answer as terminal (the op is a no-op there regardless).
     pub(crate) fn cancel_lookup(&self, job_id: u64, tenant: &str) -> CancelLookup {
-        let shard = lk(self.shard(job_id));
-        if let Some(entry) = shard.live.get(&job_id) {
+        let tables = lk(&self.tables);
+        if let Some(entry) = tables.live.get(&job_id) {
             return if entry.tenant.as_ref() == tenant {
                 CancelLookup::Live
             } else {
                 CancelLookup::Forbidden
             };
         }
-        match shard.terminal.get(&job_id) {
+        match tables.terminal.get(&job_id) {
             Some((term, owner)) => match owner {
                 Some(owner) if owner.as_ref() != tenant => CancelLookup::Forbidden,
                 _ => CancelLookup::Terminal(status_label(term.status)),
@@ -278,16 +264,10 @@ impl Registry {
         }
     }
 
-    /// `(live, terminal)` entry counts across all shards, for `stats`.
+    /// `(live, terminal)` entry counts, for `stats`.
     pub(crate) fn counts(&self) -> (usize, usize) {
-        let mut live = 0;
-        let mut terminal = 0;
-        for shard in &self.shards {
-            let shard = lk(shard);
-            live += shard.live.len();
-            terminal += shard.terminal.len();
-        }
-        (live, terminal)
+        let tables = lk(&self.tables);
+        (tables.live.len(), tables.terminal.len())
     }
 }
 
@@ -756,23 +736,20 @@ mod tests {
 
     const OWNER: Option<&str> = Some("acme");
 
-    /// The terminal index is bounded: past the per-shard cap the oldest
-    /// outcome is evicted (its `status` becomes `"unknown"`), so a
+    /// The terminal index is bounded: past the cap the oldest outcome
+    /// overall is evicted (its `status` becomes `"unknown"`), so a
     /// long-lived daemon's registry cannot grow without bound.
     #[test]
-    fn terminal_index_evicts_oldest_past_the_per_shard_cap() {
+    fn terminal_index_evicts_oldest_past_the_cap() {
         let registry = Registry::new();
         const OVERFLOW: usize = 8;
-        // All in one shard: ids congruent mod REG_SHARDS.
-        let ids: Vec<u64> = (0..(TERMINAL_CAP_PER_SHARD + OVERFLOW) as u64)
-            .map(|i| 5 + i * REG_SHARDS as u64)
-            .collect();
+        let ids: Vec<u64> = (1..=(TERMINAL_CAP + OVERFLOW) as u64).collect();
         for &id in &ids {
             registry.finish(id, OWNER, term(None));
         }
         let (live, terminal) = registry.counts();
         assert_eq!(live, 0);
-        assert_eq!(terminal, TERMINAL_CAP_PER_SHARD, "cap must hold");
+        assert_eq!(terminal, TERMINAL_CAP, "cap must hold");
         for &id in &ids[..OVERFLOW] {
             assert!(
                 matches!(registry.lookup(id), Lookup::Unknown),
@@ -841,16 +818,16 @@ mod tests {
         let id = handle.id();
         let registry = Registry::new();
         registry.register_live(handle, "acme");
-        let live = Arc::clone(&lk(registry.shard(id)).live[&id].tenant);
+        let live = Arc::clone(&lk(&registry.tables).live[&id].tenant);
         registry.finish(id, Some("acme"), term(None));
-        let shard = lk(registry.shard(id));
-        let (_, owner) = &shard.terminal[&id];
+        let tables = lk(&registry.tables);
+        let (_, owner) = &tables.terminal[&id];
         assert!(Arc::ptr_eq(owner.as_ref().unwrap(), &live));
-        assert!(shard.live.is_empty());
+        assert!(tables.live.is_empty());
     }
 
-    /// One entry per finished job up to `REG_SHARDS *
-    /// TERMINAL_CAP_PER_SHARD`: keep it within a cache line.
+    /// One entry per finished job up to `TERMINAL_CAP`: keep it within a
+    /// cache line.
     #[test]
     fn terminal_entries_stay_small() {
         assert!(std::mem::size_of::<(u64, (Terminal, Option<Arc<str>>))>() <= 64);
