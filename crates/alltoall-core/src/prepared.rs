@@ -47,6 +47,8 @@ pub struct PreparedExchange {
     seeded: Buffers<()>,
     /// Cached expected-delivery table for verification.
     expected: Vec<Vec<NodeId>>,
+    /// Cached canonical → original id map (`None` for virtual nodes).
+    originals: Vec<Option<NodeId>>,
     /// Lazily materialized step plan, shared by reference-count so many
     /// concurrent runtimes (e.g. a service's job executors) reuse one
     /// plan without recomputation. See [`step_plan_arc`](Self::step_plan_arc).
@@ -64,10 +66,14 @@ impl PreparedExchange {
             .flat_map(|&s| canon_ids.iter().map(move |&d| (s, d, ())));
         let seeded = Buffers::seeded(exchange.executed_shape(), pairs);
         let expected = exchange.expected_delivery(&canon_ids);
+        let originals = (0..exchange.executed_shape().num_nodes())
+            .map(|c| exchange.from_canonical(c))
+            .collect();
         Ok(Self {
             exchange,
             seeded,
             expected,
+            originals,
             plan: OnceLock::new(),
         })
     }
@@ -99,6 +105,12 @@ impl PreparedExchange {
     /// at `node`. Feed it to [`verify_delivery`].
     pub fn expected_delivery(&self) -> &[Vec<NodeId>] {
         &self.expected
+    }
+
+    /// The cached canonical → original id map: `original_ids()[c]` is
+    /// [`Exchange::from_canonical`]`(c)`, computed once per shape.
+    pub fn original_ids(&self) -> &[Option<NodeId>] {
+        &self.originals
     }
 
     /// Materializes the step-by-step plan (destinations + selection rules)
@@ -154,6 +166,22 @@ mod tests {
         let r = prepared.run(&CommParams::unit()).unwrap();
         assert!(r.verified);
         assert!(r.padded);
+    }
+
+    #[test]
+    fn original_ids_match_from_canonical() {
+        // 6x6 pads, so the table holds virtual (`None`) entries too.
+        for shape in [TorusShape::new_2d(6, 6), TorusShape::new(&[4, 4, 4])] {
+            let prepared = PreparedExchange::new(&shape.unwrap()).unwrap();
+            let exchange = prepared.exchange();
+            let table = prepared.original_ids();
+            assert_eq!(table.len(), exchange.executed_shape().num_nodes() as usize);
+            for (c, &orig) in table.iter().enumerate() {
+                assert_eq!(orig, exchange.from_canonical(c as NodeId), "canonical {c}");
+            }
+            let real = table.iter().flatten().count() as u32;
+            assert_eq!(real, exchange.shape_ref().num_nodes());
+        }
     }
 
     #[test]

@@ -294,10 +294,10 @@ pub struct CollectiveStep {
 }
 
 /// Final holdings per node: `finals[node]` is that node's `(key,
-/// payload)` pairs, keys ascending. Returned by
+/// payload)` pairs, keys ascending, in payload handle `P`. Returned by
 /// [`CollectivePlan::reference_finals`] and reproduced bit-exactly by
 /// every executor.
-pub type NodeFinals = Vec<Vec<(u32, Vec<u8>)>>;
+pub type NodeFinals<P = Vec<u8>> = Vec<Vec<(u32, P)>>;
 
 /// Errors from plan construction or reference replay.
 #[derive(Clone, Debug, PartialEq, Eq)]

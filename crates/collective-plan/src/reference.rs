@@ -7,7 +7,7 @@ use crate::{combine, CollectivePlan, NodeFinals, PlanError};
 
 /// One step's captured outgoing frames: `(dst, frames)` where each
 /// frame is a `(key, payload)` pair.
-type StepDeliveries = Vec<(u32, Vec<(u32, Vec<u8>)>)>;
+type StepDeliveries<P> = Vec<(u32, Vec<(u32, P)>)>;
 
 impl CollectivePlan {
     /// Replays the plan serially over real bytes and returns every
@@ -15,28 +15,36 @@ impl CollectivePlan {
     ///
     /// `payload(id)` supplies the seed block for data identity `id`
     /// (see [`CollectivePlan::seed_id`]) and must return exactly
-    /// `block_bytes` bytes. Combining receives fold with [`combine`] in
-    /// the same receive order the executor uses — one frame per node per
-    /// step, steps in plan order — so a threaded run must match this
-    /// replay bit-for-bit, f32 rounding included.
-    pub fn reference_finals<F>(
+    /// `block_bytes` bytes. `P` is the caller's payload handle: a moved
+    /// or retained send clones the handle, and only a combining receive
+    /// builds new bytes — so with a shared handle (`Bytes`) every
+    /// non-combined final *is* its seed. Combining receives fold with
+    /// [`combine`] in the same receive order the executor uses — one
+    /// frame per node per step, steps in plan order — so a threaded run
+    /// must match this replay bit-for-bit, f32 rounding included.
+    pub fn reference_finals<P, F>(
         &self,
         block_bytes: usize,
         mut payload: F,
-    ) -> Result<NodeFinals, PlanError>
+    ) -> Result<NodeFinals<P>, PlanError>
     where
-        F: FnMut(u32) -> Vec<u8>,
+        P: Clone + AsRef<[u8]> + From<Vec<u8>>,
+        F: FnMut(u32) -> P,
     {
         self.check_block_bytes(block_bytes)?;
         let nn = self.shape().num_nodes();
         let combining = self.is_combining();
-        let mut store: Vec<BTreeMap<u32, Vec<u8>>> = (0..nn)
+        let mut store: Vec<BTreeMap<u32, P>> = (0..nn)
             .map(|u| {
                 self.initial_keys(u)
                     .iter()
                     .map(|&k| {
                         let p = payload(self.seed_id(u, k));
-                        assert_eq!(p.len(), block_bytes, "seed payload length mismatch");
+                        assert_eq!(
+                            p.as_ref().len(),
+                            block_bytes,
+                            "seed payload length mismatch"
+                        );
                         (k, p)
                     })
                     .collect()
@@ -49,7 +57,7 @@ impl CollectivePlan {
         for step in self.steps() {
             // Capture outgoing payloads against pre-step holdings first
             // (move semantics take effect before any delivery lands).
-            let mut deliveries: StepDeliveries = Vec::with_capacity(step.sends.len());
+            let mut deliveries: StepDeliveries<P> = Vec::with_capacity(step.sends.len());
             for s in &step.sends {
                 let src = &mut store[s.src as usize];
                 let mut out = Vec::with_capacity(s.keys.len());
@@ -76,7 +84,9 @@ impl CollectivePlan {
                 for (k, bytes) in blocks {
                     match slot.get_mut(&k) {
                         Some(acc) if combining => {
-                            combine(dtype.unwrap(), op.unwrap(), acc, &bytes);
+                            let mut folded = acc.as_ref().to_vec();
+                            combine(dtype.unwrap(), op.unwrap(), &mut folded, bytes.as_ref());
+                            *acc = P::from(folded);
                         }
                         Some(_) => {
                             return Err(PlanError::Internal(format!(
@@ -101,18 +111,23 @@ impl CollectivePlan {
     /// (bit-exact schedule replay) instead.
     ///
     /// [`reference_finals`]: CollectivePlan::reference_finals
-    pub fn direct_reduction<F>(&self, block_bytes: usize, mut payload: F) -> Option<Vec<u8>>
+    pub fn direct_reduction<P, F>(&self, block_bytes: usize, mut payload: F) -> Option<Vec<u8>>
     where
-        F: FnMut(u32) -> Vec<u8>,
+        P: AsRef<[u8]>,
+        F: FnMut(u32) -> P,
     {
         let (op, dtype) = self.op().reduce()?;
         let nn = self.shape().num_nodes();
-        let mut acc = payload(0);
+        let mut acc = payload(0).as_ref().to_vec();
         assert_eq!(acc.len(), block_bytes, "seed payload length mismatch");
         for u in 1..nn {
             let p = payload(u);
-            assert_eq!(p.len(), block_bytes, "seed payload length mismatch");
-            combine(dtype, op, &mut acc, &p);
+            assert_eq!(
+                p.as_ref().len(),
+                block_bytes,
+                "seed payload length mismatch"
+            );
+            combine(dtype, op, &mut acc, p.as_ref());
         }
         Some(acc)
     }

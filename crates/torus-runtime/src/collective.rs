@@ -295,15 +295,16 @@ impl CollectiveRuntime {
             stores.push(store);
         }
 
-        // The serial ground truth, computed up front: the run is judged
-        // against it bit-for-bit afterwards.
-        let reference = plan.reference_finals(block_bytes, |id| seeds[&id].to_vec())?;
+        // The serial ground truth, computed up front over the seeded
+        // handles themselves: the run is judged against it bit-for-bit
+        // afterwards, and only combined keys hold bytes of their own.
+        let reference = plan.reference_finals(block_bytes, |id| seeds[&id].clone())?;
         // For u64 lanes the ring fold must also equal the
         // order-independent direct fold — a reference-of-the-reference
         // cross-check that catches a mis-lowered reduction schedule.
         if matches!(plan.op().reduce(), Some((_, Dtype::U64))) {
             let direct = plan
-                .direct_reduction(block_bytes, |id| seeds[&id].to_vec())
+                .direct_reduction(block_bytes, |id| &seeds[&id])
                 .expect("reduce op has a direct fold");
             for (u, holdings) in reference.iter().enumerate() {
                 for (key, bytes) in holdings {
@@ -347,25 +348,42 @@ impl CollectiveRuntime {
                 .enumerate()
                 .filter_map(|(k, b)| b.map(|b| (k as u32, b)))
                 .collect();
-            if got.len() != want.len() || got.iter().zip(want).any(|((gk, _), (wk, _))| gk != wk) {
-                let got_keys: Vec<u32> = got.iter().map(|(k, _)| *k).collect();
-                let want_keys: Vec<u32> = want.iter().map(|(k, _)| *k).collect();
-                return Err(RuntimeError::Verification(format!(
-                    "node {u} finished holding keys {got_keys:?}, expected {want_keys:?}"
-                )));
-            }
-            for ((k, bytes), (_, want_bytes)) in got.iter().zip(want) {
-                if bytes.as_ref() != want_bytes.as_slice() {
-                    return Err(RuntimeError::Verification(format!(
-                        "node {u} key {k}: payload differs from the reference replay"
-                    )));
-                }
-            }
+            verify_holdings(u, &got, want)?;
             deliveries.push(got);
         }
         report.verified = true;
         Ok((report, deliveries))
     }
+}
+
+/// Checks node `node`'s final holdings against the reference replay's:
+/// the same keys in the same (ascending) order, and equal payloads.
+///
+/// Payloads compare with `Bytes ==`, which answers two handles onto one
+/// allocation by identity and reads bytes only otherwise. A moved or
+/// replicated key arrives as its seed's own handle and clears without
+/// reading a byte; a combined key, or one decoded from a frame on the
+/// contiguous fault path, is compared byte for byte.
+pub fn verify_holdings(
+    node: usize,
+    got: &[(u32, Bytes)],
+    want: &[(u32, Bytes)],
+) -> Result<(), RuntimeError> {
+    if got.len() != want.len() || got.iter().zip(want).any(|((gk, _), (wk, _))| gk != wk) {
+        let got_keys: Vec<u32> = got.iter().map(|(k, _)| *k).collect();
+        let want_keys: Vec<u32> = want.iter().map(|(k, _)| *k).collect();
+        return Err(RuntimeError::Verification(format!(
+            "node {node} finished holding keys {got_keys:?}, expected {want_keys:?}"
+        )));
+    }
+    for ((k, bytes), (_, want_bytes)) in got.iter().zip(want) {
+        if bytes != want_bytes {
+            return Err(RuntimeError::Verification(format!(
+                "node {node} key {k}: payload differs from the reference replay"
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

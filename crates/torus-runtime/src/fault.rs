@@ -183,13 +183,6 @@ impl FaultPlan {
         self
     }
 
-    /// Delays this fraction of first-attempt transmissions by `micros`.
-    pub fn with_delay_rate(mut self, rate: f64, micros: u64) -> Self {
-        self.rates.delay = rate;
-        self.rates.delay_micros = micros;
-        self
-    }
-
     /// Pins a fault to one exact transmission. `attempt` 0 is the
     /// original send; `attempt` ≥ 1 fault the corresponding resend, which
     /// is how retry-budget exhaustion is provoked deterministically.

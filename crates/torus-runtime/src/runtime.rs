@@ -673,21 +673,15 @@ impl Runtime {
             (s < n && d < n).then_some(s * n + d)
         };
         let mut expected_payloads: Vec<Option<Bytes>> = vec![None; n * n];
-        let original = |node: NodeId| {
-            exchange
-                .from_canonical(node)
-                .ok_or(RuntimeError::UnmappedNode {
-                    node,
-                    phase: String::from("seeding"),
-                    step: 0,
-                })
-        };
         let mut node_bufs: Vec<NodeBuf> = Vec::with_capacity(n);
         let (mut pairs, mut scratch) = (Vec::new(), Vec::new());
         for blocks in self.prepared.seeded_blocks() {
             pairs.clear();
             for b in blocks {
-                pairs.push((original(b.src)?, original(b.dst)?));
+                pairs.push((
+                    self.original(b.src, "seeding")?,
+                    self.original(b.dst, "seeding")?,
+                ));
             }
             let seeded: Vec<Bytes> = match payloads {
                 Payloads::Spec(spec) => {
@@ -839,6 +833,21 @@ impl Runtime {
         Ok((report, buffers))
     }
 
+    /// The original id of canonical `node`, read from the prepared
+    /// exchange's cached table; a virtual node is `UnmappedNode`.
+    fn original(&self, node: NodeId, phase: &str) -> Result<NodeId, RuntimeError> {
+        self.prepared
+            .original_ids()
+            .get(node as usize)
+            .copied()
+            .flatten()
+            .ok_or_else(|| RuntimeError::UnmappedNode {
+                node,
+                phase: phase.into(),
+                step: 0,
+            })
+    }
+
     /// Deliveries in original ids, sorted by source (same contract as
     /// `Exchange::run_with_payloads`), from a run's verified final
     /// buffers. Quarantined nodes end with empty buffers, so their
@@ -851,14 +860,7 @@ impl Runtime {
             let buf = buffers.node(exchange.to_canonical(d));
             let mut got: Vec<(NodeId, Bytes)> = Vec::with_capacity(buf.len());
             for b in buf {
-                let os = exchange
-                    .from_canonical(b.src)
-                    .ok_or(RuntimeError::UnmappedNode {
-                        node: b.src,
-                        phase: String::from("delivery"),
-                        step: 0,
-                    })?;
-                got.push((os, b.payload.clone()));
+                got.push((self.original(b.src, "delivery")?, b.payload.clone()));
             }
             got.sort_by_key(|(s, _)| *s);
             deliveries.push(got);

@@ -11,9 +11,11 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use torus_runtime::collective::verify_holdings;
 use torus_runtime::{
-    pattern_payload, CancelToken, CollectiveOp, CollectiveRuntime, Dtype, FailureReason, FaultKind,
-    FaultPlan, ReduceOp, RetryPolicy, RuntimeConfig, RuntimeError, WorkerFaultKind,
+    pattern_payload, CancelToken, CollectiveOp, CollectivePlan, CollectiveRuntime, Dtype,
+    FailureReason, FaultKind, FaultPlan, ReduceOp, RetryPolicy, RuntimeConfig, RuntimeError,
+    WorkerFaultKind,
 };
 use torus_topology::TorusShape;
 
@@ -134,6 +136,125 @@ fn allgather_is_bit_exact_per_source() {
             assert_eq!(*bytes, pattern_payload(*key, *key, report.block_bytes));
         }
     }
+}
+
+/// The reference replay over shared `Bytes` handles is the replay over
+/// owned `Vec<u8>` copies, bit for bit: the payload handle changes what
+/// a send costs, never what a node ends up holding.
+#[test]
+fn bytes_replay_equals_vec_replay_for_every_op() {
+    for dims in [&[4u32, 4][..], &[6, 6], &[8, 8], &[4, 4, 4]] {
+        let shape = TorusShape::new(dims).unwrap();
+        let last = shape.num_nodes() - 1;
+        let ops = [
+            CollectiveOp::Broadcast { root: last },
+            CollectiveOp::Scatter { root: 1 },
+            CollectiveOp::Gather { root: last / 2 },
+            CollectiveOp::Allgather,
+            CollectiveOp::Reduce {
+                root: 0,
+                op: ReduceOp::Sum,
+                dtype: Dtype::U64,
+            },
+            CollectiveOp::Allreduce {
+                op: ReduceOp::Sum,
+                dtype: Dtype::F32,
+            },
+        ];
+        for op in ops {
+            let plan = CollectivePlan::new(&shape, op).unwrap();
+            for m in [8, 64, 1024] {
+                let seed = |id: u32| match op {
+                    CollectiveOp::Allreduce { .. } => f32_payload(id, m),
+                    _ => u64_payload(id, m),
+                };
+                let shared = plan.reference_finals(m, seed).unwrap();
+                let owned = plan.reference_finals(m, |id| seed(id).to_vec()).unwrap();
+                assert_eq!(shared.len(), owned.len());
+                for (u, (s, o)) in shared.iter().zip(&owned).enumerate() {
+                    let s: Vec<(u32, &[u8])> = s.iter().map(|(k, b)| (*k, b.as_ref())).collect();
+                    let o: Vec<(u32, &[u8])> = o.iter().map(|(k, b)| (*k, b.as_slice())).collect();
+                    assert_eq!(s, o, "{op:?} on {dims:?} x {m} B, node {u}");
+                }
+            }
+        }
+    }
+}
+
+/// An allgather only moves and replicates seeds, so every delivered
+/// holding is its seed's own allocation: verification clears it by
+/// identity and reads no payload byte.
+#[test]
+fn allgather_delivers_the_seed_allocations_themselves() {
+    let m = 1024;
+    for workers in [1, 2] {
+        let r = rt(
+            &[8, 8],
+            CollectiveOp::Allgather,
+            RuntimeConfig::default()
+                .with_workers(workers)
+                .with_block_bytes(m),
+        );
+        let mut seeds = Vec::new();
+        let (report, deliveries) = r
+            .run_with_payloads(|id| {
+                let b = u64_payload(id, m);
+                seeds.push((id, b.clone()));
+                b
+            })
+            .unwrap();
+        assert!(report.verified);
+        seeds.sort_by_key(|(id, _)| *id);
+        assert_eq!(seeds.len(), 64, "one seed per identity");
+        for (u, held) in deliveries.iter().enumerate() {
+            assert_eq!(held.len(), seeds.len(), "node {u}");
+            for ((k, bytes), (id, seed)) in held.iter().zip(&seeds) {
+                assert_eq!(k, id);
+                assert_eq!(
+                    bytes.as_ptr(),
+                    seed.as_ptr(),
+                    "workers {workers}: node {u} key {k} is a copy"
+                );
+            }
+        }
+    }
+}
+
+/// The holdings check accepts equal bytes in a fresh allocation (the
+/// byte-for-byte path) and rejects a one-byte flip, a missing key and
+/// an extra key.
+#[test]
+fn verify_holdings_compares_bytes_when_handles_differ() {
+    let want: Vec<(u32, Bytes)> = (0..4).map(|k| (k, u64_payload(k, 64))).collect();
+    let copy: Vec<(u32, Bytes)> = want
+        .iter()
+        .map(|(k, b)| (*k, Bytes::from(b.to_vec())))
+        .collect();
+    assert_ne!(copy[2].1.as_ptr(), want[2].1.as_ptr());
+    verify_holdings(0, &want, &want).unwrap();
+    verify_holdings(0, &copy, &want).unwrap();
+
+    let mut flipped = copy.clone();
+    let mut bytes = flipped[2].1.to_vec();
+    bytes[17] ^= 0x01;
+    flipped[2].1 = Bytes::from(bytes);
+    let err = verify_holdings(3, &flipped, &want).unwrap_err();
+    assert!(
+        matches!(&err, RuntimeError::Verification(msg) if msg.contains("node 3 key 2")),
+        "{err:?}"
+    );
+
+    let missing = &copy[..3];
+    assert!(matches!(
+        verify_holdings(0, missing, &want),
+        Err(RuntimeError::Verification(_))
+    ));
+    let mut extra = copy.clone();
+    extra.push((4, u64_payload(4, 64)));
+    assert!(matches!(
+        verify_holdings(0, &extra, &want),
+        Err(RuntimeError::Verification(_))
+    ));
 }
 
 #[test]

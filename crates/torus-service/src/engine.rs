@@ -802,11 +802,6 @@ impl Engine {
         self.shared.pool.size()
     }
 
-    /// Jobs currently admitted but not yet claimed by a driver.
-    pub fn queue_len(&self) -> usize {
-        lk(&self.shared.queue).queued
-    }
-
     /// Graceful shutdown: stops admission, lets the drivers drain every
     /// queued job, joins them, tears down the pool, and returns the
     /// final stats. Idempotent, and safe to race: concurrent callers all

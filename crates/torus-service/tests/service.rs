@@ -364,32 +364,6 @@ fn shutdown_drains_queue_then_rejects() {
     );
 }
 
-/// No worker-thread leak: after `shutdown()` the process thread count
-/// returns to its pre-engine baseline.
-#[cfg(target_os = "linux")]
-#[test]
-fn shutdown_returns_thread_count_to_baseline() {
-    fn threads_now() -> usize {
-        std::fs::read_dir("/proc/self/task").unwrap().count()
-    }
-    let baseline = threads_now();
-    let engine = Engine::new(EngineConfig::default().with_pool_size(4).with_drivers(3));
-    let shape = TorusShape::new_2d(4, 4).unwrap();
-    for i in 0..4u64 {
-        engine
-            .submit(shape.clone(), PayloadSpec::Seeded { seed: i }, small_cfg())
-            .unwrap()
-            .wait();
-    }
-    assert!(threads_now() > baseline, "pool + drivers are running");
-    engine.shutdown();
-    assert_eq!(
-        threads_now(),
-        baseline,
-        "every pool and driver thread must be joined by shutdown"
-    );
-}
-
 /// Job ids are unique and FIFO-ordered; handles are clonable and
 /// waitable from other threads.
 #[test]

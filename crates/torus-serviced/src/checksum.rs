@@ -36,7 +36,9 @@ pub fn delivery_checksum(deliveries: &[Vec<(u32, Bytes)>]) -> u64 {
 /// slices of it; a collective replays the plan's serial reference fold
 /// ([`CollectivePlan::reference_finals`]) over the same diagonal seed
 /// payloads the engine uses, so the digest covers the *reduced* bytes,
-/// not just the seeds. Spec validation guarantees the plan and lane
+/// not just the seeds. The replay holds each seed's `Bytes` handle
+/// rather than a copy; only a combining receive builds new bytes. Spec
+/// validation guarantees the plan and lane
 /// checks cannot fail here.
 pub fn expected_checksum(spec: &JobSpec) -> u64 {
     let mut digest = DeliveryDigest::new();
@@ -58,7 +60,7 @@ pub fn expected_checksum(spec: &JobSpec) -> u64 {
             let plan = CollectivePlan::new(&spec.torus_shape(), op)
                 .expect("spec validation admits only plannable collective ops");
             let finals = plan
-                .reference_finals(len, |id| spec.payload.key_payload(id, len).to_vec())
+                .reference_finals(len, |id| spec.payload.key_payload(id, len))
                 .expect("spec validation enforces the lane check");
             for (dst, got) in finals.iter().enumerate() {
                 for (key, payload) in got {

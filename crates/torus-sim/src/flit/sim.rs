@@ -344,11 +344,6 @@ impl FlitSim {
     pub fn stats(&self) -> FlitStats {
         self.stats
     }
-
-    /// Number of queued packets.
-    pub fn num_packets(&self) -> usize {
-        self.packets.len()
-    }
 }
 
 #[cfg(test)]

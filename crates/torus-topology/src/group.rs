@@ -97,13 +97,6 @@ impl GroupInfo {
         SubmeshId(c.div_each(4))
     }
 
-    /// Position of a node within its submesh (each component in `0..4`).
-    /// This equals the group id coordinate.
-    #[inline]
-    pub fn position_in_submesh(&self, c: &Coord) -> Coord {
-        c.mod_each(4)
-    }
-
     /// The node of group `g` inside submesh `sm`:
     /// component-wise `4·sm + g`.
     #[inline]
@@ -137,14 +130,6 @@ impl GroupInfo {
         let n = self.shape.ndims();
         let gshape = TorusShape::new(&vec![4u32; n]).expect("4^n shape valid");
         (0..gshape.num_nodes()).map(move |id| self.member(GroupId(gshape.coord_of(id)), sm))
-    }
-
-    /// Position of a group member within its group's subtorus: the
-    /// submesh coordinate. (The subtorus of a group is isomorphic to the
-    /// grid of submeshes.)
-    #[inline]
-    pub fn subtorus_coord(&self, c: &Coord) -> Coord {
-        c.div_each(4)
     }
 }
 
