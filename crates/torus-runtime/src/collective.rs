@@ -362,8 +362,8 @@ impl CollectiveRuntime {
 /// Payloads compare with `Bytes ==`, which answers two handles onto one
 /// allocation by identity and reads bytes only otherwise. A moved or
 /// replicated key arrives as its seed's own handle and clears without
-/// reading a byte; a combined key, or one decoded from a frame on the
-/// contiguous fault path, is compared byte for byte.
+/// reading a byte, with or without a fault plan; a combined key is
+/// compared byte for byte.
 pub fn verify_holdings(
     node: usize,
     got: &[(u32, Bytes)],

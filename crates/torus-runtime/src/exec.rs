@@ -20,7 +20,7 @@
 //! 1. **assemble** — for every owned node scheduled to send, the source
 //!    [`emit`](StepSource::emit)s the step's blocks and the executor
 //!    frames them into one combined wire message (sequence-numbered and
-//!    CRC32-protected). Fault-free, the frame is **scatter-gather**
+//!    CRC32-protected). The frame is **scatter-gather**
 //!    ([`WireFrame::Gathered`]): only the headers are written (into a
 //!    pooled buffer — see [`FramePool`]), the payloads travel as shared
 //!    [`Bytes`] handles, so combining never copies a payload byte;
@@ -42,15 +42,19 @@
 //!
 //! # Fault tolerance
 //!
-//! When the configured [`FaultPlan`] is non-empty the send path switches
-//! to the canonical contiguous encoding (injected corruption and
-//! truncation need well-defined frame bytes to mutate, and the retained
-//! resend copy must be immutable) and the receive path from a blocking
-//! wait to a deadline + bounded-retry loop: every sender retains its
-//! pristine frame for the step, a receiver whose deadline expires (or
-//! whose frame fails the CRC/framing/sequence checks) pulls the retained
-//! copy — a modeled NACK + retransmission — with exponential backoff
-//! between attempts. A receiver hands the source exactly one valid frame
+//! A fault plan changes no frame's shape: faulted, retained and resent
+//! frames are gathered frames like every other. What a non-empty [`FaultPlan`]
+//! changes is the protocol around them. Every sender retains a clone of
+//! its pristine frame for the step (its framing copied, its payloads
+//! shared by handle), and the fault layer mutates what goes on the wire
+//! segment by segment ([`WireFrame::corrupt`], [`WireFrame::truncate`];
+//! a duplicate is another clone). The receive path switches from a
+//! blocking wait to a deadline + bounded-retry loop: a receiver whose
+//! deadline expires (or whose frame fails the framing/CRC/sequence
+//! checks) pulls the retained copy — a modeled NACK + retransmission —
+//! with exponential backoff between attempts. Both receive loops hand
+//! every frame to the same decode-and-recycle step before the source
+//! absorbs its blocks. A receiver hands the source exactly one valid frame
 //! per step: duplicates and stragglers carry an earlier sequence number
 //! and are drained and discarded, which is what keeps a combining
 //! receive exactly-once under recovery. Exhausting the retry budget,
@@ -80,8 +84,8 @@ use torus_topology::NodeId;
 use crate::cancel::{CancelKind, CancelToken};
 use crate::fault::{FaultEvent, FaultEventKind, FaultKind, FaultPlan, WorkerFaultKind};
 use crate::message::{
-    decode_gathered, decode_message, encode_gathered, encode_message, WireError, WireFrame,
-    BLOCK_HEADER_BYTES, MESSAGE_HEADER_BYTES,
+    decode_gathered, encode_gathered, WireError, WireFrame, BLOCK_HEADER_BYTES,
+    MESSAGE_HEADER_BYTES,
 };
 use crate::pool::{FramePool, PoolBank};
 use crate::recovery::{merge_events, FailureReason, NodeFailure, RecoveryStats, RetryPolicy};
@@ -139,12 +143,7 @@ pub(crate) trait StepSource: Send + Sync + 'static {
     fn resident(&self, state: &Self::Node) -> u64;
 
     /// The inter-phase pass on one node, accounted into `side`.
-    /// `contiguous_frames` is the executor's own knowledge of the frame
-    /// shape this run receives: `true` under a fault plan, where absorbed
-    /// payloads are slices of whole received frames; `false` on the
-    /// gathered path, where every payload is an individually owned
-    /// handle.
-    fn rearrange(&self, _state: &mut Self::Node, _contiguous_frames: bool, _side: &mut PhaseSide) {}
+    fn rearrange(&self, _state: &mut Self::Node, _side: &mut PhaseSide) {}
 }
 
 /// Per-worker, per-global-step measurement.
@@ -167,7 +166,7 @@ pub(crate) struct PhaseSide {
     messages: u64,
     pub(crate) rearrange: Duration,
     pub(crate) rearranged_bytes: u64,
-    pub(crate) allocations: u64,
+    allocations: u64,
     pub(crate) rearr_blocks_max: u64,
 }
 
@@ -213,20 +212,32 @@ pub(crate) fn effective_workers(config: &RuntimeConfig, nn: usize) -> usize {
         .clamp(1, nn)
 }
 
-/// One flipped byte at a deterministic offset — the payload of
-/// [`FaultKind::CorruptByte`].
-fn corrupt_frame(frame: &Bytes, offset: usize) -> Bytes {
-    let mut v = frame.to_vec();
-    if !v.is_empty() {
-        let at = offset % v.len();
-        v[at] ^= 0x01;
-    }
-    Bytes::from(v)
-}
+/// Bounded wait slice of the receive loops: how soon a receiver parked on
+/// a long deadline notices an aborted or cancelled run.
+const WAIT_SLICE: Duration = Duration::from_millis(20);
 
-/// Keeps only the first half of the frame — [`FaultKind::Truncate`].
-fn truncate_frame(frame: &Bytes) -> Bytes {
-    frame.slice(..frame.len() / 2)
+/// Decodes `frame` into `incoming` and returns its buffers to `pool` —
+/// the one step every received frame takes, in both receive loops. A
+/// frame that fails a check appends nothing and is counted in `counters`.
+fn open(
+    frame: WireFrame,
+    incoming: &mut Vec<Block<Bytes>>,
+    pool: &mut FramePool,
+    counters: &mut RecoveryStats,
+) -> Result<u32, WireError> {
+    let WireFrame::Gathered {
+        framing,
+        mut payloads,
+    } = frame;
+    let seq = decode_gathered(&framing, &mut payloads, incoming);
+    pool.put_buf(framing);
+    pool.put_vec(payloads);
+    match seq {
+        Err(WireError::Crc { .. }) => counters.crc_failures += 1,
+        Err(_) => counters.decode_failures += 1,
+        Ok(_) => {}
+    }
+    seq
 }
 
 /// The per-run state every worker task shares.
@@ -248,8 +259,10 @@ struct RunShared<S: StepSource> {
     step_ctx: Vec<(String, usize)>,
     /// Per-node inbox senders (any worker may deliver to any node).
     senders: Vec<Sender<WireFrame>>,
-    /// Per-destination retained resend frame for the current step.
-    retained: Vec<Mutex<Option<Bytes>>>,
+    /// Per-destination retained resend frame for the current step, shared
+    /// so a fetch under the lock only bumps a count. Allocated only with a
+    /// fault plan; `worker_body` branches on the plan, never on this.
+    retained: Vec<Mutex<Option<Arc<WireFrame>>>>,
     abort: AtomicBool,
     /// External cancellation trigger, observed cooperatively by workers.
     cancel: Option<CancelToken>,
@@ -307,10 +320,10 @@ impl<S: StepSource> RunShared<S> {
         src: NodeId,
         dst: NodeId,
         attempt: u32,
-        frame: Bytes,
+        frame: WireFrame,
         counters: &mut RecoveryStats,
         events: &mut Vec<FaultEvent>,
-    ) -> Vec<Bytes> {
+    ) -> Vec<WireFrame> {
         let faults = &self.faults;
         let mut deliver = vec![frame];
         for kind in faults.message_faults(g, src, dst, attempt) {
@@ -338,13 +351,13 @@ impl<S: StepSource> RunShared<S> {
                 }
                 FaultKind::CorruptByte => {
                     counters.injected_corruptions += 1;
-                    let len = deliver.first().map_or(0, Bytes::len);
+                    let len = deliver.first().map_or(0, WireFrame::wire_len);
                     let off = faults.corrupt_offset(g, src, dst, len);
-                    deliver = deliver.iter().map(|f| corrupt_frame(f, off)).collect();
+                    deliver = deliver.into_iter().map(|f| f.corrupt(off)).collect();
                 }
                 FaultKind::Truncate => {
                     counters.injected_truncations += 1;
-                    deliver = deliver.iter().map(truncate_frame).collect();
+                    deliver = deliver.into_iter().map(WireFrame::truncate).collect();
                 }
             }
         }
@@ -353,12 +366,12 @@ impl<S: StepSource> RunShared<S> {
 
     /// The deadline + bounded-retry receive loop (fault plans only).
     ///
-    /// Waits on the inbox with a deadline; on timeout, CRC/framing
+    /// Waits on the inbox with a deadline; on timeout, framing/CRC
     /// failure, or a stale sequence from a resend, pulls the sender's
     /// retained pristine frame (a modeled NACK + retransmission) with
-    /// exponential backoff. Returns the step's blocks, or `None` if the
-    /// run aborted (this receive's own budget exhausting is one way that
-    /// happens).
+    /// exponential backoff. Returns `true` with the step's blocks in
+    /// `incoming`, or `false` if the run aborted (this receive's own
+    /// budget exhausting is one way that happens).
     #[allow(clippy::too_many_arguments)]
     fn recover_recv(
         &self,
@@ -366,10 +379,12 @@ impl<S: StepSource> RunShared<S> {
         me: NodeId,
         src: NodeId,
         g: usize,
+        incoming: &mut Vec<Block<Bytes>>,
+        pool: &mut FramePool,
         counters: &mut RecoveryStats,
         events: &mut Vec<FaultEvent>,
         step_retries: &mut u64,
-    ) -> Option<Vec<Block<Bytes>>> {
+    ) -> bool {
         let policy = self.retry;
         // `cycles` counts *failed* recovery cycles: it charges the retry
         // budget only when a recovery attempt itself came up empty or
@@ -379,13 +394,13 @@ impl<S: StepSource> RunShared<S> {
         let mut cycles = 0u32;
         let mut fetches = 0u32;
         let mut needed_recovery = false;
-        let blocks = loop {
+        let delivered = loop {
             if self.observe_cancel(me, g) {
-                break None;
+                break false;
             }
             if cycles > policy.max_retries {
                 self.fail(me, g, FailureReason::RetryExhausted { src });
-                break None;
+                break false;
             }
             let wait = if cycles == 0 {
                 policy.deadline
@@ -393,14 +408,11 @@ impl<S: StepSource> RunShared<S> {
                 policy.backoff_for(cycles)
             };
             let mut via_resend = false;
-            let raw = match self.recv_sliced(rx, wait) {
-                // Under a fault plan senders always transmit contiguous
-                // frames; normalize defensively so validation below
-                // always sees canonical bytes.
-                Ok(frame) => Some(frame.to_bytes()),
+            let frame = match self.recv_sliced(rx, wait) {
+                Ok(frame) => Some(frame),
                 Err(RecvTimeoutError::Disconnected) => {
                     self.fail(me, g, FailureReason::ChannelClosed);
-                    break None;
+                    break false;
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     counters.timeouts += 1;
@@ -413,6 +425,7 @@ impl<S: StepSource> RunShared<S> {
                     // exhaustion); a duplicated resend is still one fetch.
                     let frame = lk(&self.retained[me as usize]).clone();
                     frame.and_then(|frame| {
+                        let frame = WireFrame::clone(&frame);
                         fetches += 1;
                         counters.resends += 1;
                         self.inject(g, src, me, fetches, frame, counters, events)
@@ -421,10 +434,10 @@ impl<S: StepSource> RunShared<S> {
                     })
                 }
             };
-            let charged = match raw.map(|raw| decode_message(&raw)) {
+            let charged = match frame.map(|frame| open(frame, incoming, pool, counters)) {
                 // Nothing arrived and nothing could be fetched.
                 None => true,
-                Some(Ok((seq, blocks))) if seq as usize == g => break Some(blocks),
+                Some(Ok(seq)) if seq as usize == g => break true,
                 Some(Ok(_)) => {
                     // Wrong sequence number: a duplicate or over-deadline
                     // straggler from an earlier step (drain it free — the
@@ -432,14 +445,11 @@ impl<S: StepSource> RunShared<S> {
                     // from a dead sender (charge the budget, or this
                     // could spin forever). Only the matching sequence is
                     // ever handed to the source.
+                    incoming.clear();
                     counters.stale_discarded += 1;
                     via_resend
                 }
-                Some(Err(e)) => {
-                    match e {
-                        WireError::Crc { .. } => counters.crc_failures += 1,
-                        _ => counters.decode_failures += 1,
-                    }
+                Some(Err(_)) => {
                     needed_recovery = true;
                     true
                 }
@@ -450,34 +460,31 @@ impl<S: StepSource> RunShared<S> {
                 *step_retries += 1;
             }
         };
-        if blocks.is_some() && needed_recovery {
+        if delivered && needed_recovery {
             counters.recovered += 1;
         }
-        blocks
+        delivered
     }
 
-    /// `recv_timeout(wait)`, but sliced into bounded chunks when a
-    /// cancellation token is installed, so a worker parked on a long
-    /// retry deadline still notices an external cancel within ~20 ms.
-    /// An observed trigger surfaces as a timeout; the caller's loop head
-    /// converts it into the typed abort.
+    /// `recv_timeout(wait)`, waited in [`WAIT_SLICE`]s so a worker parked
+    /// on a long retry deadline notices an aborted run or an external
+    /// cancel within one slice. Either surfaces as a timeout; the
+    /// caller's loop head converts it into the typed abort.
     fn recv_sliced(
         &self,
         rx: &Receiver<WireFrame>,
         wait: Duration,
     ) -> Result<WireFrame, RecvTimeoutError> {
-        let Some(token) = &self.cancel else {
-            return rx.recv_timeout(wait);
-        };
         let deadline = Instant::now() + wait;
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return Err(RecvTimeoutError::Timeout);
             }
-            match rx.recv_timeout(left.min(Duration::from_millis(20))) {
+            match rx.recv_timeout(left.min(WAIT_SLICE)) {
                 Err(RecvTimeoutError::Timeout) => {
-                    if token.is_triggered() || self.abort.load(Ordering::Acquire) {
+                    let cancelled = self.cancel.as_ref().is_some_and(CancelToken::is_triggered);
+                    if cancelled || self.abort.load(Ordering::Acquire) {
                         return Err(RecvTimeoutError::Timeout);
                     }
                 }
@@ -500,7 +507,7 @@ impl<S: StepSource> RunShared<S> {
             return rx.recv().ok().or_else(closed);
         }
         loop {
-            match rx.recv_timeout(Duration::from_millis(20)) {
+            match rx.recv_timeout(WAIT_SLICE) {
                 Ok(frame) => return Some(frame),
                 Err(RecvTimeoutError::Timeout) => {
                     if self.observe_cancel(me, g) {
@@ -576,6 +583,9 @@ fn worker_body<S: StepSource>(
 ) -> (WorkerStats, FramePool, Vec<S::Node>) {
     let source = &*shared.source;
     let phases = source.phases();
+    // The one fault-plan switch: whether sends retain their frame (and
+    // count it resident), which receive loop runs, and whether worker
+    // faults are polled.
     let no_faults = shared.faults.is_empty();
     let senders = &shared.senders[..];
     let retained = &shared.retained[..];
@@ -625,30 +635,18 @@ fn worker_body<S: StepSource>(
                     let t0 = Instant::now();
                     outgoing.clear();
                     source.emit(g, node, state, &mut outgoing);
-                    let msg = if no_faults {
-                        // Zero-copy: headers into a pooled buffer,
-                        // payloads shared by handle.
-                        let framing_len =
-                            MESSAGE_HEADER_BYTES + outgoing.len() * BLOCK_HEADER_BYTES;
-                        let allocs = pool.allocations();
-                        let frame = encode_gathered(
-                            g as u32,
-                            &outgoing,
-                            pool.take_buf(framing_len),
-                            pool.take_vec(),
-                        );
-                        pstats.allocations += pool.allocations() - allocs;
-                        pstats.bytes_copied += framing_len as u64;
-                        frame
-                    } else {
-                        // Fault plans need mutable frame bytes (and an
-                        // immutable retained copy), so materialize the
-                        // canonical layout.
-                        let bytes = encode_message(g as u32, &outgoing);
-                        pstats.allocations += 1;
-                        pstats.bytes_copied += bytes.len() as u64;
-                        WireFrame::Contiguous(bytes)
-                    };
+                    // Zero-copy: headers into a pooled buffer, payloads
+                    // shared by handle.
+                    let framing_len = MESSAGE_HEADER_BYTES + outgoing.len() * BLOCK_HEADER_BYTES;
+                    let allocs = pool.allocations();
+                    let msg = encode_gathered(
+                        g as u32,
+                        &outgoing,
+                        pool.take_buf(framing_len),
+                        pool.take_vec(),
+                    );
+                    pstats.allocations += pool.allocations() - allocs;
+                    pstats.bytes_copied += framing_len as u64;
                     let assembled = Instant::now();
                     pstats.assembly_send += assembled - t0;
                     sstats.messages += 1;
@@ -658,18 +656,19 @@ fn worker_body<S: StepSource>(
                     // mutations don't change the schedule's cost.
                     pstats.wire_bytes += msg.wire_len() as u64;
                     pstats.messages += 1;
+                    let tx = &senders[dst as usize];
                     let delivered = if no_faults {
-                        senders[dst as usize].send(msg).is_ok()
+                        tx.send(msg).is_ok()
                     } else {
-                        let msg = msg.to_bytes();
                         // Retain the pristine frame so the receiver can
-                        // recover it; then mutate what actually goes on
-                        // the wire.
-                        *lk(&retained[dst as usize]) = Some(msg.clone());
+                        // recover it; then fault what actually goes on
+                        // the wire. The copy shares the payloads.
+                        let keep = Arc::new(msg.clone());
+                        *lk(&retained[dst as usize]) = Some(keep);
                         shared
                             .inject(g, node, dst, 0, msg, &mut stats.faults, &mut stats.events)
                             .into_iter()
-                            .all(|f| senders[dst as usize].send(WireFrame::Contiguous(f)).is_ok())
+                            .all(|f| tx.send(f).is_ok())
                     };
                     if !delivered {
                         shared.fail(node, g, FailureReason::ChannelClosed);
@@ -683,71 +682,52 @@ fn worker_body<S: StepSource>(
                     let me = (base + li) as NodeId;
                     if let Some(src) = shared.expect_from[g][base + li] {
                         let t0 = Instant::now();
-                        if no_faults {
+                        // Fault-free, the frame is decoded after the wait;
+                        // the recovery loop decodes to judge each frame.
+                        let (received, delivered) = if no_faults {
                             let frame = shared.recv_scheduled(&rxs[li], me, g);
                             let received = Instant::now();
-                            pstats.transport += received - t0;
-                            // Self-produced frames never fail to decode;
-                            // without a fault plan there is no retained
+                            // Without a fault plan there is no retained
                             // copy to retry from, so a wire error here is
                             // unrecoverable and named exactly.
-                            let decoded = frame.map(|frame| match frame {
-                                WireFrame::Gathered {
-                                    framing,
-                                    mut payloads,
-                                } => decode_gathered(&framing, &mut payloads, &mut incoming).map(
-                                    |_| {
-                                        // Keep the pools warm: the
-                                        // receiver recycles the sender's
-                                        // buffers.
-                                        pool.put_buf(framing);
-                                        pool.put_vec(payloads);
-                                    },
-                                ),
-                                WireFrame::Contiguous(raw) => decode_message(&raw)
-                                    .map(|(_, mut blocks)| incoming.append(&mut blocks)),
-                            });
-                            match decoded {
-                                None => {}
-                                Some(Ok(())) => {
-                                    source.absorb(state, &mut incoming);
-                                    pstats.assembly_recv += received.elapsed();
-                                }
-                                Some(Err(e)) => {
-                                    match e {
-                                        WireError::Crc { .. } => stats.faults.crc_failures += 1,
-                                        _ => stats.faults.decode_failures += 1,
-                                    }
-                                    shared.fail(me, g, FailureReason::Integrity { src, error: e });
-                                }
+                            let opened =
+                                frame.map(|f| open(f, &mut incoming, &mut pool, &mut stats.faults));
+                            if let Some(Err(error)) = opened {
+                                shared.fail(me, g, FailureReason::Integrity { src, error });
                             }
+                            (received, matches!(opened, Some(Ok(_))))
                         } else {
-                            let blocks = shared.recover_recv(
+                            let delivered = shared.recover_recv(
                                 &rxs[li],
                                 me,
                                 src,
                                 g,
+                                &mut incoming,
+                                &mut pool,
                                 &mut stats.faults,
                                 &mut stats.events,
                                 &mut sstats.retries,
                             );
-                            let received = Instant::now();
-                            pstats.transport += received - t0;
-                            if let Some(mut blocks) = blocks {
-                                source.absorb(state, &mut blocks);
-                                pstats.assembly_recv += received.elapsed();
-                            }
+                            (Instant::now(), delivered)
+                        };
+                        pstats.transport += received - t0;
+                        if delivered {
+                            source.absorb(state, &mut incoming);
+                            pstats.assembly_recv += received.elapsed();
                         }
                     }
-                    let mut resident = source.resident(state);
-                    if !no_faults {
-                        // The frame retained for this node's recovery is
-                        // resident memory too (the fault-free path
-                        // retains nothing and skips this lock).
-                        resident += lk(&retained[base + li])
-                            .as_ref()
-                            .map_or(0, |f| f.len() as u64);
-                    }
+                    // The frame retained for this node's recovery is
+                    // resident memory too: its framing, as its payloads
+                    // are handles the receiver already counts.
+                    let retained_bytes = if no_faults {
+                        0
+                    } else {
+                        lk(&retained[base + li]).as_ref().map_or(0, |f| {
+                            let WireFrame::Gathered { framing, .. } = &**f;
+                            framing.len() as u64
+                        })
+                    };
+                    let resident = source.resident(state) + retained_bytes;
                     stats.peak_bytes = stats.peak_bytes.max(resident);
                 }
 
@@ -761,7 +741,7 @@ fn worker_body<S: StepSource>(
         if ph.rearrange_after {
             if !(dead || shared.abort.load(Ordering::Acquire)) {
                 for state in nodes.iter_mut() {
-                    source.rearrange(state, !no_faults, &mut stats.phase[pi]);
+                    source.rearrange(state, &mut stats.phase[pi]);
                 }
                 snapshot(&nodes);
             }
@@ -948,7 +928,11 @@ pub(crate) fn execute<S: StepSource>(
         expect_from,
         step_ctx,
         senders,
-        retained: (0..nn).map(|_| Mutex::new(None)).collect(),
+        retained: if config.faults.is_empty() {
+            Vec::new()
+        } else {
+            (0..nn).map(|_| Mutex::new(None)).collect()
+        },
         abort: AtomicBool::new(false),
         cancel: config.cancel.clone(),
         failure_slot: Mutex::new(None),

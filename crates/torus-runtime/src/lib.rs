@@ -16,15 +16,14 @@
 //!   `TORUS_THREADS` environment variable, read by
 //!   [`torus_sim::default_threads`]; the simulator itself is serial);
 //! * each step performs the paper's **message combining** for real: all
-//!   blocks a node forwards go out as one wire frame — on the fault-free
-//!   path a gathered frame ([`message::encode_gathered`]) whose framing
-//!   is copied and whose payloads travel as shared handles — over
+//!   blocks a node forwards go out as one wire frame — a gathered frame
+//!   ([`message::encode_gathered`]) whose framing is copied and whose
+//!   payloads travel as shared handles, with or without a fault plan — over
 //!   per-node channels (a mutex-guarded queue with a condition
 //!   variable), and are sliced apart zero-copy on receipt;
 //! * the paper's `n + 1` inter-phase **data rearrangements** put each
-//!   node's buffer into delivery order by moving block handles; payload
-//!   bytes are copied only under a fault plan, where the copy is what
-//!   frees the received frames;
+//!   node's buffer into delivery order by moving block handles; no
+//!   payload byte is copied;
 //! * delivery is verified with the same invariant checker the analytic
 //!   executors use ([`alltoall_core::verify_delivery`]) *plus* bit-exact
 //!   payload comparison against the seeded contents.

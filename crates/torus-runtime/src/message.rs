@@ -2,28 +2,25 @@
 //!
 //! The paper's message combining means that everything a node forwards in
 //! one step travels as **one** message. A frame has one canonical byte
-//! layout (below), but two in-memory representations, both carried by
-//! [`WireFrame`]:
+//! layout (below) and one in-memory shape, [`WireFrame::Gathered`]
+//! ([`encode_gathered`]): all framing (message header plus the block
+//! headers, back to back) in one small reused [`BytesMut`], and the
+//! blocks' payloads as shared [`Bytes`] segments. Combining then costs a
+//! header write per block, never a payload copy — the payload bytes
+//! seeded at the start of a run travel every hop by reference count, and
+//! the layout is a description the transport walks, not a buffer it
+//! fills. The CRC is computed over the canonical layout, streamed across
+//! the segments without concatenating, and decoding hands the payload
+//! segments straight to the receiver ([`decode_gathered`]).
 //!
-//! * **contiguous** — the canonical layout materialized into a single
-//!   [`Bytes`] buffer ([`encode_message`]). Fault injection (corrupt /
-//!   truncate) and the recovery layer's retained resend copies operate on
-//!   this form, because mutating "the frame's bytes" only makes sense
-//!   when the frame *is* bytes;
-//! * **gathered** — scatter-gather: all framing (message header plus the
-//!   block headers, back to back) in one small reused [`BytesMut`], and
-//!   the blocks' payloads as shared [`Bytes`] segments
-//!   ([`encode_gathered`]). Combining then costs a header write per
-//!   block, never a payload copy — the payload bytes seeded at the start
-//!   of a run travel every hop by reference count.
-//!
-//! The two forms are interchangeable: a gathered frame's CRC is computed
-//! over the canonical layout (streamed across the segments without
-//! concatenating), so [`WireFrame::to_bytes`] materializes a frame that
-//! [`decode_message`] round-trips exactly. Decoding is zero-copy in both
-//! directions: contiguous frames are split into [`Bytes::slice`] views,
-//! gathered frames hand their payload segments straight to the receiver
-//! ([`decode_gathered`]).
+//! The fault layer mutates the same shape: [`WireFrame::corrupt`] flips
+//! one canonical byte in the frame's own framing buffer or in a fresh
+//! copy of the one payload that holds it, and [`WireFrame::truncate`]
+//! cuts the framing and the segment list where the kept prefix ends. [`WireFrame::to_bytes`] writes the canonical
+//! layout out; it, [`encode_message`] and [`decode_message`] are the
+//! reference encoder and decoders of that layout, which the golden pins
+//! and the codec property tests compare the gathered shape against. No
+//! run calls them.
 //!
 //! Since the fault-tolerance layer (see [`crate::fault`]) the frame header
 //! also carries a **sequence number** (the global step the frame belongs
@@ -37,9 +34,9 @@
 //! memory speed to stay out of the paper's cost model. The checksum unit
 //! is the layout's own record: a gathered frame hands each block record
 //! (its header from the framing buffer, its payload segment) to one
-//! two-part entry, and everything else — the frame header's fields, a
-//! contiguous frame, any [`crc32`] caller — is a unit with an empty
-//! head. One rule per unit, by length: under 128 bytes (the frame
+//! two-part entry, and everything else — the frame header's fields, the
+//! reference encoder's one buffer, any [`crc32`] caller — is a unit with
+//! an empty head. One rule per unit, by length: under 128 bytes (the frame
 //! header's fields, the 84 B record of a 64 B block) the byte-at-a-time
 //! table loop; from there up one wide pass over the whole unit with one
 //! final reduction. The wide kernel is picked at run time by CPU
@@ -554,15 +551,10 @@ fn frame_crc(seq: u32, tail: &[u8]) -> u32 {
     !crc32_update(crc, tail)
 }
 
-/// Assembles one combined wire frame, materialized into the canonical
-/// contiguous layout. `seq` is the global step number; block order is
-/// preserved.
-///
-/// The frame is written once with a CRC placeholder, checksummed in a
-/// single sequential pass over the assembled buffer, and patched — each
-/// payload byte is touched exactly once per concern (one copy, one CRC
-/// read of the contiguous buffer) instead of the old scattered
-/// pre-assembly CRC walk followed by the copy pass.
+/// The reference encoder: one combined wire frame, materialized into the
+/// canonical layout in a single buffer. `seq` is the global step number;
+/// block order is preserved. It copies every payload byte, so no run
+/// uses it; [`encode_gathered`] must produce the same bytes.
 pub fn encode_message(seq: u32, blocks: &[Block<Bytes>]) -> Bytes {
     let payload_total: usize = blocks.iter().map(|b| b.payload.len()).sum();
     let mut buf = BytesMut::with_capacity(
@@ -583,12 +575,18 @@ pub fn encode_message(seq: u32, blocks: &[Block<Bytes>]) -> Bytes {
     buf.freeze()
 }
 
-/// A frame as handed to the transport: one canonical byte layout, two
-/// in-memory shapes (see the module docs for when each is used).
+/// A frame as handed to the transport: all framing (message header plus
+/// the block headers, back to back) in one small recycled buffer, and
+/// the payloads as shared segments. The canonical layout interleaves the
+/// two; [`to_bytes`](Self::to_bytes) writes it out.
+///
+/// Every frame the executor sends, retains for recovery, faults or
+/// decodes has this shape. `non_exhaustive` keeps a destructuring
+/// `let … else` outside this crate refutable, so such callers compile
+/// without an irrefutable-pattern warning.
 #[derive(Clone, Debug)]
+#[non_exhaustive]
 pub enum WireFrame {
-    /// The canonical layout in a single buffer.
-    Contiguous(Bytes),
     /// Scatter-gather: all framing packed into one small buffer, payloads
     /// shared.
     Gathered {
@@ -600,50 +598,91 @@ pub enum WireFrame {
 }
 
 impl WireFrame {
-    /// Bytes this frame occupies on the wire (identical for both shapes
-    /// of the same logical frame).
+    /// Bytes this frame occupies on the wire.
     pub fn wire_len(&self) -> usize {
-        match self {
-            WireFrame::Contiguous(b) => b.len(),
-            WireFrame::Gathered { framing, payloads } => {
-                framing.len() + payloads.iter().map(Bytes::len).sum::<usize>()
-            }
-        }
+        let WireFrame::Gathered { framing, payloads } = self;
+        framing.len() + payloads.iter().map(Bytes::len).sum::<usize>()
     }
 
-    /// Materializes the canonical contiguous layout. For gathered frames
-    /// this is the one place payload bytes are copied — the fault layer
-    /// and recovery path call it to get mutable, well-defined frame
-    /// bytes; the fault-free hot path never does.
+    /// Materializes the canonical layout: each block header followed by
+    /// its payload. A frame cut by [`truncate`](Self::truncate) writes out
+    /// the prefix it keeps. A copy of every byte, so for tests and
+    /// diagnostics only; the executor never calls it.
     pub fn to_bytes(&self) -> Bytes {
-        match self {
-            WireFrame::Contiguous(b) => b.clone(),
-            WireFrame::Gathered { framing, payloads } => {
-                let mut buf = BytesMut::with_capacity(self.wire_len());
-                buf.put_slice(&framing[..MESSAGE_HEADER_BYTES]);
-                let mut off = MESSAGE_HEADER_BYTES;
-                for p in payloads {
-                    buf.put_slice(&framing[off..off + BLOCK_HEADER_BYTES]);
-                    buf.put_slice(p);
-                    off += BLOCK_HEADER_BYTES;
-                }
-                buf.freeze()
-            }
+        let WireFrame::Gathered { framing, payloads } = self;
+        let mut buf = BytesMut::with_capacity(self.wire_len());
+        let mut off = framing.len().min(MESSAGE_HEADER_BYTES);
+        buf.put_slice(&framing[..off]);
+        for p in payloads {
+            let end = framing.len().min(off + BLOCK_HEADER_BYTES);
+            buf.put_slice(&framing[off..end]);
+            buf.put_slice(p);
+            off = end;
         }
+        buf.put_slice(&framing[off..]);
+        buf.freeze()
     }
 
-    /// Decodes either shape into `(seq, blocks)`.
-    #[allow(clippy::missing_errors_doc)]
-    pub fn decode(&self) -> Result<(u32, Vec<Block<Bytes>>), WireError> {
-        match self {
-            WireFrame::Contiguous(b) => decode_message(b),
-            WireFrame::Gathered { framing, payloads } => {
-                let mut segments = payloads.clone();
-                let mut blocks = Vec::new();
-                let seq = decode_gathered(framing, &mut segments, &mut blocks)?;
-                Ok((seq, blocks))
+    /// Where byte `at` (below [`wire_len`](Self::wire_len)) of the
+    /// canonical layout lives, as `(fr, k, inside)`: `k` payloads come
+    /// wholly before it, and either it is framing byte `fr` (`inside` is
+    /// `None`), or it is byte `i` of payload `k` (`inside` is `Some(i)`)
+    /// and `fr` framing bytes precede it.
+    fn spot(&self, at: usize) -> (usize, usize, Option<usize>) {
+        let WireFrame::Gathered { payloads, .. } = self;
+        // `rest` counts canonical bytes past framing offset `fr`.
+        let mut fr = at.min(MESSAGE_HEADER_BYTES);
+        let mut rest = at - fr;
+        for (k, p) in payloads.iter().enumerate() {
+            if rest < BLOCK_HEADER_BYTES {
+                return (fr + rest, k, None);
+            }
+            (fr, rest) = (fr + BLOCK_HEADER_BYTES, rest - BLOCK_HEADER_BYTES);
+            if rest < p.len() {
+                return (fr, k, Some(rest));
+            }
+            rest -= p.len();
+        }
+        (fr + rest, payloads.len(), None)
+    }
+
+    /// Flips the low bit of canonical byte `offset % wire_len`, the
+    /// fault layer's single-byte corruption. Only the segment holding it
+    /// changes: a framing byte is flipped in this frame's own buffer, a
+    /// payload byte in a fresh copy of that one payload, so no other
+    /// holder of the payload sees the flip.
+    #[must_use]
+    pub fn corrupt(mut self, offset: usize) -> WireFrame {
+        let Some(at) = offset.checked_rem(self.wire_len()) else {
+            return self;
+        };
+        let (fr, k, inside) = self.spot(at);
+        let WireFrame::Gathered { framing, payloads } = &mut self;
+        match inside {
+            None => framing[fr] ^= 0x01,
+            Some(i) => {
+                let mut bytes = payloads[k].to_vec();
+                bytes[i] ^= 0x01;
+                payloads[k] = Bytes::from(bytes);
             }
         }
+        self
+    }
+
+    /// Keeps the first `wire_len / 2` canonical bytes, the fault layer's
+    /// truncation: the framing buffer and the segment list are cut where
+    /// that prefix ends, and a payload cut in the middle becomes a
+    /// shorter view of itself.
+    #[must_use]
+    pub fn truncate(mut self) -> WireFrame {
+        let (fr, k, inside) = self.spot(self.wire_len() / 2);
+        let WireFrame::Gathered { framing, payloads } = &mut self;
+        framing.truncate(fr);
+        payloads.truncate(k + usize::from(inside.is_some()));
+        if let Some(i) = inside {
+            payloads[k] = payloads[k].slice(..i);
+        }
+        self
     }
 }
 
@@ -707,9 +746,10 @@ fn read_u32_at(buf: &[u8], off: usize) -> u32 {
 /// and the (now empty) `payloads` vec is left for recycling; returns the
 /// frame's sequence number.
 ///
-/// Errors mirror [`decode_message`]: `len`/`need` in [`WireError::Truncated`]
-/// are total wire lengths, so a truncated gathered frame reports the same
-/// coordinates its contiguous materialization would.
+/// `len`/`need` in [`WireError::Truncated`] are total wire lengths, as
+/// [`decode_message`] reports them for the canonical bytes. Structure is
+/// checked before the CRC, so damage to a count or length field is
+/// refused as framing, not as a checksum mismatch.
 #[allow(clippy::missing_errors_doc)]
 pub fn decode_gathered(
     framing: &[u8],
@@ -802,10 +842,10 @@ fn read_u32(msg: &Bytes, off: usize) -> Result<u32, WireError> {
     Ok(u32::from_le_bytes(raw))
 }
 
-/// Splits a combined wire frame back into `(seq, blocks)`. Payloads are
-/// zero-copy slices of `msg`. Rejects truncated frames, CRC mismatches,
-/// and over-long framing — every corruption mode the fault layer can
-/// inject is *detected* here, never silently delivered.
+/// The reference decoder: splits a frame in the canonical layout back
+/// into `(seq, blocks)`. Payloads are zero-copy slices of `msg`. Rejects
+/// truncated frames, CRC mismatches, and over-long framing. The property
+/// tests hold [`decode_gathered`] to the same verdicts.
 pub fn decode_message(msg: &Bytes) -> Result<(u32, Vec<Block<Bytes>>), WireError> {
     let seq = read_u32(msg, 0)?;
     let stored = read_u32(msg, CRC_OFFSET)?;
@@ -1095,10 +1135,13 @@ mod tests {
         // record takes the wide path: same stamp, and it verifies.
         let gathered = gather(seq, &blocks);
         assert_eq!(gathered.to_bytes(), golden);
-        assert_eq!(
-            gathered.decode().expect("gathered golden verifies").1,
-            blocks
-        );
+        let WireFrame::Gathered {
+            framing,
+            mut payloads,
+        } = gathered;
+        let mut back = Vec::new();
+        decode_gathered(&framing, &mut payloads, &mut back).expect("gathered golden verifies");
+        assert_eq!(back, blocks);
     }
 
     fn gather(seq: u32, blocks: &[Block<Bytes>]) -> WireFrame {
@@ -1112,7 +1155,7 @@ mod tests {
         let gathered = gather(9, &blocks);
         assert_eq!(gathered.wire_len(), contiguous.len());
         assert_eq!(gathered.to_bytes(), contiguous);
-        // And the materialization decodes through the contiguous path.
+        // And the materialization passes the reference decoder.
         let (seq, back) = decode_message(&gathered.to_bytes()).unwrap();
         assert_eq!(seq, 9);
         assert_eq!(back, blocks);
@@ -1121,9 +1164,7 @@ mod tests {
     #[test]
     fn gathered_shares_payloads_without_copying() {
         let blocks = sample_blocks();
-        let WireFrame::Gathered { framing, payloads } = gather(1, &blocks) else {
-            panic!("encode_gathered must produce a gathered frame");
-        };
+        let WireFrame::Gathered { framing, payloads } = gather(1, &blocks);
         assert_eq!(
             framing.len(),
             MESSAGE_HEADER_BYTES + blocks.len() * BLOCK_HEADER_BYTES
@@ -1141,10 +1182,7 @@ mod tests {
         let WireFrame::Gathered {
             framing,
             mut payloads,
-        } = gather(6, &blocks)
-        else {
-            panic!("expected gathered");
-        };
+        } = gather(6, &blocks);
         let mut out = Vec::new();
         let seq = decode_gathered(&framing, &mut payloads, &mut out).unwrap();
         assert_eq!(seq, 6);
@@ -1155,15 +1193,10 @@ mod tests {
     #[test]
     fn gathered_buffers_are_recycled_across_encodes() {
         let blocks = sample_blocks();
-        let WireFrame::Gathered { framing, payloads } = gather(1, &blocks) else {
-            panic!("expected gathered");
-        };
+        let WireFrame::Gathered { framing, payloads } = gather(1, &blocks);
         let cap_before = framing.capacity();
         // Re-encoding into the recycled buffers must not grow them.
-        let WireFrame::Gathered { framing, .. } = encode_gathered(2, &blocks, framing, payloads)
-        else {
-            panic!("expected gathered");
-        };
+        let WireFrame::Gathered { framing, .. } = encode_gathered(2, &blocks, framing, payloads);
         assert_eq!(framing.capacity(), cap_before);
     }
 
@@ -1171,9 +1204,7 @@ mod tests {
     fn gathered_structural_damage_is_rejected_not_panicking() {
         let blocks = sample_blocks();
         let frame = gather(3, &blocks);
-        let WireFrame::Gathered { framing, payloads } = frame else {
-            panic!("expected gathered");
-        };
+        let WireFrame::Gathered { framing, payloads } = frame;
 
         // Truncated framing at every cut point.
         for cut in 0..framing.len() {
@@ -1216,18 +1247,6 @@ mod tests {
             decode_gathered(&framing, &mut segs, &mut out),
             Err(WireError::Crc { .. })
         ));
-    }
-
-    #[test]
-    fn wireframe_decode_handles_both_shapes() {
-        let blocks = sample_blocks();
-        let g = gather(4, &blocks);
-        let c = WireFrame::Contiguous(encode_message(4, &blocks));
-        let (gs, gb) = g.decode().unwrap();
-        let (cs, cb) = c.decode().unwrap();
-        assert_eq!(gs, cs);
-        assert_eq!(gb, cb);
-        assert_eq!(g.wire_len(), c.wire_len());
     }
 
     #[test]

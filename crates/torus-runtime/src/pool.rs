@@ -133,7 +133,7 @@ impl PoolBank {
     }
 
     /// Checks a pool back in for the next run (dropped if the bank is
-    /// already holding [`BANK_CAP`] pools).
+    /// already holding its cap of 64 pools).
     pub fn put(&self, pool: FramePool) {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         if slots.len() < BANK_CAP {

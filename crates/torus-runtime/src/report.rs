@@ -7,9 +7,9 @@
 //! assembly (its send and receive halves: building and checksumming
 //! frames, verifying and taking them apart), transport (channel
 //! traffic), and the inter-phase data rearrangement. The analytic
-//! [`CompletionTime`](cost_model::CompletionTime) for the same shape and
+//! [`CompletionTime`] for the same shape and
 //! parameters rides along so model and measurement can be compared in one
-//! artifact, and the [`Trace`](torus_sim::Trace) slot feeds the existing
+//! artifact, and the [`Trace`] slot feeds the existing
 //! figure harness unchanged.
 
 use std::time::Duration;
@@ -47,17 +47,16 @@ pub struct PhaseReport {
     pub rearrange: Duration,
     /// Bytes put on the wire (framing + payloads).
     pub wire_bytes: u64,
-    /// Payload bytes the rearrangement pass re-ordered — by handle on
-    /// gathered frames, by copy on contiguous ones (fault plans). The
-    /// input to the cost model's `ρ` term either way.
+    /// Payload bytes the rearrangement pass re-ordered, by handle: the
+    /// input to the cost model's `ρ` term.
     pub rearranged_bytes: u64,
-    /// Bytes the send path actually copied while assembling frames.
-    /// Fault-free this is framing only (headers); under a fault plan
-    /// frames are materialized contiguously and it equals `wire_bytes`.
+    /// Bytes the send path actually copied while assembling frames:
+    /// framing only (headers), with or without a fault plan.
     pub bytes_copied: u64,
-    /// Send-path buffer acquisitions that missed the worker's frame pool,
-    /// plus, under a fault plan, the always-allocating contiguous encodes
-    /// and rearrangement arenas. Stops growing once the pools are warm.
+    /// Send-path buffer acquisitions that missed the worker's frame pool.
+    /// Stops growing once the pools are warm. The fault layer's copies
+    /// (retained, resent, duplicated frames) are recovery state, not
+    /// counted.
     pub allocations: u64,
     /// Combined messages sent.
     pub messages: u64,
@@ -85,19 +84,25 @@ pub struct RuntimeReport {
     pub wall: Duration,
     /// Total bytes put on the wire.
     pub wire_bytes: u64,
-    /// Total payload bytes the rearrangement passes re-ordered (by handle
-    /// on gathered frames, by copy on contiguous ones).
+    /// Total payload bytes the rearrangement passes re-ordered (by
+    /// handle).
     pub rearranged_bytes: u64,
-    /// Total bytes the send path copied assembling frames. Fault-free
-    /// the scatter-gather encoder copies only headers
+    /// Total bytes the send path copied assembling frames. The
+    /// scatter-gather encoder copies only headers
     /// (`messages * MESSAGE_HEADER_BYTES + blocks * BLOCK_HEADER_BYTES`),
     /// never payloads — the visible form of the zero-copy send path.
+    /// Under a fault plan each sender also keeps a retained clone of its
+    /// frame, which writes the same framing once more; that copy is
+    /// recovery state, counted in `peak_node_bytes`, not here.
     pub bytes_copied: u64,
-    /// Total buffer acquisitions that hit the allocator (frame pool
-    /// misses; under a fault plan also contiguous encodes and
-    /// rearrangement arenas).
+    /// Total send-path buffer acquisitions that missed the frame pools.
+    /// The fault layer's copies (retained, resent, duplicated frames) are
+    /// recovery state, not counted.
     pub allocations: u64,
     /// Peak bytes resident in any single node's buffer at a step boundary.
+    /// Under a fault plan this includes the framing of the frame retained
+    /// for the node's recovery (its payloads are handles the node's
+    /// buffer already counts).
     pub peak_node_bytes: u64,
     /// Total combined messages sent.
     pub messages: u64,

@@ -17,11 +17,9 @@
 //!   inter-phase **data rearrangement**: each node's blocks are sorted
 //!   into delivery order (the measured analogue of the `ρ`-term the cost
 //!   model charges per byte). The rearrangement is an order over block
-//!   handles, not a copy — gathered frames leave every payload
-//!   individually owned, so nothing needs to be contiguous. Only under a
-//!   fault plan, where payloads are slices pinning whole received
-//!   frames, are they also copied into one fresh arena per node, because
-//!   there the copy frees memory. The repaired source selects by the
+//!   handles, not a copy: frames are gathered, with or without a fault
+//!   plan, so every payload stays individually owned and nothing needs
+//!   to be contiguous. The repaired source selects by the
 //!   explicit per-node manifests of a [`RepairedSchedule`] and executes
 //!   its quarantine drop lists.
 //! * **Failure policy.** Under [`OnFailure::Degrade`] a driver loop
@@ -44,7 +42,7 @@ use alltoall_core::{
     verify_delivery, verify_delivery_degraded, Block, NullObserver, Observer, PhaseKind,
     PreparedExchange, RepairedSchedule, RepairedStep,
 };
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use cost_model::{CommParams, CompletionTime};
 use torus_topology::{NodeId, TorusShape};
 
@@ -233,41 +231,17 @@ fn resident_bytes(buf: &NodeBuf) -> u64 {
 
 /// The paper's inter-phase rearrangement: put the node's data array into
 /// delivery order. The order is what the next phase, determinism and the
-/// observer snapshots need; contiguity is not, so the pass moves handles
-/// and copies payload bytes only where a copy frees memory.
-///
-/// * Gathered frames (`contiguous_frames == false`): every payload is an
-///   individually owned refcounted [`Bytes`], so the sort is the whole
-///   rearrangement — no allocation, no byte copied.
-/// * Contiguous frames (a fault plan is installed): absorbed payloads are
-///   slices of the frames they arrived in, each pinning its whole frame
-///   (framing and already-forwarded neighbours included). One copy into
-///   a fresh arena un-pins them all.
-///
-/// Either way `rearranged_bytes` is the payload volume re-ordered — the
-/// input to the cost model's `ρ` term.
-fn compact(buf: &mut NodeBuf, contiguous_frames: bool, side: &mut PhaseSide) {
+/// observer snapshots need; contiguity is not. Every payload is an
+/// individually owned refcounted [`Bytes`] (frames are gathered, never
+/// sliced), so the sort over block handles is the whole rearrangement:
+/// no allocation, no byte copied. `rearranged_bytes` is the payload
+/// volume re-ordered — the input to the cost model's `ρ` term.
+fn compact(buf: &mut NodeBuf, side: &mut PhaseSide) {
     let t0 = Instant::now();
     buf.sort_by_key(|b| (b.dst, b.src));
-    let total: usize = buf.iter().map(|b| b.payload.len()).sum();
-    if contiguous_frames {
-        // The arena is frozen and retained by the blocks, so it can't be
-        // pooled.
-        side.allocations += 1;
-        let mut arena = BytesMut::with_capacity(total);
-        for b in buf.iter() {
-            arena.extend_from_slice(&b.payload);
-        }
-        let arena = arena.freeze();
-        let mut off = 0usize;
-        for b in buf.iter_mut() {
-            let len = b.payload.len();
-            b.payload = arena.slice(off..off + len);
-            off += len;
-        }
-    }
+    let total = resident_bytes(buf);
     side.rearrange += t0.elapsed();
-    side.rearranged_bytes += total as u64;
+    side.rearranged_bytes += total;
     side.rearr_blocks_max = side.rearr_blocks_max.max(buf.len() as u64);
 }
 
@@ -325,8 +299,8 @@ impl StepSource for BaseSource {
         resident_bytes(buf)
     }
 
-    fn rearrange(&self, buf: &mut NodeBuf, contiguous_frames: bool, side: &mut PhaseSide) {
-        compact(buf, contiguous_frames, side);
+    fn rearrange(&self, buf: &mut NodeBuf, side: &mut PhaseSide) {
+        compact(buf, side);
     }
 }
 
@@ -414,8 +388,8 @@ impl StepSource for RepairedSource {
         resident_bytes(buf)
     }
 
-    fn rearrange(&self, buf: &mut NodeBuf, contiguous_frames: bool, side: &mut PhaseSide) {
-        compact(buf, contiguous_frames, side);
+    fn rearrange(&self, buf: &mut NodeBuf, side: &mut PhaseSide) {
+        compact(buf, side);
     }
 }
 
@@ -977,23 +951,38 @@ mod tests {
         assert!(r.bytes_copied < r.wire_bytes);
     }
 
-    /// Whether the node's non-empty payloads lie back to back in memory,
-    /// in buffer order — the layout of one rearrangement arena. Slices of
-    /// received frames can never look like this: block headers sit
-    /// between a frame's payloads, and distinct frames are distinct
-    /// allocations.
-    fn back_to_back(buf: &[Block<Bytes>]) -> bool {
-        let spans: Vec<(usize, usize)> = buf
-            .iter()
-            .filter(|b| !b.payload.is_empty())
-            .map(|b| (b.payload.as_ptr() as usize, b.payload.len()))
-            .collect();
-        spans.windows(2).all(|w| w[0].0 + w[0].1 == w[1].0)
-    }
-
     fn in_delivery_order(buf: &[Block<Bytes>]) -> bool {
         buf.windows(2)
             .all(|w| (w[0].dst, w[0].src) <= (w[1].dst, w[1].src))
+    }
+
+    /// Checks after every rearrangement that each node's blocks are in
+    /// delivery order and every payload is still an allocation the run
+    /// was seeded with.
+    #[derive(Default)]
+    struct SameHandles {
+        seeded: std::collections::HashSet<usize>,
+        rearranged: usize,
+    }
+
+    impl Observer<Bytes> for SameHandles {
+        fn on_start(&mut self, bufs: &Buffers<Bytes>) {
+            self.seeded = bufs
+                .as_slices()
+                .iter()
+                .flatten()
+                .map(|b| b.payload.as_ptr() as usize)
+                .collect();
+        }
+        fn on_rearrange(&mut self, _: PhaseKind, bufs: &Buffers<Bytes>) {
+            self.rearranged += 1;
+            for buf in bufs.as_slices() {
+                assert!(in_delivery_order(buf));
+                for b in buf {
+                    assert!(self.seeded.contains(&(b.payload.as_ptr() as usize)));
+                }
+            }
+        }
     }
 
     #[test]
@@ -1001,33 +990,7 @@ mod tests {
         // Every payload a node holds after a rearrangement is still the
         // allocation the run was seeded with: nothing was copied, so
         // nothing was allocated.
-        struct SameHandles {
-            seeded: std::collections::HashSet<usize>,
-            rearranged: usize,
-        }
-        impl Observer<Bytes> for SameHandles {
-            fn on_start(&mut self, bufs: &Buffers<Bytes>) {
-                self.seeded = bufs
-                    .as_slices()
-                    .iter()
-                    .flatten()
-                    .map(|b| b.payload.as_ptr() as usize)
-                    .collect();
-            }
-            fn on_rearrange(&mut self, _: PhaseKind, bufs: &Buffers<Bytes>) {
-                self.rearranged += 1;
-                for buf in bufs.as_slices() {
-                    assert!(in_delivery_order(buf));
-                    for b in buf {
-                        assert!(self.seeded.contains(&(b.payload.as_ptr() as usize)));
-                    }
-                }
-            }
-        }
-        let mut obs = SameHandles {
-            seeded: Default::default(),
-            rearranged: 0,
-        };
+        let mut obs = SameHandles::default();
         let cfg = RuntimeConfig::default().with_workers(1);
         let r = runtime(&[8, 8], cfg).run_observed(&mut obs).unwrap();
         assert!(r.verified);
@@ -1046,44 +1009,24 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_rearrangement_unpins_received_frames() {
-        // Under a fault plan absorbed payloads are slices of the whole
-        // frames they arrived in. After each rearrangement no resident
-        // payload may still be one: each node's data sits in one fresh
-        // arena, so every received frame is free to drop.
-        #[derive(Default)]
-        struct Unpinned {
-            pinned_after_steps: usize,
-            rearranged: usize,
-        }
-        impl Observer<Bytes> for Unpinned {
-            fn on_step(&mut self, _: PhaseKind, _: usize, bufs: &Buffers<Bytes>) {
-                let pinned = bufs.as_slices().iter().filter(|b| !back_to_back(b));
-                self.pinned_after_steps += pinned.count();
-            }
-            fn on_rearrange(&mut self, _: PhaseKind, bufs: &Buffers<Bytes>) {
-                self.rearranged += 1;
-                for (node, buf) in bufs.as_slices().iter().enumerate() {
-                    assert!(in_delivery_order(buf));
-                    assert!(
-                        back_to_back(buf),
-                        "node {node} still holds slices of received frames"
-                    );
-                }
-            }
-        }
-        let mut obs = Unpinned::default();
+    fn fault_plan_delivers_seeded_handles_through_recovery() {
+        // Under a fault plan too, frames are gathered: a resent frame
+        // carries the retained clone's handles, a corrupted one is
+        // refused whole, so every payload a node holds after each
+        // rearrangement is still a seeded allocation.
+        let mut obs = SameHandles::default();
         let cfg = RuntimeConfig::default()
             .with_workers(4)
-            .with_faults(FaultPlan::seeded(9).with_drop_rate(0.01))
+            .with_faults(
+                FaultPlan::seeded(9)
+                    .with_drop_rate(0.05)
+                    .with_corrupt_rate(0.05),
+            )
             .with_retry(quick_retry());
         let r = runtime(&[8, 8], cfg).run_observed(&mut obs).unwrap();
         assert!(r.verified);
         assert_eq!(obs.rearranged, 3);
-        // The premise: between rearrangements nodes do hold frame slices.
-        assert!(obs.pinned_after_steps > 0);
-        // One arena per node per rearrangement, on top of one per frame.
-        assert!(r.allocations >= r.messages + 3 * 64);
+        assert!(r.faults.recovered > 0, "the plan must force recoveries");
     }
 
     #[test]
@@ -1155,14 +1098,30 @@ mod tests {
     }
 
     #[test]
-    fn fault_plans_materialize_full_frames() {
+    fn fault_plans_copy_framing_only() {
+        // A fault plan changes no frame's shape: every frame is encoded
+        // once, its headers written and its payloads shared, so
+        // `bytes_copied` counts framing only and stays below `wire_bytes`
+        // by at least the whole payload volume.
         let cfg = RuntimeConfig::default()
             .with_workers(4)
             .with_faults(FaultPlan::seeded(1).with_drop_rate(1.0))
             .with_retry(quick_retry());
         let r = runtime(&[4, 4], cfg).run().unwrap();
-        // Contiguous encoding copies every frame byte exactly once.
-        assert_eq!(r.bytes_copied, r.wire_bytes);
+        let blocks: u64 = r
+            .trace
+            .phases
+            .iter()
+            .flat_map(|p| &p.steps)
+            .map(|s| s.total_blocks)
+            .sum();
+        let payload = blocks * 64;
+        assert!(payload > 0);
+        assert_eq!(
+            r.bytes_copied,
+            r.messages * MESSAGE_HEADER_BYTES as u64 + blocks * BLOCK_HEADER_BYTES as u64
+        );
+        assert!(r.bytes_copied + payload <= r.wire_bytes);
     }
 
     #[test]
@@ -1410,9 +1369,13 @@ mod tests {
             .with_faults(FaultPlan::default().with_worker_fault(1, 3, WorkerFaultKind::Kill))
             .with_retry(
                 quick_retry()
-                    .with_deadline(Duration::from_millis(10))
+                    .with_deadline(Duration::from_secs(4))
                     .with_max_retries(1),
             );
+        // The deadline outlasts any scheduling delay before the killed
+        // worker records its kill at step 1, so no receiver exhausts its
+        // budget first; receivers still waiting on the dead worker's
+        // frames then stop within a wait slice of the abort.
         let err = runtime(&[4, 4], cfg).run().unwrap_err();
         match err {
             RuntimeError::Aborted { failure, report } => {
@@ -1422,6 +1385,36 @@ mod tests {
                 assert!(!report.verified);
                 assert_eq!(report.faults.injected_kills, 1);
                 assert_eq!(report.failure.as_ref().unwrap().node, 3);
+            }
+            other => panic!("expected Aborted, got {other}"),
+        }
+    }
+
+    #[test]
+    fn receivers_stop_within_a_slice_of_an_abort() {
+        // Node 12 stalls at step 1 before node 15's kill fires on the
+        // same worker, so every receiver due a frame from that worker is
+        // already parked on its 30 s deadline when the run aborts. With
+        // no cancel token installed they must still notice the abort
+        // within a wait slice.
+        let cfg = RuntimeConfig::default()
+            .with_workers(4)
+            .with_faults(
+                FaultPlan::default()
+                    .with_worker_fault(1, 12, WorkerFaultKind::StallMicros(200_000))
+                    .with_worker_fault(1, 15, WorkerFaultKind::Kill),
+            )
+            .with_retry(RetryPolicy::default().with_deadline(Duration::from_secs(30)));
+        let t0 = Instant::now();
+        let err = runtime(&[4, 4], cfg).run().unwrap_err();
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "receivers waited out their deadline: {:?}",
+            t0.elapsed()
+        );
+        match err {
+            RuntimeError::Aborted { failure, .. } => {
+                assert_eq!(failure.reason, FailureReason::WorkerKilled { node: 15 });
             }
             other => panic!("expected Aborted, got {other}"),
         }

@@ -14,8 +14,8 @@ use std::time::Duration;
 use alltoall_core::RepairedSchedule;
 use torus_runtime::{
     CancelToken, CollectiveOp, CollectiveRuntime, Dtype, FailureReason, FaultEvent, FaultEventKind,
-    FaultKind, FaultPlan, OnFailure, ReduceOp, RetryPolicy, Runtime, RuntimeConfig, RuntimeError,
-    RuntimeReport, WorkerFaultKind,
+    FaultKind, FaultPlan, OnFailure, RecoveryStats, ReduceOp, RetryPolicy, Runtime, RuntimeConfig,
+    RuntimeError, RuntimeReport, WorkerFaultKind,
 };
 use torus_topology::{NodeId, TorusShape};
 
@@ -313,6 +313,18 @@ fn same_seed_same_counters_and_events_across_reruns_and_worker_counts() {
             baseline.0.total_injected() > 0,
             "{lane:?}: plan must actually fire"
         );
+        let (events, counters) = pinned_seed_42(lane);
+        let log: Vec<_> = baseline
+            .1
+            .iter()
+            .map(|e| (e.step, e.src, e.dst, e.attempt, e.kind))
+            .collect();
+        assert_eq!(log, events, "{lane:?}: pinned fault log");
+        assert_eq!(
+            counters_row(&baseline.0),
+            counters,
+            "{lane:?}: pinned recovery counters"
+        );
         for workers in [3, 1, NODES] {
             assert_eq!(
                 run(workers),
@@ -339,4 +351,127 @@ fn aborts_leak_no_threads() {
         );
         assert_threads_settle(before, &format!("{lane:?}"));
     }
+}
+
+/// One lane's pinned fault-event log, as `(step, src, dst, attempt,
+/// kind)`, and recovery counters (see [`counters_row`]).
+type Pin = (
+    &'static [(usize, NodeId, NodeId, u32, FaultEventKind)],
+    [u64; 13],
+);
+
+/// The seed-42 drop + corrupt plan of
+/// `same_seed_same_counters_and_events_across_reruns_and_worker_counts`,
+/// pinned per lane at 3 workers: the full fault-event log and the
+/// recovery counters. Fixed by the seed and the schedule alone, so a
+/// change to the data plane that moves any of it changed what the fault
+/// layer does.
+fn pinned_seed_42(lane: Lane) -> Pin {
+    const D: FaultEventKind = FaultEventKind::Message(FaultKind::Drop);
+    const C: FaultEventKind = FaultEventKind::Message(FaultKind::CorruptByte);
+    const K: FaultEventKind = FaultEventKind::Worker(WorkerFaultKind::Kill);
+    const BASE: Pin = (
+        &[
+            (0, 5, 13, 0, C),
+            (0, 6, 4, 0, D),
+            (0, 7, 15, 0, D),
+            (0, 7, 15, 0, C),
+            (0, 13, 5, 0, C),
+            (1, 7, 5, 0, C),
+            (1, 8, 10, 0, C),
+            (2, 2, 6, 0, D),
+            (2, 3, 7, 0, D),
+            (2, 4, 0, 0, C),
+            (2, 5, 1, 0, D),
+            (2, 8, 12, 0, D),
+            (2, 11, 15, 0, C),
+            (2, 13, 9, 0, D),
+            (3, 3, 2, 0, C),
+            (3, 6, 7, 0, D),
+            (3, 15, 14, 0, C),
+        ],
+        [8, 9, 0, 0, 0, 0, 0, 8, 16, 8, 16, 0, 16],
+    );
+    const REPAIRED: Pin = (
+        &[
+            (0, 5, 13, 0, C),
+            (0, 6, 4, 0, D),
+            (0, 7, 15, 0, D),
+            (0, 7, 15, 0, C),
+            (0, 13, 5, 0, C),
+            (1, 3, 3, 0, K),
+            (1, 7, 5, 0, C),
+            (1, 8, 10, 0, C),
+            (2, 2, 6, 0, D),
+            (2, 4, 0, 0, C),
+            (2, 5, 1, 0, D),
+            (2, 8, 12, 0, D),
+            (2, 11, 15, 0, C),
+            (2, 13, 9, 0, D),
+            (3, 6, 7, 0, D),
+            (3, 15, 14, 0, C),
+            (4, 11, 6, 0, C),
+            (5, 3, 6, 0, C),
+            (5, 7, 2, 0, D),
+            (5, 11, 7, 0, C),
+            (6, 3, 7, 0, D),
+            (8, 3, 11, 0, D),
+            (8, 3, 11, 0, C),
+            (10, 3, 15, 0, D),
+        ],
+        [11, 12, 0, 0, 0, 0, 1, 10, 21, 10, 21, 0, 21],
+    );
+    const BROADCAST: Pin = (
+        &[(1, 5, 1, 0, C), (3, 6, 7, 0, D)],
+        [1, 1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 2],
+    );
+    const ALLREDUCE: Pin = (
+        &[
+            (0, 1, 0, 0, D),
+            (0, 6, 5, 0, C),
+            (0, 9, 8, 0, C),
+            (0, 10, 9, 0, C),
+            (0, 13, 12, 0, D),
+            (0, 14, 13, 0, C),
+            (1, 1, 0, 0, C),
+            (1, 9, 8, 0, D),
+            (1, 10, 9, 0, C),
+            (8, 0, 1, 0, D),
+            (8, 0, 1, 0, C),
+            (9, 0, 3, 0, D),
+            (9, 1, 2, 0, D),
+            (9, 8, 11, 0, D),
+        ],
+        [7, 7, 0, 0, 0, 0, 0, 6, 13, 6, 13, 0, 13],
+    );
+    match lane {
+        Lane::Base => BASE,
+        Lane::Repaired => REPAIRED,
+        Lane::Broadcast => BROADCAST,
+        Lane::Allreduce => ALLREDUCE,
+    }
+}
+
+/// The recovery counters in a pin's order — drops, corruptions,
+/// truncations, duplicates, delays, stalls, kills, crc + decode
+/// failures, timeouts, retries, resends, stale discarded, recovered —
+/// with `crc_failures + decode_failures` as one sum: a corruption that lands in a length or
+/// count field may be refused by a structural check before the CRC is
+/// read, and either way it is refused once.
+fn counters_row(f: &RecoveryStats) -> [u64; 13] {
+    [
+        f.injected_drops,
+        f.injected_corruptions,
+        f.injected_truncations,
+        f.injected_duplicates,
+        f.injected_delays,
+        f.injected_stalls,
+        f.injected_kills,
+        f.crc_failures + f.decode_failures,
+        f.timeouts,
+        f.retries,
+        f.resends,
+        f.stale_discarded,
+        f.recovered,
+    ]
 }

@@ -1,8 +1,11 @@
-//! Property-based coverage of the wire codecs: the contiguous and the
-//! scatter-gather encoders must round-trip arbitrary block sets (zero
-//! blocks and zero-length payloads included), agree byte-for-byte on the
-//! canonical layout, and reject — without panicking — every truncation,
-//! dropped or shrunken payload segment, and single-byte corruption.
+//! Property-based coverage of the wire codecs. The scatter-gather
+//! encoder, which every run uses, is held to the reference encoder and
+//! decoder of the canonical layout: both must round-trip arbitrary block
+//! sets (zero blocks and zero-length payloads included), agree
+//! byte-for-byte on the layout, and reject — without panicking — every
+//! truncation, dropped or shrunken payload segment, and single-byte
+//! corruption. The fault layer's frame mutators are held to the byte
+//! mutators they replace.
 
 use alltoall_core::Block;
 use bytes::Bytes;
@@ -68,6 +71,16 @@ fn arb_blocks_with(
     })
 }
 
+/// Decodes a copy of `frame` into `(seq, blocks)`.
+fn decode(frame: &WireFrame) -> Result<(u32, Vec<Block<Bytes>>), WireError> {
+    let WireFrame::Gathered { framing, payloads } = frame else {
+        panic!("every frame is gathered");
+    };
+    let mut blocks = Vec::new();
+    let seq = decode_gathered(framing, &mut payloads.clone(), &mut blocks)?;
+    Ok((seq, blocks))
+}
+
 /// The streamed (per-record) and the one-pass checksum take different
 /// kernels over the same canonical bytes; the stamped CRC field, and so
 /// the whole frame, must still be identical, both must verify, and the
@@ -81,7 +94,7 @@ fn assert_same_crc_both_shapes(
     let gathered = encode_gathered(seq, &blocks, Default::default(), Vec::new());
     prop_assert_eq!(gathered.to_bytes(), contiguous.clone());
     prop_assert_eq!(
-        gathered.decode().expect("gathered frame verifies"),
+        decode(&gathered).expect("gathered frame verifies"),
         (seq, blocks.clone())
     );
     prop_assert_eq!(
@@ -92,6 +105,51 @@ fn assert_same_crc_both_shapes(
     let pos = pos.index(damaged.len());
     damaged[pos] ^= 0x10;
     prop_assert!(decode_message(&Bytes::from(damaged)).is_err());
+    Ok(())
+}
+
+/// The fault layer's frame mutators against the byte mutators it used
+/// to apply to the reference encoding: [`WireFrame::corrupt`] must flip
+/// the low bit of canonical byte `offset % len`, [`WireFrame::truncate`]
+/// must keep the first `len / 2` bytes, each alone or both in either
+/// order, and the decoder must refuse every result without panicking.
+fn assert_mutators_match_byte_mutators(
+    seq: u32,
+    blocks: Vec<Block<Bytes>>,
+    offset: usize,
+) -> Result<(), TestCaseError> {
+    let flip = |wire: &[u8]| {
+        let mut v = wire.to_vec();
+        let at = offset % v.len();
+        v[at] ^= 0x01;
+        Bytes::from(v)
+    };
+    let frame = encode_gathered(seq, &blocks, Default::default(), Vec::new());
+    let wire = frame.to_bytes();
+    let len = wire.len();
+
+    let corrupted = frame.clone().corrupt(offset);
+    prop_assert_eq!(corrupted.to_bytes(), flip(&wire));
+    prop_assert_eq!(corrupted.wire_len(), len);
+    prop_assert!(decode(&corrupted).is_err());
+
+    let truncated = frame.clone().truncate();
+    prop_assert_eq!(truncated.to_bytes(), wire.slice(..len / 2));
+    prop_assert_eq!(truncated.wire_len(), len / 2);
+    prop_assert!(decode(&truncated).is_err());
+
+    // Both faults on one transmission, in either order.
+    let both = frame.clone().truncate().corrupt(offset);
+    prop_assert_eq!(both.to_bytes(), flip(&wire[..len / 2]));
+    prop_assert!(decode(&both).is_err());
+    let both = frame.clone().corrupt(offset).truncate();
+    prop_assert_eq!(both.to_bytes(), flip(&wire).slice(..len / 2));
+    prop_assert!(decode(&both).is_err());
+
+    // A mutation never reaches the shared payloads: the pristine frame
+    // (the sender's retained copy) still verifies.
+    prop_assert_eq!(frame.to_bytes(), wire);
+    prop_assert_eq!(decode(&frame), Ok((seq, blocks)));
     Ok(())
 }
 
@@ -121,16 +179,33 @@ proptest! {
     }
 
     #[test]
+    fn frame_mutators_match_the_byte_mutators(
+        seq in any::<u32>(),
+        blocks in arb_blocks(),
+        offset in any::<usize>(),
+    ) {
+        assert_mutators_match_byte_mutators(seq, blocks, offset)?;
+    }
+
+    #[test]
+    fn frame_mutators_match_the_byte_mutators_on_mixed_block_sizes(
+        seq in any::<u32>(),
+        blocks in arb_mixed_blocks(),
+        offset in any::<usize>(),
+    ) {
+        assert_mutators_match_byte_mutators(seq, blocks, offset)?;
+    }
+
+    #[test]
     fn both_shapes_agree_on_the_canonical_layout(seq in any::<u32>(), blocks in arb_blocks()) {
         let contiguous = encode_message(seq, &blocks);
         let gathered = encode_gathered(seq, &blocks, Default::default(), Vec::new());
         prop_assert_eq!(gathered.wire_len(), contiguous.len());
         prop_assert_eq!(gathered.to_bytes(), contiguous.clone());
-        let (got_seq, got_blocks) = gathered.decode().expect("gathered frame decodes in place");
+        let (got_seq, got_blocks) = decode(&gathered).expect("gathered frame decodes in place");
         prop_assert_eq!(got_seq, seq);
         prop_assert_eq!(got_blocks, blocks);
-        // And a materialized gathered frame decodes through the contiguous
-        // decoder: the shapes are interchangeable on the wire.
+        // And a materialized gathered frame passes the reference decoder.
         prop_assert_eq!(decode_message(&gathered.to_bytes()), decode_message(&contiguous));
     }
 
