@@ -2,23 +2,18 @@
 //! committed `BENCH_*.json` snapshot and fails (exit 1) when the fresh
 //! numbers regress past a tolerance band.
 //!
-//! Three experiments are understood, dispatched on the export's
-//! `experiment` field:
-//!
-//! * `service_sweep` — per concurrency level, fresh `jobs_per_sec`
-//!   must be at least `(1 - tolerance) ×` the committed throughput,
-//!   and the level must still complete every job.
-//! * `runtime_sweep` / `collective_sweep` — per `(shape, block_bytes,
-//!   op)` case, fresh clean `wall_ms` (and `call_ms`, the whole
-//!   `run()` call, where the snapshot records it) must be at most
-//!   `(1 + tolerance) ×` the committed time; every case must still verify
-//!   bit-exactly (clean, faulty, degraded); and the counters the
-//!   schedule alone determines (`steps`, `wire_bytes`, `bytes_copied`,
-//!   clean `peak_node_bytes`, `injected_drops`, degraded
-//!   `extra_wire_bytes` / `dropped_blocks`) must equal the committed
-//!   values exactly — correctness and traffic never get a tolerance
-//!   band, so a change that puts different bytes on the wire fails even
-//!   when it is fast.
+//! Two experiments are understood, dispatched on the export's
+//! `experiment` field: `runtime_sweep` and `collective_sweep`. Per
+//! `(shape, block_bytes, op)` case, fresh clean `wall_ms` (and
+//! `call_ms`, the whole `run()` call, where the snapshot records it)
+//! must be at most `(1 + tolerance) ×` the committed time; every case
+//! must still verify bit-exactly (clean, faulty, degraded); and the
+//! counters the schedule alone determines (`steps`, `wire_bytes`,
+//! `bytes_copied`, clean `peak_node_bytes`, `injected_drops`, degraded
+//! `extra_wire_bytes` / `dropped_blocks`) must equal the committed
+//! values exactly — correctness and traffic never get a tolerance band,
+//! so a change that puts different bytes on the wire fails even when it
+//! is fast.
 //!
 //! Both files must record the same `workers` count; a mismatch fails
 //! the gate with one line rather than comparing unlike timings. Each
@@ -29,10 +24,10 @@
 //! hands both files here:
 //!
 //! ```text
-//! cp BENCH_service_sweep.json /tmp/baseline.json
-//! cargo run --release -p bench --bin service_sweep
+//! cp BENCH_runtime_sweep.json /tmp/baseline.json
+//! TORUS_THREADS=1 cargo run --release -p bench --bin runtime_sweep
 //! cargo run --release -p bench --bin bench_gate -- \
-//!     --baseline /tmp/baseline.json --fresh BENCH_service_sweep.json
+//!     --baseline /tmp/baseline.json --fresh BENCH_runtime_sweep.json
 //! ```
 
 use std::process::ExitCode;
@@ -77,52 +72,9 @@ fn gate(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec<String> {
         )];
     }
     match experiment {
-        Some("service_sweep") => gate_service_sweep(baseline, fresh, tolerance),
         Some("runtime_sweep" | "collective_sweep") => gate_case_sweep(baseline, fresh, tolerance),
         other => vec![format!("unknown experiment {other:?}")],
     }
-}
-
-fn gate_service_sweep(baseline: &Json, fresh: &Json, tolerance: f64) -> Vec<String> {
-    let mut violations = Vec::new();
-    let levels = |v: &Json| -> Vec<Json> {
-        v.get("levels")
-            .and_then(Json::as_arr)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default()
-    };
-    let fresh_levels = levels(fresh);
-    for base in levels(baseline) {
-        let Some(concurrency) = get_u64(&base, "concurrency") else {
-            violations.push("baseline level without concurrency".into());
-            continue;
-        };
-        let Some(new) = fresh_levels
-            .iter()
-            .find(|l| get_u64(l, "concurrency") == Some(concurrency))
-        else {
-            violations.push(format!("fresh run lost concurrency level {concurrency}"));
-            continue;
-        };
-        let floor = get_f64(&base, "jobs_per_sec").unwrap_or(0.0) * (1.0 - tolerance);
-        let got = get_f64(new, "jobs_per_sec").unwrap_or(0.0);
-        if got < floor {
-            violations.push(format!(
-                "concurrency {concurrency}: {got:.1} jobs/s is below the \
-                 gate floor {floor:.1} (committed {:.1}, tolerance {:.0}%)",
-                get_f64(&base, "jobs_per_sec").unwrap_or(0.0),
-                tolerance * 100.0
-            ));
-        }
-        if get_u64(new, "jobs_completed") != get_u64(&base, "jobs_completed") {
-            violations.push(format!(
-                "concurrency {concurrency}: completed {:?} jobs, committed {:?}",
-                get_u64(new, "jobs_completed"),
-                get_u64(&base, "jobs_completed")
-            ));
-        }
-    }
-    violations
 }
 
 /// Clean-run times bounded by the wall tolerance: the executor's
@@ -328,46 +280,6 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn service(levels: &[(u64, f64, u64)]) -> Json {
-        Json::obj([
-            ("experiment", Json::str("service_sweep")),
-            (
-                "levels",
-                Json::Arr(
-                    levels
-                        .iter()
-                        .map(|&(c, jps, done)| {
-                            Json::obj([
-                                ("concurrency", Json::u64(c)),
-                                ("jobs_per_sec", Json::num(jps)),
-                                ("jobs_completed", Json::u64(done)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    #[test]
-    fn equal_runs_pass_and_regressions_fail() {
-        let base = service(&[(1, 100.0, 16), (2, 200.0, 16)]);
-        assert!(gate(&base, &base, 0.25).is_empty());
-        // Within the band: 80 >= 100 * 0.75.
-        let ok = service(&[(1, 80.0, 16), (2, 200.0, 16)]);
-        assert!(gate(&base, &ok, 0.25).is_empty());
-        // Past the band.
-        let slow = service(&[(1, 60.0, 16), (2, 200.0, 16)]);
-        let violations = gate(&base, &slow, 0.25);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("concurrency 1"), "{violations:?}");
-        // A lost level and a lost job are violations regardless of speed.
-        let lost_level = service(&[(1, 100.0, 16)]);
-        assert!(!gate(&base, &lost_level, 0.25).is_empty());
-        let lost_job = service(&[(1, 100.0, 15), (2, 200.0, 16)]);
-        assert!(!gate(&base, &lost_job, 0.25).is_empty());
-    }
-
     fn runtime(wall_ms: f64, verified: bool) -> Json {
         Json::obj([
             ("experiment", Json::str("runtime_sweep")),
@@ -562,7 +474,8 @@ mod tests {
 
     #[test]
     fn experiment_mismatch_is_a_violation() {
-        let violations = gate(&service(&[]), &runtime(1.0, true), 0.25);
+        let collective = counted("collective_sweep", |_, _, v| v);
+        let violations = gate(&collective, &runtime(1.0, true), 0.25);
         assert!(!violations.is_empty());
     }
 }

@@ -59,8 +59,7 @@ fn ops(nodes: u32) -> [(&'static str, CollectiveOp); 6] {
     ]
 }
 
-/// The JSON headline for one run (hand-rolled: the offline serde_json
-/// stub prints `{}`; these exports exist to be populated).
+/// The JSON headline for one run: the snapshot's subset of the report.
 fn report_json(r: &RuntimeReport) -> Json {
     Json::obj([
         ("wall_ms", Json::num(r.wall.as_secs_f64() * 1e3)),

@@ -38,9 +38,9 @@ use torus_topology::TorusShape;
 const DROP_RATE: f64 = 0.01;
 const DROP_SEED: u64 = 1998; // ICPP '98
 
-/// The JSON headline for one configuration of one case — hand-rolled
-/// (the offline serde_json stub prints `{}`; these exports exist to be
-/// populated). `call` is the timed `run()` call, when it was timed.
+/// The JSON headline for one configuration of one case: the snapshot's
+/// subset of the report, plus `call`, the timed `run()` call, when it
+/// was timed.
 fn report_json(r: &RuntimeReport, call: Option<Duration>) -> Json {
     let call_ms = call.map(|c| ("call_ms", Json::num(c.as_secs_f64() * 1e3)));
     let total_ms = |half: fn(&PhaseReport) -> Duration| {

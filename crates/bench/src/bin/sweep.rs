@@ -20,50 +20,28 @@ use alltoall_baselines::{
 use alltoall_core::{Exchange, ExchangeReport};
 use bench::{fnum, Table};
 use cost_model::{CommParams, CompletionTime, CostCounts};
-use std::io::Write as _;
+use torus_serviced::json::Json;
+use torus_serviced::proto::trace_json;
 use torus_topology::TorusShape;
 
-/// One measured run's per-step trace, labeled for the JSON artifact.
-#[derive(serde::Serialize)]
-// The fields exist for the JSON export; the offline serde stub's derive
-// elides the reads a real `Serialize` expansion performs.
-#[allow(dead_code)]
-struct TraceDump {
-    torus: String,
-    trace: torus_sim::Trace,
-}
-
-/// Writes one CSV artifact under `results/` (plot-ready).
-fn write_csv(name: &str, header: &str, rows: &[String]) {
+/// Writes one artifact under `results/` (plot-ready).
+fn write_result(name: &str, text: &str) {
     let dir = std::path::Path::new("results");
     if std::fs::create_dir_all(dir).is_err() {
         return; // read-only checkout: skip export silently
     }
     let path = dir.join(name);
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = writeln!(f, "{header}");
-        for r in rows {
-            let _ = writeln!(f, "{r}");
-        }
+    if std::fs::write(&path, text).is_ok() {
         println!("(wrote {})", path.display());
     }
 }
 
-/// Writes one pretty-printed JSON artifact under `results/`.
-fn write_json<T: serde::Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return; // read-only checkout: skip export silently
-    }
-    let path = dir.join(name);
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if std::fs::write(&path, s).is_ok() {
-                println!("(wrote {})", path.display());
-            }
-        }
-        Err(e) => eprintln!("json export failed for {name}: {e}"),
-    }
+/// One measured run's per-step trace, labeled for the JSON artifact.
+fn trace_entry(shape: &TorusShape, trace: &torus_sim::Trace) -> Json {
+    Json::obj([
+        ("torus", Json::str(shape.to_string())),
+        ("trace", trace_json(trace)),
+    ])
 }
 
 fn measure_proposed(shape: &TorusShape) -> ExchangeReport {
@@ -89,15 +67,12 @@ fn main() {
         "[9] analytic",
     ]);
     let mut csv_rows: Vec<String> = Vec::new();
-    let mut traces: Vec<TraceDump> = Vec::new();
+    let mut traces: Vec<Json> = Vec::new();
     for side in [4u32, 8, 12, 16] {
         let shape = TorusShape::new_2d(side, side).unwrap();
         let rep = measure_proposed(&shape);
         let prop = CompletionTime::from_counts(&rep.counts, &params).total();
-        traces.push(TraceDump {
-            torus: format!("{shape}"),
-            trace: rep.trace,
-        });
+        traces.push(trace_entry(&shape, &rep.trace));
         let dir = DirectExchange.run(&shape, &params).unwrap();
         let ring = RingExchange.run(&shape, &params).unwrap();
         let rc = RowColumnExchange.run(&shape, &params).unwrap();
@@ -129,10 +104,10 @@ fn main() {
         ]);
     }
     t.print();
-    write_csv(
+    let header = "side,proposed_us,direct_us,ring_us,rowcol_us";
+    write_result(
         "sweep_2d_times.csv",
-        "side,proposed_us,direct_us,ring_us,rowcol_us",
-        &csv_rows,
+        &format!("{header}\n{}\n", csv_rows.join("\n")),
     );
     println!();
 
@@ -189,10 +164,7 @@ fn main() {
         let rep = measure_proposed(&shape);
         let counts = rep.counts;
         let time = CompletionTime::from_counts(&counts, &params).total();
-        traces.push(TraceDump {
-            torus: format!("{shape}"),
-            trace: rep.trace,
-        });
+        traces.push(trace_entry(&shape, &rep.trace));
         t.row(&[
             format!("{shape}"),
             shape.num_nodes().to_string(),
@@ -203,7 +175,7 @@ fn main() {
     }
     t.print();
     println!();
-    write_json("sweep_traces.json", &traces);
+    write_result("sweep_traces.json", &Json::Arr(traces).dump());
     println!("expected shape: combining beats direct except at near-zero t_s;");
     println!("ring competitive only on tiny networks; [9] lowest startup term.");
 }

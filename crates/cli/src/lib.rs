@@ -12,6 +12,8 @@ use alltoall_baselines::{
 };
 use alltoall_core::{Exchange, StaticSchedule};
 use cost_model::CommParams;
+use torus_serviced::json::Json;
+use torus_serviced::proto::{runtime_report_json, service_stats_json};
 use torus_topology::TorusShape;
 
 /// A parsed invocation.
@@ -579,7 +581,7 @@ FAULT SPEC (run-real): comma-separated key=value pairs —
 /// checksum (degraded or failed) has no verdict, and a spec the client
 /// cannot parse implies no checksum, so it never verifies.
 fn report_done(
-    spec: &torus_serviced::json::Json,
+    spec: &Json,
     done: &torus_serviced::DoneEvent,
     json: bool,
     out: &mut String,
@@ -614,18 +616,19 @@ fn report_done(
 /// line ending in the checksum verdict.
 fn render_done(done: &torus_serviced::DoneEvent, checksum_ok: Option<bool>, json: bool) -> String {
     if json {
-        let opt = |v: Option<String>| v.unwrap_or_else(|| "null".to_string());
-        return format!(
-            "{{\"job_id\":{},\"ok\":{},\"degraded\":{},\"cache_hit\":{},\
-             \"wire_bytes\":{},\"checksum\":{},\"checksum_ok\":{}}}",
-            done.job_id,
-            done.ok,
-            done.degraded,
-            done.cache_hit,
-            done.wire_bytes,
-            opt(done.checksum.as_ref().map(|c| format!("\"{c}\""))),
-            opt(checksum_ok.map(|ok| ok.to_string())),
-        );
+        return Json::obj([
+            ("job_id", Json::u64(done.job_id)),
+            ("ok", Json::Bool(done.ok)),
+            ("degraded", Json::Bool(done.degraded)),
+            ("cache_hit", Json::Bool(done.cache_hit)),
+            ("wire_bytes", Json::u64(done.wire_bytes)),
+            (
+                "checksum",
+                done.checksum.clone().map_or(Json::Null, Json::Str),
+            ),
+            ("checksum_ok", checksum_ok.map_or(Json::Null, Json::Bool)),
+        ])
+        .dump();
     }
     format!(
         "job {}: {}{}{}, {} wire bytes{}",
@@ -641,6 +644,63 @@ fn render_done(done: &torus_serviced::DoneEvent, checksum_ok: Option<bool>, json
             _ => String::new(),
         },
     )
+}
+
+/// Writes a runtime run's outcome into `out`: the report as one JSON
+/// document ([`runtime_report_json`]), or as the text summary. An
+/// injected unrecoverable fault is a legitimate outcome of `--faults`,
+/// so an aborted run shows its partial report, not a bare error; in
+/// text the abort gets its own line, in JSON it is the `failure` field.
+fn render_run(
+    run: Result<torus_runtime::RuntimeReport, torus_runtime::RuntimeError>,
+    json: bool,
+    out: &mut String,
+) -> Result<(), String> {
+    let (report, failure) = match run {
+        Ok(report) => (report, None),
+        Err(torus_runtime::RuntimeError::Aborted { failure, report }) => (*report, Some(failure)),
+        Err(e) => return Err(e.to_string()),
+    };
+    if json {
+        let _ = writeln!(out, "{}", runtime_report_json(&report).dump());
+        return Ok(());
+    }
+    let _ = writeln!(out, "{}", report.summary());
+    if let Some(failure) = failure {
+        let _ = writeln!(out, "run aborted: {failure}");
+    }
+    Ok(())
+}
+
+/// The JSON form of a static schedule, mirroring [`StaticSchedule`]:
+/// canonical `dims`, then per phase its `name` and `steps`, each step's
+/// `sends` as `{src, dst, dim, sign, hops}`.
+fn schedule_json(sched: &StaticSchedule) -> Json {
+    let step = |step: &alltoall_core::schedule::StaticStep| {
+        let sends = step.sends.iter().map(|x| {
+            Json::obj([
+                ("src", Json::num(x.src)),
+                ("dst", Json::num(x.dst)),
+                ("dim", Json::num(x.dim)),
+                ("sign", Json::num(x.sign)),
+                ("hops", Json::num(x.hops)),
+            ])
+        });
+        Json::obj([("sends", Json::Arr(sends.collect()))])
+    };
+    let phases = sched.phases.iter().map(|p| {
+        Json::obj([
+            ("name", Json::str(p.name.clone())),
+            ("steps", Json::Arr(p.steps.iter().map(step).collect())),
+        ])
+    });
+    Json::obj([
+        (
+            "dims",
+            Json::Arr(sched.dims.iter().map(|&d| Json::num(d)).collect()),
+        ),
+        ("phases", Json::Arr(phases.collect())),
+    ])
 }
 
 /// Executes a command, returning its stdout text.
@@ -736,28 +796,7 @@ pub fn execute_into(cmd: Command, out: &mut String) -> Result<(), String> {
             }
             config = config.with_retry(retry).with_on_failure(on_failure);
             let runtime = torus_runtime::Runtime::new(&shape, config).map_err(|e| e.to_string())?;
-            let emit = |out: &mut String,
-                        report: &torus_runtime::RuntimeReport|
-             -> Result<(), String> {
-                if json {
-                    out.push_str(&serde_json::to_string_pretty(report).map_err(|e| e.to_string())?);
-                } else {
-                    out.push_str(&report.summary());
-                }
-                out.push('\n');
-                Ok(())
-            };
-            match runtime.run() {
-                Ok(report) => emit(out, &report)?,
-                // An injected unrecoverable fault is a legitimate outcome
-                // of `--faults`: show the partial report, not a bare
-                // error.
-                Err(torus_runtime::RuntimeError::Aborted { failure, report }) => {
-                    emit(out, &report)?;
-                    let _ = writeln!(out, "run aborted: {failure}");
-                }
-                Err(e) => return Err(e.to_string()),
-            }
+            render_run(runtime.run(), json, out)?;
         }
         Command::RunCollective {
             op,
@@ -791,25 +830,7 @@ pub fn execute_into(cmd: Command, out: &mut String) -> Result<(), String> {
             config = config.with_retry(retry);
             let runtime = torus_runtime::CollectiveRuntime::new(&shape, op, config)
                 .map_err(|e| e.to_string())?;
-            let emit = |out: &mut String,
-                        report: &torus_runtime::RuntimeReport|
-             -> Result<(), String> {
-                if json {
-                    out.push_str(&serde_json::to_string_pretty(report).map_err(|e| e.to_string())?);
-                } else {
-                    out.push_str(&report.summary());
-                }
-                out.push('\n');
-                Ok(())
-            };
-            match runtime.run() {
-                Ok((report, _deliveries)) => emit(out, &report)?,
-                Err(torus_runtime::RuntimeError::Aborted { failure, report }) => {
-                    emit(out, &report)?;
-                    let _ = writeln!(out, "run aborted: {failure}");
-                }
-                Err(e) => return Err(e.to_string()),
-            }
+            render_run(runtime.run().map(|(report, _deliveries)| report), json, out)?;
         }
         Command::Compare { shape, params } => {
             let shape = TorusShape::new(&shape).map_err(|e| e.to_string())?;
@@ -951,8 +972,7 @@ pub fn execute_into(cmd: Command, out: &mut String) -> Result<(), String> {
             let per_tenant = engine.tenant_stats();
             let stats = engine.shutdown();
             if json {
-                out.push_str(&serde_json::to_string_pretty(&stats).map_err(|e| e.to_string())?);
-                out.push('\n');
+                let _ = writeln!(out, "{}", service_stats_json(&stats).dump());
             } else {
                 let _ = writeln!(
                     out,
@@ -1101,8 +1121,7 @@ pub fn execute_into(cmd: Command, out: &mut String) -> Result<(), String> {
             let sched = StaticSchedule::generate(&canon);
             sched.validate(&canon).map_err(|e| e.to_string())?;
             if json {
-                out.push_str(&serde_json::to_string_pretty(&sched).map_err(|e| e.to_string())?);
-                out.push('\n');
+                let _ = writeln!(out, "{}", schedule_json(&sched).dump());
             } else {
                 let _ = writeln!(
                     out,
@@ -1247,26 +1266,46 @@ mod tests {
         assert!(out.contains("phase 1"), "{out}");
     }
 
-    /// True when the offline serde_json stub is linked: it emits `{}`
-    /// for everything and cannot parse, so content assertions only hold
-    /// against the real crate.
-    fn serde_json_is_stubbed() -> bool {
-        serde_json::from_str::<serde_json::Value>("{}").is_err()
+    /// Parses a `--json` output: one JSON document on one line.
+    fn parse_json(out: &str) -> Json {
+        assert_eq!(out.lines().count(), 1, "{out}");
+        torus_serviced::json::parse(out).unwrap_or_else(|e| panic!("{e}: {out}"))
     }
 
     #[test]
     fn execute_run_real_json() {
-        let out =
-            execute(parse_args(&argv("run-real --shape 4x4 --threads 2 -m 16 --json")).unwrap())
-                .unwrap();
-        if serde_json_is_stubbed() {
-            assert!(out.trim().starts_with('{'), "{out}");
-            return;
-        }
-        assert!(out.contains("\"verified\": true"), "{out}");
-        // Round-trips as JSON.
-        let v: serde_json::Value = serde_json::from_str(&out).unwrap();
-        assert_eq!(v["nodes"], 16);
+        let args = "run-real --shape 4x4 --threads 2 -m 16";
+        let v =
+            parse_json(&execute(parse_args(&argv(&format!("{args} --json"))).unwrap()).unwrap());
+        assert_eq!(v.get("nodes").unwrap().as_u64(), Some(16));
+        assert_eq!(v.get("verified").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("phases").unwrap().as_arr().unwrap().len(), 4);
+        assert_eq!(v.get("failure"), Some(&Json::Null));
+        // The schedule fixes the traffic, so a second run's text report
+        // names the same wire bytes.
+        let text = execute(parse_args(&argv(args)).unwrap()).unwrap();
+        let wire_bytes = v.get("wire_bytes").unwrap().as_u64().unwrap();
+        assert!(
+            text.contains(&format!(" {wire_bytes} wire bytes")),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn execute_run_real_json_kill_carries_the_failure() {
+        let out = execute(
+            parse_args(&argv(
+                "run-real --shape 4x4 --threads 2 -m 16 --faults kill=0:1 --json",
+            ))
+            .unwrap(),
+        )
+        .unwrap();
+        let v = parse_json(&out);
+        assert_eq!(v.get("verified").unwrap().as_bool(), Some(false));
+        let failure = v.get("failure").unwrap();
+        assert_eq!(failure.get("node").unwrap().as_u64(), Some(1));
+        let reason = failure.get("reason").unwrap();
+        assert_eq!(reason.get("kind").unwrap().as_str(), Some("worker_killed"));
     }
 
     #[test]
@@ -1402,11 +1441,9 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let trimmed = out.trim();
-        assert!(
-            trimmed.starts_with('{') && trimmed.ends_with('}'),
-            "stats emit as a JSON object: {out}"
-        );
+        let v = parse_json(&out);
+        assert_eq!(v.get("jobs_completed").unwrap().as_u64(), Some(3));
+        assert_eq!(v.get("jobs_failed").unwrap().as_u64(), Some(0));
     }
 
     #[test]
@@ -1905,6 +1942,20 @@ mod tests {
     }
 
     #[test]
+    fn execute_run_collective_json() {
+        let out = execute(
+            parse_args(&argv(
+                "run-collective --op allgather --shape 4x4 --threads 2 -m 16 --json",
+            ))
+            .unwrap(),
+        )
+        .unwrap();
+        let v = parse_json(&out);
+        assert_eq!(v.get("verified").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("nodes").unwrap().as_u64(), Some(16));
+    }
+
+    #[test]
     fn execute_run_collective_rejects_bad_root() {
         let err = execute(
             parse_args(&argv("run-collective --op broadcast --shape 4x4 --root 99")).unwrap(),
@@ -1919,14 +1970,28 @@ mod tests {
         assert!(out.contains("4 phases"));
         assert!(out.contains("contention-free: yes"));
         let out = execute(parse_args(&argv("schedule --shape 8x8 --json")).unwrap()).unwrap();
-        if serde_json_is_stubbed() {
-            assert!(out.trim().starts_with('{'), "{out}");
-            return;
+        let v = parse_json(&out);
+        let dims = v.get("dims").unwrap().as_arr().unwrap();
+        assert_eq!(dims, [Json::u64(8), Json::u64(8)]);
+        // Every send of every step is exported, in order.
+        let sched = StaticSchedule::generate(&TorusShape::new(&[8, 8]).unwrap());
+        let phases = v.get("phases").unwrap().as_arr().unwrap();
+        assert_eq!(phases.len(), sched.phases.len());
+        for (got, want) in phases.iter().zip(&sched.phases) {
+            assert_eq!(got.get("name").unwrap().as_str(), Some(want.name.as_str()));
+            let steps = got.get("steps").unwrap().as_arr().unwrap();
+            let sends: Vec<usize> = steps
+                .iter()
+                .map(|s| s.get("sends").unwrap().as_arr().unwrap().len())
+                .collect();
+            let want_sends: Vec<usize> = want.steps.iter().map(|s| s.sends.len()).collect();
+            assert_eq!(sends, want_sends, "{}", want.name);
         }
-        assert!(out.contains("\"phases\""));
-        // JSON round-trips through the schedule type.
-        let parsed: alltoall_core::StaticSchedule = serde_json::from_str(&out).unwrap();
-        assert_eq!(parsed.dims, vec![8, 8]);
+        let first = &phases[0].get("steps").unwrap().as_arr().unwrap()[0];
+        let send = &first.get("sends").unwrap().as_arr().unwrap()[0];
+        let want = sched.phases[0].steps[0].sends[0];
+        assert_eq!(send.get("dst").unwrap().as_u64(), Some(want.dst as u64));
+        assert_eq!(send.get("sign").unwrap().as_f64(), Some(want.sign as f64));
     }
 
     #[test]

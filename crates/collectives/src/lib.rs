@@ -34,11 +34,7 @@ use torus_sim::{Engine, Transmission};
 use torus_topology::{ring_sub, Direction, NodeId, TorusShape};
 
 /// Outcome of one collective operation.
-///
-/// Serializes so tooling can export collective reports alongside the
-/// runtime's own (`counts` and `elapsed` carry the cost-model serde
-/// derives; under the offline serde stub the derive is a no-op marker).
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct CollectiveReport {
     /// Operation name.
     pub name: &'static str,

@@ -7,10 +7,8 @@
 //! coefficients to give completion time (see
 //! [`completion`](crate::completion)).
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregated cost counts of a complete-exchange run (or closed form).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CostCounts {
     /// Number of communication steps (each step charges one `t_s`).
     pub startup_steps: u64,

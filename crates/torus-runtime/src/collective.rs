@@ -319,7 +319,7 @@ impl CollectiveRuntime {
         }
 
         let source = Arc::new(CollectiveSource::new(Arc::clone(plan)));
-        let outcome = exec::execute(source, &self.config, backend, stores, None)?;
+        let outcome = exec::execute(source, &self.config, backend, stores)?;
 
         // The analytic prediction prices what was measured on the wire:
         // one startup per step, the critical-path message per step.

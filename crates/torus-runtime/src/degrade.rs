@@ -16,13 +16,12 @@
 //! degraded reports regardless of worker count.
 
 use alltoall_core::DroppedBlock;
-use serde::Serialize;
 use torus_topology::NodeId;
 
 use crate::recovery::FailureReason;
 
 /// What the runtime does when a node suffers an unrecoverable fault.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OnFailure {
     /// Abort the whole run with a typed error and a partial report.
     #[default]
@@ -55,7 +54,7 @@ impl std::fmt::Display for OnFailure {
 }
 
 /// One quarantined node.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeadNode {
     /// Canonical node id (the id the schedule executes with).
     pub node: NodeId,
@@ -72,7 +71,7 @@ pub struct DeadNode {
 /// How a degraded run deviated from the fault-free plan. Everything here
 /// is a pure function of (schedule, fault plan, payload sizes): no
 /// timing, no thread counts — byte-identical across reruns.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DegradedReport {
     /// Quarantined nodes, sorted by canonical id.
     pub dead_nodes: Vec<DeadNode>,

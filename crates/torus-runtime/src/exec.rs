@@ -32,9 +32,9 @@
 //!    buffers to the receiving worker's pool;
 //! 3. **synchronize** — a two-phase [`Barrier`] rendezvous with the
 //!    driving thread. The first crossing marks "all step traffic
-//!    delivered" (the driver timestamps the step and snapshots node state
-//!    for the observer hook); the second releases everyone into the next
-//!    step, so messages from step `s + 1` never interleave with step `s`.
+//!    delivered" (the driver timestamps the step); the second releases
+//!    everyone into the next step, so messages from step `s + 1` never
+//!    interleave with step `s`.
 //!
 //! After a phase whose [`PhaseMeta::rearrange_after`] is set, workers run
 //! the source's [`rearrange`](StepSource::rearrange) pass, again bracketed
@@ -116,7 +116,7 @@ pub(crate) struct PhaseMeta {
 /// calls see the same node state at any worker count.
 pub(crate) trait StepSource: Send + Sync + 'static {
     /// One node's resident state.
-    type Node: Clone + Default + Send + 'static;
+    type Node: Send + 'static;
 
     /// Whether an injected worker kill is already accounted for by the
     /// schedule (the node is quarantined in it) instead of aborting.
@@ -192,17 +192,6 @@ pub(crate) enum ExecBackend<'p> {
     Pool(&'p WorkerPool, Option<&'p PoolBank>),
 }
 
-/// A step or rearrangement boundary reported to the observer hook
-/// (`phase` is an index into [`StepSource::phases`], `step` is 1-based).
-pub(crate) enum Boundary {
-    Step { phase: usize, step: usize },
-    Rearranged { phase: usize },
-}
-
-/// Called by the driving thread at every boundary with a snapshot of
-/// every node's state, node-indexed.
-pub(crate) type Hook<'h, N> = &'h mut dyn FnMut(Boundary, Vec<N>);
-
 /// The worker count `config` resolves to for `nn` nodes on the spawn
 /// path; pooled runs additionally clamp to the pool's size.
 pub(crate) fn effective_workers(config: &RuntimeConfig, nn: usize) -> usize {
@@ -268,9 +257,6 @@ struct RunShared<S: StepSource> {
     cancel: Option<CancelToken>,
     failure_slot: Mutex<Option<NodeFailure>>,
     barrier: Barrier,
-    /// Node-state snapshots for the observer hook, one per node; empty
-    /// when nobody observes, and then never written.
-    snapshots: Vec<Mutex<S::Node>>,
 }
 
 impl<S: StepSource> RunShared<S> {
@@ -590,13 +576,6 @@ fn worker_body<S: StepSource>(
     let senders = &shared.senders[..];
     let retained = &shared.retained[..];
     let barrier = &shared.barrier;
-    let snapshot = |nodes: &[S::Node]| {
-        if !shared.snapshots.is_empty() {
-            for (li, state) in nodes.iter().enumerate() {
-                *lk(&shared.snapshots[base + li]) = state.clone();
-            }
-        }
-    };
 
     let mut stats = WorkerStats {
         phase: vec![PhaseSide::default(); phases.len()],
@@ -730,8 +709,6 @@ fn worker_body<S: StepSource>(
                     let resident = source.resident(state) + retained_bytes;
                     stats.peak_bytes = stats.peak_bytes.max(resident);
                 }
-
-                snapshot(&nodes);
             }
             g += 1;
             barrier.wait(); // step traffic complete
@@ -743,7 +720,6 @@ fn worker_body<S: StepSource>(
                 for state in nodes.iter_mut() {
                     source.rearrange(state, &mut stats.phase[pi]);
                 }
-                snapshot(&nodes);
             }
             barrier.wait(); // rearrangement complete
             barrier.wait();
@@ -753,37 +729,26 @@ fn worker_body<S: StepSource>(
 }
 
 /// The driving thread's half of the run: mirror every barrier the
-/// workers cross, timestamping steps and phases and feeding the observer
-/// hook. Crosses every barrier unconditionally, so it never hangs even
-/// when workers are skipping an aborted run.
+/// workers cross, timestamping steps and phases. Crosses every barrier
+/// unconditionally, so it never hangs even when workers are skipping an
+/// aborted run.
 fn drive_barriers<S: StepSource>(
     shared: &RunShared<S>,
-    mut hook: Option<Hook<'_, S::Node>>,
 ) -> (Vec<Duration>, Vec<Duration>, Duration) {
-    let mut observe = |at: Boundary| {
-        if let Some(hook) = hook.as_mut() {
-            hook(at, shared.snapshots.iter().map(|m| lk(m).clone()).collect());
-        }
-    };
     let t_run = Instant::now();
     let phases = shared.source.phases();
     let mut phase_walls = Vec::with_capacity(phases.len());
     let mut step_walls = Vec::with_capacity(shared.step_ctx.len());
-    for (phase, ph) in phases.iter().enumerate() {
+    for ph in phases {
         let t_phase = Instant::now();
-        for si in 0..ph.hops.len() {
+        for _ in &ph.hops {
             let t_step = Instant::now();
             shared.barrier.wait();
             step_walls.push(t_step.elapsed());
-            observe(Boundary::Step {
-                phase,
-                step: si + 1,
-            });
             shared.barrier.wait();
         }
         if ph.rearrange_after {
             shared.barrier.wait();
-            observe(Boundary::Rearranged { phase });
             shared.barrier.wait();
         }
         phase_walls.push(t_phase.elapsed());
@@ -872,15 +837,13 @@ impl<N> Outcome<N> {
 
 /// Runs `source` to completion (or abort) over `nodes`, one entry per
 /// node, under `config`'s worker count, fault plan, retry policy and
-/// cancel token. `hook`, when present, sees every step and rearrangement
-/// boundary. Errors only if a worker panicked; an injected or external
-/// failure is reported through [`Outcome::into_report`].
+/// cancel token. Errors only if a worker panicked; an injected or
+/// external failure is reported through [`Outcome::into_report`].
 pub(crate) fn execute<S: StepSource>(
     source: Arc<S>,
     config: &RuntimeConfig,
     backend: ExecBackend<'_>,
     nodes: Vec<S::Node>,
-    hook: Option<Hook<'_, S::Node>>,
 ) -> Result<Outcome<S::Node>, RuntimeError> {
     let nn = nodes.len();
     // A pooled run can use at most the pool's threads: a gang larger
@@ -937,13 +900,10 @@ pub(crate) fn execute<S: StepSource>(
         cancel: config.cancel.clone(),
         failure_slot: Mutex::new(None),
         barrier: Barrier::new(n_chunks + 1),
-        snapshots: (0..if hook.is_some() { nn } else { 0 })
-            .map(|_| Mutex::new(S::Node::default()))
-            .collect(),
     });
 
     // Execute: workers run the schedule, the driving thread mirrors the
-    // barrier sequence to measure walls and feed the hook.
+    // barrier sequence to measure walls.
     let mut nodes = nodes.into_iter();
     let mut receivers = receivers.into_iter();
     let tasks = (0..n_chunks).map(|ci| {
@@ -960,7 +920,7 @@ pub(crate) fn execute<S: StepSource>(
             let handles: Vec<_> = tasks
                 .map(|task| std::thread::spawn(move || task(FramePool::new())))
                 .collect();
-            walls = drive_barriers(&shared, hook);
+            walls = drive_barriers(&shared);
             handles
                 .into_iter()
                 .map(|h| h.join().map_err(|p| panic_message(&*p)))
@@ -975,7 +935,7 @@ pub(crate) fn execute<S: StepSource>(
                 let fp = bank.map(PoolBank::take).unwrap_or_default();
                 gang.spawn(move || task(fp));
             }
-            walls = drive_barriers(&shared, hook);
+            walls = drive_barriers(&shared);
             gang.join()
         }
     };

@@ -72,7 +72,7 @@ pub const BLOCK_HEADER_BYTES: usize = 4 + 4 + MAX_DIMS + 4;
 const CRC_OFFSET: usize = 4;
 
 /// A wire-integrity failure, precise enough to drive recovery decisions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireError {
     /// The frame ends before its framing says it should.
     Truncated {

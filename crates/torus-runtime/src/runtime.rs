@@ -39,8 +39,8 @@ use std::time::Instant;
 use alltoall_core::block::Buffers;
 use alltoall_core::steps::{PlannedStep, StepPlan};
 use alltoall_core::{
-    verify_delivery, verify_delivery_degraded, Block, NullObserver, Observer, PhaseKind,
-    PreparedExchange, RepairedSchedule, RepairedStep,
+    verify_delivery, verify_delivery_degraded, Block, PreparedExchange, RepairedSchedule,
+    RepairedStep,
 };
 use bytes::Bytes;
 use cost_model::{CommParams, CompletionTime};
@@ -48,7 +48,7 @@ use torus_topology::{NodeId, TorusShape};
 
 use crate::cancel::CancelToken;
 use crate::degrade::{DeadNode, DegradedReport, OnFailure};
-use crate::exec::{self, Boundary, ExecBackend, PhaseMeta, PhaseSide, ReportIdent, StepSource};
+use crate::exec::{self, ExecBackend, PhaseMeta, PhaseSide, ReportIdent, StepSource};
 use crate::fault::FaultPlan;
 use crate::message::{BLOCK_HEADER_BYTES, MESSAGE_HEADER_BYTES};
 use crate::payload::PayloadSpec;
@@ -230,8 +230,8 @@ fn resident_bytes(buf: &NodeBuf) -> u64 {
 }
 
 /// The paper's inter-phase rearrangement: put the node's data array into
-/// delivery order. The order is what the next phase, determinism and the
-/// observer snapshots need; contiguity is not. Every payload is an
+/// delivery order. The order is what the next phase and determinism
+/// need; contiguity is not. Every payload is an
 /// individually owned refcounted [`Bytes`] (frames are gathered, never
 /// sliced), so the sort over block handles is the whole rearrangement:
 /// no allocation, no byte copied. `rearranged_bytes` is the payload
@@ -453,7 +453,7 @@ impl Runtime {
     /// delivery bit-exactly. This is the standard measurement entry point.
     pub fn run(&self) -> Result<RuntimeReport, RuntimeError> {
         let payloads = SpecPayloads::Spec(PayloadSpec::Pattern);
-        self.run_policy(ExecBackend::Spawn, &mut NullObserver, payloads, false)
+        self.run_policy(ExecBackend::Spawn, payloads)
             .map(|(report, _)| report)
     }
 
@@ -473,7 +473,7 @@ impl Runtime {
     ) -> Result<(RuntimeReport, Deliveries), RuntimeError> {
         let payloads = SpecPayloads::Spec(payload);
         let backend = ExecBackend::Pool(pool, bank);
-        let (report, finals) = self.run_policy(backend, &mut NullObserver, payloads, false)?;
+        let (report, finals) = self.run_policy(backend, payloads)?;
         Ok((report, self.deliveries(&finals)?))
     }
 
@@ -490,39 +490,23 @@ impl Runtime {
         F: FnMut(NodeId, NodeId) -> Bytes,
     {
         let payloads = Payloads::Each(payload);
-        let (report, finals) =
-            self.run_policy(ExecBackend::Spawn, &mut NullObserver, payloads, false)?;
+        let (report, finals) = self.run_policy(ExecBackend::Spawn, payloads)?;
         Ok((report, self.deliveries(&finals)?))
-    }
-
-    /// Runs with pattern payloads and an [`Observer`] receiving per-step
-    /// buffer snapshots (canonical node ids) — the same interface the
-    /// analytic executor drives the figure harness with.
-    pub fn run_observed<O: Observer<Bytes>>(
-        &self,
-        observer: &mut O,
-    ) -> Result<RuntimeReport, RuntimeError> {
-        let payloads = SpecPayloads::Spec(PayloadSpec::Pattern);
-        self.run_policy(ExecBackend::Spawn, observer, payloads, true)
-            .map(|(report, _)| report)
     }
 
     /// Routes a run through the configured [`OnFailure`] policy. Returns
     /// the report and every canonical node's final, verified buffer.
-    fn run_policy<F, O>(
+    fn run_policy<F>(
         &self,
         backend: ExecBackend<'_>,
-        observer: &mut O,
         mut payloads: Payloads<F>,
-        observe: bool,
     ) -> Result<(RuntimeReport, Buffers<Bytes>), RuntimeError>
     where
         F: FnMut(NodeId, NodeId) -> Bytes,
-        O: Observer<Bytes>,
     {
         match self.config.on_failure {
-            OnFailure::Abort => self.run_impl(backend, observer, &mut payloads, observe, None),
-            OnFailure::Degrade => self.run_degrade(backend, observer, &mut payloads, observe),
+            OnFailure::Abort => self.run_impl(backend, &mut payloads, None),
+            OnFailure::Degrade => self.run_degrade(backend, &mut payloads),
         }
     }
 
@@ -536,16 +520,13 @@ impl Runtime {
     /// driver quarantines it from the step it failed at, replans, and
     /// restarts from freshly seeded buffers. Each restart permanently
     /// removes one node, and the restart budget bounds the loop.
-    fn run_degrade<F, O>(
+    fn run_degrade<F>(
         &self,
         backend: ExecBackend<'_>,
-        observer: &mut O,
         payloads: &mut Payloads<F>,
-        observe: bool,
     ) -> Result<(RuntimeReport, Buffers<Bytes>), RuntimeError>
     where
         F: FnMut(NodeId, NodeId) -> Bytes,
-        O: Observer<Bytes>,
     {
         const MAX_RESTARTS: u32 = 8;
         let exchange = self.prepared.exchange();
@@ -567,7 +548,7 @@ impl Runtime {
         loop {
             let result = if quarantine.is_empty() {
                 // Nothing dead (yet): the base plan as-is.
-                self.run_impl(backend, observer, payloads, observe, None)
+                self.run_impl(backend, payloads, None)
             } else {
                 let repaired = Arc::new(RepairedSchedule::plan(
                     &self.plan,
@@ -592,7 +573,7 @@ impl Runtime {
                     dead_nodes,
                     restarts,
                 };
-                self.run_impl(backend, observer, payloads, observe, Some(&ctx))
+                self.run_impl(backend, payloads, Some(&ctx))
             };
             let (failure, report) = match result {
                 Err(RuntimeError::Aborted { failure, report }) => (failure, report),
@@ -623,17 +604,14 @@ impl Runtime {
         }
     }
 
-    fn run_impl<F, O>(
+    fn run_impl<F>(
         &self,
         backend: ExecBackend<'_>,
-        observer: &mut O,
         payloads: &mut Payloads<F>,
-        observe: bool,
         degrade: Option<&DegradeCtx>,
     ) -> Result<(RuntimeReport, Buffers<Bytes>), RuntimeError>
     where
         F: FnMut(NodeId, NodeId) -> Bytes,
-        O: Observer<Bytes>,
     {
         let exchange = self.prepared.exchange();
         let canon = self.plan.shape();
@@ -673,25 +651,10 @@ impl Runtime {
             }
             node_bufs.push(out);
         }
-        if observe {
-            observer.on_start(&Buffers::from_vecs(node_bufs.clone()));
-        }
 
         // Execute the base plan, or the repaired schedule (same step grid
         // plus drops, manifests, and an optional trailing fallback phase)
         // when running degraded.
-        let kinds: Vec<PhaseKind> = match degrade {
-            None => self.plan.phases().iter().map(|ph| ph.kind).collect(),
-            Some(ctx) => ctx.repaired.phases.iter().map(|ph| ph.kind).collect(),
-        };
-        let mut feed = |at: Boundary, nodes: Vec<NodeBuf>| {
-            let bufs = Buffers::from_vecs(nodes);
-            match at {
-                Boundary::Step { phase, step } => observer.on_step(kinds[phase], step, &bufs),
-                Boundary::Rearranged { phase } => observer.on_rearrange(kinds[phase], &bufs),
-            }
-        };
-        let hook: Option<exec::Hook<'_, NodeBuf>> = observe.then_some(&mut feed);
         let repaired = degrade.map(|ctx| {
             let source = RepairedSource::new(Arc::clone(&ctx.repaired));
             (ctx, Arc::new(source))
@@ -699,10 +662,10 @@ impl Runtime {
         let outcome = match &repaired {
             None => {
                 let source = Arc::new(BaseSource::new(Arc::clone(&self.plan)));
-                exec::execute(source, &self.config, backend, node_bufs, hook)?
+                exec::execute(source, &self.config, backend, node_bufs)?
             }
             Some((_, source)) => {
-                exec::execute(Arc::clone(source), &self.config, backend, node_bufs, hook)?
+                exec::execute(Arc::clone(source), &self.config, backend, node_bufs)?
             }
         };
 
@@ -951,50 +914,32 @@ mod tests {
         assert!(r.bytes_copied < r.wire_bytes);
     }
 
-    fn in_delivery_order(buf: &[Block<Bytes>]) -> bool {
-        buf.windows(2)
-            .all(|w| (w[0].dst, w[0].src) <= (w[1].dst, w[1].src))
-    }
-
-    /// Checks after every rearrangement that each node's blocks are in
-    /// delivery order and every payload is still an allocation the run
-    /// was seeded with.
-    #[derive(Default)]
-    struct SameHandles {
-        seeded: std::collections::HashSet<usize>,
-        rearranged: usize,
-    }
-
-    impl Observer<Bytes> for SameHandles {
-        fn on_start(&mut self, bufs: &Buffers<Bytes>) {
-            self.seeded = bufs
-                .as_slices()
-                .iter()
-                .flatten()
-                .map(|b| b.payload.as_ptr() as usize)
-                .collect();
+    /// Runs `rt` on 64 B pattern payloads, recording the address of
+    /// every payload the closure produced, and checks that every
+    /// delivered payload is one of them: nothing on the way (framing,
+    /// recovery, rearrangement) copied a payload.
+    fn delivers_seeded_handles(rt: &Runtime) -> RuntimeReport {
+        let mut seeded = std::collections::HashSet::new();
+        let (report, deliveries) = rt
+            .run_with_payloads(|s, d| {
+                let bytes = pattern_payload(s, d, 64);
+                seeded.insert(bytes.as_ptr() as usize);
+                bytes
+            })
+            .unwrap();
+        assert!(report.verified);
+        for (_, payload) in deliveries.iter().flatten() {
+            assert!(seeded.contains(&(payload.as_ptr() as usize)));
         }
-        fn on_rearrange(&mut self, _: PhaseKind, bufs: &Buffers<Bytes>) {
-            self.rearranged += 1;
-            for buf in bufs.as_slices() {
-                assert!(in_delivery_order(buf));
-                for b in buf {
-                    assert!(self.seeded.contains(&(b.payload.as_ptr() as usize)));
-                }
-            }
-        }
+        report
     }
 
     #[test]
     fn fault_free_rearrangement_moves_seeded_handles_only() {
-        // Every payload a node holds after a rearrangement is still the
-        // allocation the run was seeded with: nothing was copied, so
-        // nothing was allocated.
-        let mut obs = SameHandles::default();
-        let cfg = RuntimeConfig::default().with_workers(1);
-        let r = runtime(&[8, 8], cfg).run_observed(&mut obs).unwrap();
-        assert!(r.verified);
-        assert_eq!(obs.rearranged, 3);
+        // Every payload a node ends with is still the allocation the run
+        // was seeded with: nothing was copied, so nothing was allocated.
+        let r =
+            delivers_seeded_handles(&runtime(&[8, 8], RuntimeConfig::default().with_workers(1)));
         assert_eq!(
             r.rearranged_bytes,
             3 * 64 * 63 * 64,
@@ -1012,9 +957,8 @@ mod tests {
     fn fault_plan_delivers_seeded_handles_through_recovery() {
         // Under a fault plan too, frames are gathered: a resent frame
         // carries the retained clone's handles, a corrupted one is
-        // refused whole, so every payload a node holds after each
-        // rearrangement is still a seeded allocation.
-        let mut obs = SameHandles::default();
+        // refused whole, so every delivered payload is still a seeded
+        // allocation.
         let cfg = RuntimeConfig::default()
             .with_workers(4)
             .with_faults(
@@ -1023,9 +967,8 @@ mod tests {
                     .with_corrupt_rate(0.05),
             )
             .with_retry(quick_retry());
-        let r = runtime(&[8, 8], cfg).run_observed(&mut obs).unwrap();
-        assert!(r.verified);
-        assert_eq!(obs.rearranged, 3);
+        let r = delivers_seeded_handles(&runtime(&[8, 8], cfg));
+        assert_eq!(r.rearranged_bytes, 3 * 64 * 63 * 64);
         assert!(r.faults.recovered > 0, "the plan must force recoveries");
     }
 
@@ -1213,56 +1156,19 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_step_and_rearrangement() {
-        struct Counting {
-            starts: usize,
-            steps: Vec<(PhaseKind, usize)>,
-            rearranges: Vec<PhaseKind>,
-            blocks_constant: bool,
-            expect: u64,
-        }
-        impl Observer<Bytes> for Counting {
-            fn on_start(&mut self, bufs: &Buffers<Bytes>) {
-                self.starts += 1;
-                self.expect = bufs.total_blocks();
-            }
-            fn on_step(&mut self, phase: PhaseKind, step: usize, bufs: &Buffers<Bytes>) {
-                self.steps.push((phase, step));
-                self.blocks_constant &= bufs.total_blocks() == self.expect;
-            }
-            fn on_rearrange(&mut self, phase: PhaseKind, bufs: &Buffers<Bytes>) {
-                self.rearranges.push(phase);
-                self.blocks_constant &= bufs.total_blocks() == self.expect;
-            }
-        }
-        let mut obs = Counting {
-            starts: 0,
-            steps: Vec::new(),
-            rearranges: Vec::new(),
-            blocks_constant: true,
-            expect: 0,
-        };
+    fn trace_records_every_step_and_rearrangement() {
         let rt = runtime(&[8, 8], RuntimeConfig::default().with_workers(4));
-        let r = rt.run_observed(&mut obs).unwrap();
+        let r = rt.run().unwrap();
         assert!(r.verified);
-        assert_eq!(obs.starts, 1);
-        assert_eq!(obs.steps.len(), r.total_steps());
-        // n + 1 rearrangements for n + 2 phases.
-        assert_eq!(obs.rearranges.len(), 3);
-        assert_eq!(
-            obs.rearranges,
-            vec![
-                PhaseKind::Scatter { index: 0 },
-                PhaseKind::Scatter { index: 1 },
-                PhaseKind::Distance2,
-            ]
-        );
-        assert!(
-            obs.blocks_constant,
-            "blocks must be conserved at every step"
-        );
-        // Step numbering matches the analytic executor: 1-based per phase.
-        assert_eq!(obs.steps[0], (PhaseKind::Scatter { index: 0 }, 1));
+        let phases = &r.trace.phases;
+        assert_eq!(phases.len(), 4);
+        let steps: Vec<usize> = phases.iter().map(|p| p.steps.len()).collect();
+        assert_eq!(steps, r.phases.iter().map(|p| p.steps).collect::<Vec<_>>());
+        assert_eq!(steps.iter().sum::<usize>(), r.total_steps());
+        // n + 1 rearrangements for n + 2 phases: after phases 0, 1 and 2.
+        let rearranged: Vec<usize> = phases.iter().map(|p| p.rearrangements.len()).collect();
+        assert_eq!(rearranged, [1, 1, 1, 0]);
+        assert!(phases[0].steps[0].total_blocks > 0);
     }
 
     #[test]

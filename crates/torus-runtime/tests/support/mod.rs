@@ -4,6 +4,8 @@
 
 use std::time::Duration;
 
+pub mod lanes;
+
 /// Runs `f` on its own thread and panics if it does not finish within
 /// `secs` — the suite's guard against recovery-path deadlocks.
 pub fn with_watchdog<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
@@ -28,24 +30,4 @@ pub fn thread_count() -> usize {
         .find_map(|l| l.strip_prefix("Threads:"))
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0)
-}
-
-/// Polls until the process is back to (about) `before` threads, panicking
-/// with `what` if it is not within 5 s. Concurrent tests spawn workers of
-/// their own, so a single reading proves nothing: a leaked thread never
-/// exits, transient ones do.
-#[cfg(target_os = "linux")]
-pub fn assert_threads_settle(before: usize, what: &str) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let after = thread_count();
-        if after <= before + 1 {
-            return;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "{what}: worker threads leaked: {before} before, {after} after"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
 }

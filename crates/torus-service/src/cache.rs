@@ -135,8 +135,8 @@ impl PlanCache {
 
     /// Single-flight lookup: a hit returns the plan, a cold key claims
     /// the build for this caller, and a key someone else is already
-    /// building says [`Lookup::Wait`]. Exactly one caller per cold key
-    /// ever sees [`Lookup::Build`], so concurrent jobs sharing a key
+    /// building says `Lookup::Wait`. Exactly one caller per cold key
+    /// ever sees `Lookup::Build`, so concurrent jobs sharing a key
     /// pay for one `O(N²)` plan construction, not one each.
     pub fn begin_lookup(&mut self, key: &PlanKey) -> Lookup {
         self.tick += 1;
@@ -153,7 +153,7 @@ impl PlanCache {
         Lookup::Build
     }
 
-    /// Publishes a finished build claimed via [`Lookup::Build`] and
+    /// Publishes a finished build claimed via `Lookup::Build` and
     /// releases the key's build claim in one step. The caller must
     /// notify its condvar afterwards so waiters retry.
     pub fn complete_build(&mut self, key: PlanKey, plan: Arc<CachedPlan>) {

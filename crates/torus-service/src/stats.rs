@@ -2,7 +2,6 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use serde::Serialize;
 use torus_runtime::JobOp;
 
 /// Buckets in a [`Histogram`]: one per power of two of microseconds,
@@ -100,7 +99,7 @@ impl Histogram {
 /// Percentile summary of a [`Histogram`] (microseconds by convention).
 ///
 /// All fields are integers so the containing stats types keep `Eq`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LatencyStats {
     /// Observations recorded.
     pub count: u64,
@@ -119,7 +118,7 @@ pub struct LatencyStats {
 /// Serializable with the same machinery as
 /// [`RuntimeReport`](torus_runtime::RuntimeReport) — the CLI's `--json`
 /// mode emits it verbatim.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Jobs admitted to the queue.
     pub jobs_accepted: u64,
@@ -286,18 +285,6 @@ mod tests {
         assert_eq!(snap.queue_high_water, 2);
         assert_eq!(snap.cache_hits, 5);
         assert_eq!(snap.cache_misses, 2);
-    }
-
-    #[test]
-    fn stats_serialize_to_json() {
-        let stats = ServiceStats {
-            jobs_accepted: 2,
-            ..Default::default()
-        };
-        // The offline serde_json stub elides fields; assert the derive
-        // wiring works (a real serde_json emits every counter).
-        let json = serde_json::to_string(&stats).unwrap();
-        assert!(json.starts_with('{') && json.ends_with('}'));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! A hand-rolled JSON value, parser, and writer.
 //!
-//! The workspace's vendored `serde_json` is an offline stub (its
-//! `to_string` emits `{}` and its `from_str` always errs), so the wire
-//! protocol cannot lean on it. This module is a small, real JSON
-//! implementation: a recursive-descent parser with a depth cap and an
-//! escaping writer. Objects preserve insertion order (a `Vec` of pairs),
-//! which keeps output deterministic for tests and diffing.
+//! The workspace's one JSON path: the wire protocol, the journal's
+//! records, every `torus-xchg --json` output and every `BENCH_*.json`
+//! snapshot are built as a [`Json`] and written by [`Json::dump`]. It is
+//! a small, real JSON implementation: a recursive-descent parser with a
+//! depth cap and an escaping writer. Objects preserve insertion order (a
+//! `Vec` of pairs), which keeps output deterministic for tests and
+//! diffing. Types serialize through plain functions next to their one
+//! caller (e.g. [`crate::proto::runtime_report_json`]), not a trait.
 
 use std::fmt::Write as _;
 
@@ -21,7 +23,7 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (IEEE double, like real `serde_json`'s default).
+    /// Any JSON number (an IEEE double).
     Num(f64),
     /// A string.
     Str(String),
@@ -129,7 +131,7 @@ impl Json {
                         let _ = write!(out, "{n}");
                     }
                 } else {
-                    // JSON has no Inf/NaN; emit null like serde_json.
+                    // JSON has no Inf/NaN; emit null.
                     out.push_str("null");
                 }
             }

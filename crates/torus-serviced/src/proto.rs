@@ -20,7 +20,14 @@
 //! Requests never exceed [`MAX_LINE_BYTES`]; a longer line is a
 //! protocol error and the daemon closes the connection after replying.
 
+use std::time::Duration;
+
+use torus_runtime::{
+    DegradedReport, FailureReason, FaultEvent, FaultEventKind, FaultKind, NodeFailure, PhaseReport,
+    RecoveryStats, RuntimeReport, WorkerFaultKind,
+};
 use torus_service::{LatencyStats, ServiceStats, TenantStats};
+use torus_sim::Trace;
 
 use crate::journal::JournalStats;
 use crate::json::Json;
@@ -212,6 +219,217 @@ pub fn service_stats_json(stats: &ServiceStats) -> Json {
         ("ops", op_counts_json(stats)),
         ("queue_wait_us", latency_json(&stats.queue_wait)),
         ("run_time_us", latency_json(&stats.run_time)),
+    ])
+}
+
+/// A duration as a `*_ms` float, the unit of the sweep snapshots.
+fn ms(d: Duration) -> Json {
+    Json::num(d.as_secs_f64() * 1e3)
+}
+
+fn u32s(values: &[u32]) -> Json {
+    Json::Arr(values.iter().map(|&v| Json::num(v)).collect())
+}
+
+/// The JSON form of a per-step trace: per phase, its steps and the
+/// critical-path blocks of each rearrangement recorded in it.
+pub fn trace_json(trace: &Trace) -> Json {
+    let phase = |p: &torus_sim::PhaseTrace| {
+        let steps = p.steps.iter().map(|s| {
+            Json::obj([
+                ("messages", Json::num(s.messages)),
+                ("total_blocks", Json::u64(s.total_blocks)),
+                ("max_blocks", Json::u64(s.max_blocks)),
+                ("max_hops", Json::num(s.max_hops)),
+                ("retries", Json::u64(s.retries)),
+                ("time_us", Json::num(s.time_us)),
+            ])
+        });
+        Json::obj([
+            ("name", Json::str(p.name.clone())),
+            ("steps", Json::Arr(steps.collect())),
+            (
+                "rearrangements",
+                Json::Arr(p.rearrangements.iter().map(|&b| Json::u64(b)).collect()),
+            ),
+        ])
+    };
+    Json::obj([(
+        "phases",
+        Json::Arr(trace.phases.iter().map(phase).collect()),
+    )])
+}
+
+fn phase_report_json(p: &PhaseReport) -> Json {
+    Json::obj([
+        ("name", Json::str(p.name.clone())),
+        ("steps", Json::u64(p.steps as u64)),
+        ("wall_ms", ms(p.wall)),
+        ("assembly_send_ms", ms(p.assembly_send)),
+        ("assembly_recv_ms", ms(p.assembly_recv)),
+        ("transport_ms", ms(p.transport)),
+        ("rearrange_ms", ms(p.rearrange)),
+        ("wire_bytes", Json::u64(p.wire_bytes)),
+        ("rearranged_bytes", Json::u64(p.rearranged_bytes)),
+        ("bytes_copied", Json::u64(p.bytes_copied)),
+        ("allocations", Json::u64(p.allocations)),
+        ("messages", Json::u64(p.messages)),
+    ])
+}
+
+fn recovery_stats_json(f: &RecoveryStats) -> Json {
+    Json::obj([
+        ("injected_drops", Json::u64(f.injected_drops)),
+        ("injected_corruptions", Json::u64(f.injected_corruptions)),
+        ("injected_truncations", Json::u64(f.injected_truncations)),
+        ("injected_duplicates", Json::u64(f.injected_duplicates)),
+        ("injected_delays", Json::u64(f.injected_delays)),
+        ("injected_stalls", Json::u64(f.injected_stalls)),
+        ("injected_kills", Json::u64(f.injected_kills)),
+        ("crc_failures", Json::u64(f.crc_failures)),
+        ("decode_failures", Json::u64(f.decode_failures)),
+        ("timeouts", Json::u64(f.timeouts)),
+        ("retries", Json::u64(f.retries)),
+        ("resends", Json::u64(f.resends)),
+        ("stale_discarded", Json::u64(f.stale_discarded)),
+        ("recovered", Json::u64(f.recovered)),
+    ])
+}
+
+/// `{step, src, dst, attempt, fault, us}`: `fault` names the injection
+/// (`drop`, `delay`, `duplicate`, `corrupt`, `truncate`, `kill`,
+/// `stall`); `us` is the delay or stall length, `null` for the rest.
+fn fault_event_json(e: &FaultEvent) -> Json {
+    let (fault, us) = match e.kind {
+        FaultEventKind::Message(FaultKind::Drop) => ("drop", None),
+        FaultEventKind::Message(FaultKind::DelayMicros(us)) => ("delay", Some(us)),
+        FaultEventKind::Message(FaultKind::Duplicate) => ("duplicate", None),
+        FaultEventKind::Message(FaultKind::CorruptByte) => ("corrupt", None),
+        FaultEventKind::Message(FaultKind::Truncate) => ("truncate", None),
+        FaultEventKind::Worker(WorkerFaultKind::Kill) => ("kill", None),
+        FaultEventKind::Worker(WorkerFaultKind::StallMicros(us)) => ("stall", Some(us)),
+    };
+    Json::obj([
+        ("step", Json::u64(e.step as u64)),
+        ("src", Json::num(e.src)),
+        ("dst", Json::num(e.dst)),
+        ("attempt", Json::num(e.attempt)),
+        ("fault", Json::str(fault)),
+        ("us", us.map_or(Json::Null, Json::u64)),
+    ])
+}
+
+/// `{kind, node, detail}`: `node` is the node the reason names (the
+/// silent or damaged peer for `retry_exhausted` and `integrity`), `null`
+/// for run-wide reasons; `detail` is the human-readable text, which
+/// carries the exact wire error of an `integrity` failure.
+fn failure_reason_json(reason: &FailureReason) -> Json {
+    let (kind, node) = match *reason {
+        FailureReason::RetryExhausted { src } => ("retry_exhausted", Some(src)),
+        FailureReason::Integrity { src, .. } => ("integrity", Some(src)),
+        FailureReason::WorkerKilled { node } => ("worker_killed", Some(node)),
+        FailureReason::NodeDead { node } => ("node_dead", Some(node)),
+        FailureReason::ChannelClosed => ("channel_closed", None),
+        FailureReason::Cancelled => ("cancelled", None),
+        FailureReason::DeadlineExceeded => ("deadline_exceeded", None),
+    };
+    Json::obj([
+        ("kind", Json::str(kind)),
+        ("node", node.map_or(Json::Null, Json::num)),
+        ("detail", Json::str(reason.to_string())),
+    ])
+}
+
+fn node_failure_json(f: &NodeFailure) -> Json {
+    Json::obj([
+        ("node", Json::num(f.node)),
+        ("phase", Json::str(f.phase.clone())),
+        ("step", Json::u64(f.step as u64)),
+        ("global_step", Json::u64(f.global_step as u64)),
+        ("reason", failure_reason_json(&f.reason)),
+    ])
+}
+
+fn degraded_json(d: &DegradedReport) -> Json {
+    let dead = d.dead_nodes.iter().map(|n| {
+        Json::obj([
+            ("node", Json::num(n.node)),
+            ("original", n.original.map_or(Json::Null, Json::num)),
+            ("quarantine_step", Json::u64(n.quarantine_step as u64)),
+            ("reason", failure_reason_json(&n.reason)),
+        ])
+    });
+    let dropped = d.dropped.iter().map(|b| {
+        Json::obj([
+            ("src", Json::num(b.src)),
+            ("dst", Json::num(b.dst)),
+            ("holder", Json::num(b.holder)),
+            ("step", Json::u64(b.step as u64)),
+        ])
+    });
+    Json::obj([
+        ("dead_nodes", Json::Arr(dead.collect())),
+        ("dropped_blocks", Json::u64(d.dropped_blocks)),
+        ("dropped", Json::Arr(dropped.collect())),
+        ("contracted_rings", Json::u64(d.contracted_rings)),
+        ("contracted_sends", Json::u64(d.contracted_sends)),
+        ("fallback_steps", Json::u64(d.fallback_steps)),
+        ("fallback_blocks", Json::u64(d.fallback_blocks)),
+        ("baseline_wire_bytes", Json::u64(d.baseline_wire_bytes)),
+        ("extra_wire_bytes", Json::Num(d.extra_wire_bytes as f64)),
+        ("restarts", Json::num(d.restarts)),
+        ("verified_degraded", Json::Bool(d.verified_degraded)),
+    ])
+}
+
+/// The full JSON form of a runtime report: every field, durations as
+/// `*_ms` floats, the analytic prediction as `*_us` components, and
+/// `failure`/`degraded` as `null` when absent.
+pub fn runtime_report_json(r: &RuntimeReport) -> Json {
+    let a = &r.analytic;
+    Json::obj([
+        ("dims", u32s(&r.dims)),
+        ("executed_dims", u32s(&r.executed_dims)),
+        ("padded", Json::Bool(r.padded)),
+        ("nodes", Json::num(r.nodes)),
+        ("block_bytes", Json::u64(r.block_bytes as u64)),
+        ("workers", Json::u64(r.workers as u64)),
+        (
+            "phases",
+            Json::Arr(r.phases.iter().map(phase_report_json).collect()),
+        ),
+        ("wall_ms", ms(r.wall)),
+        ("wire_bytes", Json::u64(r.wire_bytes)),
+        ("rearranged_bytes", Json::u64(r.rearranged_bytes)),
+        ("bytes_copied", Json::u64(r.bytes_copied)),
+        ("allocations", Json::u64(r.allocations)),
+        ("peak_node_bytes", Json::u64(r.peak_node_bytes)),
+        ("messages", Json::u64(r.messages)),
+        ("verified", Json::Bool(r.verified)),
+        ("faults", recovery_stats_json(&r.faults)),
+        (
+            "fault_events",
+            Json::Arr(r.fault_events.iter().map(fault_event_json).collect()),
+        ),
+        (
+            "failure",
+            r.failure.as_ref().map_or(Json::Null, node_failure_json),
+        ),
+        (
+            "degraded",
+            r.degraded.as_ref().map_or(Json::Null, degraded_json),
+        ),
+        (
+            "analytic",
+            Json::obj([
+                ("startup_us", Json::num(a.startup)),
+                ("transmission_us", Json::num(a.transmission)),
+                ("rearrangement_us", Json::num(a.rearrangement)),
+                ("propagation_us", Json::num(a.propagation)),
+                ("total_us", Json::num(a.total())),
+            ]),
+        ),
+        ("trace", trace_json(&r.trace)),
     ])
 }
 
@@ -500,6 +718,66 @@ mod tests {
             assert_eq!(slot.get("completed").unwrap().as_u64(), Some(expect.1));
         }
         assert_eq!(crate::json::parse(&event.dump()).unwrap(), event);
+    }
+
+    #[test]
+    fn runtime_report_json_covers_clean_aborted_and_degraded_runs() {
+        use torus_runtime::{FaultPlan, OnFailure, Runtime, RuntimeConfig, RuntimeError};
+        let shape = torus_topology::TorusShape::new(&[4, 4]).unwrap();
+        let run = |config: RuntimeConfig| {
+            let config = config.with_workers(2).with_block_bytes(16);
+            Runtime::new(&shape, config).unwrap().run()
+        };
+        let reparse = |r: &RuntimeReport| {
+            let v = runtime_report_json(r);
+            assert_eq!(crate::json::parse(&v.dump()).unwrap(), v);
+            v
+        };
+
+        let clean = run(RuntimeConfig::default()).unwrap();
+        let v = reparse(&clean);
+        assert_eq!(v.get("nodes").unwrap().as_u64(), Some(16));
+        assert_eq!(v.get("verified").unwrap().as_bool(), Some(true));
+        assert_eq!(
+            v.get("wire_bytes").unwrap().as_u64(),
+            Some(clean.wire_bytes)
+        );
+        let phases = v.get("phases").unwrap().as_arr().unwrap();
+        assert_eq!(phases.len(), 4);
+        let steps: u64 = phases
+            .iter()
+            .map(|p| p.get("steps").unwrap().as_u64().unwrap())
+            .sum();
+        assert_eq!(steps, clean.total_steps() as u64);
+        let trace = v.get("trace").unwrap().get("phases").unwrap();
+        assert_eq!(trace.as_arr().unwrap().len(), 4);
+        assert_eq!(v.get("failure"), Some(&Json::Null));
+        assert_eq!(v.get("degraded"), Some(&Json::Null));
+        assert!(v.get("analytic").unwrap().get("total_us").unwrap().as_f64() > Some(0.0));
+
+        let kill = || RuntimeConfig::default().with_faults(FaultPlan::parse("kill=0:1").unwrap());
+        let Err(RuntimeError::Aborted { report, .. }) = run(kill()) else {
+            panic!("a pinned kill aborts under the default policy");
+        };
+        let v = reparse(&report);
+        let reason = v.get("failure").unwrap().get("reason").unwrap();
+        assert_eq!(reason.get("kind").unwrap().as_str(), Some("worker_killed"));
+        assert_eq!(reason.get("node").unwrap().as_u64(), Some(1));
+        let events = v.get("fault_events").unwrap().as_arr().unwrap();
+        assert_eq!(events[0].get("fault").unwrap().as_str(), Some("kill"));
+        assert_eq!(events[0].get("us"), Some(&Json::Null));
+
+        let degraded = run(kill().with_on_failure(OnFailure::Degrade)).unwrap();
+        let v = reparse(&degraded);
+        let d = v.get("degraded").unwrap();
+        let dead = d.get("dead_nodes").unwrap().as_arr().unwrap();
+        assert_eq!(dead[0].get("node").unwrap().as_u64(), Some(1));
+        assert_eq!(d.get("verified_degraded").unwrap().as_bool(), Some(true));
+        let dropped = d.get("dropped").unwrap().as_arr().unwrap();
+        assert_eq!(
+            dropped.len() as u64,
+            d.get("dropped_blocks").unwrap().as_u64().unwrap()
+        );
     }
 
     #[test]

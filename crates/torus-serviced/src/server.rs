@@ -1,5 +1,5 @@
 //! The daemon: a blocking TCP accept loop in front of a fixed pool of
-//! poll-reactor threads ([`crate::reactor`]). No async runtime — the
+//! poll-reactor threads (the private `reactor` module). No async runtime — the
 //! concurrency story is the same hand-rolled threads-and-locks the rest
 //! of the workspace uses.
 //!
@@ -29,7 +29,7 @@
 //! With a journal configured, no client hears `accepted` before its
 //! admission record is fsync'd. Admissions arriving close together
 //! share one group-commit fsync (see [`crate::journal`] and the
-//! batching notes in [`crate::reactor`]); if the journal cannot make an
+//! batching notes in the `reactor` module); if the journal cannot make an
 //! admission durable the job is cancelled and the client receives a
 //! typed `journal_unavailable` rejection instead of an acknowledgment
 //! the daemon could not honor.

@@ -9,7 +9,7 @@ use crate::engine::StepStat;
 
 /// Trace of one phase: its steps plus any rearrangement performed at the
 /// phase boundary.
-#[derive(Clone, Debug, Default, serde::Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PhaseTrace {
     /// Phase label, e.g. `"phase 1"`.
     pub name: String,
@@ -38,7 +38,7 @@ impl PhaseTrace {
 }
 
 /// Full trace of an algorithm run.
-#[derive(Clone, Debug, Default, serde::Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// Phases in execution order.
     pub phases: Vec<PhaseTrace>,
