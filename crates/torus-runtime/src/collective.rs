@@ -219,7 +219,8 @@ impl CollectiveRuntime {
 
     /// Runs the collective with deterministic pattern payloads and
     /// verifies against the reference replay. Returns the report plus
-    /// every node's final `(key, payload)` holdings, keys ascending.
+    /// every node's final `(key, payload)` holdings, keys ascending. The
+    /// calling thread is worker 0, as in [`Runtime::run`](crate::Runtime::run).
     #[allow(clippy::type_complexity)]
     pub fn run(&self) -> Result<(RuntimeReport, Vec<Vec<(u32, Bytes)>>), RuntimeError> {
         let m = self.config.block_bytes;

@@ -30,11 +30,18 @@
 //!    paper's idle senders), split them zero-copy, hand the blocks to the
 //!    source's [`absorb`](StepSource::absorb), and return the frame's
 //!    buffers to the receiving worker's pool;
-//! 3. **synchronize** — a two-phase [`Barrier`] rendezvous with the
-//!    driving thread. The first crossing marks "all step traffic
-//!    delivered" (the driver timestamps the step); the second releases
-//!    everyone into the next step, so messages from step `s + 1` never
-//!    interleave with step `s`.
+//! 3. **synchronize** — a two-phase [`Barrier`] rendezvous of the
+//!    run's parties. The first crossing marks "all step traffic
+//!    delivered" (the thread that called [`execute`] timestamps the step
+//!    right after it); the second releases everyone into the next step,
+//!    so messages from step `s + 1` never interleave with step `s`.
+//!
+//! The calling thread is always a party and the one that records the
+//! step and phase walls. On [`ExecBackend::Spawn`] it is worker 0: it
+//! runs the first chunk itself and spawns the other `W − 1`, so a
+//! one-worker run starts no thread and every barrier has one party. On
+//! [`ExecBackend::Pool`] it owns no nodes: it only crosses the barriers
+//! beside the pooled gang.
 //!
 //! After a phase whose [`PhaseMeta::rearrange_after`] is set, workers run
 //! the source's [`rearrange`](StepSource::rearrange) pass, again bracketed
@@ -63,13 +70,17 @@
 //! wins); every worker then falls through its remaining barriers doing no
 //! work, so an aborted run still joins cleanly, leaks no threads, and
 //! yields a partial report inside [`RuntimeError::Aborted`] naming the
-//! faulty node, phase, and step.
+//! faulty node, phase, and step. A panic in a step's work is caught in
+//! the worker that raised it, which then raises the abort flag and turns
+//! zombie the same way; the run returns [`RuntimeError::WorkerPanicked`]
+//! with the panic's message.
 //!
 //! Fault-free runs never block on a send and match every receive to a
 //! scheduled send, so the protocol is deadlock-free by construction;
 //! determinism across worker counts follows from the per-step barriers
 //! plus the fixed ownership partition.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -177,13 +188,25 @@ struct WorkerStats {
     peak_bytes: u64,
     faults: RecoveryStats,
     events: Vec<FaultEvent>,
+    /// The message of a panic caught in this worker's step work.
+    panicked: Option<String>,
+}
+
+/// The run's walls, stamped by the thread that called [`execute`] as it
+/// crosses the barriers.
+#[derive(Default)]
+struct Walls {
+    steps: Vec<Duration>,
+    phases: Vec<Duration>,
+    run: Duration,
 }
 
 /// How a run executes its worker tasks.
 #[derive(Clone, Copy)]
 pub(crate) enum ExecBackend<'p> {
-    /// Spawn fresh threads and join them at run end — the classic
-    /// one-shot measurement path.
+    /// `W − 1` fresh threads, joined at run end; the caller is worker 0
+    /// — the classic one-shot measurement path, which at one worker
+    /// starts no thread at all.
     Spawn,
     /// Reserve a gang of persistent threads from a [`WorkerPool`],
     /// optionally recycling warm [`FramePool`]s through a [`PoolBank`] —
@@ -479,19 +502,12 @@ impl<S: StepSource> RunShared<S> {
         }
     }
 
-    /// The fault-free receive: a scheduled frame is always sent, so a
-    /// blocking receive cannot deadlock. With a cancel token installed a
-    /// peer may observe the trigger at step entry and skip its sends, so
-    /// the receive must poll the abort state instead of blocking forever
-    /// on a frame that will never come.
+    /// The fault-free receive: a scheduled frame is always sent unless
+    /// the run is aborting — a peer that observed a cancel at step entry,
+    /// or one that panicked before its send, never sends it. So the wait
+    /// runs in [`WAIT_SLICE`]s that poll the abort state instead of
+    /// blocking forever on a frame that will never come.
     fn recv_scheduled(&self, rx: &Receiver<WireFrame>, me: NodeId, g: usize) -> Option<WireFrame> {
-        let closed = || {
-            self.fail(me, g, FailureReason::ChannelClosed);
-            None
-        };
-        if self.cancel.is_none() {
-            return rx.recv().ok().or_else(closed);
-        }
         loop {
             match rx.recv_timeout(WAIT_SLICE) {
                 Ok(frame) => return Some(frame),
@@ -500,9 +516,26 @@ impl<S: StepSource> RunShared<S> {
                         return None;
                     }
                 }
-                Err(RecvTimeoutError::Disconnected) => return closed(),
+                Err(RecvTimeoutError::Disconnected) => {
+                    self.fail(me, g, FailureReason::ChannelClosed);
+                    return None;
+                }
             }
         }
+    }
+
+    /// Runs a worker's share of one step or rearrangement. A panic in
+    /// `work` is kept in `panicked` (the worker's first wins) and raises
+    /// the abort flag, so every other party falls through to the
+    /// barriers; then this returns `true`: the worker is a zombie from
+    /// here on.
+    fn catch_panic(&self, panicked: &mut Option<String>, work: impl FnOnce()) -> bool {
+        let Err(payload) = catch_unwind(AssertUnwindSafe(work)) else {
+            return false;
+        };
+        panicked.get_or_insert_with(|| panic_message(&*payload));
+        self.abort.store(true, Ordering::SeqCst);
+        true
     }
 
     /// Fires the worker faults pinned to global step `g` on the nodes
@@ -557,15 +590,20 @@ impl<S: StepSource> RunShared<S> {
 /// frame pool (warm, for recycling through a [`PoolBank`]) and its nodes'
 /// final state.
 ///
-/// Runs identically on a spawned thread ([`ExecBackend::Spawn`]) or a
-/// persistent pool thread ([`ExecBackend::Pool`]); everything it touches
-/// lives in [`RunShared`] or is moved in.
+/// Runs identically on the calling thread, a spawned thread
+/// ([`ExecBackend::Spawn`]) or a persistent pool thread
+/// ([`ExecBackend::Pool`]); everything it touches lives in [`RunShared`]
+/// or is moved in. The one caller that passes `walls` records the run's
+/// step and phase walls there. A call with no nodes only crosses the
+/// barriers: it never polls worker faults or the cancel token, so it
+/// never attributes a failure to a node it does not own.
 fn worker_body<S: StepSource>(
     shared: &RunShared<S>,
     base: usize,
     mut nodes: Vec<S::Node>,
     rxs: Vec<Receiver<WireFrame>>,
     mut pool: FramePool,
+    mut walls: Option<&mut Walls>,
 ) -> (WorkerStats, FramePool, Vec<S::Node>) {
     let source = &*shared.source;
     let phases = source.phases();
@@ -583,177 +621,173 @@ fn worker_body<S: StepSource>(
         peak_bytes: 0,
         faults: RecoveryStats::default(),
         events: Vec::new(),
+        panicked: None,
     };
     // Recycled scratch: with the frame pool these reach steady state
     // after the first step or two and stop allocating.
     let mut outgoing: Vec<Block<Bytes>> = Vec::new();
     let mut incoming: Vec<Block<Bytes>> = Vec::new();
-    // A killed worker turns into a zombie: it does no work but keeps
-    // crossing barriers so nothing deadlocks.
-    let mut dead = false;
+    // A killed or panicked worker turns into a zombie: it does no work
+    // but keeps crossing barriers so nothing deadlocks. A worker without
+    // nodes is one from the start.
+    let mut dead = nodes.is_empty();
     let mut g = 0usize;
+    let t_run = Instant::now();
     for (pi, ph) in phases.iter().enumerate() {
+        let t_phase = Instant::now();
         for _ in &ph.hops {
+            let t_step = Instant::now();
             if !no_faults && !dead {
                 dead = shared.worker_faults(g, base, nodes.len(), &mut stats);
             }
             if !(dead || shared.observe_cancel(base as NodeId, g)) {
-                let pstats = &mut stats.phase[pi];
-                let sstats = &mut stats.steps[g];
+                dead = shared.catch_panic(&mut stats.panicked, || {
+                    let pstats = &mut stats.phase[pi];
+                    let sstats = &mut stats.steps[g];
 
-                for (li, state) in nodes.iter_mut().enumerate() {
-                    source.enter_step(g, (base + li) as NodeId, state);
-                }
-
-                // Assemble and send for every owned scheduled sender.
-                for (li, state) in nodes.iter_mut().enumerate() {
-                    let node = (base + li) as NodeId;
-                    let Some(dst) = source.dst(g, node) else {
-                        continue;
-                    };
-                    let t0 = Instant::now();
-                    outgoing.clear();
-                    source.emit(g, node, state, &mut outgoing);
-                    // Zero-copy: headers into a pooled buffer, payloads
-                    // shared by handle.
-                    let framing_len = MESSAGE_HEADER_BYTES + outgoing.len() * BLOCK_HEADER_BYTES;
-                    let allocs = pool.allocations();
-                    let msg = encode_gathered(
-                        g as u32,
-                        &outgoing,
-                        pool.take_buf(framing_len),
-                        pool.take_vec(),
-                    );
-                    pstats.allocations += pool.allocations() - allocs;
-                    pstats.bytes_copied += framing_len as u64;
-                    let assembled = Instant::now();
-                    pstats.assembly_send += assembled - t0;
-                    sstats.messages += 1;
-                    sstats.blocks += outgoing.len() as u64;
-                    sstats.max_blocks = sstats.max_blocks.max(outgoing.len() as u64);
-                    // Wire accounting is for the pristine frame; injected
-                    // mutations don't change the schedule's cost.
-                    pstats.wire_bytes += msg.wire_len() as u64;
-                    pstats.messages += 1;
-                    let tx = &senders[dst as usize];
-                    let delivered = if no_faults {
-                        tx.send(msg).is_ok()
-                    } else {
-                        // Retain the pristine frame so the receiver can
-                        // recover it; then fault what actually goes on
-                        // the wire. The copy shares the payloads.
-                        let keep = Arc::new(msg.clone());
-                        *lk(&retained[dst as usize]) = Some(keep);
-                        shared
-                            .inject(g, node, dst, 0, msg, &mut stats.faults, &mut stats.events)
-                            .into_iter()
-                            .all(|f| tx.send(f).is_ok())
-                    };
-                    if !delivered {
-                        shared.fail(node, g, FailureReason::ChannelClosed);
+                    for (li, state) in nodes.iter_mut().enumerate() {
+                        source.enter_step(g, (base + li) as NodeId, state);
                     }
-                    pstats.transport += assembled.elapsed();
-                }
 
-                // Receive exactly the scheduled traffic, split it
-                // zero-copy, and track residency.
-                for (li, state) in nodes.iter_mut().enumerate() {
-                    let me = (base + li) as NodeId;
-                    if let Some(src) = shared.expect_from[g][base + li] {
-                        let t0 = Instant::now();
-                        // Fault-free, the frame is decoded after the wait;
-                        // the recovery loop decodes to judge each frame.
-                        let (received, delivered) = if no_faults {
-                            let frame = shared.recv_scheduled(&rxs[li], me, g);
-                            let received = Instant::now();
-                            // Without a fault plan there is no retained
-                            // copy to retry from, so a wire error here is
-                            // unrecoverable and named exactly.
-                            let opened =
-                                frame.map(|f| open(f, &mut incoming, &mut pool, &mut stats.faults));
-                            if let Some(Err(error)) = opened {
-                                shared.fail(me, g, FailureReason::Integrity { src, error });
-                            }
-                            (received, matches!(opened, Some(Ok(_))))
-                        } else {
-                            let delivered = shared.recover_recv(
-                                &rxs[li],
-                                me,
-                                src,
-                                g,
-                                &mut incoming,
-                                &mut pool,
-                                &mut stats.faults,
-                                &mut stats.events,
-                                &mut sstats.retries,
-                            );
-                            (Instant::now(), delivered)
+                    // Assemble and send for every owned scheduled sender.
+                    for (li, state) in nodes.iter_mut().enumerate() {
+                        let node = (base + li) as NodeId;
+                        let Some(dst) = source.dst(g, node) else {
+                            continue;
                         };
-                        pstats.transport += received - t0;
-                        if delivered {
-                            source.absorb(state, &mut incoming);
-                            pstats.assembly_recv += received.elapsed();
+                        let t0 = Instant::now();
+                        outgoing.clear();
+                        source.emit(g, node, state, &mut outgoing);
+                        // Zero-copy: headers into a pooled buffer,
+                        // payloads shared by handle.
+                        let framing_len =
+                            MESSAGE_HEADER_BYTES + outgoing.len() * BLOCK_HEADER_BYTES;
+                        let allocs = pool.allocations();
+                        let msg = encode_gathered(
+                            g as u32,
+                            &outgoing,
+                            pool.take_buf(framing_len),
+                            pool.take_vec(),
+                        );
+                        pstats.allocations += pool.allocations() - allocs;
+                        pstats.bytes_copied += framing_len as u64;
+                        let assembled = Instant::now();
+                        pstats.assembly_send += assembled - t0;
+                        sstats.messages += 1;
+                        sstats.blocks += outgoing.len() as u64;
+                        sstats.max_blocks = sstats.max_blocks.max(outgoing.len() as u64);
+                        // Wire accounting is for the pristine frame;
+                        // injected mutations don't change the schedule's
+                        // cost.
+                        pstats.wire_bytes += msg.wire_len() as u64;
+                        pstats.messages += 1;
+                        let tx = &senders[dst as usize];
+                        let delivered = if no_faults {
+                            tx.send(msg).is_ok()
+                        } else {
+                            // Retain the pristine frame so the receiver
+                            // can recover it; then fault what actually
+                            // goes on the wire. The copy shares the
+                            // payloads.
+                            let keep = Arc::new(msg.clone());
+                            *lk(&retained[dst as usize]) = Some(keep);
+                            shared
+                                .inject(g, node, dst, 0, msg, &mut stats.faults, &mut stats.events)
+                                .into_iter()
+                                .all(|f| tx.send(f).is_ok())
+                        };
+                        if !delivered {
+                            shared.fail(node, g, FailureReason::ChannelClosed);
                         }
+                        pstats.transport += assembled.elapsed();
                     }
-                    // The frame retained for this node's recovery is
-                    // resident memory too: its framing, as its payloads
-                    // are handles the receiver already counts.
-                    let retained_bytes = if no_faults {
-                        0
-                    } else {
-                        lk(&retained[base + li]).as_ref().map_or(0, |f| {
-                            let WireFrame::Gathered { framing, .. } = &**f;
-                            framing.len() as u64
-                        })
-                    };
-                    let resident = source.resident(state) + retained_bytes;
-                    stats.peak_bytes = stats.peak_bytes.max(resident);
-                }
+
+                    // Receive exactly the scheduled traffic, split it
+                    // zero-copy, and track residency.
+                    for (li, state) in nodes.iter_mut().enumerate() {
+                        let me = (base + li) as NodeId;
+                        if let Some(src) = shared.expect_from[g][base + li] {
+                            let t0 = Instant::now();
+                            // Fault-free, the frame is decoded after the
+                            // wait; the recovery loop decodes to judge
+                            // each frame.
+                            let (received, delivered) = if no_faults {
+                                let frame = shared.recv_scheduled(&rxs[li], me, g);
+                                let received = Instant::now();
+                                // Without a fault plan there is no
+                                // retained copy to retry from, so a wire
+                                // error here is unrecoverable and named
+                                // exactly.
+                                let opened = frame
+                                    .map(|f| open(f, &mut incoming, &mut pool, &mut stats.faults));
+                                if let Some(Err(error)) = opened {
+                                    shared.fail(me, g, FailureReason::Integrity { src, error });
+                                }
+                                (received, matches!(opened, Some(Ok(_))))
+                            } else {
+                                let delivered = shared.recover_recv(
+                                    &rxs[li],
+                                    me,
+                                    src,
+                                    g,
+                                    &mut incoming,
+                                    &mut pool,
+                                    &mut stats.faults,
+                                    &mut stats.events,
+                                    &mut sstats.retries,
+                                );
+                                (Instant::now(), delivered)
+                            };
+                            pstats.transport += received - t0;
+                            if delivered {
+                                source.absorb(state, &mut incoming);
+                                pstats.assembly_recv += received.elapsed();
+                            }
+                        }
+                        // The frame retained for this node's recovery is
+                        // resident memory too: its framing, as its
+                        // payloads are handles the receiver already
+                        // counts.
+                        let retained_bytes = if no_faults {
+                            0
+                        } else {
+                            lk(&retained[base + li]).as_ref().map_or(0, |f| {
+                                let WireFrame::Gathered { framing, .. } = &**f;
+                                framing.len() as u64
+                            })
+                        };
+                        let resident = source.resident(state) + retained_bytes;
+                        stats.peak_bytes = stats.peak_bytes.max(resident);
+                    }
+                });
             }
             g += 1;
             barrier.wait(); // step traffic complete
+            if let Some(w) = walls.as_deref_mut() {
+                w.steps.push(t_step.elapsed());
+            }
             barrier.wait(); // released into the next step
         }
 
         if ph.rearrange_after {
             if !(dead || shared.abort.load(Ordering::Acquire)) {
-                for state in nodes.iter_mut() {
-                    source.rearrange(state, &mut stats.phase[pi]);
-                }
+                dead = shared.catch_panic(&mut stats.panicked, || {
+                    for state in nodes.iter_mut() {
+                        source.rearrange(state, &mut stats.phase[pi]);
+                    }
+                });
             }
             barrier.wait(); // rearrangement complete
             barrier.wait();
         }
+        if let Some(w) = walls.as_deref_mut() {
+            w.phases.push(t_phase.elapsed());
+        }
+    }
+    if let Some(w) = walls {
+        w.run = t_run.elapsed();
     }
     (stats, pool, nodes)
-}
-
-/// The driving thread's half of the run: mirror every barrier the
-/// workers cross, timestamping steps and phases. Crosses every barrier
-/// unconditionally, so it never hangs even when workers are skipping an
-/// aborted run.
-fn drive_barriers<S: StepSource>(
-    shared: &RunShared<S>,
-) -> (Vec<Duration>, Vec<Duration>, Duration) {
-    let t_run = Instant::now();
-    let phases = shared.source.phases();
-    let mut phase_walls = Vec::with_capacity(phases.len());
-    let mut step_walls = Vec::with_capacity(shared.step_ctx.len());
-    for ph in phases {
-        let t_phase = Instant::now();
-        for _ in &ph.hops {
-            let t_step = Instant::now();
-            shared.barrier.wait();
-            step_walls.push(t_step.elapsed());
-            shared.barrier.wait();
-        }
-        if ph.rearrange_after {
-            shared.barrier.wait();
-            shared.barrier.wait();
-        }
-        phase_walls.push(t_phase.elapsed());
-    }
-    (phase_walls, step_walls, t_run.elapsed())
 }
 
 /// What a run measured and left behind, before a front-end stamps its
@@ -899,31 +933,45 @@ pub(crate) fn execute<S: StepSource>(
         abort: AtomicBool::new(false),
         cancel: config.cancel.clone(),
         failure_slot: Mutex::new(None),
-        barrier: Barrier::new(n_chunks + 1),
+        // The calling thread is worker 0 when spawning, an extra party
+        // beside a pooled gang.
+        barrier: Barrier::new(match backend {
+            ExecBackend::Spawn => n_chunks,
+            ExecBackend::Pool(..) => n_chunks + 1,
+        }),
     });
 
-    // Execute: workers run the schedule, the driving thread mirrors the
-    // barrier sequence to measure walls.
+    // Execute: the worker tasks run the schedule. The calling thread is
+    // a party too — worker 0 when spawning, a node-less participant
+    // beside a pooled gang — and stamps the walls.
     let mut nodes = nodes.into_iter();
     let mut receivers = receivers.into_iter();
-    let tasks = (0..n_chunks).map(|ci| {
+    let mut chunks = (0..n_chunks).map(|ci| {
         let base = ci * chunk;
         let take = chunk.min(nn - base);
         let nodes: Vec<S::Node> = nodes.by_ref().take(take).collect();
         let rxs: Vec<_> = receivers.by_ref().take(take).collect();
-        let shared = Arc::clone(&shared);
-        move |fp| worker_body(&shared, base, nodes, rxs, fp)
+        (base, nodes, rxs)
     });
-    let walls;
+    let mut walls = Walls::default();
     let results: Vec<Result<_, String>> = match backend {
         ExecBackend::Spawn => {
-            let handles: Vec<_> = tasks
-                .map(|task| std::thread::spawn(move || task(FramePool::new())))
+            let (base, mine, rxs) = chunks.next().expect("a run has at least one chunk");
+            let handles: Vec<_> = chunks
+                .map(|(base, nodes, rxs)| {
+                    let shared = Arc::clone(&shared);
+                    std::thread::spawn(move || {
+                        worker_body(&shared, base, nodes, rxs, FramePool::new(), None)
+                    })
+                })
                 .collect();
-            walls = drive_barriers(&shared);
-            handles
-                .into_iter()
-                .map(|h| h.join().map_err(|p| panic_message(&*p)))
+            let first = worker_body(&shared, base, mine, rxs, FramePool::new(), Some(&mut walls));
+            std::iter::once(Ok(first))
+                .chain(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().map_err(|p| panic_message(&*p))),
+                )
                 .collect()
         }
         ExecBackend::Pool(pool, bank) => {
@@ -931,22 +979,32 @@ pub(crate) fn execute<S: StepSource>(
             // the run's tasks share a barrier, so a partial schedule
             // would deadlock.
             let mut gang = pool.gang(n_chunks);
-            for task in tasks {
+            for (base, nodes, rxs) in chunks {
                 let fp = bank.map(PoolBank::take).unwrap_or_default();
-                gang.spawn(move || task(fp));
+                let shared = Arc::clone(&shared);
+                gang.spawn(move || worker_body(&shared, base, nodes, rxs, fp, None));
             }
-            walls = drive_barriers(&shared);
+            worker_body(
+                &shared,
+                nn,
+                Vec::new(),
+                Vec::new(),
+                FramePool::new(),
+                Some(&mut walls),
+            );
             gang.join()
         }
     };
-    let (phase_walls, step_walls, wall) = walls;
     let mut stats: Vec<WorkerStats> = Vec::with_capacity(n_chunks);
     let mut finals: Vec<S::Node> = Vec::with_capacity(nn);
     for result in results {
-        let (ws, fp, nodes) = result.map_err(RuntimeError::WorkerPanicked)?;
+        let (mut ws, fp, nodes) = result.map_err(RuntimeError::WorkerPanicked)?;
         // Check the warm frame pool back in for the next job on the bank.
         if let ExecBackend::Pool(_, Some(bank)) = backend {
             bank.put(fp);
+        }
+        if let Some(message) = ws.panicked.take() {
+            return Err(RuntimeError::WorkerPanicked(message));
         }
         stats.push(ws);
         finals.extend(nodes);
@@ -961,7 +1019,7 @@ pub(crate) fn execute<S: StepSource>(
         for &hops in &ph.hops {
             let mut step = StepStat {
                 max_hops: hops,
-                time_us: step_walls[g].as_secs_f64() * 1e6,
+                time_us: walls.steps[g].as_secs_f64() * 1e6,
                 ..Default::default()
             };
             for w in &stats {
@@ -976,7 +1034,7 @@ pub(crate) fn execute<S: StepSource>(
         let mut pr = PhaseReport {
             name: ph.name.clone(),
             steps: ph.hops.len(),
-            wall: phase_walls[pi],
+            wall: walls.phases[pi],
             ..Default::default()
         };
         let mut rearr_max = 0u64;
@@ -1008,11 +1066,108 @@ pub(crate) fn execute<S: StepSource>(
         trace,
         finals,
         workers,
-        wall,
+        wall: walls.run,
         phases: phase_reports,
         peak_node_bytes: stats.iter().map(|w| w.peak_bytes).max().unwrap_or(0),
         faults,
         fault_events: merge_events(stats.into_iter().map(|w| w.events).collect()),
         failure,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    const NODES: NodeId = 6;
+
+    /// A toy schedule: in each of two steps every node sends one block to
+    /// its ring successor. `emit` panics at `panic_at` (step, node).
+    struct Ring {
+        phases: Vec<PhaseMeta>,
+        panic_at: Option<(usize, NodeId)>,
+    }
+
+    impl StepSource for Ring {
+        /// Blocks absorbed so far.
+        type Node = u64;
+
+        fn phases(&self) -> &[PhaseMeta] {
+            &self.phases
+        }
+
+        fn dst(&self, _g: usize, node: NodeId) -> Option<NodeId> {
+            Some((node + 1) % NODES)
+        }
+
+        fn emit(&self, g: usize, node: NodeId, _: &mut u64, out: &mut Vec<Block<Bytes>>) {
+            if self.panic_at == Some((g, node)) {
+                panic!("toy emit panicked at step {g}, node {node}");
+            }
+            let payload = Bytes::from(vec![g as u8; 8]);
+            out.push(Block::with_payload(node, (node + 1) % NODES, payload));
+        }
+
+        fn absorb(&self, state: &mut u64, incoming: &mut Vec<Block<Bytes>>) {
+            *state += incoming.drain(..).count() as u64;
+        }
+
+        fn resident(&self, _: &u64) -> u64 {
+            0
+        }
+    }
+
+    /// Runs the ring on its own thread (on `pool` if given) and waits at
+    /// most one second for `execute` to return; its failure record comes
+    /// back with the final states.
+    fn run_ring(
+        pool: Option<Arc<WorkerPool>>,
+        workers: usize,
+        panic_at: Option<(usize, NodeId)>,
+    ) -> Result<(Vec<u64>, Option<NodeFailure>), RuntimeError> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let ring = Ring {
+                phases: vec![PhaseMeta {
+                    name: "ring".into(),
+                    hops: vec![1, 1],
+                    rearrange_after: false,
+                }],
+                panic_at,
+            };
+            let config = RuntimeConfig::default().with_workers(workers);
+            let backend = match &pool {
+                Some(pool) => ExecBackend::Pool(pool, None),
+                None => ExecBackend::Spawn,
+            };
+            let nodes = vec![0; NODES as usize];
+            let outcome = execute(Arc::new(ring), &config, backend, nodes);
+            let _ = tx.send(outcome.map(|o| (o.finals, o.failure)));
+        });
+        rx.recv_timeout(Duration::from_secs(1))
+            .expect("execute returned within 1 s")
+    }
+
+    #[test]
+    fn a_panicking_worker_fails_the_run_instead_of_hanging_it() {
+        let pool = Arc::new(WorkerPool::new(3));
+        for workers in 1..=3 {
+            for pool in [None, Some(Arc::clone(&pool))] {
+                let lane = format!("{workers} worker(s), pooled: {}", pool.is_some());
+                match run_ring(pool.clone(), workers, Some((0, 0))) {
+                    Err(RuntimeError::WorkerPanicked(message)) => assert!(
+                        message.contains("toy emit panicked at step 0, node 0"),
+                        "{lane}: {message}"
+                    ),
+                    Err(other) => panic!("{lane}: expected WorkerPanicked, got {other}"),
+                    Ok(_) => panic!("{lane}: expected WorkerPanicked, run completed"),
+                }
+                // The same backend runs a clean job afterwards.
+                let (finals, failure) = run_ring(pool, workers, None).unwrap();
+                assert_eq!(failure, None, "{lane}");
+                assert_eq!(finals, vec![2; NODES as usize], "{lane}");
+            }
+        }
+    }
 }

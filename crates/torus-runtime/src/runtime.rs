@@ -451,6 +451,8 @@ impl Runtime {
     /// Runs one exchange with deterministic per-pair pattern payloads of
     /// [`block_bytes`](RuntimeConfig::block_bytes) each, and verifies
     /// delivery bit-exactly. This is the standard measurement entry point.
+    /// The calling thread is worker 0; the other `W − 1` workers are
+    /// spawned for the run and joined before it returns.
     pub fn run(&self) -> Result<RuntimeReport, RuntimeError> {
         let payloads = SpecPayloads::Spec(PayloadSpec::Pattern);
         self.run_policy(ExecBackend::Spawn, payloads)

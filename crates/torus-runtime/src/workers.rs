@@ -1,8 +1,11 @@
 //! A persistent, reusable worker-thread pool with gang scheduling.
 //!
-//! [`Runtime::run`](crate::Runtime::run) spawns and joins a fresh thread
-//! fleet per exchange — fine for one-shot measurement, pure overhead for
-//! a service executing thousands of exchanges. A [`WorkerPool`] keeps its
+//! [`Runtime::run`](crate::Runtime::run) runs the first worker on the
+//! calling thread and spawns and joins the other `W − 1` per exchange —
+//! no thread at all at one worker, fine for one-shot measurement, pure
+//! overhead for a service executing thousands of multi-worker exchanges
+//! (and a pooled run keeps its gang off the caller's thread, so several
+//! jobs can share one pool). A [`WorkerPool`] keeps its
 //! threads alive across runs: each thread parks on its task channel
 //! between jobs and wakes only when handed work, so steady-state job
 //! submission spawns no threads at all.

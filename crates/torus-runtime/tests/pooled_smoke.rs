@@ -76,3 +76,49 @@ fn pooled_spec_seeding_delivers_like_the_closure_producer() {
     }
     pool.shutdown();
 }
+
+/// Both backends take the walls from the thread that called the run:
+/// every step takes time, the steps nest in their phases and the phases
+/// in the run, and the phase and step grid is the plan's.
+#[test]
+fn walls_nest_steps_in_phases_in_the_run_on_both_backends() {
+    let pool = WorkerPool::new(3);
+    for dims in [&[4, 4, 4][..], &[8, 8]] {
+        let shape = TorusShape::new(dims).unwrap();
+        for workers in [1, 3] {
+            let cfg = RuntimeConfig::default().with_workers(workers);
+            let rt = Runtime::new(&shape, cfg).unwrap();
+            let (pooled, _) = rt.run_pooled(&pool, None, PayloadSpec::Pattern).unwrap();
+            for (backend, report) in [("spawn", rt.run().unwrap()), ("pool", pooled)] {
+                let lane = format!("{dims:?}, {workers} worker(s), {backend}");
+                assert!(report.verified, "{lane}");
+                let plan = rt.plan().phases();
+                assert_eq!(report.phases.len(), plan.len(), "{lane}");
+                assert_eq!(report.trace.phases.len(), plan.len(), "{lane}");
+                for ((phase, traced), planned) in
+                    report.phases.iter().zip(&report.trace.phases).zip(plan)
+                {
+                    assert_eq!(phase.steps, planned.steps.len(), "{lane}");
+                    assert_eq!(traced.steps.len(), planned.steps.len(), "{lane}");
+                }
+                let steps = || report.trace.phases.iter().flat_map(|p| &p.steps);
+                assert!(steps().all(|s| s.time_us > 0.0), "{lane}");
+                let step_us: f64 = steps().map(|s| s.time_us).sum();
+                let phase_us: f64 = report
+                    .phases
+                    .iter()
+                    .map(|p| p.wall.as_secs_f64() * 1e6)
+                    .sum();
+                let run_us = report.wall.as_secs_f64() * 1e6;
+                assert!(
+                    step_us <= phase_us + 1.0,
+                    "{lane}: steps {step_us} > phases {phase_us} µs"
+                );
+                assert!(
+                    phase_us <= run_us + 1.0,
+                    "{lane}: phases {phase_us} > run {run_us} µs"
+                );
+            }
+        }
+    }
+}
