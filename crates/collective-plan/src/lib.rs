@@ -263,7 +263,7 @@ impl JobOp {
 }
 
 /// One node's send in one step: `src` ships the blocks identified by
-/// `keys` to `dst` (one hop along the step's dimension; the executor
+/// `keys` to `dst` (the step's `hops` along its dimension; the executor
 /// does not care about the route, only the pairing). With `retain` the
 /// sender keeps its copies (broadcast/allgather); without, the blocks
 /// move (scatter/gather/reduce).
@@ -286,7 +286,8 @@ pub struct SendInstr {
 pub struct CollectiveStep {
     /// Dimension the step moves along (phase bookkeeping only).
     pub dim: usize,
-    /// Ring hops every send travels (1 except scatter's halving levels).
+    /// Ring hops every send travels: the tree level for the rooted ops
+    /// (the short way round the ring), 1 for allgather.
     pub hops: u32,
     /// The step's sends. Each node appears at most once as `src` and at
     /// most once as `dst`.

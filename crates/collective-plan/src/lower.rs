@@ -1,14 +1,27 @@
 //! Lowering of the six collectives to explicit send manifests.
 //!
 //! This is the only place the dimension-ordered ring schedules are
-//! written. Two interpreters read what it emits: `torus-runtime` moves
-//! the blocks as real bytes, and `collectives::simulate` replays every
-//! send as a `torus_sim::Transmission` through the wormhole channel
-//! checker and the Section 2 cost model. A holdings simulation runs
-//! alongside the lowering: every emitted step is validated (one frame
-//! out and one frame in per node, senders hold what they ship) and
-//! applied, and the final holdings are checked against the op's
-//! contract before a plan is handed to either interpreter.
+//! written, and it writes two of them. Every rooted collective is one
+//! tree, `lower_tree`'s recursive doubling from the root, run forwards
+//! or backwards:
+//!
+//! | op | lowering | steps |
+//! |---|---|---|
+//! | broadcast | tree, replicating the root's block | `Σ ⌈log₂ a_d⌉` |
+//! | scatter | tree, moving each window's keys | `Σ ⌈log₂ a_d⌉` |
+//! | gather | scatter reversed | `Σ ⌈log₂ a_d⌉` |
+//! | reduce | broadcast of key 0 reversed: each receive combines | `Σ ⌈log₂ a_d⌉` |
+//! | allreduce | reduce to node 0, then broadcast from it | `2 Σ ⌈log₂ a_d⌉` |
+//! | allgather | forward-what-arrived ring pipelines | `Σ (a_d − 1)` |
+//!
+//! Two interpreters read what it emits: `torus-runtime` moves the
+//! blocks as real bytes, and `collectives::simulate` replays every send
+//! as a `torus_sim::Transmission` through the wormhole channel checker
+//! and the Section 2 cost model. A holdings simulation runs alongside
+//! the lowering: every emitted step is validated (one frame out and one
+//! frame in per node, senders hold what they ship) and applied, and the
+//! final holdings are checked against the op's contract before a plan
+//! is handed to either interpreter.
 
 use std::collections::BTreeSet;
 
@@ -192,64 +205,99 @@ impl<'a> Builder<'a> {
     }
 }
 
-/// Bidirectional ring pipelines from every informed node, distributing
-/// block `key` from the node at `rootc`. Used by `Broadcast` (key = root
-/// id) and by the second half of `Allreduce` (key = 0, rootc = node 0).
-fn lower_broadcast(
+/// Recursive doubling from the node at `rootc`, one dimension at a
+/// time in order. At level `h` (`a_d.next_power_of_two() / 2` halving
+/// down to 1), every covered node at root-relative ring offset
+/// `o ≡ 0 (mod 2h)` with `o + h < a_d` sends `h` hops forward. The
+/// windows are aligned to `2h` and cut off at `a_d`, so every send of a
+/// step travels the same distance over its own arc of the ring, on any
+/// extent, in `⌈log₂ a_d⌉` steps per dimension.
+///
+/// `Some(key)` replicates that one block (broadcast); `None` moves the
+/// keys whose dim-`d` offset from the root lies in `[o + h, o + 2h)`
+/// (scatter: keys are destination node ids).
+fn lower_tree(
     b: &mut Builder<'_>,
     rootc: &Coord,
-    key: u32,
     label: &str,
+    key: Option<u32>,
 ) -> Result<(), PlanError> {
     let shape = b.shape;
     let n = shape.ndims();
     for d in 0..n {
-        let k = shape.extent(d);
-        if k == 1 {
+        let a = shape.extent(d);
+        if a == 1 {
             continue;
         }
         b.begin_phase(format!("{label} dim {d}"));
-        // Frontier offsets within every ring; anchors are the informed
-        // nodes, the informed arc is [−neg, +pos] around each anchor.
-        let mut pos: u32 = 0;
-        let mut neg: u32 = 0;
-        while pos + neg + 1 < k {
-            let remaining = k - (pos + neg + 1);
-            // Ring-local moves this step: (sender offset, hop delta).
-            let mut moves: Vec<(u32, i64)> = Vec::new();
-            if pos == 0 && neg == 0 {
-                // The anchor is both frontiers but has one injection
-                // port: prime the + direction first.
-                moves.push((0, 1));
-                pos = 1;
-            } else if remaining == 1 {
-                // One uninformed node left; both frontiers target it —
-                // send from + only.
-                moves.push((pos, 1));
-                pos += 1;
-            } else {
-                moves.push((pos, 1));
-                moves.push(((k - neg) % k, -1));
-                pos += 1;
-                neg += 1;
-            }
+        let mut h = a.next_power_of_two() / 2;
+        while h >= 1 {
             let mut sends = Vec::new();
             for c in shape.iter_coords() {
-                if !covered_before_phase(rootc, &c, d + 1, n) || c[d] != rootc[d] {
-                    continue; // not a ring anchor for this phase
+                let o = ring_offset(shape, rootc, &c, d);
+                if !covered_before_phase(rootc, &c, d + 1, n)
+                    || !o.is_multiple_of(2 * h)
+                    || o + h >= a
+                {
+                    continue;
                 }
-                for &(from_off, delta) in &moves {
-                    let from = c.with(d, (c[d] + from_off) % k);
-                    let to = from.with(d, ((from[d] as i64 + delta).rem_euclid(k as i64)) as u32);
-                    sends.push(SendInstr {
-                        src: shape.index_of(&from),
-                        dst: shape.index_of(&to),
-                        keys: vec![key],
-                        retain: true,
-                    });
-                }
+                let src = shape.index_of(&c);
+                let keys = match key {
+                    Some(k) => vec![k],
+                    None => b
+                        .keys_at(src)
+                        .iter()
+                        .copied()
+                        .filter(|&t| {
+                            let off = ring_offset(shape, rootc, &shape.coord_of(t), d);
+                            (o + h..o + 2 * h).contains(&off)
+                        })
+                        .collect(),
+                };
+                sends.push(SendInstr {
+                    src,
+                    dst: shape.index_of(&c.with(d, (c[d] + h) % a)),
+                    keys,
+                    retain: key.is_some(),
+                });
             }
             b.push_step(d, sends)?;
+            h /= 2;
+        }
+    }
+    Ok(())
+}
+
+/// Time-reversal of a forward lowering: `forward` runs on a scratch
+/// builder from `forward_initial`, then its steps replay last to first
+/// into `b` with every send's endpoints swapped and move semantics. A
+/// replicating tree becomes a combining one (reduce), a moving tree
+/// its inverse (gather). Reversal maps each directed channel to its
+/// opposite, so contention-freedom carries over, and `b` re-validates
+/// every step like any other lowering: the result is checked, not
+/// trusted.
+fn lower_reversed(
+    b: &mut Builder<'_>,
+    forward_initial: &[Vec<u32>],
+    forward: impl FnOnce(&mut Builder<'_>) -> Result<(), PlanError>,
+) -> Result<(), PlanError> {
+    let mut f = Builder::new(b.shape, false, forward_initial);
+    forward(&mut f)?;
+    let mut steps = f.steps.into_iter().rev();
+    for (label, nsteps) in f.phases.into_iter().rev() {
+        b.begin_phase(label);
+        for step in steps.by_ref().take(nsteps) {
+            let sends = step
+                .sends
+                .into_iter()
+                .map(|s| SendInstr {
+                    src: s.dst,
+                    dst: s.src,
+                    keys: s.keys,
+                    retain: false,
+                })
+                .collect();
+            b.push_step(step.dim, sends)?;
         }
     }
     Ok(())
@@ -299,130 +347,6 @@ fn lower_allgather(b: &mut Builder<'_>) -> Result<(), PlanError> {
     Ok(())
 }
 
-/// Recursive halving (power-of-two extents) / forwarding pipeline
-/// (otherwise). Move semantics; keys are destination node ids.
-fn lower_scatter(b: &mut Builder<'_>, rootc: &Coord) -> Result<(), PlanError> {
-    let _ = rootc; // the holdings identify the root; kept for symmetry
-    let shape = b.shape;
-    let n = shape.ndims();
-    let nn = shape.num_nodes();
-    for d in 0..n {
-        let k = shape.extent(d);
-        if k == 1 {
-            continue;
-        }
-        b.begin_phase(format!("scatter dim {d}"));
-        if k.is_power_of_two() {
-            // At level `half`, each holder owns a window of 2*half ring
-            // offsets and ships the far half `half` hops forward.
-            let mut half = k / 2;
-            while half >= 1 {
-                let mut sends = Vec::new();
-                for c in shape.iter_coords() {
-                    let u = shape.index_of(&c);
-                    if b.keys_at(u).is_empty() {
-                        continue;
-                    }
-                    let send: Vec<u32> = b
-                        .keys_at(u)
-                        .iter()
-                        .copied()
-                        .filter(|&t| {
-                            let tc = shape.coord_of(t);
-                            let off = ring_offset(shape, &c, &tc, d);
-                            off >= half && off < 2 * half
-                        })
-                        .collect();
-                    if send.is_empty() {
-                        continue;
-                    }
-                    let to = c.with(d, (c[d] + half) % k);
-                    sends.push(SendInstr {
-                        src: u,
-                        dst: shape.index_of(&to),
-                        keys: send,
-                        retain: false,
-                    });
-                }
-                b.push_step(d, sends)?;
-                half /= 2;
-            }
-        } else {
-            // Forwarding pipeline: every holder ships, one hop at a
-            // time, the blocks whose destination lies further along.
-            for _step in 0..k - 1 {
-                let mut sends = Vec::new();
-                for c in shape.iter_coords() {
-                    let u = shape.index_of(&c);
-                    if b.keys_at(u).is_empty() {
-                        continue;
-                    }
-                    let send: Vec<u32> = b
-                        .keys_at(u)
-                        .iter()
-                        .copied()
-                        .filter(|&t| {
-                            let tc = shape.coord_of(t);
-                            ring_offset(shape, &c, &tc, d) > 0
-                        })
-                        .collect();
-                    if send.is_empty() {
-                        continue;
-                    }
-                    let to = c.with(d, (c[d] + 1) % k);
-                    sends.push(SendInstr {
-                        src: u,
-                        dst: shape.index_of(&to),
-                        keys: send,
-                        retain: false,
-                    });
-                }
-                b.push_step(d, sends)?;
-            }
-        }
-    }
-    let _ = nn;
-    Ok(())
-}
-
-/// Combining pipelines toward the root, last dimension first: gather
-/// (`combining = false`, each node's key travels whole) and reduce
-/// (`combining = true`, the single partial key 0 folds at every hop).
-fn lower_toward_root(b: &mut Builder<'_>, rootc: &Coord, label: &str) -> Result<(), PlanError> {
-    let shape = b.shape;
-    let n = shape.ndims();
-    for d in (0..n).rev() {
-        let k = shape.extent(d);
-        if k == 1 {
-            continue;
-        }
-        b.begin_phase(format!("{label} dim {d}"));
-        for _step in 0..k - 1 {
-            let mut sends = Vec::new();
-            for c in shape.iter_coords() {
-                let u = shape.index_of(&c);
-                // Only the still-active region participates: higher
-                // dimensions already collapsed onto the root.
-                if !covered_before_phase(rootc, &c, d + 1, n)
-                    || ring_offset(shape, rootc, &c, d) == 0
-                    || b.keys_at(u).is_empty()
-                {
-                    continue;
-                }
-                let to = c.with(d, (c[d] + k - 1) % k);
-                sends.push(SendInstr {
-                    src: u,
-                    dst: shape.index_of(&to),
-                    keys: b.keys_at(u).iter().copied().collect(),
-                    retain: false,
-                });
-            }
-            b.push_step(d, sends)?;
-        }
-    }
-    Ok(())
-}
-
 impl CollectivePlan {
     /// Lowers `op` for `shape`, validating the emitted schedule against
     /// the one-port contract and the op's final-holdings invariant.
@@ -433,78 +357,43 @@ impl CollectivePlan {
                 return Err(PlanError::BadRoot { root, nodes: nn });
             }
         }
-        let all: Vec<u32> = (0..nn).collect();
-        let empty: Vec<u32> = Vec::new();
-        let (initial, contract): (Vec<Vec<u32>>, Vec<Vec<u32>>) = match op {
-            CollectiveOp::Broadcast { root } => (
-                (0..nn)
-                    .map(|u| if u == root { vec![root] } else { empty.clone() })
-                    .collect(),
-                (0..nn).map(|_| vec![root]).collect(),
-            ),
-            CollectiveOp::Scatter { root } => (
-                (0..nn)
-                    .map(|u| {
-                        if u == root {
-                            all.clone()
-                        } else {
-                            empty.clone()
-                        }
-                    })
-                    .collect(),
-                (0..nn).map(|u| vec![u]).collect(),
-            ),
-            CollectiveOp::Gather { root } => (
-                (0..nn).map(|u| vec![u]).collect(),
-                (0..nn)
-                    .map(|u| {
-                        if u == root {
-                            all.clone()
-                        } else {
-                            empty.clone()
-                        }
-                    })
-                    .collect(),
-            ),
-            CollectiveOp::Allgather => (
-                (0..nn).map(|u| vec![u]).collect(),
-                (0..nn).map(|_| all.clone()).collect(),
-            ),
-            CollectiveOp::Reduce { root, .. } => (
-                (0..nn).map(|_| vec![0]).collect(),
-                (0..nn)
-                    .map(|u| if u == root { vec![0] } else { empty.clone() })
-                    .collect(),
-            ),
-            CollectiveOp::Allreduce { .. } => (
-                (0..nn).map(|_| vec![0]).collect(),
-                (0..nn).map(|_| vec![0]).collect(),
-            ),
+        // `keys` at `root`, nothing anywhere else.
+        let only_at = |root: u32, keys: Vec<u32>| -> Vec<Vec<u32>> {
+            (0..nn)
+                .map(|u| if u == root { keys.clone() } else { Vec::new() })
+                .collect()
         };
-        let combining = op.reduce().is_some();
-        let mut b = Builder::new(shape, combining, &initial);
+        let all: Vec<u32> = (0..nn).collect();
+        let own: Vec<Vec<u32>> = (0..nn).map(|u| vec![u]).collect();
+        let everywhere = |keys: Vec<u32>| vec![keys; nn as usize];
+        let (initial, contract) = match op {
+            CollectiveOp::Broadcast { root } => (only_at(root, vec![root]), everywhere(vec![root])),
+            CollectiveOp::Scatter { root } => (only_at(root, all), own),
+            CollectiveOp::Gather { root } => (own, only_at(root, all)),
+            CollectiveOp::Allgather => (own, everywhere(all)),
+            CollectiveOp::Reduce { root, .. } => (everywhere(vec![0]), only_at(root, vec![0])),
+            CollectiveOp::Allreduce { .. } => (everywhere(vec![0]), everywhere(vec![0])),
+        };
+        let rootc = shape.coord_of(op.root().unwrap_or(0));
+        let mut b = Builder::new(shape, op.reduce().is_some(), &initial);
+        // A reversed op's forward tree starts from the holdings the op
+        // must end with.
         match op {
-            CollectiveOp::Broadcast { root } => {
-                lower_broadcast(&mut b, &shape.coord_of(root), root, "broadcast")?;
+            CollectiveOp::Broadcast { root } => lower_tree(&mut b, &rootc, "broadcast", Some(root)),
+            CollectiveOp::Scatter { .. } => lower_tree(&mut b, &rootc, "scatter", None),
+            CollectiveOp::Gather { .. } => {
+                lower_reversed(&mut b, &contract, |f| lower_tree(f, &rootc, "gather", None))
             }
-            CollectiveOp::Scatter { root } => {
-                lower_scatter(&mut b, &shape.coord_of(root))?;
-            }
-            CollectiveOp::Gather { root } => {
-                lower_toward_root(&mut b, &shape.coord_of(root), "gather")?;
-            }
-            CollectiveOp::Allgather => {
-                lower_allgather(&mut b)?;
-            }
-            CollectiveOp::Reduce { root, .. } => {
-                lower_toward_root(&mut b, &shape.coord_of(root), "reduce")?;
-            }
-            CollectiveOp::Allreduce { .. } => {
-                let zero = shape.coord_of(0);
-                lower_toward_root(&mut b, &zero, "reduce")?;
-                lower_broadcast(&mut b, &zero, 0, "broadcast")?;
-            }
-        }
+            CollectiveOp::Allgather => lower_allgather(&mut b),
+            CollectiveOp::Reduce { .. } => lower_reversed(&mut b, &contract, |f| {
+                lower_tree(f, &rootc, "reduce", Some(0))
+            }),
+            // Reduce toward node 0, then broadcast the result from it.
+            CollectiveOp::Allreduce { .. } => lower_reversed(&mut b, &only_at(0, vec![0]), |f| {
+                lower_tree(f, &rootc, "reduce", Some(0))
+            })
+            .and_then(|()| lower_tree(&mut b, &rootc, "broadcast", Some(0))),
+        }?;
         b.finish(shape.clone(), op, initial, contract)
     }
 }
@@ -589,11 +478,11 @@ mod tests {
 
     #[test]
     fn broadcast_step_count_is_near_optimal() {
-        // Bidirectional pipeline: an 8-ring needs 4 steps per dimension
-        // (prime +, then three parallel steps informing 2 nodes each).
+        // Recursive doubling: an 8-ring takes log₂ 8 = 3 steps per
+        // dimension, the ⌈log₂ N⌉ = 6 one-port bound on 8×8.
         let shape = TorusShape::new(&[8, 8]).unwrap();
         let plan = CollectivePlan::new(&shape, CollectiveOp::Broadcast { root: 0 }).unwrap();
-        assert_eq!(plan.num_steps(), 2 * 4);
+        assert_eq!(plan.num_steps(), 3 + 3);
     }
 
     #[test]
@@ -601,9 +490,10 @@ mod tests {
         let shape = TorusShape::new(&[8, 8]).unwrap();
         let plan = CollectivePlan::new(&shape, CollectiveOp::Scatter { root: 0 }).unwrap();
         assert_eq!(plan.num_steps(), 3 + 3);
+        // Non-power-of-two extents take ⌈log₂ a_d⌉ steps too.
         let shape = TorusShape::new(&[3, 5]).unwrap();
         let plan = CollectivePlan::new(&shape, CollectiveOp::Scatter { root: 0 }).unwrap();
-        assert_eq!(plan.num_steps(), 2 + 4);
+        assert_eq!(plan.num_steps(), 2 + 3);
     }
 
     #[test]
@@ -618,7 +508,54 @@ mod tests {
             },
         ] {
             let plan = CollectivePlan::new(&shape, op).unwrap();
-            assert_eq!(plan.num_steps(), 3 + 7, "{op:?}");
+            assert_eq!(plan.num_steps(), 2 + 3, "{op:?}");
+        }
+    }
+
+    /// The plan's sends per step; `reversed` lists the steps last to
+    /// first with endpoints swapped, moving.
+    fn manifest(plan: &CollectivePlan, reversed: bool) -> Vec<Vec<SendInstr>> {
+        let mut steps: Vec<Vec<SendInstr>> = plan
+            .steps()
+            .iter()
+            .map(|st| {
+                st.sends
+                    .iter()
+                    .map(|s| match reversed {
+                        false => s.clone(),
+                        true => SendInstr {
+                            src: s.dst,
+                            dst: s.src,
+                            keys: s.keys.clone(),
+                            retain: false,
+                        },
+                    })
+                    .collect()
+            })
+            .collect();
+        if reversed {
+            steps.reverse();
+        }
+        steps
+    }
+
+    #[test]
+    fn gather_and_reduce_are_scatter_and_broadcast_reversed() {
+        for shape in shapes() {
+            let plan = |op| CollectivePlan::new(&shape, op).unwrap();
+            let root = shape.num_nodes() / 2;
+            assert_eq!(
+                manifest(&plan(CollectiveOp::Gather { root }), false),
+                manifest(&plan(CollectiveOp::Scatter { root }), true),
+                "{shape}"
+            );
+            // A broadcast from node 0 ships key 0, the reduce's partial.
+            let (op, dtype) = (ReduceOp::Max, Dtype::F32);
+            assert_eq!(
+                manifest(&plan(CollectiveOp::Reduce { root: 0, op, dtype }), false),
+                manifest(&plan(CollectiveOp::Broadcast { root: 0 }), true),
+                "{shape}"
+            );
         }
     }
 
@@ -666,20 +603,24 @@ mod tests {
     }
 
     #[test]
-    fn moves_are_single_hop_along_step_dim() {
-        // Except scatter's halving levels, every send is one hop along
-        // the step dimension; all sends stay within the sender's ring.
-        let shape = TorusShape::new(&[4, 6]).unwrap();
-        for op in all_ops(5) {
-            let plan = CollectivePlan::new(&shape, op).unwrap();
-            for step in plan.steps() {
-                for s in &step.sends {
-                    let a = shape.coord_of(s.src);
-                    let b = shape.coord_of(s.dst);
-                    for e in 0..shape.ndims() {
-                        if e != step.dim {
-                            assert_eq!(a[e], b[e], "{op:?} leaves ring");
+    fn every_send_of_a_step_travels_its_hops_along_its_dim() {
+        // One `dim`/`hops` per step is exact on every extent: all sends
+        // stay within the sender's ring and cover the same distance.
+        for shape in shapes() {
+            for op in all_ops(shape.num_nodes() / 3) {
+                let plan = CollectivePlan::new(&shape, op).unwrap();
+                for step in plan.steps() {
+                    let k = shape.extent(step.dim);
+                    for s in &step.sends {
+                        let a = shape.coord_of(s.src);
+                        let b = shape.coord_of(s.dst);
+                        for e in 0..shape.ndims() {
+                            if e != step.dim {
+                                assert_eq!(a[e], b[e], "{op:?} on {shape} leaves ring");
+                            }
                         }
+                        let off = torus_topology::ring_sub(b[step.dim], a[step.dim], k);
+                        assert_eq!(off.min(k - off), step.hops, "{op:?} on {shape}");
                     }
                 }
             }

@@ -14,24 +14,26 @@
 //! against the one-port wormhole model (no two messages on one
 //! unidirectional channel) and charged the Section 2 cost counts.
 //!
-//! | operation | schedule (dimension-ordered rings) | steps |
+//! | op | schedule (dimension-ordered) | steps |
 //! |---|---|---|
-//! | [`broadcast`] | per-dimension bidirectional ring pipeline | `Σ ⌈a_d/2⌉` |
-//! | [`scatter`] | per-dimension recursive halving (power-of-two rings), pipeline otherwise | `Σ log₂ a_d` |
-//! | [`gather`] | per-dimension combining pipeline toward the root | `Σ (a_d − 1)` |
-//! | [`allgather`] | per-dimension unidirectional ring pipeline | `Σ (a_d − 1)` |
-//! | [`reduce()`](fn@reduce) | per-dimension combining wave toward the root | `Σ (a_d − 1)` |
-//! | [`allreduce`] | reduce + broadcast, one plan | sum of both |
+//! | broadcast | recursive doubling from the root | `Σ ⌈log₂ a_d⌉` |
+//! | scatter | the same tree, moving each window's blocks | `Σ ⌈log₂ a_d⌉` |
+//! | gather | scatter reversed | `Σ ⌈log₂ a_d⌉` |
+//! | allgather | unidirectional ring pipelines | `Σ (a_d − 1)` |
+//! | reduce | broadcast reversed, combining at every receive | `Σ ⌈log₂ a_d⌉` |
+//! | allreduce | reduce to node 0, then broadcast | `2 Σ ⌈log₂ a_d⌉` |
 //!
-//! The per-op functions are conveniences: build the [`CollectiveOp`],
-//! lower it, [`simulate`]. All return a [`CollectiveReport`] with the same
-//! critical-path cost counts the all-to-all evaluation uses, so
-//! collectives can be compared under the Section 2 parameters.
+//! Every rooted op meets the one-port bound `⌈log₂ N⌉` on power-of-two
+//! shapes. Lower a [`CollectiveOp`](collective_plan::CollectiveOp) with
+//! [`CollectivePlan::new`] and hand the plan to [`simulate`]: the
+//! [`CollectiveReport`] carries the same critical-path cost counts the
+//! all-to-all evaluation uses, so collectives can be compared under the
+//! Section 2 parameters.
 
-use collective_plan::{CollectiveOp, CollectivePlan, CollectiveStep, Dtype, PlanError, ReduceOp};
+use collective_plan::{CollectivePlan, CollectiveStep};
 use cost_model::{CommParams, CompletionTime, CostCounts};
 use torus_sim::{Engine, Transmission};
-use torus_topology::{ring_sub, Direction, NodeId, TorusShape};
+use torus_topology::{ring_sub, Direction, TorusShape};
 
 /// Outcome of one collective operation.
 #[derive(Clone, Debug)]
@@ -55,39 +57,22 @@ impl CollectiveReport {
     }
 }
 
-/// Shared error type.
+/// Why [`simulate`] refused a plan.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CollectiveError {
     /// The simulator rejected a step (a scheduling bug).
     Sim(String),
-    /// Postcondition violated.
-    Verification(String),
-    /// Unsupported argument.
-    BadArgument(String),
 }
 
 impl std::fmt::Display for CollectiveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CollectiveError::Sim(s) => write!(f, "simulation rejected a step: {s}"),
-            CollectiveError::Verification(s) => write!(f, "verification failed: {s}"),
-            CollectiveError::BadArgument(s) => write!(f, "bad argument: {s}"),
         }
     }
 }
 
 impl std::error::Error for CollectiveError {}
-
-/// A lowering or replay that broke its own contract is a verification
-/// failure; everything else a plan can refuse is the caller's argument.
-impl From<PlanError> for CollectiveError {
-    fn from(e: PlanError) -> Self {
-        match e {
-            PlanError::Internal(_) => CollectiveError::Verification(e.to_string()),
-            _ => CollectiveError::BadArgument(e.to_string()),
-        }
-    }
-}
 
 /// One step's sends as simulator messages: `keys.len() · per_key` blocks
 /// travelling the step's `hops` along its `dim` — in `+` when that is how
@@ -132,6 +117,14 @@ fn step_messages(shape: &TorusShape, step: &CollectiveStep, per_key: u64) -> Vec
 /// let report = collectives::simulate(&plan, &CommParams::unit(), 1).unwrap();
 /// assert_eq!(report.counts.startup_steps, plan.num_steps() as u64);
 /// assert_eq!(report.counts.trans_blocks, 15); // (N − 1) blocks received
+///
+/// // Reductions carry real data through the plan's reference replay.
+/// use collective_plan::{Dtype, ReduceOp};
+/// let (op, dtype) = (ReduceOp::Sum, Dtype::U64);
+/// let plan = CollectivePlan::new(&shape, CollectiveOp::Reduce { root: 0, op, dtype }).unwrap();
+/// let finals = plan.reference_finals(8, |u| u64::from(u).to_le_bytes().to_vec()).unwrap();
+/// assert_eq!(finals[0][0].1, (0..16u64).sum::<u64>().to_le_bytes());
+/// assert_eq!(collectives::simulate(&plan, &CommParams::unit(), 1).unwrap().counts.startup_steps, 4);
 /// ```
 pub fn simulate(
     plan: &CollectivePlan,
@@ -153,177 +146,72 @@ pub fn simulate(
     })
 }
 
-/// One-to-all broadcast of a `blocks`-block message from `root`.
-///
-/// Dimension-ordered bidirectional ring pipelines: in phase `d`, every
-/// already-informed node feeds its dim-`d` ring from both ends (the
-/// one-port constraint allows one send per step, so the anchor primes the
-/// `+` direction first, and the two frontiers then advance in parallel).
-///
-/// ```
-/// use collectives::broadcast;
-/// use cost_model::CommParams;
-/// use torus_topology::TorusShape;
-///
-/// let shape = TorusShape::new_2d(4, 4).unwrap();
-/// let report = broadcast(&shape, &CommParams::unit(), 0, 8).unwrap();
-/// assert!(report.verified); // all 16 nodes informed
-/// ```
-pub fn broadcast(
-    shape: &TorusShape,
-    params: &CommParams,
-    root: NodeId,
-    blocks: u64,
-) -> Result<CollectiveReport, CollectiveError> {
-    let plan = CollectivePlan::new(shape, CollectiveOp::Broadcast { root })?;
-    simulate(&plan, params, blocks)
-}
-
-/// One-to-all personalized scatter: `root` starts with one distinct block
-/// per node; every node ends with exactly its own.
-///
-/// Dimension-ordered: in phase `d`, each ring's single holder distributes
-/// blocks by destination dim-`d` coordinate — **recursive halving**
-/// (`log₂ a_d` steps) when the extent is a power of two, a combining
-/// pipeline (`a_d − 1` steps) otherwise.
-pub fn scatter(
-    shape: &TorusShape,
-    params: &CommParams,
-    root: NodeId,
-) -> Result<CollectiveReport, CollectiveError> {
-    let plan = CollectivePlan::new(shape, CollectiveOp::Scatter { root })?;
-    simulate(&plan, params, 1)
-}
-
-/// All-to-one gather: every node contributes one block; `root` ends with
-/// all of them.
-///
-/// Dimension-ordered combining pipelines toward the root, last dimension
-/// first (the mirror of scatter): `Σ (a_d − 1)` steps.
-pub fn gather(
-    shape: &TorusShape,
-    params: &CommParams,
-    root: NodeId,
-) -> Result<CollectiveReport, CollectiveError> {
-    let plan = CollectivePlan::new(shape, CollectiveOp::Gather { root })?;
-    simulate(&plan, params, 1)
-}
-
-/// All-to-all broadcast (allgather): every node ends with every node's
-/// `blocks_per_node`-block contribution.
-///
-/// Dimension-ordered unidirectional ring pipelines with combining: in
-/// phase `d` every node forwards, each step, the super-block it received
-/// in the previous step; after `a_d − 1` steps the ring is fully shared.
-pub fn allgather(
-    shape: &TorusShape,
-    params: &CommParams,
-    blocks_per_node: u64,
-) -> Result<CollectiveReport, CollectiveError> {
-    let plan = CollectivePlan::new(shape, CollectiveOp::Allgather)?;
-    simulate(&plan, params, blocks_per_node)
-}
-
-/// The wrapping-`u64`-sum reduction to `root` (reduce) or to every node
-/// (allreduce, `None`), carrying **real data**: every node's
-/// `contribution(node)` is its little-endian seed block, the returned
-/// vector is what the plan's scalar replay leaves at the holder, and
-/// `verified` says every block left anywhere equals the order-independent
-/// direct reduction. `vec_len == 0` is refused by the replay's lane
-/// check; a contribution of another length trips its seed-length
-/// assertion.
-fn simulate_reduction(
-    shape: &TorusShape,
-    params: &CommParams,
-    root: Option<NodeId>,
-    vec_len: usize,
-    mut contribution: impl FnMut(NodeId) -> Vec<u64>,
-) -> Result<(CollectiveReport, Vec<u64>), CollectiveError> {
-    let (op, dtype) = (ReduceOp::Sum, Dtype::U64);
-    let op = match root {
-        Some(root) => CollectiveOp::Reduce { root, op, dtype },
-        None => CollectiveOp::Allreduce { op, dtype },
-    };
-    let plan = CollectivePlan::new(shape, op)?;
-    let le_bytes = |v: Vec<u64>| v.into_iter().flat_map(u64::to_le_bytes).collect();
-    let seeds: Vec<Vec<u8>> = (0..shape.num_nodes())
-        .map(|u| le_bytes(contribution(u)))
-        .collect();
-    let seed = |u: u32| seeds[u as usize].clone();
-    let finals = plan.reference_finals(8 * vec_len, seed)?;
-    let direct = plan
-        .direct_reduction(8 * vec_len, seed)
-        .expect("combining op");
-    let mut report = simulate(&plan, params, vec_len as u64)?;
-    report.verified = finals.iter().flatten().all(|(_, b)| *b == direct);
-    let value = finals[root.unwrap_or(0) as usize][0]
-        .1
-        .chunks_exact(8)
-        .map(|lane| u64::from_le_bytes(lane.try_into().expect("8-byte lane")))
-        .collect();
-    Ok((report, value))
-}
-
-/// All-to-one reduction: every node contributes a `vec_len`-element
-/// vector produced by `contribution(node)`; `root` ends with the
-/// elementwise (wrapping) sum. Returns the report and the reduced vector.
-///
-/// Dimension-ordered combining waves: in each ring, partial sums flow one
-/// hop per step toward the root's coordinate, added into whatever the
-/// intermediate node holds — `Σ (a_d − 1)` contention-free steps.
-///
-/// ```
-/// use collectives::reduce;
-/// use cost_model::CommParams;
-/// use torus_topology::TorusShape;
-///
-/// let shape = TorusShape::new_2d(4, 4).unwrap();
-/// let (report, sum) = reduce(&shape, &CommParams::unit(), 0, 1, |node| vec![node as u64]).unwrap();
-/// assert!(report.verified);
-/// assert_eq!(sum, vec![(0..16).sum::<u64>()]);
-/// ```
-pub fn reduce(
-    shape: &TorusShape,
-    params: &CommParams,
-    root: NodeId,
-    vec_len: usize,
-    contribution: impl FnMut(NodeId) -> Vec<u64>,
-) -> Result<(CollectiveReport, Vec<u64>), CollectiveError> {
-    simulate_reduction(shape, params, Some(root), vec_len, contribution)
-}
-
-/// Allreduce: reduce to node 0, then broadcast the result, as one plan.
-/// Returns the report and the reduced vector every node ends with.
-pub fn allreduce(
-    shape: &TorusShape,
-    params: &CommParams,
-    vec_len: usize,
-    contribution: impl FnMut(NodeId) -> Vec<u64>,
-) -> Result<(CollectiveReport, Vec<u64>), CollectiveError> {
-    simulate_reduction(shape, params, None, vec_len, contribution)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use collective_plan::{CollectiveOp, Dtype, PlanError, ReduceOp};
     use cost_model::CommParams;
+    use torus_topology::NodeId;
+
+    /// Lowers `op` on `dims` and replays it with `blocks` blocks per key.
+    fn run(dims: &[u32], op: CollectiveOp, blocks: u64) -> CollectiveReport {
+        let shape = TorusShape::new(dims).unwrap();
+        let plan =
+            CollectivePlan::new(&shape, op).unwrap_or_else(|e| panic!("{op:?} on {dims:?}: {e}"));
+        simulate(&plan, &CommParams::unit(), blocks)
+            .unwrap_or_else(|e| panic!("{op:?} on {dims:?}: {e}"))
+    }
+
+    fn reduce_op(root: NodeId) -> CollectiveOp {
+        CollectiveOp::Reduce {
+            root,
+            op: ReduceOp::Sum,
+            dtype: Dtype::U64,
+        }
+    }
+
+    const ALLREDUCE: CollectiveOp = CollectiveOp::Allreduce {
+        op: ReduceOp::Sum,
+        dtype: Dtype::U64,
+    };
+
+    /// The wrapping-`u64`-sum `plan` computes over `contribution(node)`:
+    /// the reference replay's value at the op's holder (the root, or
+    /// node 0 for allreduce), after checking that every block left
+    /// anywhere equals the order-independent direct fold.
+    fn reduced(
+        plan: &CollectivePlan,
+        vec_len: usize,
+        contribution: impl Fn(NodeId) -> Vec<u64>,
+    ) -> Result<Vec<u64>, PlanError> {
+        let seed = |u: u32| -> Vec<u8> {
+            contribution(u)
+                .into_iter()
+                .flat_map(u64::to_le_bytes)
+                .collect()
+        };
+        let finals = plan.reference_finals(8 * vec_len, seed)?;
+        let direct = plan.direct_reduction(8 * vec_len, seed).unwrap();
+        assert!(finals.iter().flatten().all(|(_, b)| *b == direct));
+        let holder = plan.op().root().unwrap_or(0) as usize;
+        Ok(finals[holder][0]
+            .1
+            .chunks_exact(8)
+            .map(|lane| u64::from_le_bytes(lane.try_into().unwrap()))
+            .collect())
+    }
 
     #[test]
     fn broadcast_informs_everyone() {
         for dims in [&[4u32, 4][..], &[8, 8], &[5, 7], &[4, 4, 4], &[6, 4, 2]] {
-            let shape = TorusShape::new(dims).unwrap();
-            let r = broadcast(&shape, &CommParams::unit(), 0, 8)
-                .unwrap_or_else(|e| panic!("{dims:?}: {e}"));
-            assert!(r.verified, "{dims:?}");
+            assert!(run(dims, CollectiveOp::Broadcast { root: 0 }, 8).verified);
         }
     }
 
     #[test]
     fn broadcast_from_any_root() {
-        let shape = TorusShape::new_2d(4, 6).unwrap();
         for root in [0u32, 5, 13, 23] {
-            let r = broadcast(&shape, &CommParams::unit(), root, 1).unwrap();
-            assert!(r.verified, "root {root}");
+            assert!(run(&[4, 6], CollectiveOp::Broadcast { root }, 1).verified);
         }
     }
 
@@ -331,32 +219,23 @@ mod tests {
     fn broadcast_rejects_bad_root() {
         let shape = TorusShape::new_2d(4, 4).unwrap();
         assert!(matches!(
-            broadcast(&shape, &CommParams::unit(), 99, 1),
-            Err(CollectiveError::BadArgument(_))
+            CollectivePlan::new(&shape, CollectiveOp::Broadcast { root: 99 }),
+            Err(PlanError::BadRoot { .. })
         ));
     }
 
     #[test]
     fn broadcast_step_count_is_near_optimal() {
-        // Bidirectional pipeline: ~k/2 steps per dimension.
-        let shape = TorusShape::new_2d(8, 8).unwrap();
-        let r = broadcast(&shape, &CommParams::unit(), 0, 1).unwrap();
-        // per dim: prime+, prime−, then parallel: 8-ring needs 5 steps
-        // (1+1, then +2 per step for the remaining 5 nodes => 3 steps).
-        assert!(
-            r.counts.startup_steps <= 2 * 5,
-            "steps={}",
-            r.counts.startup_steps
-        );
-        assert!(r.counts.startup_steps >= 2 * 4);
+        // Recursive doubling: log₂ 8 = 3 steps per dimension, the
+        // ⌈log₂ 64⌉ = 6 one-port bound exactly.
+        let r = run(&[8, 8], CollectiveOp::Broadcast { root: 0 }, 1);
+        assert_eq!(r.counts.startup_steps, 3 + 3);
     }
 
     #[test]
     fn allgather_everyone_has_everything() {
         for dims in [&[4u32, 4][..], &[4, 8], &[3, 5], &[4, 4, 4]] {
-            let shape = TorusShape::new(dims).unwrap();
-            let r = allgather(&shape, &CommParams::unit(), 2)
-                .unwrap_or_else(|e| panic!("{dims:?}: {e}"));
+            let r = run(dims, CollectiveOp::Allgather, 2);
             assert!(r.verified, "{dims:?}");
             let want: u64 = dims.iter().map(|&k| (k - 1) as u64).sum();
             assert_eq!(r.counts.startup_steps, want, "{dims:?}");
@@ -365,8 +244,7 @@ mod tests {
 
     #[test]
     fn allgather_volume_grows_per_dimension() {
-        let shape = TorusShape::new_2d(4, 4).unwrap();
-        let r = allgather(&shape, &CommParams::unit(), 1).unwrap();
+        let r = run(&[4, 4], CollectiveOp::Allgather, 1);
         // dim 0: 3 steps of 1 super-block (1 contribution);
         // dim 1: 3 steps of 4 contributions => critical blocks 3 + 12.
         assert_eq!(r.counts.trans_blocks, 3 + 12);
@@ -374,12 +252,10 @@ mod tests {
 
     #[test]
     fn degenerate_single_node() {
-        let shape = TorusShape::new(&[1, 1]).unwrap();
-        let r = broadcast(&shape, &CommParams::unit(), 0, 1).unwrap();
+        let r = run(&[1, 1], CollectiveOp::Broadcast { root: 0 }, 1);
         assert!(r.verified);
         assert_eq!(r.counts.startup_steps, 0);
-        let r = allgather(&shape, &CommParams::unit(), 1).unwrap();
-        assert!(r.verified);
+        assert!(run(&[1, 1], CollectiveOp::Allgather, 1).verified);
     }
 
     #[test]
@@ -392,71 +268,63 @@ mod tests {
             &[4, 4, 4],
             &[6, 6],
         ] {
-            let shape = TorusShape::new(dims).unwrap();
-            let r =
-                scatter(&shape, &CommParams::unit(), 0).unwrap_or_else(|e| panic!("{dims:?}: {e}"));
-            assert!(r.verified, "{dims:?}");
+            assert!(run(dims, CollectiveOp::Scatter { root: 0 }, 1).verified);
         }
     }
 
     #[test]
     fn scatter_from_nonzero_root() {
-        let shape = TorusShape::new_2d(8, 4).unwrap();
         for root in [1u32, 13, 31] {
-            let r = scatter(&shape, &CommParams::unit(), root).unwrap();
-            assert!(r.verified, "root {root}");
+            assert!(run(&[8, 4], CollectiveOp::Scatter { root }, 1).verified);
         }
     }
 
     #[test]
     fn scatter_pow2_uses_log_steps() {
-        let shape = TorusShape::new_2d(8, 8).unwrap();
-        let r = scatter(&shape, &CommParams::unit(), 0).unwrap();
         // log2(8) per dim = 3 + 3 = 6 steps.
+        let r = run(&[8, 8], CollectiveOp::Scatter { root: 0 }, 1);
         assert_eq!(r.counts.startup_steps, 6);
     }
 
     #[test]
-    fn scatter_non_pow2_uses_pipeline() {
-        let shape = TorusShape::new_2d(3, 5).unwrap();
-        let r = scatter(&shape, &CommParams::unit(), 0).unwrap();
-        assert_eq!(r.counts.startup_steps, 2 + 4);
+    fn scatter_non_pow2_uses_ceil_log_steps() {
+        // ⌈log₂ 3⌉ + ⌈log₂ 5⌉ = 2 + 3 steps.
+        let r = run(&[3, 5], CollectiveOp::Scatter { root: 0 }, 1);
+        assert_eq!(r.counts.startup_steps, 2 + 3);
     }
 
     #[test]
     fn gather_collects_everything_at_root() {
         for dims in [&[4u32, 4][..], &[4, 8], &[3, 5], &[4, 4, 4]] {
-            let shape = TorusShape::new(dims).unwrap();
-            for root in [0u32, shape.num_nodes() - 1] {
-                let r = gather(&shape, &CommParams::unit(), root)
-                    .unwrap_or_else(|e| panic!("{dims:?} root {root}: {e}"));
-                assert!(r.verified, "{dims:?} root {root}");
+            let nn: u32 = dims.iter().product();
+            for root in [0u32, nn - 1] {
+                assert!(run(dims, CollectiveOp::Gather { root }, 1).verified);
             }
         }
     }
 
     #[test]
     fn gather_step_count() {
-        let shape = TorusShape::new_2d(4, 8).unwrap();
-        let r = gather(&shape, &CommParams::unit(), 0).unwrap();
-        assert_eq!(r.counts.startup_steps, (4 - 1) + (8 - 1));
+        let r = run(&[4, 8], CollectiveOp::Gather { root: 0 }, 1);
+        assert_eq!(r.counts.startup_steps, 2 + 3);
     }
 
     #[test]
     fn scatter_and_gather_are_inverse_cost_shapes() {
-        // Same volume moved in opposite directions; scatter (halving) uses
-        // fewer startups on power-of-two rings.
-        let shape = TorusShape::new_2d(8, 8).unwrap();
-        let s = scatter(&shape, &CommParams::unit(), 0).unwrap();
-        let g = gather(&shape, &CommParams::unit(), 0).unwrap();
-        assert!(s.counts.startup_steps < g.counts.startup_steps);
+        // Gather is scatter run backwards: the same steps, blocks and
+        // hops, moving in the opposite direction.
+        for dims in [&[8u32, 8][..], &[3, 5], &[4, 4, 4]] {
+            let s = run(dims, CollectiveOp::Scatter { root: 0 }, 1);
+            let g = run(dims, CollectiveOp::Gather { root: 0 }, 1);
+            assert_eq!(s.counts, g.counts, "{dims:?}");
+        }
     }
 
     #[test]
     fn bad_roots_rejected() {
         let shape = TorusShape::new_2d(4, 4).unwrap();
-        assert!(scatter(&shape, &CommParams::unit(), 16).is_err());
-        assert!(gather(&shape, &CommParams::unit(), 99).is_err());
+        assert!(CollectivePlan::new(&shape, CollectiveOp::Scatter { root: 16 }).is_err());
+        assert!(CollectivePlan::new(&shape, CollectiveOp::Gather { root: 99 }).is_err());
     }
 
     fn contrib(u: NodeId) -> Vec<u64> {
@@ -467,9 +335,9 @@ mod tests {
     fn reduce_computes_exact_sum() {
         for dims in [&[4u32, 4][..], &[4, 8], &[3, 5], &[4, 4, 4]] {
             let shape = TorusShape::new(dims).unwrap();
-            let (r, v) = reduce(&shape, &CommParams::unit(), 0, 3, contrib)
-                .unwrap_or_else(|e| panic!("{dims:?}: {e}"));
-            assert!(r.verified, "{dims:?}");
+            let plan = CollectivePlan::new(&shape, reduce_op(0)).unwrap();
+            assert!(simulate(&plan, &CommParams::unit(), 3).unwrap().verified);
+            let v = reduced(&plan, 3, contrib).unwrap();
             let n = shape.num_nodes() as u64;
             assert_eq!(v[0], n * (n + 1) / 2);
             assert_eq!(v[1], 3 * n * (n - 1) / 2);
@@ -481,8 +349,9 @@ mod tests {
     fn reduce_to_any_root() {
         let shape = TorusShape::new_2d(4, 6).unwrap();
         for root in [0u32, 7, 23] {
-            let (r, v) = reduce(&shape, &CommParams::unit(), root, 1, |u| vec![u as u64]).unwrap();
-            assert!(r.verified, "root {root}");
+            let plan = CollectivePlan::new(&shape, reduce_op(root)).unwrap();
+            assert!(simulate(&plan, &CommParams::unit(), 1).unwrap().verified);
+            let v = reduced(&plan, 1, |u| vec![u as u64]).unwrap();
             let n = shape.num_nodes() as u64;
             assert_eq!(v[0], n * (n - 1) / 2);
         }
@@ -490,16 +359,15 @@ mod tests {
 
     #[test]
     fn reduce_step_count() {
-        let shape = TorusShape::new_2d(4, 8).unwrap();
-        let (r, _) = reduce(&shape, &CommParams::unit(), 0, 1, |_| vec![1]).unwrap();
-        assert_eq!(r.counts.startup_steps, 3 + 7);
+        let r = run(&[4, 8], reduce_op(0), 1);
+        assert_eq!(r.counts.startup_steps, 2 + 3);
     }
 
     #[test]
     fn reduce_wrapping_overflow_is_defined() {
         let shape = TorusShape::new_2d(4, 4).unwrap();
-        let (r, v) = reduce(&shape, &CommParams::unit(), 0, 1, |_| vec![u64::MAX]).unwrap();
-        assert!(r.verified);
+        let plan = CollectivePlan::new(&shape, reduce_op(0)).unwrap();
+        let v = reduced(&plan, 1, |_| vec![u64::MAX]).unwrap();
         // 16 * MAX (wrapping) = MAX.wrapping_mul(16)
         assert_eq!(v[0], u64::MAX.wrapping_mul(16));
     }
@@ -507,12 +375,16 @@ mod tests {
     #[test]
     fn allreduce_combines_reduce_and_broadcast() {
         let shape = TorusShape::new_2d(4, 4).unwrap();
-        let (r, v) = allreduce(&shape, &CommParams::unit(), 2, |u| vec![u as u64, 1]).unwrap();
+        let plan = CollectivePlan::new(&shape, ALLREDUCE).unwrap();
+        let r = simulate(&plan, &CommParams::unit(), 2).unwrap();
         assert!(r.verified);
-        assert_eq!(v, vec![120, 16]);
+        assert_eq!(
+            reduced(&plan, 2, |u| vec![u as u64, 1]).unwrap(),
+            vec![120, 16]
+        );
         // steps = reduce steps + broadcast steps
-        let (r1, _) = reduce(&shape, &CommParams::unit(), 0, 2, |u| vec![u as u64, 1]).unwrap();
-        let r2 = broadcast(&shape, &CommParams::unit(), 0, 2).unwrap();
+        let r1 = run(&[4, 4], reduce_op(0), 2);
+        let r2 = run(&[4, 4], CollectiveOp::Broadcast { root: 0 }, 2);
         assert_eq!(
             r.counts.startup_steps,
             r1.counts.startup_steps + r2.counts.startup_steps
@@ -522,10 +394,14 @@ mod tests {
     #[test]
     fn zero_length_rejected() {
         let shape = TorusShape::new_2d(4, 4).unwrap();
-        assert!(reduce(&shape, &CommParams::unit(), 0, 0, |_| vec![]).is_err());
+        let plan = CollectivePlan::new(&shape, reduce_op(0)).unwrap();
+        assert!(matches!(
+            reduced(&plan, 0, |_| vec![]),
+            Err(PlanError::LaneMismatch { .. })
+        ));
     }
 
-    /// The 8-ring scatter's second halving level: holders 0 and 4 each
+    /// The 8-ring scatter's second tree level: holders 0 and 4 each
     /// ship two hops forward over disjoint channels.
     fn scatter_level_two() -> (TorusShape, CollectiveStep) {
         let shape = TorusShape::new(&[8]).unwrap();

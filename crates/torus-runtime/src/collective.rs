@@ -322,12 +322,14 @@ impl CollectiveRuntime {
         let source = Arc::new(CollectiveSource::new(Arc::clone(plan)));
         let outcome = exec::execute(source, &self.config, backend, stores)?;
 
-        // The analytic prediction prices what was measured on the wire:
-        // one startup per step, the critical-path message per step.
+        // The analytic prediction prices what was measured on the wire
+        // as the simulator's engine does: one startup per step, the
+        // step's largest message once for transmission (wormhole
+        // pipelining) and its longest path in `t_l` hops.
         let mut counts = CostCounts::default();
         for step in outcome.trace.phases.iter().flat_map(|ph| &ph.steps) {
             counts.startup_steps += 1;
-            counts.trans_blocks += step.max_blocks * u64::from(step.max_hops);
+            counts.trans_blocks += step.max_blocks;
             counts.prop_hops += u64::from(step.max_hops);
         }
         let params = self.config.params.with_block_bytes(block_bytes as u32);

@@ -249,27 +249,32 @@ fn pinned_seed_42(lane: Lane) -> Pin {
         [11, 12, 0, 0, 0, 0, 1, 10, 21, 10, 21, 0, 21],
     );
     const BROADCAST: Pin = (
-        &[(1, 5, 1, 0, C), (3, 6, 7, 0, D)],
-        [1, 1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 2],
+        &[
+            (0, 5, 13, 0, C),
+            (1, 5, 9, 0, D),
+            (1, 5, 9, 0, C),
+            (2, 13, 15, 0, C),
+            (3, 3, 0, 0, C),
+            (3, 5, 6, 0, C),
+        ],
+        [1, 5, 0, 0, 0, 0, 0, 4, 5, 4, 5, 0, 5],
     );
     const ALLREDUCE: Pin = (
         &[
             (0, 1, 0, 0, D),
-            (0, 6, 5, 0, C),
             (0, 9, 8, 0, C),
-            (0, 10, 9, 0, C),
             (0, 13, 12, 0, D),
-            (0, 14, 13, 0, C),
-            (1, 1, 0, 0, C),
-            (1, 9, 8, 0, D),
-            (1, 10, 9, 0, C),
-            (8, 0, 1, 0, D),
-            (8, 0, 1, 0, C),
-            (9, 0, 3, 0, D),
-            (9, 1, 2, 0, D),
-            (9, 8, 11, 0, D),
+            (1, 14, 12, 0, D),
+            (2, 4, 0, 0, C),
+            (6, 0, 2, 0, D),
+            (6, 0, 2, 0, C),
+            (7, 0, 1, 0, C),
+            (7, 8, 9, 0, D),
+            (7, 10, 11, 0, C),
+            (7, 12, 13, 0, D),
+            (7, 14, 15, 0, D),
         ],
-        [7, 7, 0, 0, 0, 0, 0, 6, 13, 6, 13, 0, 13],
+        [7, 5, 0, 0, 0, 0, 0, 4, 11, 4, 11, 0, 11],
     );
     match lane {
         Lane::Base => BASE,

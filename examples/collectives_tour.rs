@@ -5,6 +5,7 @@
 //! cargo run --release --example collectives_tour
 //! ```
 
+use torus_alltoall::collectives;
 use torus_alltoall::prelude::*;
 
 fn main() {
@@ -27,25 +28,41 @@ fn main() {
         assert!(ok, "{name} must verify");
     };
 
-    let r = broadcast(&shape, &params, 0, 16).unwrap();
-    show("broadcast", r.counts, r.total_time(), r.verified);
-
-    let r = scatter(&shape, &params, 0).unwrap();
-    show("scatter", r.counts, r.total_time(), r.verified);
-
-    let r = gather(&shape, &params, 0).unwrap();
-    show("gather", r.counts, r.total_time(), r.verified);
-
-    let r = allgather(&shape, &params, 1).unwrap();
-    show("allgather", r.counts, r.total_time(), r.verified);
-
-    let (r, sum) = reduce(&shape, &params, 0, 4, |u| vec![u as u64; 4]).unwrap();
-    show("reduce", r.counts, r.total_time(), r.verified);
-    println!("  reduce result: {sum:?} (Σ u over 64 nodes = 2016 per element)");
-
-    let (r, sum) = allreduce(&shape, &params, 4, |u| vec![u as u64; 4]).unwrap();
-    show("allreduce", r.counts, r.total_time(), r.verified);
-    assert_eq!(sum, vec![2016; 4]);
+    // Every collective is a `CollectivePlan`; the simulator replays it
+    // with `blocks` blocks per key. The reductions carry real data
+    // through the plan's reference replay: node u contributes [u; 4].
+    let (op, dtype) = (ReduceOp::Sum, Dtype::U64);
+    let seed = |u: u32| {
+        [u64::from(u); 4]
+            .iter()
+            .flat_map(|x| x.to_le_bytes())
+            .collect()
+    };
+    for (op, blocks) in [
+        (CollectiveOp::Broadcast { root: 0 }, 16),
+        (CollectiveOp::Scatter { root: 0 }, 1),
+        (CollectiveOp::Gather { root: 0 }, 1),
+        (CollectiveOp::Allgather, 1),
+        (CollectiveOp::Reduce { root: 0, op, dtype }, 4),
+        (CollectiveOp::Allreduce { op, dtype }, 4),
+    ] {
+        let plan = CollectivePlan::new(&shape, op).unwrap();
+        let r = collectives::simulate(&plan, &params, blocks).unwrap();
+        show(r.name, r.counts, r.total_time(), r.verified);
+        if plan.is_combining() {
+            let finals: Vec<Vec<(u32, Vec<u8>)>> = plan.reference_finals(32, seed).unwrap();
+            let sum: Vec<u64> = finals[0][0]
+                .1
+                .chunks_exact(8)
+                .map(|lane| u64::from_le_bytes(lane.try_into().unwrap()))
+                .collect();
+            assert_eq!(sum, vec![2016; 4]);
+            println!(
+                "  {} result: {sum:?} (Σ u over 64 nodes = 2016 per element)",
+                r.name
+            );
+        }
+    }
 
     // The centerpiece: all-to-all personalized exchange, the most
     // demanding collective — same substrate, same accounting.

@@ -54,9 +54,10 @@ pub mod prelude {
         SUH_YALAMANCHILI_9, TSENG_13,
     };
     pub use alltoall_core::{Exchange, ExchangeError, ExchangeReport};
-    pub use collectives::{allgather, allreduce, broadcast, gather, reduce, scatter};
     pub use cost_model::{CommParams, CompletionTime, CostCounts, SwitchingMode};
-    pub use torus_runtime::{Runtime, RuntimeConfig, RuntimeReport};
+    pub use torus_runtime::{
+        CollectiveOp, CollectivePlan, Dtype, ReduceOp, Runtime, RuntimeConfig, RuntimeReport,
+    };
     pub use torus_topology::{Coord, TorusShape};
 }
 
