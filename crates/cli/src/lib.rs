@@ -546,8 +546,9 @@ USAGE:
                          'status'. --idle-timeout-secs reaps quiet connections
                          owed nothing; jobs past their wall-clock deadline —
                          per-spec job.deadline_ms, --default-deadline-ms when
-                         unset, always clamped by --max-deadline-ms — are reaped
-                         by the engine watchdog as 'deadline_exceeded')
+                         unset, always clamped by --max-deadline-ms, counted from
+                         dispatch — abort at their next checkpoint as
+                         'deadline_exceeded')
   torus-xchg submit     --spec '{\"shape\":[4,4],\"seed\":7}' [--addr HOST:PORT] [--tenant NAME] [--json]
                         (verifies the daemon's checksum against the spec's own;
                          exits non-zero on a mismatch)
@@ -891,9 +892,11 @@ pub fn execute_into(cmd: Command, out: &mut String) -> Result<(), String> {
                         .map_err(|e| e.to_string())?;
                     // One block per key; the reductions combine 8-lane vectors.
                     let blocks_per_key = if plan.is_combining() { 8 } else { 1 };
+                    // `CollectivePlan::new` enforces the op's contract and
+                    // `simulate` the one-port model: `Ok` is the check.
                     let r = collectives::simulate(&plan, &params, blocks_per_key)
                         .map_err(|e| e.to_string())?;
-                    (r.name, r.counts, r.total_time(), r.verified)
+                    (r.name, r.counts, r.total_time(), true)
                 }
             };
             let _ = writeln!(

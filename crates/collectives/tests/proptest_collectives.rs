@@ -39,7 +39,8 @@ fn plan(shape: &TorusShape, op: CollectiveOp) -> CollectivePlan {
     CollectivePlan::new(shape, op).unwrap_or_else(|e| panic!("{op:?} on {shape}: {e}"))
 }
 
-/// Lowers `op` and replays it on the simulator with `blocks` per key.
+/// Lowers `op` and replays it on the simulator with `blocks` per key,
+/// panicking if either refuses it.
 fn run(shape: &TorusShape, op: CollectiveOp, params: &CommParams, blocks: u64) -> CollectiveReport {
     simulate(&plan(shape, op), params, blocks).unwrap_or_else(|e| panic!("{op:?} on {shape}: {e}"))
 }
@@ -88,22 +89,18 @@ proptest! {
 
     #[test]
     fn broadcast_any_shape_any_root((shape, root) in arb_rooted()) {
-        let r = run(&shape, CollectiveOp::Broadcast { root }, &CommParams::unit(), 3);
-        prop_assert!(r.verified, "{} root {}", shape, root);
+        run(&shape, CollectiveOp::Broadcast { root }, &CommParams::unit(), 3);
     }
 
     #[test]
     fn scatter_gather_roundtrip_shapes((shape, root) in arb_rooted()) {
-        let s = run(&shape, CollectiveOp::Scatter { root }, &CommParams::unit(), 1);
-        prop_assert!(s.verified, "{shape} scatter root {root}");
-        let g = run(&shape, CollectiveOp::Gather { root }, &CommParams::unit(), 1);
-        prop_assert!(g.verified, "{shape} gather root {root}");
+        run(&shape, CollectiveOp::Scatter { root }, &CommParams::unit(), 1);
+        run(&shape, CollectiveOp::Gather { root }, &CommParams::unit(), 1);
     }
 
     #[test]
     fn allgather_any_shape(shape in arb_shape()) {
         let r = run(&shape, CollectiveOp::Allgather, &CommParams::unit(), 1);
-        prop_assert!(r.verified, "{shape}");
         // steps = Σ (a_d − 1)
         let want: u64 = shape.dims().iter().map(|&k| (k - 1) as u64).sum();
         prop_assert_eq!(r.counts.startup_steps, want);
@@ -135,8 +132,7 @@ proptest! {
     })) {
         let contrib = |u: u32| vec![(u as u64).wrapping_mul(seed as u64 + 1), seed as u64];
         let plan = plan(&shape, reduce_op(root));
-        let r = simulate(&plan, &CommParams::unit(), 2).unwrap();
-        prop_assert!(r.verified, "{shape} root {root}");
+        simulate(&plan, &CommParams::unit(), 2).unwrap();
         let v = reduced(&plan, 2, contrib);
         let n = shape.num_nodes() as u64;
         let want0 = (0..n).fold(0u64, |a, u| a.wrapping_add(u.wrapping_mul(seed as u64 + 1)));
@@ -148,8 +144,8 @@ proptest! {
     fn allreduce_matches_reduce_value(shape in arb_shape()) {
         let (ar, rr) = (plan(&shape, allreduce_op()), plan(&shape, reduce_op(0)));
         let unit = CommParams::unit();
-        let verified = |p: &CollectivePlan| simulate(p, &unit, 1).unwrap().verified;
-        prop_assert!(verified(&ar) && verified(&rr));
+        simulate(&ar, &unit, 1).unwrap();
+        simulate(&rr, &unit, 1).unwrap();
         let own = |u: u32| vec![u as u64];
         prop_assert_eq!(reduced(&ar, 1, own), reduced(&rr, 1, own));
     }

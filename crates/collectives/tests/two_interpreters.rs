@@ -30,7 +30,7 @@ fn simulator_and_byte_runtime_walk_the_same_phases_and_steps() {
                 .unwrap_or_else(|e| panic!("{kind} on {shape}: {e}"));
 
             assert_eq!(sim.name, kind);
-            assert!(sim.verified && real.verified, "{kind} on {shape}");
+            assert!(real.verified, "{kind} on {shape}");
             assert_eq!(
                 sim.counts.startup_steps,
                 real.total_steps() as u64,

@@ -1015,9 +1015,9 @@ mod tests {
 
     #[test]
     fn expired_token_reports_deadline_exceeded() {
-        // Pre-expired token: the run aborts at the first step boundary.
+        // Past deadline: the run aborts at the first step boundary.
         let token = CancelToken::new();
-        token.expire();
+        token.expire_at(Instant::now());
         let cfg = RuntimeConfig::default()
             .with_workers(2)
             .with_cancel_token(token);

@@ -8,7 +8,7 @@
 //! a combining one (allreduce). A behaviour that holds in one lane and
 //! not another means the lanes no longer share the loop.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use torus_runtime::{
     CancelToken, FailureReason, FaultEvent, FaultEventKind, FaultKind, FaultPlan, RecoveryStats,
@@ -124,7 +124,7 @@ fn retry_exhaustion_aborts_typed_with_a_partial_report() {
 fn expired_token_reports_deadline_exceeded() {
     for lane in LANES {
         let token = CancelToken::new();
-        token.expire();
+        token.expire_at(Instant::now());
         let cfg = lane
             .config(FaultPlan::default(), retry(), 2)
             .with_cancel_token(token);

@@ -49,12 +49,6 @@ pub struct EngineConfig {
     /// job runs under an effective deadline of at most this — including
     /// jobs that asked for none. Default: none (deadlines are opt-in).
     pub max_deadline: Option<Duration>,
-    /// How often the watchdog scans running jobs for expired deadlines.
-    /// Default 100 ms.
-    pub watchdog_interval: Duration,
-    /// Extra no-progress slack past a job's deadline before the
-    /// watchdog reaps it. Default: zero (reap at the deadline).
-    pub watchdog_grace: Duration,
 }
 
 impl std::fmt::Debug for EngineConfig {
@@ -68,8 +62,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("event_hook", &self.event_hook.as_ref().map(|_| "set"))
             .field("default_deadline", &self.default_deadline)
             .field("max_deadline", &self.max_deadline)
-            .field("watchdog_interval", &self.watchdog_interval)
-            .field("watchdog_grace", &self.watchdog_grace)
             .finish()
     }
 }
@@ -85,8 +77,6 @@ impl Default for EngineConfig {
             event_hook: None,
             default_deadline: None,
             max_deadline: None,
-            watchdog_interval: Duration::from_millis(100),
-            watchdog_grace: Duration::ZERO,
         }
     }
 }
@@ -142,14 +132,6 @@ impl EngineConfig {
         self.max_deadline = Some(max);
         self
     }
-
-    /// Tunes the watchdog: scan `interval` and no-progress `grace` past
-    /// a job's deadline before it is reaped.
-    pub fn with_watchdog(mut self, interval: Duration, grace: Duration) -> Self {
-        self.watchdog_interval = interval;
-        self.watchdog_grace = grace;
-        self
-    }
 }
 
 /// What [`Engine::cancel`] found.
@@ -184,16 +166,6 @@ struct QueuedJob {
     /// reach the job in every pre-terminal state without racing the
     /// queue→running handoff.
     token: CancelToken,
-}
-
-/// One live (admitted, not yet terminal) job's cancellation state, kept
-/// in [`Shared::lifecycle`] so `cancel` and the watchdog can reach it
-/// without taking the queue lock.
-struct LifecycleEntry {
-    token: CancelToken,
-    /// When the watchdog may reap the job (dispatch time + deadline).
-    /// `None` while queued or when the job has no deadline.
-    reap_at: Option<Instant>,
 }
 
 /// One tenant's slice of the queue.
@@ -302,18 +274,14 @@ struct Shared {
     queue_depth: usize,
     default_quota: TenantQuota,
     hook: Option<EventHook>,
-    /// Every live job's cancel token and reap deadline, keyed by job id.
-    /// Entries are inserted at admission and removed on every terminal
-    /// path. Lock ordering: the queue lock may be held while taking this
-    /// lock, never the reverse.
-    lifecycle: Mutex<HashMap<u64, LifecycleEntry>>,
+    /// Every live (admitted, not yet terminal) job's cancel token, keyed
+    /// by job id, so `cancel` reaches a running job without taking the
+    /// queue lock. Entries are inserted at admission and removed on
+    /// every terminal path. Lock ordering: the queue lock may be held
+    /// while taking this lock, never the reverse.
+    lifecycle: Mutex<HashMap<u64, CancelToken>>,
     default_deadline: Option<Duration>,
     max_deadline: Option<Duration>,
-    watchdog_grace: Duration,
-    /// Watchdog stop flag; flipped under the mutex and signalled so the
-    /// watchdog's timed wait exits promptly on shutdown.
-    watchdog_stop: Mutex<bool>,
-    watchdog_cv: Condvar,
 }
 
 impl Shared {
@@ -400,37 +368,6 @@ impl Shared {
     }
 }
 
-/// Watchdog loop: every `interval`, expire the token of any running job
-/// past its deadline plus the engine's grace. The driver that owns the
-/// job observes the trigger, aborts the run cooperatively, and accounts
-/// the [`JobStatus::DeadlineExceeded`] terminal state — the watchdog
-/// itself only pulls triggers, so it can never race a finishing job.
-fn watchdog_loop(shared: &Shared, interval: Duration) {
-    let mut stop = lk(&shared.watchdog_stop);
-    loop {
-        if *stop {
-            return;
-        }
-        let (guard, _) = shared
-            .watchdog_cv
-            .wait_timeout(stop, interval)
-            .unwrap_or_else(PoisonError::into_inner);
-        stop = guard;
-        if *stop {
-            return;
-        }
-        let now = Instant::now();
-        let lifecycle = lk(&shared.lifecycle);
-        for entry in lifecycle.values() {
-            if let Some(reap_at) = entry.reap_at {
-                if now >= reap_at + shared.watchdog_grace && entry.token.expire() {
-                    shared.cells.watchdog_reaps.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-}
-
 /// A persistent multi-job exchange engine.
 ///
 /// See the [crate docs](crate) for the execution model. Construction
@@ -439,7 +376,6 @@ fn watchdog_loop(shared: &Shared, interval: Duration) {
 pub struct Engine {
     shared: Arc<Shared>,
     drivers: Mutex<Vec<JoinHandle<()>>>,
-    watchdog: Mutex<Option<JoinHandle<()>>>,
     next_id: AtomicU64,
     /// The final stats snapshot, taken exactly once after every driver
     /// has joined. Serializes concurrent `shutdown` callers: the first
@@ -479,9 +415,6 @@ impl Engine {
             lifecycle: Mutex::new(HashMap::new()),
             default_deadline: config.default_deadline,
             max_deadline: config.max_deadline,
-            watchdog_grace: config.watchdog_grace,
-            watchdog_stop: Mutex::new(false),
-            watchdog_cv: Condvar::new(),
         });
         let drivers = (0..config.drivers.max(1))
             .map(|i| {
@@ -492,18 +425,9 @@ impl Engine {
                     .expect("spawn driver thread")
             })
             .collect();
-        let watchdog = {
-            let shared = Arc::clone(&shared);
-            let interval = config.watchdog_interval.max(Duration::from_millis(1));
-            std::thread::Builder::new()
-                .name("torus-watchdog".to_string())
-                .spawn(move || watchdog_loop(&shared, interval))
-                .expect("spawn watchdog thread")
-        };
         Self {
             shared,
             drivers: Mutex::new(drivers),
-            watchdog: Mutex::new(Some(watchdog)),
             next_id: AtomicU64::new(0),
             final_stats: Mutex::new(None),
         }
@@ -539,9 +463,10 @@ impl Engine {
     /// [`submit_as`](Engine::submit_as) with an explicit wall-clock
     /// deadline, measured from dispatch. The effective deadline is the
     /// request (or the engine's `default_deadline`), clamped to
-    /// `max_deadline`; the watchdog reaps a run still going past it
-    /// (plus the configured grace), finishing the job as
-    /// [`JobStatus::DeadlineExceeded`] with a partial report.
+    /// `max_deadline`. It is set on the job's [`CancelToken`] at
+    /// dispatch, and a run still going past it aborts at its next
+    /// checkpoint, finishing the job as [`JobStatus::DeadlineExceeded`]
+    /// with a partial report.
     pub fn submit_with_deadline(
         &self,
         tenant: &str,
@@ -608,34 +533,11 @@ impl Engine {
         Ok(self.enqueue(queue, tenant, id, shape, op, payload, config, deadline))
     }
 
-    /// Re-enqueues a journal-recovered job under its original id,
-    /// bypassing the queue-depth, quota, and rate-limit checks — the job
-    /// was already admitted once, before the crash. Fails only while
-    /// shutting down. Future fresh ids are bumped past `job_id` so the
-    /// monotonic-id invariant survives the restart.
-    pub fn resubmit_as(
-        &self,
-        tenant: &str,
-        job_id: u64,
-        shape: TorusShape,
-        payload: PayloadSpec,
-        config: RuntimeConfig,
-        deadline: Option<Duration>,
-    ) -> Result<JobHandle, SubmitError> {
-        self.resubmit_op_as(
-            tenant,
-            job_id,
-            shape,
-            JobOp::Alltoall,
-            payload,
-            config,
-            deadline,
-        )
-    }
-
-    /// [`resubmit_as`](Engine::resubmit_as) for any [`JobOp`] — the
-    /// crash-recovery path for collective jobs replayed from the
-    /// daemon's journal.
+    /// Re-enqueues a journal-recovered job of any [`JobOp`] under its
+    /// original id, bypassing the queue-depth, quota, and rate-limit
+    /// checks — the job was already admitted once, before the crash.
+    /// Fails only while shutting down. Future fresh ids are bumped past
+    /// `job_id` so the monotonic-id invariant survives the restart.
     #[allow(clippy::too_many_arguments)]
     pub fn resubmit_op_as(
         &self,
@@ -677,13 +579,7 @@ impl Engine {
         entry.cells.accepted.fetch_add(1, Ordering::Relaxed);
         shared.cells.ops_accepted[op.index()].fetch_add(1, Ordering::Relaxed);
         let token = CancelToken::new();
-        lk(&shared.lifecycle).insert(
-            id,
-            LifecycleEntry {
-                token: token.clone(),
-                reap_at: None,
-            },
-        );
+        lk(&shared.lifecycle).insert(id, token.clone());
         let job = QueuedJob {
             id,
             shape,
@@ -754,8 +650,8 @@ impl Engine {
         // the claim→dispatch window). Pull the trigger; the driver
         // accounts the terminal state when the run aborts.
         match lk(&shared.lifecycle).get(&job_id) {
-            Some(entry) => {
-                entry.token.cancel();
+            Some(token) => {
+                token.cancel();
                 CancelOutcome::Cancelling
             }
             None => CancelOutcome::Unknown,
@@ -819,13 +715,6 @@ impl Engine {
         for handle in handles {
             let _ = handle.join();
         }
-        // Stop the watchdog only after the drivers drained, so reaps
-        // keep working for jobs finishing during shutdown.
-        *lk(&self.shared.watchdog_stop) = true;
-        self.shared.watchdog_cv.notify_all();
-        if let Some(watchdog) = lk(&self.watchdog).take() {
-            let _ = watchdog.join();
-        }
         self.shared.pool.shutdown();
         let stats = self.stats();
         *done = Some(stats.clone());
@@ -884,12 +773,10 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         tenant: &job.tenant,
     });
     let started = Instant::now();
-    // Publish the reap deadline before any work happens, so a stall in
-    // the very first step is still covered by the watchdog.
+    // The deadline counts from dispatch, not submission: time spent
+    // queued is never charged to the run.
     if let Some(deadline) = job.deadline {
-        if let Some(entry) = lk(&shared.lifecycle).get_mut(&job.id) {
-            entry.reap_at = Some(started + deadline);
-        }
+        job.token.expire_at(started + deadline);
     }
     let finish_run = |status: JobStatus| {
         lk(&shared.lifecycle).remove(&job.id);

@@ -151,8 +151,9 @@ pub enum JobStatus {
     /// — removed from the queue, or aborted cooperatively mid-run with
     /// a partial report.
     Cancelled,
-    /// Reaped by the engine's watchdog (or an expired token) after its
-    /// wall-clock deadline plus the configured grace passed.
+    /// Aborted at the run's first checkpoint past its wall-clock
+    /// deadline (or by an external token's deadline), with a partial
+    /// report.
     DeadlineExceeded,
 }
 

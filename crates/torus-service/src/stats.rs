@@ -133,10 +133,6 @@ pub struct ServiceStats {
     pub jobs_cancelled: u64,
     /// Jobs reaped past their wall-clock deadline.
     pub jobs_deadline_exceeded: u64,
-    /// Deadline expirations triggered by the watchdog thread itself (a
-    /// subset of `jobs_deadline_exceeded` — deadlines can also be
-    /// enforced by external token holders).
-    pub watchdog_reaps: u64,
     /// Completed jobs that ran in degraded mode (quarantined dead nodes).
     pub jobs_degraded: u64,
     /// Highest queue occupancy observed.
@@ -213,7 +209,6 @@ pub(crate) struct StatCells {
     pub failed: AtomicU64,
     pub cancelled: AtomicU64,
     pub deadline_exceeded: AtomicU64,
-    pub watchdog_reaps: AtomicU64,
     pub degraded: AtomicU64,
     pub queue_hwm: AtomicUsize,
     pub wire_bytes: AtomicU64,
@@ -240,7 +235,6 @@ impl StatCells {
             jobs_failed: self.failed.load(Ordering::Relaxed),
             jobs_cancelled: self.cancelled.load(Ordering::Relaxed),
             jobs_deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            watchdog_reaps: self.watchdog_reaps.load(Ordering::Relaxed),
             jobs_degraded: self.degraded.load(Ordering::Relaxed),
             queue_high_water: self.queue_hwm.load(Ordering::Relaxed),
             cache_hits,

@@ -1,5 +1,5 @@
 //! Job lifecycle hardening: explicit cancellation of queued and running
-//! jobs, wall-clock deadlines enforced by the engine watchdog, and the
+//! jobs, wall-clock deadlines carried by each job's cancel token, and the
 //! books invariant (`accepted == completed + failed + cancelled +
 //! deadline_exceeded`) across every terminal path.
 
@@ -20,7 +20,7 @@ fn quick_cfg() -> RuntimeConfig {
 }
 
 /// A run that pins a pool worker in a stall long enough that only a
-/// cancel or the watchdog ends the job: the retry policy outlives the
+/// cancel or the deadline ends the job: the retry policy outlives the
 /// stall, so the runtime itself never gives up first.
 fn stalled_cfg(stall: Duration) -> RuntimeConfig {
     quick_cfg()
@@ -154,18 +154,13 @@ fn cancel_unknown_or_terminal_is_a_noop() {
 }
 
 /// The acceptance scenario: a job whose pinned worker stalls without
-/// ever recovering, submitted with a wall-clock deadline, is reaped by
-/// the watchdog within deadline + grace (plus scheduling slack),
+/// ever recovering, submitted with a wall-clock deadline, is reaped at
+/// the run's first checkpoint past the deadline — never before it —
 /// reports the typed `DeadlineExceeded` status, frees its pool
 /// reservation, and leaves the books balanced.
 #[test]
-fn watchdog_reaps_past_deadline_job() {
-    let engine = Engine::new(
-        EngineConfig::default()
-            .with_pool_size(2)
-            .with_drivers(1)
-            .with_watchdog(Duration::from_millis(5), Duration::from_millis(20)),
-    );
+fn deadline_reaps_a_stalled_job() {
+    let engine = Engine::new(EngineConfig::default().with_pool_size(2).with_drivers(1));
     let submitted_at = Instant::now();
     let job = engine
         .submit_with_deadline(
@@ -184,11 +179,15 @@ fn watchdog_reaps_past_deadline_job() {
         "deadline reap must carry a typed error, got {:?}",
         result.error
     );
-    // Deadline 150ms + grace 20ms + watchdog tick + abort latency: the
-    // 30s stall must not be what ended the job.
+    // Deadline 150ms + checkpoint latency: never early, and the 30s
+    // stall must not be what ended the job.
+    assert!(
+        to_terminal >= Duration::from_millis(150),
+        "reaped after {to_terminal:?}, before its 150ms deadline"
+    );
     assert!(
         to_terminal < Duration::from_secs(10),
-        "watchdog took {to_terminal:?} against a 150ms deadline"
+        "reap took {to_terminal:?} against a 150ms deadline"
     );
 
     // Reservation freed: the engine still runs jobs to completion.
@@ -199,8 +198,44 @@ fn watchdog_reaps_past_deadline_job() {
     assert_books_balance(&engine);
     let stats = engine.shutdown();
     assert_eq!(stats.jobs_deadline_exceeded, 1);
-    assert_eq!(stats.watchdog_reaps, 1);
     assert_eq!(stats.jobs_completed, 1);
+}
+
+/// A deadline counts from dispatch, not submission: a job that waits in
+/// the queue for twice its deadline still runs to completion.
+#[test]
+fn queue_wait_does_not_count_against_the_deadline() {
+    let engine = Engine::new(EngineConfig::default().with_pool_size(2).with_drivers(1));
+    let blocker = engine
+        .submit(
+            shape(),
+            PayloadSpec::Pattern,
+            stalled_cfg(Duration::from_secs(30)),
+        )
+        .unwrap();
+    wait_until_running(&blocker);
+    let job = engine
+        .submit_with_deadline(
+            "default",
+            shape(),
+            PayloadSpec::Pattern,
+            quick_cfg(),
+            Some(Duration::from_millis(150)),
+        )
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(job.try_status(), JobStatus::Queued);
+
+    assert_eq!(engine.cancel(blocker.id()), CancelOutcome::Cancelling);
+    let result = job.wait();
+    assert_eq!(job.try_status(), JobStatus::Completed);
+    assert_eq!(result.error, None);
+    assert!(engine.stats().queue_wait.max >= 300_000);
+    assert_books_balance(&engine);
+    let stats = engine.shutdown();
+    assert_eq!(stats.jobs_cancelled, 1);
+    assert_eq!(stats.jobs_completed, 1);
+    assert_eq!(stats.jobs_deadline_exceeded, 0);
 }
 
 /// Jobs that name no deadline inherit the engine default, and the
@@ -212,8 +247,7 @@ fn default_and_max_deadline_bound_every_job() {
             .with_pool_size(2)
             .with_drivers(2)
             .with_default_deadline(Duration::from_millis(100))
-            .with_max_deadline(Duration::from_millis(200))
-            .with_watchdog(Duration::from_millis(5), Duration::ZERO),
+            .with_max_deadline(Duration::from_millis(200)),
     );
     // No requested deadline: the default applies.
     let defaulted = engine
@@ -244,7 +278,6 @@ fn default_and_max_deadline_bound_every_job() {
     );
     let stats = engine.shutdown();
     assert_eq!(stats.jobs_deadline_exceeded, 2);
-    assert_eq!(stats.watchdog_reaps, 2);
 }
 
 /// A cancel storm across queued, running, and already-terminal jobs:

@@ -1,5 +1,5 @@
-//! Shutdown hygiene, measured on the whole process: the engine's pool
-//! and driver threads must all be joined by `shutdown()`.
+//! Thread hygiene, measured on the whole process: an engine runs
+//! exactly its pool and driver threads, and `shutdown()` joins them all.
 //!
 //! `/proc/self/task` counts every thread in the process, so this test
 //! lives alone in its own test binary: a sibling test running in
@@ -16,8 +16,9 @@ fn small_cfg() -> RuntimeConfig {
         .with_block_bytes(64)
 }
 
-/// No worker-thread leak: after `shutdown()` the process thread count
-/// returns to its pre-engine baseline.
+/// An engine adds one thread per pool worker and per driver and no
+/// other, jobs spawn none, and after `shutdown()` the process thread
+/// count returns to its pre-engine baseline.
 #[cfg(target_os = "linux")]
 #[test]
 fn shutdown_returns_thread_count_to_baseline() {
@@ -26,6 +27,7 @@ fn shutdown_returns_thread_count_to_baseline() {
     }
     let baseline = threads_now();
     let engine = Engine::new(EngineConfig::default().with_pool_size(4).with_drivers(3));
+    assert_eq!(threads_now(), baseline + 7, "4 pool workers + 3 drivers");
     let shape = TorusShape::new_2d(4, 4).unwrap();
     for i in 0..4u64 {
         engine
@@ -33,7 +35,7 @@ fn shutdown_returns_thread_count_to_baseline() {
             .unwrap()
             .wait();
     }
-    assert!(threads_now() > baseline, "pool + drivers are running");
+    assert_eq!(threads_now(), baseline + 7, "jobs spawn no thread");
     engine.shutdown();
     assert_eq!(
         threads_now(),

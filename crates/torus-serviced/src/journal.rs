@@ -30,10 +30,10 @@
 //! reconstructible by re-running). The fsync itself is **group
 //! committed**: appends assign a monotone sequence number and a
 //! dedicated flusher thread issues one `sync_data` covering every
-//! admission appended since the previous sync (plus a bounded gather
-//! window, [`JournalConfig::with_group_commit_window`], that lets a
-//! burst pile in). [`Journal::record_accepted`] returns only once the
-//! flusher reports the caller's sequence durable, so the barrier —
+//! admission appended since the previous sync (plus a fixed 200 µs
+//! gather window, `GROUP_COMMIT_WINDOW`, that lets a burst pile in).
+//! [`Journal::record_accepted`] returns only once the flusher reports
+//! the caller's sequence durable, so the barrier —
 //! *on disk before the client hears `accepted`* — is exactly as strong
 //! as one-fsync-per-record while the fsync count under concurrent
 //! submitters drops well below one per job. A record that landed in a
@@ -99,6 +99,10 @@ pub const RECORD_HEADER_BYTES: usize = 24;
 /// Upper bound on a record's payload; anything larger on disk is
 /// treated as corruption rather than allocated.
 pub const MAX_PAYLOAD_BYTES: u32 = 1 << 20;
+/// How long the group-commit flusher lingers after noticing pending
+/// admissions before issuing the batch `sync_data`, so concurrent
+/// submitters coalesce into one fsync.
+const GROUP_COMMIT_WINDOW: Duration = Duration::from_micros(200);
 
 fn lk<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -191,12 +195,6 @@ pub struct JournalConfig {
     /// Rotate the active segment once it exceeds this many bytes.
     /// Default 1 MiB.
     pub max_segment_bytes: u64,
-    /// How long the group-commit flusher lingers after noticing pending
-    /// admissions before issuing the batch `sync_data`, so concurrent
-    /// submitters coalesce into one fsync. Zero syncs immediately
-    /// (every admission still gets at most one fsync of latency; under
-    /// bursts many share one). Default 200 µs.
-    pub group_commit_window: Duration,
 }
 
 impl JournalConfig {
@@ -205,20 +203,12 @@ impl JournalConfig {
         Self {
             dir: dir.into(),
             max_segment_bytes: 1 << 20,
-            group_commit_window: Duration::from_micros(200),
         }
     }
 
     /// Sets the rotation threshold (clamped to at least 4 KiB).
     pub fn with_max_segment_bytes(mut self, bytes: u64) -> Self {
         self.max_segment_bytes = bytes.max(4096);
-        self
-    }
-
-    /// Sets the group-commit gather window (capped at 50 ms so a
-    /// misconfiguration cannot stall admissions indefinitely).
-    pub fn with_group_commit_window(mut self, window: Duration) -> Self {
-        self.group_commit_window = window.min(Duration::from_millis(50));
         self
     }
 }
@@ -919,10 +909,7 @@ fn flusher_loop(core: &Core) {
         }
         // Gather window: let a burst of concurrent submitters append
         // behind the record that woke us, all covered by one sync.
-        let window = core.config.group_commit_window;
-        if !window.is_zero() {
-            std::thread::sleep(window);
-        }
+        std::thread::sleep(GROUP_COMMIT_WINDOW);
         let target = lk(&core.flush).appended_seq;
         // Clone the fd under the append lock (rotation may swap the
         // file), then sync outside it so appenders never stall behind

@@ -209,7 +209,6 @@ pub fn service_stats_json(stats: &ServiceStats) -> Json {
             "jobs_deadline_exceeded",
             Json::u64(stats.jobs_deadline_exceeded),
         ),
-        ("watchdog_reaps", Json::u64(stats.watchdog_reaps)),
         ("jobs_degraded", Json::u64(stats.jobs_degraded)),
         ("queue_high_water", Json::u64(stats.queue_high_water as u64)),
         ("cache_hits", Json::u64(stats.cache_hits)),

@@ -216,8 +216,8 @@ fn thousands_of_parked_connections_soak() {
 fn park_connections(count: usize, slack: usize) {
     let (addr, daemon) = Daemon::spawn(quick_config()).unwrap();
 
-    // Warm-up wave: every daemon thread (reactors, drivers, pool,
-    // watchdog) exists once traffic has flowed.
+    // Warm-up wave: every daemon thread (reactors, drivers, pool)
+    // exists once traffic has flowed.
     let mut warm = Client::connect(addr).unwrap();
     warm.hello("acme").unwrap();
     let job = warm.submit(&seeded_spec(1)).unwrap();

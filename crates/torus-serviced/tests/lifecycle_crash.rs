@@ -41,7 +41,7 @@ fn seeded_spec(seed: u64) -> JobSpec {
 }
 
 /// A spec whose pinned worker stalls for `stall_ms` with a retry policy
-/// that outlives the stall: only a cancel or the deadline watchdog ends
+/// that outlives the stall: only a cancel or the deadline ends
 /// it early, but a re-run after recovery completes once the stall
 /// elapses.
 fn stalled_spec(stall_ms: u64, deadline_ms: Option<u64>) -> Json {

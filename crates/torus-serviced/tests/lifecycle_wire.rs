@@ -1,7 +1,8 @@
-//! Wire-level job lifecycle tests: server-side deadlines reaped by the
-//! engine watchdog, tenant-scoped cancellation of queued and running
-//! jobs, idle-connection reaping, and the exactly-one-terminal-record
-//! journal invariant under a multi-tenant cancel storm.
+//! Wire-level job lifecycle tests: server-side deadlines reaped at the
+//! run's first checkpoint past them, tenant-scoped cancellation of
+//! queued and running jobs, idle-connection reaping, and the
+//! exactly-one-terminal-record journal invariant under a multi-tenant
+//! cancel storm.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -13,10 +14,7 @@ use torus_serviced::{json::Json, Client, Daemon, DaemonConfig, JobSpec};
 
 fn quick_config() -> DaemonConfig {
     DaemonConfig {
-        engine: EngineConfig::default()
-            .with_pool_size(4)
-            .with_drivers(2)
-            .with_watchdog(Duration::from_millis(5), Duration::from_millis(20)),
+        engine: EngineConfig::default().with_pool_size(4).with_drivers(2),
         status_poll: Duration::from_millis(1),
         ..DaemonConfig::default()
     }
@@ -30,7 +28,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// A spec whose pinned worker stalls for `stall_ms` without recovering,
 /// with a retry policy that outlives the stall — only a cancel or the
-/// watchdog ends this job early.
+/// deadline ends this job early.
 fn stalled_spec(stall_ms: u64) -> Json {
     torus_serviced::json::parse(&format!(
         r#"{{"shape":[4,4],"block_bytes":32,
@@ -110,8 +108,8 @@ fn count_done_records(dir: &Path) -> HashMap<u64, u32> {
 }
 
 /// The acceptance scenario end to end: a job whose pinned worker never
-/// recovers, submitted with `job.deadline_ms`, is reaped by the
-/// watchdog, answers `done{ok:false}` with the typed deadline state
+/// recovers, submitted with `job.deadline_ms`, is reaped past its
+/// deadline, answers `done{ok:false}` with the typed deadline state
 /// over the wire well before the stall would have ended, and frees its
 /// pool reservation for the next job.
 #[test]
@@ -153,10 +151,6 @@ fn deadline_job_reaped_over_the_wire() {
     let service = stats.get("service").unwrap();
     assert_eq!(
         service.get("jobs_deadline_exceeded").and_then(Json::as_u64),
-        Some(1)
-    );
-    assert_eq!(
-        service.get("watchdog_reaps").and_then(Json::as_u64),
         Some(1)
     );
 
