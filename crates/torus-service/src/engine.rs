@@ -331,6 +331,20 @@ impl Shared {
         }
     }
 
+    /// The one way a job becomes terminal with an event: `Finished`
+    /// fires first and the result is published second, so everything a
+    /// hook records (the daemon's journaled terminal record) exists
+    /// before a waiter or a status poll can see the job finish.
+    fn finish(&self, job: &QueuedJob, status: JobStatus, result: JobResult) {
+        self.fire(JobEvent::Finished {
+            job_id: job.id,
+            tenant: &job.tenant,
+            status,
+            result: &result,
+        });
+        job.state.finish(status, result);
+    }
+
     /// The deadline actually enforced for a job that requested
     /// `requested`: the request (or the engine default), clamped to the
     /// server-side max. When a max is configured even jobs that asked
@@ -348,7 +362,8 @@ impl Shared {
     /// terminal [`JobStatus::Cancelled`] and a `Finished` event so the
     /// daemon journals the terminal record.
     fn finish_cancelled_queued(&self, job: QueuedJob) {
-        let result = job.state.finish(
+        self.finish(
+            &job,
             JobStatus::Cancelled,
             JobResult {
                 job_id: job.id,
@@ -359,12 +374,6 @@ impl Shared {
                 cache_hit: false,
             },
         );
-        self.fire(JobEvent::Finished {
-            job_id: job.id,
-            tenant: &job.tenant,
-            status: JobStatus::Cancelled,
-            result: &result,
-        });
     }
 }
 
@@ -832,7 +841,8 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                         lk(&shared.cache).abandon_build(&key);
                         shared.plan_ready.notify_all();
                         finish_run(JobStatus::Failed);
-                        let result = job.state.finish(
+                        shared.finish(
+                            &job,
                             JobStatus::Failed,
                             JobResult {
                                 job_id: job.id,
@@ -843,12 +853,6 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                                 cache_hit: false,
                             },
                         );
-                        shared.fire(JobEvent::Finished {
-                            job_id: job.id,
-                            tenant: &job.tenant,
-                            status: JobStatus::Failed,
-                            result: &result,
-                        });
                         return;
                     }
                 };
@@ -901,13 +905,14 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 .cells
                 .bytes_copied
                 .fetch_add(report.bytes_copied, Ordering::Relaxed);
-            // Digest before `finish`: a waiter can read the result the
-            // moment it is published, before any event hook runs.
+            // Digest before `finish`: the journal hook records it, and a
+            // waiter reads it the moment the result is published.
             let digest = report
                 .degraded
                 .is_none()
                 .then(|| torus_runtime::delivery_digest(&deliveries));
-            let result = job.state.finish(
+            shared.finish(
+                &job,
                 JobStatus::Completed,
                 JobResult {
                     job_id: job.id,
@@ -918,12 +923,6 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                     cache_hit,
                 },
             );
-            shared.fire(JobEvent::Finished {
-                job_id: job.id,
-                tenant: &job.tenant,
-                status: JobStatus::Completed,
-                result: &result,
-            });
         }
         Err(e) => {
             // A fault abort still carries partial measurements worth
@@ -950,7 +949,8 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                 other => (JobStatus::Failed, other.to_string(), None),
             };
             finish_run(status);
-            let result = job.state.finish(
+            shared.finish(
+                &job,
                 status,
                 JobResult {
                     job_id: job.id,
@@ -961,12 +961,6 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                     cache_hit,
                 },
             );
-            shared.fire(JobEvent::Finished {
-                job_id: job.id,
-                tenant: &job.tenant,
-                status,
-                result: &result,
-            });
         }
     }
 }

@@ -102,10 +102,13 @@ impl std::error::Error for SubmitError {}
 /// A job-lifecycle notification delivered to the engine's optional
 /// event hook (see `EngineConfig::with_event_hook`).
 ///
-/// Fired synchronously by the driver that owns the transition, after
-/// the job's own state has been updated — a hook observing `Finished`
-/// can already see the terminal status through the job's handle. Hooks
-/// must be fast and must not call back into the engine.
+/// Fired synchronously by the driver that owns the transition. A
+/// `Finished` event fires *before* the job's terminal result is
+/// published: until every hook has returned, the job's handle still
+/// reads `Running` (or `Queued`), so whatever a hook records — the
+/// daemon's journaled terminal record — exists before any waiter or
+/// status poll can see the job finish. Hooks must be fast and must not
+/// call back into the engine.
 #[derive(Debug)]
 pub enum JobEvent<'a> {
     /// A driver claimed the job and is about to execute it.
@@ -208,12 +211,10 @@ impl JobState {
         slot.0 = JobStatus::Running;
     }
 
-    pub(crate) fn finish(&self, status: JobStatus, result: JobResult) -> Arc<JobResult> {
-        let result = Arc::new(result);
+    pub(crate) fn finish(&self, status: JobStatus, result: JobResult) {
         let mut slot = self.status.lock().unwrap_or_else(PoisonError::into_inner);
-        *slot = (status, Some(Arc::clone(&result)));
+        *slot = (status, Some(Arc::new(result)));
         self.done.notify_all();
-        result
     }
 }
 

@@ -3,10 +3,14 @@
 //! books invariant (`accepted == completed + failed + cancelled +
 //! deadline_exceeded`) across every terminal path.
 
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use torus_runtime::{FaultPlan, RetryPolicy, RuntimeConfig, WorkerFaultKind};
-use torus_service::{CancelOutcome, Engine, EngineConfig, JobHandle, JobStatus, PayloadSpec};
+use torus_service::{
+    CancelOutcome, Engine, EngineConfig, JobEvent, JobHandle, JobStatus, PayloadSpec,
+};
 use torus_topology::TorusShape;
 
 fn shape() -> TorusShape {
@@ -370,4 +374,71 @@ fn oversized_extent_fails_the_job_and_releases_the_plan_build() {
     let stats = engine.shutdown();
     assert_eq!(stats.jobs_completed, 1);
     assert_eq!(stats.jobs_failed, 2);
+}
+
+/// The `Finished` hook runs before the terminal result is published: a
+/// waiter (or a daemon streaming `done`) never sees a job finish before
+/// what the hook records — the daemon's journaled terminal record —
+/// exists. A slow hook makes the window wide; every terminal path
+/// (completion, plan-build failure, a queued cancel) must close it.
+#[test]
+fn finished_hook_runs_before_the_job_is_seen_terminal() {
+    let recorded: Arc<Mutex<HashSet<u64>>> = Arc::default();
+    let hook_recorded = Arc::clone(&recorded);
+    let engine = Engine::new(
+        EngineConfig::default()
+            .with_pool_size(2)
+            .with_drivers(1)
+            .with_event_hook(Arc::new(move |event| {
+                if let JobEvent::Finished { job_id, .. } = event {
+                    std::thread::sleep(Duration::from_millis(50));
+                    hook_recorded.lock().unwrap().insert(job_id);
+                }
+            })),
+    );
+    let recorded_when_seen = |handle: &JobHandle| {
+        handle.wait();
+        recorded.lock().unwrap().contains(&handle.id())
+    };
+
+    let clean = engine
+        .submit(shape(), PayloadSpec::Pattern, quick_cfg())
+        .unwrap();
+    assert!(
+        recorded_when_seen(&clean),
+        "completion seen before its hook"
+    );
+
+    let huge = TorusShape::new_2d(1028, 4).unwrap();
+    let failed = engine
+        .submit(huge, PayloadSpec::Pattern, quick_cfg())
+        .unwrap();
+    assert!(
+        recorded_when_seen(&failed),
+        "build failure seen before its hook"
+    );
+    assert_eq!(failed.try_status(), JobStatus::Failed);
+
+    // Occupy the single driver so the next submission stays queued.
+    let blocker = engine
+        .submit(
+            shape(),
+            PayloadSpec::Pattern,
+            stalled_cfg(Duration::from_secs(2)),
+        )
+        .unwrap();
+    wait_until_running(&blocker);
+    let queued = engine
+        .submit(shape(), PayloadSpec::Pattern, quick_cfg())
+        .unwrap();
+    assert_eq!(engine.cancel(queued.id()), CancelOutcome::Cancelled);
+    assert!(
+        recorded_when_seen(&queued),
+        "queued cancel seen before its hook"
+    );
+
+    assert_eq!(engine.cancel(blocker.id()), CancelOutcome::Cancelling);
+    assert!(recorded_when_seen(&blocker), "abort seen before its hook");
+    assert_eq!(blocker.try_status(), JobStatus::Cancelled);
+    engine.shutdown();
 }

@@ -7,14 +7,18 @@
 //! no-async-runtime, threads-and-locks style:
 //!
 //! * **Fixed thread pool.** [`Daemon::run`](crate::server::Daemon::run)
-//!   spawns `reactor_threads` reactor threads; accepted connections are
-//!   assigned round-robin and stay on their reactor for life. Daemon
-//!   thread count is O(reactor pool + engine drivers), independent of
-//!   connection and job counts.
+//!   runs reactor 0 on its calling thread and spawns the other
+//!   `reactor_threads − 1`. Every reactor polls its own clone of the
+//!   listening socket and accepts one connection per wake, so a burst
+//!   spreads over the pool; a connection stays on the reactor that
+//!   accepted it for life. The price: each new connection wakes every
+//!   reactor, and all but the one that accepts it run an iteration for a
+//!   `WouldBlock`. Daemon thread count is reactor pool + engine drivers
+//!   + worker pool, independent of connection and job counts.
 //! * **Non-blocking sockets, `poll` via direct FFI.** The container
-//!   vendors no libc crate, so the three syscall entry points the
-//!   reactor needs (`poll`, `pipe`, plus raw `read`/`write`/`close` for
-//!   the wake pipe) are declared `extern "C"` directly, the same way
+//!   vendors no libc crate, so the syscall entry points the reactor
+//!   needs (`poll`, `pipe`, plus raw `read`/`write`/`close` for the wake
+//!   pipe) are declared `extern "C"` directly, the same way
 //!   [`crate::signal`] declares `signal`.
 //! * **Per-connection write queues.** Events are appended to an owned
 //!   byte buffer and flushed on `POLLOUT`, replacing the mutex-guarded
@@ -60,7 +64,7 @@
 //! [`Engine::cancel_queued`]: torus_service::Engine::cancel_queued
 
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_ulong, c_void};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,6 +77,7 @@ use crate::journal::JournalError;
 use crate::json::Json;
 use crate::proto::{self, Request, MAX_LINE_BYTES};
 use crate::server::{done_event, CancelLookup, DaemonShared, Terminal};
+use crate::signal;
 use crate::spec::JobSpec;
 
 /// A client that stops reading while events stream is disconnected once
@@ -84,10 +89,16 @@ pub(crate) const MAX_WRITE_BUFFER: usize = 4 * 1024 * 1024;
 /// (`done`, `drained`) to slow clients before giving up.
 const CLOSE_FLUSH_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Poll timeout while no connection has live jobs or unflushed output —
-/// the reactor still wakes for inbox messages via the wake pipe, so
-/// this only bounds how stale the `closed` check can get.
+/// Poll timeout while no connection has live jobs or unflushed output.
+/// New connections and the drain helper's close wake the reactor through
+/// the listener and the wake pipe, so this only bounds how long a SIGTERM
+/// (a flag, which wakes nothing) goes unnoticed by an idle daemon.
 const IDLE_POLL: Duration = Duration::from_millis(50);
+
+/// How long a reactor stops polling the listener after an accept error
+/// other than `WouldBlock`/`Interrupted` (`EMFILE`, say), so a full fd
+/// table cannot spin it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 fn lk<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -117,10 +128,9 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
 }
 
-/// A self-pipe wakeup. The write end is signalled by other threads
-/// (accept loop handing over a connection, the drain helper announcing
-/// the published final stats); the reactor polls the read end
-/// alongside its sockets.
+/// A self-pipe wakeup. The write end is signalled by the drain helper
+/// once it has published the final stats and closed the daemon; the
+/// reactor polls the read end alongside its sockets.
 ///
 /// The pipe stays in blocking mode on purpose: the reactor only reads
 /// it after `POLLIN`, and a read never asks for more than one buffer
@@ -134,7 +144,7 @@ pub(crate) struct Waker {
 }
 
 impl Waker {
-    fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         let mut fds = [0 as c_int; 2];
         if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
             return Err(io::Error::last_os_error());
@@ -158,9 +168,9 @@ impl Waker {
 
     /// Clears the pipe after `POLLIN`. The byte is consumed *before*
     /// the flag is cleared: a wake landing in between is elided (the
-    /// flag is still set) and its message is picked up by the next
-    /// inbox pass, which the reactor reaches without blocking again,
-    /// while a wake after the clear writes a fresh byte. The reverse order could consume a byte written
+    /// flag is still set), but what it announced (the published verdict,
+    /// `closed`) is read before the reactor next blocks in `poll`, while
+    /// a wake after the clear writes a fresh byte. The reverse order could consume a byte written
     /// *after* the flag was re-armed, leaving `pending` true over an
     /// empty pipe — every later wake elided, the reactor reduced to
     /// its poll timeout forever.
@@ -179,38 +189,6 @@ impl Drop for Waker {
             close(self.rd);
             close(self.wr);
         }
-    }
-}
-
-/// A message injected into a reactor from another thread.
-pub(crate) enum Inject {
-    /// A freshly accepted connection.
-    Conn(TcpStream),
-}
-
-/// The handle other threads use to feed a reactor.
-pub(crate) struct ReactorHandle {
-    inbox: Mutex<Vec<Inject>>,
-    waker: Waker,
-}
-
-impl ReactorHandle {
-    pub(crate) fn new() -> io::Result<Self> {
-        Ok(Self {
-            inbox: Mutex::new(Vec::new()),
-            waker: Waker::new()?,
-        })
-    }
-
-    pub(crate) fn send(&self, msg: Inject) {
-        lk(&self.inbox).push(msg);
-        self.waker.wake();
-    }
-
-    /// Wakes the reactor without a message — used when a shared flag
-    /// (`closed`) changed.
-    pub(crate) fn wake(&self) {
-        self.waker.wake();
     }
 }
 
@@ -298,35 +276,42 @@ fn queue_event(wbuf: &mut Vec<u8>, event: &Json) {
     wbuf.push(b'\n');
 }
 
-/// The reactor thread body. Runs until the daemon is closed and every
-/// final event is flushed (or the flush deadline passes).
-pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, handle: &Arc<ReactorHandle>) {
+/// The body of reactor `index`, woken by `shared.reactors[index]`. Runs
+/// until the daemon is closed and every final event is flushed (or the
+/// flush deadline passes).
+pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, index: usize, listener: &TcpListener) {
+    let waker = &shared.reactors[index];
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut close_deadline: Option<Instant> = None;
+    // The listener is left out of the poll set until this instant.
+    let mut accept_resume = Instant::now();
 
     loop {
-        // Inbox: adopt new connections.
-        for msg in lk(&handle.inbox).drain(..) {
-            match msg {
-                Inject::Conn(stream) => {
-                    if let Ok(conn) = Conn::new(stream) {
-                        conns.push(conn);
-                    }
-                }
-            }
+        if signal::triggered() {
+            shared.begin_drain();
         }
-
         let closed = shared.closed.load(Ordering::SeqCst);
+        let now = Instant::now();
         if closed && close_deadline.is_none() {
-            close_deadline = Some(Instant::now() + CLOSE_FLUSH_DEADLINE);
+            close_deadline = Some(now + CLOSE_FLUSH_DEADLINE);
         }
+        // Keep accepting until the engine has drained: a client that
+        // connected mid-drain is read and gets a typed reply (`draining`
+        // on submit, the verdict on `drain`) instead of a reset when the
+        // listener drops.
+        let accepting = !closed && now >= accept_resume;
 
-        // Poll: the wake pipe plus every live socket.
+        // Poll: the wake pipe, the listener, then every live socket.
         fds.clear();
         fds.push(PollFd {
-            fd: handle.waker.rd,
+            fd: waker.rd,
             events: POLLIN,
+            revents: 0,
+        });
+        fds.push(PollFd {
+            fd: listener.as_raw_fd(),
+            events: if accepting { POLLIN } else { 0 },
             revents: 0,
         });
         for conn in &conns {
@@ -350,11 +335,14 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, handle: &Arc<ReactorHandl
         let busy = conns
             .iter()
             .any(|c| !c.tracks.is_empty() || !c.pending.is_empty() || c.has_unflushed());
-        let timeout = if busy || closed {
+        let mut timeout = if busy || closed {
             shared.status_poll.max(Duration::from_millis(1))
         } else {
             IDLE_POLL
         };
+        if !closed && !accepting {
+            timeout = timeout.min((accept_resume - now).max(Duration::from_millis(1)));
+        }
         let rc = unsafe {
             poll(
                 fds.as_mut_ptr(),
@@ -372,15 +360,29 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, handle: &Arc<ReactorHandl
             continue;
         }
         if fds[0].revents & POLLIN != 0 {
-            handle.waker.drain();
+            waker.drain();
         }
 
         // Read every readable socket fully (edge towards exhaustion so
         // pipelined requests land in one iteration and batch).
-        for (i, conn) in conns.iter_mut().enumerate() {
-            let revents = fds[i + 1].revents;
-            if revents & (POLLIN | POLLHUP | POLLERR) != 0 && !conn.eof && !conn.dead {
+        for (conn, fd) in conns.iter_mut().zip(&fds[2..]) {
+            if fd.revents & (POLLIN | POLLHUP | POLLERR) != 0 && !conn.eof && !conn.dead {
                 read_ready(conn);
+            }
+        }
+
+        // Accept one connection per wake, so a burst spreads over every
+        // reactor polling the listener; a reactor that loses the race
+        // sees `WouldBlock`.
+        if fds[1].revents & POLLIN != 0 {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    if let Ok(conn) = Conn::new(stream) {
+                        conns.push(conn);
+                    }
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+                Err(_) => accept_resume = Instant::now() + ACCEPT_BACKOFF,
             }
         }
 
@@ -586,7 +588,7 @@ fn dispatch(conn: &mut Conn, request: Request, shared: &Arc<DaemonShared>) {
                 .map(crate::journal::Journal::stats);
             let (live, terminal) = shared.registry.counts();
             let daemon = Json::obj([
-                ("reactor_threads", Json::u64(shared.reactor_threads as u64)),
+                ("reactor_threads", Json::u64(shared.reactors.len() as u64)),
                 ("registry_live", Json::u64(live as u64)),
                 ("registry_terminal", Json::u64(terminal as u64)),
                 (

@@ -1,28 +1,26 @@
-//! The daemon: a blocking TCP accept loop in front of a fixed pool of
-//! poll-reactor threads (the private `reactor` module). No async runtime — the
+//! The daemon: a fixed pool of poll-reactor threads (the private
+//! `reactor` module) sharing one listening socket. No async runtime — the
 //! concurrency story is the same hand-rolled threads-and-locks the rest
 //! of the workspace uses.
 //!
 //! ## Threading model
 //!
-//! * **Accept loop** (the thread calling [`Daemon::run`]): nonblocking
-//!   accept + short sleep, so it can poll the drain/SIGTERM flags and
-//!   the published drain verdict.
-//!   Accepted connections are assigned round-robin to…
 //! * **A fixed pool of reactor threads** (`reactor_threads`, default
-//!   4): each drives all reads, request handling, job-status streaming,
-//!   and writes for its connections over non-blocking sockets and
-//!   `poll(2)`. Connection count and in-flight job count add *no*
-//!   threads — total daemon threads are O(reactor pool + engine
-//!   drivers + worker pool), plus the journal's single flusher.
+//!   4), the first of which is the thread calling [`Daemon::run`]: every
+//!   reactor polls the listener alongside its own sockets and accepts one
+//!   connection per wake, so a burst spreads over the pool. A connection
+//!   stays on the reactor that accepted it; that reactor drives all its
+//!   reads, request handling, job-status streaming and writes over
+//!   non-blocking sockets and `poll(2)`. Connection count and in-flight
+//!   job count add *no* threads — total daemon threads are reactor pool
+//!   + engine drivers + worker pool, plus the journal's single flusher.
 //! * **Transient drain helper**: the first drain trigger (`drain`
-//!   request, SIGTERM, or [`Daemon::request_drain`]) spawns one
-//!   short-lived helper thread that waits out the engine drain and
-//!   publishes the final stats, so the reactors — and the accept loop —
-//!   keep serving meanwhile. Repeated drains share that helper — they
-//!   park for the published verdict rather than each adding a thread,
-//!   keeping thread count a function of configuration, never of client
-//!   behavior.
+//!   request or SIGTERM) spawns one short-lived helper thread that waits
+//!   out the engine drain, publishes the final stats and closes the
+//!   daemon, so the reactors keep serving meanwhile. Repeated drains
+//!   share that helper — they park for the published verdict rather than
+//!   each adding a thread, keeping thread count a function of
+//!   configuration, never of client behavior.
 //!
 //! ## Durability
 //!
@@ -40,7 +38,7 @@
 //! admission and lets every admitted job finish: the engine's own
 //! shutdown drains the queue, the reactors deliver each job's `done`,
 //! the drain caller gets the final aggregate stats, and [`Daemon::run`]
-//! returns them. The accept loop keeps adopting connections until the
+//! returns them. The reactors keep accepting connections until the
 //! engine has drained, so a client that connects mid-drain is answered
 //! rather than reset: its submissions are rejected with reason
 //! `"draining"`, its `drain` gets the final stats. Concurrent drains are
@@ -49,6 +47,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -62,7 +61,7 @@ use crate::checksum;
 use crate::journal::{Journal, JournalConfig};
 use crate::json::Json;
 use crate::proto;
-use crate::reactor::{self, Inject, ReactorHandle};
+use crate::reactor::{self, Waker};
 use crate::signal;
 use crate::spec::JobSpec;
 
@@ -74,8 +73,7 @@ pub struct DaemonConfig {
     pub addr: String,
     /// The engine the daemon fronts.
     pub engine: EngineConfig,
-    /// How often reactors poll tracked job status (and the accept loop
-    /// polls shutdown).
+    /// How often reactors poll tracked job status.
     pub status_poll: Duration,
     /// Resend the current status every this many polls, so a client
     /// watching a long-queued job sees liveness, not silence.
@@ -273,14 +271,13 @@ impl Registry {
 
 pub(crate) struct DaemonShared {
     pub(crate) engine: Engine,
-    /// Admission stopped (drain op or SIGTERM); the accept loop exits
-    /// once the drain helper publishes `drained_event`.
+    /// Admission stopped (drain op or SIGTERM).
     pub(crate) draining: AtomicBool,
-    /// Engine fully drained; reactors flush final events and exit.
+    /// Engine fully drained and `drained_event` published; reactors stop
+    /// accepting, flush final events and exit.
     pub(crate) closed: AtomicBool,
     pub(crate) status_poll: Duration,
     pub(crate) heartbeat_polls: u32,
-    pub(crate) reactor_threads: usize,
     /// Reap connections idle (no live jobs, no buffered traffic) past
     /// this, when configured.
     pub(crate) idle_timeout: Option<Duration>,
@@ -290,24 +287,24 @@ pub(crate) struct DaemonShared {
     pub(crate) journal: Option<Arc<Journal>>,
     /// Every job id this daemon can answer `status` for.
     pub(crate) registry: Arc<Registry>,
-    /// Set by the first `drain` request to claim the (single) helper
+    /// Set by the first drain trigger to claim the (single) helper
     /// thread; repeated drains wait on its published verdict instead of
     /// each adding a thread blocked on the engine's final-stats lock.
     pub(crate) drain_helper_spawned: AtomicBool,
     /// The final `drained` event, published once by the drain helper;
     /// every connection owed a drain reply is answered from it.
     pub(crate) drained_event: Mutex<Option<Json>>,
-    /// Every reactor's handle, so the drain helper can wake the whole
-    /// pool when the verdict lands. Populated by [`Daemon::run`].
-    pub(crate) reactors: Mutex<Vec<Arc<ReactorHandle>>>,
+    /// One waker per reactor (`reactor_threads` of them), so the drain
+    /// helper can wake the whole pool when the verdict lands.
+    pub(crate) reactors: Vec<Waker>,
 }
 
 impl DaemonShared {
     /// Stops admission and, on the first call, starts the single drain
     /// helper: it waits out the engine drain, publishes the final
-    /// `drained` event, and wakes every reactor so each answers its own
-    /// waiting connections. Every drain trigger (the `drain` op, SIGTERM,
-    /// [`Daemon::request_drain`]) funnels through here, so however many
+    /// `drained` event, closes the daemon and wakes every reactor, so each
+    /// answers its own waiting connections and exits. Every drain trigger
+    /// (the `drain` op, SIGTERM) funnels through here, so however many
     /// arrive the daemon grows by at most one thread.
     pub(crate) fn begin_drain(self: &Arc<Self>) {
         self.draining.store(true, Ordering::SeqCst);
@@ -320,8 +317,9 @@ impl DaemonShared {
             .spawn(move || {
                 let stats = shared.engine.shutdown();
                 *lk(&shared.drained_event) = Some(proto::drained(&stats));
-                for reactor in lk(&shared.reactors).iter() {
-                    reactor.wake();
+                shared.closed.store(true, Ordering::SeqCst);
+                for waker in &shared.reactors {
+                    waker.wake();
                 }
             })
             .expect("spawn drain helper");
@@ -355,6 +353,9 @@ impl Daemon {
     /// records.
     pub fn bind(config: DaemonConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
+        let reactors = (0..config.reactor_threads.clamp(1, 64))
+            .map(|_| Waker::new())
+            .collect::<io::Result<Vec<_>>>()?;
         let registry = Arc::new(Registry::new());
         let mut engine_config = config.engine;
         let opened = match config.journal {
@@ -445,14 +446,13 @@ impl Daemon {
                 closed: AtomicBool::new(false),
                 status_poll: config.status_poll,
                 heartbeat_polls: config.heartbeat_polls.max(1),
-                reactor_threads: config.reactor_threads.clamp(1, 64),
                 idle_timeout: config.idle_timeout,
                 idle_reaped: AtomicU64::new(0),
                 journal,
                 registry,
                 drain_helper_spawned: AtomicBool::new(false),
                 drained_event: Mutex::new(None),
-                reactors: Mutex::new(Vec::new()),
+                reactors,
             }),
         })
     }
@@ -462,76 +462,38 @@ impl Daemon {
         self.listener.local_addr()
     }
 
-    /// Requests a drain as if a client had sent `drain` — used to stop
-    /// a daemon from the thread that owns it.
-    pub fn request_drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// Serves until drained (by a `drain` request, [`request_drain`],
-    /// or SIGTERM), then returns the final aggregate stats. Installs
-    /// the SIGTERM flag handler and spawns the reactor pool.
-    ///
-    /// [`request_drain`]: Daemon::request_drain
+    /// Serves until drained (by a `drain` request or SIGTERM), then
+    /// returns the final aggregate stats. Installs the SIGTERM flag
+    /// handler, spawns reactors 1.. and runs reactor 0 on the calling
+    /// thread. A reactor that panics drops its own connections; the rest
+    /// serve on, and this still returns the drained stats.
     pub fn run(self) -> ServiceStats {
         signal::install();
+        // Non-blocking: every reactor polls the listener, and one that
+        // loses the race to a ready connection must not block in accept.
         self.listener
             .set_nonblocking(true)
             .expect("nonblocking listener");
-        let mut reactors: Vec<Arc<ReactorHandle>> = Vec::new();
-        let mut reactor_threads: Vec<JoinHandle<()>> = Vec::new();
-        for i in 0..self.shared.reactor_threads {
-            let handle = Arc::new(ReactorHandle::new().expect("reactor wake pipe"));
-            let shared = Arc::clone(&self.shared);
-            let thread_handle = Arc::clone(&handle);
-            reactor_threads.push(
+        let reactors: Vec<JoinHandle<()>> = (1..self.shared.reactors.len())
+            .map(|index| {
+                let shared = Arc::clone(&self.shared);
+                let listener = self.listener.try_clone().expect("clone listener");
                 std::thread::Builder::new()
-                    .name(format!("serviced-reactor-{i}"))
-                    .spawn(move || reactor::reactor_loop(&shared, &thread_handle))
-                    .expect("spawn reactor thread"),
-            );
-            reactors.push(handle);
-        }
-        // Registered before the first accept, so a drain helper always
-        // sees the full pool when it wakes the reactors.
-        *lk(&self.shared.reactors) = reactors.clone();
-        let mut next_conn_id = 0u64;
-        loop {
-            if signal::triggered() || self.shared.draining.load(Ordering::SeqCst) {
-                self.shared.begin_drain();
-            }
-            // Keep adopting connections until the engine has drained: a
-            // client that connected mid-drain is read and gets a typed
-            // reply (`draining` on submit, the verdict on `drain`)
-            // instead of a reset when the listener drops. The drain
-            // helper publishes `drained_event` once the engine is empty.
-            if lk(&self.shared.drained_event).is_some() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let target = (next_conn_id % reactors.len() as u64) as usize;
-                    next_conn_id += 1;
-                    reactors[target].send(Inject::Conn(stream));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(self.shared.status_poll.max(Duration::from_millis(2)));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
-            }
-        }
-        // The drain helper already shut the engine down, so this returns
-        // its frozen snapshot. Every job is terminal by now, so the
-        // reactors' final passes deliver all remaining `done` events.
-        let stats = self.shared.engine.shutdown();
-        self.shared.closed.store(true, Ordering::SeqCst);
-        for handle in &reactors {
-            handle.wake();
-        }
-        for thread in reactor_threads {
+                    .name(format!("serviced-reactor-{index}"))
+                    .spawn(move || reactor::reactor_loop(&shared, index, &listener))
+                    .expect("spawn reactor thread")
+            })
+            .collect();
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            reactor::reactor_loop(&self.shared, 0, &self.listener)
+        }));
+        for thread in reactors {
             let _ = thread.join();
         }
-        stats
+        // Reactors exit once the drain helper has shut the engine down
+        // and closed the daemon, so this returns its frozen snapshot (or,
+        // if every reactor stopped early, drains the engine here).
+        self.shared.engine.shutdown()
     }
 
     /// Convenience for tests and embedders: run on a background thread,
@@ -541,7 +503,7 @@ impl Daemon {
         let daemon = Self::bind(config)?;
         let addr = daemon.local_addr()?;
         let handle = std::thread::Builder::new()
-            .name("serviced-accept".to_string())
+            .name("serviced-reactor-0".to_string())
             .spawn(move || daemon.run())
             .expect("spawn daemon thread");
         Ok((addr, handle))

@@ -3,8 +3,9 @@
 //! The daemon's graceful-drain contract is "SIGTERM behaves like a
 //! `drain` request". All a signal handler can safely do is set a flag,
 //! so that is all this module does: `install()` registers a handler
-//! that stores into a process-global atomic, and the daemon's accept
-//! loop polls [`triggered`]. The libc `signal` entry point is declared
+//! that stores into a process-global atomic, and every daemon reactor
+//! checks [`triggered`] once per loop iteration — an idle reactor within
+//! its 50 ms idle poll. The libc `signal` entry point is declared
 //! directly — the container has no signal crate, and one `extern "C"`
 //! line beats carrying one.
 

@@ -5,12 +5,14 @@
 //! stalled allreduce cancels cleanly, and a SIGKILL mid-allreduce is
 //! recovered by journal replay on restart — bit-exact.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use torus_service::EngineConfig;
 use torus_serviced::{checksum, json::Json, Client, ClientError, Daemon, DaemonConfig, JobSpec};
+
+#[path = "support/crashd.rs"]
+mod crashd;
+use crashd::{connect, Crashd};
 
 fn quick_config() -> DaemonConfig {
     DaemonConfig {
@@ -245,58 +247,6 @@ fn running_allreduce_cancels_over_the_wire() {
 
 // --- SIGKILL recovery ---------------------------------------------------
 
-struct Crashd {
-    child: std::process::Child,
-    port: u16,
-    port_file: PathBuf,
-}
-
-fn start_crashd(journal_dir: &Path, tag: &str) -> Crashd {
-    let port_file = journal_dir.with_extension(format!("{tag}.port"));
-    let _ = std::fs::remove_file(&port_file);
-    let child = Command::new(env!("CARGO_BIN_EXE_crashd"))
-        .arg("--journal-dir")
-        .arg(journal_dir)
-        .arg("--port-file")
-        .arg(&port_file)
-        .arg("--drivers")
-        .arg("2")
-        .arg("--pool")
-        .arg("4")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn crashd");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let port = loop {
-        if let Ok(text) = std::fs::read_to_string(&port_file) {
-            if let Ok(port) = text.trim().parse::<u16>() {
-                break port;
-            }
-        }
-        assert!(Instant::now() < deadline, "crashd never published its port");
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    Crashd {
-        child,
-        port,
-        port_file,
-    }
-}
-
-fn connect(port: u16) -> Client {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match Client::connect(("127.0.0.1", port)) {
-            Ok(c) => return c,
-            Err(_) => {
-                assert!(Instant::now() < deadline, "daemon never accepted");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-}
-
 /// SIGKILL the journaling daemon with allreduce/broadcast jobs accepted
 /// and one allreduce guaranteed mid-run (a 400 ms pinned-worker stall);
 /// the restarted incarnation replays every admission — op included —
@@ -329,7 +279,7 @@ fn sigkill_mid_allreduce_recovers_bit_exact() {
     ];
 
     // First incarnation: accept everything, kill mid-stall.
-    let mut daemon = start_crashd(&journal_dir, "c0");
+    let mut daemon = Crashd::start(&journal_dir, "c0");
     let mut jobs: Vec<(u64, Json)> = Vec::new();
     {
         let mut client = connect(daemon.port);
@@ -351,12 +301,10 @@ fn sigkill_mid_allreduce_recovers_bit_exact() {
             std::thread::sleep(Duration::from_millis(2));
         }
     }
-    daemon.child.kill().expect("SIGKILL crashd");
-    let _ = daemon.child.wait();
-    let _ = std::fs::remove_file(&daemon.port_file);
+    daemon.kill();
 
     // Second incarnation: replay finishes every job with exact bytes.
-    let mut daemon = start_crashd(&journal_dir, "c1");
+    let mut daemon = Crashd::start(&journal_dir, "c1");
     let mut client = connect(daemon.port);
     client.hello("acme").unwrap();
     for (job_id, spec) in &jobs {

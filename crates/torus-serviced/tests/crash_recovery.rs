@@ -21,8 +21,7 @@
 //! an in-process daemon would take the test down with it.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use torus_service::EngineConfig;
@@ -30,6 +29,10 @@ use torus_serviced::journal::{
     Journal, JournalConfig, RecordKind, MAGIC, RECORD_HEADER_BYTES, VERSION,
 };
 use torus_serviced::{checksum, Client, DaemonConfig, JobSpec};
+
+#[path = "support/crashd.rs"]
+mod crashd;
+use crashd::{connect, Crashd};
 
 const TENANTS: [&str; 3] = ["acme", "zeta", "omni"];
 
@@ -47,59 +50,6 @@ fn seeded_spec(seed: u64) -> JobSpec {
         block_bytes: 32,
         payload: torus_service::PayloadSpec::Seeded { seed },
         ..JobSpec::default()
-    }
-}
-
-struct Daemon {
-    child: Child,
-    port: u16,
-    port_file: PathBuf,
-}
-
-fn start_daemon(journal_dir: &Path, tag: &str) -> Daemon {
-    let port_file = journal_dir.with_extension(format!("{tag}.port"));
-    let _ = std::fs::remove_file(&port_file);
-    let child = Command::new(env!("CARGO_BIN_EXE_crashd"))
-        .arg("--journal-dir")
-        .arg(journal_dir)
-        .arg("--port-file")
-        .arg(&port_file)
-        .arg("--drivers")
-        .arg("2")
-        .arg("--pool")
-        .arg("4")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn crashd");
-    // The port file appears only after bind + journal replay completed.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let port = loop {
-        if let Ok(text) = std::fs::read_to_string(&port_file) {
-            if let Ok(port) = text.trim().parse::<u16>() {
-                break port;
-            }
-        }
-        assert!(Instant::now() < deadline, "crashd never published its port");
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    Daemon {
-        child,
-        port,
-        port_file,
-    }
-}
-
-fn connect(port: u16) -> Client {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match Client::connect(("127.0.0.1", port)) {
-            Ok(c) => return c,
-            Err(_) => {
-                assert!(Instant::now() < deadline, "daemon never accepted");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
     }
 }
 
@@ -141,7 +91,7 @@ fn sigkill_mid_batch_recovers_every_job_exactly_once() {
 
     const ROUNDS: usize = 3;
     for round in 0..ROUNDS {
-        let daemon = start_daemon(&journal_dir, &format!("r{round}"));
+        let daemon = Crashd::start(&journal_dir, &format!("r{round}"));
         let mut clients: Vec<Client> = TENANTS
             .iter()
             .map(|tenant| {
@@ -197,12 +147,7 @@ fn sigkill_mid_batch_recovers_every_job_exactly_once() {
             // Let a seeded slice of the batch make progress, then kill.
             let naps = splitmix64(&mut rng) % 20;
             std::thread::sleep(Duration::from_millis(naps));
-            daemon.child.kill().expect("SIGKILL crashd");
-            let _ = daemon.child.wait();
-            // SIGKILL leaves the port file behind by design (no clean
-            // exit path ran); remove it so the next round's wait can't
-            // read the dead incarnation's port.
-            let _ = std::fs::remove_file(&daemon.port_file);
+            daemon.kill();
             if round == 0 {
                 // While the daemon is dead, append an admission whose
                 // spec can never pass re-validation (a zero dimension).

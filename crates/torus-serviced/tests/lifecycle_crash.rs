@@ -16,12 +16,15 @@
 //! SIGKILL must hit a real process.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use torus_serviced::journal::RecordKind;
 use torus_serviced::{json::Json, Client, JobSpec, JobStatusReply};
+
+#[path = "support/crashd.rs"]
+mod crashd;
+use crashd::{connect, Crashd};
 
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -55,66 +58,6 @@ fn stalled_spec(stall_ms: u64, deadline_ms: Option<u64>) -> Json {
         stall_ms * 1000
     ))
     .unwrap()
-}
-
-struct Daemon {
-    child: Child,
-    port: u16,
-    port_file: PathBuf,
-}
-
-fn start_daemon(journal_dir: &Path, tag: &str) -> Daemon {
-    let port_file = journal_dir.with_extension(format!("{tag}.port"));
-    let _ = std::fs::remove_file(&port_file);
-    let child = Command::new(env!("CARGO_BIN_EXE_crashd"))
-        .arg("--journal-dir")
-        .arg(journal_dir)
-        .arg("--port-file")
-        .arg(&port_file)
-        .arg("--drivers")
-        .arg("2")
-        .arg("--pool")
-        .arg("4")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn crashd");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let port = loop {
-        if let Ok(text) = std::fs::read_to_string(&port_file) {
-            if let Ok(port) = text.trim().parse::<u16>() {
-                break port;
-            }
-        }
-        assert!(Instant::now() < deadline, "crashd never published its port");
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    Daemon {
-        child,
-        port,
-        port_file,
-    }
-}
-
-fn kill(daemon: &mut Daemon) {
-    daemon.child.kill().expect("SIGKILL crashd");
-    let _ = daemon.child.wait();
-    // SIGKILL leaves the port file behind by design; remove it so the
-    // next incarnation's wait cannot read the dead daemon's port.
-    let _ = std::fs::remove_file(&daemon.port_file);
-}
-
-fn connect(port: u16) -> Client {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match Client::connect(("127.0.0.1", port)) {
-            Ok(c) => return c,
-            Err(_) => {
-                assert!(Instant::now() < deadline, "daemon never accepted");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
 }
 
 /// Polls `status` until `job_id` reaches any terminal state (replayed
@@ -179,7 +122,7 @@ fn sigkill_preserves_cancel_and_deadline_terminality_exactly_once() {
     let mut rng: u64 = 0xDEAD_BEA7_5EED;
 
     // ---- Round 0: settle terminals of every flavor, then SIGKILL. ----
-    let mut daemon = start_daemon(&journal_dir, "r0");
+    let mut daemon = Crashd::start(&journal_dir, "r0");
     let mut client = connect(daemon.port);
     client.hello("acme").unwrap();
 
@@ -195,10 +138,10 @@ fn sigkill_preserves_cancel_and_deadline_terminality_exactly_once() {
     assert_eq!(client.wait_done(cancelled).unwrap().state, "cancelled");
     assert_eq!(client.wait_done(reaped).unwrap().state, "deadline_exceeded");
     assert!(client.wait_done(clean).unwrap().ok);
-    kill(&mut daemon);
+    daemon.kill();
 
     // ---- Round 1: recovery must honor every recorded terminal. ----
-    let mut daemon = start_daemon(&journal_dir, "r1");
+    let mut daemon = Crashd::start(&journal_dir, "r1");
     let mut client = connect(daemon.port);
     client.hello("acme").unwrap();
 
@@ -235,7 +178,7 @@ fn sigkill_preserves_cancel_and_deadline_terminality_exactly_once() {
     // 0–9ms: sometimes before any terminal record hits the journal,
     // sometimes after some of them, never after all the stalls end.
     std::thread::sleep(Duration::from_millis(splitmix64(&mut rng) % 10));
-    kill(&mut daemon);
+    daemon.kill();
 
     // A cancelled job must not be re-run even when the kill landed
     // after its terminal record: at this instant every done record
@@ -246,7 +189,7 @@ fn sigkill_preserves_cancel_and_deadline_terminality_exactly_once() {
     }
 
     // ---- Round 2: every raced job resolves to exactly one terminal. ----
-    let mut daemon = start_daemon(&journal_dir, "r2");
+    let mut daemon = Crashd::start(&journal_dir, "r2");
     let mut client = connect(daemon.port);
     client.hello("acme").unwrap();
 

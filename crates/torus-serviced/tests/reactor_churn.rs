@@ -1,8 +1,9 @@
 //! Connection-churn test for the poll-reactor connection plane: the
-//! daemon's thread count is a function of its configuration (accept
-//! loop + reactor pool + engine drivers + worker pool), never of how
-//! many clients are connected or how many jobs are in flight — and
-//! clients that vanish mid-job leak neither threads nor jobs.
+//! daemon's thread count is exactly reactor pool + engine drivers +
+//! worker pool (the thread running the daemon is reactor 0), never a
+//! function of how many clients are connected or how many jobs are in
+//! flight — and clients that vanish mid-job leak neither threads nor
+//! jobs.
 //!
 //! This lives in its own test binary on purpose: it counts the threads
 //! of the whole process via `/proc/self/task`, so it must not share a
@@ -31,18 +32,21 @@ fn seeded_spec(seed: u64) -> JobSpec {
 #[test]
 fn hundreds_of_churning_connections_leak_neither_threads_nor_jobs() {
     const REACTORS: usize = 2;
+    const DRIVERS: usize = 2;
+    const POOL: usize = 4;
     const WAVES: u64 = 8;
     const CONNS_PER_WAVE: u64 = 25;
 
     let config = DaemonConfig {
         engine: EngineConfig::default()
-            .with_pool_size(4)
-            .with_drivers(2)
+            .with_pool_size(POOL)
+            .with_drivers(DRIVERS)
             .with_queue_depth(512),
         status_poll: Duration::from_millis(1),
         reactor_threads: REACTORS,
         ..DaemonConfig::default()
     };
+    let before = threads_now();
     let (addr, daemon) = Daemon::spawn(config).unwrap();
 
     // Warm up: one full job round-trip, then drop the connection, so
@@ -55,6 +59,11 @@ fn hundreds_of_churning_connections_leak_neither_threads_nor_jobs() {
         assert!(warmup.wait_done(job).unwrap().ok);
     }
     let baseline = threads_now();
+    assert_eq!(
+        baseline - before,
+        REACTORS + DRIVERS + POOL,
+        "a daemon adds exactly its reactors, drivers and pool workers"
+    );
 
     let mut accepted = 0u64;
     let mut peak = 0usize;

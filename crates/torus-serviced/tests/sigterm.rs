@@ -14,7 +14,7 @@ fn sigterm_drains_like_a_drain_request() {
         status_poll: Duration::from_millis(1),
         ..DaemonConfig::default()
     };
-    let (addr, daemon) = Daemon::spawn(config).unwrap();
+    let (addr, daemon) = Daemon::spawn(config.clone()).unwrap();
     let mut client = Client::connect(addr).unwrap();
     client.hello("ops").unwrap();
 
@@ -34,5 +34,17 @@ fn sigterm_drains_like_a_drain_request() {
     for job in jobs {
         assert!(client.wait_done(job).unwrap().ok);
     }
+    signal::reset();
+
+    // An idle daemon — no connection, so no socket ever wakes a reactor —
+    // still notices the flag on its own idle tick and drains. The handler
+    // the first daemon's `run` installed is still in place, so this raise
+    // cannot race the second `run`'s install; the pause lets the reactors
+    // park in `poll` first, so the tick, not a first iteration, sees it.
+    let (_, idle) = Daemon::spawn(config).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    signal::raise_sigterm();
+    let stats = idle.join().unwrap();
+    assert_eq!(stats.jobs_accepted, 0, "{}", stats.summary());
     signal::reset();
 }
