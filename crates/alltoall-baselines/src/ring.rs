@@ -27,7 +27,7 @@ pub struct RingExchange;
 /// The snake fixes all leading coordinates and sweeps the last dimension
 /// back and forth; for the cycle to close over torus links, every extent
 /// must be even (true for all multiple-of-four shapes).
-pub fn snake_ring(shape: &TorusShape) -> Vec<NodeId> {
+pub(crate) fn snake_ring(shape: &TorusShape) -> Vec<NodeId> {
     for (d, &k) in shape.dims().iter().enumerate() {
         assert!(
             k % 2 == 0 || shape.num_nodes() == k,

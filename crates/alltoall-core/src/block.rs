@@ -41,12 +41,6 @@ impl<P> Block<P> {
             payload,
         }
     }
-
-    /// Whether all within-group shifts are exhausted (the block is inside
-    /// its destination's submesh).
-    pub fn settled(&self) -> bool {
-        self.shifts.iter().all(|&k| k == 0)
-    }
 }
 
 impl Block<()> {
@@ -76,7 +70,7 @@ impl<P: Clone> Buffers<P> {
     /// payload)` triples: each block starts at its source carrying the
     /// shift vector the within-group phases consume. Self pairs are
     /// skipped — the paper never transmits `B[i, i]`.
-    pub fn seeded<I>(shape: &TorusShape, pairs: I) -> Self
+    pub(crate) fn seeded<I>(shape: &TorusShape, pairs: I) -> Self
     where
         I: IntoIterator<Item = (NodeId, NodeId, P)>,
     {
@@ -103,7 +97,7 @@ impl<P: Clone> Buffers<P> {
     }
 
     /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.bufs.len()
     }
 
@@ -117,14 +111,9 @@ impl<P: Clone> Buffers<P> {
         &mut self.bufs[node as usize]
     }
 
-    /// Total number of blocks across all nodes.
-    pub fn total_blocks(&self) -> u64 {
-        self.bufs.iter().map(|b| b.len() as u64).sum()
-    }
-
     /// Splits one node's buffer by a predicate: matching blocks are removed
     /// and returned, the rest stay (order-preserving).
-    pub fn drain_matching<F>(&mut self, node: NodeId, pred: F) -> Vec<Block<P>>
+    pub(crate) fn drain_matching<F>(&mut self, node: NodeId, pred: F) -> Vec<Block<P>>
     where
         F: Fn(&Block<P>) -> bool,
     {
@@ -143,35 +132,30 @@ impl<P: Clone> Buffers<P> {
     }
 
     /// Appends received blocks to a node's buffer.
-    pub fn deliver(&mut self, node: NodeId, blocks: Vec<Block<P>>) {
+    pub(crate) fn deliver(&mut self, node: NodeId, blocks: Vec<Block<P>>) {
         self.bufs[node as usize].extend(blocks);
     }
 
     /// Raw shared access.
-    pub fn as_slices(&self) -> &[Vec<Block<P>>] {
+    pub(crate) fn as_slices(&self) -> &[Vec<Block<P>>] {
         &self.bufs
     }
-}
-
-/// Computes a coordinate-keyed destination description used in figure
-/// regeneration: which `4×…×4` submesh a block is heading to.
-pub fn destination_submesh(shape: &TorusShape, b: &Block<impl Clone>) -> Coord {
-    shape.coord_of(b.dst).div_each(4)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn total_blocks<P: Clone>(bufs: &Buffers<P>) -> usize {
+        bufs.as_slices().iter().map(Vec::len).sum()
+    }
+
     #[test]
     fn block_construction() {
         let b = Block::new(3, 7);
         assert_eq!(b.src, 3);
         assert_eq!(b.dst, 7);
-        assert!(b.settled());
-        let mut b2 = b.clone();
-        b2.shifts[1] = 2;
-        assert!(!b2.settled());
+        assert_eq!(b.shifts, [0; MAX_DIMS], "a new block owes no shifts");
     }
 
     #[test]
@@ -187,14 +171,14 @@ mod tests {
             0,
             vec![Block::new(0, 1), Block::new(0, 2), Block::new(0, 3)],
         );
-        assert_eq!(bufs.total_blocks(), 3);
+        assert_eq!(total_blocks(&bufs), 3);
         let sent = bufs.drain_matching(0, |b| b.dst >= 2);
         assert_eq!(sent.len(), 2);
         assert_eq!(bufs.node(0).len(), 1);
         assert_eq!(bufs.node(0)[0].dst, 1);
         bufs.deliver(2, sent);
         assert_eq!(bufs.node(2).len(), 2);
-        assert_eq!(bufs.total_blocks(), 3);
+        assert_eq!(total_blocks(&bufs), 3);
     }
 
     #[test]
@@ -213,18 +197,13 @@ mod tests {
         let shape = TorusShape::new_2d(8, 8).unwrap();
         let far = shape.index_of(&Coord::new(&[4, 4]));
         let bufs = Buffers::seeded(&shape, [(0, 0, 'a'), (0, far, 'b'), (far, 0, 'c')]);
-        assert_eq!(bufs.total_blocks(), 2, "the self pair is skipped");
+        assert_eq!(total_blocks(&bufs), 2, "the self pair is skipped");
         let b = &bufs.node(0)[0];
         assert_eq!((b.src, b.dst, b.payload), (0, far, 'b'));
-        assert!(!b.settled(), "a block for another group owes shifts");
+        assert_ne!(
+            b.shifts, [0; MAX_DIMS],
+            "a block for another group owes shifts"
+        );
         assert_eq!(bufs.node(far)[0].payload, 'c');
-    }
-
-    #[test]
-    fn destination_submesh_of_block() {
-        let shape = torus_topology::TorusShape::new_2d(12, 12).unwrap();
-        let dst = shape.index_of(&Coord::new(&[9, 6]));
-        let b = Block::new(0, dst);
-        assert_eq!(destination_submesh(&shape, &b), Coord::new(&[2, 1]));
     }
 }

@@ -210,85 +210,83 @@ mod tests {
     }
 }
 
-/// The submesh-phase buffer layout of Section 3.3.
-///
-/// Before phase `n+1`, each node arranges its blocks by destination
-/// quadrant in the order **B0, B1, B3, B2** — own `2×…×2` submesh, step-1
-/// partner's, the diagonal one, step-2 partner's. With that single
-/// rearrangement, *both* steps of the phase send physically contiguous
-/// regions:
-///
-/// * step 1 sends `[B1, B3]` (slots 1–2, contiguous) and receives the
-///   partner's `[B0', B2']` into the vacated middle;
-/// * the buffer is then `[B0, B0', B2', B2]`, so step 2's send set
-///   `[B2', B2]` (slots 2–3) is again contiguous.
-///
-/// The identical argument covers phase `n+2` with nodes N0, N1, N3, N2.
-/// This is why the whole algorithm needs only `n + 1` rearrangement
-/// passes. [`simulate_submesh_phase`] plays the two steps on slot labels
-/// and checks contiguity of every send set.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Quadrant {
-    /// Blocks for the node's own quarter (`B0`).
-    Own,
-    /// Blocks for the step-1 partner's quarter (`B1`).
-    Step1,
-    /// Blocks for the diagonal quarter (`B3`).
-    Diagonal,
-    /// Blocks for the step-2 partner's quarter (`B2`).
-    Step2,
-}
-
-/// Simulates the two distance-2 (or distance-1) steps on the Section 3.3
-/// layout. Returns the send-slot ranges of both steps; panics if either
-/// send set would be non-contiguous (which would force an extra
-/// rearrangement the paper does not charge).
-pub fn simulate_submesh_phase() -> [(usize, usize); 2] {
-    use Quadrant::*;
-    // The §3.3 order: B0, B1, B3, B2.
-    let mut buf = [Own, Step1, Diagonal, Step2];
-
-    // Step 1: send everything destined across the step-1 axis — B1 and
-    // B3 — and receive the partner's B0' and B2' (which are Own and
-    // Step2 relative to *this* node's quadrant map).
-    let send1: Vec<usize> = buf
-        .iter()
-        .enumerate()
-        .filter(|(_, q)| matches!(q, Step1 | Diagonal))
-        .map(|(i, _)| i)
-        .collect();
-    assert!(
-        send1.windows(2).all(|w| w[1] == w[0] + 1),
-        "step-1 send set must be contiguous"
-    );
-    for &i in &send1 {
-        // The partner's incoming blocks land in the vacated slots; from
-        // this node's perspective they are Own/Step2 destined.
-        buf[i] = if buf[i] == Step1 { Own } else { Step2 };
-    }
-
-    // Step 2: send everything across the step-2 axis — the B2-quadrant
-    // blocks (original and received).
-    let send2: Vec<usize> = buf
-        .iter()
-        .enumerate()
-        .filter(|(_, q)| matches!(q, Step2))
-        .map(|(i, _)| i)
-        .collect();
-    assert!(
-        send2.windows(2).all(|w| w[1] == w[0] + 1),
-        "step-2 send set must be contiguous"
-    );
-
-    [
-        (send1[0], *send1.last().expect("non-empty")),
-        (send2[0], *send2.last().expect("non-empty")),
-    ]
-}
-
 #[cfg(test)]
 mod submesh_tests {
-    use super::*;
+    /// The submesh-phase buffer layout of Section 3.3.
+    ///
+    /// Before phase `n+1`, each node arranges its blocks by destination
+    /// quadrant in the order **B0, B1, B3, B2** — own `2×…×2` submesh, step-1
+    /// partner's, the diagonal one, step-2 partner's. With that single
+    /// rearrangement, *both* steps of the phase send physically contiguous
+    /// regions:
+    ///
+    /// * step 1 sends `[B1, B3]` (slots 1–2, contiguous) and receives the
+    ///   partner's `[B0', B2']` into the vacated middle;
+    /// * the buffer is then `[B0, B0', B2', B2]`, so step 2's send set
+    ///   `[B2', B2]` (slots 2–3) is again contiguous.
+    ///
+    /// The identical argument covers phase `n+2` with nodes N0, N1, N3, N2.
+    /// This is why the whole algorithm needs only `n + 1` rearrangement
+    /// passes. `simulate_submesh_phase` plays the two steps on slot labels
+    /// and checks contiguity of every send set.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Quadrant {
+        /// Blocks for the node's own quarter (`B0`).
+        Own,
+        /// Blocks for the step-1 partner's quarter (`B1`).
+        Step1,
+        /// Blocks for the diagonal quarter (`B3`).
+        Diagonal,
+        /// Blocks for the step-2 partner's quarter (`B2`).
+        Step2,
+    }
+
+    /// Simulates the two distance-2 (or distance-1) steps on the Section 3.3
+    /// layout. Returns the send-slot ranges of both steps; panics if either
+    /// send set would be non-contiguous (which would force an extra
+    /// rearrangement the paper does not charge).
+    fn simulate_submesh_phase() -> [(usize, usize); 2] {
+        use Quadrant::*;
+        // The §3.3 order: B0, B1, B3, B2.
+        let mut buf = [Own, Step1, Diagonal, Step2];
+
+        // Step 1: send everything destined across the step-1 axis — B1 and
+        // B3 — and receive the partner's B0' and B2' (which are Own and
+        // Step2 relative to *this* node's quadrant map).
+        let send1: Vec<usize> = buf
+            .iter()
+            .enumerate()
+            .filter(|(_, q)| matches!(q, Step1 | Diagonal))
+            .map(|(i, _)| i)
+            .collect();
+        assert!(
+            send1.windows(2).all(|w| w[1] == w[0] + 1),
+            "step-1 send set must be contiguous"
+        );
+        for &i in &send1 {
+            // The partner's incoming blocks land in the vacated slots; from
+            // this node's perspective they are Own/Step2 destined.
+            buf[i] = if buf[i] == Step1 { Own } else { Step2 };
+        }
+
+        // Step 2: send everything across the step-2 axis — the B2-quadrant
+        // blocks (original and received).
+        let send2: Vec<usize> = buf
+            .iter()
+            .enumerate()
+            .filter(|(_, q)| matches!(q, Step2))
+            .map(|(i, _)| i)
+            .collect();
+        assert!(
+            send2.windows(2).all(|w| w[1] == w[0] + 1),
+            "step-2 send set must be contiguous"
+        );
+
+        [
+            (send1[0], *send1.last().expect("non-empty")),
+            (send2[0], *send2.last().expect("non-empty")),
+        ]
+    }
 
     #[test]
     fn section_3_3_ordering_keeps_both_steps_contiguous() {

@@ -36,7 +36,7 @@
 //! non-increasing extent (`a_1 ≥ … ≥ a_n`). [`crate::exchange`] permutes
 //! arbitrary shapes into this orientation and back.
 
-use torus_topology::{ring_hops, Coord, Direction, GroupInfo, Sign, TorusShape, MAX_DIMS};
+use torus_topology::{ring_hops, Coord, Direction, Sign, TorusShape, MAX_DIMS};
 
 /// Precomputed direction scheduling for one canonical torus shape.
 #[derive(Clone, Debug)]
@@ -75,7 +75,7 @@ impl DirectionSchedule {
     }
 
     /// Number of steps in each within-group phase: `a_1/4 − 1`.
-    pub fn steps_per_scatter_phase(&self) -> u32 {
+    pub(crate) fn steps_per_scatter_phase(&self) -> u32 {
         self.shape.extent(0) / 4 - 1
     }
 
@@ -96,7 +96,7 @@ impl DirectionSchedule {
 
     /// Sign of the distance-2 exchange along `dim` for a node: positions
     /// 0, 1 within the `4×…×4` submesh pair up with 2, 3 (`+2` / `−2`).
-    pub fn distance2_sign(node: &Coord, dim: usize) -> Sign {
+    pub(crate) fn distance2_sign(node: &Coord, dim: usize) -> Sign {
         if node[dim] % 4 < 2 {
             Sign::Plus
         } else {
@@ -113,17 +113,12 @@ impl DirectionSchedule {
         }
     }
 
-    /// The shift vector of block `(s → d)`: `result[p]` is the number of
-    /// 4-stride hops the block needs in phase `p+1` to progress from `s`
-    /// to the group representative `t(s, d)` along the phase's dimension
-    /// and direction.
-    pub fn shift_vector(&self, gi: &GroupInfo, s: &Coord, d: &Coord) -> [u8; MAX_DIMS] {
-        self.shifts_along(&self.scatter_dirs(s), s, &gi.representative(s, d))
-    }
-
-    /// [`shift_vector`](Self::shift_vector) from `s`'s precomputed
-    /// [`scatter_dirs`](Self::scatter_dirs) and the representative `t`
-    /// — what seeding calls once per block.
+    /// The shift vector of a block from `s` whose group representative
+    /// is `t`: `result[p]` is the number of 4-stride hops the block needs
+    /// in phase `p+1` to progress from `s` to `t` along the phase's
+    /// dimension and direction, given `s`'s precomputed
+    /// [`scatter_dirs`](Self::scatter_dirs) — what seeding calls once per
+    /// block.
     pub(crate) fn shifts_along(&self, dirs: &[Direction], s: &Coord, t: &Coord) -> [u8; MAX_DIMS] {
         let mut shifts = [0u8; MAX_DIMS];
         for (p, dir) in dirs.iter().enumerate() {
@@ -135,11 +130,6 @@ impl DirectionSchedule {
             shifts[p] = k as u8;
         }
         shifts
-    }
-
-    /// The canonical shape.
-    pub fn shape(&self) -> &TorusShape {
-        &self.shape
     }
 }
 
@@ -215,6 +205,18 @@ fn submesh_order_rec(node: &Coord, m: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+    use torus_topology::GroupInfo;
+
+    /// The shift vector of block `(s → d)`: hops toward the group
+    /// representative `t(s, d)`, as seeding computes it.
+    fn shift_vector(
+        sched: &DirectionSchedule,
+        gi: &GroupInfo,
+        s: &Coord,
+        d: &Coord,
+    ) -> [u8; MAX_DIMS] {
+        sched.shifts_along(&sched.scatter_dirs(s), s, &gi.representative(s, d))
+    }
 
     fn sched_2d() -> DirectionSchedule {
         DirectionSchedule::new(&TorusShape::new_2d(12, 12).unwrap())
@@ -409,11 +411,11 @@ mod tests {
         // Node (0,0): γ=0, phase1 +dim0, phase2 +dim1.
         // Destination (8, 4): representative t = (8, 4). Phase 1 moves dim0
         // by 8 hops = 2 shifts; phase 2 moves dim1 by 4 hops = 1 shift.
-        let k = s.shift_vector(&gi, &Coord::new(&[0, 0]), &Coord::new(&[8, 4]));
+        let k = shift_vector(&s, &gi, &Coord::new(&[0, 0]), &Coord::new(&[8, 4]));
         assert_eq!(k[0], 2);
         assert_eq!(k[1], 1);
         // Destination in own submesh: zero shifts.
-        let k = s.shift_vector(&gi, &Coord::new(&[0, 0]), &Coord::new(&[3, 3]));
+        let k = shift_vector(&s, &gi, &Coord::new(&[0, 0]), &Coord::new(&[3, 3]));
         assert_eq!(&k[..2], &[0, 0]);
     }
 
@@ -425,7 +427,7 @@ mod tests {
         // Node (1,1): γ=2 -> phase1 −dim0, phase2 −dim1.
         // Destination (5, 9): t = (5, 9). dim0: from 1 to 5 going minus:
         // 1 -> 9 -> 5 is 8 hops = 2 shifts. dim1: 1 -> 9 minus = 4 hops = 1.
-        let k = s.shift_vector(&gi, &Coord::new(&[1, 1]), &Coord::new(&[5, 9]));
+        let k = shift_vector(&s, &gi, &Coord::new(&[1, 1]), &Coord::new(&[5, 9]));
         assert_eq!(k[0], 2);
         assert_eq!(k[1], 1);
     }

@@ -506,11 +506,6 @@ impl RepairedSchedule {
     pub fn dead_nodes(&self) -> Vec<NodeId> {
         self.dead.iter().map(|&(v, _)| v).collect()
     }
-
-    /// Total number of steps, fallback included.
-    pub fn total_steps(&self) -> usize {
-        self.phases.iter().map(|p| p.steps.len()).sum()
-    }
 }
 
 /// Nominal hop count of a base step (matches [`PlannedStep::hops`]).
@@ -620,7 +615,8 @@ mod tests {
         let seed = seeded(&plan);
         let rep = RepairedSchedule::plan(&plan, &seed, &BTreeMap::new()).unwrap();
         assert_eq!(rep.phases.len(), plan.phases().len()); // no fallback
-        assert_eq!(rep.total_steps(), plan.total_steps());
+        let rep_steps: usize = rep.phases.iter().map(|p| p.steps.len()).sum();
+        assert_eq!(rep_steps, plan.total_steps());
         assert!(rep.dropped.is_empty());
         assert_eq!(rep.contracted_sends, 0);
         assert_eq!(rep.fallback_blocks, 0);

@@ -386,18 +386,21 @@ mod tests {
 
     #[test]
     fn block_conservation_every_step() {
+        fn total_blocks(bufs: &Buffers<()>) -> usize {
+            bufs.as_slices().iter().map(Vec::len).sum()
+        }
         struct Conserve {
-            expect: u64,
+            expect: usize,
         }
         impl Observer<()> for Conserve {
             fn on_step(&mut self, _: PhaseKind, _: usize, bufs: &Buffers<()>) {
-                assert_eq!(bufs.total_blocks(), self.expect);
+                assert_eq!(total_blocks(bufs), self.expect);
             }
         }
         let shape = TorusShape::new(&[8, 8]).unwrap();
         let plan = StepPlan::new(&shape);
         let mut bufs = plan.seed_counting();
-        let total = bufs.total_blocks();
+        let total = total_blocks(&bufs);
         let mut engine = Engine::new(&shape, CommParams::unit());
         plan.execute(&mut bufs, &mut engine, &mut Conserve { expect: total })
             .unwrap();

@@ -12,10 +12,10 @@
 //! a conservative upper bound for a real deployment, where each physical
 //! node would emulate its virtual neighbors. See DESIGN.md §3.
 
-use torus_topology::{Coord, NodeId, TorusShape};
+use torus_topology::{Coord, TorusShape};
 
 /// Rounds one extent up to the next multiple of four (minimum 4).
-pub fn pad_extent(k: u32) -> u32 {
+pub(crate) fn pad_extent(k: u32) -> u32 {
     debug_assert!(k >= 1);
     k.div_ceil(4).max(1) * 4
 }
@@ -31,7 +31,7 @@ impl Padding {
     /// Computes the padded shape for `real`. The dimension *order* is
     /// preserved (canonicalization happens separately, on the padded
     /// shape).
-    pub fn new(real: &TorusShape) -> Self {
+    pub(crate) fn new(real: &TorusShape) -> Self {
         let dims: Vec<u32> = real.dims().iter().map(|&k| pad_extent(k)).collect();
         let padded = TorusShape::new(&dims).expect("padded shape is valid");
         Self {
@@ -41,41 +41,23 @@ impl Padding {
     }
 
     /// Whether any dimension actually grew.
-    pub fn is_padded(&self) -> bool {
+    pub(crate) fn is_padded(&self) -> bool {
         self.real.dims() != self.padded.dims()
     }
 
     /// The real shape.
-    pub fn real(&self) -> &TorusShape {
+    pub(crate) fn real(&self) -> &TorusShape {
         &self.real
     }
 
     /// The padded shape.
-    pub fn padded(&self) -> &TorusShape {
+    pub(crate) fn padded(&self) -> &TorusShape {
         &self.padded
     }
 
     /// Whether a padded-shape coordinate refers to a real node.
-    pub fn is_real(&self, c: &Coord) -> bool {
+    pub(crate) fn is_real(&self, c: &Coord) -> bool {
         (0..self.real.ndims()).all(|d| c[d] < self.real.extent(d))
-    }
-
-    /// Maps a real node id to its id in the padded shape (coordinates are
-    /// unchanged; only linearization differs).
-    pub fn real_to_padded(&self, id: NodeId) -> NodeId {
-        self.padded.index_of(&self.real.coord_of(id))
-    }
-
-    /// Maps a padded node id back to the real id, or `None` for a virtual
-    /// node.
-    pub fn padded_to_real(&self, id: NodeId) -> Option<NodeId> {
-        let c = self.padded.coord_of(id);
-        self.is_real(&c).then(|| self.real.index_of(&c))
-    }
-
-    /// Number of virtual nodes introduced.
-    pub fn num_virtual(&self) -> u32 {
-        self.padded.num_nodes() - self.real.num_nodes()
     }
 }
 
@@ -97,7 +79,6 @@ mod tests {
     fn no_padding_for_multiples_of_four() {
         let p = Padding::new(&TorusShape::new_2d(8, 12).unwrap());
         assert!(!p.is_padded());
-        assert_eq!(p.num_virtual(), 0);
         assert_eq!(p.padded().dims(), &[8, 12]);
     }
 
@@ -106,34 +87,13 @@ mod tests {
         let p = Padding::new(&TorusShape::new_2d(6, 10).unwrap());
         assert!(p.is_padded());
         assert_eq!(p.padded().dims(), &[8, 12]);
-        assert_eq!(p.num_virtual(), 96 - 60);
     }
 
     #[test]
-    fn id_mapping_roundtrip() {
+    fn only_coordinates_inside_the_real_shape_are_real() {
         let p = Padding::new(&TorusShape::new_2d(6, 10).unwrap());
-        for id in 0..p.real().num_nodes() {
-            let pid = p.real_to_padded(id);
-            assert_eq!(p.padded_to_real(pid), Some(id));
-        }
-    }
-
-    #[test]
-    fn virtual_nodes_map_to_none() {
-        let p = Padding::new(&TorusShape::new_2d(6, 10).unwrap());
-        let virt = p.padded().index_of(&Coord::new(&[7, 0]));
-        assert_eq!(p.padded_to_real(virt), None);
+        assert!(!p.is_real(&Coord::new(&[7, 0])));
         assert!(!p.is_real(&Coord::new(&[0, 11])));
         assert!(p.is_real(&Coord::new(&[5, 9])));
-    }
-
-    #[test]
-    fn real_and_virtual_partition() {
-        let p = Padding::new(&TorusShape::new(&[5, 7]).unwrap());
-        let real_count = (0..p.padded().num_nodes())
-            .filter(|&id| p.padded_to_real(id).is_some())
-            .count() as u32;
-        assert_eq!(real_count, 35);
-        assert_eq!(p.num_virtual(), p.padded().num_nodes() - 35);
     }
 }

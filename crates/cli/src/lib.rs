@@ -13,7 +13,7 @@ use alltoall_baselines::{
 use alltoall_core::{Exchange, StaticSchedule};
 use cost_model::CommParams;
 use torus_serviced::json::Json;
-use torus_serviced::proto::{runtime_report_json, service_stats_json};
+use torus_serviced::proto::runtime_report_json;
 use torus_topology::TorusShape;
 
 /// A parsed invocation.
@@ -86,31 +86,6 @@ pub enum Command {
         shape: Vec<u32>,
         /// Machine parameters.
         params: CommParams,
-    },
-    /// `service-bench --shape RxC [--jobs N] [--concurrency K]
-    /// [--tenants T] [--json]` — push a batch of jobs through a
-    /// persistent [`torus_service::Engine`] and report the aggregate
-    /// [`torus_service::ServiceStats`], plus per-tenant latency
-    /// percentiles when the batch is spread across tenants.
-    ServiceBench {
-        /// Torus shape every job exchanges over.
-        shape: Vec<u32>,
-        /// Jobs to submit (each with a distinct payload seed).
-        jobs: usize,
-        /// Jobs executing concurrently (engine driver threads).
-        concurrency: usize,
-        /// Tenants the batch round-robins across (1 = single-tenant).
-        tenants: usize,
-        /// Worker threads per job; `None` = auto.
-        threads: Option<usize>,
-        /// Machine parameters (block size doubles as payload size).
-        params: CommParams,
-        /// Emit the final stats as JSON instead of a summary.
-        json: bool,
-        /// Per-tenant admission rate limit in jobs/sec (`None` = off);
-        /// the bench backs off and retries on rate rejections, which
-        /// exercises the end-to-end backpressure path.
-        rate_limit: Option<u32>,
     },
     /// `serve [--addr HOST:PORT] [--concurrency K] [--queue-depth N]
     /// [--reactor-threads R] [--port-file PATH]
@@ -195,7 +170,7 @@ pub enum Command {
 }
 
 /// Parses a shape string like `"8x12"` or `"8x8x4"`.
-pub fn parse_shape(s: &str) -> Result<Vec<u32>, String> {
+pub(crate) fn parse_shape(s: &str) -> Result<Vec<u32>, String> {
     let dims: Result<Vec<u32>, _> = s.split(['x', 'X']).map(|p| p.trim().parse()).collect();
     match dims {
         Ok(d) if !d.is_empty() => Ok(d),
@@ -238,9 +213,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut reduce: Option<String> = None;
     let mut dtype: Option<String> = None;
     let mut on_failure = torus_runtime::OnFailure::default();
-    let mut jobs: usize = 8;
     let mut concurrency: usize = 4;
-    let mut tenants: usize = 1;
     let mut addr = "127.0.0.1:7077".to_string();
     let mut tenant = "default".to_string();
     let mut spec: Option<String> = None;
@@ -249,7 +222,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut port_file: Option<String> = None;
     let mut journal_dir = "./torus-journal".to_string();
     let mut no_journal = false;
-    let mut rate_limit: Option<u32> = None;
     let mut idle_timeout_secs: u64 = 0;
     let mut default_deadline_ms: Option<u64> = None;
     let mut max_deadline_ms: Option<u64> = None;
@@ -301,16 +273,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         .map_err(|e| format!("--deadline-ms: {e}"))?,
                 )
             }
-            "--jobs" => jobs = val(&mut i)?.parse().map_err(|e| format!("--jobs: {e}"))?,
             "--concurrency" => {
                 concurrency = val(&mut i)?
                     .parse()
                     .map_err(|e| format!("--concurrency: {e}"))?
-            }
-            "--tenants" => {
-                tenants = val(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--tenants: {e}"))?
             }
             "--addr" => addr = val(&mut i)?,
             "--tenant" => tenant = val(&mut i)?,
@@ -354,15 +320,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             "--job-id" => {
                 job_id = Some(val(&mut i)?.parse().map_err(|e| format!("--job-id: {e}"))?)
             }
-            "--rate-limit" => {
-                let r: u32 = val(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--rate-limit: {e}"))?;
-                if r == 0 {
-                    return Err("--rate-limit must be positive".into());
-                }
-                rate_limit = Some(r);
-            }
             "--on-failure" => {
                 on_failure = torus_runtime::OnFailure::parse(&val(&mut i)?)
                     .map_err(|e| format!("--on-failure: {e}"))?
@@ -373,7 +330,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     }
 
     // Only the byte-moving runtime has workers; the simulator is serial.
-    const THREADED: [&str; 3] = ["run-real", "run-collective", "service-bench"];
+    const THREADED: [&str; 2] = ["run-real", "run-collective"];
     if threads.is_some() && !THREADED.contains(&cmd) {
         return Err(format!(
             "--threads applies only to {} (not '{cmd}')",
@@ -461,16 +418,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 params,
             })
         }
-        "service-bench" => Ok(Command::ServiceBench {
-            shape: need_shape(shape)?,
-            jobs: jobs.max(1),
-            concurrency: concurrency.max(1),
-            tenants: tenants.max(1),
-            threads,
-            params,
-            json,
-            rate_limit,
-        }),
         "serve" => Ok(Command::Serve {
             addr,
             concurrency: concurrency.max(1),
@@ -525,12 +472,6 @@ USAGE:
                         (byte-real collective on the runtime with combining receives;
                          reduce/allreduce fold u64 or f32 lanes bit-deterministically;
                          verified against a serial reference replay)
-  torus-xchg service-bench --shape 8x8 [--jobs N] [--concurrency K] [--tenants T] [--json]
-                        [--rate-limit JOBS_PER_SEC] [--threads N] [params]
-                        (persistent engine: N seeded jobs through a shared pool with
-                         plan caching; prints aggregate service stats, and per-tenant
-                         wait/run latency percentiles when --tenants > 1; --rate-limit
-                         sheds load per tenant and the bench backs off on the hint)
   torus-xchg schedule   --shape 8x8 [--json]
   torus-xchg serve      [--addr 127.0.0.1:7077] [--concurrency K] [--queue-depth N]
                         [--reactor-threads R] [--port-file PATH]
@@ -564,7 +505,7 @@ PARAMS (defaults are Cray-T3D-like):
   --ts µs   startup per message        --tc µs/B  per-byte transmission
   --tl µs   per-hop propagation        --rho µs/B rearrangement
   -m bytes  block size
-  --threads N  runtime workers (run-real, run-collective, service-bench;
+  --threads N  runtime workers (run-real, run-collective;
                default: TORUS_THREADS, else the core count capped at 8)
 
 FAULT SPEC (run-real): comma-separated key=value pairs —
@@ -702,12 +643,6 @@ fn schedule_json(sched: &StaticSchedule) -> Json {
         ),
         ("phases", Json::Arr(phases.collect())),
     ])
-}
-
-/// Executes a command, returning its stdout text.
-pub fn execute(cmd: Command) -> Result<String, String> {
-    let mut out = String::new();
-    execute_into(cmd, &mut out).map(|()| out)
 }
 
 /// Executes a command, appending its stdout text to `out`. On an error
@@ -905,110 +840,6 @@ pub fn execute_into(cmd: Command, out: &mut String) -> Result<(), String> {
                 counts.startup_steps, counts.trans_blocks, counts.prop_hops,
             );
         }
-        Command::ServiceBench {
-            shape,
-            jobs,
-            concurrency,
-            tenants,
-            threads,
-            params,
-            json,
-            rate_limit,
-        } => {
-            let shape = TorusShape::new(&shape).map_err(|e| e.to_string())?;
-            // Queue depth covers the whole batch so the bench measures
-            // throughput, not admission-control rejections.
-            let mut engine_config = torus_service::EngineConfig::default()
-                .with_drivers(concurrency)
-                .with_queue_depth(jobs);
-            if let Some(rate) = rate_limit {
-                engine_config = engine_config.with_default_quota(
-                    torus_service::TenantQuota::default()
-                        .with_rate_limit(torus_service::RateLimit::per_sec(rate)),
-                );
-            }
-            let engine = torus_service::Engine::new(engine_config);
-            let mut config = torus_runtime::RuntimeConfig::default()
-                .with_block_bytes(params.block_bytes as usize)
-                .with_params(params);
-            if let Some(t) = threads {
-                config = config.with_workers(t);
-            }
-            let start = std::time::Instant::now();
-            let mut handles = Vec::with_capacity(jobs);
-            let mut rate_retries = 0u64;
-            for seed in 0..jobs as u64 {
-                let tenant = format!("tenant-{:02}", seed % tenants as u64);
-                // Under --rate-limit the engine sheds load with a typed
-                // backoff hint; honoring it is the client half of the
-                // backpressure contract.
-                let handle = loop {
-                    match engine.submit_as(
-                        &tenant,
-                        shape.clone(),
-                        torus_service::PayloadSpec::Seeded { seed },
-                        config.clone(),
-                    ) {
-                        Ok(handle) => break handle,
-                        Err(torus_service::SubmitError::RateLimited { retry_after_ms, .. }) => {
-                            rate_retries += 1;
-                            std::thread::sleep(std::time::Duration::from_millis(
-                                retry_after_ms.max(1),
-                            ));
-                        }
-                        Err(e) => return Err(e.to_string()),
-                    }
-                };
-                handles.push(handle);
-            }
-            let mut verified = 0usize;
-            for handle in &handles {
-                let result = handle.wait();
-                let ok = result.report.as_ref().is_some_and(|r| {
-                    r.verified || r.degraded.as_ref().is_some_and(|d| d.verified_degraded)
-                });
-                if ok {
-                    verified += 1;
-                }
-            }
-            let elapsed = start.elapsed();
-            let per_tenant = engine.tenant_stats();
-            let stats = engine.shutdown();
-            if json {
-                let _ = writeln!(out, "{}", service_stats_json(&stats).dump());
-            } else {
-                let _ = writeln!(
-                    out,
-                    "service-bench on {shape}: {jobs} jobs ({concurrency} concurrent, \
-                     {tenants} tenants, {} B blocks), {verified} verified, {:.1} ms wall",
-                    config.block_bytes,
-                    elapsed.as_secs_f64() * 1e3,
-                );
-                if let Some(rate) = rate_limit {
-                    let _ = writeln!(
-                        out,
-                        "  rate limit {rate}/s per tenant: {rate_retries} backoff retries"
-                    );
-                }
-                let _ = writeln!(out, "{}", stats.summary());
-                if tenants > 1 {
-                    for t in &per_tenant {
-                        let _ = writeln!(
-                            out,
-                            "  {}: {} jobs | wait p50/p95/p99 {}/{}/{} µs | run p50/p95/p99 {}/{}/{} µs",
-                            t.tenant,
-                            t.jobs_completed,
-                            t.queue_wait.p50,
-                            t.queue_wait.p95,
-                            t.queue_wait.p99,
-                            t.run_time.p50,
-                            t.run_time.p95,
-                            t.run_time.p99,
-                        );
-                    }
-                }
-            }
-        }
         Command::Serve {
             addr,
             concurrency,
@@ -1157,6 +988,12 @@ pub fn execute_into(cmd: Command, out: &mut String) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// Executes a command, returning its stdout text.
+    fn execute(cmd: Command) -> Result<String, String> {
+        let mut out = String::new();
+        execute_into(cmd, &mut out).map(|()| out)
+    }
+
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
     }
@@ -1192,7 +1029,7 @@ mod tests {
         for cmd in ["run", "compare", "schedule"] {
             let err = parse_args(&argv(&format!("{cmd} --shape 8x8 --threads 4"))).unwrap_err();
             assert!(
-                err.contains("--threads applies only to run-real, run-collective, service-bench"),
+                err.contains("--threads applies only to run-real, run-collective"),
                 "{cmd}: {err}"
             );
         }
@@ -1377,110 +1214,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_service_bench_command() {
-        let cmd = parse_args(&argv(
-            "service-bench --shape 4x8 --jobs 12 --concurrency 3 -m 32 --json",
-        ))
-        .unwrap();
-        match cmd {
-            Command::ServiceBench {
-                shape,
-                jobs,
-                concurrency,
-                tenants,
-                threads,
-                params,
-                json,
-                rate_limit,
-            } => {
-                assert_eq!(shape, vec![4, 8]);
-                assert_eq!(jobs, 12);
-                assert_eq!(concurrency, 3);
-                assert_eq!(tenants, 1, "single-tenant by default");
-                assert_eq!(threads, None);
-                assert_eq!(params.block_bytes, 32);
-                assert!(json);
-                assert_eq!(rate_limit, None, "rate limiting is opt-in");
-            }
-            other => panic!("{other:?}"),
-        }
-        // Defaults, and zero clamps up to one.
-        match parse_args(&argv("service-bench --shape 4x4 --jobs 0")).unwrap() {
-            Command::ServiceBench {
-                jobs, concurrency, ..
-            } => {
-                assert_eq!(jobs, 1);
-                assert_eq!(concurrency, 4);
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(
-            parse_args(&argv("service-bench")).is_err(),
-            "shape required"
-        );
-    }
-
-    #[test]
-    fn execute_service_bench() {
-        let out = execute(
-            parse_args(&argv(
-                "service-bench --shape 4x4 --jobs 6 --concurrency 2 --threads 1 -m 16",
-            ))
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(out.contains("service-bench on 4x4"), "{out}");
-        assert!(out.contains("6 verified"), "{out}");
-        assert!(out.contains("jobs 6/6 ok"), "{out}");
-        assert!(out.contains("cache 5/6 hit"), "{out}");
-    }
-
-    #[test]
-    fn execute_service_bench_json() {
-        let out = execute(
-            parse_args(&argv(
-                "service-bench --shape 4x4 --jobs 3 --concurrency 2 --threads 1 -m 16 --json",
-            ))
-            .unwrap(),
-        )
-        .unwrap();
-        let v = parse_json(&out);
-        assert_eq!(v.get("jobs_completed").unwrap().as_u64(), Some(3));
-        assert_eq!(v.get("jobs_failed").unwrap().as_u64(), Some(0));
-    }
-
-    #[test]
-    fn execute_service_bench_multi_tenant() {
-        let out = execute(
-            parse_args(&argv(
-                "service-bench --shape 4x4 --jobs 8 --concurrency 2 --tenants 4 --threads 1 -m 16",
-            ))
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(out.contains("4 tenants"), "{out}");
-        for t in ["tenant-00", "tenant-01", "tenant-02", "tenant-03"] {
-            assert!(out.contains(t), "missing {t}: {out}");
-        }
-        assert!(out.contains("wait p50/p95/p99"), "{out}");
-        assert!(out.contains("run p50/p95/p99"), "{out}");
-    }
-
-    #[test]
-    fn execute_service_bench_with_rate_limit_backs_off_and_completes() {
-        let out = execute(
-            parse_args(&argv(
-                "service-bench --shape 4x4 --jobs 8 --concurrency 2 --rate-limit 20 -m 32",
-            ))
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(out.contains("8 verified"), "{out}");
-        assert!(out.contains("rate limit 20/s"), "{out}");
-        assert!(out.contains("backoff retries"), "{out}");
-    }
-
-    #[test]
     fn parse_serviced_commands() {
         match parse_args(&argv(
             "serve --addr 127.0.0.1:0 --concurrency 3 --queue-depth 9",
@@ -1572,14 +1305,6 @@ mod tests {
             Command::Serve { journal_dir, .. } => assert!(journal_dir.is_none()),
             other => panic!("{other:?}"),
         }
-        match parse_args(&argv("service-bench --shape 4x4 --rate-limit 50")).unwrap() {
-            Command::ServiceBench { rate_limit, .. } => assert_eq!(rate_limit, Some(50)),
-            other => panic!("{other:?}"),
-        }
-        assert!(
-            parse_args(&argv("service-bench --shape 4x4 --rate-limit 0")).is_err(),
-            "a zero rate limit admits nothing ever — refuse it"
-        );
         match parse_args(&argv(
             "submit --spec {} --addr 127.0.0.1:9 --tenant acme --json",
         ))

@@ -22,58 +22,12 @@ pub struct CostCounts {
     pub prop_hops: u64,
 }
 
-impl CostCounts {
-    /// Element-wise sum, for composing multi-stage algorithms.
-    pub fn add(&self, other: &CostCounts) -> CostCounts {
-        CostCounts {
-            startup_steps: self.startup_steps + other.startup_steps,
-            trans_blocks: self.trans_blocks + other.trans_blocks,
-            rearr_steps: self.rearr_steps + other.rearr_steps,
-            rearr_blocks: self.rearr_blocks + other.rearr_blocks,
-            prop_hops: self.prop_hops + other.prop_hops,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn add_is_elementwise() {
-        let a = CostCounts {
-            startup_steps: 1,
-            trans_blocks: 2,
-            rearr_steps: 3,
-            rearr_blocks: 4,
-            prop_hops: 5,
-        };
-        let b = CostCounts {
-            startup_steps: 10,
-            trans_blocks: 20,
-            rearr_steps: 30,
-            rearr_blocks: 40,
-            prop_hops: 50,
-        };
-        let c = a.add(&b);
-        assert_eq!(
-            c,
-            CostCounts {
-                startup_steps: 11,
-                trans_blocks: 22,
-                rearr_steps: 33,
-                rearr_blocks: 44,
-                prop_hops: 55,
-            }
-        );
-    }
-
-    #[test]
     fn default_is_zero() {
         assert_eq!(CostCounts::default().startup_steps, 0);
-        assert_eq!(
-            CostCounts::default().add(&CostCounts::default()),
-            CostCounts::default()
-        );
     }
 }

@@ -80,15 +80,6 @@ impl CommParams {
         }
     }
 
-    /// A "low startup" preset (lightweight user-level messaging), useful
-    /// for exploring the crossover where message combining stops paying off.
-    pub fn low_startup() -> Self {
-        Self {
-            t_s: 2.0,
-            ..Self::cray_t3d_like()
-        }
-    }
-
     /// Returns a copy with a different block size.
     pub fn with_block_bytes(self, m: u32) -> Self {
         Self {
@@ -115,11 +106,6 @@ impl CommParams {
                 self.t_s + hops as f64 * (bytes as f64 * self.t_c + self.t_l)
             }
         }
-    }
-
-    /// Time to rearrange `bytes` bytes in a node's local memory (µs).
-    pub fn rearrange_time(&self, bytes: u64) -> f64 {
-        bytes as f64 * self.rho
     }
 
     /// Bytes of one block.
@@ -176,12 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn rearrange_linear_in_bytes() {
-        let p = CommParams::cray_t3d_like();
-        assert!((p.rearrange_time(1000) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn builders() {
         let p = CommParams::cray_t3d_like()
             .with_block_bytes(128)
@@ -192,11 +172,7 @@ mod tests {
 
     #[test]
     fn presets_are_sane() {
-        for p in [
-            CommParams::cray_t3d_like(),
-            CommParams::unit(),
-            CommParams::low_startup(),
-        ] {
+        for p in [CommParams::cray_t3d_like(), CommParams::unit()] {
             assert!(p.t_s > 0.0 && p.t_c > 0.0 && p.t_l > 0.0 && p.rho > 0.0);
             assert!(p.block_bytes >= 1);
         }

@@ -85,7 +85,7 @@ impl CancelToken {
     /// The trigger state, if any. Workers poll this at step boundaries;
     /// the first poll past the deadline triggers the token, unless a
     /// `cancel` got there first.
-    pub fn kind(&self) -> Option<CancelKind> {
+    pub(crate) fn kind(&self) -> Option<CancelKind> {
         let mut state = self.shared.state.load(Ordering::Acquire);
         if state == LIVE {
             let at = self.shared.deadline.get()?;
@@ -103,7 +103,7 @@ impl CancelToken {
     }
 
     /// Whether the token has been triggered (either flavor).
-    pub fn is_triggered(&self) -> bool {
+    pub(crate) fn is_triggered(&self) -> bool {
         self.kind().is_some()
     }
 }

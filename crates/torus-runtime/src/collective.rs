@@ -211,12 +211,6 @@ impl CollectiveRuntime {
         &self.plan
     }
 
-    /// The worker count a run will use on the spawn path; pooled runs
-    /// additionally clamp to the pool's size.
-    pub fn effective_workers(&self) -> usize {
-        exec::effective_workers(&self.config, self.plan.shape().num_nodes() as usize)
-    }
-
     /// Runs the collective with deterministic pattern payloads and
     /// verifies against the reference replay. Returns the report plus
     /// every node's final `(key, payload)` holdings, keys ascending. The

@@ -102,7 +102,7 @@ pub struct DegradedReport {
 
 impl DegradedReport {
     /// One-line text summary for [`RuntimeReport::summary`](crate::RuntimeReport::summary).
-    pub fn summary_line(&self) -> String {
+    pub(crate) fn summary_line(&self) -> String {
         let nodes: Vec<String> = self
             .dead_nodes
             .iter()

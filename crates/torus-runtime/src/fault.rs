@@ -148,14 +148,9 @@ impl FaultPlan {
         }
     }
 
-    /// The sampling seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// True if no fault can ever fire (the runtime then skips all
     /// injection bookkeeping on the send path).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.message.is_empty() && self.worker.is_empty() && self.rates == Rates::default()
     }
 
@@ -256,14 +251,14 @@ impl FaultPlan {
     }
 
     /// The worker fault (if any) for `node` at `step`.
-    pub fn worker_fault(&self, step: usize, node: NodeId) -> Option<WorkerFaultKind> {
+    pub(crate) fn worker_fault(&self, step: usize, node: NodeId) -> Option<WorkerFaultKind> {
         self.worker.get(&(step, node)).copied()
     }
 
     /// All pinned kill faults as `(step, node)` pairs, sorted. Kills are
     /// never rate-sampled, so this is the complete statically-known dead
     /// set — what degraded-mode execution pre-seeds its quarantine from.
-    pub fn kills(&self) -> Vec<(usize, NodeId)> {
+    pub(crate) fn kills(&self) -> Vec<(usize, NodeId)> {
         let mut out: Vec<(usize, NodeId)> = self
             .worker
             .iter()
@@ -276,7 +271,13 @@ impl FaultPlan {
 
     /// Deterministic byte offset for a [`FaultKind::CorruptByte`] on a
     /// frame of `len` bytes.
-    pub fn corrupt_offset(&self, step: usize, src: NodeId, dst: NodeId, len: usize) -> usize {
+    pub(crate) fn corrupt_offset(
+        &self,
+        step: usize,
+        src: NodeId,
+        dst: NodeId,
+        len: usize,
+    ) -> usize {
         if len == 0 {
             return 0;
         }
@@ -439,7 +440,7 @@ mod tests {
     #[test]
     fn parse_roundtrips_rates_and_pinned_faults() {
         let p = FaultPlan::parse("drop=0.01, corrupt=0.5,seed=42,delay=0.2,delay-us=300").unwrap();
-        assert_eq!(p.seed(), 42);
+        assert_eq!(p.seed, 42);
         assert_eq!(p.rates.drop, 0.01);
         assert_eq!(p.rates.corrupt, 0.5);
         assert_eq!(p.rates.delay, 0.2);

@@ -95,7 +95,7 @@ pub use message::{
     crc32, decode_gathered, decode_message, encode_gathered, encode_message, WireError, WireFrame,
     BLOCK_HEADER_BYTES, MESSAGE_HEADER_BYTES,
 };
-pub use payload::{pattern_payload, pattern_seed, seeded_payload, PayloadSpec};
+pub use payload::{pattern_payload, seeded_payload, PayloadSpec};
 pub use pool::{FramePool, PoolBank};
 pub use recovery::{FailureReason, NodeFailure, RecoveryStats, RetryPolicy};
 pub use report::{PhaseReport, RuntimeReport};

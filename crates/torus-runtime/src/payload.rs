@@ -44,7 +44,7 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 }
 
 /// The 64-bit seed for pair `(src, dst)`.
-pub fn pattern_seed(src: NodeId, dst: NodeId) -> u64 {
+pub(crate) fn pattern_seed(src: NodeId, dst: NodeId) -> u64 {
     splitmix64(((src as u64) << 32) | dst as u64)
 }
 
@@ -91,7 +91,7 @@ fn fill_streams(seeds: &[u64], len: usize, out: &mut [u8]) {
 }
 
 /// `len` pattern bytes for pair `(src, dst)`: the splitmix64 stream seeded
-/// by [`pattern_seed`].
+/// by `splitmix64((src << 32) | dst)`.
 ///
 /// Returned as [`Bytes`] so the buffer seeded here is the *same*
 /// refcounted storage every fault-free hop shares — the zero-copy send

@@ -9,7 +9,7 @@
 //! step, so the pools stay warm: after the first few steps, steady-state
 //! assembly performs no heap allocation at all.
 //!
-//! The pool also keeps score: [`FramePool::allocations`] counts every
+//! The pool also keeps score: `FramePool::allocations` counts every
 //! acquisition it could not serve from a recycled buffer (pool miss, or a
 //! recycled framing buffer that had to grow). The runtime threads this
 //! into [`RuntimeReport::allocations`](crate::RuntimeReport::allocations),
@@ -34,14 +34,14 @@ pub struct FramePool {
 
 impl FramePool {
     /// Creates an empty pool.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Takes a cleared framing buffer with at least `capacity` bytes.
     /// Counts as an allocation when the pool is empty or the recycled
     /// buffer has to grow.
-    pub fn take_buf(&mut self, capacity: usize) -> BytesMut {
+    pub(crate) fn take_buf(&mut self, capacity: usize) -> BytesMut {
         match self.bufs.pop() {
             Some(mut b) => {
                 b.clear();
@@ -59,7 +59,7 @@ impl FramePool {
     }
 
     /// Returns a framing buffer for reuse (dropped if the pool is full).
-    pub fn put_buf(&mut self, buf: BytesMut) {
+    pub(crate) fn put_buf(&mut self, buf: BytesMut) {
         if self.bufs.len() < POOL_CAP {
             self.bufs.push(buf);
         }
@@ -67,7 +67,7 @@ impl FramePool {
 
     /// Takes a cleared payload-segment vector. Counts as an allocation
     /// when the pool is empty.
-    pub fn take_vec(&mut self) -> Vec<Bytes> {
+    pub(crate) fn take_vec(&mut self) -> Vec<Bytes> {
         match self.vecs.pop() {
             Some(mut v) => {
                 v.clear();
@@ -82,7 +82,7 @@ impl FramePool {
 
     /// Returns a payload-segment vector for reuse (dropped if the pool is
     /// full). Any leftover segments are released.
-    pub fn put_vec(&mut self, mut vec: Vec<Bytes>) {
+    pub(crate) fn put_vec(&mut self, mut vec: Vec<Bytes>) {
         if self.vecs.len() < POOL_CAP {
             vec.clear();
             self.vecs.push(vec);
@@ -90,7 +90,7 @@ impl FramePool {
     }
 
     /// Acquisitions that could not be served from a recycled buffer.
-    pub fn allocations(&self) -> u64 {
+    pub(crate) fn allocations(&self) -> u64 {
         self.allocations
     }
 }
@@ -109,7 +109,7 @@ const BANK_CAP: usize = 64;
 /// stays allocation-free. The bank is locked only at job start/end, never
 /// per step.
 ///
-/// [`FramePool::allocations`] is cumulative over a pool's lifetime; the
+/// `FramePool::allocations` is cumulative over a pool's lifetime; the
 /// runtime records per-run deltas, so a recycled pool never inflates a
 /// later job's allocation count.
 #[derive(Debug, Default)]
@@ -124,7 +124,7 @@ impl PoolBank {
     }
 
     /// Checks out a warm pool, or a fresh one if the bank is empty.
-    pub fn take(&self) -> FramePool {
+    pub(crate) fn take(&self) -> FramePool {
         self.slots
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -134,7 +134,7 @@ impl PoolBank {
 
     /// Checks a pool back in for the next run (dropped if the bank is
     /// already holding its cap of 64 pools).
-    pub fn put(&self, pool: FramePool) {
+    pub(crate) fn put(&self, pool: FramePool) {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         if slots.len() < BANK_CAP {
             slots.push(pool);

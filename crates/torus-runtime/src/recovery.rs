@@ -73,7 +73,7 @@ impl RetryPolicy {
 
     /// The wait before attempt `attempt` (1-based for retries):
     /// exponential in the base backoff, never beyond the deadline.
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff_for(&self, attempt: u32) -> Duration {
         let shift = attempt.saturating_sub(1).min(16);
         let wait = self.backoff.saturating_mul(1u32 << shift);
         wait.min(self.deadline)
@@ -117,7 +117,7 @@ pub struct RecoveryStats {
 
 impl RecoveryStats {
     /// Adds `other` into `self` (workers merge into the run total).
-    pub fn merge(&mut self, other: &RecoveryStats) {
+    pub(crate) fn merge(&mut self, other: &RecoveryStats) {
         self.injected_drops += other.injected_drops;
         self.injected_corruptions += other.injected_corruptions;
         self.injected_truncations += other.injected_truncations;
@@ -240,7 +240,7 @@ impl std::fmt::Display for NodeFailure {
 /// (by step, then sender, then receiver, then attempt) so two runs with
 /// the same seed produce byte-identical event lists regardless of thread
 /// interleaving.
-pub fn merge_events(per_worker: Vec<Vec<FaultEvent>>) -> Vec<FaultEvent> {
+pub(crate) fn merge_events(per_worker: Vec<Vec<FaultEvent>>) -> Vec<FaultEvent> {
     let mut all: Vec<FaultEvent> = per_worker.into_iter().flatten().collect();
     all.sort_by_key(|e| (e.step, e.src, e.dst, e.attempt));
     all

@@ -401,7 +401,7 @@ impl Runtime {
 
     /// Wraps an existing [`PreparedExchange`] (shares its cached seeding
     /// and verification tables).
-    pub fn from_prepared(prepared: PreparedExchange, config: RuntimeConfig) -> Self {
+    pub(crate) fn from_prepared(prepared: PreparedExchange, config: RuntimeConfig) -> Self {
         let prepared = Arc::new(prepared);
         let plan = prepared.step_plan_arc();
         Self {
@@ -425,11 +425,6 @@ impl Runtime {
             plan,
             config,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
     }
 
     /// The step plan being executed.

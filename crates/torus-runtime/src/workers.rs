@@ -194,17 +194,6 @@ pub struct Gang<'p, T> {
 }
 
 impl<T: Send + 'static> Gang<'_, T> {
-    /// The number of threads reserved.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the gang reserved zero threads. Never true — gangs are at
-    /// least one thread — but paired with [`len`](Self::len) for idiom.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Runs `task` on the next reserved thread. Panics if every reserved
     /// thread already has a task.
     pub fn spawn<F>(&mut self, task: F)

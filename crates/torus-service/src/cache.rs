@@ -122,7 +122,7 @@ pub struct PlanCache {
 
 impl PlanCache {
     /// Creates a cache holding at most `capacity` plans (minimum 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
             tick: 0,
@@ -138,7 +138,7 @@ impl PlanCache {
     /// building says `Lookup::Wait`. Exactly one caller per cold key
     /// ever sees `Lookup::Build`, so concurrent jobs sharing a key
     /// pay for one `O(N²)` plan construction, not one each.
-    pub fn begin_lookup(&mut self, key: &PlanKey) -> Lookup {
+    pub(crate) fn begin_lookup(&mut self, key: &PlanKey) -> Lookup {
         self.tick += 1;
         if let Some((plan, used)) = self.entries.get_mut(key) {
             *used = self.tick;
@@ -156,7 +156,7 @@ impl PlanCache {
     /// Publishes a finished build claimed via `Lookup::Build` and
     /// releases the key's build claim in one step. The caller must
     /// notify its condvar afterwards so waiters retry.
-    pub fn complete_build(&mut self, key: PlanKey, plan: Arc<CachedPlan>) {
+    pub(crate) fn complete_build(&mut self, key: PlanKey, plan: Arc<CachedPlan>) {
         self.building.remove(&key);
         self.insert(key, plan);
     }
@@ -165,31 +165,15 @@ impl PlanCache {
     /// failed). The caller must notify its condvar afterwards; a
     /// retrying waiter will claim the build itself and surface the
     /// same construction error.
-    pub fn abandon_build(&mut self, key: &PlanKey) {
+    pub(crate) fn abandon_build(&mut self, key: &PlanKey) {
         self.building.remove(key);
-    }
-
-    /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &PlanKey) -> Option<Arc<CachedPlan>> {
-        self.tick += 1;
-        match self.entries.get_mut(key) {
-            Some((plan, used)) => {
-                *used = self.tick;
-                self.hits += 1;
-                Some(Arc::clone(plan))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
     }
 
     /// Inserts `plan` under `key`, evicting the least-recently-used
     /// entry if the cache is at capacity. Jobs still holding an `Arc`
     /// to an evicted plan keep running — eviction only forgets the
     /// entry, it never invalidates in-flight work.
-    pub fn insert(&mut self, key: PlanKey, plan: Arc<CachedPlan>) {
+    pub(crate) fn insert(&mut self, key: PlanKey, plan: Arc<CachedPlan>) {
         self.tick += 1;
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             if let Some(oldest) = self
@@ -204,23 +188,13 @@ impl PlanCache {
         self.entries.insert(key, (plan, self.tick));
     }
 
-    /// Plans currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Lookups served from the cache.
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
     /// Lookups that had to build a plan.
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 }
@@ -247,14 +221,27 @@ mod tests {
         })
     }
 
+    /// A plain lookup: the plan on a hit; on a miss, `None` with the
+    /// build claim released again.
+    fn get(cache: &mut PlanCache, key: &PlanKey) -> Option<Arc<CachedPlan>> {
+        match cache.begin_lookup(key) {
+            Lookup::Hit(plan) => Some(plan),
+            Lookup::Build => {
+                cache.abandon_build(key);
+                None
+            }
+            Lookup::Wait => panic!("no build is in flight"),
+        }
+    }
+
     #[test]
     fn hit_and_miss_counters_track_lookups() {
         let mut cache = PlanCache::new(4);
         let k = key(2, 2);
-        assert!(cache.get(&k).is_none());
+        assert!(get(&mut cache, &k).is_none());
         cache.insert(k.clone(), entry(&k.shape));
-        assert!(cache.get(&k).is_some());
-        assert!(cache.get(&k).is_some());
+        assert!(get(&mut cache, &k).is_some());
+        assert!(get(&mut cache, &k).is_some());
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 1);
     }
@@ -266,17 +253,23 @@ mod tests {
         let mut b = key(2, 2);
         b.block_bytes = 128;
         cache.insert(a.clone(), entry(&a.shape));
-        assert!(cache.get(&b).is_none(), "block_bytes is part of the key");
+        assert!(
+            get(&mut cache, &b).is_none(),
+            "block_bytes is part of the key"
+        );
         let mut c = key(2, 2);
         c.workers = 4;
-        assert!(cache.get(&c).is_none(), "workers is part of the key");
+        assert!(get(&mut cache, &c).is_none(), "workers is part of the key");
         let mut d = key(2, 2);
         d.op = JobOp::Collective(torus_runtime::CollectiveOp::Allgather);
-        assert!(cache.get(&d).is_none(), "op is part of the key");
+        assert!(get(&mut cache, &d).is_none(), "op is part of the key");
         let mut e = key(2, 2);
         e.op = JobOp::Collective(torus_runtime::CollectiveOp::Broadcast { root: 1 });
-        assert!(cache.get(&e).is_none(), "op parameters are part of the key");
-        assert!(cache.get(&a).is_some());
+        assert!(
+            get(&mut cache, &e).is_none(),
+            "op parameters are part of the key"
+        );
+        assert!(get(&mut cache, &a).is_some());
     }
 
     #[test]
@@ -288,12 +281,15 @@ mod tests {
         cache.insert(a.clone(), entry(&a.shape));
         cache.insert(b.clone(), entry(&b.shape));
         // Touch `a` so `b` is the LRU entry when `c` arrives.
-        assert!(cache.get(&a).is_some());
+        assert!(get(&mut cache, &a).is_some());
         cache.insert(c.clone(), entry(&c.shape));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&a).is_some(), "recently used entry survives");
-        assert!(cache.get(&c).is_some(), "new entry present");
-        assert!(cache.get(&b).is_none(), "LRU entry evicted");
+        assert_eq!(cache.entries.len(), 2);
+        assert!(
+            get(&mut cache, &a).is_some(),
+            "recently used entry survives"
+        );
+        assert!(get(&mut cache, &c).is_some(), "new entry present");
+        assert!(get(&mut cache, &b).is_none(), "LRU entry evicted");
     }
 
     #[test]
@@ -304,8 +300,8 @@ mod tests {
         cache.insert(a.clone(), entry(&a.shape));
         cache.insert(b.clone(), entry(&b.shape));
         cache.insert(a.clone(), entry(&a.shape));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&b).is_some());
+        assert_eq!(cache.entries.len(), 2);
+        assert!(get(&mut cache, &b).is_some());
     }
 
     #[test]
@@ -336,7 +332,7 @@ mod tests {
         // the build itself rather than waiting forever.
         assert!(matches!(cache.begin_lookup(&k), Lookup::Build));
         assert_eq!(cache.misses(), 2);
-        assert!(cache.is_empty());
+        assert!(cache.entries.is_empty());
     }
 
     #[test]
@@ -344,8 +340,8 @@ mod tests {
         let mut cache = PlanCache::new(2);
         let k = key(2, 2);
         cache.insert(k.clone(), entry(&k.shape));
-        let first = cache.get(&k).unwrap();
-        let second = cache.get(&k).unwrap();
+        let first = get(&mut cache, &k).unwrap();
+        let second = get(&mut cache, &k).unwrap();
         assert!(Arc::ptr_eq(&first, &second));
         match (&first.variant, &second.variant) {
             (PlanVariant::Alltoall { plan: a, .. }, PlanVariant::Alltoall { plan: b, .. }) => {

@@ -702,11 +702,6 @@ impl Engine {
             .collect()
     }
 
-    /// The shared pool's thread count.
-    pub fn pool_size(&self) -> usize {
-        self.shared.pool.size()
-    }
-
     /// Graceful shutdown: stops admission, lets the drivers drain every
     /// queued job, joins them, tears down the pool, and returns the
     /// final stats. Idempotent, and safe to race: concurrent callers all

@@ -46,19 +46,6 @@ pub enum SubmitError {
     ShuttingDown,
 }
 
-impl SubmitError {
-    /// The rejection's backoff hint, if it carries one (`ShuttingDown`
-    /// does not — there is nothing to wait for).
-    pub fn retry_after_ms(&self) -> Option<u64> {
-        match self {
-            SubmitError::QueueFull { retry_after_ms, .. }
-            | SubmitError::TenantQueueFull { retry_after_ms, .. }
-            | SubmitError::RateLimited { retry_after_ms, .. } => Some(*retry_after_ms),
-            SubmitError::ShuttingDown => None,
-        }
-    }
-}
-
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -304,7 +291,6 @@ mod tests {
         };
         assert!(queue_full.to_string().contains("4"));
         assert!(queue_full.to_string().contains("25 ms"));
-        assert_eq!(queue_full.retry_after_ms(), Some(25));
         let tenant_full = SubmitError::TenantQueueFull {
             tenant: "acme".to_string(),
             max_queued: 2,
@@ -312,16 +298,14 @@ mod tests {
         };
         assert!(tenant_full.to_string().contains("acme"));
         assert!(tenant_full.to_string().contains("2"));
-        assert_eq!(tenant_full.retry_after_ms(), Some(10));
         let limited = SubmitError::RateLimited {
             tenant: "acme".to_string(),
             retry_after_ms: 7,
         };
         assert!(limited.to_string().contains("rate"));
-        assert_eq!(limited.retry_after_ms(), Some(7));
+        assert!(limited.to_string().contains("7 ms"));
         assert!(SubmitError::ShuttingDown
             .to_string()
             .contains("shutting down"));
-        assert_eq!(SubmitError::ShuttingDown.retry_after_ms(), None);
     }
 }

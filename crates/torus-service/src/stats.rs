@@ -50,14 +50,14 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn record(&self, value: u64) {
+    pub(crate) fn record(&self, value: u64) {
         self.counts[Self::bucket(value)].fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of the bucket counts.
-    pub fn buckets(&self) -> [u64; HISTOGRAM_BUCKETS] {
+    pub(crate) fn buckets(&self) -> [u64; HISTOGRAM_BUCKETS] {
         std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed))
     }
 
@@ -66,7 +66,7 @@ impl Histogram {
     /// Each percentile reports its bucket's ceiling (capped at the true
     /// observed max), so the estimate errs high by at most 2x and the
     /// three are monotone by construction.
-    pub fn stats(&self) -> LatencyStats {
+    pub(crate) fn stats(&self) -> LatencyStats {
         let buckets = self.buckets();
         let count: u64 = buckets.iter().sum();
         let max = self.max.load(Ordering::Relaxed);
@@ -221,13 +221,13 @@ pub(crate) struct StatCells {
 
 impl StatCells {
     /// Raises the queue high-water mark to at least `depth`.
-    pub fn observe_depth(&self, depth: usize) {
+    pub(crate) fn observe_depth(&self, depth: usize) {
         self.queue_hwm.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Snapshot; `cache` counters are supplied by the caller, which
     /// owns the plan cache's lock.
-    pub fn snapshot(&self, cache_hits: u64, cache_misses: u64) -> ServiceStats {
+    pub(crate) fn snapshot(&self, cache_hits: u64, cache_misses: u64) -> ServiceStats {
         ServiceStats {
             jobs_accepted: self.accepted.load(Ordering::Relaxed),
             jobs_rejected: self.rejected.load(Ordering::Relaxed),

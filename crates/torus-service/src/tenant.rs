@@ -179,7 +179,7 @@ pub(crate) struct TenantCells {
 }
 
 impl TenantCells {
-    pub fn snapshot(&self, tenant: &str) -> TenantStats {
+    pub(crate) fn snapshot(&self, tenant: &str) -> TenantStats {
         TenantStats {
             tenant: tenant.to_string(),
             jobs_accepted: self.accepted.load(Ordering::Relaxed),

@@ -1,5 +1,5 @@
-//! Multi-tenant admission and accounting: typed quota rejections, fair
-//! round-robin dispatch, per-tenant in-flight caps, latency percentiles,
+//! Multi-tenant admission and accounting: typed quota and rate-limit
+//! rejections, fair round-robin dispatch, per-tenant in-flight caps, latency percentiles,
 //! and the concurrent-shutdown stats snapshot.
 
 use std::sync::{Arc, Mutex};
@@ -7,7 +7,8 @@ use std::time::Duration;
 
 use torus_runtime::{FaultPlan, OnFailure, RetryPolicy, RuntimeConfig, WorkerFaultKind};
 use torus_service::{
-    Engine, EngineConfig, JobStatus, PayloadSpec, SubmitError, TenantQuota, DEFAULT_TENANT,
+    Engine, EngineConfig, JobStatus, PayloadSpec, RateLimit, SubmitError, TenantQuota,
+    DEFAULT_TENANT,
 };
 use torus_topology::TorusShape;
 
@@ -86,6 +87,47 @@ fn tenant_queue_quota_rejects_typed_while_global_has_room() {
     assert_eq!(zeta.jobs_rejected, 0);
     let default = tenants.iter().find(|t| t.tenant == DEFAULT_TENANT).unwrap();
     assert_eq!(default.jobs_failed, 1, "the blocker job fails by design");
+}
+
+#[test]
+fn rate_limit_rejects_typed_with_a_backoff_hint_per_tenant() {
+    // 50 jobs/s with a burst of one: the first submission spends the
+    // only token and the next whole one is 20 ms away.
+    let engine = Engine::new(EngineConfig::default().with_default_quota(
+        TenantQuota::default().with_rate_limit(RateLimit::per_sec(50).with_burst(1)),
+    ));
+    let shape = TorusShape::new_2d(4, 4).unwrap();
+
+    let first = engine
+        .submit_as("acme", shape.clone(), PayloadSpec::Pattern, small_cfg())
+        .unwrap();
+    let err = engine
+        .submit_as("acme", shape.clone(), PayloadSpec::Pattern, small_cfg())
+        .unwrap_err();
+    match &err {
+        SubmitError::RateLimited {
+            tenant,
+            retry_after_ms,
+        } => {
+            assert_eq!(tenant, "acme");
+            assert!((1..=20).contains(retry_after_ms), "{err:?}");
+        }
+        other => panic!("expected acme's rate-limit rejection, got {other:?}"),
+    }
+    // Each tenant has its own bucket.
+    let other = engine
+        .submit_as("zeta", shape, PayloadSpec::Pattern, small_cfg())
+        .unwrap();
+
+    first.wait();
+    other.wait();
+    let stats = engine.shutdown();
+    assert_eq!((stats.jobs_accepted, stats.jobs_rejected), (2, 1));
+    let tenants = engine.tenant_stats();
+    let acme = tenants.iter().find(|t| t.tenant == "acme").unwrap();
+    assert_eq!((acme.jobs_accepted, acme.jobs_rejected), (1, 1));
+    let zeta = tenants.iter().find(|t| t.tenant == "zeta").unwrap();
+    assert_eq!((zeta.jobs_accepted, zeta.jobs_rejected), (1, 0));
 }
 
 #[test]

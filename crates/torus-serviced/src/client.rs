@@ -17,10 +17,9 @@ use std::time::Duration;
 use crate::json::Json;
 use crate::spec::JobSpec;
 
-/// Default read timeout, used until [`Client::with_read_timeout`]
-/// overrides it. Generous — drains of deep queues legitimately take a
-/// while — but finite, so a wedged daemon fails a test instead of
-/// hanging it.
+/// Every client's read timeout. Generous — drains of deep queues
+/// legitimately take a while — but finite, so a wedged daemon fails a
+/// test instead of hanging it.
 pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Jobs per connection whose status trace [`Client::status_trace`] keeps;
@@ -197,8 +196,7 @@ pub struct Client {
 
 impl Client {
     /// Connects; does not authenticate (see [`Client::hello`]). Reads
-    /// time out after [`DEFAULT_READ_TIMEOUT`]; adjust with
-    /// [`Client::with_read_timeout`].
+    /// time out after [`DEFAULT_READ_TIMEOUT`].
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(DEFAULT_READ_TIMEOUT))?;
@@ -209,15 +207,6 @@ impl Client {
             status_trace: BTreeMap::new(),
             last_event: None,
         })
-    }
-
-    /// Overrides how long a read may block before failing with a
-    /// timeout. `None` means block forever — only sensible for
-    /// interactive tools; tests and services should keep a bound so a
-    /// wedged daemon surfaces as an error instead of a hang.
-    pub fn with_read_timeout(self, timeout: Option<Duration>) -> io::Result<Self> {
-        self.reader.get_ref().set_read_timeout(timeout)?;
-        Ok(self)
     }
 
     /// Classifies a socket error: a dead peer becomes `Disconnected`

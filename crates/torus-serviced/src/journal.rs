@@ -288,7 +288,7 @@ pub struct JournalStats {
 impl JournalStats {
     /// Mean admissions per group-commit batch (`None` before the first
     /// batch).
-    pub fn mean_batch_size(&self) -> Option<f64> {
+    pub(crate) fn mean_batch_size(&self) -> Option<f64> {
         if self.group_commit_batches == 0 {
             None
         } else {
@@ -694,12 +694,8 @@ impl Journal {
 
     /// Records an admission: `{tenant, spec}` under `job_id`, durable
     /// before returning — once this succeeds, a crash cannot lose the
-    /// job. Equivalent to [`record_accepted_async`] followed by
-    /// [`wait_durable`]; concurrent callers share one group-commit
-    /// fsync.
-    ///
-    /// [`record_accepted_async`]: Journal::record_accepted_async
-    /// [`wait_durable`]: Journal::wait_durable
+    /// job. Equivalent to `record_accepted_async` followed by
+    /// `wait_durable`; concurrent callers share one group-commit fsync.
     pub fn record_accepted(
         &self,
         job_id: u64,
@@ -718,7 +714,7 @@ impl Journal {
     /// flushed right behind it, preserving per-job stream order.
     ///
     /// [`wait_durable`]: Journal::wait_durable
-    pub fn record_accepted_async(
+    pub(crate) fn record_accepted_async(
         &self,
         job_id: u64,
         tenant: &str,
@@ -755,7 +751,7 @@ impl Journal {
     /// after which the journal's durability is poisoned and every
     /// admission fails, so the daemon stops acknowledging jobs it could
     /// lose.
-    pub fn wait_durable(&self, seq: u64) -> Result<(), JournalError> {
+    pub(crate) fn wait_durable(&self, seq: u64) -> Result<(), JournalError> {
         let core = &self.core;
         let mut flush = lk(&core.flush);
         loop {
@@ -776,7 +772,7 @@ impl Journal {
     }
 
     /// Records that a driver began executing `job_id`.
-    pub fn record_started(&self, job_id: u64) -> Result<(), JournalError> {
+    pub(crate) fn record_started(&self, job_id: u64) -> Result<(), JournalError> {
         let payload = Json::obj([]);
         let core = &self.core;
         let mut inner = lk(&core.inner);
@@ -794,7 +790,7 @@ impl Journal {
     /// Records `job_id`'s terminal outcome. `checksum` is the delivery
     /// digest in hex when the run was clean. The terminal
     /// state is derived from `ok`; cancellations and deadline reaps use
-    /// [`record_done_state`](Journal::record_done_state) so recovery
+    /// `record_done_state` so recovery
     /// can tell them apart from genuine failures.
     pub fn record_done(
         &self,
@@ -812,7 +808,7 @@ impl Journal {
     /// `state` (`"completed"`, `"failed"`, `"cancelled"`, or
     /// `"deadline_exceeded"`). A `cancelled` terminal record is what
     /// stops recovery from re-running a job the user already killed.
-    pub fn record_done_state(
+    pub(crate) fn record_done_state(
         &self,
         job_id: u64,
         ok: bool,
@@ -844,7 +840,7 @@ impl Journal {
     }
 
     /// Records a refused submission (no job id was assigned).
-    pub fn record_rejected(&self, tenant: &str, reason: &str) -> Result<(), JournalError> {
+    pub(crate) fn record_rejected(&self, tenant: &str, reason: &str) -> Result<(), JournalError> {
         let payload = Json::obj([("tenant", Json::str(tenant)), ("reason", Json::str(reason))]);
         let core = &self.core;
         let mut inner = lk(&core.inner);
@@ -852,7 +848,7 @@ impl Journal {
     }
 
     /// A snapshot of the write-side counters for the `stats` op.
-    pub fn stats(&self) -> JournalStats {
+    pub(crate) fn stats(&self) -> JournalStats {
         let core = &self.core;
         JournalStats {
             records_written: core.records_written.load(Ordering::Relaxed),
@@ -863,11 +859,6 @@ impl Journal {
             group_commit_batches: core.group_commit_batches.load(Ordering::Relaxed),
             group_commit_records: core.group_commit_records.load(Ordering::Relaxed),
         }
-    }
-
-    /// The journal's directory.
-    pub fn dir(&self) -> &Path {
-        &self.core.config.dir
     }
 }
 

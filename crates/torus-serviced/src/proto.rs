@@ -105,7 +105,7 @@ impl std::fmt::Display for ProtoError {
 impl std::error::Error for ProtoError {}
 
 /// Validates a tenant id: short, non-empty, shell-safe.
-pub fn valid_tenant(tenant: &str) -> bool {
+pub(crate) fn valid_tenant(tenant: &str) -> bool {
     !tenant.is_empty()
         && tenant.len() <= 64
         && tenant
@@ -114,7 +114,7 @@ pub fn valid_tenant(tenant: &str) -> bool {
 }
 
 /// Parses one request line.
-pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
+pub(crate) fn parse_request(line: &str) -> Result<Request, ProtoError> {
     let value = crate::json::parse(line).map_err(|e| ProtoError::new(e.to_string()))?;
     if value.as_obj().is_none() {
         return Err(ProtoError::new("request must be a JSON object"));
@@ -198,7 +198,7 @@ fn op_counts_json(stats: &ServiceStats) -> Json {
 }
 
 /// The full JSON form of the engine's aggregate stats.
-pub fn service_stats_json(stats: &ServiceStats) -> Json {
+pub(crate) fn service_stats_json(stats: &ServiceStats) -> Json {
     Json::obj([
         ("jobs_accepted", Json::u64(stats.jobs_accepted)),
         ("jobs_rejected", Json::u64(stats.jobs_rejected)),
@@ -433,7 +433,7 @@ pub fn runtime_report_json(r: &RuntimeReport) -> Json {
 }
 
 /// The JSON form of one tenant's stats.
-pub fn tenant_stats_json(stats: &TenantStats) -> Json {
+pub(crate) fn tenant_stats_json(stats: &TenantStats) -> Json {
     Json::obj([
         ("tenant", Json::str(stats.tenant.clone())),
         ("jobs_accepted", Json::u64(stats.jobs_accepted)),
@@ -451,17 +451,17 @@ pub fn tenant_stats_json(stats: &TenantStats) -> Json {
 }
 
 /// `{"ev":"hello_ok","tenant":…}`
-pub fn hello_ok(tenant: &str) -> Json {
+pub(crate) fn hello_ok(tenant: &str) -> Json {
     Json::obj([("ev", Json::str("hello_ok")), ("tenant", Json::str(tenant))])
 }
 
 /// `{"ev":"accepted","job_id":…}`
-pub fn accepted(job_id: u64) -> Json {
+pub(crate) fn accepted(job_id: u64) -> Json {
     Json::obj([("ev", Json::str("accepted")), ("job_id", Json::u64(job_id))])
 }
 
 /// `{"ev":"status","job_id":…,"state":…}`
-pub fn status(job_id: u64, state: &str) -> Json {
+pub(crate) fn status(job_id: u64, state: &str) -> Json {
     Json::obj([
         ("ev", Json::str("status")),
         ("job_id", Json::u64(job_id)),
@@ -471,7 +471,7 @@ pub fn status(job_id: u64, state: &str) -> Json {
 
 /// `{"ev":"rejected","reason":…,"detail":…}` — `reason` is a stable
 /// machine-readable token, `detail` is for humans.
-pub fn rejected(reason: &str, detail: &str) -> Json {
+pub(crate) fn rejected(reason: &str, detail: &str) -> Json {
     Json::obj([
         ("ev", Json::str("rejected")),
         ("reason", Json::str(reason)),
@@ -482,7 +482,7 @@ pub fn rejected(reason: &str, detail: &str) -> Json {
 /// `{"ev":"rejected","reason":…,"detail":…,"retry_after_ms":…}` — an
 /// overload rejection carrying the engine's backoff hint, honored by
 /// the client's `submit_with_retry`.
-pub fn rejected_backoff(reason: &str, detail: &str, retry_after_ms: u64) -> Json {
+pub(crate) fn rejected_backoff(reason: &str, detail: &str, retry_after_ms: u64) -> Json {
     Json::obj([
         ("ev", Json::str("rejected")),
         ("reason", Json::str(reason)),
@@ -493,17 +493,17 @@ pub fn rejected_backoff(reason: &str, detail: &str, retry_after_ms: u64) -> Json
 
 /// `{"ev":"error","message":…}` — a malformed request (not a job
 /// outcome).
-pub fn error_event(message: &str) -> Json {
+pub(crate) fn error_event(message: &str) -> Json {
     Json::obj([("ev", Json::str("error")), ("message", Json::str(message))])
 }
 
 /// `{"ev":"pong"}`
-pub fn pong() -> Json {
+pub(crate) fn pong() -> Json {
     Json::obj([("ev", Json::str("pong"))])
 }
 
 /// `{"ev":"valid","spec":…}` — the normalized (defaults filled) form.
-pub fn valid(normalized: Json) -> Json {
+pub(crate) fn valid(normalized: Json) -> Json {
     Json::obj([("ev", Json::str("valid")), ("spec", normalized)])
 }
 
@@ -513,7 +513,7 @@ pub fn valid(normalized: Json) -> Json {
 /// terminal job the extra fields carry the recorded outcome; `recovered`
 /// marks an answer reconstructed from the journal rather than from a
 /// job this process executed.
-pub fn job_status(
+pub(crate) fn job_status(
     job_id: u64,
     state: &str,
     ok: Option<bool>,
@@ -544,7 +544,7 @@ pub fn job_status(
 ///   recorded terminal state;
 /// * `forbidden` — the job belongs to another tenant;
 /// * `unknown` — no live or remembered job with that id.
-pub fn cancel_reply(job_id: u64, outcome: &str, state: Option<&str>) -> Json {
+pub(crate) fn cancel_reply(job_id: u64, outcome: &str, state: Option<&str>) -> Json {
     Json::obj([
         ("ev", Json::str("cancel")),
         ("job_id", Json::u64(job_id)),
@@ -556,7 +556,7 @@ pub fn cancel_reply(job_id: u64, outcome: &str, state: Option<&str>) -> Json {
 /// `{"ev":"schema","spec":…,"rejection":…}` — the spec schema plus the
 /// shape of overload rejections (including the `retry_after_ms` backoff
 /// hint clients should honor).
-pub fn schema(spec_schema: Json) -> Json {
+pub(crate) fn schema(spec_schema: Json) -> Json {
     Json::obj([
         ("ev", Json::str("schema")),
         ("spec", spec_schema),
@@ -584,7 +584,7 @@ pub fn schema(spec_schema: Json) -> Json {
 /// batching figures: `group_commit_batches` fsync batches have covered
 /// `group_commit_records` admissions, and `mean_batch_size` is their
 /// ratio (`null` before the first batch) — well above 1.0 under bursts.
-pub fn journal_stats_json(stats: &JournalStats) -> Json {
+pub(crate) fn journal_stats_json(stats: &JournalStats) -> Json {
     Json::obj([
         ("records_written", Json::u64(stats.records_written)),
         ("bytes_written", Json::u64(stats.bytes_written)),
@@ -610,7 +610,7 @@ pub fn journal_stats_json(stats: &JournalStats) -> Json {
 /// `journal` is `null` when the daemon runs without one; `daemon`
 /// carries front-door gauges (reactor pool size, registry occupancy)
 /// and is `null` only for embedders that have no daemon layer.
-pub fn stats(
+pub(crate) fn stats(
     service: &ServiceStats,
     tenants: &[TenantStats],
     journal: Option<&JournalStats>,
@@ -629,7 +629,7 @@ pub fn stats(
 }
 
 /// `{"ev":"drained","service":…}` — the final aggregate snapshot.
-pub fn drained(service: &ServiceStats) -> Json {
+pub(crate) fn drained(service: &ServiceStats) -> Json {
     Json::obj([
         ("ev", Json::str("drained")),
         ("service", service_stats_json(service)),

@@ -9,8 +9,9 @@
 //! * **Fixed thread pool.** [`Daemon::run`](crate::server::Daemon::run)
 //!   runs reactor 0 on its calling thread and spawns the other
 //!   `reactor_threads − 1`. Every reactor polls its own clone of the
-//!   listening socket and accepts one connection per wake, so a burst
-//!   spreads over the pool; a connection stays on the reactor that
+//!   listening socket and, when it wakes, accepts until `WouldBlock`;
+//!   the reactors woken together race for the backlog, so a burst
+//!   spreads over the pool. A connection stays on the reactor that
 //!   accepted it for life. The price: each new connection wakes every
 //!   reactor, and all but the one that accepts it run an iteration for a
 //!   `WouldBlock`. Daemon thread count is reactor pool + engine drivers
@@ -371,18 +372,25 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, index: usize, listener: &
             }
         }
 
-        // Accept one connection per wake, so a burst spreads over every
-        // reactor polling the listener; a reactor that loses the race
-        // sees `WouldBlock`.
+        // Accept until `WouldBlock`, so a connect storm drains the
+        // backlog in one pass instead of one connection per iteration;
+        // the reactors woken with this one race for the same backlog, so
+        // a burst still spreads over the pool.
         if fds[1].revents & POLLIN != 0 {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if let Ok(conn) = Conn::new(stream) {
-                        conns.push(conn);
+            loop {
+                match listener.accept() {
+                    Ok((stream, _peer)) => {
+                        if let Ok(conn) = Conn::new(stream) {
+                            conns.push(conn);
+                        }
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(_) => {
+                        accept_resume = Instant::now() + ACCEPT_BACKOFF;
+                        break;
                     }
                 }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
-                Err(_) => accept_resume = Instant::now() + ACCEPT_BACKOFF,
             }
         }
 

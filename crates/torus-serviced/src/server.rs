@@ -7,8 +7,9 @@
 //!
 //! * **A fixed pool of reactor threads** (`reactor_threads`, default
 //!   4), the first of which is the thread calling [`Daemon::run`]: every
-//!   reactor polls the listener alongside its own sockets and accepts one
-//!   connection per wake, so a burst spreads over the pool. A connection
+//!   reactor polls the listener alongside its own sockets and, when it
+//!   wakes, accepts until `WouldBlock`; the reactors woken together race
+//!   for the backlog, so a burst spreads over the pool. A connection
 //!   stays on the reactor that accepted it; that reactor drives all its
 //!   reads, request handling, job-status streaming and writes over
 //!   non-blocking sockets and `poll(2)`. Connection count and in-flight

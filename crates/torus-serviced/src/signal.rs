@@ -4,7 +4,7 @@
 //! `drain` request". All a signal handler can safely do is set a flag,
 //! so that is all this module does: `install()` registers a handler
 //! that stores into a process-global atomic, and every daemon reactor
-//! checks [`triggered`] once per loop iteration — an idle reactor within
+//! checks `triggered()` once per loop iteration — an idle reactor within
 //! its 50 ms idle poll. The libc `signal` entry point is declared
 //! directly — the container has no signal crate, and one `extern "C"`
 //! line beats carrying one.
@@ -30,8 +30,8 @@ extern "C" fn on_sigterm(_signum: i32) {
 
 /// Installs the SIGTERM-sets-a-flag handler. Safe to call repeatedly.
 /// On non-unix targets this is a no-op ([`triggered`] then only fires
-/// via [`trigger_for_test`]).
-pub fn install() {
+/// via [`raise_sigterm`]).
+pub(crate) fn install() {
     #[cfg(unix)]
     unsafe {
         signal(SIGTERM, on_sigterm as *const () as usize);
@@ -39,7 +39,7 @@ pub fn install() {
 }
 
 /// Whether a SIGTERM has arrived since [`install`].
-pub fn triggered() -> bool {
+pub(crate) fn triggered() -> bool {
     TERM_REQUESTED.load(Ordering::SeqCst)
 }
 
@@ -50,18 +50,13 @@ pub fn reset() {
 
 /// Delivers a real SIGTERM to this process (unix) or just sets the flag
 /// (elsewhere). Used by the drain tests; with the handler installed the
-/// process survives and the daemon sees [`triggered`].
+/// process survives and the daemon sees the flag.
 pub fn raise_sigterm() {
     #[cfg(unix)]
     unsafe {
         raise(SIGTERM);
     }
     #[cfg(not(unix))]
-    trigger_for_test();
-}
-
-/// Sets the flag directly, bypassing the OS. For non-unix tests.
-pub fn trigger_for_test() {
     TERM_REQUESTED.store(true, Ordering::SeqCst);
 }
 

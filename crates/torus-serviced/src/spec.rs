@@ -575,7 +575,7 @@ impl JobSpec {
     }
 
     /// The validated torus shape.
-    pub fn torus_shape(&self) -> TorusShape {
+    pub(crate) fn torus_shape(&self) -> TorusShape {
         TorusShape::new(&self.shape).expect("validated at parse time")
     }
 

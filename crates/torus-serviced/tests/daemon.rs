@@ -10,7 +10,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use torus_service::{EngineConfig, TenantQuota};
+use torus_service::{EngineConfig, RateLimit, TenantQuota};
 use torus_serviced::{checksum, json::Json, Client, ClientError, Daemon, DaemonConfig, JobSpec};
 
 fn quick_config() -> DaemonConfig {
@@ -145,62 +145,92 @@ fn validate_normalizes_and_schema_lists_fields() {
 
 #[test]
 fn tenant_quota_rejections_are_typed_over_the_wire() {
-    let config = DaemonConfig {
-        engine: EngineConfig::default()
-            .with_pool_size(4)
-            .with_drivers(1)
-            .with_queue_depth(64)
-            .with_default_quota(TenantQuota::default().with_max_queued(1)),
-        status_poll: Duration::from_millis(1),
-        ..DaemonConfig::default()
-    };
-    let (addr, daemon) = Daemon::spawn(config).unwrap();
+    // One case per per-tenant refusal: a queue cap, and a token bucket
+    // of 50 jobs/s with a burst of one (its next token is 20 ms away).
+    let cases = [
+        (
+            TenantQuota::default().with_max_queued(1),
+            "tenant_queue_full",
+        ),
+        (
+            TenantQuota::default().with_rate_limit(RateLimit::per_sec(50).with_burst(1)),
+            "rate_limited",
+        ),
+    ];
+    for (quota, expected) in cases {
+        let config = DaemonConfig {
+            engine: EngineConfig::default()
+                .with_pool_size(4)
+                .with_drivers(1)
+                .with_queue_depth(64)
+                .with_default_quota(quota),
+            status_poll: Duration::from_millis(1),
+            ..DaemonConfig::default()
+        };
+        let (addr, daemon) = Daemon::spawn(config).unwrap();
 
-    // Pin the single driver so queued jobs stay queued.
-    let mut pinner = Client::connect(addr).unwrap();
-    pinner.hello("pinner").unwrap();
-    let blocker = pinner.submit_raw(blocker_spec()).unwrap();
+        // Pin the single driver so queued jobs stay queued.
+        let mut pinner = Client::connect(addr).unwrap();
+        pinner.hello("pinner").unwrap();
+        let blocker = pinner.submit_raw(blocker_spec()).unwrap();
 
-    let mut acme = Client::connect(addr).unwrap();
-    acme.hello("acme").unwrap();
-    let first = acme.submit(&seeded_spec(7)).unwrap();
-    let err = acme.submit(&seeded_spec(8)).unwrap_err();
-    match err {
-        ClientError::Rejected {
-            reason,
-            detail,
-            retry_after_ms,
-        } => {
-            assert_eq!(reason, "tenant_queue_full");
-            assert!(detail.contains("acme"), "{detail:?}");
-            assert!(
-                retry_after_ms.is_some_and(|ms| ms >= 1),
-                "overload rejection must carry a backoff hint"
-            );
+        let mut acme = Client::connect(addr).unwrap();
+        acme.hello("acme").unwrap();
+        let first = acme.submit(&seeded_spec(7)).unwrap();
+        let err = acme.submit(&seeded_spec(8)).unwrap_err();
+        match err {
+            ClientError::Rejected {
+                reason,
+                detail,
+                retry_after_ms,
+            } => {
+                assert_eq!(reason, expected);
+                assert!(detail.contains("acme"), "{detail:?}");
+                assert!(
+                    retry_after_ms.is_some_and(|ms| ms >= 1),
+                    "{expected}: overload rejection must carry a backoff hint"
+                );
+            }
+            other => panic!("expected {expected}, got {other}"),
         }
-        other => panic!("expected tenant_queue_full, got {other}"),
+        // Another tenant still has room — per-tenant isolation.
+        let mut zeta = Client::connect(addr).unwrap();
+        zeta.hello("zeta").unwrap();
+        let z = zeta.submit(&seeded_spec(9)).unwrap();
+
+        // A rate limit only delays: backing off on the hint admits the
+        // job, and it completes.
+        let retried = (expected == "rate_limited")
+            .then(|| acme.submit_with_retry(&seeded_spec(8), 50).unwrap());
+
+        assert!(pinner.wait_done(blocker).unwrap().ok);
+        assert!(acme.wait_done(first).unwrap().ok);
+        assert!(zeta.wait_done(z).unwrap().ok);
+        if let Some(id) = retried {
+            assert!(acme.wait_done(id).unwrap().ok, "{expected}");
+        }
+
+        // Per-tenant books over the wire: acme's rejections are counted
+        // (backing off may be refused more than once).
+        let stats = acme.stats().unwrap();
+        let tenants = stats.get("tenants").unwrap().as_arr().unwrap();
+        let acme_row = tenants
+            .iter()
+            .find(|t| t.get("tenant").unwrap().as_str() == Some("acme"))
+            .expect("acme row");
+        let rejected = acme_row.get("jobs_rejected").unwrap().as_u64().unwrap();
+        let completed = acme_row.get("jobs_completed").unwrap().as_u64();
+        if retried.is_some() {
+            assert!(rejected >= 1, "{expected}: {rejected}");
+            assert_eq!(completed, Some(2), "{expected}");
+        } else {
+            assert_eq!(rejected, 1, "{expected}");
+            assert_eq!(completed, Some(1), "{expected}");
+        }
+
+        acme.drain().unwrap();
+        daemon.join().unwrap();
     }
-    // Another tenant still has room — per-tenant isolation.
-    let mut zeta = Client::connect(addr).unwrap();
-    zeta.hello("zeta").unwrap();
-    let z = zeta.submit(&seeded_spec(9)).unwrap();
-
-    assert!(pinner.wait_done(blocker).unwrap().ok);
-    assert!(acme.wait_done(first).unwrap().ok);
-    assert!(zeta.wait_done(z).unwrap().ok);
-
-    // Per-tenant books over the wire: acme saw exactly one rejection.
-    let stats = acme.stats().unwrap();
-    let tenants = stats.get("tenants").unwrap().as_arr().unwrap();
-    let acme_row = tenants
-        .iter()
-        .find(|t| t.get("tenant").unwrap().as_str() == Some("acme"))
-        .expect("acme row");
-    assert_eq!(acme_row.get("jobs_rejected").unwrap().as_u64(), Some(1));
-    assert_eq!(acme_row.get("jobs_completed").unwrap().as_u64(), Some(1));
-
-    acme.drain().unwrap();
-    daemon.join().unwrap();
 }
 
 #[test]

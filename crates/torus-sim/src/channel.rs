@@ -6,7 +6,7 @@
 //! be tracked in flat arrays instead of hash sets — this is the hot path of
 //! every simulated step.
 
-use torus_topology::{Channel, NodeId, TorusShape};
+use torus_topology::{Channel, TorusShape};
 
 use crate::error::SimError;
 
@@ -28,7 +28,7 @@ pub struct ChannelIndexer {
 
 impl ChannelIndexer {
     /// Builds an indexer for a shape.
-    pub fn new(shape: &TorusShape) -> Self {
+    pub(crate) fn new(shape: &TorusShape) -> Self {
         Self {
             shape: shape.clone(),
         }
@@ -36,7 +36,7 @@ impl ChannelIndexer {
 
     /// Total number of channel slots (`2·n·N`). Slots for degenerate
     /// dimensions exist but are never returned by [`id`](Self::id).
-    pub fn num_channels(&self) -> usize {
+    pub(crate) fn num_channels(&self) -> usize {
         2 * self.shape.ndims() * self.shape.num_nodes() as usize
     }
 
@@ -44,7 +44,7 @@ impl ChannelIndexer {
     ///
     /// Returns [`SimError::NotAdjacent`] if the endpoints are not neighbors
     /// in exactly one dimension.
-    pub fn id(&self, ch: Channel) -> Result<usize, SimError> {
+    pub(crate) fn id(&self, ch: Channel) -> Result<usize, SimError> {
         if ch.from == ch.to {
             return Err(SimError::NotAdjacent { channel: ch });
         }
@@ -79,15 +79,9 @@ impl ChannelIndexer {
     }
 
     /// The shape this indexer was built for.
-    pub fn shape(&self) -> &TorusShape {
+    pub(crate) fn shape(&self) -> &TorusShape {
         &self.shape
     }
-}
-
-/// Convenience: id of the sending node owning channel id `cid` (inverse of
-/// the id layout). Mainly useful in diagnostics.
-pub fn channel_owner(cid: usize, ndims: usize) -> NodeId {
-    (cid / (2 * ndims)) as NodeId
 }
 
 #[cfg(test)]
@@ -175,15 +169,5 @@ mod tests {
     fn three_d_channel_count() {
         let ix = ChannelIndexer::new(&TorusShape::new_3d(4, 4, 4).unwrap());
         assert_eq!(ix.num_channels(), 2 * 3 * 64);
-    }
-
-    #[test]
-    fn owner_recovery() {
-        let ix = idx_8x8();
-        let s = ix.shape().clone();
-        let from = s.index_of(&Coord::new(&[2, 5]));
-        let to = s.index_of(&Coord::new(&[2, 6]));
-        let id = ix.id(Channel::new(from, to)).unwrap();
-        assert_eq!(channel_owner(id, 2), from);
     }
 }

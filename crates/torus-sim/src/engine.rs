@@ -36,7 +36,6 @@ pub struct StepStat {
 /// epoch-stamped flat arrays, so a step costs `O(messages + hops)` with no
 /// per-step clearing.
 pub struct Engine {
-    shape: TorusShape,
     params: CommParams,
     indexer: ChannelIndexer,
     // Epoch-stamped occupancy. A slot is "occupied this step" iff its stamp
@@ -49,8 +48,6 @@ pub struct Engine {
     counts: CostCounts,
     time: CompletionTime,
     trace: Trace,
-    total_blocks_sent: u64,
-    total_messages: u64,
 }
 
 impl Engine {
@@ -60,7 +57,6 @@ impl Engine {
         let nchan = indexer.num_channels();
         let nnodes = shape.num_nodes() as usize;
         Self {
-            shape: shape.clone(),
             params,
             indexer,
             chan_stamp: vec![0; nchan],
@@ -71,19 +67,7 @@ impl Engine {
             counts: CostCounts::default(),
             time: CompletionTime::default(),
             trace: Trace::default(),
-            total_blocks_sent: 0,
-            total_messages: 0,
         }
-    }
-
-    /// The torus shape being simulated.
-    pub fn shape(&self) -> &TorusShape {
-        &self.shape
-    }
-
-    /// The communication parameters in force.
-    pub fn params(&self) -> &CommParams {
-        &self.params
     }
 
     /// Opens a new phase in the trace.
@@ -191,8 +175,6 @@ impl Engine {
         self.time.startup += self.params.t_s;
         self.time.transmission += stat.max_blocks as f64 * m as f64 * self.params.t_c;
         self.time.propagation += stat.max_hops as f64 * self.params.t_l;
-        self.total_blocks_sent += stat.total_blocks;
-        self.total_messages += stat.messages as u64;
         self.trace.record_step(stat);
         Ok(stat)
     }
@@ -222,16 +204,6 @@ impl Engine {
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
-
-    /// Network-wide total of transmitted blocks (not critical-path).
-    pub fn total_blocks_sent(&self) -> u64 {
-        self.total_blocks_sent
-    }
-
-    /// Network-wide total message count.
-    pub fn total_messages(&self) -> u64 {
-        self.total_messages
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +216,7 @@ mod tests {
     }
 
     fn tx(e: &Engine, from: [u32; 2], dir: Direction, hops: u32, blocks: u64) -> Transmission {
-        Transmission::along_ring(e.shape(), &Coord::new(&from), dir, hops, blocks)
+        Transmission::along_ring(e.indexer.shape(), &Coord::new(&from), dir, hops, blocks)
     }
 
     #[test]
@@ -389,9 +361,7 @@ mod tests {
         assert_eq!(t.transmission, 16.0);
         assert_eq!(t.propagation, 8.0);
         assert_eq!(t.rearrangement, 64.0);
-        assert_eq!(e.total_blocks_sent(), 16);
-        assert_eq!(e.total_messages(), 2);
-        assert_eq!(e.trace().phase("phase 1").unwrap().num_steps(), 2);
+        assert_eq!(e.trace().phases[0].num_steps(), 2);
     }
 
     #[test]

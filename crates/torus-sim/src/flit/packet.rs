@@ -33,11 +33,6 @@ impl Packet {
             len_flits,
         }
     }
-
-    /// Hop count.
-    pub fn hops(&self) -> u32 {
-        self.route.len() as u32
-    }
 }
 
 /// Flit-simulator configuration.
@@ -136,7 +131,7 @@ mod tests {
         let p = Packet::from_transmission(&t, 12);
         assert_eq!(p.src, t.src);
         assert_eq!(p.dst, t.dst);
-        assert_eq!(p.hops(), 3);
+        assert_eq!(p.route.len(), 3);
         assert_eq!(p.len_flits, 12);
     }
 

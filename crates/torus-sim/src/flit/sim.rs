@@ -339,11 +339,6 @@ impl FlitSim {
             Slot::Buf(cid) => self.buffers[cid].pop_front().expect("winner head exists"),
         }
     }
-
-    /// Statistics so far (final after [`run`](Self::run)).
-    pub fn stats(&self) -> FlitStats {
-        self.stats
-    }
 }
 
 #[cfg(test)]

@@ -36,6 +36,6 @@ pub use channel::ChannelIndexer;
 pub use engine::{Engine, StepStat};
 pub use error::SimError;
 pub use flit::{FlitConfig, FlitError, FlitSim, FlitStats, Packet};
-pub use parallel::{default_threads, env_threads};
+pub use parallel::default_threads;
 pub use trace::{PhaseTrace, Trace};
 pub use transmission::Transmission;

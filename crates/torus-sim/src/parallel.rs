@@ -22,7 +22,7 @@ pub fn default_threads() -> usize {
 
 /// The `TORUS_THREADS` override, if set to a positive integer (any other
 /// value — unset, empty, zero, garbage — is ignored).
-pub fn env_threads() -> Option<usize> {
+pub(crate) fn env_threads() -> Option<usize> {
     std::env::var("TORUS_THREADS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())

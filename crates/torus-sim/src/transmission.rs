@@ -59,7 +59,7 @@ impl Transmission {
     }
 
     /// Number of hops (channels) traversed.
-    pub fn hops(&self) -> u32 {
+    pub(crate) fn hops(&self) -> u32 {
         self.path.len() as u32
     }
 }

@@ -63,7 +63,7 @@ impl Coord {
 
     /// Number of dimensions.
     #[inline]
-    pub fn ndims(&self) -> usize {
+    pub(crate) fn ndims(&self) -> usize {
         self.len as usize
     }
 
@@ -83,7 +83,7 @@ impl Coord {
 
     /// Component-wise `self[d] mod m` — used for node-group classification.
     #[inline]
-    pub fn mod_each(&self, m: u32) -> Self {
+    pub(crate) fn mod_each(&self, m: u32) -> Self {
         let mut c = *self;
         for d in 0..self.ndims() {
             c[d] %= m;
@@ -93,7 +93,7 @@ impl Coord {
 
     /// Component-wise integer division — used for submesh identification.
     #[inline]
-    pub fn div_each(&self, m: u32) -> Self {
+    pub(crate) fn div_each(&self, m: u32) -> Self {
         let mut c = *self;
         for d in 0..self.ndims() {
             c[d] /= m;

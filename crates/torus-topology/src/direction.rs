@@ -17,18 +17,9 @@ pub enum Sign {
 }
 
 impl Sign {
-    /// The opposite sign.
-    #[inline]
-    pub fn flip(self) -> Self {
-        match self {
-            Sign::Plus => Sign::Minus,
-            Sign::Minus => Sign::Plus,
-        }
-    }
-
     /// `+1` or `-1`, for ring arithmetic.
     #[inline]
-    pub fn unit(self) -> i64 {
+    pub(crate) fn unit(self) -> i64 {
         match self {
             Sign::Plus => 1,
             Sign::Minus => -1,
@@ -81,15 +72,6 @@ impl Direction {
         Self::new(dim, Sign::Minus)
     }
 
-    /// The opposite direction (same dimension, flipped sign).
-    #[inline]
-    pub fn reverse(self) -> Self {
-        Self {
-            dim: self.dim,
-            sign: self.sign.flip(),
-        }
-    }
-
     /// Dimension as `usize` for indexing.
     #[inline]
     pub fn dim(self) -> usize {
@@ -98,7 +80,7 @@ impl Direction {
 
     /// Signed unit step (`+1`/`-1`) along this direction.
     #[inline]
-    pub fn unit(self) -> i64 {
+    pub(crate) fn unit(self) -> i64 {
         self.sign.unit()
     }
 }
@@ -115,20 +97,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flip_and_unit() {
-        assert_eq!(Sign::Plus.flip(), Sign::Minus);
-        assert_eq!(Sign::Minus.flip(), Sign::Plus);
+    fn unit_steps() {
         assert_eq!(Sign::Plus.unit(), 1);
         assert_eq!(Sign::Minus.unit(), -1);
-    }
-
-    #[test]
-    fn reverse_direction() {
-        let d = Direction::plus(2);
-        let r = d.reverse();
-        assert_eq!(r.dim(), 2);
-        assert_eq!(r.sign, Sign::Minus);
-        assert_eq!(r.reverse(), d);
+        assert_eq!(Direction::minus(2).unit(), -1);
     }
 
     #[test]

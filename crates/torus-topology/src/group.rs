@@ -59,32 +59,6 @@ impl GroupInfo {
         }
     }
 
-    /// The underlying torus shape.
-    #[inline]
-    pub fn shape(&self) -> &TorusShape {
-        &self.shape
-    }
-
-    /// The shape of each group's subtorus (`a_1/4 × … × a_n/4`).
-    ///
-    /// This is also the shape of the grid of submeshes.
-    #[inline]
-    pub fn subtorus_shape(&self) -> &TorusShape {
-        &self.subtorus
-    }
-
-    /// Number of groups, `4^n`.
-    #[inline]
-    pub fn num_groups(&self) -> u32 {
-        4u32.pow(self.shape.ndims() as u32)
-    }
-
-    /// Number of submeshes, `(a_1 · … · a_n) / 4^n`.
-    #[inline]
-    pub fn num_submeshes(&self) -> u32 {
-        self.subtorus.num_nodes()
-    }
-
     /// The group of a node.
     #[inline]
     pub fn group_of(&self, c: &Coord) -> GroupId {
@@ -124,13 +98,6 @@ impl GroupInfo {
             .iter_coords()
             .map(move |sm| self.member(g, SubmeshId(sm)))
     }
-
-    /// Iterates over the 4^n member coordinates of submesh `sm`.
-    pub fn submesh_members(&self, sm: SubmeshId) -> impl Iterator<Item = Coord> + '_ {
-        let n = self.shape.ndims();
-        let gshape = TorusShape::new(&vec![4u32; n]).expect("4^n shape valid");
-        (0..gshape.num_nodes()).map(move |id| self.member(GroupId(gshape.coord_of(id)), sm))
-    }
 }
 
 #[cfg(test)]
@@ -141,18 +108,16 @@ mod tests {
         GroupInfo::new(&TorusShape::new_2d(12, 12).unwrap())
     }
 
+    /// The 4^n member coordinates of submesh `sm`, one per group.
+    fn submesh_members(gi: &GroupInfo, sm: SubmeshId) -> impl Iterator<Item = Coord> + '_ {
+        let gshape = TorusShape::new(&vec![4u32; gi.shape.ndims()]).expect("4^n shape valid");
+        (0..gshape.num_nodes()).map(move |id| gi.member(GroupId(gshape.coord_of(id)), sm))
+    }
+
     #[test]
     #[should_panic(expected = "multiples of 4")]
     fn rejects_non_multiple_of_four() {
         GroupInfo::new(&TorusShape::new_2d(12, 10).unwrap());
-    }
-
-    #[test]
-    fn counts() {
-        let gi = info_12x12();
-        assert_eq!(gi.num_groups(), 16);
-        assert_eq!(gi.num_submeshes(), 9);
-        assert_eq!(gi.subtorus_shape().dims(), &[3, 3]);
     }
 
     #[test]
@@ -182,8 +147,8 @@ mod tests {
     #[test]
     fn every_submesh_has_one_node_per_group() {
         let gi = info_12x12();
-        for sm in gi.subtorus_shape().iter_coords() {
-            let members: Vec<Coord> = gi.submesh_members(SubmeshId(sm)).collect();
+        for sm in gi.subtorus.iter_coords() {
+            let members: Vec<Coord> = submesh_members(&gi, SubmeshId(sm)).collect();
             assert_eq!(members.len(), 16);
             let mut groups: Vec<GroupId> = members.iter().map(|m| gi.group_of(m)).collect();
             groups.sort();
@@ -232,7 +197,7 @@ mod tests {
     #[test]
     fn member_inverts_group_submesh_split() {
         let gi = GroupInfo::new(&TorusShape::new(&[8, 8, 8]).unwrap());
-        for c in gi.shape().iter_coords().take(512) {
+        for c in gi.shape.iter_coords().take(512) {
             let g = gi.group_of(&c);
             let sm = gi.submesh_of(&c);
             assert_eq!(gi.member(g, sm), c);
@@ -242,8 +207,6 @@ mod tests {
     #[test]
     fn works_in_3d() {
         let gi = GroupInfo::new(&TorusShape::new_3d(12, 12, 12).unwrap());
-        assert_eq!(gi.num_groups(), 64);
-        assert_eq!(gi.num_submeshes(), 27);
         let g = GroupId(Coord::new(&[1, 2, 3]));
         let members: Vec<Coord> = gi.group_members(g).collect();
         assert_eq!(members.len(), 27);

@@ -40,6 +40,6 @@ pub use coord::{Coord, MAX_DIMS};
 pub use direction::{Direction, Sign};
 pub use group::{GroupId, GroupInfo, SubmeshId};
 pub use path::{dor_path, ring_path, Channel};
-pub use ring::{next_alive, ring_add, ring_distance, ring_hops, ring_sub, stride_ring};
+pub use ring::{next_alive, ring_add, ring_distance, ring_hops, ring_sub};
 pub use route::detour_hops;
 pub use shape::{NodeId, ShapeError, TorusShape};

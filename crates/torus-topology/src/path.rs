@@ -52,7 +52,7 @@ pub fn ring_path(shape: &TorusShape, from: &Coord, dir: Direction, hops: u32) ->
 /// Minimal direction and hop count from `a` to `b` along dimension `dim`:
 /// picks whichever ring direction is shorter, preferring `Plus` on ties.
 /// Returns `None` if the coordinates already agree in that dimension.
-pub fn minimal_dir(
+pub(crate) fn minimal_dir(
     shape: &TorusShape,
     a: &Coord,
     b: &Coord,

@@ -44,26 +44,6 @@ pub fn ring_distance(a: u32, b: u32, k: u32) -> u32 {
     d.min(k - d)
 }
 
-/// The members of the stride ring through `start`: positions
-/// `start, start + stride, start + 2·stride, …` (mod `k`), in positive
-/// traversal order. The scatter phases walk exactly these rings with
-/// `stride = 4`.
-///
-/// # Panics
-///
-/// Panics (in debug builds) if `k` is not a multiple of `stride` or
-/// `start >= k`.
-pub fn stride_ring(start: u32, stride: u32, k: u32) -> Vec<u32> {
-    debug_assert!(
-        stride > 0 && k.is_multiple_of(stride),
-        "ring {k} not divisible by stride {stride}"
-    );
-    debug_assert!(start < k);
-    (0..k / stride)
-        .map(|i| ring_add(start, (i * stride) as i64, k))
-        .collect()
-}
-
 /// Ring contraction: the next *alive* member of the stride ring after
 /// `from`, travelling in direction `sign`, skipping dead positions.
 ///
@@ -125,13 +105,6 @@ mod tests {
         assert_eq!(ring_distance(8, 0, 12), 4);
         assert_eq!(ring_distance(3, 3, 12), 0);
         assert_eq!(ring_distance(0, 6, 12), 6);
-    }
-
-    #[test]
-    fn stride_ring_lists_members_in_order() {
-        assert_eq!(stride_ring(1, 4, 12), vec![1, 5, 9]);
-        assert_eq!(stride_ring(6, 4, 8), vec![6, 2]);
-        assert_eq!(stride_ring(3, 4, 4), vec![3]);
     }
 
     #[test]
