@@ -179,29 +179,63 @@ pub struct JobResult {
 }
 
 /// Shared state between a [`JobHandle`] and the engine's drivers.
-#[derive(Debug)]
 pub(crate) struct JobState {
-    status: Mutex<(JobStatus, Option<Arc<JobResult>>)>,
+    slot: Mutex<Slot>,
     done: Condvar,
+}
+
+/// What [`JobState`]'s lock guards.
+struct Slot {
+    status: JobStatus,
+    result: Option<Arc<JobResult>>,
+    /// Set by [`JobHandle::on_finish`]; taken and run by `finish`.
+    on_finish: Option<Box<dyn FnOnce() + Send>>,
+}
+
+impl std::fmt::Debug for JobState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let slot = self.lock();
+        f.debug_struct("JobState")
+            .field("status", &slot.status)
+            .field("result", &slot.result)
+            .finish_non_exhaustive()
+    }
 }
 
 impl JobState {
     pub(crate) fn new() -> Self {
         Self {
-            status: Mutex::new((JobStatus::Queued, None)),
+            slot: Mutex::new(Slot {
+                status: JobStatus::Queued,
+                result: None,
+                on_finish: None,
+            }),
             done: Condvar::new(),
         }
     }
 
-    pub(crate) fn set_running(&self) {
-        let mut slot = self.status.lock().unwrap_or_else(PoisonError::into_inner);
-        slot.0 = JobStatus::Running;
+    fn lock(&self) -> std::sync::MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    pub(crate) fn set_running(&self) {
+        self.lock().status = JobStatus::Running;
+    }
+
+    /// Publishes the terminal status and result, wakes every waiter,
+    /// then runs the [`on_finish`](JobHandle::on_finish) notifier, if
+    /// any, outside the lock.
     pub(crate) fn finish(&self, status: JobStatus, result: JobResult) {
-        let mut slot = self.status.lock().unwrap_or_else(PoisonError::into_inner);
-        *slot = (status, Some(Arc::new(result)));
-        self.done.notify_all();
+        let notify = {
+            let mut slot = self.lock();
+            slot.status = status;
+            slot.result = Some(Arc::new(result));
+            self.done.notify_all();
+            slot.on_finish.take()
+        };
+        if let Some(notify) = notify {
+            notify();
+        }
     }
 }
 
@@ -221,22 +255,14 @@ impl JobHandle {
 
     /// The job's current status without blocking.
     pub fn try_status(&self) -> JobStatus {
-        self.state
-            .status
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .0
+        self.state.lock().status
     }
 
     /// Blocks until the job finishes and returns its result.
     pub fn wait(&self) -> Arc<JobResult> {
-        let mut slot = self
-            .state
-            .status
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut slot = self.state.lock();
         loop {
-            if let Some(result) = &slot.1 {
+            if let Some(result) = &slot.result {
                 return Arc::clone(result);
             }
             slot = self
@@ -245,6 +271,23 @@ impl JobHandle {
                 .wait(slot)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// Runs `notify` once, as soon as the job is terminal and its result
+    /// is published (so [`try_status`](Self::try_status) reads terminal
+    /// and [`wait`](Self::wait) does not block): at once on this thread
+    /// if it already is, otherwise on the driver thread that finishes
+    /// it. One notifier per job; a second call replaces the first. Like
+    /// an event hook it must be fast and must not call back into the
+    /// engine.
+    pub fn on_finish(&self, notify: impl FnOnce() + Send + 'static) {
+        let mut slot = self.state.lock();
+        if slot.result.is_none() {
+            slot.on_finish = Some(Box::new(notify));
+            return;
+        }
+        drop(slot);
+        notify();
     }
 }
 
@@ -281,6 +324,47 @@ mod tests {
         assert_eq!(result.job_id, 3);
         assert_eq!(result.error.as_deref(), Some("boom"));
         assert_eq!(handle.try_status(), JobStatus::Failed);
+    }
+
+    /// The notifier runs once, after the result is published: one set
+    /// while the job runs sees it terminal from inside the call, and one
+    /// set after the finish runs at once.
+    #[test]
+    fn on_finish_runs_once_after_the_result_is_published() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let state = Arc::new(JobState::new());
+        let handle = JobHandle {
+            id: 5,
+            state: Arc::clone(&state),
+        };
+        let calls = Arc::new(AtomicUsize::new(0));
+        {
+            let (handle, calls) = (handle.clone(), Arc::clone(&calls));
+            handle.clone().on_finish(move || {
+                assert_eq!(handle.try_status(), JobStatus::Completed);
+                assert_eq!(handle.wait().job_id, 5);
+                calls.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        state.set_running();
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        state.finish(
+            JobStatus::Completed,
+            JobResult {
+                job_id: 5,
+                report: None,
+                deliveries: None,
+                digest: None,
+                error: None,
+                cache_hit: false,
+            },
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        let late = Arc::clone(&calls);
+        handle.on_finish(move || {
+            late.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 
     #[test]

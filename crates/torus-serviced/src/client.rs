@@ -403,9 +403,11 @@ impl Client {
     /// Submits with bounded-jitter exponential backoff on overload:
     /// `queue_full`, `tenant_queue_full`, and `rate_limited` rejections
     /// are retried up to `max_attempts` times, sleeping the daemon's
-    /// `retry_after_ms` hint (or a doubling fallback when absent) plus
-    /// deterministic jitter in `[-50%, 0%]` of the base, capped at 5 s
-    /// per wait. Every other error — including the final overload
+    /// `retry_after_ms` hint (or a doubling fallback when absent, the
+    /// base capped at 5 s) plus deterministic jitter in `[0%, +50%]` of
+    /// the base. The wait is never shorter than the hint: the engine
+    /// computes it exactly, so a shorter wait would arrive early and be
+    /// refused again. Every other error — including the final overload
     /// rejection — propagates unchanged, so overload degrades to slower
     /// admission rather than hard failure.
     pub fn submit_with_retry(
@@ -443,7 +445,7 @@ impl Client {
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
                     let jitter = (rng >> 33) % (base / 2 + 1);
-                    std::thread::sleep(Duration::from_millis(base - jitter));
+                    std::thread::sleep(Duration::from_millis(base + jitter));
                     fallback_ms = (fallback_ms * 2).min(5_000);
                 }
                 Err(other) => return Err(other),

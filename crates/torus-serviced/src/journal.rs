@@ -28,18 +28,18 @@
 //! `accepted` records are fsync'd before the daemon acknowledges the
 //! job; `started`/`done`/`rejected` are write-through only (they are
 //! reconstructible by re-running). The fsync itself is **group
-//! committed**: appends assign a monotone sequence number and a
-//! dedicated flusher thread issues one `sync_data` covering every
-//! admission appended since the previous sync (plus a fixed 200 µs
-//! gather window, `GROUP_COMMIT_WINDOW`, that lets a burst pile in).
-//! [`Journal::record_accepted`] returns only once the flusher reports
-//! the caller's sequence durable, so the barrier —
-//! *on disk before the client hears `accepted`* — is exactly as strong
-//! as one-fsync-per-record while the fsync count under concurrent
-//! submitters drops well below one per job. A record that landed in a
-//! previous segment is covered too: rotation syncs the old file under
-//! the append lock before switching, so syncing the active file always
-//! completes the batch. A crash mid-append can therefore
+//! committed**, with no thread of its own: each admission append takes
+//! a monotone sequence number, and `Journal::sync` issues one
+//! `sync_data` covering every admission appended so far — returning at
+//! once when another caller's sync already covered the sequence. A
+//! reactor appends every admission its iteration read, then syncs once
+//! for the highest; concurrent reactors share each other's syncs. The
+//! barrier — *on disk before the client hears `accepted`* — is exactly
+//! as strong as one-fsync-per-record, while the fsync count under
+//! concurrent submitters drops well below one per job. A record that
+//! landed in a previous segment is covered too: rotation syncs the old
+//! file under the append lock before switching, so syncing the active
+//! file always completes the batch. A crash mid-append can therefore
 //! leave one *incomplete* record at the tail of the newest segment —
 //! recovery tolerates exactly that case by truncating it away. Any
 //! other damage (bad magic, bad kind, CRC mismatch, short record in a
@@ -81,8 +81,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use torus_runtime::crc32;
 
@@ -99,10 +98,6 @@ pub const RECORD_HEADER_BYTES: usize = 24;
 /// Upper bound on a record's payload; anything larger on disk is
 /// treated as corruption rather than allocated.
 pub const MAX_PAYLOAD_BYTES: u32 = 1 << 20;
-/// How long the group-commit flusher lingers after noticing pending
-/// admissions before issuing the batch `sync_data`, so concurrent
-/// submitters coalesce into one fsync.
-const GROUP_COMMIT_WINDOW: Duration = Duration::from_micros(200);
 
 fn lk<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -277,7 +272,7 @@ pub struct JournalStats {
     pub segments_compacted: u64,
     /// Pending jobs handed to the engine at the last recovery.
     pub jobs_replayed: u64,
-    /// Batch `sync_data` calls the group-commit flusher issued.
+    /// Batch `sync_data` calls `Journal::sync` issued.
     pub group_commit_batches: u64,
     /// Admissions those batches made durable;
     /// `group_commit_records / group_commit_batches` is the mean batch
@@ -302,6 +297,14 @@ struct Inner {
     file: File,
     seq: u64,
     active_bytes: u64,
+    /// Admissions appended since open: the sequence of the newest.
+    /// Assigned under this lock, so sequence order is file order.
+    appended: u64,
+    /// Set when a rotation's `sync_data` failed. That sync may have
+    /// consumed a writeback error that a concurrent [`Journal::sync`]
+    /// on a clone of the same file was spared, so `sync` reads this
+    /// after its own `sync_data` and never certifies past it.
+    rotation_error: Option<String>,
     /// Jobs whose `accepted` record is on disk (written or replayed)
     /// with no `done` record yet. A started/done record for a job not
     /// here is deferred: no record for a job follows its `done`, so
@@ -315,30 +318,25 @@ struct Inner {
     deferred: HashMap<u64, Vec<(RecordKind, Json)>>,
 }
 
-/// Group-commit state shared between appenders and the flusher thread.
+/// Group-commit state: what is known durable, guarded by the mutex
+/// every [`Journal::sync`] holds for its whole `sync_data`.
 #[derive(Default)]
-struct FlushState {
-    /// Admissions appended (sequence of the newest).
-    appended_seq: u64,
-    /// Admissions known durable (covered by a completed `sync_data`).
-    durable_seq: u64,
-    /// Sticky: a failed batch sync poisons the journal's durability —
-    /// every in-flight and future admission wait fails with this.
+struct Durable {
+    /// Admissions covered by a completed `sync_data` (the sequence of
+    /// the newest).
+    through: u64,
+    /// Sticky: a failed sync poisons the journal's durability — every
+    /// later sync of an uncovered admission fails with this.
     error: Option<String>,
-    /// Set by [`Journal`]'s drop to retire the flusher thread.
-    shutdown: bool,
 }
 
-/// Everything shared between the [`Journal`] handle and its flusher
-/// thread.
-struct Core {
+/// The daemon's append-only admission journal. Cheap to share: all
+/// methods take `&self`.
+pub struct Journal {
     config: JournalConfig,
+    /// The append lock. Taken after `durable`, never before it.
     inner: Mutex<Inner>,
-    flush: Mutex<FlushState>,
-    /// Wakes the flusher: new admissions appended, or shutdown.
-    flush_wake: Condvar,
-    /// Wakes admission waiters: `durable_seq` advanced or `error` set.
-    durable: Condvar,
+    durable: Mutex<Durable>,
     records_written: AtomicU64,
     bytes_written: AtomicU64,
     fsyncs: AtomicU64,
@@ -348,18 +346,16 @@ struct Core {
     group_commit_records: AtomicU64,
 }
 
-/// The daemon's append-only admission journal. Cheap to share: all
-/// methods take `&self`. Dropping the journal retires its group-commit
-/// flusher thread after one final batch sync.
-pub struct Journal {
-    core: Arc<Core>,
-    flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
+// No `Drop`: every appended admission is synced by the reactor
+// iteration (or the `record_accepted` call) that appended it, so no sync
+// is owed when the journal drops; `started`/`done`/`rejected` records
+// are write-through only and the closing file keeps them in the page
+// cache.
 
 impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Journal")
-            .field("dir", &self.core.config.dir)
+            .field("dir", &self.config.dir)
             .finish_non_exhaustive()
     }
 }
@@ -653,19 +649,19 @@ impl Journal {
             }
         };
 
-        let core = Arc::new(Core {
+        let journal = Self {
             config,
             inner: Mutex::new(Inner {
                 file,
                 seq,
                 active_bytes,
+                appended: 0,
+                rotation_error: None,
                 pending,
                 seg_jobs,
                 deferred: HashMap::new(),
             }),
-            flush: Mutex::new(FlushState::default()),
-            flush_wake: Condvar::new(),
-            durable: Condvar::new(),
+            durable: Mutex::new(Durable::default()),
             records_written: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
@@ -673,109 +669,114 @@ impl Journal {
             jobs_replayed: AtomicU64::new(recovery.pending.len() as u64),
             group_commit_batches: AtomicU64::new(0),
             group_commit_records: AtomicU64::new(0),
-        });
-        {
-            let mut inner = lk(&core.inner);
-            core.compact_locked(&mut inner)?;
-        }
-        let flusher = {
-            let core = Arc::clone(&core);
-            std::thread::Builder::new()
-                .name("journal-flush".to_string())
-                .spawn(move || flusher_loop(&core))
-                .map_err(JournalError::Io)?
         };
-        let journal = Self {
-            core,
-            flusher: Mutex::new(Some(flusher)),
-        };
+        journal.compact_locked(&mut lk(&journal.inner))?;
         Ok((journal, recovery))
     }
 
     /// Records an admission: `{tenant, spec}` under `job_id`, durable
     /// before returning — once this succeeds, a crash cannot lose the
-    /// job. Equivalent to `record_accepted_async` followed by
-    /// `wait_durable`; concurrent callers share one group-commit fsync.
+    /// job. `append_accepted` followed by `sync`; concurrent callers
+    /// share one fsync.
     pub fn record_accepted(
         &self,
         job_id: u64,
         tenant: &str,
         spec: Json,
     ) -> Result<(), JournalError> {
-        let seq = self.record_accepted_async(job_id, tenant, spec)?;
-        self.wait_durable(seq)
+        let seq = self.append_accepted(job_id, tenant, spec)?;
+        self.sync(seq)
     }
 
-    /// Appends an admission record and hands it to the group-commit
-    /// flusher *without* waiting for durability. Returns the admission's
-    /// flush sequence for a later [`wait_durable`] — callers batching
-    /// several admissions need only wait on the highest sequence. Any
-    /// started/done records that raced ahead of the admission are
-    /// flushed right behind it, preserving per-job stream order.
-    ///
-    /// [`wait_durable`]: Journal::wait_durable
-    pub(crate) fn record_accepted_async(
+    /// Appends an admission record *without* making it durable. Returns
+    /// the admission's sequence for a later [`sync`](Journal::sync) —
+    /// callers batching several admissions need only sync the highest.
+    /// Any started/done records that raced ahead of the admission are
+    /// written right behind it, preserving per-job stream order.
+    pub(crate) fn append_accepted(
         &self,
         job_id: u64,
         tenant: &str,
         spec: Json,
     ) -> Result<u64, JournalError> {
         let payload = Json::obj([("tenant", Json::str(tenant)), ("spec", spec)]);
-        let core = &self.core;
-        let mut inner = lk(&core.inner);
-        core.append_locked(&mut inner, RecordKind::Accepted, job_id, &payload)?;
+        let mut inner = lk(&self.inner);
+        self.append_locked(&mut inner, RecordKind::Accepted, job_id, &payload)?;
         inner.pending.insert(job_id);
         if let Some(queued) = inner.deferred.remove(&job_id) {
             for (kind, payload) in queued {
-                core.append_locked(&mut inner, kind, job_id, &payload)?;
+                self.append_locked(&mut inner, kind, job_id, &payload)?;
                 if kind == RecordKind::Done {
                     inner.pending.remove(&job_id);
                 }
             }
         }
-        // Assign the flush sequence before releasing the append lock so
-        // sequence order matches file order; the flusher's `sync_data`
-        // always covers every byte appended before it ran, so a waiter
-        // whose sequence is covered has its record on disk.
-        let mut flush = lk(&core.flush);
-        flush.appended_seq += 1;
-        let seq = flush.appended_seq;
-        drop(inner);
-        core.flush_wake.notify_one();
-        drop(flush);
-        Ok(seq)
+        inner.appended += 1;
+        Ok(inner.appended)
     }
 
-    /// Blocks until the admission with flush sequence `seq` (and every
-    /// earlier one) is fsync'd, or the flusher reported a sync failure —
-    /// after which the journal's durability is poisoned and every
-    /// admission fails, so the daemon stops acknowledging jobs it could
-    /// lose.
-    pub(crate) fn wait_durable(&self, seq: u64) -> Result<(), JournalError> {
-        let core = &self.core;
-        let mut flush = lk(&core.flush);
-        loop {
-            // Durability first: a record covered by a batch that synced
-            // before the flusher later failed IS on disk, and its
-            // admission can still be acknowledged honestly.
-            if flush.durable_seq >= seq {
-                return Ok(());
+    /// Makes the admission with sequence `seq` (and every earlier one)
+    /// durable: returns once a `sync_data` that began after it was
+    /// appended has succeeded, or fails once a sync has failed — after
+    /// which the journal's durability is poisoned and no uncovered
+    /// admission is ever certified, so the daemon stops acknowledging
+    /// jobs it could lose.
+    pub(crate) fn sync(&self, seq: u64) -> Result<(), JournalError> {
+        // Syncs run one at a time, under this lock for their whole
+        // `sync_data`: Linux reports a writeback error to only one
+        // `fsync` per open file description, and `try_clone` shares the
+        // description, so of two overlapping syncs one could see
+        // success for pages the other was told were lost.
+        let mut durable = lk(&self.durable);
+        // Durability first: a record covered by a sync that succeeded
+        // (this caller's, or another reactor's that ran while this one
+        // waited for the lock) IS on disk, even if a later sync failed,
+        // and its admission can still be acknowledged honestly.
+        if durable.through >= seq {
+            return Ok(());
+        }
+        if let Some(error) = &durable.error {
+            return Err(JournalError::Io(std::io::Error::other(error.clone())));
+        }
+        // Clone the fd under the append lock (rotation may swap the
+        // file) and read the newest sequence with it: every admission
+        // up to `target` is in the file before the sync begins. The sync
+        // itself runs outside the append lock, so appenders never stall
+        // behind it. Records in previously rotated segments were synced
+        // by the rotation, so the active file completes the set.
+        let (target, cloned) = {
+            let inner = lk(&self.inner);
+            (inner.appended, inner.file.try_clone())
+        };
+        let outcome = cloned
+            .and_then(|file| file.sync_data())
+            .map_err(|e| format!("group-commit sync failed: {e}"));
+        let outcome = outcome.and_then(|()| match &lk(&self.inner).rotation_error {
+            Some(error) => Err(error.clone()),
+            None => Ok(()),
+        });
+        match outcome {
+            Ok(()) => {
+                self.fsyncs.fetch_add(1, Ordering::Relaxed);
+                self.group_commit_batches.fetch_add(1, Ordering::Relaxed);
+                self.group_commit_records
+                    .fetch_add(target - durable.through, Ordering::Relaxed);
+                durable.through = target;
+                Ok(())
             }
-            if let Some(error) = &flush.error {
-                return Err(JournalError::Io(std::io::Error::other(error.clone())));
+            Err(error) => {
+                // Sticky poison: every later sync of an uncovered
+                // admission reports this failure.
+                durable.error = Some(error.clone());
+                Err(JournalError::Io(std::io::Error::other(error)))
             }
-            flush = core
-                .durable
-                .wait(flush)
-                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Records that a driver began executing `job_id`.
     pub(crate) fn record_started(&self, job_id: u64) -> Result<(), JournalError> {
         let payload = Json::obj([]);
-        let core = &self.core;
-        let mut inner = lk(&core.inner);
+        let mut inner = lk(&self.inner);
         if !inner.pending.contains(&job_id) {
             inner
                 .deferred
@@ -784,7 +785,7 @@ impl Journal {
                 .push((RecordKind::Started, payload));
             return Ok(());
         }
-        core.append_locked(&mut inner, RecordKind::Started, job_id, &payload)
+        self.append_locked(&mut inner, RecordKind::Started, job_id, &payload)
     }
 
     /// Records `job_id`'s terminal outcome. `checksum` is the delivery
@@ -824,8 +825,7 @@ impl Journal {
             ("error", error.map_or(Json::Null, Json::str)),
             ("state", Json::str(state)),
         ]);
-        let core = &self.core;
-        let mut inner = lk(&core.inner);
+        let mut inner = lk(&self.inner);
         if !inner.pending.contains(&job_id) {
             inner
                 .deferred
@@ -834,7 +834,7 @@ impl Journal {
                 .push((RecordKind::Done, payload));
             return Ok(());
         }
-        core.append_locked(&mut inner, RecordKind::Done, job_id, &payload)?;
+        self.append_locked(&mut inner, RecordKind::Done, job_id, &payload)?;
         inner.pending.remove(&job_id);
         Ok(())
     }
@@ -842,91 +842,23 @@ impl Journal {
     /// Records a refused submission (no job id was assigned).
     pub(crate) fn record_rejected(&self, tenant: &str, reason: &str) -> Result<(), JournalError> {
         let payload = Json::obj([("tenant", Json::str(tenant)), ("reason", Json::str(reason))]);
-        let core = &self.core;
-        let mut inner = lk(&core.inner);
-        core.append_locked(&mut inner, RecordKind::Rejected, 0, &payload)
+        let mut inner = lk(&self.inner);
+        self.append_locked(&mut inner, RecordKind::Rejected, 0, &payload)
     }
 
     /// A snapshot of the write-side counters for the `stats` op.
     pub(crate) fn stats(&self) -> JournalStats {
-        let core = &self.core;
         JournalStats {
-            records_written: core.records_written.load(Ordering::Relaxed),
-            bytes_written: core.bytes_written.load(Ordering::Relaxed),
-            fsyncs: core.fsyncs.load(Ordering::Relaxed),
-            segments_compacted: core.segments_compacted.load(Ordering::Relaxed),
-            jobs_replayed: core.jobs_replayed.load(Ordering::Relaxed),
-            group_commit_batches: core.group_commit_batches.load(Ordering::Relaxed),
-            group_commit_records: core.group_commit_records.load(Ordering::Relaxed),
+            records_written: self.records_written.load(Ordering::Relaxed),
+            bytes_written: self.bytes_written.load(Ordering::Relaxed),
+            fsyncs: self.fsyncs.load(Ordering::Relaxed),
+            segments_compacted: self.segments_compacted.load(Ordering::Relaxed),
+            jobs_replayed: self.jobs_replayed.load(Ordering::Relaxed),
+            group_commit_batches: self.group_commit_batches.load(Ordering::Relaxed),
+            group_commit_records: self.group_commit_records.load(Ordering::Relaxed),
         }
     }
-}
 
-impl Drop for Journal {
-    fn drop(&mut self) {
-        {
-            let mut flush = lk(&self.core.flush);
-            flush.shutdown = true;
-        }
-        self.core.flush_wake.notify_all();
-        if let Some(handle) = lk(&self.flusher).take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The group-commit flusher: waits for pending admissions, lingers for
-/// the gather window so concurrent appenders coalesce, then issues one
-/// `sync_data` covering everything appended so far and publishes the
-/// new durable sequence. A sync failure is published sticky — the
-/// journal stops certifying durability rather than lying about it.
-fn flusher_loop(core: &Core) {
-    loop {
-        {
-            let mut flush = lk(&core.flush);
-            loop {
-                if flush.error.is_some() || flush.appended_seq == flush.durable_seq {
-                    if flush.shutdown {
-                        return;
-                    }
-                    flush = core
-                        .flush_wake
-                        .wait(flush)
-                        .unwrap_or_else(PoisonError::into_inner);
-                } else {
-                    break;
-                }
-            }
-        }
-        // Gather window: let a burst of concurrent submitters append
-        // behind the record that woke us, all covered by one sync.
-        std::thread::sleep(GROUP_COMMIT_WINDOW);
-        let target = lk(&core.flush).appended_seq;
-        // Clone the fd under the append lock (rotation may swap the
-        // file), then sync outside it so appenders never stall behind
-        // the fsync itself. Records in previously rotated segments were
-        // synced by the rotation, so the active file completes the set.
-        let cloned = lk(&core.inner).file.try_clone();
-        let outcome = cloned.and_then(|file| file.sync_data());
-        let mut flush = lk(&core.flush);
-        match outcome {
-            Ok(()) => {
-                core.fsyncs.fetch_add(1, Ordering::Relaxed);
-                core.group_commit_batches.fetch_add(1, Ordering::Relaxed);
-                core.group_commit_records
-                    .fetch_add(target - flush.durable_seq, Ordering::Relaxed);
-                flush.durable_seq = target;
-            }
-            Err(e) => {
-                flush.error = Some(format!("group-commit sync failed: {e}"));
-            }
-        }
-        drop(flush);
-        core.durable.notify_all();
-    }
-}
-
-impl Core {
     fn append_locked(
         &self,
         inner: &mut Inner,
@@ -955,7 +887,10 @@ impl Core {
     /// Closes the active segment, opens the next, and compacts any
     /// closed segment whose jobs are all terminal.
     fn rotate_locked(&self, inner: &mut Inner) -> Result<(), JournalError> {
-        inner.file.sync_data()?;
+        if let Err(e) = inner.file.sync_data() {
+            inner.rotation_error = Some(format!("segment rotation sync failed: {e}"));
+            return Err(e.into());
+        }
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         let next = inner.seq + 1;
         let path = segment_path(&self.config.dir, next);
@@ -1149,15 +1084,13 @@ mod tests {
         let (journal, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
         let mut last = 0;
         for id in 1..=10_000 {
-            last = journal
-                .record_accepted_async(id, "acme", demo_spec())
-                .unwrap();
+            last = journal.append_accepted(id, "acme", demo_spec()).unwrap();
             journal
                 .record_done(id, true, false, Some("00ff00ff00ff00ff"), None)
                 .unwrap();
         }
-        journal.wait_durable(last).unwrap();
-        let inner = lk(&journal.core.inner);
+        journal.sync(last).unwrap();
+        let inner = lk(&journal.inner);
         assert!(inner.pending.is_empty(), "{} pending", inner.pending.len());
         assert!(
             inner.deferred.is_empty(),
@@ -1170,6 +1103,51 @@ mod tests {
             "every closed segment was compacted"
         );
         drop(inner);
+        drop(journal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The poison rules of [`Journal::sync`]: once a sync has failed,
+    /// an admission an earlier sync covered is still durable, but no
+    /// newer one is ever certified, and no further `sync_data` runs.
+    #[test]
+    fn a_failed_sync_poisons_every_later_sync_but_not_what_was_durable() {
+        let dir = tmp_dir("poison");
+        let (journal, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let covered = journal.append_accepted(1, "acme", demo_spec()).unwrap();
+        journal.sync(covered).unwrap();
+        let newer = journal.append_accepted(2, "acme", demo_spec()).unwrap();
+        lk(&journal.durable).error = Some("injected sync failure".to_string());
+
+        journal.sync(covered).expect("covered before the failure");
+        let err = journal.sync(newer).unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        let later = journal.append_accepted(3, "acme", demo_spec()).unwrap();
+        for seq in [later, newer, later] {
+            assert!(journal.sync(seq).is_err(), "sequence {seq} certified");
+        }
+        journal.sync(covered).expect("still covered");
+        assert_eq!(
+            journal.stats().fsyncs,
+            1,
+            "a poisoned journal syncs no more"
+        );
+        drop(journal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A failed rotation sync may have consumed the writeback error a
+    /// concurrent sync needed to see, so it poisons the next sync too.
+    #[test]
+    fn a_failed_rotation_sync_poisons_the_next_sync() {
+        let dir = tmp_dir("rotation-poison");
+        let (journal, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let seq = journal.append_accepted(1, "acme", demo_spec()).unwrap();
+        lk(&journal.inner).rotation_error = Some("injected rotation failure".to_string());
+        let err = journal.sync(seq).unwrap_err();
+        assert!(err.to_string().contains("injected rotation"), "{err}");
+        lk(&journal.inner).rotation_error = None;
+        assert!(journal.sync(seq).is_err(), "the poison is sticky");
         drop(journal);
         let _ = fs::remove_dir_all(&dir);
     }

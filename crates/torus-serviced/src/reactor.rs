@@ -29,19 +29,25 @@
 //! * **Inline job pumping.** Each reactor iteration polls the tracked
 //!   jobs of its connections (`status` transitions, heartbeats, final
 //!   `done`), so a connection with a thousand in-flight jobs costs one
-//!   scan, not a thousand threads.
+//!   scan, not a thousand threads. A busy reactor's `poll` times out
+//!   every `status_poll`; a connection's only job, if still running at
+//!   a later iteration than the one that admitted it, also rings the
+//!   reactor's waker when it finishes ([`JobHandle::on_finish`]), so a
+//!   long job's `done` leaves as it finishes instead of on the next
+//!   tick.
 //!
 //! ## Admission batching and the durability barrier
 //!
 //! Submissions do not fsync individually. Each admission appends its
-//! journal record via [`Journal::record_accepted_async`] and parks in
-//! the connection's pending list; once the iteration has drained every
-//! readable socket, one [`Journal::wait_durable`] on the highest
-//! pending sequence covers them all (the group-commit flusher syncs the
-//! batch in one `sync_data`). Only after that barrier does any client
-//! hear `accepted` — the documented "fsync before the client hears
-//! accepted" invariant holds per admission while fsyncs-per-job drops
-//! well below one under bursts, across connections and across
+//! journal record via [`Journal::append_accepted`] and parks in the
+//! connection's pending list; once the iteration has drained every
+//! readable socket, the reactor itself calls [`Journal::sync`] once, on
+//! the highest pending sequence, and that one `sync_data` covers them
+//! all (or returns at once if another reactor's sync already did). The
+//! reactor blocks for that sync. Only after that barrier does any
+//! client hear `accepted` — the documented "fsync before the client
+//! hears accepted" invariant holds per admission while fsyncs-per-job
+//! drops well below one under bursts, across connections and across
 //! pipelined submits on a single connection.
 //!
 //! To keep per-connection reply order intact, the pending list is an
@@ -130,8 +136,9 @@ extern "C" {
 }
 
 /// A self-pipe wakeup. The write end is signalled by the drain helper
-/// once it has published the final stats and closed the daemon; the
-/// reactor polls the read end alongside its sockets.
+/// once it has published the final stats and closed the daemon, and by
+/// a connection's lone long job when it finishes; the reactor polls the
+/// read end alongside its sockets.
 ///
 /// The pipe stays in blocking mode on purpose: the reactor only reads
 /// it after `POLLIN`, and a read never asks for more than one buffer
@@ -198,6 +205,8 @@ struct JobTrack {
     handle: JobHandle,
     last_state: &'static str,
     polls: u32,
+    /// The job rings the connection's reactor when it finishes.
+    wakes_on_finish: bool,
 }
 
 /// One slot in a connection's parked submit-reply queue. Replies to a
@@ -399,24 +408,31 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, index: usize, listener: &
             process_lines(conn, shared);
         }
 
-        // Durability barrier: one wait covers every admission parked
-        // this iteration (the first wait blocks for the group-commit
-        // batch; the rest resolve instantly). Replies drain in request
-        // order, so a rejection parked mid-burst stays behind the
-        // earlier admissions' `accepted` lines.
-        let any_pending = conns.iter().any(|c| !c.pending.is_empty());
-        if any_pending {
-            // A `Resolved` reply only parks behind an `Admission`, and
-            // admissions only park on a journaling daemon.
-            let journal = shared
-                .journal
-                .as_ref()
-                .expect("pending submits only exist on a journaling daemon");
+        // Durability barrier: one sync on the highest sequence parked
+        // this iteration covers every admission before it. Replies drain
+        // in request order, so a rejection parked mid-burst stays behind
+        // the earlier admissions' `accepted` lines.
+        let highest = conns
+            .iter()
+            .flat_map(|c| &c.pending)
+            .filter_map(|reply| match reply {
+                PendingReply::Admission { seq, .. } => Some(*seq),
+                PendingReply::Resolved(_) => None,
+            })
+            .max();
+        // A `Resolved` reply only parks behind an `Admission`, and
+        // admissions only park on a journaling daemon.
+        if let (Some(highest), Some(journal)) = (highest, &shared.journal) {
+            let synced = journal.sync(highest).is_ok();
             for conn in &mut conns {
                 for reply in std::mem::take(&mut conn.pending) {
                     match reply {
                         PendingReply::Admission { handle, seq } => {
-                            match journal.wait_durable(seq) {
+                            // After a failed sync, `sync(seq)` still
+                            // answers `Ok` for an admission an earlier
+                            // sync covered (durability first).
+                            let durable = if synced { Ok(()) } else { journal.sync(seq) };
+                            match durable {
                                 Ok(()) => accept_job(conn, shared, handle),
                                 Err(e) => reject_undurable(conn, shared, handle, &e),
                             }
@@ -443,7 +459,7 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, index: usize, listener: &
 
         // Pump tracked jobs: transitions, heartbeats, final `done`.
         for conn in &mut conns {
-            pump_tracks(conn, shared);
+            pump_tracks(conn, shared, waker);
         }
 
         // Flush write queues.
@@ -716,12 +732,10 @@ fn handle_submit(conn: &mut Conn, spec: Json, shared: &Arc<DaemonShared>) {
     );
     match submitted {
         Ok(handle) => match &shared.journal {
-            Some(journal) => {
-                match journal.record_accepted_async(handle.id(), &tenant, spec.to_json()) {
-                    Ok(seq) => conn.pending.push(PendingReply::Admission { handle, seq }),
-                    Err(e) => reject_undurable(conn, shared, handle, &e),
-                }
-            }
+            Some(journal) => match journal.append_accepted(handle.id(), &tenant, spec.to_json()) {
+                Ok(seq) => conn.pending.push(PendingReply::Admission { handle, seq }),
+                Err(e) => reject_undurable(conn, shared, handle, &e),
+            },
             None => accept_job(conn, shared, handle),
         },
         Err(SubmitError::QueueFull {
@@ -784,6 +798,7 @@ fn accept_job(conn: &mut Conn, shared: &DaemonShared, handle: JobHandle) {
         handle,
         last_state: "",
         polls: 0,
+        wakes_on_finish: false,
     });
 }
 
@@ -846,16 +861,36 @@ fn journal_reject(shared: &DaemonShared, tenant: &str, reason: &str) {
 
 /// Streams tracked jobs: a `status` line per transition (plus periodic
 /// heartbeats), then the final `done`, after which the track is
-/// dropped.
-fn pump_tracks(conn: &mut Conn, shared: &DaemonShared) {
+/// dropped. `waker` is this reactor's, for the jobs that ring it when
+/// they finish.
+fn pump_tracks(conn: &mut Conn, shared: &DaemonShared, waker: &Arc<Waker>) {
     if conn.tracks.is_empty() || conn.dead {
         return;
     }
     let mut tracks = std::mem::take(&mut conn.tracks);
+    let lone = tracks.len() == 1;
     tracks.retain_mut(|track| {
         let state = match track.handle.try_status() {
             JobStatus::Queued => "queued",
-            JobStatus::Running => "running",
+            JobStatus::Running => {
+                // The connection's only job, still running at a later
+                // pump than the admitting one: ring this reactor when it
+                // finishes, so its `done` goes out then rather than on
+                // the next poll. Without this a job's latency is its run
+                // time rounded up to the poll grid, which jumps by a
+                // whole `status_poll` when the run time crosses a tick.
+                // Short jobs, and connections with several in flight,
+                // stay with the poll: a wake per job costs a pipe write
+                // and a reactor iteration, and each wake's iteration saw
+                // the next running job and armed it in turn, which cost
+                // `wire_burst` its batching (ROADMAP item 3).
+                if lone && !track.wakes_on_finish && track.polls > 0 {
+                    let waker = Arc::clone(waker);
+                    track.handle.on_finish(move || waker.wake());
+                    track.wakes_on_finish = true;
+                }
+                "running"
+            }
             status => {
                 // Terminal (completed, failed, cancelled, or past its
                 // deadline), so `wait` returns without blocking.

@@ -13,8 +13,9 @@
 //!   stays on the reactor that accepted it; that reactor drives all its
 //!   reads, request handling, job-status streaming and writes over
 //!   non-blocking sockets and `poll(2)`. Connection count and in-flight
-//!   job count add *no* threads — total daemon threads are reactor pool
-//!   + engine drivers + worker pool, plus the journal's single flusher.
+//!   job count add *no* threads, nor does the journal's group commit,
+//!   which runs on the reactors: total daemon threads are reactor pool,
+//!   engine drivers and worker pool.
 //! * **Transient drain helper**: the first drain trigger (`drain`
 //!   request or SIGTERM) spawns one short-lived helper thread that waits
 //!   out the engine drain, publishes the final stats and closes the
@@ -74,7 +75,10 @@ pub struct DaemonConfig {
     pub addr: String,
     /// The engine the daemon fronts.
     pub engine: EngineConfig,
-    /// How often reactors poll tracked job status.
+    /// How often reactors poll tracked job status. A connection's only
+    /// job, still running at a later reactor iteration than the one
+    /// that admitted it, does not wait for this: it wakes its reactor
+    /// when it finishes.
     pub status_poll: Duration,
     /// Resend the current status every this many polls, so a client
     /// watching a long-queued job sees liveness, not silence.
@@ -297,7 +301,7 @@ pub(crate) struct DaemonShared {
     pub(crate) drained_event: Mutex<Option<Json>>,
     /// One waker per reactor (`reactor_threads` of them), so the drain
     /// helper can wake the whole pool when the verdict lands.
-    pub(crate) reactors: Vec<Waker>,
+    pub(crate) reactors: Vec<Arc<Waker>>,
 }
 
 impl DaemonShared {
@@ -355,7 +359,7 @@ impl Daemon {
     pub fn bind(config: DaemonConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let reactors = (0..config.reactor_threads.clamp(1, 64))
-            .map(|_| Waker::new())
+            .map(|_| Waker::new().map(Arc::new))
             .collect::<io::Result<Vec<_>>>()?;
         let registry = Arc::new(Registry::new());
         let mut engine_config = config.engine;

@@ -211,7 +211,9 @@ fn tenant_quota_rejections_are_typed_over_the_wire() {
         }
 
         // Per-tenant books over the wire: acme's rejections are counted
-        // (backing off may be refused more than once).
+        // — the explicit refusal, plus at most one inside the retry (its
+        // first attempt may beat the token; the wait on the exact hint
+        // does not).
         let stats = acme.stats().unwrap();
         let tenants = stats.get("tenants").unwrap().as_arr().unwrap();
         let acme_row = tenants
@@ -221,7 +223,7 @@ fn tenant_quota_rejections_are_typed_over_the_wire() {
         let rejected = acme_row.get("jobs_rejected").unwrap().as_u64().unwrap();
         let completed = acme_row.get("jobs_completed").unwrap().as_u64();
         if retried.is_some() {
-            assert!(rejected >= 1, "{expected}: {rejected}");
+            assert!((1..=2).contains(&rejected), "{expected}: {rejected}");
             assert_eq!(completed, Some(2), "{expected}");
         } else {
             assert_eq!(rejected, 1, "{expected}");

@@ -219,6 +219,55 @@ fn accepted_on_the_wire_means_record_on_disk() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The barrier holds across reactors: eight clients, each on its own
+/// connection and so spread over the default four reactors, submit one
+/// job at a time. Reactors' syncs overlap, so some find their
+/// admissions already covered by another reactor's sync and answer
+/// without one of their own — and every `accepted` any client hears is
+/// still an on-disk record by then.
+#[test]
+fn accepted_means_on_disk_across_reactors() {
+    const CLIENTS: u64 = 8;
+    const JOBS: u64 = 16;
+    let dir = temp_journal_dir("reactors");
+    let config = journaling_config(&dir);
+    assert_eq!(config.reactor_threads, 4, "the default reactor pool");
+    let (addr, daemon) = Daemon::spawn(config).unwrap();
+
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let dir = dir.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                client.hello(&format!("tenant-{c}")).unwrap();
+                for j in 0..JOBS {
+                    let job_id = client.submit(&seeded_spec(c * JOBS + j)).unwrap();
+                    assert!(
+                        accepted_ids_on_disk(&dir).contains(&job_id),
+                        "client {c} heard `accepted` for job {job_id} before its record was on disk"
+                    );
+                    assert!(client.wait_done(job_id).unwrap().ok);
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().unwrap();
+    }
+
+    let mut admin = Client::connect(addr).unwrap();
+    let stats = admin.stats().unwrap();
+    let records = stats
+        .get("journal")
+        .and_then(|j| j.get("group_commit_records"))
+        .and_then(Json::as_u64)
+        .expect("group_commit_records");
+    assert_eq!(records, CLIENTS * JOBS, "every admission synced once");
+    admin.drain().unwrap();
+    daemon.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A journaled admission whose spec fails re-validation at recovery
 /// (schema tightened across the restart, say) must not be dropped on
 /// the floor: the daemon records a `done {ok:false}` carrying the

@@ -158,6 +158,36 @@ fn deadline_job_reaped_over_the_wire() {
     daemon.join().unwrap();
 }
 
+/// A connection's only job, seen running past the admitting iteration,
+/// sends `done` when it finishes, not on the next status poll: under a
+/// 5 s poll, a 300 ms job (seen running by the `status` queries in
+/// `wait_running`, each a reactor iteration of its own) is reported
+/// long before the reactor's poll would have timed out.
+#[test]
+fn a_running_job_reports_done_when_it_finishes_not_on_the_next_poll() {
+    let (addr, daemon) = Daemon::spawn(DaemonConfig {
+        status_poll: Duration::from_secs(5),
+        ..quick_config()
+    })
+    .unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    client.hello("acme").unwrap();
+
+    let submitted_at = Instant::now();
+    let job = client.submit_raw(stalled_spec(300)).unwrap();
+    wait_running(&mut client, job);
+    let done = client.wait_done(job).unwrap();
+    let to_done = submitted_at.elapsed();
+    assert!(done.ok, "{done:?}");
+    assert!(
+        to_done >= Duration::from_millis(300) && to_done < Duration::from_secs(3),
+        "done after {to_done:?}: a 300 ms job under a 5 s status poll"
+    );
+
+    client.drain().unwrap();
+    daemon.join().unwrap();
+}
+
 /// Cancellation over the wire, tenant-scoped: the owner can cancel its
 /// running job (typed `cancelled` done event), another tenant is
 /// refused without learning anything, unknown ids answer `unknown`,

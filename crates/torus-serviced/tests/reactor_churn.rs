@@ -3,7 +3,8 @@
 //! worker pool (the thread running the daemon is reactor 0), never a
 //! function of how many clients are connected or how many jobs are in
 //! flight — and clients that vanish mid-job leak neither threads nor
-//! jobs.
+//! jobs. The daemon journals, as the CLI's and the benchmark's do: the
+//! journal's group commit runs on the reactors and adds no thread.
 //!
 //! This lives in its own test binary on purpose: it counts the threads
 //! of the whole process via `/proc/self/task`, so it must not share a
@@ -14,7 +15,7 @@
 use std::time::Duration;
 
 use torus_service::EngineConfig;
-use torus_serviced::{Client, Daemon, DaemonConfig, JobSpec};
+use torus_serviced::{Client, Daemon, DaemonConfig, JobSpec, JournalConfig};
 
 fn threads_now() -> usize {
     std::fs::read_dir("/proc/self/task").unwrap().count()
@@ -37,6 +38,9 @@ fn hundreds_of_churning_connections_leak_neither_threads_nor_jobs() {
     const WAVES: u64 = 8;
     const CONNS_PER_WAVE: u64 = 25;
 
+    let journal_dir =
+        std::env::temp_dir().join(format!("torus-churn-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&journal_dir);
     let config = DaemonConfig {
         engine: EngineConfig::default()
             .with_pool_size(POOL)
@@ -44,6 +48,7 @@ fn hundreds_of_churning_connections_leak_neither_threads_nor_jobs() {
             .with_queue_depth(512),
         status_poll: Duration::from_millis(1),
         reactor_threads: REACTORS,
+        journal: Some(JournalConfig::new(&journal_dir)),
         ..DaemonConfig::default()
     };
     let before = threads_now();
@@ -131,4 +136,5 @@ fn hundreds_of_churning_connections_leak_neither_threads_nor_jobs() {
         threads_now() < baseline,
         "daemon threads must be joined after run() returns"
     );
+    let _ = std::fs::remove_dir_all(&journal_dir);
 }
