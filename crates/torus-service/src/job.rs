@@ -121,8 +121,8 @@ pub enum JobEvent<'a> {
 }
 
 /// The engine's job-lifecycle observer: a shared closure invoked by
-/// driver threads. Used by the daemon to journal `started`/`done`
-/// records without a per-job watcher thread.
+/// driver threads. Used by the daemon to journal `done` records without
+/// a per-job watcher thread.
 pub type EventHook = Arc<dyn Fn(JobEvent<'_>) + Send + Sync>;
 
 /// Lifecycle of a submitted job.

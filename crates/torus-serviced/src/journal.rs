@@ -1,6 +1,6 @@
 //! The write-ahead admission journal: crash durability for the daemon.
 //!
-//! Every admission decision the daemon makes is recorded here *before*
+//! Every admission the daemon acknowledges is recorded here *before*
 //! the client hears about it, so a `kill -9` at any instant loses no
 //! accepted job. The format is deliberately dependency-light — binary
 //! fixed-header records in append-only segment files, integrity-checked
@@ -23,38 +23,45 @@
 //!     24     …  payload      UTF-8 JSON object
 //! ```
 //!
+//! This build writes only the two kinds replay reads: `accepted` and
+//! `done`. Journals from older builds also hold `started` and
+//! `rejected` records; they still decode (a bad one is still
+//! corruption) and replay skips them.
+//!
 //! ## Durability, group commit, and torn writes
 //!
 //! `accepted` records are fsync'd before the daemon acknowledges the
-//! job; `started`/`done`/`rejected` are write-through only (they are
-//! reconstructible by re-running). The fsync itself is **group
-//! committed**, with no thread of its own: each admission append takes
-//! a monotone sequence number, and `Journal::sync` issues one
-//! `sync_data` covering every admission appended so far — returning at
-//! once when another caller's sync already covered the sequence. A
+//! job; `done` records are write-through only. The fsync itself is
+//! **group committed**, with no thread of its own: each admission
+//! append takes a monotone sequence number, and `Journal::sync` issues
+//! one `sync_data` covering every admission appended so far — returning
+//! at once when another caller's sync already covered the sequence. A
 //! reactor appends every admission its iteration read, then syncs once
 //! for the highest; concurrent reactors share each other's syncs. The
 //! barrier — *on disk before the client hears `accepted`* — is exactly
 //! as strong as one-fsync-per-record, while the fsync count under
 //! concurrent submitters drops well below one per job. A record that
 //! landed in a previous segment is covered too: rotation syncs the old
-//! file under the append lock before switching, so syncing the active
-//! file always completes the batch. A crash mid-append can therefore
-//! leave one *incomplete* record at the tail of the newest segment —
-//! recovery tolerates exactly that case by truncating it away. Any
-//! other damage (bad magic, bad kind, CRC mismatch, short record in a
-//! closed segment) is real corruption and fails recovery with a typed
+//! file under the append lock before switching, and syncs the directory
+//! once the new file exists, so syncing the active file always
+//! completes the batch. A crash mid-append can therefore leave one
+//! *incomplete* record at the tail of the newest segment — recovery
+//! tolerates exactly that case by truncating it away. Any other damage
+//! (bad magic, bad kind, CRC mismatch, short record in a closed
+//! segment) is real corruption and fails recovery with a typed
 //! [`JournalError::Corrupt`] naming the segment and byte offset.
 //!
 //! ## Segments, rotation, compaction
 //!
 //! Records append to the active segment (`journal-NNNNNNNN.tjl`);
 //! once it exceeds the configured size the journal rotates to a new
-//! file. A *closed* segment is deleted ("compacted") once every job
-//! with a record in it is terminal — the write path guarantees a job's
-//! `accepted` record precedes its `started`/`done` records in stream
-//! order (out-of-order hook callbacks are buffered), so a pending job
-//! always pins the segment holding its spec.
+//! file. Compaction deletes a *prefix*: closed segments go oldest-first
+//! while they lie below the segment holding the oldest pending
+//! admission. A job's `done` follows its `accepted` in stream order
+//! (a `done` that races ahead is buffered), so a deleted segment holds
+//! only finished jobs' records, and no `done` is ever deleted while
+//! its `accepted` survives. The price: a long-pending job keeps every
+//! later segment on disk until it finishes.
 //!
 //! ## Recovery
 //!
@@ -76,7 +83,7 @@
 //! same answer the wire gives for a degraded run — rather than report a
 //! value no client could verify.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -108,13 +115,15 @@ fn lk<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub enum RecordKind {
     /// A job passed admission; payload carries `tenant` and `spec`.
     Accepted,
-    /// A driver began executing the job; empty payload.
+    /// A driver began executing the job; empty payload. Written only
+    /// by older builds; replay skips it.
     Started,
     /// The job reached a terminal state; payload carries `ok`,
     /// `degraded`, `checksum` (delivery digest hex or null), and `error`.
     Done,
     /// A submission was refused; `job_id` is 0, payload carries
-    /// `tenant` and `reason`.
+    /// `tenant` and `reason`. Written only by older builds; replay
+    /// skips it.
     Rejected,
 }
 
@@ -264,11 +273,13 @@ pub struct JournalStats {
     pub records_written: u64,
     /// Total bytes appended since open.
     pub bytes_written: u64,
-    /// `fsync` calls issued. Group commit makes this well below the
-    /// `accepted` count under bursts — one batch sync can cover many
-    /// admissions.
+    /// `fsync` calls issued: group-commit batches, rotation syncs, and
+    /// the directory syncs that make a new segment's entry durable.
+    /// Group commit makes this well below the `accepted` count under
+    /// bursts — one batch sync can cover many admissions.
     pub fsyncs: u64,
-    /// Closed segments deleted because every job in them was terminal.
+    /// Closed segments deleted because they lay below the oldest
+    /// pending admission's segment.
     pub segments_compacted: u64,
     /// Pending jobs handed to the engine at the last recovery.
     pub jobs_replayed: u64,
@@ -295,27 +306,33 @@ impl JournalStats {
 /// Mutable write-side state, guarded by one mutex.
 struct Inner {
     file: File,
+    /// The active segment's sequence number.
     seq: u64,
+    /// Closed segments still on disk, oldest first. Compaction pops the
+    /// front; numbering may have holes (older builds deleted segments
+    /// out of order).
+    closed: VecDeque<u64>,
     active_bytes: u64,
     /// Admissions appended since open: the sequence of the newest.
     /// Assigned under this lock, so sequence order is file order.
     appended: u64,
-    /// Set when a rotation's `sync_data` failed. That sync may have
-    /// consumed a writeback error that a concurrent [`Journal::sync`]
-    /// on a clone of the same file was spared, so `sync` reads this
-    /// after its own `sync_data` and never certifies past it.
+    /// Set when a rotation's `sync_data` or directory sync failed. The
+    /// former may have consumed a writeback error that a concurrent
+    /// [`Journal::sync`] on a clone of the same file was spared; after
+    /// the latter the new segment's entry may not survive a power loss.
+    /// Either way `sync` reads this after its own `sync_data` and never
+    /// certifies past it.
     rotation_error: Option<String>,
-    /// Jobs whose `accepted` record is on disk (written or replayed)
-    /// with no `done` record yet. A started/done record for a job not
-    /// here is deferred: no record for a job follows its `done`, so
-    /// "not pending" can only mean "not yet accepted".
-    pending: HashSet<u64>,
-    /// Per closed-or-active segment: every job id with a record in it.
-    seg_jobs: HashMap<u64, HashSet<u64>>,
-    /// Started/done records that arrived before their job's `accepted`
-    /// record (driver hooks race the submit path); flushed in order
-    /// right after the acceptance lands.
-    deferred: HashMap<u64, Vec<(RecordKind, Json)>>,
+    /// Each pending admission — an `accepted` record on disk (written
+    /// or replayed) with no `done` yet — mapped to the segment holding
+    /// that record. A `done` for a job not here is deferred: no record
+    /// for a job follows its `done`, so "not pending" can only mean
+    /// "not yet accepted".
+    pending: HashMap<u64, u64>,
+    /// `done` records that arrived before their job's `accepted`
+    /// record (driver hooks race the submit path); written right after
+    /// the acceptance lands.
+    deferred: HashMap<u64, Json>,
 }
 
 /// Group-commit state: what is known durable, guarded by the mutex
@@ -348,9 +365,8 @@ pub struct Journal {
 
 // No `Drop`: every appended admission is synced by the reactor
 // iteration (or the `record_accepted` call) that appended it, so no sync
-// is owed when the journal drops; `started`/`done`/`rejected` records
-// are write-through only and the closing file keeps them in the page
-// cache.
+// is owed when the journal drops; `done` records are write-through only
+// and the closing file keeps them in the page cache.
 
 impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -366,6 +382,21 @@ fn segment_name(seq: u64) -> String {
 
 fn segment_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(segment_name(seq))
+}
+
+/// Creates (or empties) segment `seq` in `dir` for appending.
+fn create_segment(dir: &Path, seq: u64) -> std::io::Result<File> {
+    OpenOptions::new()
+        .create(true)
+        .truncate(true)
+        .write(true)
+        .open(segment_path(dir, seq))
+}
+
+/// Makes `dir`'s entries durable: a file created in it survives a
+/// power loss only once its directory entry does.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// Sorted sequence numbers of the segment files present in `dir`.
@@ -489,21 +520,26 @@ fn decode_record(data: &[u8], offset: usize) -> Decoded {
 /// Replay bookkeeping for one job id.
 #[derive(Default)]
 struct JobReplay {
-    tenant: Option<String>,
-    spec: Option<Json>,
+    /// `tenant`, `spec` and the segment of the `accepted` record.
+    accepted: Option<(String, Json, u64)>,
     done: Option<RecoveredDone>,
 }
 
 impl Journal {
     /// Opens (creating if needed) the journal at `config.dir`, replays
-    /// every segment, compacts fully-terminal closed segments, and
-    /// returns the journal alongside what it recovered.
+    /// every segment, compacts the finished prefix, and returns the
+    /// journal alongside what it recovered.
     pub fn open(config: JournalConfig) -> Result<(Self, Recovery), JournalError> {
-        fs::create_dir_all(&config.dir)?;
-        let seqs = list_segments(&config.dir)?;
+        let mut dir_syncs = 0;
+        if !config.dir.exists() {
+            fs::create_dir_all(&config.dir)?;
+            let parent = config.dir.parent().filter(|p| !p.as_os_str().is_empty());
+            sync_dir(parent.unwrap_or(Path::new(".")))?;
+            dir_syncs += 1;
+        }
+        let mut seqs = list_segments(&config.dir)?;
         let mut recovery = Recovery::default();
         let mut jobs: HashMap<u64, JobReplay> = HashMap::new();
-        let mut seg_jobs: HashMap<u64, HashSet<u64>> = HashMap::new();
         let mut tail_valid_bytes = 0u64;
 
         for (i, &seq) in seqs.iter().enumerate() {
@@ -511,26 +547,19 @@ impl Journal {
             let path = segment_path(&config.dir, seq);
             let mut data = Vec::new();
             File::open(&path)?.read_to_end(&mut data)?;
-            let ids = seg_jobs.entry(seq).or_default();
             let mut offset = 0usize;
             while offset < data.len() {
                 match decode_record(&data, offset) {
                     Decoded::Record(rec) => {
                         offset += rec.len;
                         recovery.records_replayed += 1;
-                        if rec.kind != RecordKind::Rejected {
-                            ids.insert(rec.job_id);
-                            recovery.max_job_id = recovery.max_job_id.max(rec.job_id);
-                        }
-                        let entry = jobs.entry(rec.job_id).or_default();
+                        recovery.max_job_id = recovery.max_job_id.max(rec.job_id);
                         match rec.kind {
                             RecordKind::Accepted => {
-                                entry.tenant = rec
-                                    .payload
-                                    .get("tenant")
-                                    .and_then(Json::as_str)
-                                    .map(str::to_string);
-                                entry.spec = rec.payload.get("spec").cloned();
+                                let tenant = rec.payload.get("tenant").and_then(Json::as_str);
+                                let spec = rec.payload.get("spec").cloned();
+                                jobs.entry(rec.job_id).or_default().accepted =
+                                    tenant.zip(spec).map(|(t, spec)| (t.to_string(), spec, seq));
                             }
                             RecordKind::Started | RecordKind::Rejected => {}
                             RecordKind::Done => {
@@ -548,7 +577,7 @@ impl Journal {
                                     .unwrap_or_else(|| {
                                         if ok { "completed" } else { "failed" }.to_string()
                                     });
-                                entry.done = Some(RecoveredDone {
+                                jobs.entry(rec.job_id).or_default().done = Some(RecoveredDone {
                                     job_id: rec.job_id,
                                     ok,
                                     degraded: rec
@@ -602,49 +631,38 @@ impl Journal {
         // Classify: accepted-without-done is pending work; every done
         // record (even one whose accepted landed in a since-compacted
         // segment) answers status queries.
-        let mut pending = HashSet::new();
-        // The rejected-record bucket (id 0) is bookkeeping noise unless
-        // an actual job ever carried id 0 — engine ids start at 1.
-        for (&id, replay) in &jobs {
-            if id == 0 && replay.spec.is_none() && replay.done.is_none() {
-                continue;
-            }
-            match &replay.done {
-                Some(done) => recovery.terminal.push(done.clone()),
-                None => {
-                    if let (Some(tenant), Some(spec)) = (&replay.tenant, &replay.spec) {
-                        pending.insert(id);
-                        recovery.pending.push(RecoveredJob {
-                            job_id: id,
-                            tenant: tenant.clone(),
-                            spec: spec.clone(),
-                        });
-                    }
+        let mut pending = HashMap::new();
+        for (id, replay) in jobs {
+            match (replay.done, replay.accepted) {
+                (Some(done), _) => recovery.terminal.push(done),
+                (None, Some((tenant, spec, seq))) => {
+                    pending.insert(id, seq);
+                    recovery.pending.push(RecoveredJob {
+                        job_id: id,
+                        tenant,
+                        spec,
+                    });
                 }
+                (None, None) => {}
             }
         }
         recovery.pending.sort_by_key(|j| j.job_id);
         recovery.terminal.sort_by_key(|j| j.job_id);
 
         // Open the active segment: resume the newest file (truncating a
-        // torn tail first) or start fresh at the next sequence number.
-        let (seq, file, active_bytes) = match seqs.last() {
-            Some(&last) => {
+        // torn tail first) or start fresh at segment 1.
+        let (seq, file, active_bytes) = match seqs.pop() {
+            Some(last) => {
                 let path = segment_path(&config.dir, last);
-                let file = OpenOptions::new().read(true).write(true).open(&path)?;
+                let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
                 file.set_len(tail_valid_bytes)?;
-                let mut file = file;
                 file.seek(SeekFrom::End(0))?;
                 (last, file, tail_valid_bytes)
             }
             None => {
-                let path = segment_path(&config.dir, 1);
-                let file = OpenOptions::new()
-                    .create(true)
-                    .truncate(true)
-                    .write(true)
-                    .open(&path)?;
-                seg_jobs.insert(1, HashSet::new());
+                let file = create_segment(&config.dir, 1)?;
+                sync_dir(&config.dir)?;
+                dir_syncs += 1;
                 (1, file, 0)
             }
         };
@@ -654,17 +672,17 @@ impl Journal {
             inner: Mutex::new(Inner {
                 file,
                 seq,
+                closed: seqs.into(),
                 active_bytes,
                 appended: 0,
                 rotation_error: None,
                 pending,
-                seg_jobs,
                 deferred: HashMap::new(),
             }),
             durable: Mutex::new(Durable::default()),
             records_written: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
+            fsyncs: AtomicU64::new(dir_syncs),
             segments_compacted: AtomicU64::new(0),
             jobs_replayed: AtomicU64::new(recovery.pending.len() as u64),
             group_commit_batches: AtomicU64::new(0),
@@ -691,8 +709,8 @@ impl Journal {
     /// Appends an admission record *without* making it durable. Returns
     /// the admission's sequence for a later [`sync`](Journal::sync) —
     /// callers batching several admissions need only sync the highest.
-    /// Any started/done records that raced ahead of the admission are
-    /// written right behind it, preserving per-job stream order.
+    /// A `done` record that raced ahead of the admission is written
+    /// right behind it, preserving per-job stream order.
     pub(crate) fn append_accepted(
         &self,
         job_id: u64,
@@ -702,14 +720,10 @@ impl Journal {
         let payload = Json::obj([("tenant", Json::str(tenant)), ("spec", spec)]);
         let mut inner = lk(&self.inner);
         self.append_locked(&mut inner, RecordKind::Accepted, job_id, &payload)?;
-        inner.pending.insert(job_id);
-        if let Some(queued) = inner.deferred.remove(&job_id) {
-            for (kind, payload) in queued {
-                self.append_locked(&mut inner, kind, job_id, &payload)?;
-                if kind == RecordKind::Done {
-                    inner.pending.remove(&job_id);
-                }
-            }
+        let segment = inner.seq;
+        inner.pending.insert(job_id, segment);
+        if let Some(done) = inner.deferred.remove(&job_id) {
+            self.done_locked(&mut inner, job_id, done)?;
         }
         inner.appended += 1;
         Ok(inner.appended)
@@ -773,21 +787,6 @@ impl Journal {
         }
     }
 
-    /// Records that a driver began executing `job_id`.
-    pub(crate) fn record_started(&self, job_id: u64) -> Result<(), JournalError> {
-        let payload = Json::obj([]);
-        let mut inner = lk(&self.inner);
-        if !inner.pending.contains(&job_id) {
-            inner
-                .deferred
-                .entry(job_id)
-                .or_default()
-                .push((RecordKind::Started, payload));
-            return Ok(());
-        }
-        self.append_locked(&mut inner, RecordKind::Started, job_id, &payload)
-    }
-
     /// Records `job_id`'s terminal outcome. `checksum` is the delivery
     /// digest in hex when the run was clean. The terminal
     /// state is derived from `ok`; cancellations and deadline reaps use
@@ -825,25 +824,24 @@ impl Journal {
             ("error", error.map_or(Json::Null, Json::str)),
             ("state", Json::str(state)),
         ]);
-        let mut inner = lk(&self.inner);
-        if !inner.pending.contains(&job_id) {
-            inner
-                .deferred
-                .entry(job_id)
-                .or_default()
-                .push((RecordKind::Done, payload));
-            return Ok(());
-        }
-        self.append_locked(&mut inner, RecordKind::Done, job_id, &payload)?;
-        inner.pending.remove(&job_id);
-        Ok(())
+        self.done_locked(&mut lk(&self.inner), job_id, payload)
     }
 
-    /// Records a refused submission (no job id was assigned).
-    pub(crate) fn record_rejected(&self, tenant: &str, reason: &str) -> Result<(), JournalError> {
-        let payload = Json::obj([("tenant", Json::str(tenant)), ("reason", Json::str(reason))]);
-        let mut inner = lk(&self.inner);
-        self.append_locked(&mut inner, RecordKind::Rejected, 0, &payload)
+    /// Appends `job_id`'s `done` record, or defers it until the job's
+    /// `accepted` record lands.
+    fn done_locked(
+        &self,
+        inner: &mut Inner,
+        job_id: u64,
+        payload: Json,
+    ) -> Result<(), JournalError> {
+        if !inner.pending.contains_key(&job_id) {
+            inner.deferred.insert(job_id, payload);
+            return Ok(());
+        }
+        self.append_locked(inner, RecordKind::Done, job_id, &payload)?;
+        inner.pending.remove(&job_id);
+        Ok(())
     }
 
     /// A snapshot of the write-side counters for the `stats` op.
@@ -874,18 +872,16 @@ impl Journal {
         let record = encode_record(kind, job_id, body);
         inner.file.write_all(&record)?;
         inner.active_bytes += record.len() as u64;
-        if kind != RecordKind::Rejected {
-            let seq = inner.seq;
-            inner.seg_jobs.entry(seq).or_default().insert(job_id);
-        }
         self.records_written.fetch_add(1, Ordering::Relaxed);
         self.bytes_written
             .fetch_add(record.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Closes the active segment, opens the next, and compacts any
-    /// closed segment whose jobs are all terminal.
+    /// Closes the active segment, opens the next, and compacts the
+    /// finished prefix. Both the old file and the directory entry of
+    /// the new one are durable before any record lands in it; a failed
+    /// sync poisons [`sync`](Journal::sync).
     fn rotate_locked(&self, inner: &mut Inner) -> Result<(), JournalError> {
         if let Err(e) = inner.file.sync_data() {
             inner.rotation_error = Some(format!("segment rotation sync failed: {e}"));
@@ -893,36 +889,29 @@ impl Journal {
         }
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         let next = inner.seq + 1;
-        let path = segment_path(&self.config.dir, next);
-        inner.file = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(path)?;
+        inner.file = create_segment(&self.config.dir, next)?;
+        inner.closed.push_back(inner.seq);
         inner.seq = next;
         inner.active_bytes = 0;
-        inner.seg_jobs.insert(next, HashSet::new());
+        if let Err(e) = sync_dir(&self.config.dir) {
+            inner.rotation_error = Some(format!("journal directory sync failed: {e}"));
+            return Err(e.into());
+        }
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
         self.compact_locked(inner)
     }
 
-    /// Deletes every closed segment none of whose jobs are pending.
+    /// Deletes closed segments oldest-first while they lie below the
+    /// segment holding the oldest pending admission — the checkpoint
+    /// rule of a write-ahead log. Every record below that point belongs
+    /// to a finished job, and no `done` below it has its `accepted`
+    /// above it.
     fn compact_locked(&self, inner: &mut Inner) -> Result<(), JournalError> {
-        let active = inner.seq;
-        let closed: Vec<u64> = inner
-            .seg_jobs
-            .keys()
-            .copied()
-            .filter(|&seq| seq != active)
-            .collect();
-        for seq in closed {
-            let compactable = inner.seg_jobs[&seq]
-                .iter()
-                .all(|id| !inner.pending.contains(id));
-            if compactable {
-                fs::remove_file(segment_path(&self.config.dir, seq))?;
-                inner.seg_jobs.remove(&seq);
-                self.segments_compacted.fetch_add(1, Ordering::Relaxed);
-            }
+        let floor = inner.pending.values().min().copied().unwrap_or(inner.seq);
+        while let Some(&oldest) = inner.closed.front().filter(|&&seq| seq < floor) {
+            fs::remove_file(segment_path(&self.config.dir, oldest))?;
+            inner.closed.pop_front();
+            self.segments_compacted.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -953,13 +942,11 @@ mod tests {
             let (journal, recovery) = Journal::open(JournalConfig::new(&dir)).unwrap();
             assert!(recovery.pending.is_empty());
             journal.record_accepted(1, "acme", demo_spec()).unwrap();
-            journal.record_started(1).unwrap();
             journal
                 .record_done(1, true, false, Some("00000000deadbeef"), None)
                 .unwrap();
             journal.record_accepted(2, "zeta", demo_spec()).unwrap();
-            journal.record_rejected("acme", "queue_full").unwrap();
-            assert!(journal.stats().records_written >= 5);
+            assert_eq!(journal.stats().records_written, 3);
         }
         let (_journal, recovery) = Journal::open(JournalConfig::new(&dir)).unwrap();
         assert_eq!(recovery.pending.len(), 1, "job 2 was accepted, never done");
@@ -1075,9 +1062,9 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// The journal's in-memory id sets track only unfinished jobs: after
+    /// The journal's in-memory index tracks only unfinished jobs: after
     /// 10 000 accepted + done pairs nothing is pending or deferred, and
-    /// only the active segment's ids are held.
+    /// no closed segment is left.
     #[test]
     fn finished_jobs_leave_no_ids_in_memory() {
         let dir = tmp_dir("ids");
@@ -1097,9 +1084,9 @@ mod tests {
             "{} deferred",
             inner.deferred.len()
         );
-        assert_eq!(
-            inner.seg_jobs.keys().copied().collect::<Vec<_>>(),
-            [inner.seq],
+        assert!(inner.seq > 1, "the run rotated");
+        assert!(
+            inner.closed.is_empty(),
             "every closed segment was compacted"
         );
         drop(inner);
@@ -1116,6 +1103,7 @@ mod tests {
         let (journal, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
         let covered = journal.append_accepted(1, "acme", demo_spec()).unwrap();
         journal.sync(covered).unwrap();
+        let fsyncs = journal.stats().fsyncs;
         let newer = journal.append_accepted(2, "acme", demo_spec()).unwrap();
         lk(&journal.durable).error = Some("injected sync failure".to_string());
 
@@ -1129,7 +1117,7 @@ mod tests {
         journal.sync(covered).expect("still covered");
         assert_eq!(
             journal.stats().fsyncs,
-            1,
+            fsyncs,
             "a poisoned journal syncs no more"
         );
         drop(journal);
@@ -1158,7 +1146,6 @@ mod tests {
         {
             let (journal, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
             // The driver's hook can beat the submit path to the journal.
-            journal.record_started(7).unwrap();
             journal
                 .record_done(7, true, false, Some("aa"), None)
                 .unwrap();
@@ -1235,7 +1222,6 @@ mod tests {
         // Enough terminal jobs to cross several 4 KiB segments.
         for id in 1..=60 {
             journal.record_accepted(id, "acme", demo_spec()).unwrap();
-            journal.record_started(id).unwrap();
             journal
                 .record_done(id, true, false, Some("00ff00ff00ff00ff"), None)
                 .unwrap();
@@ -1289,22 +1275,118 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A `done` that lands in a later segment than a still-pending
+    /// admission outlives compaction: finished jobs never come back as
+    /// pending, however the segments around them are deleted.
     #[test]
-    fn pending_job_pins_its_segment_across_rotation() {
-        let dir = tmp_dir("pin");
+    fn a_done_behind_a_pending_admission_is_never_compacted() {
+        let dir = tmp_dir("prefix");
         let config = JournalConfig::new(&dir).with_max_segment_bytes(4096);
         let (journal, _) = Journal::open(config.clone()).unwrap();
-        journal.record_accepted(1, "acme", demo_spec()).unwrap();
-        for id in 2..=60 {
+        for id in 1..=100 {
             journal.record_accepted(id, "acme", demo_spec()).unwrap();
-            journal
-                .record_done(id, true, false, Some("00ff00ff00ff00ff"), None)
-                .unwrap();
         }
+        assert!(
+            lk(&journal.inner).seq > 1,
+            "jobs 1 and 2 open across a rotation"
+        );
+        journal.record_done(1, true, false, None, None).unwrap();
+        for id in 3..=300 {
+            if id > 100 {
+                journal.record_accepted(id, "acme", demo_spec()).unwrap();
+            }
+            journal.record_done(id, true, false, None, None).unwrap();
+        }
+        assert!(
+            lk(&journal.inner).seq > 3,
+            "job 1's done lies in a closed segment past segment 1"
+        );
+        assert_eq!(
+            journal.stats().segments_compacted,
+            0,
+            "job 2 holds segment 1"
+        );
         drop(journal);
         let (_j, recovery) = Journal::open(config).unwrap();
-        assert_eq!(recovery.pending.len(), 1, "job 1 must survive compaction");
-        assert_eq!(recovery.pending[0].job_id, 1);
+        let pending: Vec<u64> = recovery.pending.iter().map(|j| j.job_id).collect();
+        assert_eq!(pending, [2]);
+        assert_eq!(recovery.terminal.len(), 299);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Journals from builds that wrote `started` (kind 2) and `rejected`
+    /// (kind 4) records replay to the same [`Recovery`] as one without.
+    #[test]
+    fn older_started_and_rejected_records_replay_to_the_same_recovery() {
+        let accepted = br#"{"tenant":"acme","spec":{"shape":[4,4]}}"#;
+        let done = br#"{"ok":true,"degraded":false,"checksum":"0123456789abcdef","error":null,"state":"completed"}"#;
+        let rejected = br#"{"tenant":"acme","reason":"queue_full"}"#;
+        let replay = |tag: &str, records: &[(RecordKind, u64, &[u8])]| {
+            let dir = tmp_dir(tag);
+            fs::create_dir_all(&dir).unwrap();
+            let segment: Vec<u8> = records
+                .iter()
+                .flat_map(|&(kind, id, payload)| encode_record(kind, id, payload))
+                .collect();
+            fs::write(segment_path(&dir, 1), segment).unwrap();
+            let (_journal, recovery) = Journal::open(JournalConfig::new(&dir)).unwrap();
+            let _ = fs::remove_dir_all(&dir);
+            recovery
+        };
+        let old = replay(
+            "kinds-old",
+            &[
+                (RecordKind::Accepted, 1, accepted),
+                (RecordKind::Started, 1, b""),
+                (RecordKind::Done, 1, done),
+                (RecordKind::Rejected, 0, rejected),
+                (RecordKind::Accepted, 2, accepted),
+                (RecordKind::Started, 2, b""),
+            ],
+        );
+        let new = replay(
+            "kinds-new",
+            &[
+                (RecordKind::Accepted, 1, accepted),
+                (RecordKind::Done, 1, done),
+                (RecordKind::Accepted, 2, accepted),
+            ],
+        );
+        assert_eq!((old.records_replayed, new.records_replayed), (6, 3));
+        let summary = |r: &Recovery| {
+            format!(
+                "{:?} {:?} {} {}",
+                r.pending, r.terminal, r.max_job_id, r.tail_truncated
+            )
+        };
+        assert_eq!(summary(&old), summary(&new));
+        assert_eq!(new.pending.len(), 1);
+        assert_eq!(new.terminal.len(), 1);
+    }
+
+    /// Creating a segment syncs its directory, and the parent directory
+    /// when `open` created the journal's: each counts as an fsync.
+    #[test]
+    fn segment_creation_syncs_the_directory() {
+        let dir = tmp_dir("dirsync");
+        let config = JournalConfig::new(&dir).with_max_segment_bytes(4096);
+        let (journal, _) = Journal::open(config.clone()).unwrap();
+        assert_eq!(journal.stats().fsyncs, 2, "parent and journal directory");
+        for id in 1.. {
+            if lk(&journal.inner).seq > 1 {
+                break;
+            }
+            journal.append_accepted(id, "acme", demo_spec()).unwrap();
+        }
+        assert_eq!(
+            journal.stats().fsyncs,
+            4,
+            "a rotation syncs the old segment and the directory"
+        );
+        drop(journal);
+        let (journal, _) = Journal::open(config).unwrap();
+        assert_eq!(journal.stats().fsyncs, 0, "reopening creates no segment");
+        drop(journal);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -301,10 +301,17 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, index: usize, listener: &
         if signal::triggered() {
             shared.begin_drain();
         }
+        // Decide the exit from fresh state, before blocking again: the
+        // drain helper's wake closes the daemon mid-iteration.
         let closed = shared.closed.load(Ordering::SeqCst);
         let now = Instant::now();
-        if closed && close_deadline.is_none() {
-            close_deadline = Some(now + CLOSE_FLUSH_DEADLINE);
+        if closed {
+            let deadline = *close_deadline.get_or_insert(now + CLOSE_FLUSH_DEADLINE);
+            if now >= deadline || conns.iter().all(|c| !c.has_final_work()) {
+                // Dropping the connections closes them; clients see EOF
+                // after their final events.
+                return;
+            }
         }
         // Keep accepting until the engine has drained: a client that
         // connected mid-drain is read and gets a typed reply (`draining`
@@ -493,15 +500,6 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, index: usize, listener: &
             }
         }
         conns.retain(|c| !c.dead);
-
-        if closed {
-            let deadline_passed = close_deadline.is_some_and(|d| Instant::now() >= d);
-            if deadline_passed || conns.iter().all(|c| !c.has_final_work()) {
-                // Dropping the connections closes them; clients see EOF
-                // after their final events, same as the old reader exit.
-                return;
-            }
-        }
     }
 }
 
@@ -742,7 +740,6 @@ fn handle_submit(conn: &mut Conn, spec: Json, shared: &Arc<DaemonShared>) {
             depth,
             retry_after_ms,
         }) => {
-            journal_reject(shared, &tenant, "queue_full");
             submit_reply(
                 conn,
                 proto::rejected_backoff(
@@ -757,7 +754,6 @@ fn handle_submit(conn: &mut Conn, spec: Json, shared: &Arc<DaemonShared>) {
             max_queued,
             retry_after_ms,
         }) => {
-            journal_reject(shared, &tenant, "tenant_queue_full");
             submit_reply(
                 conn,
                 proto::rejected_backoff(
@@ -771,7 +767,6 @@ fn handle_submit(conn: &mut Conn, spec: Json, shared: &Arc<DaemonShared>) {
             tenant,
             retry_after_ms,
         }) => {
-            journal_reject(shared, &tenant, "rate_limited");
             submit_reply(
                 conn,
                 proto::rejected_backoff(
@@ -850,13 +845,6 @@ fn reject_undurable(conn: &mut Conn, shared: &DaemonShared, handle: JobHandle, e
             &format!("admission journal unavailable: {err}"),
         ),
     );
-}
-
-/// Appends a `rejected` record when the daemon journals.
-fn journal_reject(shared: &DaemonShared, tenant: &str, reason: &str) {
-    if let Some(journal) = &shared.journal {
-        let _ = journal.record_rejected(tenant, reason);
-    }
 }
 
 /// Streams tracked jobs: a `status` line per transition (plus periodic

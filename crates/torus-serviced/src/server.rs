@@ -371,10 +371,10 @@ impl Daemon {
             }
             None => None,
         };
-        // The hook runs on driver threads at every job start/finish:
-        // journal records first (when journaling), then the registry's
-        // live→terminal transition, so `status` stops holding full job
-        // results for the daemon's lifetime.
+        // The hook runs on driver threads at every job finish: the
+        // journal's `done` record first (when journaling), then the
+        // registry's live→terminal transition, so `status` stops holding
+        // full job results for the daemon's lifetime.
         let hook_journal = opened.as_ref().map(|(journal, _)| Arc::clone(journal));
         let hook_registry = Arc::clone(&registry);
         engine_config = engine_config.with_event_hook(Arc::new(move |event| {
@@ -557,30 +557,26 @@ fn terminal_fields(result: &JobResult) -> (bool, bool, Option<u64>) {
     (result.error.is_none(), degraded, result.digest)
 }
 
-/// The engine's event hook on a journaling daemon: every job start and
-/// terminal outcome (with its delivery digest) goes to disk,
-/// from the driver thread that owns the transition.
+/// The engine's event hook on a journaling daemon: every terminal
+/// outcome (with its delivery digest) goes to disk, from the driver
+/// thread that owns the transition.
 fn journal_hook(journal: &Journal, event: &JobEvent<'_>) {
-    match event {
-        JobEvent::Started { job_id, .. } => {
-            let _ = journal.record_started(*job_id);
-        }
-        JobEvent::Finished {
-            job_id,
-            status,
-            result,
-            ..
-        } => {
-            let (_, degraded, checksum) = terminal_fields(result);
-            let _ = journal.record_done_state(
-                *job_id,
-                *status == JobStatus::Completed,
-                degraded,
-                checksum.map(checksum::to_hex).as_deref(),
-                result.error.as_deref(),
-                status_label(*status),
-            );
-        }
+    if let JobEvent::Finished {
+        job_id,
+        status,
+        result,
+        ..
+    } = event
+    {
+        let (_, degraded, checksum) = terminal_fields(result);
+        let _ = journal.record_done_state(
+            *job_id,
+            *status == JobStatus::Completed,
+            degraded,
+            checksum.map(checksum::to_hex).as_deref(),
+            result.error.as_deref(),
+            status_label(*status),
+        );
     }
 }
 

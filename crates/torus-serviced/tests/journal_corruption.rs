@@ -145,8 +145,9 @@ fn interior_crc_mismatch_names_segment_and_offset() {
 
 #[test]
 fn short_record_in_a_closed_segment_is_corruption_not_a_torn_tail() {
-    // Small segments + one forever-pending job per segment pins every
-    // segment against compaction, so the journal genuinely spans files.
+    // Small segments and forever-pending jobs: the oldest pending
+    // admission keeps every segment on disk, so the journal genuinely
+    // spans files.
     let dir = temp_dir("closed");
     let config = JournalConfig::new(&dir).with_max_segment_bytes(4096);
     let (journal, _) = Journal::open(config.clone()).unwrap();

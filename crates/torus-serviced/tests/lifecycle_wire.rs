@@ -1,8 +1,9 @@
 //! Wire-level job lifecycle tests: server-side deadlines reaped at the
-//! run's first checkpoint past them, tenant-scoped cancellation of
-//! queued and running jobs, idle-connection reaping, and the
-//! exactly-one-terminal-record journal invariant under a multi-tenant
-//! cancel storm.
+//! run's first checkpoint past them, `done` and the daemon's exit sent
+//! on a wake rather than the next status poll, tenant-scoped
+//! cancellation of queued and running jobs, idle-connection reaping,
+//! and the exactly-one-terminal-record journal invariant under a
+//! multi-tenant cancel storm.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -186,6 +187,31 @@ fn a_running_job_reports_done_when_it_finishes_not_on_the_next_poll() {
 
     client.drain().unwrap();
     daemon.join().unwrap();
+}
+
+/// A drained daemon exits on the drain helper's wake, not on its next
+/// status poll: under a 30 s poll, `Daemon::run` returns within 1 s of
+/// the `drained` reply.
+#[test]
+fn a_drained_daemon_exits_on_the_wake_not_on_the_next_poll() {
+    let (addr, daemon) = Daemon::spawn(DaemonConfig {
+        status_poll: Duration::from_secs(30),
+        ..quick_config()
+    })
+    .unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    client.hello("acme").unwrap();
+    let job = client.submit(&seeded_spec(3)).unwrap();
+    assert!(client.status(job).is_ok());
+
+    client.drain().unwrap();
+    let drained_at = Instant::now();
+    daemon.join().unwrap();
+    let to_exit = drained_at.elapsed();
+    assert!(
+        to_exit < Duration::from_secs(1),
+        "daemon exited {to_exit:?} after `drained` under a 30 s status poll"
+    );
 }
 
 /// Cancellation over the wire, tenant-scoped: the owner can cancel its
