@@ -88,7 +88,7 @@ pub enum Command {
         params: CommParams,
     },
     /// `serve [--addr HOST:PORT] [--concurrency K] [--queue-depth N]
-    /// [--reactor-threads R] [--port-file PATH]
+    /// [--port-file PATH]
     /// [--journal-dir DIR | --no-journal] [--idle-timeout-secs S]
     /// [--default-deadline-ms MS] [--max-deadline-ms MS]` — run the
     /// torus-serviced daemon until a `drain` request or SIGTERM, then
@@ -100,10 +100,6 @@ pub enum Command {
         concurrency: usize,
         /// Global admission queue depth.
         queue_depth: usize,
-        /// Connection-plane reactor threads: every client socket is
-        /// multiplexed onto this fixed pool, so thread count does not
-        /// grow with connections.
-        reactor_threads: usize,
         /// When set, the actually-bound `host:port` is written here
         /// (atomically: tmp + rename) once listening — lets scripts
         /// race-free discover port 0. Removed again on clean drain.
@@ -218,7 +214,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut tenant = "default".to_string();
     let mut spec: Option<String> = None;
     let mut queue_depth: usize = 64;
-    let mut reactor_threads: usize = 4;
     let mut port_file: Option<String> = None;
     let mut journal_dir = "./torus-journal".to_string();
     let mut no_journal = false;
@@ -285,11 +280,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 queue_depth = val(&mut i)?
                     .parse()
                     .map_err(|e| format!("--queue-depth: {e}"))?
-            }
-            "--reactor-threads" => {
-                reactor_threads = val(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--reactor-threads: {e}"))?
             }
             "--port-file" => port_file = Some(val(&mut i)?),
             "--journal-dir" => journal_dir = val(&mut i)?,
@@ -422,7 +412,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             addr,
             concurrency: concurrency.max(1),
             queue_depth: queue_depth.max(1),
-            reactor_threads: reactor_threads.max(1),
             port_file,
             journal_dir: if no_journal { None } else { Some(journal_dir) },
             idle_timeout_secs,
@@ -474,13 +463,13 @@ USAGE:
                          verified against a serial reference replay)
   torus-xchg schedule   --shape 8x8 [--json]
   torus-xchg serve      [--addr 127.0.0.1:7077] [--concurrency K] [--queue-depth N]
-                        [--reactor-threads R] [--port-file PATH]
+                        [--port-file PATH]
                         [--journal-dir DIR | --no-journal]
                         [--idle-timeout-secs S] [--default-deadline-ms MS]
                         [--max-deadline-ms MS]
                         (torus-serviced daemon: newline-delimited JSON over TCP with
-                         multi-tenant admission; all client sockets share a fixed
-                         pool of R poll reactor threads; drains cleanly on SIGTERM
+                         multi-tenant admission; all client sockets share one
+                         poll reactor thread; drains cleanly on SIGTERM
                          or 'drain'. Admissions are journaled to --journal-dir,
                          default ./torus-journal; on restart, accepted-but-
                          unfinished jobs re-run and pre-crash job ids answer
@@ -844,7 +833,6 @@ pub fn execute_into(cmd: Command, out: &mut String) -> Result<(), String> {
             addr,
             concurrency,
             queue_depth,
-            reactor_threads,
             port_file,
             journal_dir,
             idle_timeout_secs,
@@ -863,7 +851,6 @@ pub fn execute_into(cmd: Command, out: &mut String) -> Result<(), String> {
             let daemon = torus_serviced::Daemon::bind(torus_serviced::DaemonConfig {
                 addr,
                 engine,
-                reactor_threads,
                 journal: journal_dir
                     .as_deref()
                     .map(torus_serviced::JournalConfig::new),
@@ -1224,7 +1211,6 @@ mod tests {
                 addr,
                 concurrency,
                 queue_depth,
-                reactor_threads,
                 port_file,
                 journal_dir,
                 idle_timeout_secs,
@@ -1234,7 +1220,6 @@ mod tests {
                 assert_eq!(addr, "127.0.0.1:0");
                 assert_eq!(concurrency, 3);
                 assert_eq!(queue_depth, 9);
-                assert_eq!(reactor_threads, 4, "reactor pool defaults to 4");
                 assert!(port_file.is_none());
                 assert_eq!(
                     journal_dir.as_deref(),
@@ -1284,21 +1269,10 @@ mod tests {
             parse_args(&argv("cancel")).is_err(),
             "cancel without --job-id must be refused"
         );
-        match parse_args(&argv("serve --journal-dir /tmp/j --reactor-threads 2")).unwrap() {
-            Command::Serve {
-                journal_dir,
-                reactor_threads,
-                ..
-            } => {
+        match parse_args(&argv("serve --journal-dir /tmp/j")).unwrap() {
+            Command::Serve { journal_dir, .. } => {
                 assert_eq!(journal_dir.as_deref(), Some("/tmp/j"));
-                assert_eq!(reactor_threads, 2);
             }
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&argv("serve --reactor-threads 0")).unwrap() {
-            Command::Serve {
-                reactor_threads, ..
-            } => assert_eq!(reactor_threads, 1, "clamped to at least one reactor"),
             other => panic!("{other:?}"),
         }
         match parse_args(&argv("serve --no-journal")).unwrap() {
@@ -1330,6 +1304,13 @@ mod tests {
             Command::DaemonStats { .. }
         ));
         assert_eq!(parse_args(&argv("schema")).unwrap(), Command::Schema);
+    }
+
+    /// The daemon runs one reactor, so there is no pool to size.
+    #[test]
+    fn serve_refuses_the_reactor_pool_flag() {
+        let err = parse_args(&argv("serve --reactor-threads 2")).unwrap_err();
+        assert!(err.contains("unknown flag '--reactor-threads'"), "{err}");
     }
 
     /// `submit` compares the daemon's checksum with the spec's: the

@@ -35,21 +35,21 @@
 //! **group committed**, with no thread of its own: each admission
 //! append takes a monotone sequence number, and `Journal::sync` issues
 //! one `sync_data` covering every admission appended so far — returning
-//! at once when another caller's sync already covered the sequence. A
+//! at once when another caller's sync already covered the sequence. The
 //! reactor appends every admission its iteration read, then syncs once
-//! for the highest; concurrent reactors share each other's syncs. The
-//! barrier — *on disk before the client hears `accepted`* — is exactly
-//! as strong as one-fsync-per-record, while the fsync count under
-//! concurrent submitters drops well below one per job. A record that
-//! landed in a previous segment is covered too: rotation syncs the old
-//! file under the append lock before switching, and syncs the directory
-//! once the new file exists, so syncing the active file always
-//! completes the batch. A crash mid-append can therefore leave one
-//! *incomplete* record at the tail of the newest segment — recovery
-//! tolerates exactly that case by truncating it away. Any other damage
-//! (bad magic, bad kind, CRC mismatch, short record in a closed
-//! segment) is real corruption and fails recovery with a typed
-//! [`JournalError::Corrupt`] naming the segment and byte offset.
+//! for the highest. The barrier — *on disk before the client hears
+//! `accepted`* — is exactly as strong as one-fsync-per-record, while
+//! the fsync count under concurrent submitters drops well below one per
+//! job. A record that landed in a previous segment is covered too:
+//! rotation syncs the old file under the append lock before switching,
+//! and syncs the directory once the new file exists, so syncing the
+//! active file always completes the batch. A crash mid-append can
+//! therefore leave one *incomplete* record at the tail of the newest
+//! segment — recovery tolerates exactly that case by truncating it
+//! away. Any other damage (bad magic, bad kind, CRC mismatch, short
+//! record in a closed segment) is real corruption and fails recovery
+//! with a typed [`JournalError::Corrupt`] naming the segment and byte
+//! offset.
 //!
 //! ## Segments, rotation, compaction
 //!
@@ -743,9 +743,9 @@ impl Journal {
         // success for pages the other was told were lost.
         let mut durable = lk(&self.durable);
         // Durability first: a record covered by a sync that succeeded
-        // (this caller's, or another reactor's that ran while this one
-        // waited for the lock) IS on disk, even if a later sync failed,
-        // and its admission can still be acknowledged honestly.
+        // (this caller's, or another's that ran while this one waited
+        // for the lock) IS on disk, even if a later sync failed, and its
+        // admission can still be acknowledged honestly.
         if durable.through >= seq {
             return Ok(());
         }

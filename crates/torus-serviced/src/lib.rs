@@ -2,13 +2,13 @@
 //!
 //! [`torus-service`](torus_service) turned the exchange runtime into a
 //! persistent in-process engine; this crate puts a socket in front of
-//! it. The daemon is deliberately dependency-light — a fixed pool of
-//! hand-rolled `poll(2)` reactor threads that accept, read and write
-//! every connection, and hand-rolled newline-delimited JSON — because the
+//! it. The daemon is deliberately dependency-light — one hand-rolled
+//! `poll(2)` reactor thread that accepts, reads and writes every
+//! connection, and hand-rolled newline-delimited JSON — because the
 //! container this grows in has no async runtime and no network access
 //! to fetch one, and because the protocol is small enough that a
 //! framework would be mostly weight. Daemon thread count is a function
-//! of its configuration (reactor pool, engine drivers, worker pool),
+//! of its configuration (one reactor, engine drivers, worker pool),
 //! never of how many clients connect or how many jobs are in flight.
 //!
 //! What the front door adds on top of the engine:

@@ -608,7 +608,7 @@ pub(crate) fn journal_stats_json(stats: &JournalStats) -> Json {
 
 /// `{"ev":"stats","service":…,"tenants":[…],"journal":…,"daemon":…}` —
 /// `journal` is `null` when the daemon runs without one; `daemon`
-/// carries front-door gauges (reactor pool size, registry occupancy)
+/// carries front-door gauges (registry occupancy, idle reaps)
 /// and is `null` only for embedders that have no daemon layer.
 pub(crate) fn stats(
     service: &ServiceStats,

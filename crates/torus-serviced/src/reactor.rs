@@ -1,4 +1,5 @@
-//! The poll reactor: a fixed pool of threads driving every connection.
+//! The poll reactor: one thread driving the listener and every
+//! connection.
 //!
 //! The daemon's first connection plane spent one reader thread per
 //! connection plus one pump thread per submitted job — fine for tens of
@@ -6,20 +7,18 @@
 //! hand-rolled `poll(2)` reactor, in keeping with the workspace's
 //! no-async-runtime, threads-and-locks style:
 //!
-//! * **Fixed thread pool.** [`Daemon::run`](crate::server::Daemon::run)
-//!   runs reactor 0 on its calling thread and spawns the other
-//!   `reactor_threads − 1`. Every reactor polls its own clone of the
-//!   listening socket and, when it wakes, accepts until `WouldBlock`;
-//!   the reactors woken together race for the backlog, so a burst
-//!   spreads over the pool. A connection stays on the reactor that
-//!   accepted it for life. The price: each new connection wakes every
-//!   reactor, and all but the one that accepts it run an iteration for a
-//!   `WouldBlock`. Daemon thread count is reactor pool + engine drivers
-//!   + worker pool, independent of connection and job counts.
+//! * **One thread.** [`Daemon::run`](crate::server::Daemon::run) runs
+//!   the reactor on its calling thread. It polls the listening socket
+//!   with the connections and, when the listener is readable, accepts
+//!   until `WouldBlock`. Daemon thread count is the reactor + engine
+//!   drivers + worker pool, independent of connection and job counts.
+//!   The listen backlog is widened to [`LISTEN_BACKLOG`], so a connect
+//!   storm that arrives while the reactor is mid-iteration waits in the
+//!   kernel's queue instead of losing SYNs.
 //! * **Non-blocking sockets, `poll` via direct FFI.** The container
 //!   vendors no libc crate, so the syscall entry points the reactor
-//!   needs (`poll`, `pipe`, plus raw `read`/`write`/`close` for the wake
-//!   pipe) are declared `extern "C"` directly, the same way
+//!   needs (`poll`, `pipe`, `listen`, plus raw `read`/`write`/`close`
+//!   for the wake pipe) are declared `extern "C"` directly, the same way
 //!   [`crate::signal`] declares `signal`.
 //! * **Per-connection write queues.** Events are appended to an owned
 //!   byte buffer and flushed on `POLLOUT`, replacing the mutex-guarded
@@ -27,7 +26,7 @@
 //!   past [`MAX_WRITE_BUFFER`] queued bytes is disconnected rather than
 //!   ballooning the daemon.
 //! * **Inline job pumping.** Each reactor iteration polls the tracked
-//!   jobs of its connections (`status` transitions, heartbeats, final
+//!   jobs of every connection (`status` transitions, heartbeats, final
 //!   `done`), so a connection with a thousand in-flight jobs costs one
 //!   scan, not a thousand threads. A busy reactor's `poll` times out
 //!   every `status_poll`; a connection's only job, if still running at
@@ -43,12 +42,12 @@
 //! connection's pending list; once the iteration has drained every
 //! readable socket, the reactor itself calls [`Journal::sync`] once, on
 //! the highest pending sequence, and that one `sync_data` covers them
-//! all (or returns at once if another reactor's sync already did). The
-//! reactor blocks for that sync. Only after that barrier does any
-//! client hear `accepted` — the documented "fsync before the client
-//! hears accepted" invariant holds per admission while fsyncs-per-job
-//! drops well below one under bursts, across connections and across
-//! pipelined submits on a single connection.
+//! all. The reactor blocks for that sync, and every connection waits
+//! with it. Only after that barrier does any client hear `accepted` —
+//! the documented "fsync before the client hears accepted" invariant
+//! holds per admission while fsyncs-per-job drops well below one under
+//! bursts, across connections and across pipelined submits on a single
+//! connection.
 //!
 //! To keep per-connection reply order intact, the pending list is an
 //! *ordered reply queue*, not just a durability ledger: a submit that
@@ -102,10 +101,17 @@ const CLOSE_FLUSH_DEADLINE: Duration = Duration::from_secs(5);
 /// (a flag, which wakes nothing) goes unnoticed by an idle daemon.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
-/// How long a reactor stops polling the listener after an accept error
+/// How long the reactor stops polling the listener after an accept error
 /// other than `WouldBlock`/`Interrupted` (`EMFILE`, say), so a full fd
 /// table cannot spin it.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// The listen backlog [`widen_backlog`] asks for; the kernel caps it at
+/// `net.core.somaxconn`. `std`'s `TcpListener::bind` listens with 128,
+/// which a burst of thousands of connects overflows while the reactor
+/// is busy in an iteration: the dropped SYNs wait out a whole-second
+/// retransmit.
+const LISTEN_BACKLOG: c_int = 4096;
 
 fn lk<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -133,12 +139,24 @@ extern "C" {
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
+    fn listen(fd: c_int, backlog: c_int) -> c_int;
 }
 
-/// A self-pipe wakeup. The write end is signalled by the drain helper
-/// once it has published the final stats and closed the daemon, and by
-/// a connection's lone long job when it finishes; the reactor polls the
-/// read end alongside its sockets.
+/// Re-runs `listen(2)` on a bound listener with [`LISTEN_BACKLOG`];
+/// on an already listening socket that only resizes the accept queue.
+pub(crate) fn widen_backlog(listener: &TcpListener) -> io::Result<()> {
+    // SAFETY: `listen` takes no pointers, and the fd is the listener's
+    // own, open for as long as the borrow lasts.
+    if unsafe { listen(listener.as_raw_fd(), LISTEN_BACKLOG) } != 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
+
+/// The reactor's self-pipe wakeup. The write end is signalled by the
+/// drain helper once it has published the final stats and closed the
+/// daemon, and by a connection's lone long job when it finishes; the
+/// reactor polls the read end alongside its sockets.
 ///
 /// The pipe stays in blocking mode on purpose: the reactor only reads
 /// it after `POLLIN`, and a read never asks for more than one buffer
@@ -205,7 +223,7 @@ struct JobTrack {
     handle: JobHandle,
     last_state: &'static str,
     polls: u32,
-    /// The job rings the connection's reactor when it finishes.
+    /// The job rings the reactor when it finishes.
     wakes_on_finish: bool,
 }
 
@@ -224,7 +242,7 @@ enum PendingReply {
     Resolved(Json),
 }
 
-/// Per-connection state owned by exactly one reactor thread.
+/// Per-connection state, owned by the reactor thread.
 struct Conn {
     stream: TcpStream,
     rbuf: Vec<u8>,
@@ -271,7 +289,7 @@ impl Conn {
         self.wpos < self.wbuf.len()
     }
 
-    /// Whether a closing reactor still owes this connection anything.
+    /// Whether the closing reactor still owes this connection anything.
     fn has_final_work(&self) -> bool {
         !self.dead
             && (self.has_unflushed()
@@ -286,11 +304,11 @@ fn queue_event(wbuf: &mut Vec<u8>, event: &Json) {
     wbuf.push(b'\n');
 }
 
-/// The body of reactor `index`, woken by `shared.reactors[index]`. Runs
-/// until the daemon is closed and every final event is flushed (or the
-/// flush deadline passes).
-pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, index: usize, listener: &TcpListener) {
-    let waker = &shared.reactors[index];
+/// The reactor, woken by `shared.waker`. Runs until the daemon is
+/// closed and every final event is flushed (or the flush deadline
+/// passes).
+pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, listener: &TcpListener) {
+    let waker = &shared.waker;
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut close_deadline: Option<Instant> = None;
@@ -389,9 +407,7 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, index: usize, listener: &
         }
 
         // Accept until `WouldBlock`, so a connect storm drains the
-        // backlog in one pass instead of one connection per iteration;
-        // the reactors woken with this one race for the same backlog, so
-        // a burst still spreads over the pool.
+        // backlog in one pass instead of one connection per iteration.
         if fds[1].revents & POLLIN != 0 {
             loop {
                 match listener.accept() {
@@ -452,7 +468,7 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, index: usize, listener: &
 
         // Deliver the drain verdict: once the (single) drain helper has
         // published the final stats, every connection owed a `drained`
-        // reply gets it — whichever reactor it lives on.
+        // reply gets it.
         if conns.iter().any(|c| c.await_drain) {
             if let Some(event) = lk(&shared.drained_event).clone() {
                 for conn in &mut conns {
@@ -466,7 +482,7 @@ pub(crate) fn reactor_loop(shared: &Arc<DaemonShared>, index: usize, listener: &
 
         // Pump tracked jobs: transitions, heartbeats, final `done`.
         for conn in &mut conns {
-            pump_tracks(conn, shared, waker);
+            pump_tracks(conn, shared);
         }
 
         // Flush write queues.
@@ -610,7 +626,6 @@ fn dispatch(conn: &mut Conn, request: Request, shared: &Arc<DaemonShared>) {
                 .map(crate::journal::Journal::stats);
             let (live, terminal) = shared.registry.counts();
             let daemon = Json::obj([
-                ("reactor_threads", Json::u64(shared.reactors.len() as u64)),
                 ("registry_live", Json::u64(live as u64)),
                 ("registry_terminal", Json::u64(terminal as u64)),
                 (
@@ -645,9 +660,9 @@ fn dispatch(conn: &mut Conn, request: Request, shared: &Arc<DaemonShared>) {
         }
         Request::Drain => {
             // The engine drain can take arbitrarily long; the single
-            // drain helper waits it out and wakes every reactor, which
-            // then delivers the `drained` reply to its own waiting
-            // connections.
+            // drain helper waits it out and wakes the reactor, which
+            // then delivers the `drained` reply to every waiting
+            // connection.
             shared.begin_drain();
             // Already drained: answer from the cached verdict.
             if let Some(event) = lk(&shared.drained_event).clone() {
@@ -849,9 +864,8 @@ fn reject_undurable(conn: &mut Conn, shared: &DaemonShared, handle: JobHandle, e
 
 /// Streams tracked jobs: a `status` line per transition (plus periodic
 /// heartbeats), then the final `done`, after which the track is
-/// dropped. `waker` is this reactor's, for the jobs that ring it when
-/// they finish.
-fn pump_tracks(conn: &mut Conn, shared: &DaemonShared, waker: &Arc<Waker>) {
+/// dropped.
+fn pump_tracks(conn: &mut Conn, shared: &DaemonShared) {
     if conn.tracks.is_empty() || conn.dead {
         return;
     }
@@ -862,7 +876,7 @@ fn pump_tracks(conn: &mut Conn, shared: &DaemonShared, waker: &Arc<Waker>) {
             JobStatus::Queued => "queued",
             JobStatus::Running => {
                 // The connection's only job, still running at a later
-                // pump than the admitting one: ring this reactor when it
+                // pump than the admitting one: ring the reactor when it
                 // finishes, so its `done` goes out then rather than on
                 // the next poll. Without this a job's latency is its run
                 // time rounded up to the poll grid, which jumps by a
@@ -873,7 +887,7 @@ fn pump_tracks(conn: &mut Conn, shared: &DaemonShared, waker: &Arc<Waker>) {
                 // the next running job and armed it in turn, which cost
                 // `wire_burst` its batching (ROADMAP item 3).
                 if lone && !track.wakes_on_finish && track.polls > 0 {
-                    let waker = Arc::clone(waker);
+                    let waker = Arc::clone(&shared.waker);
                     track.handle.on_finish(move || waker.wake());
                     track.wakes_on_finish = true;
                 }

@@ -1,25 +1,22 @@
-//! The daemon: a fixed pool of poll-reactor threads (the private
-//! `reactor` module) sharing one listening socket. No async runtime — the
+//! The daemon: one poll reactor (the private `reactor` module) serving
+//! the listening socket and every connection. No async runtime — the
 //! concurrency story is the same hand-rolled threads-and-locks the rest
 //! of the workspace uses.
 //!
 //! ## Threading model
 //!
-//! * **A fixed pool of reactor threads** (`reactor_threads`, default
-//!   4), the first of which is the thread calling [`Daemon::run`]: every
-//!   reactor polls the listener alongside its own sockets and, when it
-//!   wakes, accepts until `WouldBlock`; the reactors woken together race
-//!   for the backlog, so a burst spreads over the pool. A connection
-//!   stays on the reactor that accepted it; that reactor drives all its
+//! * **One reactor thread**, the thread calling [`Daemon::run`]: it
+//!   polls the listener alongside every connection's socket and, when
+//!   the listener is readable, accepts until `WouldBlock`. It drives all
 //!   reads, request handling, job-status streaming and writes over
 //!   non-blocking sockets and `poll(2)`. Connection count and in-flight
 //!   job count add *no* threads, nor does the journal's group commit,
-//!   which runs on the reactors: total daemon threads are reactor pool,
-//!   engine drivers and worker pool.
+//!   which runs on the reactor: total daemon threads are the reactor,
+//!   the engine drivers and the worker pool.
 //! * **Transient drain helper**: the first drain trigger (`drain`
 //!   request or SIGTERM) spawns one short-lived helper thread that waits
 //!   out the engine drain, publishes the final stats and closes the
-//!   daemon, so the reactors keep serving meanwhile. Repeated drains
+//!   daemon, so the reactor keeps serving meanwhile. Repeated drains
 //!   share that helper — they park for the published verdict rather than
 //!   each adding a thread, keeping thread count a function of
 //!   configuration, never of client behavior.
@@ -38,9 +35,9 @@
 //!
 //! A `drain` request (or SIGTERM, via [`crate::signal`]) stops
 //! admission and lets every admitted job finish: the engine's own
-//! shutdown drains the queue, the reactors deliver each job's `done`,
+//! shutdown drains the queue, the reactor delivers each job's `done`,
 //! the drain caller gets the final aggregate stats, and [`Daemon::run`]
-//! returns them. The reactors keep accepting connections until the
+//! returns them. The reactor keeps accepting connections until the
 //! engine has drained, so a client that connects mid-drain is answered
 //! rather than reset: its submissions are rejected with reason
 //! `"draining"`, its `drain` gets the final stats. Concurrent drains are
@@ -75,15 +72,17 @@ pub struct DaemonConfig {
     pub addr: String,
     /// The engine the daemon fronts.
     pub engine: EngineConfig,
-    /// How often reactors poll tracked job status. A connection's only
-    /// job, still running at a later reactor iteration than the one
-    /// that admitted it, does not wait for this: it wakes its reactor
+    /// How often the reactor polls tracked job status. A connection's
+    /// only job, still running at a later reactor iteration than the one
+    /// that admitted it, does not wait for this: it wakes the reactor
     /// when it finishes.
     pub status_poll: Duration,
     /// Resend the current status every this many polls, so a client
     /// watching a long-queued job sees liveness, not silence.
     pub heartbeat_polls: u32,
-    /// Reactor threads driving the connection plane. Default 4.
+    /// Ignored: the daemon runs one reactor, the thread that calls
+    /// [`Daemon::run`]. Kept until the benchmark stops setting it
+    /// (ROADMAP 1(e)).
     pub reactor_threads: usize,
     /// Write-ahead admission journal. `Some` makes every admission
     /// durable (fsync'd before the client hears `accepted`) and lets
@@ -91,7 +90,7 @@ pub struct DaemonConfig {
     /// previous process's journal directory. Default: none.
     pub journal: Option<JournalConfig>,
     /// Close connections with no live jobs, no pending replies, and no
-    /// traffic for this long, so slow-loris clients cannot pin reactor
+    /// traffic for this long, so slow-loris clients cannot pin poll
     /// slots forever. Default: none (connections idle indefinitely).
     pub idle_timeout: Option<Duration>,
 }
@@ -103,7 +102,7 @@ impl Default for DaemonConfig {
             engine: EngineConfig::default(),
             status_poll: Duration::from_millis(2),
             heartbeat_polls: 250,
-            reactor_threads: 4,
+            reactor_threads: 1,
             journal: None,
             idle_timeout: None,
         }
@@ -278,15 +277,15 @@ pub(crate) struct DaemonShared {
     pub(crate) engine: Engine,
     /// Admission stopped (drain op or SIGTERM).
     pub(crate) draining: AtomicBool,
-    /// Engine fully drained and `drained_event` published; reactors stop
-    /// accepting, flush final events and exit.
+    /// Engine fully drained and `drained_event` published; the reactor
+    /// stops accepting, flushes final events and exits.
     pub(crate) closed: AtomicBool,
     pub(crate) status_poll: Duration,
     pub(crate) heartbeat_polls: u32,
     /// Reap connections idle (no live jobs, no buffered traffic) past
     /// this, when configured.
     pub(crate) idle_timeout: Option<Duration>,
-    /// Connections the reactors closed for idling past `idle_timeout`.
+    /// Connections the reactor closed for idling past `idle_timeout`.
     pub(crate) idle_reaped: AtomicU64,
     /// The write-ahead admission journal, when configured.
     pub(crate) journal: Option<Arc<Journal>>,
@@ -299,16 +298,16 @@ pub(crate) struct DaemonShared {
     /// The final `drained` event, published once by the drain helper;
     /// every connection owed a drain reply is answered from it.
     pub(crate) drained_event: Mutex<Option<Json>>,
-    /// One waker per reactor (`reactor_threads` of them), so the drain
-    /// helper can wake the whole pool when the verdict lands.
-    pub(crate) reactors: Vec<Arc<Waker>>,
+    /// The reactor's waker, rung by the drain helper when the verdict
+    /// lands and by a connection's lone long job when it finishes.
+    pub(crate) waker: Arc<Waker>,
 }
 
 impl DaemonShared {
     /// Stops admission and, on the first call, starts the single drain
     /// helper: it waits out the engine drain, publishes the final
-    /// `drained` event, closes the daemon and wakes every reactor, so each
-    /// answers its own waiting connections and exits. Every drain trigger
+    /// `drained` event, closes the daemon and wakes the reactor, which
+    /// answers every waiting connection and exits. Every drain trigger
     /// (the `drain` op, SIGTERM) funnels through here, so however many
     /// arrive the daemon grows by at most one thread.
     pub(crate) fn begin_drain(self: &Arc<Self>) {
@@ -323,9 +322,7 @@ impl DaemonShared {
                 let stats = shared.engine.shutdown();
                 *lk(&shared.drained_event) = Some(proto::drained(&stats));
                 shared.closed.store(true, Ordering::SeqCst);
-                for waker in &shared.reactors {
-                    waker.wake();
-                }
+                shared.waker.wake();
             })
             .expect("spawn drain helper");
     }
@@ -358,9 +355,8 @@ impl Daemon {
     /// records.
     pub fn bind(config: DaemonConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
-        let reactors = (0..config.reactor_threads.clamp(1, 64))
-            .map(|_| Waker::new().map(Arc::new))
-            .collect::<io::Result<Vec<_>>>()?;
+        reactor::widen_backlog(&listener)?;
+        let waker = Arc::new(Waker::new()?);
         let registry = Arc::new(Registry::new());
         let mut engine_config = config.engine;
         let opened = match config.journal {
@@ -457,7 +453,7 @@ impl Daemon {
                 registry,
                 drain_helper_spawned: AtomicBool::new(false),
                 drained_event: Mutex::new(None),
-                reactors,
+                waker,
             }),
         })
     }
@@ -469,35 +465,23 @@ impl Daemon {
 
     /// Serves until drained (by a `drain` request or SIGTERM), then
     /// returns the final aggregate stats. Installs the SIGTERM flag
-    /// handler, spawns reactors 1.. and runs reactor 0 on the calling
-    /// thread. A reactor that panics drops its own connections; the rest
-    /// serve on, and this still returns the drained stats.
+    /// handler and runs the reactor on the calling thread. A reactor
+    /// panic drops every connection; this still returns the drained
+    /// stats.
     pub fn run(self) -> ServiceStats {
         signal::install();
-        // Non-blocking: every reactor polls the listener, and one that
-        // loses the race to a ready connection must not block in accept.
+        // Non-blocking, so the reactor's accept loop ends at
+        // `WouldBlock` instead of blocking in accept.
         self.listener
             .set_nonblocking(true)
             .expect("nonblocking listener");
-        let reactors: Vec<JoinHandle<()>> = (1..self.shared.reactors.len())
-            .map(|index| {
-                let shared = Arc::clone(&self.shared);
-                let listener = self.listener.try_clone().expect("clone listener");
-                std::thread::Builder::new()
-                    .name(format!("serviced-reactor-{index}"))
-                    .spawn(move || reactor::reactor_loop(&shared, index, &listener))
-                    .expect("spawn reactor thread")
-            })
-            .collect();
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            reactor::reactor_loop(&self.shared, 0, &self.listener)
+            reactor::reactor_loop(&self.shared, &self.listener)
         }));
-        for thread in reactors {
-            let _ = thread.join();
-        }
-        // Reactors exit once the drain helper has shut the engine down
-        // and closed the daemon, so this returns its frozen snapshot (or,
-        // if every reactor stopped early, drains the engine here).
+        // The reactor exits once the drain helper has shut the engine
+        // down and closed the daemon, so this returns its frozen
+        // snapshot (or, if the reactor stopped early, drains the engine
+        // here).
         self.shared.engine.shutdown()
     }
 
@@ -508,7 +492,7 @@ impl Daemon {
         let daemon = Self::bind(config)?;
         let addr = daemon.local_addr()?;
         let handle = std::thread::Builder::new()
-            .name("serviced-reactor-0".to_string())
+            .name("serviced-reactor".to_string())
             .spawn(move || daemon.run())
             .expect("spawn daemon thread");
         Ok((addr, handle))

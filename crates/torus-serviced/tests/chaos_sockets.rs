@@ -216,7 +216,7 @@ fn thousands_of_parked_connections_soak() {
 fn park_connections(count: usize, slack: usize) {
     let (addr, daemon) = Daemon::spawn(quick_config()).unwrap();
 
-    // Warm-up wave: every daemon thread (reactors, drivers, pool)
+    // Warm-up wave: every daemon thread (reactor, drivers, pool)
     // exists once traffic has flowed.
     let mut warm = Client::connect(addr).unwrap();
     warm.hello("acme").unwrap();
@@ -228,7 +228,7 @@ fn park_connections(count: usize, slack: usize) {
         .map(|_| {
             let mut stream = TcpStream::connect(addr).expect("connect");
             // Authenticate so each connection is fully registered with
-            // a reactor, not merely sitting in the accept queue.
+            // the reactor, not merely sitting in the accept queue.
             stream
                 .write_all(b"{\"op\":\"hello\",\"tenant\":\"acme\"}\n")
                 .expect("hello");
@@ -236,7 +236,7 @@ fn park_connections(count: usize, slack: usize) {
         })
         .collect();
 
-    // Let the reactors absorb every connection, then prove the daemon
+    // Let the reactor absorb every connection, then prove the daemon
     // still works with all of them parked.
     let settled = Instant::now() + Duration::from_secs(30);
     loop {

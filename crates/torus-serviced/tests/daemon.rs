@@ -330,8 +330,9 @@ fn connections_opened_mid_drain_get_typed_replies() {
     send(&mut first, &[r#"{"op":"drain"}"#]);
     // Admission has stopped once a submit is refused as `draining`; any
     // submit that beat the drain is one more job queued behind the
-    // holder. The drain lands on another reactor, so those submits can
-    // fill the queue first: `queue_full` means admission is still open.
+    // holder. The drain arrives on another connection, so those submits
+    // can fill the queue first: `queue_full` means admission is still
+    // open.
     let mut seed = 0u64;
     loop {
         match worker.submit(&seeded_spec(seed)) {

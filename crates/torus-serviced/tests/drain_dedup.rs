@@ -42,7 +42,6 @@ fn repeated_drains_share_one_helper_thread() {
             .with_drivers(1) // one driver: the drain has real work left
             .with_queue_depth(JOBS as usize + 8),
         status_poll: Duration::from_millis(1),
-        reactor_threads: 2,
         ..DaemonConfig::default()
     };
     let (addr, daemon) = Daemon::spawn(config).unwrap();

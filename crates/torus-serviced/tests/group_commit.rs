@@ -219,20 +219,16 @@ fn accepted_on_the_wire_means_record_on_disk() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The barrier holds across reactors: eight clients, each on its own
-/// connection and so spread over the default four reactors, submit one
-/// job at a time. Reactors' syncs overlap, so some find their
-/// admissions already covered by another reactor's sync and answer
-/// without one of their own — and every `accepted` any client hears is
-/// still an on-disk record by then.
+/// The barrier holds across connections: eight clients, each on its own
+/// connection, submit one job at a time, so a reactor iteration's sync
+/// can cover admissions from several connections — and every `accepted`
+/// any client hears is still an on-disk record by then.
 #[test]
-fn accepted_means_on_disk_across_reactors() {
+fn accepted_means_on_disk_across_connections() {
     const CLIENTS: u64 = 8;
     const JOBS: u64 = 16;
-    let dir = temp_journal_dir("reactors");
-    let config = journaling_config(&dir);
-    assert_eq!(config.reactor_threads, 4, "the default reactor pool");
-    let (addr, daemon) = Daemon::spawn(config).unwrap();
+    let dir = temp_journal_dir("connections");
+    let (addr, daemon) = Daemon::spawn(journaling_config(&dir)).unwrap();
 
     let clients: Vec<_> = (0..CLIENTS)
         .map(|c| {

@@ -1,10 +1,10 @@
 //! Connection-churn test for the poll-reactor connection plane: the
-//! daemon's thread count is exactly reactor pool + engine drivers +
-//! worker pool (the thread running the daemon is reactor 0), never a
-//! function of how many clients are connected or how many jobs are in
-//! flight — and clients that vanish mid-job leak neither threads nor
-//! jobs. The daemon journals, as the CLI's and the benchmark's do: the
-//! journal's group commit runs on the reactors and adds no thread.
+//! daemon's thread count is exactly one reactor (the thread running the
+//! daemon) + engine drivers + worker pool, never a function of how many
+//! clients are connected or how many jobs are in flight — and clients
+//! that vanish mid-job leak neither threads nor jobs. The daemon
+//! journals, as the CLI's and the benchmark's do: the journal's group
+//! commit runs on the reactor and adds no thread.
 //!
 //! This lives in its own test binary on purpose: it counts the threads
 //! of the whole process via `/proc/self/task`, so it must not share a
@@ -32,7 +32,6 @@ fn seeded_spec(seed: u64) -> JobSpec {
 
 #[test]
 fn hundreds_of_churning_connections_leak_neither_threads_nor_jobs() {
-    const REACTORS: usize = 2;
     const DRIVERS: usize = 2;
     const POOL: usize = 4;
     const WAVES: u64 = 8;
@@ -47,7 +46,6 @@ fn hundreds_of_churning_connections_leak_neither_threads_nor_jobs() {
             .with_drivers(DRIVERS)
             .with_queue_depth(512),
         status_poll: Duration::from_millis(1),
-        reactor_threads: REACTORS,
         journal: Some(JournalConfig::new(&journal_dir)),
         ..DaemonConfig::default()
     };
@@ -66,8 +64,8 @@ fn hundreds_of_churning_connections_leak_neither_threads_nor_jobs() {
     let baseline = threads_now();
     assert_eq!(
         baseline - before,
-        REACTORS + DRIVERS + POOL,
-        "a daemon adds exactly its reactors, drivers and pool workers"
+        1 + DRIVERS + POOL,
+        "a daemon adds exactly one reactor, its drivers and its pool workers"
     );
 
     let mut accepted = 0u64;

@@ -36,10 +36,10 @@ fn sigterm_drains_like_a_drain_request() {
     }
     signal::reset();
 
-    // An idle daemon — no connection, so no socket ever wakes a reactor —
+    // An idle daemon — no connection, so no socket ever wakes the reactor —
     // still notices the flag on its own idle tick and drains. The handler
     // the first daemon's `run` installed is still in place, so this raise
-    // cannot race the second `run`'s install; the pause lets the reactors
+    // cannot race the second `run`'s install; the pause lets the reactor
     // park in `poll` first, so the tick, not a first iteration, sees it.
     let (_, idle) = Daemon::spawn(config).unwrap();
     std::thread::sleep(Duration::from_millis(20));
