@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use alltoall_core::PreparedExchange;
 use torus_runtime::{
-    CancelToken, CollectivePlan, CollectiveRuntime, FailureReason, JobOp, PayloadSpec, Runtime,
-    RuntimeConfig, RuntimeError, WorkerPool,
+    CollectivePlan, CollectiveRuntime, FailureReason, JobOp, PayloadSpec, Runtime, RuntimeConfig,
+    RuntimeError, WorkerPool,
 };
 use torus_topology::TorusShape;
 
@@ -144,7 +144,7 @@ pub enum CancelOutcome {
     /// will abort cooperatively at the next step boundary, reaching
     /// [`JobStatus::Cancelled`] shortly.
     Cancelling,
-    /// No live job has this id — it already finished, or never existed.
+    /// The job had already finished.
     Unknown,
 }
 
@@ -162,10 +162,6 @@ struct QueuedJob {
     /// Effective wall-clock deadline (already clamped to the server
     /// max), measured from dispatch. `None` runs unbounded.
     deadline: Option<Duration>,
-    /// The job's cancel trigger, created at admission so `cancel` can
-    /// reach the job in every pre-terminal state without racing the
-    /// queue→running handoff.
-    token: CancelToken,
 }
 
 /// One tenant's slice of the queue.
@@ -274,12 +270,6 @@ struct Shared {
     queue_depth: usize,
     default_quota: TenantQuota,
     hook: Option<EventHook>,
-    /// Every live (admitted, not yet terminal) job's cancel token, keyed
-    /// by job id, so `cancel` reaches a running job without taking the
-    /// queue lock. Entries are inserted at admission and removed on
-    /// every terminal path. Lock ordering: the queue lock may be held
-    /// while taking this lock, never the reverse.
-    lifecycle: Mutex<HashMap<u64, CancelToken>>,
     default_deadline: Option<Duration>,
     max_deadline: Option<Duration>,
 }
@@ -307,7 +297,6 @@ impl Shared {
         let mut queue = lk(&self.queue);
         let job = queue.remove(job_id)?;
         self.count_terminal(&job.tenant_cells, status);
-        lk(&self.lifecycle).remove(&job_id);
         drop(queue);
         self.work.notify_all();
         Some(job)
@@ -421,7 +410,6 @@ impl Engine {
             queue_depth: config.queue_depth.max(1),
             default_quota: config.default_quota,
             hook: config.event_hook,
-            lifecycle: Mutex::new(HashMap::new()),
             default_deadline: config.default_deadline,
             max_deadline: config.max_deadline,
         });
@@ -472,7 +460,7 @@ impl Engine {
     /// [`submit_as`](Engine::submit_as) with an explicit wall-clock
     /// deadline, measured from dispatch. The effective deadline is the
     /// request (or the engine's `default_deadline`), clamped to
-    /// `max_deadline`. It is set on the job's [`CancelToken`] at
+    /// `max_deadline`. It is set on the job's [`CancelToken`](torus_runtime::CancelToken) at
     /// dispatch, and a run still going past it aborts at its next
     /// checkpoint, finishing the job as [`JobStatus::DeadlineExceeded`]
     /// with a partial report.
@@ -587,8 +575,6 @@ impl Engine {
         let state = Arc::new(JobState::new());
         entry.cells.accepted.fetch_add(1, Ordering::Relaxed);
         shared.cells.ops_accepted[op.index()].fetch_add(1, Ordering::Relaxed);
-        let token = CancelToken::new();
-        lk(&shared.lifecycle).insert(id, token.clone());
         let job = QueuedJob {
             id,
             shape,
@@ -600,7 +586,6 @@ impl Engine {
             tenant_cells: Arc::clone(&entry.cells),
             submitted_at: Instant::now(),
             deadline: shared.effective_deadline(deadline),
-            token,
         };
         entry.jobs.push_back(job);
         queue.queued += 1;
@@ -641,30 +626,28 @@ impl Engine {
     /// A still-queued job is removed and finished as
     /// [`JobStatus::Cancelled`] before this returns (its `Finished`
     /// event fires, so a daemon journal hook records the terminal). A
-    /// running job has its [`CancelToken`] triggered and aborts
+    /// running job has its [`CancelToken`](torus_runtime::CancelToken) triggered and aborts
     /// cooperatively at the next step boundary — wait on its handle to
-    /// observe the terminal state. Cancelling a finished or unknown job
-    /// is a safe no-op ([`CancelOutcome::Unknown`]).
+    /// observe the terminal state. Cancelling a finished job is a safe
+    /// no-op ([`CancelOutcome::Unknown`]).
     ///
-    /// Tenant scoping is the caller's job: the engine cancels by id
-    /// alone, and the daemon checks ownership in its registry first.
-    pub fn cancel(&self, job_id: u64) -> CancelOutcome {
+    /// Tenant scoping is the caller's job: the daemon checks ownership
+    /// in its registry, which holds every live job's handle.
+    pub fn cancel(&self, job: &JobHandle) -> CancelOutcome {
         let shared = &self.shared;
         // Queued first: such a job can be finished right here.
-        if let Some(job) = shared.take_queued(job_id, JobStatus::Cancelled) {
-            shared.finish_cancelled_queued(job);
+        if let Some(queued) = shared.take_queued(job.id, JobStatus::Cancelled) {
+            shared.finish_cancelled_queued(queued);
             return CancelOutcome::Cancelled;
+        }
+        if job.try_status().is_terminal() {
+            return CancelOutcome::Unknown;
         }
         // Not queued but still live: a driver owns it (running, or in
         // the claim→dispatch window). Pull the trigger; the driver
         // accounts the terminal state when the run aborts.
-        match lk(&shared.lifecycle).get(&job_id) {
-            Some(token) => {
-                token.cancel();
-                CancelOutcome::Cancelling
-            }
-            None => CancelOutcome::Unknown,
-        }
+        job.state.token.cancel();
+        CancelOutcome::Cancelling
     }
 
     /// Guarantees every future fresh id exceeds `id`. Used after crash
@@ -780,10 +763,9 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     // The deadline counts from dispatch, not submission: time spent
     // queued is never charged to the run.
     if let Some(deadline) = job.deadline {
-        job.token.expire_at(started + deadline);
+        job.state.token.expire_at(started + deadline);
     }
     let finish_run = |status: JobStatus| {
-        lk(&shared.lifecycle).remove(&job.id);
         let run_us = started.elapsed().as_micros() as u64;
         shared.cells.run_time.record(run_us);
         job.tenant_cells.run_time.record(run_us);
@@ -873,7 +855,10 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         }
     };
 
-    let run_config = job.config.clone().with_cancel_token(job.token.clone());
+    let run_config = job
+        .config
+        .clone()
+        .with_cancel_token(job.state.token.clone());
     let outcome = match &entry.variant {
         PlanVariant::Alltoall { prepared, plan } => {
             let runtime = Runtime::from_shared(Arc::clone(prepared), Arc::clone(plan), run_config);

@@ -3,7 +3,7 @@
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use bytes::Bytes;
-use torus_runtime::RuntimeReport;
+use torus_runtime::{CancelToken, RuntimeReport};
 use torus_topology::NodeId;
 
 /// Why [`Engine::submit`](crate::Engine::submit) refused a job.
@@ -182,6 +182,10 @@ pub struct JobResult {
 pub(crate) struct JobState {
     slot: Mutex<Slot>,
     done: Condvar,
+    /// The job's cancel trigger, created at admission so
+    /// [`Engine::cancel`](crate::Engine::cancel) reaches the job in every
+    /// pre-terminal state without racing the queue→running handoff.
+    pub(crate) token: CancelToken,
 }
 
 /// What [`JobState`]'s lock guards.
@@ -211,6 +215,7 @@ impl JobState {
                 on_finish: None,
             }),
             done: Condvar::new(),
+            token: CancelToken::new(),
         }
     }
 

@@ -130,7 +130,7 @@ fn admission_bound_is_exact_under_concurrent_submitters() {
     );
     assert_eq!(engine.stats().queue_high_water, DEPTH);
 
-    assert_eq!(engine.cancel(blocker.id()), CancelOutcome::Cancelling);
+    assert_eq!(engine.cancel(&blocker), CancelOutcome::Cancelling);
     for handle in &accepted {
         assert_eq!(
             await_terminal(handle, Duration::from_secs(30)),

@@ -84,7 +84,7 @@ fn cancel_queued_job_finishes_immediately() {
         .unwrap();
     assert_eq!(queued.try_status(), JobStatus::Queued);
 
-    assert_eq!(engine.cancel(queued.id()), CancelOutcome::Cancelled);
+    assert_eq!(engine.cancel(&queued), CancelOutcome::Cancelled);
     assert_eq!(queued.try_status(), JobStatus::Cancelled);
     let result = queued.wait();
     assert!(
@@ -95,7 +95,7 @@ fn cancel_queued_job_finishes_immediately() {
     assert!(result.deliveries.is_none());
 
     // The blocker is unaffected; free the engine and check the books.
-    assert_eq!(engine.cancel(blocker.id()), CancelOutcome::Cancelling);
+    assert_eq!(engine.cancel(&blocker), CancelOutcome::Cancelling);
     blocker.wait();
     let stats = engine.shutdown();
     assert_eq!(stats.jobs_accepted, 2);
@@ -119,7 +119,7 @@ fn cancel_running_job_aborts_promptly() {
     wait_until_running(&job);
 
     let cancelled_at = Instant::now();
-    assert_eq!(engine.cancel(job.id()), CancelOutcome::Cancelling);
+    assert_eq!(engine.cancel(&job), CancelOutcome::Cancelling);
     let result = job.wait();
     let to_terminal = cancelled_at.elapsed();
     assert_eq!(job.try_status(), JobStatus::Cancelled);
@@ -140,17 +140,15 @@ fn cancel_running_job_aborts_promptly() {
     assert_eq!(stats.jobs_completed, 1);
 }
 
-/// Cancelling ids the engine has never seen, or jobs already terminal,
-/// is a safe no-op.
+/// Cancelling a job already terminal is a safe no-op.
 #[test]
-fn cancel_unknown_or_terminal_is_a_noop() {
+fn cancel_terminal_is_a_noop() {
     let engine = Engine::new(EngineConfig::default().with_pool_size(2));
-    assert_eq!(engine.cancel(12345), CancelOutcome::Unknown);
     let job = engine
         .submit(shape(), PayloadSpec::Pattern, quick_cfg())
         .unwrap();
     job.wait();
-    assert_eq!(engine.cancel(job.id()), CancelOutcome::Unknown);
+    assert_eq!(engine.cancel(&job), CancelOutcome::Unknown);
     assert_eq!(job.try_status(), JobStatus::Completed);
     let stats = engine.shutdown();
     assert_eq!(stats.jobs_completed, 1);
@@ -230,7 +228,7 @@ fn queue_wait_does_not_count_against_the_deadline() {
     std::thread::sleep(Duration::from_millis(300));
     assert_eq!(job.try_status(), JobStatus::Queued);
 
-    assert_eq!(engine.cancel(blocker.id()), CancelOutcome::Cancelling);
+    assert_eq!(engine.cancel(&blocker), CancelOutcome::Cancelling);
     let result = job.wait();
     assert_eq!(job.try_status(), JobStatus::Completed);
     assert_eq!(result.error, None);
@@ -314,7 +312,7 @@ fn cancel_storm_keeps_books_balanced() {
     // to exactly one terminal state per job.
     for pass in 0..2 {
         for handle in &handles {
-            let outcome = engine.cancel(handle.id());
+            let outcome = engine.cancel(handle);
             if pass == 1 {
                 // Second pass: nothing is queued anymore, so a repeat
                 // cancel is either still-cancelling or a no-op.
@@ -431,13 +429,13 @@ fn finished_hook_runs_before_the_job_is_seen_terminal() {
     let queued = engine
         .submit(shape(), PayloadSpec::Pattern, quick_cfg())
         .unwrap();
-    assert_eq!(engine.cancel(queued.id()), CancelOutcome::Cancelled);
+    assert_eq!(engine.cancel(&queued), CancelOutcome::Cancelled);
     assert!(
         recorded_when_seen(&queued),
         "queued cancel seen before its hook"
     );
 
-    assert_eq!(engine.cancel(blocker.id()), CancelOutcome::Cancelling);
+    assert_eq!(engine.cancel(&blocker), CancelOutcome::Cancelling);
     assert!(recorded_when_seen(&blocker), "abort seen before its hook");
     assert_eq!(blocker.try_status(), JobStatus::Cancelled);
     engine.shutdown();

@@ -50,6 +50,7 @@
 
 pub mod checksum;
 pub mod client;
+mod core;
 pub mod journal;
 pub mod json;
 pub mod proto;

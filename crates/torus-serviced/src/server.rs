@@ -15,18 +15,38 @@
 //!   the engine drivers and the worker pool.
 //! * **Transient drain helper**: the first drain trigger (`drain`
 //!   request or SIGTERM) spawns one short-lived helper thread that waits
-//!   out the engine drain, publishes the final stats and closes the
-//!   daemon, so the reactor keeps serving meanwhile. Repeated drains
+//!   out the engine drain, publishes the final stats and wakes the
+//!   reactor, so the reactor keeps serving meanwhile. Repeated drains
 //!   share that helper — they park for the published verdict rather than
 //!   each adding a thread, keeping thread count a function of
 //!   configuration, never of client behavior.
+//!
+//! ## Core and shell
+//!
+//! The reactor is split in two. Its core (the private `core` module)
+//! makes every decision — parsing, admission, reply order, the
+//! durability barrier, job streaming, drain, idle reaping, when to exit
+//! and how long to poll — from the instant and the input it is handed:
+//! accepted, read, EOF, written and closed per connection; durable(seq,
+//! result) for the tick's journal sync; the drain verdict; SIGTERM; and
+//! the tick itself. It reads no clock, owns no fd, and reaches the
+//! engine, journal and registry only through one trait that
+//! `DaemonShared` implements. The shell (`reactor`) owns the listener,
+//! the sockets, `poll`, the waker and the drain helper, reads the clock
+//! once per iteration and runs the journal sync inline. So every
+//! interleaving of inputs replays from a seed: the core's proptest
+//! checks, with no socket and no sleep, that replies leave in request
+//! order, that no `accepted` leaves before a sync covers it, that a
+//! drain completes with exactly one `done` per owed job and the daemon
+//! exits as soon as nothing is owed, and that the admission bound holds.
+//! `DaemonShared` keeps only what crosses threads.
 //!
 //! ## Durability
 //!
 //! With a journal configured, no client hears `accepted` before its
 //! admission record is fsync'd. Admissions arriving close together
 //! share one group-commit fsync (see [`crate::journal`] and the
-//! batching notes in the `reactor` module); if the journal cannot make an
+//! batching notes in the `core` module); if the journal cannot make an
 //! admission durable the job is cancelled and the client receives a
 //! typed `journal_unavailable` rejection instead of an acknowledgment
 //! the daemon could not honor.
@@ -47,7 +67,6 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -57,6 +76,7 @@ use torus_service::{
 };
 
 use crate::checksum;
+use crate::core::Core;
 use crate::journal::{Journal, JournalConfig};
 use crate::json::Json;
 use crate::proto;
@@ -171,7 +191,7 @@ pub(crate) enum CancelLookup {
     /// The job exists but belongs to a different tenant.
     Forbidden,
     /// The job is live (queued or running) and owned by the caller.
-    Live,
+    Live(JobHandle),
     /// The job is already terminal; carries its state label. A replayed
     /// terminal with no recorded tenant is reported here rather than
     /// guessed at — cancelling a finished job is a no-op either way.
@@ -252,7 +272,7 @@ impl Registry {
         let tables = lk(&self.tables);
         if let Some(entry) = tables.live.get(&job_id) {
             return if entry.tenant.as_ref() == tenant {
-                CancelLookup::Live
+                CancelLookup::Live(entry.handle.clone())
             } else {
                 CancelLookup::Forbidden
             };
@@ -273,59 +293,23 @@ impl Registry {
     }
 }
 
+/// What the reactor shares with other threads: the engine (and its
+/// drivers' event hook), the journal, the registry, the drain helper's
+/// verdict and the waker. State only the reactor touches is its
+/// [`Core`]'s.
 pub(crate) struct DaemonShared {
     pub(crate) engine: Engine,
-    /// Admission stopped (drain op or SIGTERM).
-    pub(crate) draining: AtomicBool,
-    /// Engine fully drained and `drained_event` published; the reactor
-    /// stops accepting, flushes final events and exits.
-    pub(crate) closed: AtomicBool,
-    pub(crate) status_poll: Duration,
-    pub(crate) heartbeat_polls: u32,
-    /// Reap connections idle (no live jobs, no buffered traffic) past
-    /// this, when configured.
-    pub(crate) idle_timeout: Option<Duration>,
-    /// Connections the reactor closed for idling past `idle_timeout`.
-    pub(crate) idle_reaped: AtomicU64,
     /// The write-ahead admission journal, when configured.
     pub(crate) journal: Option<Arc<Journal>>,
     /// Every job id this daemon can answer `status` for.
     pub(crate) registry: Arc<Registry>,
-    /// Set by the first drain trigger to claim the (single) helper
-    /// thread; repeated drains wait on its published verdict instead of
-    /// each adding a thread blocked on the engine's final-stats lock.
-    pub(crate) drain_helper_spawned: AtomicBool,
-    /// The final `drained` event, published once by the drain helper;
-    /// every connection owed a drain reply is answered from it.
+    /// The final `drained` event, published once by the drain helper
+    /// and taken by the reactor for its core, which answers every drain
+    /// request from it.
     pub(crate) drained_event: Mutex<Option<Json>>,
     /// The reactor's waker, rung by the drain helper when the verdict
     /// lands and by a connection's lone long job when it finishes.
     pub(crate) waker: Arc<Waker>,
-}
-
-impl DaemonShared {
-    /// Stops admission and, on the first call, starts the single drain
-    /// helper: it waits out the engine drain, publishes the final
-    /// `drained` event, closes the daemon and wakes the reactor, which
-    /// answers every waiting connection and exits. Every drain trigger
-    /// (the `drain` op, SIGTERM) funnels through here, so however many
-    /// arrive the daemon grows by at most one thread.
-    pub(crate) fn begin_drain(self: &Arc<Self>) {
-        self.draining.store(true, Ordering::SeqCst);
-        if self.drain_helper_spawned.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let shared = Arc::clone(self);
-        std::thread::Builder::new()
-            .name("serviced-drain".to_string())
-            .spawn(move || {
-                let stats = shared.engine.shutdown();
-                *lk(&shared.drained_event) = Some(proto::drained(&stats));
-                shared.closed.store(true, Ordering::SeqCst);
-                shared.waker.wake();
-            })
-            .expect("spawn drain helper");
-    }
 }
 
 fn lk<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -336,6 +320,7 @@ fn lk<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub struct Daemon {
     listener: TcpListener,
     shared: Arc<DaemonShared>,
+    core: Core<Arc<DaemonShared>>,
 }
 
 impl Daemon {
@@ -358,8 +343,8 @@ impl Daemon {
         reactor::widen_backlog(&listener)?;
         let waker = Arc::new(Waker::new()?);
         let registry = Arc::new(Registry::new());
-        let mut engine_config = config.engine;
-        let opened = match config.journal {
+        let mut engine_config = config.engine.clone();
+        let opened = match config.journal.clone() {
             Some(journal_config) => {
                 let (journal, recovery) = Journal::open(journal_config)
                     .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
@@ -439,22 +424,18 @@ impl Daemon {
             }
             journal
         });
+        let shared = Arc::new(DaemonShared {
+            engine,
+            journal,
+            registry,
+            drained_event: Mutex::new(None),
+            waker,
+        });
+        let core = Core::new(Arc::clone(&shared), &config);
         Ok(Self {
             listener,
-            shared: Arc::new(DaemonShared {
-                engine,
-                draining: AtomicBool::new(false),
-                closed: AtomicBool::new(false),
-                status_poll: config.status_poll,
-                heartbeat_polls: config.heartbeat_polls.max(1),
-                idle_timeout: config.idle_timeout,
-                idle_reaped: AtomicU64::new(0),
-                journal,
-                registry,
-                drain_helper_spawned: AtomicBool::new(false),
-                drained_event: Mutex::new(None),
-                waker,
-            }),
+            shared,
+            core,
         })
     }
 
@@ -469,20 +450,25 @@ impl Daemon {
     /// panic drops every connection; this still returns the drained
     /// stats.
     pub fn run(self) -> ServiceStats {
+        let Self {
+            listener,
+            shared,
+            core,
+        } = self;
         signal::install();
         // Non-blocking, so the reactor's accept loop ends at
         // `WouldBlock` instead of blocking in accept.
-        self.listener
+        listener
             .set_nonblocking(true)
             .expect("nonblocking listener");
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            reactor::reactor_loop(&self.shared, &self.listener)
+            reactor::reactor_loop(core, &shared, &listener)
         }));
         // The reactor exits once the drain helper has shut the engine
-        // down and closed the daemon, so this returns its frozen
+        // down and published its verdict, so this returns its frozen
         // snapshot (or, if the reactor stopped early, drains the engine
         // here).
-        self.shared.engine.shutdown()
+        shared.engine.shutdown()
     }
 
     /// Convenience for tests and embedders: run on a background thread,
